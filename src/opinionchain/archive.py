@@ -176,20 +176,99 @@ def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
         )
 
 
-def load_archive(path, allow_resource_drift: bool = False) -> LoadedModel:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: cannot read archive: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != ARCHIVE_FORMAT:
-        raise FileFormatError(f"{path}: not a {ARCHIVE_FORMAT} file")
+# The JSON structure load_archive expects.  A key maps to the Python type
+# (or types) its value must have, or to the spec of a nested object;
+# (None, spec) also allows null.
+_NUMBER = (int, float)
+_PIPELINE_SPEC = {
+    "config": dict,
+    "schema": {"blocks": list, "feature_names": list},
+    "vocabulary": (None, {"terms": list, "doc_freq": list, "num_docs": int, "max_order": int}),
+    "standardizer": (None, {"mean": list, "std": list}),
+}
+_MODEL_SPECS = {
+    "hcrf": {"theta_obs": list, "theta_state": list, "theta_trans": list, "training": dict},
+    "logreg": {"weights": list, "intercept": _NUMBER, "c": _NUMBER},
+}
+_ARCHIVE_SPEC = {
+    "kind": str,
+    "label_names": list,
+    "pipeline": _PIPELINE_SPEC,
+    "resources": dict,
+    "model": dict,
+}
+_JSON_TYPE_NAMES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    _NUMBER: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
 
-    pipe_doc = doc["pipeline"]
-    config = PipelineConfig(**pipe_doc["config"])
-    if not allow_resource_drift:
-        _check_resource_digests(config, doc["resources"], path)
 
+def _spec_problems(doc: dict, spec: dict, prefix: str = "") -> list[str]:
+    """Every key of ``spec`` that ``doc`` lacks or holds with the wrong type."""
+    problems = []
+    for key, want in spec.items():
+        name = prefix + key
+        if key not in doc:
+            problems.append(f"missing key {name!r}")
+            continue
+        value = doc[key]
+        if isinstance(want, tuple) and want[0] is None:
+            if value is None:
+                continue
+            want = want[1]
+        if isinstance(want, dict):
+            if isinstance(value, dict):
+                problems.extend(_spec_problems(value, want, name + "."))
+                continue
+        elif isinstance(value, want) and not isinstance(value, bool):
+            continue
+        expected = _JSON_TYPE_NAMES[dict if isinstance(want, dict) else want]
+        problems.append(f"{name!r} must be {expected}, got {_JSON_TYPE_NAMES[type(value)]}")
+    return problems
+
+
+def _archive_problems(doc: dict) -> list[str]:
+    problems = _spec_problems(doc, _ARCHIVE_SPEC)
+    kind, model = doc.get("kind"), doc.get("model")
+    if isinstance(kind, str) and kind not in _MODEL_SPECS:
+        problems.append(f"unknown model kind {kind!r}; known: {sorted(_MODEL_SPECS)}")
+    elif isinstance(kind, str) and isinstance(model, dict):
+        problems.extend(_spec_problems(model, _MODEL_SPECS[kind], "model."))
+    resources = doc.get("resources")
+    if isinstance(resources, dict):
+        for role, entry in sorted(resources.items()):
+            if not isinstance(entry, dict) or not isinstance(entry.get("sha256"), str):
+                problems.append(f"'resources.{role}' must be an object with a string 'sha256'")
+    return problems
+
+
+def _predictor_from_doc(kind: str, model_doc: dict):
+    if kind == "hcrf":
+        return HcrfPredictor(
+            params=HcrfParameters(
+                theta_obs=np.array(model_doc["theta_obs"], dtype=np.float64),
+                theta_state=np.array(model_doc["theta_state"], dtype=np.float64),
+                theta_trans=np.array(model_doc["theta_trans"], dtype=np.float64),
+            ),
+            config=TrainingConfig(**model_doc["training"]),
+        )
+    return LogRegPredictor(
+        LogRegModel(
+            weights=np.array(model_doc["weights"], dtype=np.float64),
+            intercept=float(model_doc["intercept"]),
+            c=float(model_doc["c"]),
+        )
+    )
+
+
+def _fitted_parts(pipe_doc: dict) -> dict:
+    """Schema, vocabulary and standardizer of a fitted pipeline."""
     vocab = None
     if pipe_doc["vocabulary"] is not None:
         v = pipe_doc["vocabulary"]
@@ -206,34 +285,44 @@ def load_archive(path, allow_resource_drift: bool = False) -> LoadedModel:
             mean=np.array(s["mean"], dtype=np.float64),
             std=np.array(s["std"], dtype=np.float64),
         )
-    pipeline = FittedFeaturePipeline(
-        config=config,
-        schema=FeatureSchema.from_jsonable(pipe_doc["schema"]),
-        vocabulary=vocab,
-        standardizer=standardizer,
-        _resources=_load_resources(config),
-    )
+    return {
+        "schema": FeatureSchema.from_jsonable(pipe_doc["schema"]),
+        "vocabulary": vocab,
+        "standardizer": standardizer,
+    }
 
-    model_doc = doc["model"]
-    if doc["kind"] == "hcrf":
-        predictor = HcrfPredictor(
-            params=HcrfParameters(
-                theta_obs=np.array(model_doc["theta_obs"], dtype=np.float64),
-                theta_state=np.array(model_doc["theta_state"], dtype=np.float64),
-                theta_trans=np.array(model_doc["theta_trans"], dtype=np.float64),
-            ),
-            config=TrainingConfig(**model_doc["training"]),
+
+def load_archive(path, allow_resource_drift: bool = False) -> LoadedModel:
+    """Read an archive written by :func:`save_archive`.
+
+    A structurally broken archive (missing keys, values of the wrong JSON
+    type, values no constructor accepts) raises one FileFormatError that
+    lists every structural problem at once.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"{path}: cannot read archive: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != ARCHIVE_FORMAT:
+        raise FileFormatError(f"{path}: not a {ARCHIVE_FORMAT} file")
+    problems = _archive_problems(doc)
+    if problems:
+        raise FileFormatError(
+            f"{path}: malformed archive ({len(problems)} problem(s))",
+            [(str(path), 0, p) for p in problems],
         )
-    elif doc["kind"] == "logreg":
-        predictor = LogRegPredictor(
-            LogRegModel(
-                weights=np.array(model_doc["weights"], dtype=np.float64),
-                intercept=float(model_doc["intercept"]),
-                c=float(model_doc["c"]),
-            )
-        )
-    else:
-        raise FileFormatError(f"{path}: unknown model kind {doc['kind']!r}")
+
+    pipe_doc = doc["pipeline"]
+    try:
+        config = PipelineConfig(**pipe_doc["config"])
+        parts = _fitted_parts(pipe_doc)
+        predictor = _predictor_from_doc(doc["kind"], doc["model"])
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed archive: {exc}") from None
+    if not allow_resource_drift:
+        _check_resource_digests(config, doc["resources"], path)
+    pipeline = FittedFeaturePipeline(config=config, **parts, _resources=_load_resources(config))
     return LoadedModel(
         kind=doc["kind"],
         pipeline=pipeline,

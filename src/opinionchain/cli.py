@@ -49,7 +49,9 @@ from .synthetic import (
 )
 from .training import TrainingConfig, fit_predictor
 
-log = logging.getLogger(__name__)
+# Named explicitly: under ``python -m opinionchain.cli`` __name__ is
+# "__main__", outside the "opinionchain" logger that run.log records.
+log = logging.getLogger("opinionchain.cli")
 
 PREDICTIONS_VERSION = "predictions/v1"
 
@@ -210,9 +212,9 @@ def _fit_from_args(args, file_config):
         def fit(sequences, labels):
             predictor, trace = fit_predictor(list(zip(sequences, labels)), training_config)
             log.info(
-                "hcrf training %s after %d evaluations, objective %.6f",
+                "hcrf training %s after %d iterations, objective %.6f",
                 trace.status,
-                len(trace.entries),
+                len(trace.entries) - 1,
                 trace.entries[-1].objective,
             )
             return predictor, {"training": dataclasses.asdict(training_config)}

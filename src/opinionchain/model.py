@@ -9,8 +9,13 @@ configuration ``(y, h, x)`` is
                    + sum_{j<L} W_trans[y, h_j, h_{j+1}]
 
 and the label posterior marginalizes the latent states per label.  All
-inference runs in log-space; sequences of hundreds of segments would
-underflow a probability-space forward pass.
+inference goes through one log-space kernel, :func:`forward_backward`,
+batched over labels and same-length sequences; training and the
+single-sequence functions below both call it.  Sequences of hundreds of
+segments, or weights in the thousands, would underflow or overflow a
+probability-space pass.  The brute-force enumerators are test oracles:
+they sum explicit paths with scipy's logsumexp, independently of the
+kernel.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -22,7 +27,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -30,28 +35,6 @@ from scipy.special import logsumexp
 from .errors import EnumerationBudgetError, InvalidInputError
 
 BRUTE_FORCE_MAX_PATHS = 10**6
-
-
-@dataclass(frozen=True)
-class LabelSet:
-    """Registered label names; the label itself is an index into ``names``."""
-
-    names: tuple[str, ...] = ("negative", "positive")
-
-    def __post_init__(self):
-        if len(self.names) < 2:
-            raise InvalidInputError("a label set needs at least two labels")
-        if len(set(self.names)) != len(self.names):
-            raise InvalidInputError(f"duplicate label names: {self.names}")
-
-    def __len__(self):
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InvalidInputError(f"unknown label name {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -226,46 +209,100 @@ def potential(
     return float(score)
 
 
-def _forward(node_scores: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """Log-space forward pass.  node_scores is (L, H) = emission + state
-    terms, trans is (H, H); returns alpha (L, H)."""
-    length = node_scores.shape[0]
-    alpha = np.empty_like(node_scores)
-    alpha[0] = node_scores[0]
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the maximum so the
+    largest term is exp(0) = 1: finite and exact to rounding for any
+    finite input, however large its magnitude."""
+    m = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:
+    """(Y, N, L, H) per-label node scores from (N, L, H) emission scores:
+    the emission plus the label-state weight of each hidden state."""
+    return emission[None] + theta.theta_state[:, None, None, :]
+
+
+@dataclass(frozen=True)
+class ChainPosteriors:
+    """Forward-backward results for Y labels times N same-length chains.
+
+    ``state`` and ``pair`` are None when only the log-partitions were
+    asked for.
+    """
+
+    log_z: np.ndarray  # (Y, N): log sum over latent paths
+    state: np.ndarray | None = None  # (Y, N, L, H): P(h_j | y, x)
+    pair: np.ndarray | None = None  # (Y, N, L-1, H, H): P(h_j, h_{j+1} | y, x)
+
+
+def forward_backward(
+    node: np.ndarray, trans: np.ndarray, with_marginals: bool = True
+) -> ChainPosteriors:
+    """Log-space forward-backward over every label and chain at once.
+
+    ``node`` is (Y, N, L, H) from :func:`node_scores` and ``trans`` is the
+    (Y, H, H) transition block.  The only loops are the two recursions
+    over positions; labels, chains and state pairs are vectorized.
+    """
+    length = node.shape[2]
+    step = trans[:, None]  # (Y, 1, H, H), broadcast over chains
+    alpha = np.empty_like(node)
+    alpha[:, :, 0] = node[:, :, 0]
     for j in range(1, length):
-        alpha[j] = logsumexp(alpha[j - 1][:, None] + trans, axis=0) + node_scores[j]
-    return alpha
+        alpha[:, :, j] = (
+            _logsumexp(alpha[:, :, j - 1, :, None] + step, axis=-2) + node[:, :, j]
+        )
+    log_z = _logsumexp(alpha[:, :, -1], axis=-1)
+    if not with_marginals:
+        return ChainPosteriors(log_z)
 
-
-def _backward(node_scores: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    length = node_scores.shape[0]
-    beta = np.zeros_like(node_scores)
+    beta = np.zeros_like(node)
     for j in range(length - 2, -1, -1):
-        beta[j] = logsumexp(trans + (node_scores[j + 1] + beta[j + 1])[None, :], axis=1)
-    return beta
+        beta[:, :, j] = _logsumexp(
+            step + (node[:, :, j + 1] + beta[:, :, j + 1])[:, :, None, :], axis=-1
+        )
+    norm = log_z[:, :, None, None]
+    state = np.exp(alpha + beta - norm)
+    pair = np.exp(
+        alpha[:, :, :-1, :, None]
+        + step[:, :, None]
+        + (node[:, :, 1:] + beta[:, :, 1:])[:, :, :, None, :]
+        - norm[..., None]
+    )
+    return ChainPosteriors(log_z, state, pair)
+
+
+def label_log_posteriors(log_z: np.ndarray) -> np.ndarray:
+    """log P(y | x) from (Y, ...) per-label log-partitions, along axis 0."""
+    return log_z - _logsumexp(log_z, axis=0)
+
+
+def _single_chain(
+    x: ObservationSequence, theta: HcrfParameters, labels
+) -> tuple[np.ndarray, np.ndarray]:
+    """(node, trans) for one sequence (N=1), restricted to ``labels``."""
+    _check_dims(x, theta)
+    emission = _emission_scores(x, theta)[None]
+    return node_scores(emission, theta)[labels], theta.theta_trans[labels]
 
 
 def log_partition_per_label(y: int, x: ObservationSequence, theta: HcrfParameters) -> float:
     """log sum over all latent paths of exp(score(y, h, x)); O(L * H^2)."""
-    _check_dims(x, theta)
     _check_label(y, theta)
-    node = _emission_scores(x, theta) + theta.theta_state[y][None, :]
-    alpha = _forward(node, theta.theta_trans[y])
-    return float(logsumexp(alpha[-1]))
+    node, trans = _single_chain(x, theta, [y])
+    return float(forward_backward(node, trans, with_marginals=False).log_z[0, 0])
 
 
 def log_partitions(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
     """Per-label log-partitions as a (Y,) vector."""
-    _check_dims(x, theta)
-    return np.array(
-        [log_partition_per_label(y, x, theta) for y in range(theta.num_labels)]
-    )
+    node, trans = _single_chain(x, theta, slice(None))
+    return forward_backward(node, trans, with_marginals=False).log_z[:, 0]
 
 
 def posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
     """Label posterior P(y | x); a (Y,) probability vector summing to 1."""
-    log_z = log_partitions(x, theta)
-    return np.exp(log_z - logsumexp(log_z))
+    return np.exp(label_log_posteriors(log_partitions(x, theta)))
 
 
 def predict(x: ObservationSequence, theta: HcrfParameters) -> int:
@@ -279,23 +316,10 @@ def marginals(y: int, x: ObservationSequence, theta: HcrfParameters) -> Marginal
     Needed by the likelihood gradient: the expected feature counts are
     sums of these state and pair posteriors.
     """
-    _check_dims(x, theta)
     _check_label(y, theta)
-    trans = theta.theta_trans[y]
-    node = _emission_scores(x, theta) + theta.theta_state[y][None, :]
-    alpha = _forward(node, trans)
-    beta = _backward(node, trans)
-    log_z = logsumexp(alpha[-1])
-
-    state = np.exp(alpha + beta - log_z)
-    length = x.length
-    pair = np.empty((length - 1, theta.num_hidden_states, theta.num_hidden_states))
-    for j in range(length - 1):
-        log_pair = (
-            alpha[j][:, None] + trans + (node[j + 1] + beta[j + 1])[None, :] - log_z
-        )
-        pair[j] = np.exp(log_pair)
-    return Marginals(state_posteriors=state, pair_posteriors=pair)
+    node, trans = _single_chain(x, theta, [y])
+    chain = forward_backward(node, trans)
+    return Marginals(state_posteriors=chain.state[0, 0], pair_posteriors=chain.pair[0, 0])
 
 
 def _enumerate_paths(num_states: int, length: int) -> np.ndarray:

@@ -6,20 +6,31 @@ regularizer's gradient is exactly lambda * theta.  The likelihood
 gradient is the usual expected-count difference: conditional state and
 pair posteriors weighted by (P(y|x) - 1[y = gold]).
 
-Sequences are grouped by length and each group's forward-backward runs
-vectorized over the group; grouping follows dataset order and groups are
-reduced in sorted-length order, so results are bitwise reproducible.
+Sequences are grouped by length, and each group goes once through
+``model.forward_backward``, the same log-space kernel that computes
+single-document posteriors, vectorized over every label and every
+sequence in the group.  The observation gradient is then one matmul of
+the label-weighted state posteriors with the group's features.
+Grouping follows dataset order and groups are reduced in sorted-length
+order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidInputError
-from .model import HcrfParameters, ObservationSequence, posterior, predict
+from .model import (
+    HcrfParameters,
+    ObservationSequence,
+    forward_backward,
+    label_log_posteriors,
+    node_scores,
+    posterior,
+    predict,
+)
 from .optimize import TraceEntry, minimize
 
 Dataset = list[tuple[ObservationSequence, int]]
@@ -117,58 +128,17 @@ def _group_objective_gradient(
     grad_trans: np.ndarray,
 ) -> float:
     """One length-group's NLL; expected-count gradient accumulated in place."""
-    num, length, _ = feats.shape
-    num_labels = theta.num_labels
-    num_h = theta.num_hidden_states
-    emis = feats @ theta.theta_obs.T  # (N, L, H)
+    num, length, dim = feats.shape
+    chain = forward_backward(node_scores(feats @ theta.theta_obs.T, theta), theta.theta_trans)
+    log_post = label_log_posteriors(chain.log_z)  # (Y, N)
+    nll = float(-log_post[labels, np.arange(num)].sum())
 
-    log_z = np.empty((num, num_labels))
-    state_sums = np.empty((num_labels, num, num_h))  # sum_j P(h_j | y, x)
-    state_full = np.empty((num_labels, num, length, num_h))
-    pair_sums = np.empty((num_labels, num, num_h, num_h)) if length > 1 else None
-
-    for y in range(num_labels):
-        trans = theta.theta_trans[y]
-        node = emis + theta.theta_state[y][None, None, :]
-        alpha = np.empty_like(node)
-        alpha[:, 0] = node[:, 0]
-        for j in range(1, length):
-            alpha[:, j] = (
-                logsumexp(alpha[:, j - 1][:, :, None] + trans[None, :, :], axis=1)
-                + node[:, j]
-            )
-        beta = np.zeros_like(node)
-        for j in range(length - 2, -1, -1):
-            beta[:, j] = logsumexp(
-                trans[None, :, :] + (node[:, j + 1] + beta[:, j + 1])[:, None, :], axis=2
-            )
-        log_z_y = logsumexp(alpha[:, -1], axis=1)
-        log_z[:, y] = log_z_y
-
-        state = np.exp(alpha + beta - log_z_y[:, None, None])
-        state_full[y] = state
-        state_sums[y] = state.sum(axis=1)
-        if length > 1:
-            acc = np.zeros((num, num_h, num_h))
-            for j in range(length - 1):
-                acc += np.exp(
-                    alpha[:, j][:, :, None]
-                    + trans[None, :, :]
-                    + (node[:, j + 1] + beta[:, j + 1])[:, None, :]
-                    - log_z_y[:, None, None]
-                )
-            pair_sums[y] = acc
-
-    log_total = logsumexp(log_z, axis=1)
-    nll = float(-(log_z[np.arange(num), labels] - log_total).sum())
-
-    posterior = np.exp(log_z - log_total[:, None])  # (N, Y)
-    for y in range(num_labels):
-        coeff = posterior[:, y] - (labels == y)  # (N,)
-        grad_state[y] += coeff @ state_sums[y]
-        grad_obs += np.einsum("n,nlh,nld->hd", coeff, state_full[y], feats)
-        if length > 1:
-            grad_trans[y] += np.einsum("n,nhk->hk", coeff, pair_sums[y])
+    coeff = np.exp(log_post)  # P(y | x) - 1[y = gold], (Y, N)
+    coeff[labels, np.arange(num)] -= 1.0
+    grad_state += np.einsum("yn,ynlh->yh", coeff, chain.state)
+    grad_trans += np.einsum("yn,ynjhk->yhk", coeff, chain.pair)
+    weighted = np.einsum("yn,ynlh->nlh", coeff, chain.state).reshape(num * length, -1)
+    grad_obs += weighted.T @ feats.reshape(num * length, dim)
     return nll
 
 
@@ -201,14 +171,6 @@ def objective_and_gradient(
         grad_trans + l2_lambda * theta.theta_trans,
     )
     return value, grad
-
-
-def objective(dataset: Dataset, theta: HcrfParameters, l2_lambda: float) -> float:
-    return objective_and_gradient(dataset, theta, l2_lambda)[0]
-
-
-def gradient(dataset: Dataset, theta: HcrfParameters, l2_lambda: float) -> HcrfParameters:
-    return objective_and_gradient(dataset, theta, l2_lambda)[1]
 
 
 def infer_num_labels(dataset: Dataset) -> int:

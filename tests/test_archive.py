@@ -138,6 +138,39 @@ class TestArchiveFormat:
         with pytest.raises(FileFormatError, match="rnn"):
             load_archive(path)
 
+    def test_every_structural_problem_listed_at_once(self, tmp_path):
+        docs, pipeline = fitted_setup(tmp_path)
+        _, predictor = train_hcrf(docs, pipeline)
+        path = tmp_path / "model.json"
+        save_archive(path, predictor, pipeline)
+        doc = json.loads(path.read_text())
+        del doc["pipeline"]["schema"]
+        del doc["model"]["theta_obs"]
+        doc["label_names"] = "negative,positive"
+        doc["pipeline"]["standardizer"] = {"mean": [0.0]}
+        doc["model"]["theta_trans"] = True
+        path.write_text(canonical_json(doc))
+        with pytest.raises(FileFormatError) as info:
+            load_archive(path)
+        assert [msg for _, _, msg in info.value.problems] == [
+            "'label_names' must be an array, got a string",
+            "missing key 'pipeline.schema'",
+            "missing key 'pipeline.standardizer.std'",
+            "missing key 'model.theta_obs'",
+            "'model.theta_trans' must be an array, got a boolean",
+        ]
+
+    def test_inconsistent_parameter_shapes_reported_by_loader(self, tmp_path):
+        docs, pipeline = fitted_setup(tmp_path)
+        _, predictor = train_hcrf(docs, pipeline)
+        path = tmp_path / "model.json"
+        save_archive(path, predictor, pipeline)
+        doc = json.loads(path.read_text())
+        doc["model"]["theta_state"] = [[0.0]]
+        path.write_text(canonical_json(doc))
+        with pytest.raises(FileFormatError, match="malformed archive: inconsistent parameter"):
+            load_archive(path)
+
 
 class TestResourceDrift:
     def make_embedding_archive(self, tmp_path):

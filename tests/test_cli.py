@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import opinionchain
 
 from opinionchain.cli import main
 
@@ -66,6 +71,20 @@ class TestGenerate:
         assert stats["format"] == "generator-stats/v1"
         assert stats["documents"] == 16
         assert 0.5 <= stats["order_insensitive_bayes_accuracy"] <= 1.0
+
+    def test_module_invocation_writes_run_log(self, tmp_path, gen_config):
+        src = str(Path(opinionchain.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "m"
+        proc = subprocess.run(
+            [sys.executable, "-m", "opinionchain.cli", "generate", "--out", str(out),
+             "--seed", "5", "--config", gen_config],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        log = (out / "run.log").read_text()
+        assert "INFO opinionchain.cli: generated 16 documents" in log
 
     def test_fixed_seed_reproduces_files(self, tmp_path, gen_config):
         a = tmp_path / "a"
@@ -166,6 +185,34 @@ class TestTrainPredict:
         )
         assert rc == 1
         assert "no_model.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key", [("pipeline", "schema"), ("model", "theta_obs")]
+    )
+    def test_broken_archive_fails_with_one_error_line(
+        self, tmp_path, generated, capsys, section, key
+    ):
+        cfg = train_config_file(tmp_path, generated)
+        t_dir = tmp_path / "t"
+        rc = main(
+            ["train", "--corpus", str(generated / "corpus"), "--out", str(t_dir), "--config", cfg]
+        )
+        assert rc == 0
+        model = t_dir / "model.json"
+        doc = json.loads(model.read_text())
+        del doc[section][key]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(
+            ["predict", "--model", str(model), "--corpus", str(generated / "corpus"),
+             "--out", str(tmp_path / "p")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {model}: malformed archive (1 problem(s))"
+        ]
+        assert f"missing key '{section}.{key}'" in err
 
     def test_bad_feature_block_fails(self, tmp_path, generated, capsys):
         rc = main(

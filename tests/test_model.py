@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
 from opinionchain.model import (
     HcrfParameters,
-    LabelSet,
     ObservationSequence,
     brute_force_posterior,
     log_partition_per_label,
@@ -72,11 +71,6 @@ class TestConstruction:
     def test_non_finite_parameters_rejected(self):
         with pytest.raises(InvalidInputError):
             HcrfParameters(np.full((1, 1), np.inf), np.zeros((2, 1)), np.zeros((2, 1, 1)))
-
-    def test_label_set_needs_unique_names(self):
-        with pytest.raises(InvalidInputError):
-            LabelSet(("a", "a"))
-        assert LabelSet(("negative", "positive")).index("positive") == 1
 
     def test_vector_round_trip(self):
         rng = np.random.default_rng(3)
@@ -313,3 +307,23 @@ def test_state_bias_shift_invariance(params, shift):
     shifted = theta.copy()
     shifted.theta_state = shifted.theta_state + shift
     np.testing.assert_allclose(posterior(x, shifted), posterior(x, theta), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance_params, st.integers(0, 2**32 - 1))
+def test_hidden_state_permutation_invariance(params, perm_seed):
+    """Relabelling the latent states is a symmetry of the model."""
+    x, theta = build(params)
+    perm = np.random.default_rng(perm_seed).permutation(theta.num_hidden_states)
+    permuted = HcrfParameters(
+        theta.theta_obs[perm],
+        theta.theta_state[:, perm],
+        theta.theta_trans[:, perm][:, :, perm],
+    )
+    np.testing.assert_allclose(posterior(x, permuted), posterior(x, theta), atol=1e-12)
+    for y in range(theta.num_labels):
+        m, pm = marginals(y, x, theta), marginals(y, x, permuted)
+        np.testing.assert_allclose(pm.state_posteriors, m.state_posteriors[:, perm], atol=1e-12)
+        np.testing.assert_allclose(
+            pm.pair_posteriors, m.pair_posteriors[:, perm][:, :, perm], atol=1e-12
+        )

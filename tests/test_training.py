@@ -13,8 +13,6 @@ from opinionchain.model import (
 from opinionchain.training import (
     TrainingConfig,
     apply_context_window,
-    gradient,
-    objective,
     objective_and_gradient,
     train,
 )
@@ -51,8 +49,8 @@ def fd_gradient(dataset, theta, lam, step=1e-5):
         plus[k] += step
         minus[k] -= step
         out[k] = (
-            objective(dataset, HcrfParameters.from_vector(plus, h, y, d), lam)
-            - objective(dataset, HcrfParameters.from_vector(minus, h, y, d), lam)
+            objective_and_gradient(dataset, HcrfParameters.from_vector(plus, h, y, d), lam)[0]
+            - objective_and_gradient(dataset, HcrfParameters.from_vector(minus, h, y, d), lam)[0]
         ) / (2 * step)
     return out
 
@@ -76,14 +74,16 @@ class TestObjective:
         rng = np.random.default_rng(0)
         dataset = random_dataset(rng, size=7)
         theta = HcrfParameters.zeros(3, 2, 3)
-        assert objective(dataset, theta, 0.0) == pytest.approx(7 * np.log(2), abs=1e-12)
+        value, _ = objective_and_gradient(dataset, theta, 0.0)
+        assert value == pytest.approx(7 * np.log(2), abs=1e-12)
 
     def test_zero_lambda_is_pure_likelihood(self):
         rng = np.random.default_rng(1)
         dataset = random_dataset(rng, size=5)
         theta = random_theta(rng, 2, 2, 3)
         nll = -sum(np.log(posterior(x, theta)[y]) for x, y in dataset)
-        assert objective(dataset, theta, 0.0) == pytest.approx(nll, rel=1e-12)
+        value, _ = objective_and_gradient(dataset, theta, 0.0)
+        assert value == pytest.approx(nll, rel=1e-12)
 
     def test_matches_brute_force_plus_regularizer(self):
         rng = np.random.default_rng(2)
@@ -93,24 +93,25 @@ class TestObjective:
             lam = float(rng.uniform(0.0, 1.0))
             want = -sum(np.log(brute_force_posterior(x, theta)[y]) for x, y in dataset)
             want += 0.5 * lam * float((theta.as_vector() ** 2).sum())
-            assert objective(dataset, theta, lam) == pytest.approx(want, rel=1e-10)
+            value, _ = objective_and_gradient(dataset, theta, lam)
+            assert value == pytest.approx(want, rel=1e-10)
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(InvalidInputError):
-            objective([], HcrfParameters.zeros(2, 2, 2), 0.1)
+            objective_and_gradient([], HcrfParameters.zeros(2, 2, 2), 0.1)
 
     def test_rejects_dimension_mismatch(self):
         theta = HcrfParameters.zeros(2, 2, 3)
         with pytest.raises(InvalidInputError):
-            objective([(seq([[1.0, 2.0]]), 0)], theta, 0.1)
+            objective_and_gradient([(seq([[1.0, 2.0]]), 0)], theta, 0.1)
 
 
 class TestGradient:
     def test_regularizer_vanishes_at_zero(self):
         rng = np.random.default_rng(3)
         dataset = random_dataset(rng, size=3)
-        g0 = gradient(dataset, HcrfParameters.zeros(2, 2, 3), 0.0).as_vector()
-        g1 = gradient(dataset, HcrfParameters.zeros(2, 2, 3), 5.0).as_vector()
+        g0 = objective_and_gradient(dataset, HcrfParameters.zeros(2, 2, 3), 0.0)[1].as_vector()
+        g1 = objective_and_gradient(dataset, HcrfParameters.zeros(2, 2, 3), 5.0)[1].as_vector()
         np.testing.assert_array_equal(g0, g1)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -119,7 +120,7 @@ class TestGradient:
         for _ in range(6):
             dataset = random_dataset(rng, size=4, dim=3, max_len=5)
             theta = random_theta(rng, 3, 2, 3)
-            analytic = gradient(dataset, theta, lam).as_vector()
+            analytic = objective_and_gradient(dataset, theta, lam)[1].as_vector()
             numeric = fd_gradient(dataset, theta, lam)
             denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-6
@@ -129,7 +130,7 @@ class TestGradient:
             np.zeros((1, 2)), np.array([[50.0], [-50.0]]), np.zeros((2, 1, 1))
         )
         dataset = [(seq([[0.3, -0.2], [0.1, 0.4]]), 0)]
-        g = gradient(dataset, theta, 0.0).as_vector()
+        g = objective_and_gradient(dataset, theta, 0.0)[1].as_vector()
         assert np.linalg.norm(g) <= 1e-8
 
     def test_matches_per_sequence_reference(self):
@@ -153,7 +154,7 @@ class TestGradient:
                 if x.length > 1:
                     ref_trans[y] += coeff * m.pair_posteriors.sum(axis=0)
 
-        got = gradient(dataset, theta, lam)
+        _, got = objective_and_gradient(dataset, theta, lam)
         np.testing.assert_allclose(got.theta_obs, ref_obs, atol=1e-12)
         np.testing.assert_allclose(got.theta_state, ref_state, atol=1e-12)
         np.testing.assert_allclose(got.theta_trans, ref_trans, atol=1e-12)
@@ -260,12 +261,3 @@ class TestTrain:
             TrainingConfig(num_hidden_states=0)
         with pytest.raises(InvalidInputError):
             TrainingConfig(context_window=-1)
-
-
-def test_objective_and_gradient_consistent_with_parts():
-    rng = np.random.default_rng(13)
-    dataset = random_dataset(rng, size=5)
-    theta = random_theta(rng, 2, 2, 3)
-    value, grad = objective_and_gradient(dataset, theta, 0.3)
-    assert value == objective(dataset, theta, 0.3)
-    np.testing.assert_array_equal(grad.as_vector(), gradient(dataset, theta, 0.3).as_vector())
