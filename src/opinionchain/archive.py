@@ -24,6 +24,7 @@ import numpy as np
 from .baseline import LogRegModel, LogRegPredictor
 from .corpus import LABEL_NAMES, Transcript
 from .errors import FileFormatError
+from .evaluation import Predictor
 from .features.ngrams import NGramVocabulary
 from .features.pipeline import (
     FeatureSchema,
@@ -92,7 +93,7 @@ def _pipeline_doc(pipeline: FittedFeaturePipeline) -> dict:
     }
 
 
-def _model_doc(predictor) -> tuple[str, dict]:
+def _model_doc(predictor: Predictor) -> tuple[str, dict]:
     if isinstance(predictor, HcrfPredictor):
         theta = predictor.params
         return "hcrf", {
@@ -113,7 +114,7 @@ def _model_doc(predictor) -> tuple[str, dict]:
 
 def save_archive(
     path,
-    predictor,
+    predictor: Predictor,
     pipeline: FittedFeaturePipeline,
     label_names: tuple[str, ...] = LABEL_NAMES,
 ) -> None:
@@ -136,15 +137,12 @@ def save_archive(
 class LoadedModel:
     kind: str  # "hcrf" | "logreg"
     pipeline: FittedFeaturePipeline
-    predictor: HcrfPredictor | LogRegPredictor
+    predictor: Predictor
     label_names: tuple[str, ...]
 
     def predict_sequence(self, seq: ObservationSequence) -> tuple[int, np.ndarray]:
-        if self.kind == "hcrf":
-            post = self.predictor.posterior(seq)
-            return int(np.argmax(post)), post
-        prob = self.predictor.predict_proba(seq)
-        return self.predictor.predict(seq), np.array([1.0 - prob, prob])
+        post = self.predictor.posterior(seq)
+        return int(np.argmax(post)), post
 
     def predict_transcript(self, doc: Transcript) -> tuple[int, np.ndarray]:
         return self.predict_sequence(self.pipeline.transform(doc))

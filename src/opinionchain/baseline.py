@@ -109,29 +109,20 @@ def predict_logreg(model: LogRegModel, doc_vector: np.ndarray) -> tuple[int, flo
     return (1 if prob > 0.5 else 0), prob
 
 
-def predict_logreg_batch(model: LogRegModel, matrix: np.ndarray):
-    """Vectorized form of predict_logreg over the rows of ``matrix``."""
-    mat = np.asarray(matrix, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[1] != model.dim:
-        raise InvalidInputError(
-            f"expected an (N, {model.dim}) matrix, got shape {mat.shape}"
-        )
-    probs = expit(mat @ model.weights + model.intercept)
-    return (probs > 0.5).astype(np.int64), probs
-
-
 @dataclass(frozen=True, eq=False)
 class LogRegPredictor:
     """Sequence-in, label-out wrapper: average the segments, then score."""
 
     model: LogRegModel
 
-    def predict(self, seq: ObservationSequence) -> int:
-        label, _ = predict_logreg(self.model, aggregate_document_vector(seq))
-        return label
+    def posterior(self, seq: ObservationSequence) -> np.ndarray:
+        """[P(label 0), P(label 1)] for the averaged document vector."""
+        _, prob = predict_logreg(self.model, aggregate_document_vector(seq))
+        return np.array([1.0 - prob, prob])
 
-    def predict_proba(self, seq: ObservationSequence) -> float:
-        return predict_logreg(self.model, aggregate_document_vector(seq))[1]
+    def predict(self, seq: ObservationSequence) -> int:
+        """argmax of the posterior; probability exactly 0.5 → label 0."""
+        return int(np.argmax(self.posterior(seq)))
 
     def describe(self) -> dict:
         return {"model": "logreg", "c": self.model.c}

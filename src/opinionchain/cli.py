@@ -4,30 +4,22 @@ Every command takes an --out directory and leaves behind the fully
 resolved configuration (config.json), a plain log (run.log, no
 timestamps so reruns are byte-comparable), and its outputs.  Flags
 override values from an optional --config JSON file, whose sections are
-"pipeline", "training", "logreg", "generator", and "evaluate" with keys
-matching the corresponding dataclass fields.
+"pipeline", "training", "generator" (keys of the matching dataclasses),
+"logreg" (key "c_grid") and "evaluate" (key "folds").
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .archive import canonical_json, load_archive, save_archive
-from .baseline import LogRegPredictor, aggregate_document_vector, train_logreg
-from .corpus import (
-    LABEL_NAMES,
-    corpus_stats,
-    filter_neutral,
-    load_corpus,
-    save_corpus,
-)
+from .corpus import corpus_stats, filter_neutral, load_corpus, save_corpus
 from .errors import (
     ConfigurationError,
     EnumerationBudgetError,
@@ -35,7 +27,7 @@ from .errors import (
     InvalidInputError,
     TrainingDivergedError,
 )
-from .evaluation import HcrfLearner, LogRegLearner, cross_validate
+from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate
 from .features.pipeline import FeaturePipeline, PipelineConfig
 from .features.segmentation import ipu_index_per_token
 from .features.tokenizer import get_normalizer, tokenize_many
@@ -47,7 +39,7 @@ from .synthetic import (
     order_insensitive_bayes_accuracy,
     write_embeddings,
 )
-from .training import TrainingConfig, fit_predictor
+from .training import TrainingConfig
 
 # Named explicitly: under ``python -m opinionchain.cli`` __name__ is
 # "__main__", outside the "opinionchain" logger that run.log records.
@@ -76,21 +68,40 @@ def _load_config_file(path: str | None) -> dict:
         raise FileFormatError(f"{path}: config file must hold a JSON object")
     known = {"pipeline", "training", "logreg", "generator", "evaluate"}
     unknown = sorted(set(doc) - known)
+    not_objects = sorted(k for k in set(doc) & known if not isinstance(doc[k], dict))
+    problems = []
     if unknown:
-        raise ConfigurationError(f"unknown config sections {unknown}; known: {sorted(known)}")
+        problems.append(f"unknown config sections {unknown}; known: {sorted(known)}")
+    if not_objects:
+        problems.append(f"config sections {not_objects} must be JSON objects")
+    if problems:
+        raise ConfigurationError(f"{path}: " + "; ".join(problems))
     return doc
 
 
-def _build_dataclass(cls, section: dict, overrides: dict):
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(merged) - field_names)
+@contextlib.contextmanager
+def _section_errors(name: str):
+    """Values a section's constructor rejects become one ConfigurationError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {name} configuration: {exc}") from None
+
+
+def _section(file_config: dict, name: str, known, overrides: dict | None = None) -> dict:
+    """Section ``name`` with non-None ``overrides`` applied; unknown keys rejected."""
+    merged = dict(file_config.get(name, {}))
+    merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    unknown = sorted(set(merged) - set(known))
     if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} keys {unknown}; known: {sorted(field_names)}"
-        )
-    return cls(**merged)
+        raise ConfigurationError(f"unknown {name} keys {unknown}; known: {sorted(known)}")
+    return merged
+
+
+def _build_dataclass(cls, file_config: dict, name: str, overrides: dict):
+    merged = _section(file_config, name, [f.name for f in dataclasses.fields(cls)], overrides)
+    with _section_errors(name):
+        return cls(**merged)
 
 
 def _pipeline_config(args, file_config: dict) -> PipelineConfig:
@@ -98,17 +109,29 @@ def _pipeline_config(args, file_config: dict) -> PipelineConfig:
         "threshold_ms": args.threshold_ms,
         "blocks": tuple(args.features.split(",")) if args.features else None,
     }
-    return _build_dataclass(PipelineConfig, file_config.get("pipeline", {}), overrides)
+    return _build_dataclass(PipelineConfig, file_config, "pipeline", overrides)
 
 
-def _training_config(args, file_config: dict) -> TrainingConfig:
-    overrides = {
-        "num_hidden_states": args.hidden_states,
-        "context_window": args.context_window,
-        "l2_lambda": args.l2,
-        "seed": args.seed,
-    }
-    return _build_dataclass(TrainingConfig, file_config.get("training", {}), overrides)
+def _learner(args, file_config: dict) -> tuple[Learner, dict]:
+    """The learner ``--model`` names and its resolved config block; train
+    fits it once, evaluate once per outer fold."""
+    if args.model == "hcrf":
+        overrides = {
+            "num_hidden_states": args.hidden_states,
+            "context_window": args.context_window,
+            "l2_lambda": args.l2,
+            "seed": args.seed,
+        }
+        config = _build_dataclass(TrainingConfig, file_config, "training", overrides)
+        return HcrfLearner(config=config), {"training": dataclasses.asdict(config)}
+    c_grid = _section(file_config, "logreg", ["c_grid"]).get("c_grid", [1.0])
+    with _section_errors("logreg"):
+        if not isinstance(c_grid, list) or not c_grid:
+            raise ValueError("c_grid must be a nonempty list of numbers")
+        c_grid = tuple(float(c) for c in c_grid)
+    seed = args.seed if args.seed is not None else 0
+    learner = LogRegLearner(c_grid=c_grid, seed=seed)
+    return learner, {"logreg": {"c_grid": list(c_grid), "seed": seed}}
 
 
 def _prepare_out_dir(out: str) -> Path:
@@ -117,10 +140,16 @@ def _prepare_out_dir(out: str) -> Path:
     return out_dir
 
 
-def _configure_logging(out_dir: Path):
+def _detach_logging():
     root = logging.getLogger("opinionchain")
     for handler in list(root.handlers):
         root.removeHandler(handler)
+        handler.close()
+
+
+def _configure_logging(out_dir: Path):
+    _detach_logging()
+    root = logging.getLogger("opinionchain")
     handler = logging.FileHandler(out_dir / "run.log", mode="w", encoding="utf-8")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     root.addHandler(handler)
@@ -153,7 +182,7 @@ def _labeled_corpus(path: str, threshold_ms: int):
 
 def cmd_generate(args) -> int:
     file_config = _load_config_file(args.config)
-    spec = _build_dataclass(SyntheticSpec, file_config.get("generator", {}), {})
+    spec = _build_dataclass(SyntheticSpec, file_config, "generator", {})
     seed = args.seed if args.seed is not None else 0
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
@@ -203,50 +232,19 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _fit_from_args(args, file_config):
-    """Shared by train and evaluate: (pipeline_config, fit callable)."""
-    pipeline_config = _pipeline_config(args, file_config)
-    if args.model == "hcrf":
-        training_config = _training_config(args, file_config)
-
-        def fit(sequences, labels):
-            predictor, trace = fit_predictor(list(zip(sequences, labels)), training_config)
-            log.info(
-                "hcrf training %s after %d iterations, objective %.6f",
-                trace.status,
-                len(trace.entries) - 1,
-                trace.entries[-1].objective,
-            )
-            return predictor, {"training": dataclasses.asdict(training_config)}
-
-        return pipeline_config, fit
-
-    logreg_section = dict(file_config.get("logreg", {}))
-    c_value = float(logreg_section.pop("c", 1.0))
-    if logreg_section:
-        raise ConfigurationError(f"unknown logreg keys {sorted(logreg_section)}")
-    seed = args.seed if args.seed is not None else 0
-
-    def fit(sequences, labels):
-        matrix = np.stack([aggregate_document_vector(s) for s in sequences])
-        predictor = LogRegPredictor(train_logreg(matrix, labels, c=c_value, seed=seed))
-        return predictor, {"logreg": {"c": c_value, "seed": seed}}
-
-    return pipeline_config, fit
-
-
 def cmd_train(args) -> int:
     file_config = _load_config_file(args.config)
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
-    pipeline_config, fit = _fit_from_args(args, file_config)
+    pipeline_config = _pipeline_config(args, file_config)
+    learner, model_resolved = _learner(args, file_config)
     labeled = _labeled_corpus(args.corpus, pipeline_config.threshold_ms)
 
     pipeline = FeaturePipeline(pipeline_config).fit(labeled)
     log.info("feature dimension %d", pipeline.schema.dim)
     sequences = pipeline.transform_corpus(labeled)
     labels = [doc.polarity for doc in labeled]
-    predictor, model_resolved = fit(sequences, labels)
+    predictor = learner.fit(sequences, labels)
 
     resolved = {
         "command": "train",
@@ -297,29 +295,12 @@ def cmd_evaluate(args) -> int:
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
     pipeline_config = _pipeline_config(args, file_config)
-    labeled = _labeled_corpus(args.corpus, pipeline_config.threshold_ms)
-
-    eval_section = dict(file_config.get("evaluate", {}))
-    folds = args.folds if args.folds is not None else int(eval_section.pop("folds", 10))
-    eval_section.pop("folds", None)
-    if eval_section:
-        raise ConfigurationError(f"unknown evaluate keys {sorted(eval_section)}")
+    learner, model_resolved = _learner(args, file_config)
+    evaluate = _section(file_config, "evaluate", ["folds"], {"folds": args.folds})
+    with _section_errors("evaluate"):
+        folds = int(evaluate.get("folds", 10))
     seed = args.seed if args.seed is not None else 0
-
-    if args.model == "hcrf":
-        training_config = _training_config(args, file_config)
-        learner = HcrfLearner(config=training_config)
-        model_resolved = {"training": dataclasses.asdict(training_config)}
-    else:
-        logreg_section = dict(file_config.get("logreg", {}))
-        c_grid = tuple(float(c) for c in logreg_section.pop("c_grid", ())) or (
-            float(logreg_section.pop("c", 1.0)),
-        )
-        logreg_section.pop("c", None)
-        if logreg_section:
-            raise ConfigurationError(f"unknown logreg keys {sorted(logreg_section)}")
-        learner = LogRegLearner(c_grid=c_grid, seed=seed)
-        model_resolved = {"logreg": {"c_grid": list(c_grid), "seed": seed}}
+    labeled = _labeled_corpus(args.corpus, pipeline_config.threshold_ms)
 
     resolved = {
         "command": "evaluate",
@@ -470,6 +451,9 @@ def main(argv=None) -> int:
     except _HANDLED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # library calls made after the command must not reach its run.log
+        _detach_logging()
 
 
 if __name__ == "__main__":

@@ -215,6 +215,11 @@ def compute_metrics(
 
 
 class Predictor(Protocol):
+    """What every trained model offers: a label posterior and its argmax
+    (exact ties go to the lowest label index)."""
+
+    def posterior(self, seq: ObservationSequence) -> np.ndarray: ...
+
     def predict(self, seq: ObservationSequence) -> int: ...
 
     def describe(self) -> dict: ...

@@ -17,6 +17,7 @@ order, so results are bitwise reproducible.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ from .model import (
     predict,
 )
 from .optimize import TraceEntry, minimize
+
+log = logging.getLogger(__name__)
 
 Dataset = list[tuple[ObservationSequence, int]]
 
@@ -256,6 +259,16 @@ class HcrfPredictor:
 def fit_predictor(
     dataset: Dataset, config: TrainingConfig, num_labels: int | None = None
 ) -> tuple[HcrfPredictor, TrainingTrace]:
-    """train() packaged with the window replay needed at prediction time."""
+    """train() packaged with the window replay needed at prediction time.
+
+    Logs one line per fit, at WARNING when the optimizer did not converge.
+    """
     theta, trace = train(dataset, config, num_labels)
+    log.log(
+        logging.INFO if trace.status == "converged" else logging.WARNING,
+        "hcrf training %s after %d iterations, objective %.6f",
+        trace.status,
+        len(trace.entries) - 1,
+        trace.entries[-1].objective,
+    )
     return HcrfPredictor(params=theta, config=config), trace

@@ -100,9 +100,7 @@ class TestLogRegRoundTrip:
         for doc, seq in zip(docs, sequences):
             label, posterior = loaded.predict_transcript(doc)
             assert label == predictor.predict(seq)
-            prob = predictor.predict_proba(seq)
-            assert posterior[1] == prob
-            assert posterior[0] == 1.0 - prob
+            assert np.array_equal(posterior, predictor.posterior(seq))
 
 
 class TestArchiveFormat:

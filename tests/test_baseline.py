@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from opinionchain.baseline import (
     DEFAULT_C_GRID,
     LogRegModel,
+    LogRegPredictor,
     aggregate_document_vector,
     predict_logreg,
-    predict_logreg_batch,
     train_logreg,
 )
 from opinionchain.errors import InvalidInputError
 from opinionchain.model import ObservationSequence
+
+
+def predicted_labels(model, matrix):
+    return [predict_logreg(model, row)[0] for row in matrix]
 
 
 def blob_dataset(n=60, separation=2.0, seed=0, dim=3):
@@ -32,16 +36,14 @@ class TestTraining:
         x = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
         model = train_logreg(x, y, c=100.0)
-        labels, _ = predict_logreg_batch(model, x)
-        assert labels.tolist() == [0, 1]
+        assert predicted_labels(model, x) == [0, 1]
 
     def test_heavy_regularization_falls_back_to_majority(self):
         x, y = blob_dataset(n=30)
         y = np.concatenate([np.zeros(10), np.ones(20)])
         model = train_logreg(x, y, c=1e-10)
         assert np.linalg.norm(model.weights) < 1e-4
-        labels, _ = predict_logreg_batch(model, x)
-        assert labels.tolist() == [1] * 30
+        assert predicted_labels(model, x) == [1] * 30
         # unpenalized intercept approaches the log-odds of the class balance
         assert model.intercept == pytest.approx(math.log(2.0), abs=1e-3)
 
@@ -102,6 +104,20 @@ class TestPrediction:
         model = LogRegModel(weights=np.zeros(2), intercept=0.0, c=1.0)
         label, prob = predict_logreg(model, np.array([3.0, -4.0]))
         assert (label, prob) == (0, 0.5)
+        predictor = LogRegPredictor(model)
+        seq = ObservationSequence("d", np.array([[3.0, -4.0], [1.0, 2.0]]))
+        assert predictor.posterior(seq).tolist() == [0.5, 0.5]
+        assert predictor.predict(seq) == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=-40.0, max_value=40.0))
+    def test_predictor_is_argmax_of_posterior(self, margin):
+        model = LogRegModel(weights=np.array([1.0]), intercept=0.0, c=1.0)
+        seq = ObservationSequence("d", np.array([[margin]]))
+        label, prob = predict_logreg(model, np.array([margin]))
+        predictor = LogRegPredictor(model)
+        assert predictor.posterior(seq).tolist() == [1.0 - prob, prob]
+        assert predictor.predict(seq) == label
 
     def test_log_three_margin_gives_three_quarters(self):
         model = LogRegModel(weights=np.array([math.log(3.0)]), intercept=0.0, c=1.0)
@@ -109,22 +125,12 @@ class TestPrediction:
         assert label == 1
         assert prob == pytest.approx(0.75, abs=1e-12)
 
-    def test_batch_matches_one_by_one(self):
-        rng = np.random.default_rng(3)
-        model = LogRegModel(weights=rng.standard_normal(4), intercept=0.3, c=1.0)
-        matrix = rng.standard_normal((20, 4))
-        labels, probs = predict_logreg_batch(model, matrix)
-        for i in range(20):
-            label, prob = predict_logreg(model, matrix[i])
-            assert labels[i] == label
-            assert probs[i] == pytest.approx(prob, abs=1e-15)
-
     def test_dimension_mismatch_rejected(self):
         model = LogRegModel(weights=np.zeros(2), intercept=0.0, c=1.0)
         with pytest.raises(InvalidInputError):
             predict_logreg(model, np.zeros(3))
         with pytest.raises(InvalidInputError):
-            predict_logreg_batch(model, np.zeros((4, 3)))
+            LogRegPredictor(model).posterior(ObservationSequence("d", np.zeros((4, 3))))
 
     def test_nonfinite_model_rejected(self):
         with pytest.raises(InvalidInputError):

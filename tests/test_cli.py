@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -55,6 +56,16 @@ def train_config_file(tmp_path, generated, extra_training=None):
         )
     )
     return str(path)
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def error_lines(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
 
 
 def dir_bytes(root: Path) -> dict:
@@ -127,6 +138,13 @@ class TestSegment:
         assert rc == 1
         assert "absent" in capsys.readouterr().err
 
+    def test_run_log_closed_when_command_returns(self, tmp_path, generated):
+        out = tmp_path / "g"
+        assert main(["segment", "--corpus", str(generated / "corpus"), "--out", str(out)]) == 0
+        before = (out / "run.log").read_text()
+        logging.getLogger("opinionchain.training").warning("a later library fit")
+        assert (out / "run.log").read_text() == before
+
 
 class TestTrainPredict:
     def test_train_then_predict_reproduces_training_predictions(self, tmp_path, generated):
@@ -175,6 +193,32 @@ class TestTrainPredict:
         assert rc == 0
         doc = json.loads((t_dir / "model.json").read_text())
         assert doc["kind"] == "logreg"
+
+    def test_train_logreg_selects_from_c_grid_like_evaluate(self, tmp_path, generated):
+        cfg = json.loads(Path(train_config_file(tmp_path, generated)).read_text())
+        cfg["logreg"] = {"c_grid": [0.1, 10.0]}
+        cfg = write_config(tmp_path, cfg, "grid.json")
+        common = ["--corpus", str(generated / "corpus"), "--config", cfg, "--model", "logreg"]
+        t_dir, e_dir = tmp_path / "t", tmp_path / "e"
+        assert main(["train", "--out", str(t_dir)] + common) == 0
+        assert main(["evaluate", "--out", str(e_dir), "--folds", "2"] + common) == 0
+        archive = json.loads((t_dir / "model.json").read_text())
+        assert archive["kind"] == "logreg"
+        assert archive["model"]["c"] in (0.1, 10.0)
+        blocks = [json.loads((d / "config.json").read_text())["logreg"] for d in (t_dir, e_dir)]
+        assert blocks[0] == blocks[1] == {"c_grid": [0.1, 10.0], "seed": 0}
+
+    def test_unconverged_fit_logs_a_warning(self, tmp_path, generated):
+        cfg = train_config_file(tmp_path, generated, {"max_iterations": 1})
+        common = ["--corpus", str(generated / "corpus"), "--config", cfg]
+        t_dir, e_dir = tmp_path / "t", tmp_path / "e"
+        assert main(["train", "--out", str(t_dir)] + common) == 0
+        assert main(["evaluate", "--out", str(e_dir), "--folds", "2"] + common) == 0
+        line = "WARNING opinionchain.training: hcrf training max_iterations after 1 iterations"
+        for out, fits in ((t_dir, 1), (e_dir, 2)):
+            log = (out / "run.log").read_text().splitlines()
+            assert len([entry for entry in log if entry.startswith(line)]) == fits
+            assert not [entry for entry in log if "INFO opinionchain.training" in entry]
 
     def test_predict_missing_model(self, tmp_path, generated, capsys):
         rc = main(
@@ -259,6 +303,53 @@ class TestEvaluate:
         )
         assert rc == 1
         assert "labeled" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "doc, model, section",
+        [
+            ({"pipeline": 5}, "hcrf", "pipeline"),
+            ({"logreg": [1]}, "logreg", "logreg"),
+            ({"evaluate": 3}, "hcrf", "evaluate"),
+            ({"logreg": {"c_grid": 5}}, "logreg", "logreg"),
+            ({"evaluate": {"folds": "x"}}, "hcrf", "evaluate"),
+            ({"training": {"num_hidden_states": "3"}}, "hcrf", "training"),
+            ({"pipeline": {"threshold_ms": "x"}}, "hcrf", "pipeline"),
+        ],
+    )
+    def test_mistyped_section_fails_with_one_error_line(
+        self, tmp_path, generated, capsys, doc, model, section
+    ):
+        cfg = write_config(tmp_path, doc)
+        rc = main(
+            ["evaluate", "--corpus", str(generated / "corpus"), "--out", str(tmp_path / "e"),
+             "--config", cfg, "--model", model]
+        )
+        assert rc == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert section in errors[0]
+
+    def test_mistyped_sections_listed_together(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"pipeline": 5, "logreg": [1], "bogus": {}})
+        rc = main(["generate", "--out", str(tmp_path / "g"), "--config", cfg])
+        assert rc == 1
+        [error] = error_lines(capsys)
+        assert "['logreg', 'pipeline']" in error
+        assert "bogus" in error
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_logreg_c_key_rejected_naming_c_grid(self, tmp_path, generated, capsys, command):
+        cfg = write_config(tmp_path, {"logreg": {"c": 1.0}})
+        rc = main(
+            [command, "--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o"),
+             "--config", cfg, "--model", "logreg"]
+        )
+        assert rc == 1
+        [error] = error_lines(capsys)
+        assert "'c'" in error
+        assert "c_grid" in error
 
 
 class TestInspect:
