@@ -114,17 +114,23 @@ def _pipeline_config(args, file_config: dict) -> PipelineConfig:
 
 def _learner(args, file_config: dict) -> tuple[Learner, dict]:
     """The learner ``--model`` names and its resolved config block; train
-    fits it once, evaluate once per outer fold."""
+    fits it once, evaluate once per outer fold.  The keys of both model
+    sections are checked whichever model runs, so a typo in the other
+    one is not silently ignored."""
+    overrides = {
+        "num_hidden_states": args.hidden_states,
+        "context_window": args.context_window,
+        "l2_lambda": args.l2,
+        "seed": args.seed,
+    }
+    training_keys = [f.name for f in dataclasses.fields(TrainingConfig)]
+    training = _section(file_config, "training", training_keys, overrides)
+    logreg = _section(file_config, "logreg", ["c_grid"])
     if args.model == "hcrf":
-        overrides = {
-            "num_hidden_states": args.hidden_states,
-            "context_window": args.context_window,
-            "l2_lambda": args.l2,
-            "seed": args.seed,
-        }
-        config = _build_dataclass(TrainingConfig, file_config, "training", overrides)
+        with _section_errors("training"):
+            config = TrainingConfig(**training)
         return HcrfLearner(config=config), {"training": dataclasses.asdict(config)}
-    c_grid = _section(file_config, "logreg", ["c_grid"]).get("c_grid", [1.0])
+    c_grid = logreg.get("c_grid", [1.0])
     with _section_errors("logreg"):
         if not isinstance(c_grid, list) or not c_grid:
             raise ValueError("c_grid must be a nonempty list of numbers")
@@ -382,12 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, corpus=True):
+    def add_common(p, corpus=True, config=True):
         if corpus:
             p.add_argument("--corpus", required=True, help="corpus directory (manifest.tsv)")
         p.add_argument("--out", required=True, help="run directory for outputs")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="JSON config file")
+        if config:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--config", default=None, help="JSON config file")
 
     def add_pipeline_flags(p):
         p.add_argument("--threshold-ms", type=int, default=None, dest="threshold_ms")
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("segment", help="materialize IPU indices for a corpus")
-    add_common(p)
+    add_common(p, config=False)
     p.add_argument("--threshold-ms", type=int, default=None, dest="threshold_ms")
     p.set_defaults(func=cmd_segment)
 
@@ -422,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model archive (model.json)")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="stratified cross-validation with a report")
@@ -438,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="corpus for activation words")
     p.add_argument("--out", required=True)
     p.add_argument("--top-k", type=int, default=10, dest="top_k")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_inspect)
     return parser
 

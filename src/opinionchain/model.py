@@ -11,9 +11,11 @@ configuration ``(y, h, x)`` is
 and the label posterior marginalizes the latent states per label.  All
 inference goes through one log-space kernel, :func:`forward_backward`,
 batched over labels and same-length sequences; training and the
-single-sequence functions below both call it.  Sequences of hundreds of
-segments, or weights in the thousands, would underflow or overflow a
-probability-space pass.  The brute-force enumerators are test oracles:
+single-sequence functions below both call it.  The kernel's recursions
+run position-major, on (position, state, label, sequence) arrays, so
+each log-sum-exp reduces the leading state axis over contiguous slices.
+Sequences of hundreds of segments, or weights in the thousands, would
+underflow or overflow a probability-space pass.  The brute-force enumerators are test oracles:
 they sum explicit paths with scipy's logsumexp, independently of the
 kernel.
 
@@ -209,12 +211,13 @@ def potential(
     return float(score)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, shifted by the maximum so the
-    largest term is exp(0) = 1: finite and exact to rounding for any
-    finite input, however large its magnitude."""
-    m = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over axis 0, shifted by the maximum so the largest
+    term is exp(0) = 1: finite and exact to rounding for any finite input,
+    however large its magnitude.  Reducing the leading axis lets numpy
+    add whole trailing slices elementwise, in index order."""
+    m = a.max(axis=0)
+    return np.log(np.exp(a - m).sum(axis=0)) + m
 
 
 def node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:
@@ -244,38 +247,43 @@ def forward_backward(
     ``node`` is (Y, N, L, H) from :func:`node_scores` and ``trans`` is the
     (Y, H, H) transition block.  The only loops are the two recursions
     over positions; labels, chains and state pairs are vectorized.
+
+    The recursions run position-major: the scores are transposed once to
+    (L, H, Y, N), and the transitions are held as (from, to, Y, 1) for the
+    forward pass and (to, from, Y, 1) for the backward pass.  Each step
+    reads and writes one contiguous (H, Y, N) slice, and every
+    log-sum-exp reduces the leading state axis.  The results are
+    transposed back and returned C-contiguous: the einsums that reduce
+    them in training sum in memory order, so a transposed view would
+    change their rounding.
     """
-    length = node.shape[2]
-    step = trans[:, None]  # (Y, 1, H, H), broadcast over chains
+    node = np.ascontiguousarray(node.transpose(2, 3, 0, 1))  # (L, H, Y, N)
+    length = node.shape[0]
+    fwd = trans.transpose(1, 2, 0)[..., None]  # (from, to, Y, 1)
     alpha = np.empty_like(node)
-    alpha[:, :, 0] = node[:, :, 0]
+    alpha[0] = node[0]
     for j in range(1, length):
-        alpha[:, :, j] = (
-            _logsumexp(alpha[:, :, j - 1, :, None] + step, axis=-2) + node[:, :, j]
-        )
-    log_z = _logsumexp(alpha[:, :, -1], axis=-1)
+        alpha[j] = _logsumexp(alpha[j - 1, :, None] + fwd) + node[j]
+    log_z = _logsumexp(alpha[-1])  # (Y, N)
     if not with_marginals:
         return ChainPosteriors(log_z)
 
+    bwd = trans.transpose(2, 1, 0)[..., None]  # (to, from, Y, 1)
     beta = np.zeros_like(node)
     for j in range(length - 2, -1, -1):
-        beta[:, :, j] = _logsumexp(
-            step + (node[:, :, j + 1] + beta[:, :, j + 1])[:, :, None, :], axis=-1
-        )
-    norm = log_z[:, :, None, None]
-    state = np.exp(alpha + beta - norm)
-    pair = np.exp(
-        alpha[:, :, :-1, :, None]
-        + step[:, :, None]
-        + (node[:, :, 1:] + beta[:, :, 1:])[:, :, :, None, :]
-        - norm[..., None]
+        beta[j] = _logsumexp(bwd + (node[j + 1] + beta[j + 1])[:, None])
+    state = np.exp(alpha + beta - log_z)
+    pair = np.exp(alpha[:-1, :, None] + fwd + (node[1:] + beta[1:])[:, None] - log_z)
+    return ChainPosteriors(
+        log_z,
+        np.ascontiguousarray(state.transpose(2, 3, 0, 1)),
+        np.ascontiguousarray(pair.transpose(3, 4, 0, 1, 2)),
     )
-    return ChainPosteriors(log_z, state, pair)
 
 
 def label_log_posteriors(log_z: np.ndarray) -> np.ndarray:
     """log P(y | x) from (Y, ...) per-label log-partitions, along axis 0."""
-    return log_z - _logsumexp(log_z, axis=0)
+    return log_z - _logsumexp(log_z)
 
 
 def _single_chain(

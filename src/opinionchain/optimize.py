@@ -38,6 +38,7 @@ class OptimizationResult:
     objective: float
     gradient_norm: float
     status: str  # converged | max_iterations | stalled
+    evaluations: int  # calls of ``fun``, backtracks included
     trace: list[TraceEntry] = field(default_factory=list)
 
 
@@ -56,7 +57,8 @@ def minimize(
 
     Stops when the gradient inf-norm drops to ``grad_tolerance``, after
     ``max_iterations`` accepted steps, or when the line search cannot
-    find sufficient decrease (status ``stalled``).
+    find sufficient decrease (status ``stalled``).  The result counts
+    every call of ``fun``, rejected line-search trials included.
     """
     if max_iterations < 1:
         raise InvalidInputError("max_iterations must be >= 1")
@@ -65,6 +67,7 @@ def minimize(
 
     x = np.asarray(x0, dtype=np.float64).copy()
     value, grad = fun(x)
+    evaluations = 1
     _check_finite(value, grad)
     grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
     trace = [TraceEntry(0, float(value), grad_norm, 0.0)]
@@ -95,6 +98,7 @@ def minimize(
         for _ in range(MAX_BACKTRACKS):
             candidate = x + step * direction
             cand_value, cand_grad = fun(candidate)
+            evaluations += 1
             _check_finite(cand_value, cand_grad)
             if cand_value <= value + ARMIJO_C1 * step * slope:
                 accepted = True
@@ -120,7 +124,12 @@ def minimize(
             status = "converged"
 
     return OptimizationResult(
-        x=x, objective=float(value), gradient_norm=grad_norm, status=status, trace=trace
+        x=x,
+        objective=float(value),
+        gradient_norm=grad_norm,
+        status=status,
+        evaluations=evaluations,
+        trace=trace,
     )
 
 

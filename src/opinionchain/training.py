@@ -6,13 +6,15 @@ regularizer's gradient is exactly lambda * theta.  The likelihood
 gradient is the usual expected-count difference: conditional state and
 pair posteriors weighted by (P(y|x) - 1[y = gold]).
 
-Sequences are grouped by length, and each group goes once through
-``model.forward_backward``, the same log-space kernel that computes
-single-document posteriors, vectorized over every label and every
-sequence in the group.  The observation gradient is then one matmul of
-the label-weighted state posteriors with the group's features.
-Grouping follows dataset order and groups are reduced in sorted-length
-order, so results are bitwise reproducible.
+``train`` validates the dataset and stacks it into same-length groups
+once per fit (:func:`group_by_length`); every objective call reuses
+those groups.  Each group goes once through ``model.forward_backward``,
+the same log-space kernel that computes single-document posteriors,
+vectorized over every label and every sequence in the group.  The
+observation gradient is then one matmul of the label-weighted state
+posteriors with the group's features.  Grouping follows dataset order
+and groups are reduced in sorted-length order, so results are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ class TrainingConfig:
 
 @dataclass
 class TrainingTrace:
-    entries: list[TraceEntry]
+    entries: list[TraceEntry]  # accepted iterates; entry 0 is the start
     status: str
+    evaluations: int  # objective+gradient calls, backtracks included
 
     @property
     def objectives(self) -> list[float]:
@@ -95,23 +98,33 @@ def apply_context_window(x: ObservationSequence, window: int) -> ObservationSequ
     return ObservationSequence(doc_id=x.doc_id, features=stacked)
 
 
-def _validate_dataset(dataset: Dataset, num_labels: int, feature_dim: int):
+@dataclass(frozen=True, eq=False)
+class LengthGroups:
+    """A validated training set split into same-length groups.
+
+    ``groups`` holds (features (N, L, D), labels (N,)) pairs in ascending
+    length, with dataset order kept within each group.  Built once per
+    fit by :func:`group_by_length`; every objective call reuses it.
+    """
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    num_labels: int
+    feature_dim: int
+
+
+def group_by_length(dataset: Dataset, num_labels: int, feature_dim: int) -> LengthGroups:
+    """Check every example's dimension and label, then stack the dataset
+    into the length groups that :func:`objective_and_gradient` reduces."""
     if not dataset:
         raise InvalidInputError("dataset must be nonempty")
-    for x, y in dataset:
+    by_length: dict[int, list[int]] = {}
+    for idx, (x, y) in enumerate(dataset):
         if x.dim != feature_dim:
             raise InvalidInputError(
                 f"{x.doc_id}: feature dim {x.dim} != expected {feature_dim}"
             )
         if not 0 <= y < num_labels:
             raise InvalidInputError(f"{x.doc_id}: label {y} out of range [0, {num_labels})")
-
-
-def _length_groups(dataset: Dataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Partition into same-length groups: [(features (N,L,D), labels (N,))]
-    ordered by ascending length, preserving dataset order within a group."""
-    by_length: dict[int, list[int]] = {}
-    for idx, (x, _) in enumerate(dataset):
         by_length.setdefault(x.length, []).append(idx)
     groups = []
     for length in sorted(by_length):
@@ -119,7 +132,7 @@ def _length_groups(dataset: Dataset) -> list[tuple[np.ndarray, np.ndarray]]:
         feats = np.stack([dataset[i][0].features for i in idxs])
         labels = np.array([dataset[i][1] for i in idxs], dtype=np.intp)
         groups.append((feats, labels))
-    return groups
+    return LengthGroups(tuple(groups), num_labels, feature_dim)
 
 
 def _group_objective_gradient(
@@ -146,18 +159,24 @@ def _group_objective_gradient(
 
 
 def objective_and_gradient(
-    dataset: Dataset, theta: HcrfParameters, l2_lambda: float
+    grouped: LengthGroups, theta: HcrfParameters, l2_lambda: float
 ) -> tuple[float, HcrfParameters]:
-    """Value and parameter-shaped gradient of the regularized NLL."""
+    """Value and parameter-shaped gradient of the regularized NLL over a
+    training set grouped by :func:`group_by_length`."""
     if l2_lambda < 0:
         raise InvalidInputError("l2_lambda must be >= 0")
-    _validate_dataset(dataset, theta.num_labels, theta.feature_dim)
+    if (theta.num_labels, theta.feature_dim) != (grouped.num_labels, grouped.feature_dim):
+        raise InvalidInputError(
+            f"parameters for {theta.num_labels} labels and dim {theta.feature_dim} do not "
+            f"match a dataset grouped for {grouped.num_labels} labels and dim "
+            f"{grouped.feature_dim}"
+        )
 
     grad_obs = np.zeros_like(theta.theta_obs)
     grad_state = np.zeros_like(theta.theta_state)
     grad_trans = np.zeros_like(theta.theta_trans)
     nll = 0.0
-    for feats, labels in _length_groups(dataset):
+    for feats, labels in grouped.groups:
         nll += _group_objective_gradient(
             feats, labels, theta, grad_obs, grad_state, grad_trans
         )
@@ -200,14 +219,14 @@ def train(
 
     windowed = [(apply_context_window(x, config.context_window), y) for x, y in dataset]
     dim = windowed[0][0].dim
-    _validate_dataset(windowed, num_labels, dim)
+    grouped = group_by_length(windowed, num_labels, dim)
 
     rng = np.random.default_rng(config.seed)
     init = HcrfParameters.random(config.num_hidden_states, num_labels, dim, rng)
 
     def fun(vec: np.ndarray) -> tuple[float, np.ndarray]:
         params = HcrfParameters.from_vector(vec, config.num_hidden_states, num_labels, dim)
-        value, grad = objective_and_gradient(windowed, params, config.l2_lambda)
+        value, grad = objective_and_gradient(grouped, params, config.l2_lambda)
         return value, grad.as_vector()
 
     result = minimize(
@@ -219,7 +238,9 @@ def train(
     theta = HcrfParameters.from_vector(
         result.x, config.num_hidden_states, num_labels, dim
     )
-    return theta, TrainingTrace(entries=result.trace, status=result.status)
+    return theta, TrainingTrace(
+        entries=result.trace, status=result.status, evaluations=result.evaluations
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,9 +287,10 @@ def fit_predictor(
     theta, trace = train(dataset, config, num_labels)
     log.log(
         logging.INFO if trace.status == "converged" else logging.WARNING,
-        "hcrf training %s after %d iterations, objective %.6f",
+        "hcrf training %s after %d iterations and %d evaluations, objective %.6f",
         trace.status,
         len(trace.entries) - 1,
+        trace.evaluations,
         trace.entries[-1].objective,
     )
     return HcrfPredictor(params=theta, config=config), trace

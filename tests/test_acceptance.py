@@ -40,7 +40,12 @@ from opinionchain.synthetic import (
     vocabulary,
     write_embeddings,
 )
-from opinionchain.training import TrainingConfig, fit_predictor, objective_and_gradient
+from opinionchain.training import (
+    TrainingConfig,
+    fit_predictor,
+    group_by_length,
+    objective_and_gradient,
+)
 
 
 def _enumerated_posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
@@ -108,18 +113,19 @@ def test_gradient_matches_central_finite_differences():
             0.5 * rng.normal(size=(2, hidden)),
             0.5 * rng.normal(size=(2, hidden, hidden)),
         )
-        analytic = objective_and_gradient(dataset, theta, lam)[1].as_vector()
+        grouped = group_by_length(dataset, 2, dim)
+        analytic = objective_and_gradient(grouped, theta, lam)[1].as_vector()
         vec = theta.as_vector()
         step = 1e-5
         for k in range(vec.size):
             bumped = vec.copy()
             bumped[k] = vec[k] + step
             plus = objective_and_gradient(
-                dataset, HcrfParameters.from_vector(bumped, hidden, 2, dim), lam
+                grouped, HcrfParameters.from_vector(bumped, hidden, 2, dim), lam
             )[0]
             bumped[k] = vec[k] - step
             minus = objective_and_gradient(
-                dataset, HcrfParameters.from_vector(bumped, hidden, 2, dim), lam
+                grouped, HcrfParameters.from_vector(bumped, hidden, 2, dim), lam
             )[0]
             fd = (plus - minus) / (2 * step)
             rel = abs(analytic[k] - fd) / max(1.0, abs(analytic[k]), abs(fd))

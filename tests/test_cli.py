@@ -352,6 +352,44 @@ class TestConfigFile:
         assert "c_grid" in error
 
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "model, doc, key",
+        [
+            ("logreg", {"training": {"num_hiden_states": 3}}, "num_hiden_states"),
+            ("hcrf", {"logreg": {"cc_grid": [1]}}, "cc_grid"),
+        ],
+    )
+    def test_other_model_section_is_checked(
+        self, tmp_path, generated, capsys, command, model, doc, key
+    ):
+        cfg = write_config(tmp_path, doc)
+        rc = main(
+            [command, "--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o"),
+             "--config", cfg, "--model", model]
+        )
+        assert rc == 1
+        [error] = error_lines(capsys)
+        assert key in error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segment", "--corpus", "c"],
+        ["predict", "--model", "m.json", "--corpus", "c"],
+        ["inspect", "--model", "m.json"],
+    ],
+)
+@pytest.mark.parametrize("option", [["--config", "absent.json"], ["--seed", "3"]])
+def test_commands_reject_options_they_do_not_read(tmp_path, capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")] + option)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestInspect:
     def test_state_report_files(self, tmp_path, generated):
         cfg = train_config_file(tmp_path, generated)

@@ -7,10 +7,13 @@ from opinionchain.errors import EnumerationBudgetError, InvalidInputError
 from opinionchain.model import (
     HcrfParameters,
     ObservationSequence,
+    brute_force_log_partitions,
     brute_force_posterior,
+    forward_backward,
     log_partition_per_label,
     log_partitions,
     marginals,
+    node_scores,
     posterior,
     potential,
     predict,
@@ -242,6 +245,54 @@ class TestMarginals:
             np.testing.assert_allclose(m.state_posteriors, state, atol=1e-10)
             if x.length > 1:
                 np.testing.assert_allclose(m.pair_posteriors, pair, atol=1e-10)
+
+
+class TestBatchedKernel:
+    """One forward_backward call over N same-length chains with Y=3 labels
+    and H=4 states, so no two of the label, chain and state axes share a
+    size, and random asymmetric transitions."""
+
+    NUM_LABELS, NUM_HIDDEN, NUM_CHAINS, DIM = 3, 4, 5, 2
+
+    def batch(self, rng, length):
+        theta = HcrfParameters(
+            rng.standard_normal((self.NUM_HIDDEN, self.DIM)),
+            rng.standard_normal((self.NUM_LABELS, self.NUM_HIDDEN)),
+            2.0 * rng.standard_normal((self.NUM_LABELS, self.NUM_HIDDEN, self.NUM_HIDDEN)),
+        )
+        feats = rng.standard_normal((self.NUM_CHAINS, length, self.DIM))
+        chain = forward_backward(node_scores(feats @ theta.theta_obs.T, theta), theta.theta_trans)
+        return theta, [seq(f, f"c{n}") for n, f in enumerate(feats)], chain
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_shapes_are_label_chain_position_state_and_contiguous(self, length):
+        _, _, chain = self.batch(np.random.default_rng(length), length)
+        y, n, h = self.NUM_LABELS, self.NUM_CHAINS, self.NUM_HIDDEN
+        assert chain.log_z.shape == (y, n)
+        assert chain.state.shape == (y, n, length, h)
+        assert chain.pair.shape == (y, n, length - 1, h, h)
+        for block in (chain.log_z, chain.state, chain.pair):
+            assert block.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_each_chain_log_partition_matches_enumeration(self, length):
+        theta, chains, chain = self.batch(np.random.default_rng(20 + length), length)
+        for n, x in enumerate(chains):
+            np.testing.assert_allclose(
+                chain.log_z[:, n], brute_force_log_partitions(x, theta), rtol=0, atol=1e-10
+            )
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_each_chain_marginals_match_single_chain_marginals(self, length):
+        theta, chains, chain = self.batch(np.random.default_rng(40 + length), length)
+        for n, x in enumerate(chains):
+            for y in range(self.NUM_LABELS):
+                m = marginals(y, x, theta)
+                np.testing.assert_allclose(chain.state[y, n], m.state_posteriors, atol=1e-12)
+                np.testing.assert_allclose(chain.pair[y, n], m.pair_posteriors, atol=1e-12)
+        np.testing.assert_allclose(chain.state.sum(axis=-1), 1.0, atol=1e-12)
+        if length > 1:
+            np.testing.assert_allclose(chain.pair.sum(axis=-1), chain.state[:, :, :-1], atol=1e-12)
 
 
 class TestBruteForceGuard:

@@ -79,3 +79,21 @@ def test_non_finite_objective_aborts():
 
     with pytest.raises(TrainingDivergedError):
         minimize(fun, np.array([0.9]), max_iterations=50, grad_tolerance=1e-12)
+
+
+@pytest.mark.parametrize("start", [np.array([-1.2, 1.0]), np.array([3.0, -2.0])])
+def test_evaluations_count_every_call_including_backtracks(start):
+    calls = []
+
+    def rosenbrock(x):
+        calls.append(x.copy())
+        a, b = x
+        val = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+        grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+        return float(val), grad
+
+    res = minimize(rosenbrock, start, max_iterations=500, grad_tolerance=1e-8)
+    iterations = len(res.trace) - 1
+    assert res.evaluations == len(calls)
+    assert res.evaluations >= iterations + 1
+    assert res.evaluations > iterations + 1  # the line search backtracked at least once

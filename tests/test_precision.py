@@ -17,7 +17,7 @@ from opinionchain.model import (
     log_partitions,
     posterior,
 )
-from opinionchain.training import objective_and_gradient
+from opinionchain.training import group_by_length, objective_and_gradient
 
 mp.dps = 30
 
@@ -118,7 +118,8 @@ def test_kernel_matches_mpmath(seed, length, num_hidden, scale):
     log_odds_error = 1e-14 * max(1.0, float(np.abs(want_log_z).max()))
     np.testing.assert_allclose(posterior(x, theta), want_post, rtol=0, atol=log_odds_error)
 
-    _, grad = objective_and_gradient([(x, gold)], theta, 0.0)
+    grouped = group_by_length([(x, gold)], theta.num_labels, theta.feature_dim)
+    _, grad = objective_and_gradient(grouped, theta, 0.0)
     got_grad = grad.as_vector()
     count_scale = length * max(1.0, float(np.abs(x.features).max()))
     np.testing.assert_allclose(

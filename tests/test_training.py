@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opinionchain import training
 from opinionchain.errors import InvalidInputError
 from opinionchain.model import (
     HcrfParameters,
@@ -13,6 +14,7 @@ from opinionchain.model import (
 from opinionchain.training import (
     TrainingConfig,
     apply_context_window,
+    group_by_length,
     objective_and_gradient,
     train,
 )
@@ -32,6 +34,11 @@ def random_dataset(rng, size=6, dim=3, max_len=5, num_labels=2):
     return out
 
 
+def grouped(dataset, theta):
+    """``dataset`` grouped for the labels and dimension of ``theta``."""
+    return group_by_length(dataset, theta.num_labels, theta.feature_dim)
+
+
 def random_theta(rng, num_hidden, num_labels, dim, scale=0.5):
     return HcrfParameters(
         scale * rng.standard_normal((num_hidden, dim)),
@@ -43,14 +50,15 @@ def random_theta(rng, num_hidden, num_labels, dim, scale=0.5):
 def fd_gradient(dataset, theta, lam, step=1e-5):
     vec = theta.as_vector()
     h, y, d = theta.num_hidden_states, theta.num_labels, theta.feature_dim
+    groups = grouped(dataset, theta)
     out = np.empty_like(vec)
     for k in range(vec.size):
         plus, minus = vec.copy(), vec.copy()
         plus[k] += step
         minus[k] -= step
         out[k] = (
-            objective_and_gradient(dataset, HcrfParameters.from_vector(plus, h, y, d), lam)[0]
-            - objective_and_gradient(dataset, HcrfParameters.from_vector(minus, h, y, d), lam)[0]
+            objective_and_gradient(groups, HcrfParameters.from_vector(plus, h, y, d), lam)[0]
+            - objective_and_gradient(groups, HcrfParameters.from_vector(minus, h, y, d), lam)[0]
         ) / (2 * step)
     return out
 
@@ -74,7 +82,7 @@ class TestObjective:
         rng = np.random.default_rng(0)
         dataset = random_dataset(rng, size=7)
         theta = HcrfParameters.zeros(3, 2, 3)
-        value, _ = objective_and_gradient(dataset, theta, 0.0)
+        value, _ = objective_and_gradient(grouped(dataset, theta), theta, 0.0)
         assert value == pytest.approx(7 * np.log(2), abs=1e-12)
 
     def test_zero_lambda_is_pure_likelihood(self):
@@ -82,7 +90,7 @@ class TestObjective:
         dataset = random_dataset(rng, size=5)
         theta = random_theta(rng, 2, 2, 3)
         nll = -sum(np.log(posterior(x, theta)[y]) for x, y in dataset)
-        value, _ = objective_and_gradient(dataset, theta, 0.0)
+        value, _ = objective_and_gradient(grouped(dataset, theta), theta, 0.0)
         assert value == pytest.approx(nll, rel=1e-12)
 
     def test_matches_brute_force_plus_regularizer(self):
@@ -93,25 +101,27 @@ class TestObjective:
             lam = float(rng.uniform(0.0, 1.0))
             want = -sum(np.log(brute_force_posterior(x, theta)[y]) for x, y in dataset)
             want += 0.5 * lam * float((theta.as_vector() ** 2).sum())
-            value, _ = objective_and_gradient(dataset, theta, lam)
+            value, _ = objective_and_gradient(grouped(dataset, theta), theta, lam)
             assert value == pytest.approx(want, rel=1e-10)
 
     def test_rejects_empty_dataset(self):
+        theta = HcrfParameters.zeros(2, 2, 2)
         with pytest.raises(InvalidInputError):
-            objective_and_gradient([], HcrfParameters.zeros(2, 2, 2), 0.1)
+            objective_and_gradient(grouped([], theta), theta, 0.1)
 
     def test_rejects_dimension_mismatch(self):
         theta = HcrfParameters.zeros(2, 2, 3)
         with pytest.raises(InvalidInputError):
-            objective_and_gradient([(seq([[1.0, 2.0]]), 0)], theta, 0.1)
+            objective_and_gradient(grouped([(seq([[1.0, 2.0]]), 0)], theta), theta, 0.1)
 
 
 class TestGradient:
     def test_regularizer_vanishes_at_zero(self):
         rng = np.random.default_rng(3)
         dataset = random_dataset(rng, size=3)
-        g0 = objective_and_gradient(dataset, HcrfParameters.zeros(2, 2, 3), 0.0)[1].as_vector()
-        g1 = objective_and_gradient(dataset, HcrfParameters.zeros(2, 2, 3), 5.0)[1].as_vector()
+        theta = HcrfParameters.zeros(2, 2, 3)
+        g0 = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1].as_vector()
+        g1 = objective_and_gradient(grouped(dataset, theta), theta, 5.0)[1].as_vector()
         np.testing.assert_array_equal(g0, g1)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -120,7 +130,8 @@ class TestGradient:
         for _ in range(6):
             dataset = random_dataset(rng, size=4, dim=3, max_len=5)
             theta = random_theta(rng, 3, 2, 3)
-            analytic = objective_and_gradient(dataset, theta, lam)[1].as_vector()
+            analytic = objective_and_gradient(grouped(dataset, theta), theta, lam)[1]
+            analytic = analytic.as_vector()
             numeric = fd_gradient(dataset, theta, lam)
             denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-6
@@ -130,7 +141,7 @@ class TestGradient:
             np.zeros((1, 2)), np.array([[50.0], [-50.0]]), np.zeros((2, 1, 1))
         )
         dataset = [(seq([[0.3, -0.2], [0.1, 0.4]]), 0)]
-        g = objective_and_gradient(dataset, theta, 0.0)[1].as_vector()
+        g = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1].as_vector()
         assert np.linalg.norm(g) <= 1e-8
 
     def test_matches_per_sequence_reference(self):
@@ -139,25 +150,84 @@ class TestGradient:
         rng = np.random.default_rng(5)
         dataset = random_dataset(rng, size=8, dim=2, max_len=6)
         theta = random_theta(rng, 3, 2, 2)
-        lam = 0.25
+        assert_matches_per_sequence_reference(dataset, theta, 0.25)
 
-        ref_obs = lam * theta.theta_obs.copy()
-        ref_state = lam * theta.theta_state.copy()
-        ref_trans = lam * theta.theta_trans.copy()
-        for x, gold in dataset:
-            post = posterior(x, theta)
-            for y in range(theta.num_labels):
-                m = marginals(y, x, theta)
-                coeff = post[y] - (1.0 if y == gold else 0.0)
-                ref_obs += coeff * (m.state_posteriors.T @ x.features)
-                ref_state[y] += coeff * m.state_posteriors.sum(axis=0)
-                if x.length > 1:
-                    ref_trans[y] += coeff * m.pair_posteriors.sum(axis=0)
+    def test_matches_per_sequence_reference_three_labels_four_states(self):
+        """Y=3 and H=4 differ from each other and from the group sizes,
+        so a mix-up of the label, state and chain axes cannot cancel."""
+        rng = np.random.default_rng(13)
+        dataset = random_dataset(rng, size=12, dim=3, max_len=4, num_labels=3)
+        assert {x.length for x, _ in dataset} >= {1, 2}
+        theta = random_theta(rng, 4, 3, 3)
+        assert_matches_per_sequence_reference(dataset, theta, 0.25)
 
-        _, got = objective_and_gradient(dataset, theta, lam)
-        np.testing.assert_allclose(got.theta_obs, ref_obs, atol=1e-12)
-        np.testing.assert_allclose(got.theta_state, ref_state, atol=1e-12)
-        np.testing.assert_allclose(got.theta_trans, ref_trans, atol=1e-12)
+
+def assert_matches_per_sequence_reference(dataset, theta, lam):
+    ref_obs = lam * theta.theta_obs.copy()
+    ref_state = lam * theta.theta_state.copy()
+    ref_trans = lam * theta.theta_trans.copy()
+    for x, gold in dataset:
+        post = posterior(x, theta)
+        for y in range(theta.num_labels):
+            m = marginals(y, x, theta)
+            coeff = post[y] - (1.0 if y == gold else 0.0)
+            ref_obs += coeff * (m.state_posteriors.T @ x.features)
+            ref_state[y] += coeff * m.state_posteriors.sum(axis=0)
+            if x.length > 1:
+                ref_trans[y] += coeff * m.pair_posteriors.sum(axis=0)
+
+    _, got = objective_and_gradient(grouped(dataset, theta), theta, lam)
+    np.testing.assert_allclose(got.theta_obs, ref_obs, atol=1e-12)
+    np.testing.assert_allclose(got.theta_state, ref_state, atol=1e-12)
+    np.testing.assert_allclose(got.theta_trans, ref_trans, atol=1e-12)
+
+
+class TestLengthGroups:
+    def test_ascending_lengths_in_dataset_order(self):
+        dataset = [
+            (seq(np.full((length, 2), float(i)), f"d{i}"), i % 2)
+            for i, length in enumerate([3, 1, 3, 2, 1])
+        ]
+        groups = group_by_length(dataset, 2, 2).groups
+        assert [feats.shape for feats, _ in groups] == [(2, 1, 2), (1, 2, 2), (2, 3, 2)]
+        assert [feats[:, 0, 0].tolist() for feats, _ in groups] == [[1, 4], [3], [0, 2]]
+        assert [labels.tolist() for _, labels in groups] == [[1, 0], [1], [0, 0]]
+
+    def test_rejects_out_of_range_label(self):
+        with pytest.raises(InvalidInputError, match="label 2"):
+            group_by_length([(seq([[1.0]]), 2)], 2, 1)
+
+    def test_objective_rejects_parameters_of_another_shape(self):
+        dataset = [(seq([[1.0, 2.0]]), 0)]
+        with pytest.raises(InvalidInputError, match="do not match"):
+            objective_and_gradient(
+                group_by_length(dataset, 2, 2), HcrfParameters.zeros(2, 3, 2), 0.1
+            )
+
+    def test_train_groups_once_per_fit(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return group_by_length(*args)
+
+        monkeypatch.setattr(training, "group_by_length", counting)
+        data = separable_dataset(np.random.default_rng(14), per_label=3)
+        train(data, TrainingConfig(num_hidden_states=2, max_iterations=20))
+        assert len(calls) == 1
+
+    def test_trace_counts_every_objective_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return objective_and_gradient(*args)
+
+        monkeypatch.setattr(training, "objective_and_gradient", counting)
+        data = separable_dataset(np.random.default_rng(15), per_label=3)
+        _, trace = train(data, TrainingConfig(num_hidden_states=2, max_iterations=20))
+        assert trace.evaluations == len(calls)
+        assert trace.evaluations >= len(trace.entries)
 
 
 class TestContextWindow:
