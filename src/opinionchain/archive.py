@@ -34,7 +34,7 @@ from .features.pipeline import (
 )
 from .features.resources import default_resource_path
 from .features.standardize import Standardizer
-from .model import HcrfParameters, ObservationSequence
+from .model import HcrfParameters
 from .training import HcrfPredictor, TrainingConfig
 
 ARCHIVE_FORMAT = "model-archive/v1"
@@ -140,12 +140,15 @@ class LoadedModel:
     predictor: Predictor
     label_names: tuple[str, ...]
 
-    def predict_sequence(self, seq: ObservationSequence) -> tuple[int, np.ndarray]:
-        post = self.predictor.posterior(seq)
-        return int(np.argmax(post)), post
+    def posteriors(self, docs) -> np.ndarray:
+        """(N, Y) label posteriors of the transcripts in ``docs``; each is
+        featurized as the predictor reads it, so the corpus's feature
+        matrices are never all held at once."""
+        return self.predictor.posterior_batch(self.pipeline.transform(doc) for doc in docs)
 
     def predict_transcript(self, doc: Transcript) -> tuple[int, np.ndarray]:
-        return self.predict_sequence(self.pipeline.transform(doc))
+        post = self.posteriors([doc])[0]
+        return int(np.argmax(post)), post
 
 
 def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):

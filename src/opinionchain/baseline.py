@@ -4,19 +4,24 @@ The baseline collapses each observation sequence to the mean of its
 per-segment vectors and fits a binary ℓ2-regularized logistic model
 with the shared quasi-Newton optimizer.  The intercept is left out of
 the penalty so that heavy regularization falls back to the majority
-class rather than to a coin flip.
+class rather than to a coin flip.  Each fit logs one line with the
+optimizer's status, at WARNING when it did not converge.  scipy's
+``expit`` is imported by the functions that use it, so importing this
+module does not load scipy.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidInputError
 from .model import ObservationSequence
 from .optimize import minimize
+
+log = logging.getLogger(__name__)
 
 # inverse regularization strengths swept by the reference protocol
 DEFAULT_C_GRID = (0.1, 0.5, 1.0, 10.0, 100.0)
@@ -47,6 +52,8 @@ def aggregate_document_vector(seq: ObservationSequence) -> np.ndarray:
 
 
 def _objective_factory(matrix, targets, c):
+    from scipy.special import expit
+
     n_features = matrix.shape[1]
 
     def fun(x):
@@ -93,6 +100,14 @@ def train_logreg(
         max_iterations=max_iterations,
         grad_tolerance=1e-8,
     )
+    log.log(
+        logging.INFO if result.status == "converged" else logging.WARNING,
+        "logreg training %s after %d iterations and %d evaluations, objective %.6f",
+        result.status,
+        len(result.trace) - 1,
+        result.evaluations,
+        result.trace[-1].objective,
+    )
     return LogRegModel(
         weights=result.x[:-1].copy(), intercept=float(result.x[-1]), c=float(c)
     )
@@ -100,6 +115,8 @@ def train_logreg(
 
 def predict_logreg(model: LogRegModel, doc_vector: np.ndarray) -> tuple[int, float]:
     """(label, probability of label 1); probability exactly 0.5 → label 0."""
+    from scipy.special import expit
+
     vec = np.asarray(doc_vector, dtype=np.float64)
     if vec.shape != (model.dim,):
         raise InvalidInputError(
@@ -115,10 +132,18 @@ class LogRegPredictor:
 
     model: LogRegModel
 
+    def posterior_batch(self, seqs) -> np.ndarray:
+        """(N, 2) rows [P(label 0), P(label 1)], one per sequence in
+        ``seqs`` (any iterable, read once); each document is scored on
+        its own averaged vector."""
+        probs = np.array(
+            [predict_logreg(self.model, aggregate_document_vector(s))[1] for s in seqs]
+        )
+        return np.stack([1.0 - probs, probs], axis=1)
+
     def posterior(self, seq: ObservationSequence) -> np.ndarray:
         """[P(label 0), P(label 1)] for the averaged document vector."""
-        _, prob = predict_logreg(self.model, aggregate_document_vector(seq))
-        return np.array([1.0 - prob, prob])
+        return self.posterior_batch([seq])[0]
 
     def predict(self, seq: ObservationSequence) -> int:
         """argmax of the posterior; probability exactly 0.5 → label 0."""

@@ -18,6 +18,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .archive import canonical_json, load_archive, save_archive
 from .corpus import corpus_stats, filter_neutral, load_corpus, save_corpus
 from .errors import (
@@ -27,7 +29,7 @@ from .errors import (
     InvalidInputError,
     TrainingDivergedError,
 )
-from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate
+from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate, predict_batch
 from .features.pipeline import FeaturePipeline, PipelineConfig
 from .features.segmentation import ipu_index_per_token
 from .features.tokenizer import get_normalizer, tokenize_many
@@ -246,9 +248,8 @@ def cmd_train(args) -> int:
     learner, model_resolved = _learner(args, file_config)
     labeled = _labeled_corpus(args.corpus, pipeline_config.threshold_ms)
 
-    pipeline = FeaturePipeline(pipeline_config).fit(labeled)
+    pipeline, sequences = FeaturePipeline(pipeline_config).fit_transform(labeled)
     log.info("feature dimension %d", pipeline.schema.dim)
-    sequences = pipeline.transform_corpus(labeled)
     labels = [doc.polarity for doc in labeled]
     predictor = learner.fit(sequences, labels)
 
@@ -262,7 +263,7 @@ def cmd_train(args) -> int:
     _write_resolved_config(out_dir, resolved)
     model_path = out_dir / "model.json"
     save_archive(model_path, predictor, pipeline)
-    correct = sum(predictor.predict(s) == y for s, y in zip(sequences, labels))
+    correct = sum(p == y for p, y in zip(predict_batch(predictor, sequences), labels))
     log.info("training accuracy %.4f", correct / len(labels))
     print(f"saved model to {model_path} (training accuracy {100 * correct / len(labels):.1f}%)")
     return 0
@@ -280,12 +281,11 @@ def cmd_predict(args) -> int:
         raise InvalidInputError(f"{args.corpus}: empty corpus")
     names = loaded.label_names
     lines = [PREDICTIONS_VERSION, "doc_id\tpredicted\t" + "\t".join(f"p_{n}" for n in names)]
-    for doc in corpus:
-        label, posterior = loaded.predict_transcript(doc)
+    for doc, posterior in zip(corpus, loaded.posteriors(corpus)):
         lines.append(
             doc.doc_id
             + "\t"
-            + names[label]
+            + names[int(np.argmax(posterior))]
             + "\t"
             + "\t".join(repr(float(p)) for p in posterior)
         )

@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
-from scipy.stats import ttest_rel
 
 from .baseline import LogRegPredictor, aggregate_document_vector, train_logreg
 from .corpus import LABEL_NAMES, Transcript
@@ -215,8 +214,11 @@ def compute_metrics(
 
 
 class Predictor(Protocol):
-    """What every trained model offers: a label posterior and its argmax
-    (exact ties go to the lowest label index)."""
+    """What every trained model offers: label posteriors, batched and for
+    one sequence, and their argmax (exact ties go to the lowest label
+    index).  ``posterior(seq)`` is ``posterior_batch([seq])[0]``."""
+
+    def posterior_batch(self, seqs: Iterable[ObservationSequence]) -> np.ndarray: ...
 
     def posterior(self, seq: ObservationSequence) -> np.ndarray: ...
 
@@ -229,6 +231,11 @@ class Learner(Protocol):
     def fit(self, sequences: list[ObservationSequence], labels: Sequence[int]) -> Predictor: ...
 
 
+def predict_batch(predictor: Predictor, seqs: Iterable[ObservationSequence]) -> list[int]:
+    """Each sequence's argmax label, from one ``posterior_batch`` call."""
+    return np.argmax(predictor.posterior_batch(seqs), axis=1).tolist()
+
+
 def _inner_cv_score(fit_one, sequences, labels, folds: int, seed: int) -> float:
     """Pooled weighted F1 of ``fit_one`` over an inner stratified split."""
     plan = stratified_k_fold(labels, folds, seed)
@@ -239,7 +246,7 @@ def _inner_cv_score(fit_one, sequences, labels, folds: int, seed: int) -> float:
         train_seqs = [s for i, s in enumerate(sequences) if i not in held]
         train_labels = [l for i, l in enumerate(labels) if i not in held]
         predictor = fit_one(train_seqs, train_labels)
-        pooled_pred.extend(predictor.predict(sequences[i]) for i in fold)
+        pooled_pred.extend(predict_batch(predictor, [sequences[i] for i in fold]))
         pooled_gold.extend(labels[i] for i in fold)
     return compute_metrics(pooled_pred, pooled_gold).weighted_f1
 
@@ -328,8 +335,10 @@ def cross_validate(
 
     Every fold refits the feature pipeline on its training documents
     only, trains via the learner (which may run its own inner grid
-    selection), and scores the held-out documents.  The headline report
-    pools all held-out predictions; per-fold reports ride along.
+    selection), and scores the held-out documents.  Each document is
+    segmented and tokenized once for all folds, since neither depends on
+    fitted state.  The headline report pools all held-out predictions;
+    per-fold reports ride along.
     """
     labels = []
     for doc in corpus:
@@ -340,16 +349,18 @@ def cross_validate(
         labels.append(doc.polarity)
 
     plan = stratified_k_fold(labels, k, seed)
+    unfitted = FeaturePipeline(pipeline_config)
+    segmented = [unfitted.segment(doc) for doc in corpus]
     pooled = np.full(len(corpus), -1, dtype=np.int64)
     fold_reports = []
     details = []
     for fold_index, fold in enumerate(plan.folds):
         held = set(fold)
-        train_docs = [d for i, d in enumerate(corpus) if i not in held]
+        train_docs = [d for i, d in enumerate(segmented) if i not in held]
         train_labels = [l for i, l in enumerate(labels) if i not in held]
-        pipeline = FeaturePipeline(pipeline_config).fit(train_docs)
-        predictor = learner.fit(pipeline.transform_corpus(train_docs), train_labels)
-        preds = [predictor.predict(pipeline.transform(corpus[i])) for i in fold]
+        pipeline, train_seqs = unfitted.fit_transform(train_docs)
+        predictor = learner.fit(train_seqs, train_labels)
+        preds = predict_batch(predictor, (pipeline.transform(segmented[i]) for i in fold))
         pooled[list(fold)] = preds
         fold_reports.append(compute_metrics(preds, [labels[i] for i in fold]))
         details.append(
@@ -382,6 +393,8 @@ def fold_significance(scores_a: Sequence[float], scores_b: Sequence[float]) -> S
     diffs = a - b
     if float(np.std(diffs)) == 0.0:
         return SignificanceResult(p_value=1.0, statistic=0.0, degenerate=True)
+    from scipy.stats import ttest_rel  # loaded only here, off the CLI's import path
+
     stat, p = ttest_rel(a, b)
     return SignificanceResult(p_value=float(p), statistic=float(stat), degenerate=False)
 

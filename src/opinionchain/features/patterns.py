@@ -8,7 +8,7 @@ input is accepted directly by ``pattern_features``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,14 +41,23 @@ _SUFFIX_RULES = (
     ("er", "NOUN"),
     ("ism", "NOUN"),
 )
+# the order ``RuleTagger`` tries them in: longest first, ties in table order
+_SUFFIXES_LONGEST_FIRST = tuple(sorted(_SUFFIX_RULES, key=lambda r: -len(r[0])))
+# distinct tokens one tagger remembers; later new tokens are tagged uncached
+TAG_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
 class RuleTagger:
-    """Lexicon lookup first, then longest-suffix heuristic, else NOUN."""
+    """Lexicon lookup first, then longest-suffix heuristic, else NOUN.
+
+    A token's tag depends on the token alone, so each tagger remembers
+    the tag of every distinct token it has seen (up to ``TAG_MEMO_SIZE``).
+    """
 
     lexicon: dict  # lowercased word -> tag
     tag_set: tuple[str, ...] = DEFAULT_TAG_SET
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = sorted(
@@ -57,19 +66,25 @@ class RuleTagger:
         if bad:
             raise InvalidInputError(f"tagger lexicon uses unknown tags: {bad}")
 
+    def _tag_token(self, token: str) -> str:
+        low = token.lower()
+        tag = self.lexicon.get(low)
+        if tag is not None:
+            return tag
+        for suffix, candidate in _SUFFIXES_LONGEST_FIRST:
+            if len(low) > len(suffix) + 1 and low.endswith(suffix):
+                return candidate
+        return "NOUN"
+
     def tag(self, tokens) -> list[str]:
+        memo = self.memo
         out = []
         for token in tokens:
-            low = token.lower()
-            tag = self.lexicon.get(low)
+            tag = memo.get(token)
             if tag is None:
-                tag = "NOUN"
-                for suffix, candidate in sorted(
-                    _SUFFIX_RULES, key=lambda r: -len(r[0])
-                ):
-                    if len(low) > len(suffix) + 1 and low.endswith(suffix):
-                        tag = candidate
-                        break
+                tag = self._tag_token(token)
+                if len(memo) < TAG_MEMO_SIZE:
+                    memo[token] = tag
             out.append(tag)
         return out
 

@@ -1,10 +1,18 @@
 """End-to-end featurization: transcripts -> per-IPU observation sequences.
 
-``FeaturePipeline.fit`` learns everything that depends on data (n-gram
-vocabulary with IDF, standardizer statistics) from the given training
-documents only; the returned ``FittedFeaturePipeline`` is immutable and
-its ``transform`` is a pure function, so fitting on a training fold and
+``FeaturePipeline.fit_transform`` learns everything that depends on data
+(n-gram vocabulary with IDF, standardizer statistics) from the given
+training documents only, and returns their sequences along with the
+fitted pipeline; it segments, tokenizes and featurizes each document
+once.  The returned ``FittedFeaturePipeline`` is immutable and its
+``transform`` is a pure function, so fitting on a training fold and
 transforming held-out documents cannot leak fold statistics.
+
+Segmentation and tokenization depend only on the configuration, never
+on fitted state: ``FeaturePipeline.segment`` does them once, and both
+``fit_transform`` and ``transform`` accept its ``SegmentedDocument`` in
+place of a transcript, so cross-validation segments each document once
+for all of its folds.
 
 Feature blocks are concatenated in a fixed canonical order (bong |
 embedding | lexicon | pattern | paralinguistic) and the layout is
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +37,7 @@ from .ngrams import NGramVocabulary, fit_bong, vectorize_bong
 from .paralinguistic import FEATURE_NAMES as PARA_NAMES
 from .paralinguistic import paralinguistic_features
 from .patterns import DEFAULT_TAG_SET, pattern_feature_names, pattern_features
-from .segmentation import segment_into_ipus
+from .segmentation import IPU, segment_into_ipus
 from .standardize import Standardizer, fit_standardizer
 from .tokenizer import get_normalizer, tokenize_many
 
@@ -172,56 +180,88 @@ def _load_resources(config: PipelineConfig) -> _Resources:
     return _Resources(**kwargs)
 
 
-def _doc_ipu_tokens(doc: Transcript, config: PipelineConfig, normalizer):
-    ipus = segment_into_ipus(doc, config.threshold_ms)
-    return ipus, [tokenize_many(ipu.tokens, normalizer) for ipu in ipus]
+@dataclass(frozen=True)
+class SegmentedDocument:
+    """A transcript cut into IPUs, with each IPU's normalized tokens, and
+    the threshold and normalizer that produced them."""
+
+    doc_id: str
+    ipus: tuple[IPU, ...]
+    tokens: tuple[list[str], ...]  # one token list per IPU
+    threshold_ms: int
+    normalizer: str
+
+
+def _segmented(doc, config: PipelineConfig) -> SegmentedDocument:
+    """``doc`` segmented under ``config``; a transcript is segmented here,
+    a ``SegmentedDocument`` must come from the same threshold and normalizer."""
+    if not isinstance(doc, SegmentedDocument):
+        normalizer = get_normalizer(config.normalizer)
+        ipus = tuple(segment_into_ipus(doc, config.threshold_ms))
+        tokens = tuple(tokenize_many(ipu.tokens, normalizer) for ipu in ipus)
+        return SegmentedDocument(
+            doc.doc_id, ipus, tokens, config.threshold_ms, config.normalizer
+        )
+    if (doc.threshold_ms, doc.normalizer) != (config.threshold_ms, config.normalizer):
+        raise InvalidInputError(
+            f"{doc.doc_id}: segmented at {doc.threshold_ms} ms with the "
+            f"{doc.normalizer!r} normalizer, but the pipeline uses "
+            f"{config.threshold_ms} ms and {config.normalizer!r}"
+        )
+    return doc
 
 
 class FeaturePipeline:
-    """Unfitted pipeline; ``fit`` returns the immutable fitted form."""
+    """Unfitted pipeline; ``fit_transform`` returns the immutable fitted
+    form together with the training documents' sequences."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
 
-    def fit(self, train_docs: list[Transcript]) -> "FittedFeaturePipeline":
+    def segment(self, doc: Transcript) -> SegmentedDocument:
+        """Segment and tokenize ``doc`` once, for any number of fits and
+        transforms under this configuration."""
+        return _segmented(doc, self.config)
+
+    def fit(self, train_docs) -> "FittedFeaturePipeline":
+        """The fitted pipeline alone (see :meth:`fit_transform`)."""
+        return self.fit_transform(train_docs)[0]
+
+    def fit_transform(
+        self, train_docs
+    ) -> tuple["FittedFeaturePipeline", list[ObservationSequence]]:
+        """Fit on ``train_docs`` (transcripts or segmented documents) and
+        return the fitted pipeline with their sequences.
+
+        Each document's raw rows are built once: the standardizer is fit
+        on them and then applied to them, which gives the same sequences,
+        bit for bit, as the fitted pipeline's ``transform``.
+        """
         if not train_docs:
             raise InvalidInputError("cannot fit a pipeline on zero documents")
         config = self.config
         loaded = _load_resources(config)
-        normalizer = get_normalizer(config.normalizer)
+        segmented = [_segmented(doc, config) for doc in train_docs]
 
         vocab = None
         if "bong" in config.blocks:
-            doc_tokens = []
-            for doc in train_docs:
-                _, per_ipu = _doc_ipu_tokens(doc, config, normalizer)
-                doc_tokens.append([tok for toks in per_ipu for tok in toks])
+            doc_tokens = [[tok for toks in seg.tokens for tok in toks] for seg in segmented]
             vocab = fit_bong(
                 doc_tokens, max_order=config.bong_max_order, min_df=config.bong_min_df
             )
 
-        schema = _build_schema(config, loaded, vocab)
         fitted = FittedFeaturePipeline(
             config=config,
-            schema=schema,
+            schema=_build_schema(config, loaded, vocab),
             vocabulary=vocab,
             standardizer=None,
             _resources=loaded,
         )
+        raw = [fitted._raw_matrix(seg) for seg in segmented]
         if config.standardize:
-            rows = [
-                row
-                for doc in train_docs
-                for row in fitted._raw_matrix(doc)
-            ]
-            fitted = FittedFeaturePipeline(
-                config=config,
-                schema=schema,
-                vocabulary=vocab,
-                standardizer=fit_standardizer(np.array(rows)),
-                _resources=loaded,
-            )
-        return fitted
+            fitted = replace(fitted, standardizer=fit_standardizer(np.concatenate(raw)))
+        sequences = [fitted._sequence(seg, matrix) for seg, matrix in zip(segmented, raw)]
+        return fitted, sequences
 
 
 def _build_schema(config, loaded: _Resources, vocab) -> FeatureSchema:
@@ -277,25 +317,25 @@ class FittedFeaturePipeline:
                 )
         return np.concatenate(parts)
 
-    def _raw_matrix(self, doc: Transcript) -> np.ndarray:
-        normalizer = get_normalizer(self.config.normalizer)
-        ipus, per_ipu_tokens = _doc_ipu_tokens(doc, self.config, normalizer)
-        if not ipus:
+    def _raw_matrix(self, seg: SegmentedDocument) -> np.ndarray:
+        if not seg.ipus:
             raise InvalidInputError(
-                f"{doc.doc_id}: no IPUs (tokenless document cannot be featurized)"
+                f"{seg.doc_id}: no IPUs (tokenless document cannot be featurized)"
             )
         return np.array(
-            [self._ipu_vector(ipu, toks) for ipu, toks in zip(ipus, per_ipu_tokens)]
+            [self._ipu_vector(ipu, toks) for ipu, toks in zip(seg.ipus, seg.tokens)]
         )
 
-    def transform(self, doc: Transcript) -> ObservationSequence:
-        matrix = self._raw_matrix(doc)
+    def _sequence(self, seg: SegmentedDocument, raw: np.ndarray) -> ObservationSequence:
         if self.standardizer is not None:
-            matrix = self.standardizer.apply(matrix)
-        return ObservationSequence(doc_id=doc.doc_id, features=matrix)
+            raw = self.standardizer.apply(raw)
+        return ObservationSequence(doc_id=seg.doc_id, features=raw)
 
-    def transform_corpus(self, docs) -> list[ObservationSequence]:
-        return [self.transform(doc) for doc in docs]
+    def transform(self, doc) -> ObservationSequence:
+        """One document (a transcript or a ``SegmentedDocument``) as an
+        observation sequence."""
+        seg = _segmented(doc, self.config)
+        return self._sequence(seg, self._raw_matrix(seg))
 
     def state_checksum(self) -> str:
         """Digest of everything learned from data; used to prove that

@@ -10,14 +10,15 @@ configuration ``(y, h, x)`` is
 
 and the label posterior marginalizes the latent states per label.  All
 inference goes through one log-space kernel, :func:`forward_backward`,
-batched over labels and same-length sequences; training and the
-single-sequence functions below both call it.  The kernel's recursions
+batched over labels and same-length sequences; training, the batched
+label posteriors (:func:`label_posteriors`) and the single-sequence
+functions below all call it.  The kernel's recursions
 run position-major, on (position, state, label, sequence) arrays, so
 each log-sum-exp reduces the leading state axis over contiguous slices.
 Sequences of hundreds of segments, or weights in the thousands, would
 underflow or overflow a probability-space pass.  The brute-force enumerators are test oracles:
 they sum explicit paths with scipy's logsumexp, independently of the
-kernel.
+kernel; scipy is imported only when they run.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EnumerationBudgetError, InvalidInputError
 
@@ -308,9 +308,25 @@ def log_partitions(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
     return forward_backward(node, trans, with_marginals=False).log_z[:, 0]
 
 
+def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.ndarray:
+    """(N, Y) label posteriors P(y | x) of N chains, from each chain's
+    (L, H) emission scores.  Same-length chains share one kernel call;
+    every row is bitwise what the chain alone would give."""
+    by_length: dict[int, list[int]] = {}
+    for i, emission in enumerate(emissions):
+        by_length.setdefault(emission.shape[0], []).append(i)
+    out = np.empty((len(emissions), theta.num_labels))
+    for idxs in by_length.values():
+        node = node_scores(np.stack([emissions[i] for i in idxs]), theta)
+        log_z = forward_backward(node, theta.theta_trans, with_marginals=False).log_z
+        out[idxs] = np.exp(label_log_posteriors(log_z)).T
+    return out
+
+
 def posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
     """Label posterior P(y | x); a (Y,) probability vector summing to 1."""
-    return np.exp(label_log_posteriors(log_partitions(x, theta)))
+    _check_dims(x, theta)
+    return label_posteriors([_emission_scores(x, theta)], theta)[0]
 
 
 def predict(x: ObservationSequence, theta: HcrfParameters) -> int:
@@ -338,6 +354,8 @@ def _enumerate_paths(num_states: int, length: int) -> np.ndarray:
 
 def brute_force_log_partitions(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
     """Per-label log-partitions by explicit path enumeration (test oracle)."""
+    from scipy.special import logsumexp
+
     _check_dims(x, theta)
     num_paths = theta.num_hidden_states**x.length
     if num_paths > BRUTE_FORCE_MAX_PATHS:
@@ -362,5 +380,7 @@ def brute_force_posterior(x: ObservationSequence, theta: HcrfParameters) -> np.n
 
     Refuses when ``H**L`` exceeds ``BRUTE_FORCE_MAX_PATHS``.
     """
+    from scipy.special import logsumexp
+
     log_z = brute_force_log_partitions(x, theta)
     return np.exp(log_z - logsumexp(log_z))

@@ -30,9 +30,8 @@ from .model import (
     ObservationSequence,
     forward_backward,
     label_log_posteriors,
+    label_posteriors,
     node_scores,
-    posterior,
-    predict,
 )
 from .optimize import TraceEntry, minimize
 
@@ -262,11 +261,21 @@ class HcrfPredictor:
             )
         return x
 
-    def predict(self, x: ObservationSequence) -> int:
-        return predict(self._windowed(x), self.params)
+    def posterior_batch(self, xs) -> np.ndarray:
+        """(N, Y) label posteriors of the sequences in ``xs`` (any
+        iterable, read once).  Only each sequence's (L, H) emission
+        scores are kept, so a generator of sequences is never held in
+        memory at once; same-length sequences share one kernel call."""
+        obs_t = self.params.theta_obs.T
+        emissions = [self._windowed(x).features @ obs_t for x in xs]
+        return label_posteriors(emissions, self.params)
 
     def posterior(self, x: ObservationSequence) -> np.ndarray:
-        return posterior(self._windowed(x), self.params)
+        return self.posterior_batch([x])[0]
+
+    def predict(self, x: ObservationSequence) -> int:
+        """argmax of the posterior; exact ties go to the lowest label."""
+        return int(np.argmax(self.posterior(x)))
 
     def describe(self) -> dict:
         return {

@@ -33,7 +33,7 @@ def fitted_setup(tmp_path, blocks=("bong",), **config_kwargs):
 
 
 def train_hcrf(docs, pipeline):
-    sequences = pipeline.transform_corpus(docs)
+    sequences = [pipeline.transform(d) for d in docs]
     labels = [d.polarity for d in docs]
     predictor, _ = fit_predictor(
         list(zip(sequences, labels)),
@@ -89,7 +89,7 @@ class TestHcrfRoundTrip:
 class TestLogRegRoundTrip:
     def test_bitwise_reprediction(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
-        sequences = pipeline.transform_corpus(docs)
+        sequences = [pipeline.transform(d) for d in docs]
         labels = [d.polarity for d in docs]
         matrix = np.stack([aggregate_document_vector(s) for s in sequences])
         predictor = LogRegPredictor(train_logreg(matrix, labels, c=10.0))

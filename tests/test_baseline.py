@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +83,23 @@ class TestTraining:
         for a, b in zip(norms, norms[1:]):
             assert b >= a - 1e-8
 
+    def test_each_fit_logs_its_outcome(self, caplog):
+        x, y = blob_dataset()
+        with caplog.at_level(logging.INFO, logger="opinionchain.baseline"):
+            train_logreg(x, y, c=1.0, max_iterations=1)
+            train_logreg(x, y, c=1.0)
+        capped, converged = caplog.records
+        assert capped.levelno == logging.WARNING
+        assert capped.getMessage().startswith(
+            "logreg training max_iterations after 1 iterations and "
+        )
+        assert converged.levelno == logging.INFO
+        assert re.fullmatch(
+            r"logreg training converged after \d+ iterations and \d+ evaluations, "
+            r"objective -?\d+\.\d{6}",
+            converged.getMessage(),
+        )
+
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
             train_logreg(np.ones((3, 2)), np.ones(3))
@@ -135,6 +154,24 @@ class TestPrediction:
     def test_nonfinite_model_rejected(self):
         with pytest.raises(InvalidInputError):
             LogRegModel(weights=np.array([np.nan]), intercept=0.0, c=1.0)
+
+
+class TestPosteriorBatch:
+    def test_rows_bitwise_equal_one_by_one(self):
+        rng = np.random.default_rng(3)
+        model = LogRegModel(weights=rng.standard_normal(4), intercept=0.3, c=1.0)
+        predictor = LogRegPredictor(model)
+        seqs = [
+            ObservationSequence(f"d{i}", rng.standard_normal((n, 4)))
+            for i, n in enumerate((5, 1, 2, 5, 1, 2, 2))
+        ]
+        batch = predictor.posterior_batch(iter(seqs))
+        assert batch.shape == (len(seqs), 2)
+        for row, seq in zip(batch, seqs):
+            _, prob = predict_logreg(model, aggregate_document_vector(seq))
+            assert row.tolist() == [1.0 - prob, prob]
+            assert np.array_equal(row, predictor.posterior(seq))
+        assert predictor.posterior_batch([]).shape == (0, 2)
 
 
 class TestAggregation:

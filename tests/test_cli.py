@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,66 @@ def dir_bytes(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def package_env() -> dict:
+    src = str(Path(opinionchain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_does_not_load_scipy():
+    code = (
+        "import sys, opinionchain.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def segment_counts(monkeypatch):
+    """Calls of ``segment_into_ipus`` per document id, through both names
+    the program calls it by."""
+    from opinionchain.features import pipeline, segmentation
+
+    counts = Counter()
+    original = segmentation.segment_into_ipus
+
+    def counting(transcript, threshold_ms):
+        counts[transcript.doc_id] += 1
+        return original(transcript, threshold_ms)
+
+    monkeypatch.setattr(pipeline, "segment_into_ipus", counting)
+    monkeypatch.setattr(segmentation, "segment_into_ipus", counting)
+    return counts
+
+
+class TestSegmentationCount:
+    @pytest.mark.parametrize("command", [["train"], ["evaluate", "--folds", "2"]])
+    def test_commands_segment_each_document_at_most_twice(
+        self, tmp_path, generated, segment_counts, command
+    ):
+        cfg = train_config_file(tmp_path, generated)
+        argv = command + ["--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--config", cfg]) == 0
+        assert len(segment_counts) == 16
+        assert max(segment_counts.values()) <= 2
+
+    def test_cross_validate_segments_each_document_once(self, generated, segment_counts):
+        from opinionchain.corpus import load_corpus
+        from opinionchain.evaluation import LogRegLearner, cross_validate
+        from opinionchain.features.pipeline import PipelineConfig
+
+        corpus = load_corpus(generated / "corpus")
+        cross_validate(corpus, PipelineConfig(), LogRegLearner(), k=2)
+        assert set(segment_counts.values()) == {1}
+        assert len(segment_counts) == len(corpus)
+
+
 class TestGenerate:
     def test_outputs_present(self, generated):
         assert (generated / "corpus" / "manifest.tsv").exists()
@@ -84,14 +145,11 @@ class TestGenerate:
         assert 0.5 <= stats["order_insensitive_bayes_accuracy"] <= 1.0
 
     def test_module_invocation_writes_run_log(self, tmp_path, gen_config):
-        src = str(Path(opinionchain.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "m"
         proc = subprocess.run(
             [sys.executable, "-m", "opinionchain.cli", "generate", "--out", str(out),
              "--seed", "5", "--config", gen_config],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=package_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         log = (out / "run.log").read_text()

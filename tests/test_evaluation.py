@@ -178,6 +178,12 @@ class TestComputeMetrics:
 class _MajorityPredictor:
     label: int
 
+    def posterior_batch(self, seqs):
+        return np.array([np.eye(2)[self.label] for _ in seqs])
+
+    def posterior(self, seq):
+        return self.posterior_batch([seq])[0]
+
     def predict(self, seq):
         return self.label
 

@@ -3,9 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionchain.errors import InvalidInputError
 from opinionchain.features.patterns import (
+    _SUFFIX_RULES,
     DEFAULT_TAG_SET,
     PatternResources,
     RuleTagger,
@@ -85,7 +88,45 @@ class TestPatternCounts:
         assert out.shape == (len(pattern_feature_names()),)
 
 
+def uncached_tags(lexicon, tokens):
+    """The tagger's rule, recomputed for every token: lexicon, then the
+    longest matching suffix, else NOUN."""
+    out = []
+    for token in tokens:
+        low = token.lower()
+        tag = lexicon.get(low)
+        if tag is None:
+            tag = "NOUN"
+            for suffix, candidate in sorted(_SUFFIX_RULES, key=lambda r: -len(r[0])):
+                if len(low) > len(suffix) + 1 and low.endswith(suffix):
+                    tag = candidate
+                    break
+        out.append(tag)
+    return out
+
+
+_TOKEN = st.sampled_from(
+    ("I", "i", "Great", "GREAT", "great", "quickly", "Quickly", "watching", "ally", "zorp")
+) | st.text(alphabet="abcdefghijklmnopqrstuvwxyzGINLY'-", max_size=10)
+
+
 class TestRuleTagger:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TOKEN, max_size=30), st.lists(_TOKEN, max_size=30))
+    def test_memoized_tags_equal_uncached_rule(self, first, second):
+        lexicon = {"great": "ADJ", "i": "PRON", "quickly": "NOUN"}
+        tagger = RuleTagger(lexicon=lexicon)
+        # the second call reads tags the first one memoized
+        assert tagger.tag(first) == uncached_tags(lexicon, first)
+        assert tagger.tag(first + second) == uncached_tags(lexicon, first + second)
+
+    def test_taggers_do_not_share_memos(self):
+        a = RuleTagger(lexicon={"great": "ADJ"})
+        b = RuleTagger(lexicon={"great": "NOUN"})
+        assert a.tag(["great", "Great"]) == ["ADJ", "ADJ"]
+        assert b.tag(["great", "Great"]) == ["NOUN", "NOUN"]
+        assert a.memo is not b.memo
+
     def test_lexicon_hits_win(self):
         tagger = RuleTagger(lexicon={"great": "ADJ", "movie": "NOUN", "i": "PRON"})
         assert tagger.tag(["I", "great", "movie"]) == ["PRON", "ADJ", "NOUN"]

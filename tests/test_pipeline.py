@@ -19,6 +19,7 @@ from opinionchain.features.resources import (
     load_tagger,
 )
 from opinionchain.features.segmentation import segment_into_ipus
+from opinionchain.features.standardize import fit_standardizer
 
 from conftest import make_transcript
 
@@ -161,7 +162,60 @@ class TestRecomposition:
             )
 
 
+def block_config(block, standardize, embedding_file, socal_lexicon_file):
+    paths = {
+        "embedding": {"embedding_path": str(embedding_file[0])},
+        "lexicon": {"lexicon_paths": (str(socal_lexicon_file),)},
+    }
+    blocks = CANONICAL_BLOCKS if block == "all" else (block,)
+    kwargs = {k: v for b in blocks for k, v in paths.get(b, {}).items()}
+    return PipelineConfig(blocks=blocks, standardize=standardize, **kwargs)
+
+
 class TestFitTransform:
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("block", CANONICAL_BLOCKS + ("all",))
+    def test_matches_fit_then_transform(
+        self, block, standardize, embedding_file, socal_lexicon_file
+    ):
+        config = block_config(block, standardize, embedding_file, socal_lexicon_file)
+        corpus = small_corpus()
+        fitted, sequences = FeaturePipeline(config).fit_transform(corpus)
+        alone = FeaturePipeline(config).fit(corpus)
+        assert fitted.state_checksum() == alone.state_checksum()
+        assert [s.doc_id for s in sequences] == [d.doc_id for d in corpus]
+        for doc, seq in zip(corpus, sequences):
+            assert np.array_equal(seq.features, alone.transform(doc).features)
+        if standardize:
+            # fit on the raw rows, as an unstandardized pipeline builds them
+            raw_config = block_config(block, False, embedding_file, socal_lexicon_file)
+            raw = FeaturePipeline(raw_config).fit(corpus)
+            rows = np.concatenate([raw.transform(d).features for d in corpus])
+            want = fit_standardizer(rows)
+            assert np.array_equal(fitted.standardizer.mean, want.mean)
+            assert np.array_equal(fitted.standardizer.std, want.std)
+        else:
+            assert fitted.standardizer is None
+
+    def test_segmented_documents_featurize_like_transcripts(self):
+        pipeline = FeaturePipeline(PipelineConfig())
+        corpus = small_corpus()
+        segmented = [pipeline.segment(doc) for doc in corpus]
+        fitted, sequences = pipeline.fit_transform(segmented)
+        _, from_docs = pipeline.fit_transform(corpus)
+        assert fitted.state_checksum() == pipeline.fit(corpus).state_checksum()
+        for seg, seq, want in zip(segmented, sequences, from_docs):
+            assert np.array_equal(seq.features, want.features)
+            assert np.array_equal(fitted.transform(seg).features, want.features)
+
+    def test_segmentation_from_another_threshold_rejected(self):
+        seg = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(small_corpus()[0])
+        fitted = FeaturePipeline(PipelineConfig()).fit(small_corpus())
+        with pytest.raises(InvalidInputError, match="200 ms"):
+            fitted.transform(seg)
+        with pytest.raises(InvalidInputError, match="200 ms"):
+            FeaturePipeline(PipelineConfig()).fit_transform([seg])
+
     def test_sequence_length_matches_ipu_count(self):
         config = PipelineConfig()
         corpus = small_corpus()
@@ -192,7 +246,7 @@ class TestFitTransform:
         train, held_out = corpus[:4], corpus[4:]
         fitted_a = FeaturePipeline(PipelineConfig()).fit(train)
         fitted_b = FeaturePipeline(PipelineConfig()).fit(train)
-        fitted_b.transform_corpus(held_out)  # must not touch fitted state
+        [fitted_b.transform(d) for d in held_out]  # must not touch fitted state
         assert fitted_a.state_checksum() == fitted_b.state_checksum()
         fitted_c = FeaturePipeline(PipelineConfig()).fit(corpus)
         assert fitted_c.state_checksum() != fitted_a.state_checksum()

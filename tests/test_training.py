@@ -7,11 +7,14 @@ from opinionchain.model import (
     HcrfParameters,
     ObservationSequence,
     brute_force_posterior,
+    label_log_posteriors,
+    log_partitions,
     marginals,
     posterior,
     predict,
 )
 from opinionchain.training import (
+    HcrfPredictor,
     TrainingConfig,
     apply_context_window,
     group_by_length,
@@ -331,3 +334,42 @@ class TestTrain:
             TrainingConfig(num_hidden_states=0)
         with pytest.raises(InvalidInputError):
             TrainingConfig(context_window=-1)
+
+
+# mixed lengths, each repeated, out of order
+BATCH_LENGTHS = (5, 1, 2, 5, 1, 2, 2)
+
+
+class TestPosteriorBatch:
+    @pytest.mark.parametrize("num_labels", [2, 3])
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_rows_bitwise_equal_one_by_one(self, window, num_labels):
+        rng = np.random.default_rng(40 + window)
+        dim = 4
+        theta = random_theta(rng, 3, num_labels, (2 * window + 1) * dim)
+        predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
+        seqs = [seq(rng.standard_normal((n, dim)), f"d{i}") for i, n in enumerate(BATCH_LENGTHS)]
+        batch = predictor.posterior_batch(iter(seqs))
+        assert batch.shape == (len(seqs), num_labels)
+        for row, x in zip(batch, seqs):
+            windowed = apply_context_window(x, window)
+            assert np.array_equal(row, predictor.posterior(x))
+            assert np.array_equal(row, posterior(windowed, theta))
+            assert predictor.predict(x) == int(np.argmax(row))
+            # the kernel's log-partitions for this chain alone, and enumeration
+            alone = np.exp(label_log_posteriors(log_partitions(windowed, theta)))
+            np.testing.assert_allclose(row, alone, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                row, brute_force_posterior(windowed, theta), rtol=0, atol=1e-10
+            )
+
+    def test_empty_batch(self):
+        theta = random_theta(np.random.default_rng(0), 2, 2, 3)
+        predictor = HcrfPredictor(theta, TrainingConfig())
+        assert predictor.posterior_batch([]).shape == (0, 2)
+
+    def test_dimension_mismatch_rejected(self):
+        theta = random_theta(np.random.default_rng(0), 2, 2, 3)
+        predictor = HcrfPredictor(theta, TrainingConfig(context_window=1))
+        with pytest.raises(InvalidInputError, match="windowed dim"):
+            predictor.posterior_batch([seq(np.zeros((2, 3)))])
