@@ -10,15 +10,14 @@ configuration ``(y, h, x)`` is
 
 and the label posterior marginalizes the latent states per label.  All
 inference goes through one log-space kernel, :func:`forward_backward`,
-batched over labels and same-length sequences; training, the batched
-label posteriors (:func:`label_posteriors`) and the single-sequence
-functions below all call it.  The kernel's recursions
-run position-major, on (position, state, label, sequence) arrays, so
-each log-sum-exp reduces the leading state axis over contiguous slices.
-Sequences of hundreds of segments, or weights in the thousands, would
-underflow or overflow a probability-space pass.  The brute-force enumerators are test oracles:
-they sum explicit paths with scipy's logsumexp, independently of the
-kernel; scipy is imported only when they run.
+batched over labels and over chains of any mix of lengths; training,
+the batched label posteriors (:func:`label_posteriors`) and the
+single-sequence functions below all call it, once per batch.  The
+kernel's recursions run position-major, on (position, state, label,
+sequence) arrays, so each log-sum-exp reduces the leading state axis
+over contiguous slices.  Sequences of hundreds of segments, or weights
+in the thousands, would underflow or overflow a probability-space pass.
+The brute-force enumeration oracles live with the tests.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -34,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationBudgetError, InvalidInputError
-
-BRUTE_FORCE_MAX_PATHS = 10**6
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -190,27 +187,6 @@ def _emission_scores(x: ObservationSequence, theta: HcrfParameters) -> np.ndarra
     return x.features @ theta.theta_obs.T
 
 
-def potential(
-    y: int, hidden_states, x: ObservationSequence, theta: HcrfParameters
-) -> float:
-    """Unnormalized log-score of one (label, latent path, observations) triple."""
-    _check_dims(x, theta)
-    _check_label(y, theta)
-    h_seq = np.asarray(hidden_states, dtype=np.intp)
-    if h_seq.shape != (x.length,):
-        raise InvalidInputError(
-            f"hidden path length {h_seq.shape} does not match sequence length {x.length}"
-        )
-    if h_seq.min() < 0 or h_seq.max() >= theta.num_hidden_states:
-        raise InvalidInputError("hidden state index out of range")
-    emis = _emission_scores(x, theta)
-    score = emis[np.arange(x.length), h_seq].sum()
-    score += theta.theta_state[y, h_seq].sum()
-    if x.length > 1:
-        score += theta.theta_trans[y, h_seq[:-1], h_seq[1:]].sum()
-    return float(score)
-
-
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over axis 0, shifted by the maximum so the largest
     term is exp(0) = 1: finite and exact to rounding for any finite input,
@@ -222,63 +198,115 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:
     """(Y, N, L, H) per-label node scores from (N, L, H) emission scores:
-    the emission plus the label-state weight of each hidden state."""
-    return emission[None] + theta.theta_state[:, None, None, :]
+    the emission plus the label-state weight of each hidden state.
+
+    The sums are stored position-major, in the (L, H, Y, N) memory order
+    that :func:`forward_backward` recurses over, and returned as a
+    transposed view of it."""
+    num, length, num_h = emission.shape
+    out = np.empty((length, num_h, theta.num_labels, num))
+    np.add(emission.transpose(1, 2, 0)[:, :, None], theta.theta_state.T[:, :, None], out=out)
+    return out.transpose(2, 3, 0, 1)
 
 
 @dataclass(frozen=True)
 class ChainPosteriors:
-    """Forward-backward results for Y labels times N same-length chains.
+    """Forward-backward results for Y labels times N chains sorted by
+    non-increasing length (see :func:`forward_backward`).
 
-    ``state`` and ``pair`` are None when only the log-partitions were
-    asked for.
+    The latent-state posteriors come per length run: the chains of one
+    length L are a contiguous slice ``runs[r]`` of the chain axis, and
+    ``state[r]`` and ``pair[r]`` hold their posteriors as C-contiguous
+    arrays, runs in ascending length.  The tuples are empty when only
+    the log-partitions were asked for.
     """
 
     log_z: np.ndarray  # (Y, N): log sum over latent paths
-    state: np.ndarray | None = None  # (Y, N, L, H): P(h_j | y, x)
-    pair: np.ndarray | None = None  # (Y, N, L-1, H, H): P(h_j, h_{j+1} | y, x)
+    runs: tuple[slice, ...] = ()
+    state: tuple[np.ndarray, ...] = ()  # (Y, N_r, L, H): P(h_j | y, x)
+    pair: tuple[np.ndarray, ...] = ()  # (Y, N_r, L-1, H, H): P(h_j, h_{j+1} | y, x)
+
+
+def _active_chains(lengths: np.ndarray, num: int, max_len: int) -> list[int]:
+    """active[j] = how many chains are still running at position j, for
+    j in [0, Lmax]; with non-increasing ``lengths`` they are the first
+    active[j] chains."""
+    if (
+        lengths.shape != (num,)
+        or num < 1
+        or (lengths[1:] > lengths[:-1]).any()
+        or lengths[-1] < 1
+        or lengths[0] > max_len
+    ):
+        raise InvalidInputError(
+            f"chain lengths must be a non-increasing ({num},) vector in [1, {max_len}], "
+            f"got {lengths.tolist()}"
+        )
+    return np.searchsorted(-lengths, -np.arange(max_len + 1)).tolist()
 
 
 def forward_backward(
-    node: np.ndarray, trans: np.ndarray, with_marginals: bool = True
+    node: np.ndarray, trans: np.ndarray, lengths, with_marginals: bool = True
 ) -> ChainPosteriors:
     """Log-space forward-backward over every label and chain at once.
 
-    ``node`` is (Y, N, L, H) from :func:`node_scores` and ``trans`` is the
-    (Y, H, H) transition block.  The only loops are the two recursions
-    over positions; labels, chains and state pairs are vectorized.
+    ``node`` is (Y, N, Lmax, H) from :func:`node_scores`, with chain n's
+    scores left-aligned in positions [0, lengths[n]); the padding after
+    them is never read.  ``lengths`` must be non-increasing, so the
+    chains still running at position j are the prefix ``[:active[j]]``
+    of the chain axis: each forward step updates
+    ``alpha[j, ..., :active[j]]`` and each backward step
+    ``beta[j, ..., :active[j+1]]``, with no mask and no arithmetic on
+    padding.  ``log_z`` gathers each chain's ``alpha`` at its own last
+    position, and the posteriors are formed per length run from that
+    run's slices.  Every per-chain value comes from the same elementwise
+    operations as for that chain alone, so it is bitwise what a one-chain
+    call gives.  ``trans`` is the (Y, H, H) transition block.  The only
+    loops are the two recursions over positions and the one over length
+    runs; labels, chains and state pairs are vectorized.
 
-    The recursions run position-major: the scores are transposed once to
-    (L, H, Y, N), and the transitions are held as (from, to, Y, 1) for the
-    forward pass and (to, from, Y, 1) for the backward pass.  Each step
-    reads and writes one contiguous (H, Y, N) slice, and every
-    log-sum-exp reduces the leading state axis.  The results are
-    transposed back and returned C-contiguous: the einsums that reduce
-    them in training sum in memory order, so a transposed view would
-    change their rounding.
+    The recursions run position-major, on (Lmax, H, Y, N) arrays (the
+    memory order :func:`node_scores` already writes, so reading ``node``
+    that way copies nothing), and the transitions are held as
+    (from, to, Y, 1) for the forward pass and (to, from, Y, 1) for the
+    backward pass.  Every
+    log-sum-exp reduces the leading state axis.  Each run's posteriors
+    are transposed back and returned C-contiguous: the einsums that
+    reduce them in training sum in memory order, so a transposed view
+    would change their rounding.
     """
-    node = np.ascontiguousarray(node.transpose(2, 3, 0, 1))  # (L, H, Y, N)
-    length = node.shape[0]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    active = _active_chains(lengths, node.shape[1], node.shape[2])
+    node = np.ascontiguousarray(node.transpose(2, 3, 0, 1))  # (Lmax, H, Y, N)
+    max_len = node.shape[0]
     fwd = trans.transpose(1, 2, 0)[..., None]  # (from, to, Y, 1)
     alpha = np.empty_like(node)
     alpha[0] = node[0]
-    for j in range(1, length):
-        alpha[j] = _logsumexp(alpha[j - 1, :, None] + fwd) + node[j]
-    log_z = _logsumexp(alpha[-1])  # (Y, N)
+    for j in range(1, max_len):
+        a = active[j]
+        alpha[j, ..., :a] = _logsumexp(alpha[j - 1, :, None, :, :a] + fwd) + node[j, ..., :a]
+    ends = alpha[lengths - 1, :, :, np.arange(lengths.shape[0])]  # (N, H, Y)
+    log_z = _logsumexp(np.ascontiguousarray(ends.transpose(1, 2, 0)))  # (Y, N)
     if not with_marginals:
         return ChainPosteriors(log_z)
 
     bwd = trans.transpose(2, 1, 0)[..., None]  # (to, from, Y, 1)
-    beta = np.zeros_like(node)
-    for j in range(length - 2, -1, -1):
-        beta[j] = _logsumexp(bwd + (node[j + 1] + beta[j + 1])[:, None])
-    state = np.exp(alpha + beta - log_z)
-    pair = np.exp(alpha[:-1, :, None] + fwd + (node[1:] + beta[1:])[:, None] - log_z)
-    return ChainPosteriors(
-        log_z,
-        np.ascontiguousarray(state.transpose(2, 3, 0, 1)),
-        np.ascontiguousarray(pair.transpose(3, 4, 0, 1, 2)),
-    )
+    beta = np.zeros_like(node)  # 0 at each chain's last position
+    for j in range(max_len - 2, -1, -1):
+        a = active[j + 1]
+        beta[j, ..., :a] = _logsumexp(bwd + (node[j + 1, ..., :a] + beta[j + 1, ..., :a])[:, None])
+    runs, state, pair = [], [], []
+    for length in range(1, max_len + 1):
+        run = slice(active[length], active[length - 1])  # the chains of this length
+        if run.start == run.stop:
+            continue
+        alpha_r, beta_r, lz = alpha[:length, ..., run], beta[:length, ..., run], log_z[:, run]
+        ahead = (node[1:length, ..., run] + beta_r[1:])[:, None]
+        runs.append(run)
+        state.append(np.ascontiguousarray(np.exp(alpha_r + beta_r - lz).transpose(2, 3, 0, 1)))
+        pair_r = np.exp(alpha_r[:-1, :, None] + fwd + ahead - lz)
+        pair.append(np.ascontiguousarray(pair_r.transpose(3, 4, 0, 1, 2)))
+    return ChainPosteriors(log_z, tuple(runs), tuple(state), tuple(pair))
 
 
 def label_log_posteriors(log_z: np.ndarray) -> np.ndarray:
@@ -299,27 +327,33 @@ def log_partition_per_label(y: int, x: ObservationSequence, theta: HcrfParameter
     """log sum over all latent paths of exp(score(y, h, x)); O(L * H^2)."""
     _check_label(y, theta)
     node, trans = _single_chain(x, theta, [y])
-    return float(forward_backward(node, trans, with_marginals=False).log_z[0, 0])
+    return float(forward_backward(node, trans, [x.length], with_marginals=False).log_z[0, 0])
 
 
 def log_partitions(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
     """Per-label log-partitions as a (Y,) vector."""
     node, trans = _single_chain(x, theta, slice(None))
-    return forward_backward(node, trans, with_marginals=False).log_z[:, 0]
+    return forward_backward(node, trans, [x.length], with_marginals=False).log_z[:, 0]
 
 
 def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.ndarray:
     """(N, Y) label posteriors P(y | x) of N chains, from each chain's
-    (L, H) emission scores.  Same-length chains share one kernel call;
-    every row is bitwise what the chain alone would give."""
-    by_length: dict[int, list[int]] = {}
-    for i, emission in enumerate(emissions):
-        by_length.setdefault(emission.shape[0], []).append(i)
+    (L, H) emission scores.  The chains are sorted by non-increasing
+    length (stably) and left-aligned in one padded batch, so one kernel
+    call covers them all; every row is bitwise what the chain alone
+    would give."""
     out = np.empty((len(emissions), theta.num_labels))
-    for idxs in by_length.values():
-        node = node_scores(np.stack([emissions[i] for i in idxs]), theta)
-        log_z = forward_backward(node, theta.theta_trans, with_marginals=False).log_z
-        out[idxs] = np.exp(label_log_posteriors(log_z)).T
+    if not emissions:
+        return out
+    lengths = np.array([emission.shape[0] for emission in emissions])
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    padded = np.zeros((len(emissions), lengths[0], theta.num_hidden_states))
+    filled = np.arange(lengths[0]) < lengths[:, None]  # (N, Lmax), row-major like the rows below
+    padded[filled] = np.concatenate([emissions[i] for i in order.tolist()])
+    node = node_scores(padded, theta)
+    log_z = forward_backward(node, theta.theta_trans, lengths, with_marginals=False).log_z
+    out[order] = np.exp(label_log_posteriors(log_z)).T
     return out
 
 
@@ -342,45 +376,5 @@ def marginals(y: int, x: ObservationSequence, theta: HcrfParameters) -> Marginal
     """
     _check_label(y, theta)
     node, trans = _single_chain(x, theta, [y])
-    chain = forward_backward(node, trans)
-    return Marginals(state_posteriors=chain.state[0, 0], pair_posteriors=chain.pair[0, 0])
-
-
-def _enumerate_paths(num_states: int, length: int) -> np.ndarray:
-    """All ``num_states**length`` latent paths as a (P, L) index matrix."""
-    grids = np.meshgrid(*([np.arange(num_states)] * length), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def brute_force_log_partitions(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
-    """Per-label log-partitions by explicit path enumeration (test oracle)."""
-    from scipy.special import logsumexp
-
-    _check_dims(x, theta)
-    num_paths = theta.num_hidden_states**x.length
-    if num_paths > BRUTE_FORCE_MAX_PATHS:
-        raise EnumerationBudgetError(
-            f"{theta.num_hidden_states}^{x.length} = {num_paths} paths exceeds "
-            f"the enumeration budget of {BRUTE_FORCE_MAX_PATHS}"
-        )
-    paths = _enumerate_paths(theta.num_hidden_states, x.length)
-    emis = _emission_scores(x, theta)
-    obs_scores = emis[np.arange(x.length)[None, :], paths].sum(axis=1)
-    log_z = np.empty(theta.num_labels)
-    for y in range(theta.num_labels):
-        scores = obs_scores + theta.theta_state[y][paths].sum(axis=1)
-        if x.length > 1:
-            scores = scores + theta.theta_trans[y][paths[:, :-1], paths[:, 1:]].sum(axis=1)
-        log_z[y] = logsumexp(scores)
-    return log_z
-
-
-def brute_force_posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
-    """Same semantics as :func:`posterior`, via explicit enumeration.
-
-    Refuses when ``H**L`` exceeds ``BRUTE_FORCE_MAX_PATHS``.
-    """
-    from scipy.special import logsumexp
-
-    log_z = brute_force_log_partitions(x, theta)
-    return np.exp(log_z - logsumexp(log_z))
+    chain = forward_backward(node, trans, [x.length])
+    return Marginals(state_posteriors=chain.state[0][0, 0], pair_posteriors=chain.pair[0][0, 0])

@@ -6,15 +6,18 @@ regularizer's gradient is exactly lambda * theta.  The likelihood
 gradient is the usual expected-count difference: conditional state and
 pair posteriors weighted by (P(y|x) - 1[y = gold]).
 
-``train`` validates the dataset and stacks it into same-length groups
-once per fit (:func:`group_by_length`); every objective call reuses
-those groups.  Each group goes once through ``model.forward_backward``,
-the same log-space kernel that computes single-document posteriors,
-vectorized over every label and every sequence in the group.  The
-observation gradient is then one matmul of the label-weighted state
-posteriors with the group's features.  Grouping follows dataset order
-and groups are reduced in sorted-length order, so results are bitwise
-reproducible.
+``train`` validates the dataset and lays it out once per fit
+(:func:`group_by_length`): one ragged batch of every sequence, sorted by
+non-increasing length, split into same-length groups.  Every objective
+call reuses that layout and makes one ``model.forward_backward`` call
+over all sequences and labels, the same log-space kernel that computes
+single-document posteriors.  Emissions and the gradient reductions stay
+per length group: each group's emissions are one matmul of its stacked
+features, its expected counts are reduced from contiguous copies of its
+own posteriors, and the observation gradient is one matmul of the
+label-weighted state posteriors with the group's features.  Groups are
+reduced in ascending length, dataset order kept within each, so results
+are bitwise reproducible and equal to a per-group computation.
 """
 
 from __future__ import annotations
@@ -99,21 +102,28 @@ def apply_context_window(x: ObservationSequence, window: int) -> ObservationSequ
 
 @dataclass(frozen=True, eq=False)
 class LengthGroups:
-    """A validated training set split into same-length groups.
+    """A validated training set in the ragged layout of
+    ``model.forward_backward``.
 
-    ``groups`` holds (features (N, L, D), labels (N,)) pairs in ascending
-    length, with dataset order kept within each group.  Built once per
-    fit by :func:`group_by_length`; every objective call reuses it.
+    The chain axis holds every sequence by non-increasing length, in
+    dataset order among equal lengths; ``lengths`` (N,) follows that
+    order.  ``groups`` holds (features (N_g, L_g, D), labels (N_g,)) per
+    length in ascending length, and ``spans[g]`` is group g's slice of
+    the chain axis.  Built once per fit by :func:`group_by_length`;
+    every objective call reuses it.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    spans: tuple[slice, ...]
+    lengths: np.ndarray
+    labels: np.ndarray
     num_labels: int
     feature_dim: int
 
 
 def group_by_length(dataset: Dataset, num_labels: int, feature_dim: int) -> LengthGroups:
     """Check every example's dimension and label, then stack the dataset
-    into the length groups that :func:`objective_and_gradient` reduces."""
+    into the ragged layout that :func:`objective_and_gradient` reduces."""
     if not dataset:
         raise InvalidInputError("dataset must be nonempty")
     by_length: dict[int, list[int]] = {}
@@ -125,43 +135,25 @@ def group_by_length(dataset: Dataset, num_labels: int, feature_dim: int) -> Leng
         if not 0 <= y < num_labels:
             raise InvalidInputError(f"{x.doc_id}: label {y} out of range [0, {num_labels})")
         by_length.setdefault(x.length, []).append(idx)
-    groups = []
+    groups, spans = [], []
+    stop = len(dataset)  # the shortest group ends the chain axis
     for length in sorted(by_length):
         idxs = by_length[length]
         feats = np.stack([dataset[i][0].features for i in idxs])
         labels = np.array([dataset[i][1] for i in idxs], dtype=np.intp)
         groups.append((feats, labels))
-    return LengthGroups(tuple(groups), num_labels, feature_dim)
-
-
-def _group_objective_gradient(
-    feats: np.ndarray,
-    labels: np.ndarray,
-    theta: HcrfParameters,
-    grad_obs: np.ndarray,
-    grad_state: np.ndarray,
-    grad_trans: np.ndarray,
-) -> float:
-    """One length-group's NLL; expected-count gradient accumulated in place."""
-    num, length, dim = feats.shape
-    chain = forward_backward(node_scores(feats @ theta.theta_obs.T, theta), theta.theta_trans)
-    log_post = label_log_posteriors(chain.log_z)  # (Y, N)
-    nll = float(-log_post[labels, np.arange(num)].sum())
-
-    coeff = np.exp(log_post)  # P(y | x) - 1[y = gold], (Y, N)
-    coeff[labels, np.arange(num)] -= 1.0
-    grad_state += np.einsum("yn,ynlh->yh", coeff, chain.state)
-    grad_trans += np.einsum("yn,ynjhk->yhk", coeff, chain.pair)
-    weighted = np.einsum("yn,ynlh->nlh", coeff, chain.state).reshape(num * length, -1)
-    grad_obs += weighted.T @ feats.reshape(num * length, dim)
-    return nll
+        spans.append(slice(stop - len(idxs), stop))
+        stop -= len(idxs)
+    lengths = np.array(sorted((x.length for x, _ in dataset), reverse=True), dtype=np.intp)
+    labels = np.concatenate([labels for _, labels in reversed(groups)])
+    return LengthGroups(tuple(groups), tuple(spans), lengths, labels, num_labels, feature_dim)
 
 
 def objective_and_gradient(
     grouped: LengthGroups, theta: HcrfParameters, l2_lambda: float
 ) -> tuple[float, HcrfParameters]:
     """Value and parameter-shaped gradient of the regularized NLL over a
-    training set grouped by :func:`group_by_length`."""
+    training set laid out by :func:`group_by_length`."""
     if l2_lambda < 0:
         raise InvalidInputError("l2_lambda must be >= 0")
     if (theta.num_labels, theta.feature_dim) != (grouped.num_labels, grouped.feature_dim):
@@ -171,14 +163,33 @@ def objective_and_gradient(
             f"{grouped.feature_dim}"
         )
 
+    obs_t = theta.theta_obs.T
+    lengths = grouped.lengths
+    emission = np.zeros((lengths.shape[0], lengths[0], theta.num_hidden_states))
+    for (feats, _), span in zip(grouped.groups, grouped.spans):
+        emission[span, : feats.shape[1]] = feats @ obs_t
+    chain = forward_backward(node_scores(emission, theta), theta.theta_trans, lengths)
+    log_post = label_log_posteriors(chain.log_z)  # (Y, N)
+    chains = np.arange(lengths.shape[0])
+    gold_log_post = log_post[grouped.labels, chains]
+    coeff = np.exp(log_post)  # P(y | x) - 1[y = gold], (Y, N)
+    coeff[grouped.labels, chains] -= 1.0
+
     grad_obs = np.zeros_like(theta.theta_obs)
     grad_state = np.zeros_like(theta.theta_state)
     grad_trans = np.zeros_like(theta.theta_trans)
     nll = 0.0
-    for feats, labels in grouped.groups:
-        nll += _group_objective_gradient(
-            feats, labels, theta, grad_obs, grad_state, grad_trans
-        )
+    # the kernel's length runs are the groups, both in ascending length
+    for (feats, _), span, state, pair in zip(
+        grouped.groups, grouped.spans, chain.state, chain.pair
+    ):
+        num, length, dim = feats.shape
+        nll += float(-gold_log_post[span].sum())
+        group_coeff = np.ascontiguousarray(coeff[:, span])
+        grad_state += np.einsum("yn,ynlh->yh", group_coeff, state)
+        grad_trans += np.einsum("yn,ynjhk->yhk", group_coeff, pair)
+        weighted = np.einsum("yn,ynlh->nlh", group_coeff, state).reshape(num * length, -1)
+        grad_obs += weighted.T @ feats.reshape(num * length, dim)
 
     sq_norm = float(
         (theta.theta_obs**2).sum()
@@ -265,7 +276,7 @@ class HcrfPredictor:
         """(N, Y) label posteriors of the sequences in ``xs`` (any
         iterable, read once).  Only each sequence's (L, H) emission
         scores are kept, so a generator of sequences is never held in
-        memory at once; same-length sequences share one kernel call."""
+        memory at once; one kernel call covers every sequence."""
         obs_t = self.params.theta_obs.T
         emissions = [self._windowed(x).features @ obs_t for x in xs]
         return label_posteriors(emissions, self.params)

@@ -7,16 +7,19 @@ from opinionchain.errors import EnumerationBudgetError, InvalidInputError
 from opinionchain.model import (
     HcrfParameters,
     ObservationSequence,
-    brute_force_log_partitions,
-    brute_force_posterior,
     forward_backward,
     log_partition_per_label,
     log_partitions,
     marginals,
     node_scores,
     posterior,
-    potential,
     predict,
+)
+from oracles import (
+    BRUTE_FORCE_MAX_PATHS,
+    brute_force_log_partitions,
+    brute_force_posterior,
+    potential,
 )
 
 
@@ -146,8 +149,6 @@ class TestLogPartition:
         rng = np.random.default_rng(7)
         for _ in range(30):
             x, theta = random_instance(rng)
-            from opinionchain.model import brute_force_log_partitions
-
             want = brute_force_log_partitions(x, theta)
             got = log_partitions(x, theta)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
@@ -261,7 +262,8 @@ class TestBatchedKernel:
             2.0 * rng.standard_normal((self.NUM_LABELS, self.NUM_HIDDEN, self.NUM_HIDDEN)),
         )
         feats = rng.standard_normal((self.NUM_CHAINS, length, self.DIM))
-        chain = forward_backward(node_scores(feats @ theta.theta_obs.T, theta), theta.theta_trans)
+        node = node_scores(feats @ theta.theta_obs.T, theta)
+        chain = forward_backward(node, theta.theta_trans, [length] * self.NUM_CHAINS)
         return theta, [seq(f, f"c{n}") for n, f in enumerate(feats)], chain
 
     @pytest.mark.parametrize("length", [1, 2, 5])
@@ -269,9 +271,11 @@ class TestBatchedKernel:
         _, _, chain = self.batch(np.random.default_rng(length), length)
         y, n, h = self.NUM_LABELS, self.NUM_CHAINS, self.NUM_HIDDEN
         assert chain.log_z.shape == (y, n)
-        assert chain.state.shape == (y, n, length, h)
-        assert chain.pair.shape == (y, n, length - 1, h, h)
-        for block in (chain.log_z, chain.state, chain.pair):
+        assert chain.runs == (slice(0, n),)  # one length, one run
+        (state,), (pair,) = chain.state, chain.pair
+        assert state.shape == (y, n, length, h)
+        assert pair.shape == (y, n, length - 1, h, h)
+        for block in (chain.log_z, state, pair):
             assert block.flags["C_CONTIGUOUS"]
 
     @pytest.mark.parametrize("length", [1, 2, 5])
@@ -285,14 +289,125 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_each_chain_marginals_match_single_chain_marginals(self, length):
         theta, chains, chain = self.batch(np.random.default_rng(40 + length), length)
+        (state,), (pair,) = chain.state, chain.pair
         for n, x in enumerate(chains):
             for y in range(self.NUM_LABELS):
                 m = marginals(y, x, theta)
-                np.testing.assert_allclose(chain.state[y, n], m.state_posteriors, atol=1e-12)
-                np.testing.assert_allclose(chain.pair[y, n], m.pair_posteriors, atol=1e-12)
-        np.testing.assert_allclose(chain.state.sum(axis=-1), 1.0, atol=1e-12)
+                np.testing.assert_allclose(state[y, n], m.state_posteriors, atol=1e-12)
+                np.testing.assert_allclose(pair[y, n], m.pair_posteriors, atol=1e-12)
+        np.testing.assert_allclose(state.sum(axis=-1), 1.0, atol=1e-12)
         if length > 1:
-            np.testing.assert_allclose(chain.pair.sum(axis=-1), chain.state[:, :, :-1], atol=1e-12)
+            np.testing.assert_allclose(pair.sum(axis=-1), state[:, :, :-1], atol=1e-12)
+
+
+# mixed lengths, each repeated, out of order, plus one long chain
+RAGGED_LENGTHS = (5, 1, 2, 5, 1, 2, 2, 300)
+
+
+def ragged_batch(rng, lengths, num_labels, num_hidden, dim=3):
+    """Random parameters and chains of the given lengths, laid out for one
+    ragged kernel call: ``order[row]`` is the chain in padded row ``row``."""
+    theta = HcrfParameters(
+        rng.standard_normal((num_hidden, dim)),
+        rng.standard_normal((num_labels, num_hidden)),
+        rng.standard_normal((num_labels, num_hidden, num_hidden)),
+    )
+    chains = [seq(rng.standard_normal((n, dim)), f"c{i}") for i, n in enumerate(lengths)]
+    order = sorted(range(len(chains)), key=lambda i: -chains[i].length)  # stable
+    sorted_lengths = [chains[i].length for i in order]
+    emission = np.zeros((len(chains), sorted_lengths[0], num_hidden))
+    for row, i in enumerate(order):
+        emission[row, : chains[i].length] = chains[i].features @ theta.theta_obs.T
+    return theta, chains, order, node_scores(emission, theta), sorted_lengths
+
+
+def alone(x, theta):
+    """The kernel's results for one chain in a call of its own."""
+    node = node_scores((x.features @ theta.theta_obs.T)[None], theta)
+    return forward_backward(node, theta.theta_trans, [x.length])
+
+
+def assert_each_chain_bitwise_alone(theta, chains, order, chain):
+    seen = []
+    for run, state, pair in zip(chain.runs, chain.state, chain.pair):
+        for k, row in enumerate(range(run.start, run.stop)):
+            x = chains[order[row]]
+            single = alone(x, theta)
+            assert state.shape[2] == x.length
+            assert np.array_equal(chain.log_z[:, row], single.log_z[:, 0])
+            assert np.array_equal(state[:, k], single.state[0][:, 0])
+            assert np.array_equal(pair[:, k], single.pair[0][:, 0])
+            seen.append(row)
+    assert sorted(seen) == list(range(len(chains)))
+
+
+class TestRaggedKernel:
+    """One forward_backward call over chains of mixed lengths: every
+    chain's results must be bitwise those of the chain alone."""
+
+    @pytest.mark.parametrize("num_hidden", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("num_labels", [2, 3])
+    def test_mixed_lengths_bitwise_equal_each_chain_alone(self, num_labels, num_hidden):
+        rng = np.random.default_rng(100 * num_labels + num_hidden)
+        theta, chains, order, node, lengths = ragged_batch(
+            rng, RAGGED_LENGTHS, num_labels, num_hidden
+        )
+        chain = forward_backward(node, theta.theta_trans, lengths)
+        assert [r.stop - r.start for r in chain.runs] == [2, 3, 2, 1]  # lengths 1, 2, 5, 300
+        assert_each_chain_bitwise_alone(theta, chains, order, chain)
+        for row, i in enumerate(order):
+            x = chains[i]
+            if x.length <= 10 and num_hidden**x.length <= BRUTE_FORCE_MAX_PATHS:
+                np.testing.assert_allclose(
+                    chain.log_z[:, row], brute_force_log_partitions(x, theta), rtol=0, atol=1e-10
+                )
+        without = forward_backward(node, theta.theta_trans, lengths, with_marginals=False)
+        assert np.array_equal(without.log_z, chain.log_z)
+        assert without.runs == without.state == without.pair == ()
+
+    @pytest.mark.parametrize("num_hidden", [8, 9, 16])
+    def test_bitwise_equality_holds_from_eight_states(self, num_hidden):
+        """Every log-sum-exp reduces the leading axis by adding whole
+        slices in index order, whatever H is, so no pairwise summation
+        changes the rounding between a batch and a chain alone."""
+        rng = np.random.default_rng(num_hidden)
+        theta, chains, order, node, lengths = ragged_batch(rng, RAGGED_LENGTHS, 2, num_hidden)
+        chain = forward_backward(node, theta.theta_trans, lengths)
+        assert_each_chain_bitwise_alone(theta, chains, order, chain)
+
+    @pytest.mark.parametrize("num_labels", [2, 3])
+    def test_all_length_one_batch_has_no_pairs(self, num_labels):
+        rng = np.random.default_rng(7 + num_labels)
+        theta, chains, order, node, lengths = ragged_batch(rng, (1,) * 4, num_labels, 3)
+        chain = forward_backward(node, theta.theta_trans, lengths)
+        (pair,) = chain.pair
+        assert pair.shape == (num_labels, 4, 0, 3, 3)
+        assert_each_chain_bitwise_alone(theta, chains, order, chain)
+        for row, i in enumerate(order):
+            np.testing.assert_allclose(
+                chain.log_z[:, row], brute_force_log_partitions(chains[i], theta), atol=1e-10
+            )
+
+    @pytest.mark.parametrize(
+        "lengths", [[2, 3, 1], [4, 3, 3], [3, 3, 0], [3, 3], [3, 2, 2, 1], [[3, 3, 2]]]
+    )
+    def test_rejects_lengths_out_of_order_or_range(self, lengths):
+        theta = HcrfParameters.zeros(2, 2, 1)
+        node = node_scores(np.zeros((3, 3, 2)), theta)
+        with pytest.raises(InvalidInputError, match="non-increasing"):
+            forward_backward(node, theta.theta_trans, lengths)
+
+    def test_padding_is_never_read(self):
+        rng = np.random.default_rng(3)
+        theta, chains, order, node, lengths = ragged_batch(rng, (4, 2, 1), 2, 3)
+        noisy = node.copy()
+        for row, n in enumerate(lengths):
+            noisy[:, row, n:] = np.nan
+        want = forward_backward(node, theta.theta_trans, lengths)
+        got = forward_backward(noisy, theta.theta_trans, lengths)
+        assert np.array_equal(got.log_z, want.log_z)
+        for a, b in zip(got.state + got.pair, want.state + want.pair):
+            assert np.array_equal(a, b)
 
 
 class TestBruteForceGuard:

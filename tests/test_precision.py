@@ -1,10 +1,16 @@
-"""The log-space kernel against a 30-digit mpmath reference.
+"""The log-space kernel against high-precision references.
 
-The reference runs forward-backward in probability space on mpmath
-numbers, whose exponent range is unbounded, so exp(10^6) neither
-overflows nor underflows.  It shares no code with the float64 kernel.
-Cases reach L = 500 segments, |theta| = 10^3 and H = 8 states.
+The 30-digit mpmath reference runs forward-backward in probability space
+on mpmath numbers, whose exponent range is unbounded, so exp(10^6)
+neither overflows nor underflows.  It shares no code with the float64
+kernel.  Cases reach L = 500 segments, |theta| = 10^3 and H = 8 states.
+
+mpmath is too slow for longer chains, so the ``np.longdouble`` log-space
+recursion of ``oracles.py`` is first checked against it, then used as
+the reference for a chain of 10^4 segments batched with short ones.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,17 +19,21 @@ from mpmath import mp, mpf
 from opinionchain.model import (
     HcrfParameters,
     ObservationSequence,
+    forward_backward,
     log_partition_per_label,
     log_partitions,
+    node_scores,
     posterior,
 )
 from opinionchain.training import group_by_length, objective_and_gradient
+from oracles import log_space_reference, unshifted_logsumexp
 
 mp.dps = 30
 
 
 def mp_reference(features, theta, gold):
-    """(log-partitions, posterior, NLL gradient blocks) in mpmath."""
+    """(log-partitions, posterior, NLL gradient blocks) as float64, and
+    the log-partitions as 30-digit mpmath numbers."""
     length, dim = features.shape
     num_h, num_y = theta.num_hidden_states, theta.num_labels
     x = [[mpf(float(v)) for v in row] for row in features]
@@ -76,6 +86,7 @@ def mp_reference(features, theta, gold):
         as_float(log_z),
         as_float(post),
         np.concatenate([as_float(g).ravel() for g in (grad_obs, grad_state, grad_trans)]),
+        log_z,
     )
 
 
@@ -100,11 +111,17 @@ CASES = [
 ]
 
 
+@lru_cache(maxsize=None)
+def reference(seed, length, num_hidden, scale, gold=1):
+    """One case's instance and its mpmath reference, computed once."""
+    x, theta = instance(seed, length, num_hidden, scale)
+    return x, theta, mp_reference(x.features, theta, gold)
+
+
 @pytest.mark.parametrize("seed, length, num_hidden, scale", CASES)
 def test_kernel_matches_mpmath(seed, length, num_hidden, scale):
-    x, theta = instance(seed, length, num_hidden, scale)
+    x, theta, (want_log_z, want_post, want_grad, _) = reference(seed, length, num_hidden, scale)
     gold = 1
-    want_log_z, want_post, want_grad = mp_reference(x.features, theta, gold)
 
     got_log_z = log_partitions(x, theta)
     assert np.isfinite(got_log_z).all()
@@ -125,3 +142,86 @@ def test_kernel_matches_mpmath(seed, length, num_hidden, scale):
     np.testing.assert_allclose(
         got_grad, want_grad, rtol=0, atol=max(1e-12, log_odds_error) * count_scale
     )
+
+
+LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+
+
+@pytest.mark.skipif(
+    LONGDOUBLE_EPS > 1e-18, reason="np.longdouble is no wider than float64 on this platform"
+)
+@pytest.mark.parametrize("seed, length, num_hidden, scale", [c for c in CASES if c[2] == 8])
+def test_longdouble_reference_matches_mpmath(seed, length, num_hidden, scale):
+    """The longdouble recursion agrees with mpmath to 1e-17 relative, a
+    hundred times closer than float64 rounding (1.1e-16).  Measured: at
+    most 7.9e-19 over the four mpmath cases (L = 500, H = 8 included),
+    about 7 longdouble ulps on x86-64 (eps 1.1e-19)."""
+    x, theta, (*_, want) = reference(seed, length, num_hidden, scale)
+    got, state = log_space_reference(x, theta)
+    for g, w in zip(got, want):
+        assert abs(mpf(str(g)) - w) <= 1e-17 * abs(w)
+    # each position's posteriors sum to 1 up to the log-partition's
+    # absolute rounding, |log Z| * L * eps (measured 1.9e-15 and 4.3e-14)
+    drift = np.abs(state.sum(axis=-1) - 1).max()
+    assert drift <= float(np.abs(got).max()) * length * LONGDOUBLE_EPS
+
+
+LONG_LENGTHS = (10_000, 7, 3, 1)  # one long chain batched with short ones
+
+
+@pytest.mark.skipif(
+    LONGDOUBLE_EPS > 1e-18, reason="np.longdouble is no wider than float64 on this platform"
+)
+def test_ragged_kernel_on_ten_thousand_segments_matches_longdouble():
+    """float64 sums one rounding error per position into alpha, so a
+    log-partition of L segments may be off by about L * eps64 relative;
+    the test allows exactly that (1.1e-12 at L = 10^4).  Measured over
+    three seeds: at most 1.4e-13 for the long chain and 2.9e-16 for the
+    short ones.  The state posteriors inherit the log-partition's
+    absolute error (|log Z| * L * eps64, about 2e-5 here; measured
+    2.5e-6).  The same recursion with an unshifted log-sum-exp overflows
+    to inf at these weights, in float64 and in longdouble alike, and so
+    fails the same check."""
+    rng = np.random.default_rng(0)
+    num_hidden, dim, scale = 4, 3, 1e3
+    theta = HcrfParameters(
+        scale * rng.standard_normal((num_hidden, dim)),
+        scale * rng.standard_normal((2, num_hidden)),
+        scale * rng.standard_normal((2, num_hidden, num_hidden)),
+    )
+    chains = [ObservationSequence(f"c{i}", rng.standard_normal((n, dim)))
+              for i, n in enumerate(LONG_LENGTHS)]
+    emission = np.zeros((len(chains), LONG_LENGTHS[0], num_hidden))
+    for i, x in enumerate(chains):
+        emission[i, : x.length] = x.features @ theta.theta_obs.T
+    chain = forward_backward(node_scores(emission, theta), theta.theta_trans, LONG_LENGTHS)
+    eps64 = float(np.finfo(np.float64).eps)
+
+    def within_tolerance(got_log_z, got_state, want_log_z, want_state, length):
+        log_z_error = np.abs(got_log_z - want_log_z)
+        state_error = np.abs(got_state - want_state)
+        with np.errstate(invalid="ignore"):
+            return bool(
+                np.all(log_z_error <= length * eps64 * np.abs(want_log_z))
+                and np.all(state_error <= length * eps64 * np.abs(want_log_z).max())
+            )
+
+    # every length occurs once, so each run holds one chain
+    for run, state in zip(chain.runs, chain.state):
+        (row,) = range(run.start, run.stop)
+        x = chains[row]
+        want_log_z, want_state = log_space_reference(x, theta)
+        assert within_tolerance(
+            chain.log_z[:, row], state[:, 0], want_log_z, want_state, x.length
+        ), x.length
+
+    long_chain = chains[0]
+    assert x is long_chain  # the last run is the longest: its references are at hand
+    for dtype in (np.float64, np.longdouble):
+        with np.errstate(over="ignore", invalid="ignore"):
+            naive_log_z, naive_state = log_space_reference(
+                long_chain, theta, dtype=dtype, lse=unshifted_logsumexp
+            )
+        assert not within_tolerance(
+            naive_log_z, naive_state, want_log_z, want_state, long_chain.length
+        )

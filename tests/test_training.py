@@ -6,10 +6,11 @@ from opinionchain.errors import InvalidInputError
 from opinionchain.model import (
     HcrfParameters,
     ObservationSequence,
-    brute_force_posterior,
+    forward_backward,
     label_log_posteriors,
     log_partitions,
     marginals,
+    node_scores,
     posterior,
     predict,
 )
@@ -21,6 +22,7 @@ from opinionchain.training import (
     objective_and_gradient,
     train,
 )
+from oracles import brute_force_posterior
 
 
 def seq(features, doc_id="t"):
@@ -185,6 +187,58 @@ def assert_matches_per_sequence_reference(dataset, theta, lam):
     np.testing.assert_allclose(got.theta_trans, ref_trans, atol=1e-12)
 
 
+def per_group_objective_and_gradient(grouped, theta, l2_lambda):
+    """The objective with one forward-backward call per length group,
+    each group reduced on its own, groups in ascending length: the
+    bitwise reference for the single ragged call."""
+    grad_obs = np.zeros_like(theta.theta_obs)
+    grad_state = np.zeros_like(theta.theta_state)
+    grad_trans = np.zeros_like(theta.theta_trans)
+    nll = 0.0
+    for feats, labels in grouped.groups:
+        num, length, dim = feats.shape
+        node = node_scores(feats @ theta.theta_obs.T, theta)
+        chain = forward_backward(node, theta.theta_trans, [length] * num)
+        (state,), (pair,) = chain.state, chain.pair
+        log_post = label_log_posteriors(chain.log_z)  # (Y, N)
+        nll += float(-log_post[labels, np.arange(num)].sum())
+        coeff = np.exp(log_post)
+        coeff[labels, np.arange(num)] -= 1.0
+        grad_state += np.einsum("yn,ynlh->yh", coeff, state)
+        grad_trans += np.einsum("yn,ynjhk->yhk", coeff, pair)
+        weighted = np.einsum("yn,ynlh->nlh", coeff, state).reshape(num * length, -1)
+        grad_obs += weighted.T @ feats.reshape(num * length, dim)
+    sq_norm = float(
+        (theta.theta_obs**2).sum() + (theta.theta_state**2).sum() + (theta.theta_trans**2).sum()
+    )
+    grad = HcrfParameters(
+        grad_obs + l2_lambda * theta.theta_obs,
+        grad_state + l2_lambda * theta.theta_state,
+        grad_trans + l2_lambda * theta.theta_trans,
+    )
+    return nll + 0.5 * l2_lambda * sq_norm, grad
+
+
+class TestRaggedObjective:
+    @pytest.mark.parametrize("window", [0, 1])
+    @pytest.mark.parametrize("num_hidden", [1, 2, 3, 5, 7, 8, 9])
+    def test_bitwise_equal_to_per_group_reference(self, num_hidden, window):
+        rng = np.random.default_rng(10 * num_hidden + window)
+        for trial in range(4):
+            num_labels = 2 + trial % 2
+            dataset = random_dataset(rng, size=25, dim=3, max_len=9, num_labels=num_labels)
+            dataset = [(apply_context_window(x, window), y) for x, y in dataset]
+            assert len({x.length for x, _ in dataset}) >= 4
+            scale = (0.1, 1.0, 5.0, 0.5)[trial]
+            theta = random_theta(rng, num_hidden, num_labels, dataset[0][0].dim, scale)
+            lam = float(rng.uniform(0.0, 1.0))
+            groups = group_by_length(dataset, num_labels, theta.feature_dim)
+            value, grad = objective_and_gradient(groups, theta, lam)
+            want_value, want_grad = per_group_objective_and_gradient(groups, theta, lam)
+            assert value == want_value
+            assert np.array_equal(grad.as_vector(), want_grad.as_vector())
+
+
 class TestLengthGroups:
     def test_ascending_lengths_in_dataset_order(self):
         dataset = [
@@ -195,6 +249,19 @@ class TestLengthGroups:
         assert [feats.shape for feats, _ in groups] == [(2, 1, 2), (1, 2, 2), (2, 3, 2)]
         assert [feats[:, 0, 0].tolist() for feats, _ in groups] == [[1, 4], [3], [0, 2]]
         assert [labels.tolist() for _, labels in groups] == [[1, 0], [1], [0, 0]]
+
+    def test_ragged_layout_longest_first(self):
+        dataset = [
+            (seq(np.full((length, 2), float(i)), f"d{i}"), i % 2)
+            for i, length in enumerate([3, 1, 3, 2, 1])
+        ]
+        grouped = group_by_length(dataset, 2, 2)
+        assert grouped.lengths.tolist() == [3, 3, 2, 1, 1]
+        assert grouped.labels.tolist() == [0, 0, 1, 1, 0]  # d0, d2, d3, d1, d4
+        assert grouped.spans == (slice(3, 5), slice(2, 3), slice(0, 2))
+        for (feats, labels), span in zip(grouped.groups, grouped.spans):
+            assert grouped.lengths[span].tolist() == [feats.shape[1]] * feats.shape[0]
+            assert grouped.labels[span].tolist() == labels.tolist()
 
     def test_rejects_out_of_range_label(self):
         with pytest.raises(InvalidInputError, match="label 2"):
