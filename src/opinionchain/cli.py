@@ -168,16 +168,20 @@ def _write_resolved_config(out_dir: Path, resolved: dict):
     (out_dir / "config.json").write_text(canonical_json(resolved), encoding="utf-8")
 
 
-def _labeled_corpus(path: str, threshold_ms: int):
+def _labeled_corpus(path: str, pipeline: FeaturePipeline):
+    """The labeled non-neutral documents of the corpus at ``path``, and
+    the same documents segmented once by ``pipeline``.  Every document is
+    segmented, the dropped ones too, for the IPU count logged here."""
     corpus = load_corpus(path)
-    stats = corpus_stats(corpus, threshold_ms)
+    segmented = [pipeline.segment(doc) for doc in corpus]
+    stats = corpus_stats(corpus)
     log.info(
         "loaded %d documents (%s), %d words, %d IPUs at %d ms",
         stats.document_count,
         ", ".join(f"{v} {k}" for k, v in sorted(stats.class_counts.items())),
         stats.word_count,
-        stats.ipu_count,
-        stats.threshold_ms,
+        sum(len(seg.ipus) for seg in segmented),
+        pipeline.config.threshold_ms,
     )
     labeled = filter_neutral(corpus)
     dropped = len(corpus) - len(labeled)
@@ -185,7 +189,8 @@ def _labeled_corpus(path: str, threshold_ms: int):
         log.info("dropped %d neutral or unlabeled documents", dropped)
     if not labeled:
         raise InvalidInputError(f"{path}: no labeled non-neutral documents")
-    return labeled
+    kept = {doc.doc_id for doc in labeled}
+    return labeled, [seg for seg in segmented if seg.doc_id in kept]
 
 
 def cmd_generate(args) -> int:
@@ -246,9 +251,10 @@ def cmd_train(args) -> int:
     _configure_logging(out_dir)
     pipeline_config = _pipeline_config(args, file_config)
     learner, model_resolved = _learner(args, file_config)
-    labeled = _labeled_corpus(args.corpus, pipeline_config.threshold_ms)
+    unfitted = FeaturePipeline(pipeline_config)
+    labeled, segmented = _labeled_corpus(args.corpus, unfitted)
 
-    pipeline, sequences = FeaturePipeline(pipeline_config).fit_transform(labeled)
+    pipeline, sequences = unfitted.fit_transform(segmented)
     log.info("feature dimension %d", pipeline.schema.dim)
     labels = [doc.polarity for doc in labeled]
     predictor = learner.fit(sequences, labels)
@@ -306,7 +312,7 @@ def cmd_evaluate(args) -> int:
     with _section_errors("evaluate"):
         folds = int(evaluate.get("folds", 10))
     seed = args.seed if args.seed is not None else 0
-    labeled = _labeled_corpus(args.corpus, pipeline_config.threshold_ms)
+    labeled, segmented = _labeled_corpus(args.corpus, FeaturePipeline(pipeline_config))
 
     resolved = {
         "command": "evaluate",
@@ -320,7 +326,8 @@ def cmd_evaluate(args) -> int:
     _write_resolved_config(out_dir, resolved)
 
     report, details = cross_validate(
-        labeled, pipeline_config, learner, k=folds, seed=seed, return_details=True
+        labeled, pipeline_config, learner, k=folds, seed=seed, return_details=True,
+        segmented=segmented,
     )
     (out_dir / "report.txt").write_text(report.render_text(), encoding="utf-8")
     report_doc = report.to_jsonable()

@@ -19,7 +19,7 @@ import numpy as np
 from .baseline import LogRegPredictor, aggregate_document_vector, train_logreg
 from .corpus import LABEL_NAMES, Transcript
 from .errors import InvalidInputError
-from .features.pipeline import FeaturePipeline, PipelineConfig
+from .features.pipeline import FeaturePipeline, PipelineConfig, SegmentedDocument
 from .model import ObservationSequence
 from .training import HcrfPredictor, TrainingConfig, fit_predictor
 
@@ -330,15 +330,19 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
     return_details: bool = False,
+    segmented: list[SegmentedDocument] | None = None,
 ):
     """Leakage-safe k-fold protocol over a labeled two-class corpus.
 
     Every fold refits the feature pipeline on its training documents
     only, trains via the learner (which may run its own inner grid
-    selection), and scores the held-out documents.  Each document is
-    segmented and tokenized once for all folds, since neither depends on
-    fitted state.  The headline report pools all held-out predictions;
-    per-fold reports ride along.
+    selection), and scores the held-out documents.  Segmentation,
+    tokenization and every feature block but bong depend on no fitted
+    state, so each document is prepared once for all folds
+    (``FeaturePipeline.prepare``), from ``segmented`` when the caller
+    has already segmented the corpus under ``pipeline_config``; each
+    fold builds only the bong rows and the standardizer.  The headline
+    report pools all held-out predictions; per-fold reports ride along.
     """
     labels = []
     for doc in corpus:
@@ -347,20 +351,24 @@ def cross_validate(
                 f"{doc.doc_id}: unlabeled or neutral document; filter the corpus first"
             )
         labels.append(doc.polarity)
+    if segmented is None:
+        segmented = corpus
+    elif [seg.doc_id for seg in segmented] != [doc.doc_id for doc in corpus]:
+        raise InvalidInputError("segmented documents do not match the corpus")
 
     plan = stratified_k_fold(labels, k, seed)
     unfitted = FeaturePipeline(pipeline_config)
-    segmented = [unfitted.segment(doc) for doc in corpus]
+    prepared = [unfitted.prepare(doc) for doc in segmented]
     pooled = np.full(len(corpus), -1, dtype=np.int64)
     fold_reports = []
     details = []
     for fold_index, fold in enumerate(plan.folds):
         held = set(fold)
-        train_docs = [d for i, d in enumerate(segmented) if i not in held]
+        train_docs = [d for i, d in enumerate(prepared) if i not in held]
         train_labels = [l for i, l in enumerate(labels) if i not in held]
         pipeline, train_seqs = unfitted.fit_transform(train_docs)
         predictor = learner.fit(train_seqs, train_labels)
-        preds = predict_batch(predictor, (pipeline.transform(segmented[i]) for i in fold))
+        preds = predict_batch(predictor, (pipeline.transform(prepared[i]) for i in fold))
         pooled[list(fold)] = preds
         fold_reports.append(compute_metrics(preds, [labels[i] for i in fold]))
         details.append(

@@ -11,8 +11,10 @@ transforming held-out documents cannot leak fold statistics.
 Segmentation and tokenization depend only on the configuration, never
 on fitted state: ``FeaturePipeline.segment`` does them once, and both
 ``fit_transform`` and ``transform`` accept its ``SegmentedDocument`` in
-place of a transcript, so cross-validation segments each document once
-for all of its folds.
+place of a transcript.  Of the blocks, only bong is fitted (its
+vocabulary), so ``FeaturePipeline.prepare`` also builds the rows of all
+the others once; cross-validation prepares each document once for all of
+its folds and computes only the bong rows and the standardizer per fold.
 
 Feature blocks are concatenated in a fixed canonical order (bong |
 embedding | lexicon | pattern | paralinguistic) and the layout is
@@ -180,21 +182,28 @@ def _load_resources(config: PipelineConfig) -> _Resources:
     return _Resources(**kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentedDocument:
     """A transcript cut into IPUs, with each IPU's normalized tokens, and
-    the threshold and normalizer that produced them."""
+    the threshold and normalizer that produced them.
+
+    ``FeaturePipeline.prepare`` also attaches ``fixed_rows``: the (L, D')
+    rows of every enabled block but bong, none of which is fitted to
+    data, built under ``fixed_config``."""
 
     doc_id: str
     ipus: tuple[IPU, ...]
     tokens: tuple[list[str], ...]  # one token list per IPU
     threshold_ms: int
     normalizer: str
+    fixed_rows: np.ndarray | None = None
+    fixed_config: PipelineConfig | None = None
 
 
 def _segmented(doc, config: PipelineConfig) -> SegmentedDocument:
     """``doc`` segmented under ``config``; a transcript is segmented here,
-    a ``SegmentedDocument`` must come from the same threshold and normalizer."""
+    a ``SegmentedDocument`` must come from the same threshold and normalizer,
+    and its fixed rows, if any, from the same configuration."""
     if not isinstance(doc, SegmentedDocument):
         normalizer = get_normalizer(config.normalizer)
         ipus = tuple(segment_into_ipus(doc, config.threshold_ms))
@@ -208,20 +217,68 @@ def _segmented(doc, config: PipelineConfig) -> SegmentedDocument:
             f"{doc.normalizer!r} normalizer, but the pipeline uses "
             f"{config.threshold_ms} ms and {config.normalizer!r}"
         )
+    if doc.fixed_rows is not None and doc.fixed_config != config:
+        raise InvalidInputError(
+            f"{doc.doc_id}: prepared under another pipeline configuration"
+        )
     return doc
+
+
+def _fixed_rows(
+    seg: SegmentedDocument, config: PipelineConfig, loaded: _Resources
+) -> np.ndarray:
+    """(L, D') rows of every enabled block but bong, in canonical order;
+    none of them depends on fitted state."""
+    if not seg.ipus:
+        raise InvalidInputError(
+            f"{seg.doc_id}: no IPUs (tokenless document cannot be featurized)"
+        )
+    rows = []
+    for ipu, tokens in zip(seg.ipus, seg.tokens):
+        parts = []
+        for block in config.blocks:
+            if block == "embedding":
+                parts.append(embed_tokens(tokens, loaded.embedding, loaded.stopwords))
+            elif block == "lexicon":
+                parts.append(lexicon_features(tokens, loaded.lexicons, loaded.modifiers))
+            elif block == "pattern":
+                tags = loaded.tagger.tag(tokens)
+                parts.append(pattern_features(tokens, tags, loaded.pattern))
+            elif block == "paralinguistic":
+                parts.append(paralinguistic_features(ipu.para_events, loaded.marker_map))
+        rows.append(np.concatenate(parts) if parts else np.empty(0))
+    return np.array(rows)
 
 
 class FeaturePipeline:
     """Unfitted pipeline; ``fit_transform`` returns the immutable fitted
-    form together with the training documents' sequences."""
+    form together with the training documents' sequences.  Resources
+    (embedding table, lexicons, tagger, ...) are loaded once per
+    instance, for all of its fits."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
+        self._loaded: _Resources | None = None
+
+    def _resources(self) -> _Resources:
+        if self._loaded is None:
+            self._loaded = _load_resources(self.config)
+        return self._loaded
 
     def segment(self, doc: Transcript) -> SegmentedDocument:
         """Segment and tokenize ``doc`` once, for any number of fits and
         transforms under this configuration."""
         return _segmented(doc, self.config)
+
+    def prepare(self, doc) -> SegmentedDocument:
+        """``doc`` (a transcript or a segmented document) segmented, with
+        the rows of its fold-independent blocks built once, for any
+        number of fits and transforms under this configuration; only the
+        bong rows and the standardizer are then computed per fit."""
+        seg = _segmented(doc, self.config)
+        rows = _fixed_rows(seg, self.config, self._resources())
+        rows.flags.writeable = False
+        return replace(seg, fixed_rows=rows, fixed_config=self.config)
 
     def fit(self, train_docs) -> "FittedFeaturePipeline":
         """The fitted pipeline alone (see :meth:`fit_transform`)."""
@@ -230,8 +287,8 @@ class FeaturePipeline:
     def fit_transform(
         self, train_docs
     ) -> tuple["FittedFeaturePipeline", list[ObservationSequence]]:
-        """Fit on ``train_docs`` (transcripts or segmented documents) and
-        return the fitted pipeline with their sequences.
+        """Fit on ``train_docs`` (transcripts, segmented or prepared
+        documents) and return the fitted pipeline with their sequences.
 
         Each document's raw rows are built once: the standardizer is fit
         on them and then applied to them, which gives the same sequences,
@@ -240,7 +297,7 @@ class FeaturePipeline:
         if not train_docs:
             raise InvalidInputError("cannot fit a pipeline on zero documents")
         config = self.config
-        loaded = _load_resources(config)
+        loaded = self._resources()
         segmented = [_segmented(doc, config) for doc in train_docs]
 
         vocab = None
@@ -298,33 +355,20 @@ class FittedFeaturePipeline:
     standardizer: Standardizer | None
     _resources: _Resources
 
-    def _ipu_vector(self, ipu, tokens) -> np.ndarray:
-        config, loaded = self.config, self._resources
-        parts = []
-        for block in config.blocks:
-            if block == "bong":
-                parts.append(vectorize_bong(tokens, self.vocabulary))
-            elif block == "embedding":
-                parts.append(embed_tokens(tokens, loaded.embedding, loaded.stopwords))
-            elif block == "lexicon":
-                parts.append(lexicon_features(tokens, loaded.lexicons, loaded.modifiers))
-            elif block == "pattern":
-                tags = loaded.tagger.tag(tokens)
-                parts.append(pattern_features(tokens, tags, loaded.pattern))
-            else:
-                parts.append(
-                    paralinguistic_features(ipu.para_events, loaded.marker_map)
-                )
-        return np.concatenate(parts)
-
     def _raw_matrix(self, seg: SegmentedDocument) -> np.ndarray:
-        if not seg.ipus:
-            raise InvalidInputError(
-                f"{seg.doc_id}: no IPUs (tokenless document cannot be featurized)"
-            )
-        return np.array(
-            [self._ipu_vector(ipu, toks) for ipu, toks in zip(seg.ipus, seg.tokens)]
-        )
+        """The document's (L, D) rows before standardizing: the bong rows
+        (the first canonical block) beside the fold-independent ones."""
+        fixed = seg.fixed_rows
+        if fixed is None:
+            fixed = _fixed_rows(seg, self.config, self._resources)
+        if self.vocabulary is None:
+            return fixed
+        width = len(self.vocabulary)
+        raw = np.empty((fixed.shape[0], width + fixed.shape[1]))
+        for row, tokens in zip(raw, seg.tokens):
+            row[:width] = vectorize_bong(tokens, self.vocabulary)
+        raw[:, width:] = fixed
+        return raw
 
     def _sequence(self, seg: SegmentedDocument, raw: np.ndarray) -> ObservationSequence:
         if self.standardizer is not None:

@@ -9,15 +9,20 @@ configuration ``(y, h, x)`` is
                    + sum_{j<L} W_trans[y, h_j, h_{j+1}]
 
 and the label posterior marginalizes the latent states per label.  All
-inference goes through one log-space kernel, :func:`forward_backward`,
-batched over labels and over chains of any mix of lengths; training,
-the batched label posteriors (:func:`label_posteriors`) and the
-single-sequence functions below all call it, once per batch.  The
-kernel's recursions run position-major, on (position, state, label,
-sequence) arrays, so each log-sum-exp reduces the leading state axis
-over contiguous slices.  Sequences of hundreds of segments, or weights
-in the thousands, would underflow or overflow a probability-space pass.
-The brute-force enumeration oracles live with the tests.
+inference goes through one log-space kernel, batched over labels and
+over chains of any mix of lengths: :func:`forward` gives the
+log-partitions, which is all the label posteriors
+(:func:`label_posteriors`) need, and :func:`backward` turns a forward
+pass and one weight per (label, chain) into weighted state and pair
+posteriors.  Training weights them by P(y|x) - 1[y = gold], so the
+likelihood gradient is a plain sum of the backward pass's outputs, and
+keeps the kernel's arrays in one :class:`Workspace` for all the calls of
+a fit; :func:`marginals` reads one label's posteriors with weight 1.  The
+recursions run position-major, on (position, state, label, sequence)
+arrays, so each log-sum-exp reduces the leading state axis over
+contiguous slices.  Sequences of hundreds of segments, or weights in the
+thousands, would underflow or overflow a probability-space pass.  The
+brute-force enumeration oracles live with the tests.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -29,7 +34,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -201,112 +206,176 @@ def node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:
     the emission plus the label-state weight of each hidden state.
 
     The sums are stored position-major, in the (L, H, Y, N) memory order
-    that :func:`forward_backward` recurses over, and returned as a
-    transposed view of it."""
+    that :func:`forward` and :func:`backward` recurse over, and returned
+    as a transposed view of it."""
     num, length, num_h = emission.shape
     out = np.empty((length, num_h, theta.num_labels, num))
     np.add(emission.transpose(1, 2, 0)[:, :, None], theta.theta_state.T[:, :, None], out=out)
     return out.transpose(2, 3, 0, 1)
 
 
-@dataclass(frozen=True)
-class ChainPosteriors:
-    """Forward-backward results for Y labels times N chains sorted by
-    non-increasing length (see :func:`forward_backward`).
+@dataclass(frozen=True, eq=False)
+class ChainLayout:
+    """N chains sorted by non-increasing length, as the kernel lays them
+    out: chain n's scores sit in positions [0, lengths[n]) of its row,
+    and ``active[j]``, for j in [0, Lmax], counts the chains still
+    running at position j, which are the first ``active[j]`` rows.
+    Validated at construction; a training fit builds it once."""
 
-    The latent-state posteriors come per length run: the chains of one
-    length L are a contiguous slice ``runs[r]`` of the chain axis, and
-    ``state[r]`` and ``pair[r]`` hold their posteriors as C-contiguous
-    arrays, runs in ascending length.  The tuples are empty when only
-    the log-partitions were asked for.
-    """
+    lengths: np.ndarray  # (N,) non-increasing, all >= 1
+    active: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        lengths = np.asarray(self.lengths, dtype=np.intp)
+        if (
+            lengths.ndim != 1
+            or lengths.shape[0] < 1
+            or (lengths[1:] > lengths[:-1]).any()
+            or lengths[-1] < 1
+        ):
+            raise InvalidInputError(
+                f"chain lengths must be a non-increasing vector of positive lengths, "
+                f"got {lengths.tolist()}"
+            )
+        object.__setattr__(self, "lengths", lengths)
+        active = np.searchsorted(-lengths, -np.arange(lengths[0] + 1))
+        object.__setattr__(self, "active", tuple(active.tolist()))
+
+
+class Workspace:
+    """Work arrays that successive :func:`forward` and :func:`backward`
+    calls reuse, one per name, so that a training loop allocates them
+    once per fit rather than once per call (a call's fresh arrays would
+    otherwise be handed back to the OS and faulted in again each time).
+    The arrays a call returns in a workspace are overwritten by the next
+    call that uses it."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def filled(self, name: str, shape: tuple[int, ...], value: float) -> np.ndarray:
+        """The array kept under ``name``, of ``shape`` and set to ``value``."""
+        array = self._arrays.get(name)
+        if array is None or array.shape != shape:
+            array = self._arrays[name] = np.empty(shape)
+        array.fill(value)
+        return array
+
+
+@dataclass(frozen=True, eq=False)
+class ForwardPass:
+    """The forward recursion's results for Y labels times the N chains of
+    ``layout``, kept for :func:`backward`.  ``node`` and ``alpha`` are
+    position-major (Lmax, H, Y, N); ``alpha`` is -inf on padding."""
 
     log_z: np.ndarray  # (Y, N): log sum over latent paths
-    runs: tuple[slice, ...] = ()
-    state: tuple[np.ndarray, ...] = ()  # (Y, N_r, L, H): P(h_j | y, x)
-    pair: tuple[np.ndarray, ...] = ()  # (Y, N_r, L-1, H, H): P(h_j, h_{j+1} | y, x)
+    node: np.ndarray
+    alpha: np.ndarray
+    trans: np.ndarray  # (Y, H, H)
+    layout: ChainLayout
 
 
-def _active_chains(lengths: np.ndarray, num: int, max_len: int) -> list[int]:
-    """active[j] = how many chains are still running at position j, for
-    j in [0, Lmax]; with non-increasing ``lengths`` they are the first
-    active[j] chains."""
-    if (
-        lengths.shape != (num,)
-        or num < 1
-        or (lengths[1:] > lengths[:-1]).any()
-        or lengths[-1] < 1
-        or lengths[0] > max_len
-    ):
-        raise InvalidInputError(
-            f"chain lengths must be a non-increasing ({num},) vector in [1, {max_len}], "
-            f"got {lengths.tolist()}"
-        )
-    return np.searchsorted(-lengths, -np.arange(max_len + 1)).tolist()
+@dataclass(frozen=True)
+class ChainPosteriors:
+    """Latent-state posteriors of every (label, chain), each scaled by
+    that pair's weight, position-major and exactly 0 on padding:
+
+    * ``state[j, h, y, n] = w[y, n] * P(h_j = h | y, x_n)``;
+    * ``pair[j, k, h, y, n] = w[y, n] * P(h_j = h, h_{j+1} = k | y, x_n)``,
+      the later state first.
+    """
+
+    state: np.ndarray  # (Lmax, H, Y, N)
+    pair: np.ndarray  # (Lmax-1, H, H, Y, N)
 
 
-def forward_backward(
-    node: np.ndarray, trans: np.ndarray, lengths, with_marginals: bool = True
-) -> ChainPosteriors:
-    """Log-space forward-backward over every label and chain at once.
+def forward(
+    node: np.ndarray, trans: np.ndarray, layout: ChainLayout, work: Workspace | None = None
+) -> ForwardPass:
+    """Log-space forward recursion over every label and chain at once.
 
     ``node`` is (Y, N, Lmax, H) from :func:`node_scores`, with chain n's
-    scores left-aligned in positions [0, lengths[n]); the padding after
-    them is never read.  ``lengths`` must be non-increasing, so the
-    chains still running at position j are the prefix ``[:active[j]]``
-    of the chain axis: each forward step updates
-    ``alpha[j, ..., :active[j]]`` and each backward step
-    ``beta[j, ..., :active[j+1]]``, with no mask and no arithmetic on
-    padding.  ``log_z`` gathers each chain's ``alpha`` at its own last
-    position, and the posteriors are formed per length run from that
-    run's slices.  Every per-chain value comes from the same elementwise
-    operations as for that chain alone, so it is bitwise what a one-chain
-    call gives.  ``trans`` is the (Y, H, H) transition block.  The only
-    loops are the two recursions over positions and the one over length
-    runs; labels, chains and state pairs are vectorized.
+    scores left-aligned in positions [0, lengths[n]) and the padding
+    after them never read; ``trans`` is the (Y, H, H) transition block.
+    Since the chains still running at position j are the prefix
+    ``[:active[j]]``, each step updates ``alpha[j, ..., :active[j]]``
+    with no mask and no arithmetic on padding, and ``log_z`` gathers
+    each chain's ``alpha`` at its own last position.  Every per-chain
+    value comes from the same elementwise operations as for that chain
+    alone, so it is bitwise what a one-chain call gives.
 
-    The recursions run position-major, on (Lmax, H, Y, N) arrays (the
+    The recursion runs position-major, on (Lmax, H, Y, N) arrays (the
     memory order :func:`node_scores` already writes, so reading ``node``
-    that way copies nothing), and the transitions are held as
-    (from, to, Y, 1) for the forward pass and (to, from, Y, 1) for the
-    backward pass.  Every
-    log-sum-exp reduces the leading state axis.  Each run's posteriors
-    are transposed back and returned C-contiguous: the einsums that
-    reduce them in training sum in memory order, so a transposed view
-    would change their rounding.
+    that way copies nothing), with the transitions held as
+    (from, to, Y, 1); every log-sum-exp reduces the leading state axis.
+    ``alpha`` is kept in ``work`` if one is given, else in a fresh array.
     """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    active = _active_chains(lengths, node.shape[1], node.shape[2])
+    lengths, active = layout.lengths, layout.active
+    num, max_len = lengths.shape[0], len(active) - 1
+    if node.shape[1] != num or node.shape[2] < max_len:
+        raise InvalidInputError(
+            f"chain lengths {lengths.tolist()} do not fit node scores of shape {node.shape}"
+        )
     node = np.ascontiguousarray(node.transpose(2, 3, 0, 1))  # (Lmax, H, Y, N)
-    max_len = node.shape[0]
     fwd = trans.transpose(1, 2, 0)[..., None]  # (from, to, Y, 1)
-    alpha = np.empty_like(node)
+    work = Workspace() if work is None else work
+    alpha = work.filled("alpha", node.shape, -np.inf)
     alpha[0] = node[0]
     for j in range(1, max_len):
         a = active[j]
         alpha[j, ..., :a] = _logsumexp(alpha[j - 1, :, None, :, :a] + fwd) + node[j, ..., :a]
-    ends = alpha[lengths - 1, :, :, np.arange(lengths.shape[0])]  # (N, H, Y)
+    ends = alpha[lengths - 1, :, :, np.arange(num)]  # (N, H, Y)
     log_z = _logsumexp(np.ascontiguousarray(ends.transpose(1, 2, 0)))  # (Y, N)
-    if not with_marginals:
-        return ChainPosteriors(log_z)
+    return ForwardPass(log_z, node, alpha, trans, layout)
 
-    bwd = trans.transpose(2, 1, 0)[..., None]  # (to, from, Y, 1)
-    beta = np.zeros_like(node)  # 0 at each chain's last position
-    for j in range(max_len - 2, -1, -1):
+
+def backward(
+    fwd: ForwardPass, weights: np.ndarray, work: Workspace | None = None
+) -> ChainPosteriors:
+    """Log-space backward recursion, returning the weighted posteriors.
+
+    ``weights`` is (Y, N), one weight per label and chain: training
+    passes P(y | x) - 1[y = gold], so the posteriors sum straight into
+    the likelihood gradient, and a weight of 1 gives the plain ones.
+    Each step updates ``beta[j, ..., :active[j+1]]`` from the
+    (to, from, Y, N) tensor of transition plus later scores; that tensor,
+    shifted by its maximum and exponentiated for the log-sum-exp, is
+    stored as position j's pair posteriors up to a per-(from, label,
+    chain) factor.  After the loop one pass over the whole batch applies
+    the factors and the weights, and forms the state posteriors.
+    ``alpha`` is -inf and ``beta`` 0 on padding, so padding comes out
+    exactly 0.  Like :func:`forward`, nothing reads padding and every
+    chain's outputs are bitwise what it gives alone.  The outputs are
+    kept in ``work`` if one is given, else in fresh arrays.
+    """
+    node, alpha, log_z = fwd.node, fwd.alpha, fwd.log_z
+    active = fwd.layout.active
+    if weights.shape != log_z.shape:
+        raise InvalidInputError(f"weights of shape {weights.shape}, expected {log_z.shape}")
+    bwd = fwd.trans.transpose(2, 1, 0)[..., None]  # (to, from, Y, 1)
+    work = Workspace() if work is None else work
+    beta = work.filled("beta", node.shape, 0.0)  # 0 at each chain's last position
+    pair = work.filled("pair", (node.shape[0] - 1,) + node.shape[1:2] + node.shape[1:], 0.0)
+    peaks = work.filled("peaks", pair.shape[:1] + node.shape[1:], -np.inf)
+    for j in range(len(active) - 3, -1, -1):
         a = active[j + 1]
-        beta[j, ..., :a] = _logsumexp(bwd + (node[j + 1, ..., :a] + beta[j + 1, ..., :a])[:, None])
-    runs, state, pair = [], [], []
-    for length in range(1, max_len + 1):
-        run = slice(active[length], active[length - 1])  # the chains of this length
-        if run.start == run.stop:
-            continue
-        alpha_r, beta_r, lz = alpha[:length, ..., run], beta[:length, ..., run], log_z[:, run]
-        ahead = (node[1:length, ..., run] + beta_r[1:])[:, None]
-        runs.append(run)
-        state.append(np.ascontiguousarray(np.exp(alpha_r + beta_r - lz).transpose(2, 3, 0, 1)))
-        pair_r = np.exp(alpha_r[:-1, :, None] + fwd + ahead - lz)
-        pair.append(np.ascontiguousarray(pair_r.transpose(3, 4, 0, 1, 2)))
-    return ChainPosteriors(log_z, tuple(runs), tuple(state), tuple(pair))
+        ahead = bwd + (node[j + 1, ..., :a] + beta[j + 1, ..., :a])[:, None]
+        peak = ahead.max(axis=0)
+        scaled = np.exp(ahead - peak, out=pair[j, ..., :a])
+        beta[j, ..., :a] = np.log(scaled.sum(axis=0)) + peak
+        peaks[j, ..., :a] = peak
+    # pair = exp(ahead - peak) * exp(peak + alpha - log Z) * weight
+    peaks += alpha[:-1]
+    peaks -= log_z
+    np.exp(peaks, out=peaks)
+    peaks *= weights
+    pair *= peaks[:, None]
+    # state = exp(alpha + beta - log Z) * weight, formed in beta's array
+    beta += alpha
+    beta -= log_z
+    state = np.exp(beta, out=beta)
+    state *= weights
+    return ChainPosteriors(state, pair)
 
 
 def label_log_posteriors(log_z: np.ndarray) -> np.ndarray:
@@ -314,33 +383,29 @@ def label_log_posteriors(log_z: np.ndarray) -> np.ndarray:
     return log_z - _logsumexp(log_z)
 
 
-def _single_chain(
-    x: ObservationSequence, theta: HcrfParameters, labels
-) -> tuple[np.ndarray, np.ndarray]:
-    """(node, trans) for one sequence (N=1), restricted to ``labels``."""
+def _single_chain(x: ObservationSequence, theta: HcrfParameters, labels) -> ForwardPass:
+    """The forward pass of one sequence (N=1), restricted to ``labels``."""
     _check_dims(x, theta)
-    emission = _emission_scores(x, theta)[None]
-    return node_scores(emission, theta)[labels], theta.theta_trans[labels]
+    node = node_scores(_emission_scores(x, theta)[None], theta)[labels]
+    return forward(node, theta.theta_trans[labels], ChainLayout([x.length]))
 
 
 def log_partition_per_label(y: int, x: ObservationSequence, theta: HcrfParameters) -> float:
     """log sum over all latent paths of exp(score(y, h, x)); O(L * H^2)."""
     _check_label(y, theta)
-    node, trans = _single_chain(x, theta, [y])
-    return float(forward_backward(node, trans, [x.length], with_marginals=False).log_z[0, 0])
+    return float(_single_chain(x, theta, [y]).log_z[0, 0])
 
 
 def log_partitions(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
     """Per-label log-partitions as a (Y,) vector."""
-    node, trans = _single_chain(x, theta, slice(None))
-    return forward_backward(node, trans, [x.length], with_marginals=False).log_z[:, 0]
+    return _single_chain(x, theta, slice(None)).log_z[:, 0]
 
 
 def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.ndarray:
     """(N, Y) label posteriors P(y | x) of N chains, from each chain's
     (L, H) emission scores.  The chains are sorted by non-increasing
-    length (stably) and left-aligned in one padded batch, so one kernel
-    call covers them all; every row is bitwise what the chain alone
+    length (stably) and left-aligned in one padded batch, so one forward
+    pass covers them all; every row is bitwise what the chain alone
     would give."""
     out = np.empty((len(emissions), theta.num_labels))
     if not emissions:
@@ -351,8 +416,7 @@ def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.n
     padded = np.zeros((len(emissions), lengths[0], theta.num_hidden_states))
     filled = np.arange(lengths[0]) < lengths[:, None]  # (N, Lmax), row-major like the rows below
     padded[filled] = np.concatenate([emissions[i] for i in order.tolist()])
-    node = node_scores(padded, theta)
-    log_z = forward_backward(node, theta.theta_trans, lengths, with_marginals=False).log_z
+    log_z = forward(node_scores(padded, theta), theta.theta_trans, ChainLayout(lengths)).log_z
     out[order] = np.exp(label_log_posteriors(log_z)).T
     return out
 
@@ -371,10 +435,14 @@ def predict(x: ObservationSequence, theta: HcrfParameters) -> int:
 def marginals(y: int, x: ObservationSequence, theta: HcrfParameters) -> Marginals:
     """Forward-backward latent-state posteriors conditioned on label ``y``.
 
-    Needed by the likelihood gradient: the expected feature counts are
-    sums of these state and pair posteriors.
+    The backward pass runs on label ``y`` alone with weight 1, so its
+    weighted posteriors are the plain ones.  The likelihood gradient is
+    the (P(y|x) - 1[y = gold])-weighted sum of these state and pair
+    posteriors.
     """
     _check_label(y, theta)
-    node, trans = _single_chain(x, theta, [y])
-    chain = forward_backward(node, trans, [x.length])
-    return Marginals(state_posteriors=chain.state[0][0, 0], pair_posteriors=chain.pair[0][0, 0])
+    post = backward(_single_chain(x, theta, [y]), np.ones((1, 1)))
+    return Marginals(
+        state_posteriors=post.state[:, :, 0, 0],
+        pair_posteriors=post.pair[..., 0, 0].transpose(0, 2, 1),  # (L-1, from, to)
+    )

@@ -8,30 +8,35 @@ pair posteriors weighted by (P(y|x) - 1[y = gold]).
 
 ``train`` validates the dataset and lays it out once per fit
 (:func:`group_by_length`): one ragged batch of every sequence, sorted by
-non-increasing length, split into same-length groups.  Every objective
-call reuses that layout and makes one ``model.forward_backward`` call
-over all sequences and labels, the same log-space kernel that computes
-single-document posteriors.  Emissions and the gradient reductions stay
-per length group: each group's emissions are one matmul of its stacked
-features, its expected counts are reduced from contiguous copies of its
-own posteriors, and the observation gradient is one matmul of the
-label-weighted state posteriors with the group's features.  Groups are
-reduced in ascending length, dataset order kept within each, so results
-are bitwise reproducible and equal to a per-group computation.
+non-increasing length, with the feature rows of all sequences kept once,
+position by position and unpadded.  Every objective call reuses that
+layout: one matmul gives every emission, scattered into the kernel's
+padded (position, chain) grid; the forward recursion (``model.forward``,
+the kernel that also computes single-document posteriors) gives the
+log-partitions, and from them the weights P(y|x) - 1[y = gold].  One
+weighted backward recursion (``model.backward``) then returns the
+weighted state and pair posteriors of every sequence, and the gradient
+blocks are sums of those: the state and transition blocks directly, the
+observation block by one matmul of the label-summed state posteriors,
+gathered back from the grid, with the feature rows.  Nothing reads the
+grid's padding, and results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .model import (
+    ChainLayout,
     HcrfParameters,
     ObservationSequence,
-    forward_backward,
+    Workspace,
+    backward,
+    forward,
     label_log_posteriors,
     label_posteriors,
     node_scores,
@@ -102,51 +107,53 @@ def apply_context_window(x: ObservationSequence, window: int) -> ObservationSequ
 
 @dataclass(frozen=True, eq=False)
 class LengthGroups:
-    """A validated training set in the ragged layout of
-    ``model.forward_backward``.
+    """A validated training set in the ragged layout of the
+    ``model.forward``/``model.backward`` kernel.
 
     The chain axis holds every sequence by non-increasing length, in
-    dataset order among equal lengths; ``lengths`` (N,) follows that
-    order.  ``groups`` holds (features (N_g, L_g, D), labels (N_g,)) per
-    length in ascending length, and ``spans[g]`` is group g's slice of
-    the chain axis.  Built once per fit by :func:`group_by_length`;
-    every objective call reuses it.
+    dataset order among equal lengths; ``labels`` (N,) and ``layout``
+    (lengths and active-chain counts) follow that order.  ``features``
+    is the only copy of the training features kept: their (sum of
+    lengths, D) rows, position-major with no padding, so the block of
+    position j holds the rows of the ``active[j]`` chains still running
+    there, in chain order.  ``filled`` (Lmax, N) marks the same entries
+    of the kernel's padded (position, chain) grid, in the same row-major
+    order.  Built once per fit by :func:`group_by_length`; every
+    objective call reuses it, and the kernel's work arrays in ``work``.
     """
 
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    spans: tuple[slice, ...]
-    lengths: np.ndarray
+    features: np.ndarray
+    filled: np.ndarray
     labels: np.ndarray
+    layout: ChainLayout
     num_labels: int
     feature_dim: int
+    work: Workspace = field(default_factory=Workspace)
 
 
 def group_by_length(dataset: Dataset, num_labels: int, feature_dim: int) -> LengthGroups:
-    """Check every example's dimension and label, then stack the dataset
-    into the ragged layout that :func:`objective_and_gradient` reduces."""
+    """Check every example's dimension and label, then lay the dataset
+    out for :func:`objective_and_gradient`."""
     if not dataset:
         raise InvalidInputError("dataset must be nonempty")
-    by_length: dict[int, list[int]] = {}
-    for idx, (x, y) in enumerate(dataset):
+    for x, y in dataset:
         if x.dim != feature_dim:
             raise InvalidInputError(
                 f"{x.doc_id}: feature dim {x.dim} != expected {feature_dim}"
             )
         if not 0 <= y < num_labels:
             raise InvalidInputError(f"{x.doc_id}: label {y} out of range [0, {num_labels})")
-        by_length.setdefault(x.length, []).append(idx)
-    groups, spans = [], []
-    stop = len(dataset)  # the shortest group ends the chain axis
-    for length in sorted(by_length):
-        idxs = by_length[length]
-        feats = np.stack([dataset[i][0].features for i in idxs])
-        labels = np.array([dataset[i][1] for i in idxs], dtype=np.intp)
-        groups.append((feats, labels))
-        spans.append(slice(stop - len(idxs), stop))
-        stop -= len(idxs)
-    lengths = np.array(sorted((x.length for x, _ in dataset), reverse=True), dtype=np.intp)
-    labels = np.concatenate([labels for _, labels in reversed(groups)])
-    return LengthGroups(tuple(groups), tuple(spans), lengths, labels, num_labels, feature_dim)
+    order = sorted(range(len(dataset)), key=lambda i: -dataset[i][0].length)  # stable
+    layout = ChainLayout([dataset[i][0].length for i in order])
+    running = np.array(layout.active[:-1])  # chains at each position
+    filled = np.arange(len(dataset)) < running[:, None]
+    starts = np.cumsum(running) - running  # first row of each position's block
+    features = np.empty((int(running.sum()), feature_dim))
+    for chain, i in enumerate(order):
+        x = dataset[i][0]
+        features[starts[: x.length] + chain] = x.features
+    labels = np.array([dataset[i][1] for i in order], dtype=np.intp)
+    return LengthGroups(features, filled, labels, layout, num_labels, feature_dim)
 
 
 def objective_and_gradient(
@@ -163,33 +170,23 @@ def objective_and_gradient(
             f"{grouped.feature_dim}"
         )
 
-    obs_t = theta.theta_obs.T
-    lengths = grouped.lengths
-    emission = np.zeros((lengths.shape[0], lengths[0], theta.num_hidden_states))
-    for (feats, _), span in zip(grouped.groups, grouped.spans):
-        emission[span, : feats.shape[1]] = feats @ obs_t
-    chain = forward_backward(node_scores(emission, theta), theta.theta_trans, lengths)
+    feats, filled, labels = grouped.features, grouped.filled, grouped.labels
+    max_len, num = filled.shape
+    emission = np.zeros((max_len, num, theta.num_hidden_states))
+    emission[filled] = feats @ theta.theta_obs.T
+    node = node_scores(emission.transpose(1, 0, 2), theta)
+    chain = forward(node, theta.theta_trans, grouped.layout, grouped.work)
     log_post = label_log_posteriors(chain.log_z)  # (Y, N)
-    chains = np.arange(lengths.shape[0])
-    gold_log_post = log_post[grouped.labels, chains]
+    chains = np.arange(num)
+    nll = float(-log_post[labels, chains].sum())
     coeff = np.exp(log_post)  # P(y | x) - 1[y = gold], (Y, N)
-    coeff[grouped.labels, chains] -= 1.0
+    coeff[labels, chains] -= 1.0
+    post = backward(chain, coeff, grouped.work)
 
-    grad_obs = np.zeros_like(theta.theta_obs)
-    grad_state = np.zeros_like(theta.theta_state)
-    grad_trans = np.zeros_like(theta.theta_trans)
-    nll = 0.0
-    # the kernel's length runs are the groups, both in ascending length
-    for (feats, _), span, state, pair in zip(
-        grouped.groups, grouped.spans, chain.state, chain.pair
-    ):
-        num, length, dim = feats.shape
-        nll += float(-gold_log_post[span].sum())
-        group_coeff = np.ascontiguousarray(coeff[:, span])
-        grad_state += np.einsum("yn,ynlh->yh", group_coeff, state)
-        grad_trans += np.einsum("yn,ynjhk->yhk", group_coeff, pair)
-        weighted = np.einsum("yn,ynlh->nlh", group_coeff, state).reshape(num * length, -1)
-        grad_obs += weighted.T @ feats.reshape(num * length, dim)
+    grad_state = post.state.sum(axis=(0, 3)).T  # (Y, H)
+    grad_trans = post.pair.sum(axis=(0, 4)).transpose(2, 1, 0)  # (Y, from, to)
+    node_weight = post.state.sum(axis=2).transpose(0, 2, 1)  # (Lmax, N, H), over labels
+    grad_obs = node_weight[filled].T @ feats
 
     sq_norm = float(
         (theta.theta_obs**2).sum()

@@ -113,14 +113,37 @@ def segment_counts(monkeypatch):
 
 class TestSegmentationCount:
     @pytest.mark.parametrize("command", [["train"], ["evaluate", "--folds", "2"]])
-    def test_commands_segment_each_document_at_most_twice(
+    def test_commands_segment_each_document_once(
         self, tmp_path, generated, segment_counts, command
     ):
+        """The IPU count of the "loaded" log line comes from the same
+        segmentation that featurization uses."""
         cfg = train_config_file(tmp_path, generated)
         argv = command + ["--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o")]
         assert main(argv + ["--config", cfg]) == 0
         assert len(segment_counts) == 16
-        assert max(segment_counts.values()) <= 2
+        assert set(segment_counts.values()) == {1}
+
+    @pytest.mark.parametrize("command", [["train"], ["evaluate", "--folds", "2"]])
+    def test_loaded_line_counts_the_ipus_of_every_document(self, tmp_path, generated, command):
+        """Dropped documents are segmented too, so the count is the whole
+        corpus's, as a direct count of every document's IPUs gives."""
+        import dataclasses
+
+        from opinionchain.corpus import load_corpus, save_corpus
+        from opinionchain.features.segmentation import segment_into_ipus
+
+        corpus = load_corpus(generated / "corpus")
+        neutral = dataclasses.replace(corpus[0], doc_id="neutral", valences=(3.0,))
+        save_corpus(corpus + [neutral], tmp_path / "with_neutral")
+        want = sum(len(segment_into_ipus(doc, 300)) for doc in corpus + [neutral])
+        cfg = train_config_file(tmp_path, generated)
+        argv = command + ["--corpus", str(tmp_path / "with_neutral"), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--config", cfg]) == 0
+        log = (tmp_path / "o" / "run.log").read_text()
+        assert "INFO opinionchain.cli: loaded 17 documents (" in log
+        assert f" words, {want} IPUs at 300 ms\n" in log
+        assert "dropped 1 neutral or unlabeled documents" in log
 
     def test_cross_validate_segments_each_document_once(self, generated, segment_counts):
         from opinionchain.corpus import load_corpus

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,37 @@ class _MajorityLearner:
         return _MajorityPredictor(int(np.argmax(counts)))
 
 
+class _RecordingLearner:
+    """Keeps every fold's training sequences and, through its predictor,
+    the held-out sequences it scores."""
+
+    def __init__(self):
+        self.train, self.held_out = [], []
+
+    def fit(self, sequences, labels):
+        self.train.append(list(sequences))
+        return _RecordingPredictor(self.held_out)
+
+
+@dataclass(frozen=True)
+class _RecordingPredictor:
+    seen: list
+
+    def posterior_batch(self, seqs):
+        seqs = list(seqs)
+        self.seen.append(seqs)
+        return np.tile([1.0, 0.0], (len(seqs), 1))
+
+    def posterior(self, seq):
+        return self.posterior_batch([seq])[0]
+
+    def predict(self, seq):
+        return 0
+
+    def describe(self):
+        return {"model": "recording"}
+
+
 def tiny_corpus(n_pos=8, n_neg=6):
     docs = []
     for i in range(n_pos):
@@ -275,6 +307,73 @@ class TestCrossValidate:
         assert details_a[0].pipeline_checksum == details_b[0].pipeline_checksum
         # sanity: other folds trained on the mutated docs, so they do change
         assert details_a[1].pipeline_checksum != details_b[1].pipeline_checksum
+
+    def test_prepared_folds_bitwise_equal_per_fold_path(
+        self, tmp_path, socal_lexicon_file, monkeypatch
+    ):
+        """Every fold's training and held-out sequences, and its pipeline
+        checksum, are bitwise those of a pipeline fit from scratch on the
+        fold's transcripts, while every fold-independent block runs once
+        per IPU and the embedding table loads once."""
+        import dataclasses
+
+        from opinionchain.features import pipeline as pipeline_module
+        from opinionchain.features.pipeline import CANONICAL_BLOCKS, FeaturePipeline
+        from opinionchain.synthetic import (
+            SyntheticSpec,
+            generate_corpus,
+            generate_embeddings,
+            write_embeddings,
+        )
+
+        spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=6)
+        corpus = generate_corpus(spec, seed=3)
+        write_embeddings(generate_embeddings(spec, seed=3), tmp_path / "emb.txt")
+        config = PipelineConfig(
+            blocks=CANONICAL_BLOCKS,
+            embedding_path=str(tmp_path / "emb.txt"),
+            lexicon_paths=(str(socal_lexicon_file),),
+        )
+        calls = Counter()
+        for name in ("embed_tokens", "load_embeddings", "paralinguistic_features"):
+            original = getattr(pipeline_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline_module, name, counting)
+
+        learner = _RecordingLearner()
+        _, details = cross_validate(corpus, config, learner, k=3, seed=2, return_details=True)
+        num_ipus = sum(x.length for x in learner.train[0] + learner.held_out[0])
+        assert calls == {
+            "embed_tokens": num_ipus,
+            "paralinguistic_features": num_ipus,
+            "load_embeddings": 1,
+        }
+        plan = stratified_k_fold([doc.polarity for doc in corpus], 3, 2)
+        for fold, detail, train, held_out in zip(
+            plan.folds, details, learner.train, learner.held_out
+        ):
+            train_docs = [doc for i, doc in enumerate(corpus) if i not in set(fold)]
+            fitted, want_train = FeaturePipeline(config).fit_transform(train_docs)
+            want_held_out = [fitted.transform(corpus[i]) for i in fold]
+            assert detail.pipeline_checksum == fitted.state_checksum()
+            for got, want in zip(train + held_out, want_train + want_held_out, strict=True):
+                assert got.doc_id == want.doc_id
+                assert np.array_equal(got.features, want.features)
+
+    def test_segmented_documents_must_match_the_corpus(self):
+        from opinionchain.features.pipeline import FeaturePipeline
+
+        docs = tiny_corpus()
+        config = PipelineConfig(blocks=("bong",), standardize=False)
+        segmented = [FeaturePipeline(config).segment(doc) for doc in docs]
+        with pytest.raises(InvalidInputError, match="do not match the corpus"):
+            cross_validate(docs, config, _MajorityLearner(), k=2, segmented=segmented[::-1])
+        want = cross_validate(docs, config, _MajorityLearner(), k=2)
+        assert cross_validate(docs, config, _MajorityLearner(), k=2, segmented=segmented) == want
 
     def test_hcrf_grid_avoids_crushing_regularizer(self):
         docs = tiny_corpus(n_pos=6, n_neg=6)

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
 from opinionchain.model import (
+    ChainLayout,
     HcrfParameters,
     ObservationSequence,
-    forward_backward,
+    Workspace,
+    backward,
+    forward,
     log_partition_per_label,
     log_partitions,
     marginals,
@@ -227,31 +230,38 @@ class TestMarginals:
         rng = np.random.default_rng(10)
         for _ in range(15):
             x, theta = random_instance(rng)
-            num_h = theta.num_hidden_states
             y = int(rng.integers(theta.num_labels))
-            from itertools import product
-
-            paths = list(product(range(num_h), repeat=x.length))
-            scores = np.array([potential(y, p, x, theta) for p in paths])
-            weights = np.exp(scores - scores.max())
-            weights /= weights.sum()
-            state = np.zeros((x.length, num_h))
-            pair = np.zeros((x.length - 1, num_h, num_h))
-            for w, p in zip(weights, paths):
-                for j, h in enumerate(p):
-                    state[j, h] += w
-                for j in range(x.length - 1):
-                    pair[j, p[j], p[j + 1]] += w
+            state, pair = path_sum_marginals(y, x, theta)
             m = marginals(y, x, theta)
             np.testing.assert_allclose(m.state_posteriors, state, atol=1e-10)
             if x.length > 1:
                 np.testing.assert_allclose(m.pair_posteriors, pair, atol=1e-10)
 
 
+def path_sum_marginals(y, x, theta):
+    """(state (L, H), pair (L-1, H, H)) posteriors given label ``y``, by
+    normalizing the explicit score of every latent path."""
+    from itertools import product
+
+    num_h = theta.num_hidden_states
+    paths = list(product(range(num_h), repeat=x.length))
+    scores = np.array([potential(y, p, x, theta) for p in paths])
+    weights = np.exp(scores - scores.max())
+    weights /= weights.sum()
+    state = np.zeros((x.length, num_h))
+    pair = np.zeros((x.length - 1, num_h, num_h))
+    for w, p in zip(weights, paths):
+        for j, h in enumerate(p):
+            state[j, h] += w
+        for j in range(x.length - 1):
+            pair[j, p[j], p[j + 1]] += w
+    return state, pair
+
+
 class TestBatchedKernel:
-    """One forward_backward call over N same-length chains with Y=3 labels
-    and H=4 states, so no two of the label, chain and state axes share a
-    size, and random asymmetric transitions."""
+    """One forward and one backward pass over N same-length chains with
+    Y=3 labels and H=4 states, so no two of the label, chain and state
+    axes share a size, and random asymmetric transitions."""
 
     NUM_LABELS, NUM_HIDDEN, NUM_CHAINS, DIM = 3, 4, 5, 2
 
@@ -263,24 +273,26 @@ class TestBatchedKernel:
         )
         feats = rng.standard_normal((self.NUM_CHAINS, length, self.DIM))
         node = node_scores(feats @ theta.theta_obs.T, theta)
-        chain = forward_backward(node, theta.theta_trans, [length] * self.NUM_CHAINS)
-        return theta, [seq(f, f"c{n}") for n, f in enumerate(feats)], chain
+        chain = forward(node, theta.theta_trans, ChainLayout([length] * self.NUM_CHAINS))
+        post = backward(chain, np.ones_like(chain.log_z))
+        return theta, [seq(f, f"c{n}") for n, f in enumerate(feats)], node, chain, post
 
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_shapes_are_label_chain_position_state_and_contiguous(self, length):
-        _, _, chain = self.batch(np.random.default_rng(length), length)
+        """The node scores go in as (label, chain, position, state); the
+        posteriors come out position-major, as the recursions hold them."""
+        _, _, node, chain, post = self.batch(np.random.default_rng(length), length)
         y, n, h = self.NUM_LABELS, self.NUM_CHAINS, self.NUM_HIDDEN
+        assert node.shape == (y, n, length, h)
         assert chain.log_z.shape == (y, n)
-        assert chain.runs == (slice(0, n),)  # one length, one run
-        (state,), (pair,) = chain.state, chain.pair
-        assert state.shape == (y, n, length, h)
-        assert pair.shape == (y, n, length - 1, h, h)
-        for block in (chain.log_z, state, pair):
+        assert post.state.shape == (length, h, y, n)
+        assert post.pair.shape == (length - 1, h, h, y, n)
+        for block in (chain.log_z, post.state, post.pair):
             assert block.flags["C_CONTIGUOUS"]
 
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_each_chain_log_partition_matches_enumeration(self, length):
-        theta, chains, chain = self.batch(np.random.default_rng(20 + length), length)
+        theta, chains, _, chain, _ = self.batch(np.random.default_rng(20 + length), length)
         for n, x in enumerate(chains):
             np.testing.assert_allclose(
                 chain.log_z[:, n], brute_force_log_partitions(x, theta), rtol=0, atol=1e-10
@@ -288,16 +300,19 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_each_chain_marginals_match_single_chain_marginals(self, length):
-        theta, chains, chain = self.batch(np.random.default_rng(40 + length), length)
-        (state,), (pair,) = chain.state, chain.pair
+        theta, chains, _, _, post = self.batch(np.random.default_rng(40 + length), length)
+        state, pair = post.state, post.pair
         for n, x in enumerate(chains):
             for y in range(self.NUM_LABELS):
                 m = marginals(y, x, theta)
-                np.testing.assert_allclose(state[y, n], m.state_posteriors, atol=1e-12)
-                np.testing.assert_allclose(pair[y, n], m.pair_posteriors, atol=1e-12)
-        np.testing.assert_allclose(state.sum(axis=-1), 1.0, atol=1e-12)
+                np.testing.assert_allclose(state[:, :, y, n], m.state_posteriors, atol=1e-12)
+                np.testing.assert_allclose(
+                    pair[..., y, n].transpose(0, 2, 1), m.pair_posteriors, atol=1e-12
+                )
+        np.testing.assert_allclose(state.sum(axis=1), 1.0, atol=1e-12)
         if length > 1:
-            np.testing.assert_allclose(pair.sum(axis=-1), state[:, :, :-1], atol=1e-12)
+            # summing out the later state leaves the earlier one's posterior
+            np.testing.assert_allclose(pair.sum(axis=1), state[:-1], atol=1e-12)
 
 
 # mixed lengths, each repeated, out of order, plus one long chain
@@ -314,56 +329,68 @@ def ragged_batch(rng, lengths, num_labels, num_hidden, dim=3):
     )
     chains = [seq(rng.standard_normal((n, dim)), f"c{i}") for i, n in enumerate(lengths)]
     order = sorted(range(len(chains)), key=lambda i: -chains[i].length)  # stable
-    sorted_lengths = [chains[i].length for i in order]
-    emission = np.zeros((len(chains), sorted_lengths[0], num_hidden))
+    layout = ChainLayout([chains[i].length for i in order])
+    emission = np.zeros((len(chains), layout.lengths[0], num_hidden))
     for row, i in enumerate(order):
         emission[row, : chains[i].length] = chains[i].features @ theta.theta_obs.T
-    return theta, chains, order, node_scores(emission, theta), sorted_lengths
+    return theta, chains, order, node_scores(emission, theta), layout
 
 
-def alone(x, theta):
-    """The kernel's results for one chain in a call of its own."""
+def alone(x, theta, weights):
+    """The kernel's results for one chain in a call of its own, with its
+    (Y, 1) column of the batch's weights."""
     node = node_scores((x.features @ theta.theta_obs.T)[None], theta)
-    return forward_backward(node, theta.theta_trans, [x.length])
+    chain = forward(node, theta.theta_trans, ChainLayout([x.length]))
+    return chain, backward(chain, weights)
 
 
-def assert_each_chain_bitwise_alone(theta, chains, order, chain):
-    seen = []
-    for run, state, pair in zip(chain.runs, chain.state, chain.pair):
-        for k, row in enumerate(range(run.start, run.stop)):
-            x = chains[order[row]]
-            single = alone(x, theta)
-            assert state.shape[2] == x.length
-            assert np.array_equal(chain.log_z[:, row], single.log_z[:, 0])
-            assert np.array_equal(state[:, k], single.state[0][:, 0])
-            assert np.array_equal(pair[:, k], single.pair[0][:, 0])
-            seen.append(row)
-    assert sorted(seen) == list(range(len(chains)))
+def assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights):
+    """Every chain's log-partitions and weighted posteriors are bitwise
+    those of the chain alone, and its padding is exactly 0."""
+    assert sorted(order) == list(range(len(chains)))
+    for row, i in enumerate(order):
+        x = chains[i]
+        single_chain, single = alone(x, theta, weights[:, row : row + 1])
+        assert np.array_equal(chain.log_z[:, row], single_chain.log_z[:, 0])
+        assert np.array_equal(post.state[: x.length, ..., row], single.state[..., 0])
+        assert np.array_equal(post.pair[: x.length - 1, ..., row], single.pair[..., 0])
+        assert not post.state[x.length :, ..., row].any()
+        assert not post.pair[x.length - 1 :, ..., row].any()
+
+
+def random_weights(rng, chain):
+    """(Y, N) weights of both signs, as training's P(y|x) - 1[y = gold]."""
+    return rng.uniform(-1.0, 1.0, size=chain.log_z.shape)
 
 
 class TestRaggedKernel:
-    """One forward_backward call over chains of mixed lengths: every
-    chain's results must be bitwise those of the chain alone."""
+    """One forward and one backward pass over chains of mixed lengths:
+    every chain's results must be bitwise those of the chain alone."""
 
     @pytest.mark.parametrize("num_hidden", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("num_labels", [2, 3])
     def test_mixed_lengths_bitwise_equal_each_chain_alone(self, num_labels, num_hidden):
         rng = np.random.default_rng(100 * num_labels + num_hidden)
-        theta, chains, order, node, lengths = ragged_batch(
+        theta, chains, order, node, layout = ragged_batch(
             rng, RAGGED_LENGTHS, num_labels, num_hidden
         )
-        chain = forward_backward(node, theta.theta_trans, lengths)
-        assert [r.stop - r.start for r in chain.runs] == [2, 3, 2, 1]  # lengths 1, 2, 5, 300
-        assert_each_chain_bitwise_alone(theta, chains, order, chain)
+        # sorted lengths 300, 5, 5, 2, 2, 2, 1, 1
+        assert layout.active[:7] == (8, 6, 3, 3, 3, 1, 1)
+        assert len(layout.active) == 301 and layout.active[-1] == 0
+        chain = forward(node, theta.theta_trans, layout)
+        weights = random_weights(rng, chain)
+        post = backward(chain, weights)
+        assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights)
         for row, i in enumerate(order):
             x = chains[i]
             if x.length <= 10 and num_hidden**x.length <= BRUTE_FORCE_MAX_PATHS:
                 np.testing.assert_allclose(
                     chain.log_z[:, row], brute_force_log_partitions(x, theta), rtol=0, atol=1e-10
                 )
-        without = forward_backward(node, theta.theta_trans, lengths, with_marginals=False)
-        assert np.array_equal(without.log_z, chain.log_z)
-        assert without.runs == without.state == without.pair == ()
+        # the weights scale each (label, chain) column of the plain posteriors
+        plain = backward(chain, np.ones_like(weights))
+        assert np.array_equal(post.state, plain.state * weights)
+        np.testing.assert_allclose(post.pair, plain.pair * weights, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("num_hidden", [8, 9, 16])
     def test_bitwise_equality_holds_from_eight_states(self, num_hidden):
@@ -371,22 +398,70 @@ class TestRaggedKernel:
         slices in index order, whatever H is, so no pairwise summation
         changes the rounding between a batch and a chain alone."""
         rng = np.random.default_rng(num_hidden)
-        theta, chains, order, node, lengths = ragged_batch(rng, RAGGED_LENGTHS, 2, num_hidden)
-        chain = forward_backward(node, theta.theta_trans, lengths)
-        assert_each_chain_bitwise_alone(theta, chains, order, chain)
+        theta, chains, order, node, layout = ragged_batch(rng, RAGGED_LENGTHS, 2, num_hidden)
+        chain = forward(node, theta.theta_trans, layout)
+        weights = random_weights(rng, chain)
+        post = backward(chain, weights)
+        assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights)
 
     @pytest.mark.parametrize("num_labels", [2, 3])
     def test_all_length_one_batch_has_no_pairs(self, num_labels):
         rng = np.random.default_rng(7 + num_labels)
-        theta, chains, order, node, lengths = ragged_batch(rng, (1,) * 4, num_labels, 3)
-        chain = forward_backward(node, theta.theta_trans, lengths)
-        (pair,) = chain.pair
-        assert pair.shape == (num_labels, 4, 0, 3, 3)
-        assert_each_chain_bitwise_alone(theta, chains, order, chain)
+        theta, chains, order, node, layout = ragged_batch(rng, (1,) * 4, num_labels, 3)
+        chain = forward(node, theta.theta_trans, layout)
+        weights = random_weights(rng, chain)
+        post = backward(chain, weights)
+        assert post.pair.shape == (0, 3, 3, num_labels, 4)
+        assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights)
         for row, i in enumerate(order):
             np.testing.assert_allclose(
                 chain.log_z[:, row], brute_force_log_partitions(chains[i], theta), atol=1e-10
             )
+
+    def test_weighted_posteriors_match_enumeration(self):
+        """Y=3 and H=4 on mixed lengths: each (label, chain) block of the
+        weighted posteriors is its weight times the path-sum marginals."""
+        rng = np.random.default_rng(11)
+        theta, chains, order, node, layout = ragged_batch(rng, (5, 1, 2, 5, 1, 2, 2), 3, 4)
+        chain = forward(node, theta.theta_trans, layout)
+        weights = random_weights(rng, chain)
+        post = backward(chain, weights)
+        for row, i in enumerate(order):
+            x = chains[i]
+            for y in range(theta.num_labels):
+                state, pair = path_sum_marginals(y, x, theta)
+                w = weights[y, row]
+                np.testing.assert_allclose(
+                    post.state[: x.length, :, y, row], w * state, rtol=0, atol=1e-10
+                )
+                np.testing.assert_allclose(
+                    post.pair[: x.length - 1, :, :, y, row].transpose(0, 2, 1),
+                    w * pair,
+                    rtol=0,
+                    atol=1e-10,
+                )
+
+    def test_workspace_reuse_matches_fresh_arrays(self):
+        """A workspace reused over calls with other scores, weights and
+        layouts gives bitwise the results of fresh arrays, in the same
+        memory while the shapes stay."""
+        work = Workspace()
+        kept = []
+        for seed, lengths in [(1, RAGGED_LENGTHS), (2, RAGGED_LENGTHS), (3, (4, 2, 1)), (4, (3,))]:
+            rng = np.random.default_rng(seed)
+            theta, _, _, node, layout = ragged_batch(rng, lengths, 3, 4)
+            weights = rng.uniform(-1.0, 1.0, size=(3, len(lengths)))
+            fresh_chain = forward(node, theta.theta_trans, layout)
+            fresh = backward(fresh_chain, weights)
+            chain = forward(node, theta.theta_trans, layout, work)
+            post = backward(chain, weights, work)
+            assert np.array_equal(chain.log_z, fresh_chain.log_z)
+            assert np.array_equal(chain.alpha, fresh_chain.alpha)
+            assert np.array_equal(post.state, fresh.state)
+            assert np.array_equal(post.pair, fresh.pair)
+            kept.append((chain.alpha, post.state, post.pair))
+        for a, b in zip(kept[0], kept[1]):
+            assert np.shares_memory(a, b)
 
     @pytest.mark.parametrize(
         "lengths", [[2, 3, 1], [4, 3, 3], [3, 3, 0], [3, 3], [3, 2, 2, 1], [[3, 3, 2]]]
@@ -394,20 +469,29 @@ class TestRaggedKernel:
     def test_rejects_lengths_out_of_order_or_range(self, lengths):
         theta = HcrfParameters.zeros(2, 2, 1)
         node = node_scores(np.zeros((3, 3, 2)), theta)
-        with pytest.raises(InvalidInputError, match="non-increasing"):
-            forward_backward(node, theta.theta_trans, lengths)
+        with pytest.raises(InvalidInputError, match="chain lengths"):
+            forward(node, theta.theta_trans, ChainLayout(lengths))
+
+    def test_rejects_weights_of_another_shape(self):
+        rng = np.random.default_rng(2)
+        theta, _, _, node, layout = ragged_batch(rng, (3, 2), 2, 2)
+        chain = forward(node, theta.theta_trans, layout)
+        with pytest.raises(InvalidInputError, match="weights"):
+            backward(chain, np.ones((2, 3)))
 
     def test_padding_is_never_read(self):
         rng = np.random.default_rng(3)
-        theta, chains, order, node, lengths = ragged_batch(rng, (4, 2, 1), 2, 3)
+        theta, chains, order, node, layout = ragged_batch(rng, (4, 2, 1), 2, 3)
         noisy = node.copy()
-        for row, n in enumerate(lengths):
+        for row, n in enumerate(layout.lengths):
             noisy[:, row, n:] = np.nan
-        want = forward_backward(node, theta.theta_trans, lengths)
-        got = forward_backward(noisy, theta.theta_trans, lengths)
-        assert np.array_equal(got.log_z, want.log_z)
-        for a, b in zip(got.state + got.pair, want.state + want.pair):
-            assert np.array_equal(a, b)
+        weights = random_weights(rng, forward(node, theta.theta_trans, layout))
+        want_chain = forward(node, theta.theta_trans, layout)
+        got_chain = forward(noisy, theta.theta_trans, layout)
+        assert np.array_equal(got_chain.log_z, want_chain.log_z)
+        want, got = backward(want_chain, weights), backward(got_chain, weights)
+        assert np.array_equal(got.state, want.state)
+        assert np.array_equal(got.pair, want.pair)
 
 
 class TestBruteForceGuard:

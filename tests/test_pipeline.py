@@ -216,6 +216,30 @@ class TestFitTransform:
         with pytest.raises(InvalidInputError, match="200 ms"):
             FeaturePipeline(PipelineConfig()).fit_transform([seg])
 
+    def test_prepared_documents_featurize_like_transcripts(self):
+        pipeline = FeaturePipeline(PipelineConfig())
+        corpus = small_corpus()
+        prepared = [pipeline.prepare(doc) for doc in corpus]
+        fitted, sequences = pipeline.fit_transform(prepared)
+        want_fitted, want = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
+        assert fitted.state_checksum() == want_fitted.state_checksum()
+        for doc, seg, seq, expected in zip(corpus, prepared, sequences, want):
+            assert np.array_equal(seq.features, expected.features)
+            assert np.array_equal(fitted.transform(seg).features, expected.features)
+            assert np.array_equal(fitted.transform(doc).features, expected.features)
+
+    def test_prepared_under_another_configuration_rejected(self):
+        seg = FeaturePipeline(PipelineConfig(blocks=("pattern",))).prepare(small_corpus()[0])
+        fitted = FeaturePipeline(PipelineConfig()).fit(small_corpus())
+        with pytest.raises(InvalidInputError, match="another pipeline configuration"):
+            fitted.transform(seg)
+        with pytest.raises(InvalidInputError, match="another pipeline configuration"):
+            FeaturePipeline(PipelineConfig()).fit_transform([seg])
+
+    def test_tokenless_document_rejected_at_prepare(self):
+        with pytest.raises(InvalidInputError, match="no IPUs"):
+            FeaturePipeline(PipelineConfig()).prepare(make_transcript("empty", ()))
+
     def test_sequence_length_matches_ipu_count(self):
         config = PipelineConfig()
         corpus = small_corpus()

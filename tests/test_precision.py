@@ -17,9 +17,11 @@ import pytest
 from mpmath import mp, mpf
 
 from opinionchain.model import (
+    ChainLayout,
     HcrfParameters,
     ObservationSequence,
-    forward_backward,
+    backward,
+    forward,
     log_partition_per_label,
     log_partitions,
     node_scores,
@@ -194,7 +196,8 @@ def test_ragged_kernel_on_ten_thousand_segments_matches_longdouble():
     emission = np.zeros((len(chains), LONG_LENGTHS[0], num_hidden))
     for i, x in enumerate(chains):
         emission[i, : x.length] = x.features @ theta.theta_obs.T
-    chain = forward_backward(node_scores(emission, theta), theta.theta_trans, LONG_LENGTHS)
+    chain = forward(node_scores(emission, theta), theta.theta_trans, ChainLayout(LONG_LENGTHS))
+    state = backward(chain, np.ones_like(chain.log_z)).state  # (Lmax, H, Y, N)
     eps64 = float(np.finfo(np.float64).eps)
 
     def within_tolerance(got_log_z, got_state, want_log_z, want_state, length):
@@ -206,17 +209,17 @@ def test_ragged_kernel_on_ten_thousand_segments_matches_longdouble():
                 and np.all(state_error <= length * eps64 * np.abs(want_log_z).max())
             )
 
-    # every length occurs once, so each run holds one chain
-    for run, state in zip(chain.runs, chain.state):
-        (row,) = range(run.start, run.stop)
+    # the lengths are sorted and distinct, so row n holds chains[n]; shortest first
+    for row in reversed(range(len(chains))):
         x = chains[row]
         want_log_z, want_state = log_space_reference(x, theta)
+        got_state = state[: x.length, :, :, row].transpose(2, 0, 1)  # (Y, L, H)
         assert within_tolerance(
-            chain.log_z[:, row], state[:, 0], want_log_z, want_state, x.length
+            chain.log_z[:, row], got_state, want_log_z, want_state, x.length
         ), x.length
 
     long_chain = chains[0]
-    assert x is long_chain  # the last run is the longest: its references are at hand
+    assert x is long_chain  # the last row checked is the longest: its references are at hand
     for dtype in (np.float64, np.longdouble):
         with np.errstate(over="ignore", invalid="ignore"):
             naive_log_z, naive_state = log_space_reference(

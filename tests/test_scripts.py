@@ -11,7 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["grid_search.py", "synthetic_benchmark.py"])
+@pytest.mark.parametrize(
+    "script", ["grid_search.py", "objective_timing.py", "synthetic_benchmark.py"]
+)
 def test_script_help_exits_zero(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

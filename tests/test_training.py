@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from opinionchain import training
 from opinionchain.errors import InvalidInputError
 from opinionchain.model import (
+    ChainLayout,
     HcrfParameters,
     ObservationSequence,
-    forward_backward,
+    backward,
+    forward,
     label_log_posteriors,
     log_partitions,
     marginals,
@@ -187,19 +191,27 @@ def assert_matches_per_sequence_reference(dataset, theta, lam):
     np.testing.assert_allclose(got.theta_trans, ref_trans, atol=1e-12)
 
 
-def per_group_objective_and_gradient(grouped, theta, l2_lambda):
+def per_group_objective_and_gradient(dataset, theta, l2_lambda):
     """The objective with one forward-backward call per length group,
-    each group reduced on its own, groups in ascending length: the
-    bitwise reference for the single ragged call."""
+    each group's plain posteriors reduced on their own by expected-count
+    einsums, groups in ascending length: the reference for the single
+    ragged call, which weights the posteriors inside the backward pass."""
+    by_length = {}
+    for x, y in dataset:
+        by_length.setdefault(x.length, []).append((x.features, y))
     grad_obs = np.zeros_like(theta.theta_obs)
     grad_state = np.zeros_like(theta.theta_state)
     grad_trans = np.zeros_like(theta.theta_trans)
     nll = 0.0
-    for feats, labels in grouped.groups:
-        num, length, dim = feats.shape
+    for length in sorted(by_length):
+        feats = np.stack([f for f, _ in by_length[length]])
+        labels = np.array([y for _, y in by_length[length]])
+        num, _, dim = feats.shape
         node = node_scores(feats @ theta.theta_obs.T, theta)
-        chain = forward_backward(node, theta.theta_trans, [length] * num)
-        (state,), (pair,) = chain.state, chain.pair
+        chain = forward(node, theta.theta_trans, ChainLayout([length] * num))
+        plain = backward(chain, np.ones_like(chain.log_z))
+        state = plain.state.transpose(2, 3, 0, 1)  # (Y, N, L, H)
+        pair = plain.pair.transpose(3, 4, 0, 2, 1)  # (Y, N, L-1, from, to)
         log_post = label_log_posteriors(chain.log_z)  # (Y, N)
         nll += float(-log_post[labels, np.arange(num)].sum())
         coeff = np.exp(log_post)
@@ -223,6 +235,10 @@ class TestRaggedObjective:
     @pytest.mark.parametrize("window", [0, 1])
     @pytest.mark.parametrize("num_hidden", [1, 2, 3, 5, 7, 8, 9])
     def test_bitwise_equal_to_per_group_reference(self, num_hidden, window):
+        """The fused reduction sums in another order than the per-group
+        einsums, so the two agree to rounding, not bit for bit: within
+        1e-12 relative, and 1e-12 absolute (the per-sequence reference's
+        bound) for gradient entries that cancel to near zero."""
         rng = np.random.default_rng(10 * num_hidden + window)
         for trial in range(4):
             num_labels = 2 + trial % 2
@@ -234,21 +250,72 @@ class TestRaggedObjective:
             lam = float(rng.uniform(0.0, 1.0))
             groups = group_by_length(dataset, num_labels, theta.feature_dim)
             value, grad = objective_and_gradient(groups, theta, lam)
-            want_value, want_grad = per_group_objective_and_gradient(groups, theta, lam)
+            want_value, want_grad = per_group_objective_and_gradient(dataset, theta, lam)
+            assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+            np.testing.assert_allclose(
+                grad.as_vector(), want_grad.as_vector(), rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("num_labels", [2, 3])
+    def test_nan_padding_leaves_objective_bitwise_unchanged(self, num_labels, monkeypatch):
+        """The training features are kept without padding; NaN written
+        into the padding of the (chain, position) grid, in the emissions
+        and so in the node scores built from them, reaches neither the
+        value nor the gradient."""
+        rng = np.random.default_rng(20 + num_labels)
+        dataset = random_dataset(rng, size=15, dim=3, max_len=7, num_labels=num_labels)
+        theta = random_theta(rng, 3, num_labels, 3)
+        groups = grouped(dataset, theta)
+        value, grad = objective_and_gradient(groups, theta, 0.3)
+
+        original = training.node_scores
+        poisoned = []
+
+        def poisoning(emission, theta):
+            for row, length in enumerate(groups.layout.lengths):
+                emission[row, length:] = np.nan
+            node = original(emission, theta)
+            poisoned.append(int(np.isnan(node).sum()))
+            return node
+
+        monkeypatch.setattr(training, "node_scores", poisoning)
+        got_value, got_grad = objective_and_gradient(groups, theta, 0.3)
+        padding = groups.filled.size - groups.filled.sum()
+        assert poisoned == [num_labels * padding * theta.num_hidden_states] and padding > 0
+        assert got_value == value
+        assert np.array_equal(got_grad.as_vector(), grad.as_vector())
+
+
+    def test_repeated_calls_match_a_fresh_layout(self):
+        """The layout's work arrays carry nothing from one call to the next."""
+        rng = np.random.default_rng(30)
+        dataset = random_dataset(rng, size=12, dim=3, max_len=6, num_labels=3)
+        reused = group_by_length(dataset, 3, 3)
+        for scale in (0.5, 3.0, 0.1):
+            theta = random_theta(rng, 4, 3, 3, scale)
+            value, grad = objective_and_gradient(reused, theta, 0.2)
+            want_value, want_grad = objective_and_gradient(
+                group_by_length(dataset, 3, 3), theta, 0.2
+            )
             assert value == want_value
             assert np.array_equal(grad.as_vector(), want_grad.as_vector())
 
 
 class TestLengthGroups:
     def test_ascending_lengths_in_dataset_order(self):
+        """Read from the last chain up, the lengths ascend; chains of one
+        length keep dataset order, and each position's block of rows
+        holds the chains still running there, longest first."""
         dataset = [
-            (seq(np.full((length, 2), float(i)), f"d{i}"), i % 2)
+            (seq([[10.0 * (i + 1) + j, -j] for j in range(length)], f"d{i}"), i % 2)
             for i, length in enumerate([3, 1, 3, 2, 1])
         ]
-        groups = group_by_length(dataset, 2, 2).groups
-        assert [feats.shape for feats, _ in groups] == [(2, 1, 2), (1, 2, 2), (2, 3, 2)]
-        assert [feats[:, 0, 0].tolist() for feats, _ in groups] == [[1, 4], [3], [0, 2]]
-        assert [labels.tolist() for _, labels in groups] == [[1, 0], [1], [0, 0]]
+        groups = group_by_length(dataset, 2, 2)
+        assert groups.layout.lengths[::-1].tolist() == [1, 1, 2, 3, 3]
+        assert groups.features.shape == (10, 2)  # 3 + 1 + 3 + 2 + 1 rows, no padding
+        # chains d0, d2, d3, d1, d4; positions 0, 1, 2 hold 5, 3 and 2 of them
+        assert groups.features[:, 0].tolist() == [10, 30, 40, 20, 50, 11, 31, 41, 12, 32]
+        assert groups.features[:, 1].tolist() == [0] * 5 + [-1] * 3 + [-2] * 2
 
     def test_ragged_layout_longest_first(self):
         dataset = [
@@ -256,12 +323,11 @@ class TestLengthGroups:
             for i, length in enumerate([3, 1, 3, 2, 1])
         ]
         grouped = group_by_length(dataset, 2, 2)
-        assert grouped.lengths.tolist() == [3, 3, 2, 1, 1]
+        assert grouped.layout.lengths.tolist() == [3, 3, 2, 1, 1]
+        assert grouped.layout.active == (5, 3, 2, 0)
         assert grouped.labels.tolist() == [0, 0, 1, 1, 0]  # d0, d2, d3, d1, d4
-        assert grouped.spans == (slice(3, 5), slice(2, 3), slice(0, 2))
-        for (feats, labels), span in zip(grouped.groups, grouped.spans):
-            assert grouped.lengths[span].tolist() == [feats.shape[1]] * feats.shape[0]
-            assert grouped.labels[span].tolist() == labels.tolist()
+        assert grouped.filled.tolist() == [[True] * 5, [True] * 3 + [False] * 2,
+                                           [True] * 2 + [False] * 3]
 
     def test_rejects_out_of_range_label(self):
         with pytest.raises(InvalidInputError, match="label 2"):
