@@ -13,14 +13,13 @@ import dataclasses
 import tempfile
 import time
 from pathlib import Path
+from typing import Sequence
 
-from opinionchain.evaluation import (
-    HcrfLearner,
-    LogRegLearner,
-    cross_validate,
-    fold_scores,
-    fold_significance,
-)
+import numpy as np
+from scipy.stats import ttest_rel
+
+from opinionchain.errors import InvalidInputError
+from opinionchain.evaluation import HcrfLearner, LogRegLearner, MetricsReport, cross_validate
 from opinionchain.features.pipeline import PipelineConfig
 from opinionchain.synthetic import (
     SyntheticSpec,
@@ -30,6 +29,48 @@ from opinionchain.synthetic import (
     write_embeddings,
 )
 from opinionchain.training import TrainingConfig
+
+
+@dataclasses.dataclass(frozen=True)
+class SignificanceResult:
+    p_value: float
+    statistic: float
+    degenerate: bool  # differences had zero variance; statistic is meaningless
+
+
+def fold_significance(scores_a: Sequence[float], scores_b: Sequence[float]) -> SignificanceResult:
+    """Two-sided paired t-test over per-fold scores."""
+    a = np.asarray(scores_a, dtype=np.float64)
+    b = np.asarray(scores_b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
+        raise InvalidInputError("need two equal-length score lists of size >= 2")
+    diffs = a - b
+    if float(np.std(diffs)) == 0.0:
+        return SignificanceResult(p_value=1.0, statistic=0.0, degenerate=True)
+    stat, p = ttest_rel(a, b)
+    return SignificanceResult(p_value=float(p), statistic=float(stat), degenerate=False)
+
+
+def fold_scores(report: MetricsReport, metric: str = "accuracy") -> list[float]:
+    """Per-fold series for significance testing: 'accuracy', 'weighted_f1',
+    or 'f1:<label>'."""
+    if not report.per_fold:
+        raise InvalidInputError("report carries no per-fold breakdown")
+    out = []
+    for rep in report.per_fold:
+        if metric == "accuracy":
+            out.append(rep.accuracy)
+        elif metric == "weighted_f1":
+            out.append(rep.weighted_f1)
+        elif metric.startswith("f1:"):
+            name = metric[3:]
+            match = [cm for cm in rep.per_class if cm.label == name]
+            if not match:
+                raise InvalidInputError(f"unknown class {name!r}")
+            out.append(match[0].f1)
+        else:
+            raise InvalidInputError(f"unknown metric {metric!r}")
+    return out
 
 
 def main():

@@ -239,9 +239,9 @@ def cmd_segment(args) -> int:
     corpus = load_corpus(args.corpus)
     index = {doc.doc_id: ipu_index_per_token(doc, threshold) for doc in corpus}
     save_corpus(corpus, out_dir / "corpus", ipu_index=index)
-    stats = corpus_stats(corpus, threshold)
-    log.info("segmented %d documents into %d IPUs", len(corpus), stats.ipu_count)
-    print(f"segmented {len(corpus)} documents into {stats.ipu_count} IPUs at {threshold} ms")
+    ipu_count = sum(ipus[-1] + 1 for ipus in index.values() if ipus)  # every IPU has a token
+    log.info("segmented %d documents into %d IPUs", len(corpus), ipu_count)
+    print(f"segmented {len(corpus)} documents into {ipu_count} IPUs at {threshold} ms")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Cross-validated evaluation: stratified folds, F1 metrics, significance.
+"""Cross-validated evaluation: stratified folds and F1 metrics.
 
 Reports carry percentages at full precision together with half-up
 rounded integers so they can be compared against published tables.
@@ -383,47 +383,3 @@ def cross_validate(
         compute_metrics(pooled.tolist(), labels), per_fold=tuple(fold_reports)
     )
     return (report, details) if return_details else report
-
-
-@dataclass(frozen=True)
-class SignificanceResult:
-    p_value: float
-    statistic: float
-    degenerate: bool  # differences had zero variance; statistic is meaningless
-
-
-def fold_significance(scores_a: Sequence[float], scores_b: Sequence[float]) -> SignificanceResult:
-    """Two-sided paired t-test over per-fold scores."""
-    a = np.asarray(scores_a, dtype=np.float64)
-    b = np.asarray(scores_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise InvalidInputError("need two equal-length score lists of size >= 2")
-    diffs = a - b
-    if float(np.std(diffs)) == 0.0:
-        return SignificanceResult(p_value=1.0, statistic=0.0, degenerate=True)
-    from scipy.stats import ttest_rel  # loaded only here, off the CLI's import path
-
-    stat, p = ttest_rel(a, b)
-    return SignificanceResult(p_value=float(p), statistic=float(stat), degenerate=False)
-
-
-def fold_scores(report: MetricsReport, metric: str = "accuracy") -> list[float]:
-    """Per-fold series for significance testing: 'accuracy', 'weighted_f1',
-    or 'f1:<label>'."""
-    if not report.per_fold:
-        raise InvalidInputError("report carries no per-fold breakdown")
-    out = []
-    for rep in report.per_fold:
-        if metric == "accuracy":
-            out.append(rep.accuracy)
-        elif metric == "weighted_f1":
-            out.append(rep.weighted_f1)
-        elif metric.startswith("f1:"):
-            name = metric[3:]
-            match = [cm for cm in rep.per_class if cm.label == name]
-            if not match:
-                raise InvalidInputError(f"unknown class {name!r}")
-            out.append(match[0].f1)
-        else:
-            raise InvalidInputError(f"unknown metric {metric!r}")
-    return out

@@ -9,20 +9,32 @@ configuration ``(y, h, x)`` is
                    + sum_{j<L} W_trans[y, h_j, h_{j+1}]
 
 and the label posterior marginalizes the latent states per label.  All
-inference goes through one log-space kernel, batched over labels and
-over chains of any mix of lengths: :func:`forward` gives the
-log-partitions, which is all the label posteriors
-(:func:`label_posteriors`) need, and :func:`backward` turns a forward
-pass and one weight per (label, chain) into weighted state and pair
-posteriors.  Training weights them by P(y|x) - 1[y = gold], so the
-likelihood gradient is a plain sum of the backward pass's outputs, and
-keeps the kernel's arrays in one :class:`Workspace` for all the calls of
-a fit; :func:`marginals` reads one label's posteriors with weight 1.  The
-recursions run position-major, on (position, state, label, sequence)
-arrays, so each log-sum-exp reduces the leading state axis over
-contiguous slices.  Sequences of hundreds of segments, or weights in the
-thousands, would underflow or overflow a probability-space pass.  The
-brute-force enumeration oracles live with the tests.
+inference goes through one kernel, batched over labels and over chains
+of any mix of lengths: :func:`forward` gives the log-partitions, which
+is all the label posteriors (:func:`label_posteriors`) need, and
+:func:`backward` turns a forward pass and one weight per (label, chain)
+into weighted state and pair posteriors.  Training weights them by
+P(y|x) - 1[y = gold], so the likelihood gradient is a plain sum of the
+backward pass's outputs, and keeps the kernel's arrays in one
+:class:`Workspace` for all the calls of a fit; :func:`marginals` reads
+one label's posteriors with weight 1.  The recursions run
+position-major, on (position, state, label, sequence) arrays, so every
+reduction sums the leading state axis over contiguous slices.
+
+The forward recursion runs in log space: sequences of hundreds of
+segments, or weights in the thousands, would underflow or overflow a
+probability-space pass.  Each of its steps shifts the exponentials of a
+log-sum-exp by their maximum, so every factor it forms lies in [0, 1]
+and each sum of them in [1, H]; it keeps both.  The backward recursion
+is the reverse-mode derivative of the forward one (forward-backward is
+backprop through the forward pass): it starts from each chain's
+weighted end-state posteriors and carries them back one step at a time
+through those stored factors, with multiplies, divides and sums alone.
+That sweep is in probability space, yet safe: every value it forms is a
+weighted posterior, bounded by the weight, and every step's factors are
+at most 1, so nothing overflows, and a value that underflows to 0 was
+below 1e-307 in absolute terms.  The brute-force enumeration oracles
+live with the tests.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -253,11 +265,17 @@ class Workspace:
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
 
-    def filled(self, name: str, shape: tuple[int, ...], value: float) -> np.ndarray:
-        """The array kept under ``name``, of ``shape`` and set to ``value``."""
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The array kept under ``name``, of ``shape``, holding whatever
+        the last call left in it."""
         array = self._arrays.get(name)
         if array is None or array.shape != shape:
             array = self._arrays[name] = np.empty(shape)
+        return array
+
+    def filled(self, name: str, shape: tuple[int, ...], value: float) -> np.ndarray:
+        """The array kept under ``name``, of ``shape`` and set to ``value``."""
+        array = self.array(name, shape)
         array.fill(value)
         return array
 
@@ -265,13 +283,22 @@ class Workspace:
 @dataclass(frozen=True, eq=False)
 class ForwardPass:
     """The forward recursion's results for Y labels times the N chains of
-    ``layout``, kept for :func:`backward`.  ``node`` and ``alpha`` are
-    position-major (Lmax, H, Y, N); ``alpha`` is -inf on padding."""
+    ``layout``, kept for :func:`backward`.  ``alpha`` is position-major
+    (Lmax, H, Y, N) and -inf on padding.  Step j (positions j-1 to j) of
+    the recursion keeps, for its ``a = active[j]`` chains only,
+
+    * ``factors[j-1]``, (from, to, Y, a): ``exp(alpha[j-1, f] + trans[f, t]
+      - peak[t])``, with ``peak[t]`` the maximum over f, so every factor
+      is in [0, 1];
+    * ``sums[j-1]``, (to, Y, a): their sum over f, in [1, H];
+
+    so that ``alpha[j, t] = log(sums[j-1][t]) + peak[t] + node[j, t]``."""
 
     log_z: np.ndarray  # (Y, N): log sum over latent paths
-    node: np.ndarray
     alpha: np.ndarray
-    trans: np.ndarray  # (Y, H, H)
+    factors: tuple[np.ndarray, ...]  # Lmax-1 steps
+    sums: tuple[np.ndarray, ...]
+    last: np.ndarray  # (H, Y, N) flat indices into alpha of each chain's last position
     layout: ChainLayout
 
 
@@ -308,7 +335,11 @@ def forward(
     memory order :func:`node_scores` already writes, so reading ``node``
     that way copies nothing), with the transitions held as
     (from, to, Y, 1); every log-sum-exp reduces the leading state axis.
-    ``alpha`` is kept in ``work`` if one is given, else in a fresh array.
+    Each step forms its max-shifted exponentials and their sums in
+    arrays of their own, contiguous and sized to the step's running
+    chains, and keeps them for :func:`backward` as the pass's ``factors``
+    and ``sums``.  ``alpha`` and those arrays are kept in ``work`` if one
+    is given, else in fresh arrays.
     """
     lengths, active = layout.lengths, layout.active
     num, max_len = lengths.shape[0], len(active) - 1
@@ -321,60 +352,65 @@ def forward(
     work = Workspace() if work is None else work
     alpha = work.filled("alpha", node.shape, -np.inf)
     alpha[0] = node[0]
+    num_h, num_y = node.shape[1:3]
+    factors, sums = [], []
     for j in range(1, max_len):
         a = active[j]
-        alpha[j, ..., :a] = _logsumexp(alpha[j - 1, :, None, :, :a] + fwd) + node[j, ..., :a]
-    ends = alpha[lengths - 1, :, :, np.arange(num)]  # (N, H, Y)
-    log_z = _logsumexp(np.ascontiguousarray(ends.transpose(1, 2, 0)))  # (Y, N)
-    return ForwardPass(log_z, node, alpha, trans, layout)
+        scaled = work.array(f"factors {j}", (num_h, num_h, num_y, a))
+        np.add(alpha[j - 1, :, None, :, :a], fwd, out=scaled)
+        peak = scaled.max(axis=0)
+        scaled -= peak
+        np.exp(scaled, out=scaled)
+        total = scaled.sum(axis=0, out=work.array(f"sums {j}", (num_h, num_y, a)))
+        step = np.log(total, out=alpha[j, ..., :a])
+        step += peak
+        step += node[j, ..., :a]
+        factors.append(scaled)
+        sums.append(total)
+    cells = np.arange(alpha[0].size).reshape(alpha.shape[1:])  # (H, Y, N)
+    last = (lengths - 1) * cells.size + cells
+    log_z = _logsumexp(alpha.take(last))  # (Y, N)
+    return ForwardPass(log_z, alpha, tuple(factors), tuple(sums), last, layout)
 
 
 def backward(
     fwd: ForwardPass, weights: np.ndarray, work: Workspace | None = None
 ) -> ChainPosteriors:
-    """Log-space backward recursion, returning the weighted posteriors.
+    """The reverse-mode adjoint of :func:`forward`: weighted posteriors.
 
     ``weights`` is (Y, N), one weight per label and chain: training
     passes P(y | x) - 1[y = gold], so the posteriors sum straight into
     the likelihood gradient, and a weight of 1 gives the plain ones.
-    Each step updates ``beta[j, ..., :active[j+1]]`` from the
-    (to, from, Y, N) tensor of transition plus later scores; that tensor,
-    shifted by its maximum and exponentiated for the log-sum-exp, is
-    stored as position j's pair posteriors up to a per-(from, label,
-    chain) factor.  After the loop one pass over the whole batch applies
-    the factors and the weights, and forms the state posteriors.
-    ``alpha`` is -inf and ``beta`` 0 on padding, so padding comes out
-    exactly 0.  Like :func:`forward`, nothing reads padding and every
-    chain's outputs are bitwise what it gives alone.  The outputs are
-    kept in ``work`` if one is given, else in fresh arrays.
+    Each chain's last position is seeded with ``w * exp(alpha - log Z)``,
+    its weighted end-state posteriors.  Step j then runs back over the
+    ``active[j]`` chains still running at position j: since
+    ``alpha[j, t]`` depends on ``alpha[j-1, f]`` through
+    ``factors[j-1][f, t] / sums[j-1][t]``, the weighted pair posterior is
+    ``factors[j-1][f, t] * state[j, t] / sums[j-1][t]`` and its sum over
+    t is ``state[j-1, f]``.  That is one divide, one multiply and one sum
+    per step, with no exp, log or max, on values no larger than the
+    weight in magnitude.  Nothing reads padding, which comes out exactly
+    0, and like :func:`forward` every chain's outputs are bitwise what it
+    gives alone.  The outputs are kept in ``work`` if one is given, else
+    in fresh arrays.
     """
-    node, alpha, log_z = fwd.node, fwd.alpha, fwd.log_z
+    alpha, log_z, factors, sums = fwd.alpha, fwd.log_z, fwd.factors, fwd.sums
     active = fwd.layout.active
     if weights.shape != log_z.shape:
         raise InvalidInputError(f"weights of shape {weights.shape}, expected {log_z.shape}")
-    bwd = fwd.trans.transpose(2, 1, 0)[..., None]  # (to, from, Y, 1)
     work = Workspace() if work is None else work
-    beta = work.filled("beta", node.shape, 0.0)  # 0 at each chain's last position
-    pair = work.filled("pair", (node.shape[0] - 1,) + node.shape[1:2] + node.shape[1:], 0.0)
-    peaks = work.filled("peaks", pair.shape[:1] + node.shape[1:], -np.inf)
-    for j in range(len(active) - 3, -1, -1):
-        a = active[j + 1]
-        ahead = bwd + (node[j + 1, ..., :a] + beta[j + 1, ..., :a])[:, None]
-        peak = ahead.max(axis=0)
-        scaled = np.exp(ahead - peak, out=pair[j, ..., :a])
-        beta[j, ..., :a] = np.log(scaled.sum(axis=0)) + peak
-        peaks[j, ..., :a] = peak
-    # pair = exp(ahead - peak) * exp(peak + alpha - log Z) * weight
-    peaks += alpha[:-1]
-    peaks -= log_z
-    np.exp(peaks, out=peaks)
-    peaks *= weights
-    pair *= peaks[:, None]
-    # state = exp(alpha + beta - log Z) * weight, formed in beta's array
-    beta += alpha
-    beta -= log_z
-    state = np.exp(beta, out=beta)
-    state *= weights
+    state = work.filled("state", alpha.shape, 0.0)
+    pair = work.filled("pair", (alpha.shape[0] - 1,) + alpha.shape[1:2] + alpha.shape[1:], 0.0)
+    seed = np.exp(alpha.take(fwd.last) - log_z)
+    seed *= weights
+    state.reshape(-1)[fwd.last] = seed
+    for j in range(len(factors), 0, -1):
+        a = active[j]
+        ahead = state[j, ..., :a] / sums[j - 1]
+        joint = np.multiply(
+            factors[j - 1].transpose(1, 0, 2, 3), ahead[:, None], out=pair[j - 1, ..., :a]
+        )
+        joint.sum(axis=0, out=state[j - 1, ..., :a])
     return ChainPosteriors(state, pair)
 
 

@@ -13,13 +13,15 @@ position by position and unpadded.  Every objective call reuses that
 layout: one matmul gives every emission, scattered into the kernel's
 padded (position, chain) grid; the forward recursion (``model.forward``,
 the kernel that also computes single-document posteriors) gives the
-log-partitions, and from them the weights P(y|x) - 1[y = gold].  One
-weighted backward recursion (``model.backward``) then returns the
-weighted state and pair posteriors of every sequence, and the gradient
-blocks are sums of those: the state and transition blocks directly, the
-observation block by one matmul of the label-summed state posteriors,
-gathered back from the grid, with the feature rows.  Nothing reads the
-grid's padding, and results are bitwise reproducible.
+log-partitions, and from them the weights P(y|x) - 1[y = gold].  The
+weighted backward recursion (``model.backward``, the forward pass's
+reverse-mode adjoint, run back through the factors the forward pass
+kept) then returns the weighted state and pair posteriors of every
+sequence, and the gradient blocks are sums of those: the state and
+transition blocks directly, the observation block by one matmul of the
+label-summed state posteriors, gathered back from the grid, with the
+feature rows.  Nothing reads the grid's padding, and results are bitwise
+reproducible.
 """
 
 from __future__ import annotations

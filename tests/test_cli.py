@@ -112,15 +112,19 @@ def segment_counts(monkeypatch):
 
 
 class TestSegmentationCount:
-    @pytest.mark.parametrize("command", [["train"], ["evaluate", "--folds", "2"]])
+    @pytest.mark.parametrize(
+        "command", [["train"], ["evaluate", "--folds", "2"], ["segment"]]
+    )
     def test_commands_segment_each_document_once(
         self, tmp_path, generated, segment_counts, command
     ):
         """The IPU count of the "loaded" log line comes from the same
-        segmentation that featurization uses."""
-        cfg = train_config_file(tmp_path, generated)
+        segmentation that featurization uses, and ``segment`` counts the
+        IPUs from the index it writes."""
         argv = command + ["--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o")]
-        assert main(argv + ["--config", cfg]) == 0
+        if command != ["segment"]:
+            argv += ["--config", train_config_file(tmp_path, generated)]
+        assert main(argv) == 0
         assert len(segment_counts) == 16
         assert set(segment_counts.values()) == {1}
 
@@ -213,6 +217,18 @@ class TestSegment:
         )
         assert rc == 0
         assert dir_bytes(seg1 / "corpus") == dir_bytes(seg2 / "corpus")
+
+    def test_printed_and_logged_ipu_counts_match_a_direct_count(self, tmp_path, generated, capsys):
+        from opinionchain.corpus import load_corpus
+        from opinionchain.features.segmentation import segment_into_ipus
+
+        corpus = load_corpus(generated / "corpus")
+        want = sum(len(segment_into_ipus(doc, 150)) for doc in corpus)
+        out = tmp_path / "s"
+        argv = ["segment", "--corpus", str(generated / "corpus"), "--threshold-ms", "150"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"segmented 16 documents into {want} IPUs at 150 ms\n"
+        assert f"segmented 16 documents into {want} IPUs\n" in (out / "run.log").read_text()
 
     def test_missing_corpus_names_path(self, tmp_path, capsys):
         rc = main(["segment", "--corpus", str(tmp_path / "absent"), "--out", str(tmp_path / "o")])

@@ -15,8 +15,6 @@ from opinionchain.evaluation import (
     LogRegLearner,
     compute_metrics,
     cross_validate,
-    fold_scores,
-    fold_significance,
     round_half_up,
     stratified_k_fold,
 )
@@ -387,55 +385,3 @@ class TestCrossValidate:
         )
         for detail in details:
             assert detail.selection["l2_lambda"] == 0.1
-
-
-class TestSignificance:
-    def test_identical_scores(self):
-        result = fold_significance([70.0, 71.0, 69.0], [70.0, 71.0, 69.0])
-        assert result.p_value == 1.0
-        assert result.degenerate
-
-    def test_constant_difference_flagged(self):
-        result = fold_significance([71.0, 72.0, 70.0], [70.0, 71.0, 69.0])
-        assert result.degenerate
-        assert result.p_value == 1.0
-
-    def test_textbook_paired_sample(self):
-        a = [85.0, 70.0, 80.0, 90.0, 75.0]
-        b = [80.0, 65.0, 79.0, 88.0, 70.0]
-        result = fold_significance(a, b)
-        # hand computation: diffs (5,5,1,2,5), mean 3.6, sample sd 1.94936,
-        # t = 3.6 / (1.94936/sqrt(5)) = 4.12948 with 4 dof
-        assert result.statistic == pytest.approx(4.12948, abs=1e-4)
-        # independent p via the regularized incomplete beta identity
-        from scipy.special import betainc
-
-        t = result.statistic
-        p_ref = betainc(2.0, 0.5, 4.0 / (4.0 + t * t))
-        assert result.p_value == pytest.approx(p_ref, abs=1e-10)
-        # t-table bracket for df=4: 3.747 (p=.02 two-sided) < t < 4.604 (p=.01)
-        assert 0.01 < result.p_value < 0.02
-        assert not result.degenerate
-
-    def test_short_lists_rejected(self):
-        with pytest.raises(InvalidInputError):
-            fold_significance([1.0], [2.0])
-
-    def test_unequal_lists_rejected(self):
-        with pytest.raises(InvalidInputError):
-            fold_significance([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_fold_scores_extraction(self):
-        docs = tiny_corpus()
-        config = PipelineConfig(blocks=("bong",), standardize=False)
-        report = cross_validate(docs, config, _MajorityLearner(), k=2, seed=0)
-        accs = fold_scores(report, "accuracy")
-        assert len(accs) == 2
-        wf1 = fold_scores(report, "weighted_f1")
-        assert wf1 == [r.weighted_f1 for r in report.per_fold]
-        f1p = fold_scores(report, "f1:positive")
-        assert f1p == [r.per_class[1].f1 for r in report.per_fold]
-        with pytest.raises(InvalidInputError):
-            fold_scores(report, "nonsense")
-        with pytest.raises(InvalidInputError):
-            fold_scores(compute_metrics([0, 1], [0, 1]), "accuracy")

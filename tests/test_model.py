@@ -389,7 +389,7 @@ class TestRaggedKernel:
                 )
         # the weights scale each (label, chain) column of the plain posteriors
         plain = backward(chain, np.ones_like(weights))
-        assert np.array_equal(post.state, plain.state * weights)
+        np.testing.assert_allclose(post.state, plain.state * weights, rtol=1e-14, atol=0)
         np.testing.assert_allclose(post.pair, plain.pair * weights, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("num_hidden", [8, 9, 16])
@@ -462,6 +462,76 @@ class TestRaggedKernel:
             kept.append((chain.alpha, post.state, post.pair))
         for a, b in zip(kept[0], kept[1]):
             assert np.shares_memory(a, b)
+
+    def test_nan_left_in_a_workspace_is_never_read(self):
+        """A workspace whose arrays all hold NaN from an earlier call
+        still gives bitwise the results of fresh arrays."""
+        rng = np.random.default_rng(5)
+        theta, _, _, node, layout = ragged_batch(rng, RAGGED_LENGTHS, 3, 4)
+        weights = rng.uniform(-1.0, 1.0, size=(3, len(RAGGED_LENGTHS)))
+        fresh_chain = forward(node, theta.theta_trans, layout)
+        fresh = backward(fresh_chain, weights)
+        work = Workspace()
+        chain = forward(node, theta.theta_trans, layout, work)
+        post = backward(chain, weights, work)
+        for array in (chain.alpha, *chain.factors, *chain.sums, post.state, post.pair):
+            array.fill(np.nan)
+        chain = forward(node, theta.theta_trans, layout, work)
+        post = backward(chain, weights, work)
+        assert np.array_equal(chain.log_z, fresh_chain.log_z)
+        assert np.array_equal(post.state, fresh.state)
+        assert np.array_equal(post.pair, fresh.pair)
+
+    def test_stored_factors_are_normalised_and_rebuild_alpha(self):
+        """Step j keeps max-shifted exponentials in [0, 1], whose sum over
+        the earlier state is in [1, H] and gives alpha[j] back."""
+        rng = np.random.default_rng(6)
+        theta, _, _, node, layout = ragged_batch(rng, (6, 4, 4, 1), 2, 3)
+        chain = forward(node, theta.theta_trans, layout)
+        by_position = node.transpose(2, 3, 0, 1)  # (Lmax, H, Y, N)
+        assert len(chain.factors) == len(chain.sums) == 5
+        for j in range(1, len(layout.active) - 1):
+            a = layout.active[j]
+            factors, sums = chain.factors[j - 1], chain.sums[j - 1]
+            assert factors.shape == (3, 3, 2, a) and sums.shape == (3, 2, a)
+            assert factors.min() >= 0.0 and factors.max() == 1.0
+            assert np.array_equal(factors.max(axis=0), np.ones_like(sums))
+            assert np.array_equal(factors.sum(axis=0), sums)
+            assert (sums >= 1.0).all() and (sums <= 3.0).all()
+            trans = theta.theta_trans.transpose(1, 2, 0)[..., None]  # (from, to, Y, 1)
+            peak = (chain.alpha[j - 1, :, None, :, :a] + trans).max(axis=0)
+            np.testing.assert_allclose(
+                chain.alpha[j, ..., :a],
+                np.log(sums) + peak + by_position[j, ..., :a],
+                rtol=1e-15,
+                atol=0,
+            )
+
+    def test_summing_out_the_later_state_gives_the_earlier_state(self):
+        """The sweep forms each weighted state posterior as the sum of the
+        pair posteriors after it, so where a chain runs on the two agree
+        bit for bit; summing out the earlier state gives the later one to
+        rounding."""
+        rng = np.random.default_rng(8)
+        theta, _, _, node, layout = ragged_batch(rng, RAGGED_LENGTHS, 3, 4)
+        chain = forward(node, theta.theta_trans, layout)
+        post = backward(chain, random_weights(rng, chain))
+        for j in range(1, len(layout.active) - 1):
+            a = layout.active[j]
+            pair = post.pair[j - 1, ..., :a]  # (to, from, Y, a)
+            assert np.array_equal(pair.sum(axis=0), post.state[j - 1, ..., :a])
+            later = post.state[j, ..., :a]
+            np.testing.assert_allclose(pair.sum(axis=1), later, rtol=0, atol=1e-14)
+
+    def test_zero_weights_give_zero_posteriors(self):
+        rng = np.random.default_rng(9)
+        theta, _, _, node, layout = ragged_batch(rng, (5, 3, 1), 2, 3)
+        chain = forward(node, theta.theta_trans, layout)
+        weights = random_weights(rng, chain)
+        weights[1] = 0.0
+        post = backward(chain, weights)
+        assert not post.state[:, :, 1].any() and not post.pair[..., 1, :].any()
+        assert post.state[:, :, 0].any()
 
     @pytest.mark.parametrize(
         "lengths", [[2, 3, 1], [4, 3, 3], [3, 3, 0], [3, 3], [3, 2, 2, 1], [[3, 3, 2]]]
