@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import LogRegModel, LogRegPredictor
-from .corpus import LABEL_NAMES, Transcript
+from .corpus import LABEL_NAMES
 from .errors import FileFormatError
 from .evaluation import Predictor
 from .features.ngrams import NGramVocabulary
@@ -146,10 +146,6 @@ class LoadedModel:
         matrices are never all held at once."""
         return self.predictor.posterior_batch(self.pipeline.transform(doc) for doc in docs)
 
-    def predict_transcript(self, doc: Transcript) -> tuple[int, np.ndarray]:
-        post = self.posteriors([doc])[0]
-        return int(np.argmax(post)), post
-
 
 def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
     problems = []
@@ -234,6 +230,28 @@ def _spec_problems(doc: dict, spec: dict, prefix: str = "") -> list[str]:
     return problems
 
 
+def _label_name_problems(names: list, kind, model) -> list[str]:
+    """The names must be distinct non-empty strings, one per model label:
+    two for logreg, and for hcrf one per row of ``theta_state`` and of
+    ``theta_trans`` (blocks that disagree on the label count are the
+    parameters' own inconsistent-shapes problem)."""
+    problems = []
+    if not all(isinstance(name, str) and name for name in names):
+        problems.append(f"'label_names' must be non-empty strings, got {names!r}")
+    elif len(set(names)) != len(names):
+        problems.append(f"'label_names' must be distinct, got {names!r}")
+    want = None
+    if kind == "logreg":
+        want = 2
+    elif kind == "hcrf" and isinstance(model, dict):
+        state, trans = model.get("theta_state"), model.get("theta_trans")
+        if isinstance(state, list) and isinstance(trans, list) and len(state) == len(trans):
+            want = len(state)
+    if want is not None and len(names) != want:
+        problems.append(f"'label_names' has {len(names)} name(s) for a model of {want} labels")
+    return problems
+
+
 def _archive_problems(doc: dict) -> list[str]:
     problems = _spec_problems(doc, _ARCHIVE_SPEC)
     kind, model = doc.get("kind"), doc.get("model")
@@ -241,6 +259,9 @@ def _archive_problems(doc: dict) -> list[str]:
         problems.append(f"unknown model kind {kind!r}; known: {sorted(_MODEL_SPECS)}")
     elif isinstance(kind, str) and isinstance(model, dict):
         problems.extend(_spec_problems(model, _MODEL_SPECS[kind], "model."))
+    names = doc.get("label_names")
+    if isinstance(names, list):
+        problems.extend(_label_name_problems(names, kind, model))
     resources = doc.get("resources")
     if isinstance(resources, dict):
         for role, entry in sorted(resources.items()):

@@ -113,19 +113,6 @@ def train_logreg(
     )
 
 
-def predict_logreg(model: LogRegModel, doc_vector: np.ndarray) -> tuple[int, float]:
-    """(label, probability of label 1); probability exactly 0.5 → label 0."""
-    from scipy.special import expit
-
-    vec = np.asarray(doc_vector, dtype=np.float64)
-    if vec.shape != (model.dim,):
-        raise InvalidInputError(
-            f"expected a vector of dimension {model.dim}, got shape {vec.shape}"
-        )
-    prob = float(expit(model.weights @ vec + model.intercept))
-    return (1 if prob > 0.5 else 0), prob
-
-
 @dataclass(frozen=True, eq=False)
 class LogRegPredictor:
     """Sequence-in, label-out wrapper: average the segments, then score."""
@@ -134,20 +121,22 @@ class LogRegPredictor:
 
     def posterior_batch(self, seqs) -> np.ndarray:
         """(N, 2) rows [P(label 0), P(label 1)], one per sequence in
-        ``seqs`` (any iterable, read once); each document is scored on
-        its own averaged vector."""
-        probs = np.array(
-            [predict_logreg(self.model, aggregate_document_vector(s))[1] for s in seqs]
-        )
+        ``seqs`` (any iterable, read once); exact 0.5 gives label 0 as
+        the argmax.  Each document is scored on its own averaged vector:
+        a matrix-vector product over all of them could round differently."""
+        from scipy.special import expit
+
+        model = self.model
+        probs = []
+        for seq in seqs:
+            vec = aggregate_document_vector(seq)
+            if vec.shape != (model.dim,):
+                raise InvalidInputError(
+                    f"expected a vector of dimension {model.dim}, got shape {vec.shape}"
+                )
+            probs.append(float(expit(model.weights @ vec + model.intercept)))
+        probs = np.array(probs)
         return np.stack([1.0 - probs, probs], axis=1)
-
-    def posterior(self, seq: ObservationSequence) -> np.ndarray:
-        """[P(label 0), P(label 1)] for the averaged document vector."""
-        return self.posterior_batch([seq])[0]
-
-    def predict(self, seq: ObservationSequence) -> int:
-        """argmax of the posterior; probability exactly 0.5 → label 0."""
-        return int(np.argmax(self.posterior(seq)))
 
     def describe(self) -> dict:
         return {"model": "logreg", "c": self.model.c}

@@ -106,8 +106,6 @@ class CorpusStats:
     document_count: int
     class_counts: dict[str, int]  # negative / neutral / positive / unlabeled
     word_count: int
-    ipu_count: int | None = None
-    threshold_ms: int | None = None
 
     def __post_init__(self):
         if sum(self.class_counts.values()) != self.document_count:
@@ -287,7 +285,7 @@ def filter_neutral(corpus: list[Transcript]) -> list[Transcript]:
     return kept
 
 
-def corpus_stats(corpus: list[Transcript], threshold_ms: int | None = None) -> CorpusStats:
+def corpus_stats(corpus: list[Transcript]) -> CorpusStats:
     counts = {"negative": 0, "neutral": 0, "positive": 0, "unlabeled": 0}
     words = 0
     for doc in corpus:
@@ -298,15 +296,4 @@ def corpus_stats(corpus: list[Transcript], threshold_ms: int | None = None) -> C
             counts["neutral"] += 1
         else:
             counts[LABEL_NAMES[doc.polarity]] += 1
-    ipus = None
-    if threshold_ms is not None:
-        from .features.segmentation import segment_into_ipus
-
-        ipus = sum(len(segment_into_ipus(doc, threshold_ms)) for doc in corpus)
-    return CorpusStats(
-        document_count=len(corpus),
-        class_counts=counts,
-        word_count=words,
-        ipu_count=ipus,
-        threshold_ms=threshold_ms,
-    )
+    return CorpusStats(document_count=len(corpus), class_counts=counts, word_count=words)

@@ -214,15 +214,12 @@ def compute_metrics(
 
 
 class Predictor(Protocol):
-    """What every trained model offers: label posteriors, batched and for
-    one sequence, and their argmax (exact ties go to the lowest label
-    index).  ``posterior(seq)`` is ``posterior_batch([seq])[0]``."""
+    """What every trained model offers: the (N, Y) label posteriors of a
+    batch of sequences, one row per sequence, whose argmax is the
+    prediction (exact ties go to the lowest label index), and the
+    hyperparameters it was fit with."""
 
     def posterior_batch(self, seqs: Iterable[ObservationSequence]) -> np.ndarray: ...
-
-    def posterior(self, seq: ObservationSequence) -> np.ndarray: ...
-
-    def predict(self, seq: ObservationSequence) -> int: ...
 
     def describe(self) -> dict: ...
 

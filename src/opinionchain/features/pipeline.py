@@ -280,10 +280,6 @@ class FeaturePipeline:
         rows.flags.writeable = False
         return replace(seg, fixed_rows=rows, fixed_config=self.config)
 
-    def fit(self, train_docs) -> "FittedFeaturePipeline":
-        """The fitted pipeline alone (see :meth:`fit_transform`)."""
-        return self.fit_transform(train_docs)[0]
-
     def fit_transform(
         self, train_docs
     ) -> tuple["FittedFeaturePipeline", list[ObservationSequence]]:

@@ -88,18 +88,6 @@ def activation_words(
     return ranked[:k]
 
 
-def word_state_profile(
-    word: str, theta: HcrfParameters, schema: FeatureSchema, table: EmbeddingTable
-) -> np.ndarray | None:
-    """Embedding-block inner product against every state, or None when
-    the word has no embedding."""
-    weights = _embedding_weight_rows(theta, schema)
-    vec = table.lookup(word)
-    if vec is None:
-        return None
-    return weights @ vec
-
-
 @dataclass(frozen=True)
 class StateCharacter:
     alignments: tuple[int | None, ...]  # label index per state, None = neutral

@@ -16,10 +16,10 @@ is all the label posteriors (:func:`label_posteriors`) need, and
 into weighted state and pair posteriors.  Training weights them by
 P(y|x) - 1[y = gold], so the likelihood gradient is a plain sum of the
 backward pass's outputs, and keeps the kernel's arrays in one
-:class:`Workspace` for all the calls of a fit; :func:`marginals` reads
-one label's posteriors with weight 1.  The recursions run
-position-major, on (position, state, label, sequence) arrays, so every
-reduction sums the leading state axis over contiguous slices.
+:class:`Workspace` for all the calls of a fit; a weight of 1 gives the
+plain posteriors.  The recursions run position-major, on (position,
+state, label, sequence) arrays, so every reduction sums the leading
+state axis over contiguous slices.
 
 The forward recursion runs in log space: sequences of hundreds of
 segments, or weights in the thousands, would underflow or overflow a
@@ -41,7 +41,8 @@ Conventions fixed here and relied on elsewhere:
 * the transition sum ranges over the L-1 adjacent pairs, so a length-1
   sequence has no transition term;
 * no begin/end boundary states and no bias feature are added;
-* ``predict`` breaks exact posterior ties toward the lowest label index.
+* the predicted label is the argmax of a row of :func:`label_posteriors`,
+  so exact ties go to the lowest label index.
 """
 
 from __future__ import annotations
@@ -176,32 +177,6 @@ class HcrfParameters:
         return HcrfParameters(
             self.theta_obs.copy(), self.theta_state.copy(), self.theta_trans.copy()
         )
-
-
-@dataclass(frozen=True)
-class Marginals:
-    """Latent-state posteriors given one label: P(h_j | y, x) per position
-    and P(h_j, h_{j+1} | y, x) per adjacent pair."""
-
-    state_posteriors: np.ndarray  # (L, H)
-    pair_posteriors: np.ndarray  # (L-1, H, H)
-
-
-def _check_dims(x: ObservationSequence, theta: HcrfParameters):
-    if x.dim != theta.feature_dim:
-        raise InvalidInputError(
-            f"{x.doc_id}: feature dim {x.dim} != model dim {theta.feature_dim}"
-        )
-
-
-def _check_label(y: int, theta: HcrfParameters):
-    if not 0 <= y < theta.num_labels:
-        raise InvalidInputError(f"label index {y} out of range [0, {theta.num_labels})")
-
-
-def _emission_scores(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
-    """(L, H) matrix of <x_j, W_obs[h]> inner products."""
-    return x.features @ theta.theta_obs.T
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -419,24 +394,6 @@ def label_log_posteriors(log_z: np.ndarray) -> np.ndarray:
     return log_z - _logsumexp(log_z)
 
 
-def _single_chain(x: ObservationSequence, theta: HcrfParameters, labels) -> ForwardPass:
-    """The forward pass of one sequence (N=1), restricted to ``labels``."""
-    _check_dims(x, theta)
-    node = node_scores(_emission_scores(x, theta)[None], theta)[labels]
-    return forward(node, theta.theta_trans[labels], ChainLayout([x.length]))
-
-
-def log_partition_per_label(y: int, x: ObservationSequence, theta: HcrfParameters) -> float:
-    """log sum over all latent paths of exp(score(y, h, x)); O(L * H^2)."""
-    _check_label(y, theta)
-    return float(_single_chain(x, theta, [y]).log_z[0, 0])
-
-
-def log_partitions(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
-    """Per-label log-partitions as a (Y,) vector."""
-    return _single_chain(x, theta, slice(None)).log_z[:, 0]
-
-
 def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.ndarray:
     """(N, Y) label posteriors P(y | x) of N chains, from each chain's
     (L, H) emission scores.  The chains are sorted by non-increasing
@@ -455,30 +412,3 @@ def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.n
     log_z = forward(node_scores(padded, theta), theta.theta_trans, ChainLayout(lengths)).log_z
     out[order] = np.exp(label_log_posteriors(log_z)).T
     return out
-
-
-def posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
-    """Label posterior P(y | x); a (Y,) probability vector summing to 1."""
-    _check_dims(x, theta)
-    return label_posteriors([_emission_scores(x, theta)], theta)[0]
-
-
-def predict(x: ObservationSequence, theta: HcrfParameters) -> int:
-    """argmax_y P(y | x); exact ties go to the lowest label index."""
-    return int(np.argmax(posterior(x, theta)))
-
-
-def marginals(y: int, x: ObservationSequence, theta: HcrfParameters) -> Marginals:
-    """Forward-backward latent-state posteriors conditioned on label ``y``.
-
-    The backward pass runs on label ``y`` alone with weight 1, so its
-    weighted posteriors are the plain ones.  The likelihood gradient is
-    the (P(y|x) - 1[y = gold])-weighted sum of these state and pair
-    posteriors.
-    """
-    _check_label(y, theta)
-    post = backward(_single_chain(x, theta, [y]), np.ones((1, 1)))
-    return Marginals(
-        state_posteriors=post.state[:, :, 0, 0],
-        pair_posteriors=post.pair[..., 0, 0].transpose(0, 2, 1),  # (L-1, from, to)
-    )

@@ -12,16 +12,17 @@ non-increasing length, with the feature rows of all sequences kept once,
 position by position and unpadded.  Every objective call reuses that
 layout: one matmul gives every emission, scattered into the kernel's
 padded (position, chain) grid; the forward recursion (``model.forward``,
-the kernel that also computes single-document posteriors) gives the
-log-partitions, and from them the weights P(y|x) - 1[y = gold].  The
-weighted backward recursion (``model.backward``, the forward pass's
+the kernel that also computes the label posteriors at prediction time)
+gives the log-partitions, and from them the weights P(y|x) - 1[y = gold].
+The weighted backward recursion (``model.backward``, the forward pass's
 reverse-mode adjoint, run back through the factors the forward pass
 kept) then returns the weighted state and pair posteriors of every
 sequence, and the gradient blocks are sums of those: the state and
 transition blocks directly, the observation block by one matmul of the
 label-summed state posteriors, gathered back from the grid, with the
-feature rows.  Nothing reads the grid's padding, and results are bitwise
-reproducible.
+feature rows.  The gradient comes back as one flat vector, in
+``HcrfParameters.as_vector`` order, which is what the optimizer reads.
+Nothing reads the grid's padding, and results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -160,9 +161,11 @@ def group_by_length(dataset: Dataset, num_labels: int, feature_dim: int) -> Leng
 
 def objective_and_gradient(
     grouped: LengthGroups, theta: HcrfParameters, l2_lambda: float
-) -> tuple[float, HcrfParameters]:
-    """Value and parameter-shaped gradient of the regularized NLL over a
-    training set laid out by :func:`group_by_length`."""
+) -> tuple[float, np.ndarray]:
+    """Value and gradient of the regularized NLL over a training set laid
+    out by :func:`group_by_length`; the gradient is one vector with the
+    observation, state and transition blocks in ``theta.as_vector()``
+    order."""
     if l2_lambda < 0:
         raise InvalidInputError("l2_lambda must be >= 0")
     if (theta.num_labels, theta.feature_dim) != (grouped.num_labels, grouped.feature_dim):
@@ -196,31 +199,27 @@ def objective_and_gradient(
         + (theta.theta_trans**2).sum()
     )
     value = nll + 0.5 * l2_lambda * sq_norm
-    grad = HcrfParameters(
-        grad_obs + l2_lambda * theta.theta_obs,
-        grad_state + l2_lambda * theta.theta_state,
-        grad_trans + l2_lambda * theta.theta_trans,
+    grad = np.concatenate(
+        [
+            (grad_obs + l2_lambda * theta.theta_obs).ravel(),
+            (grad_state + l2_lambda * theta.theta_state).ravel(),
+            (grad_trans + l2_lambda * theta.theta_trans).ravel(),
+        ]
     )
     return value, grad
 
 
-def infer_num_labels(dataset: Dataset) -> int:
-    return max(2, max(y for _, y in dataset) + 1)
-
-
-def train(
-    dataset: Dataset, config: TrainingConfig, num_labels: int | None = None
-) -> tuple[HcrfParameters, TrainingTrace]:
+def train(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfParameters, TrainingTrace]:
     """Fit parameters by quasi-Newton minimization of the objective.
 
     The context window from ``config`` is applied here, so the returned
-    parameters expect windowed inputs of dimension (2w+1) * D.  Every
-    label in [0, num_labels) must occur in the dataset.
+    parameters expect windowed inputs of dimension (2w+1) * D.  The model
+    has max(2, largest label + 1) labels, and every one of them must
+    occur in the dataset.
     """
     if not dataset:
         raise InvalidInputError("dataset must be nonempty")
-    if num_labels is None:
-        num_labels = infer_num_labels(dataset)
+    num_labels = max(2, max(y for _, y in dataset) + 1)
     present = {y for _, y in dataset}
     missing = sorted(set(range(num_labels)) - present)
     if missing:
@@ -235,8 +234,7 @@ def train(
 
     def fun(vec: np.ndarray) -> tuple[float, np.ndarray]:
         params = HcrfParameters.from_vector(vec, config.num_hidden_states, num_labels, dim)
-        value, grad = objective_and_gradient(grouped, params, config.l2_lambda)
-        return value, grad.as_vector()
+        return objective_and_gradient(grouped, params, config.l2_lambda)
 
     result = minimize(
         fun,
@@ -280,13 +278,6 @@ class HcrfPredictor:
         emissions = [self._windowed(x).features @ obs_t for x in xs]
         return label_posteriors(emissions, self.params)
 
-    def posterior(self, x: ObservationSequence) -> np.ndarray:
-        return self.posterior_batch([x])[0]
-
-    def predict(self, x: ObservationSequence) -> int:
-        """argmax of the posterior; exact ties go to the lowest label."""
-        return int(np.argmax(self.posterior(x)))
-
     def describe(self) -> dict:
         return {
             "model": "hcrf",
@@ -296,14 +287,12 @@ class HcrfPredictor:
         }
 
 
-def fit_predictor(
-    dataset: Dataset, config: TrainingConfig, num_labels: int | None = None
-) -> tuple[HcrfPredictor, TrainingTrace]:
+def fit_predictor(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfPredictor, TrainingTrace]:
     """train() packaged with the window replay needed at prediction time.
 
     Logs one line per fit, at WARNING when the optimizer did not converge.
     """
-    theta, trace = train(dataset, config, num_labels)
+    theta, trace = train(dataset, config)
     log.log(
         logging.INFO if trace.status == "converged" else logging.WARNING,
         "hcrf training %s after %d iterations and %d evaluations, objective %.6f",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opinionchain.corpus import ParaMarker, Transcript, TranscriptToken
+from opinionchain.model import ChainLayout, backward, forward, label_posteriors, node_scores
 
 
 def make_transcript(
@@ -34,6 +35,21 @@ def make_transcript(
         para_markers=tuple(ParaMarker(m, tm) for m, tm in markers),
         valences=valences,
     )
+
+
+def alone(x, theta, weights):
+    """The kernel's results for one chain in a call of its own: the
+    forward pass (``log_z`` is (Y, 1)) and the posteriors weighted by the
+    (Y, 1) ``weights``.  A weight of 1 gives the plain marginals, with
+    ``state`` (L, H, Y, 1) and ``pair`` (L-1, later, earlier, Y, 1)."""
+    node = node_scores((x.features @ theta.theta_obs.T)[None], theta)
+    chain = forward(node, theta.theta_trans, ChainLayout([x.length]))
+    return chain, backward(chain, weights)
+
+
+def posterior(x, theta):
+    """P(y | x) of one sequence, as a batch of one."""
+    return label_posteriors([x.features @ theta.theta_obs.T], theta)[0]
 
 
 @pytest.fixture

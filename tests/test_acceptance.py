@@ -26,12 +26,7 @@ from opinionchain.features.embeddings import load_embeddings
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.features.segmentation import ipu_index_per_token
 from opinionchain.introspection import activation_words, state_character
-from opinionchain.model import (
-    HcrfParameters,
-    ObservationSequence,
-    marginals,
-    posterior,
-)
+from opinionchain.model import HcrfParameters, ObservationSequence
 from opinionchain.synthetic import (
     SyntheticSpec,
     generate_corpus,
@@ -46,6 +41,8 @@ from opinionchain.training import (
     group_by_length,
     objective_and_gradient,
 )
+
+from conftest import alone, posterior
 
 
 def _enumerated_posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
@@ -114,7 +111,7 @@ def test_gradient_matches_central_finite_differences():
             0.5 * rng.normal(size=(2, hidden, hidden)),
         )
         grouped = group_by_length(dataset, 2, dim)
-        analytic = objective_and_gradient(grouped, theta, lam)[1].as_vector()
+        analytic = objective_and_gradient(grouped, theta, lam)[1]
         vec = theta.as_vector()
         step = 1e-5
         for k in range(vec.size):
@@ -142,17 +139,19 @@ def test_posterior_calibration_and_invariances():
         post = posterior(x, theta)
         assert abs(float(post.sum()) - 1.0) <= 1e-12
 
+        plain = alone(x, theta, np.ones((theta.num_labels, 1)))[1]
         for y in range(theta.num_labels):
-            marg = marginals(y, x, theta)
-            row_err = np.abs(marg.state_posteriors.sum(axis=1) - 1.0).max()
+            state = plain.state[:, :, y, 0]
+            pair = plain.pair[..., y, 0].transpose(0, 2, 1)
+            row_err = np.abs(state.sum(axis=1) - 1.0).max()
             assert row_err <= 1e-10
             if x.length > 1:
                 # pair[j, a, b] = P(h_j = a, h_{j+1} = b); both one-sided
                 # sums must reproduce the unary tables.
-                left = marg.pair_posteriors.sum(axis=2)
-                right = marg.pair_posteriors.sum(axis=1)
-                assert np.abs(left - marg.state_posteriors[:-1]).max() <= 1e-10
-                assert np.abs(right - marg.state_posteriors[1:]).max() <= 1e-10
+                left = pair.sum(axis=2)
+                right = pair.sum(axis=1)
+                assert np.abs(left - state[:-1]).max() <= 1e-10
+                assert np.abs(right - state[1:]).max() <= 1e-10
 
         shifted = HcrfParameters(
             theta.theta_obs, theta.theta_state + 3.75, theta.theta_trans
@@ -286,7 +285,7 @@ def test_repeated_evaluation_runs_are_byte_identical(tmp_path):
 
 def test_trained_states_align_with_generator_polarity(synthetic_setup):
     setup = synthetic_setup
-    fitted = FeaturePipeline(setup.config).fit(list(setup.corpus))
+    fitted = FeaturePipeline(setup.config).fit_transform(list(setup.corpus))[0]
     dataset = [(fitted.transform(doc), doc.polarity) for doc in setup.corpus]
     train_config = TrainingConfig(
         num_hidden_states=3, l2_lambda=0.1, max_iterations=150, seed=0

@@ -28,7 +28,7 @@ def fitted_setup(tmp_path, blocks=("bong",), **config_kwargs):
             )
         )
     config = PipelineConfig(blocks=blocks, **config_kwargs)
-    pipeline = FeaturePipeline(config).fit(docs)
+    pipeline = FeaturePipeline(config).fit_transform(docs)[0]
     return docs, pipeline
 
 
@@ -51,9 +51,8 @@ class TestHcrfRoundTrip:
         loaded = load_archive(path)
         assert loaded.kind == "hcrf"
         for doc, seq in zip(docs, sequences):
-            label, posterior = loaded.predict_transcript(doc)
-            assert label == predictor.predict(seq)
-            assert np.array_equal(posterior, predictor.posterior(seq))
+            posterior = loaded.posteriors([doc])[0]
+            assert np.array_equal(posterior, predictor.posterior_batch([seq])[0])
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
@@ -72,10 +71,9 @@ class TestHcrfRoundTrip:
         save_archive(path, predictor, pipeline)
         loaded = load_archive(path)
         fresh = make_transcript(doc_id="new", words=("loved", "movie"), valences=None)
-        label, posterior = loaded.predict_transcript(fresh)
+        posterior = loaded.posteriors([fresh])[0]
         seq = pipeline.transform(fresh)
-        assert label == predictor.predict(seq)
-        assert np.array_equal(posterior, predictor.posterior(seq))
+        assert np.array_equal(posterior, predictor.posterior_batch([seq])[0])
 
     def test_training_config_preserved(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
@@ -98,9 +96,8 @@ class TestLogRegRoundTrip:
         loaded = load_archive(path)
         assert loaded.kind == "logreg"
         for doc, seq in zip(docs, sequences):
-            label, posterior = loaded.predict_transcript(doc)
-            assert label == predictor.predict(seq)
-            assert np.array_equal(posterior, predictor.posterior(seq))
+            posterior = loaded.posteriors([doc])[0]
+            assert np.array_equal(posterior, predictor.posterior_batch([seq])[0])
 
 
 class TestArchiveFormat:
@@ -168,6 +165,40 @@ class TestArchiveFormat:
         path.write_text(canonical_json(doc))
         with pytest.raises(FileFormatError, match="malformed archive: inconsistent parameter"):
             load_archive(path)
+
+    @pytest.mark.parametrize(
+        "kind, names, problem",
+        [
+            ("hcrf", ["negative"], "'label_names' has 1 name(s) for a model of 2 labels"),
+            ("hcrf", ["neg", "neu", "pos"], "'label_names' has 3 name(s) for a model of 2 labels"),
+            ("hcrf", [0, 1], "'label_names' must be non-empty strings, got [0, 1]"),
+            ("hcrf", ["", "pos"], "'label_names' must be non-empty strings, got ['', 'pos']"),
+            ("hcrf", ["pos", "pos"], "'label_names' must be distinct, got ['pos', 'pos']"),
+            ("logreg", ["neg", "neu", "pos"], "'label_names' has 3 name(s) for a model of 2 labels"),
+        ],
+        ids=["hcrf-too-few", "hcrf-too-many", "integers", "empty", "repeated", "logreg-too-many"],
+    )
+    def test_bad_label_names_listed_with_the_other_problems(self, tmp_path, kind, names, problem):
+        docs, pipeline = fitted_setup(tmp_path)
+        if kind == "hcrf":
+            _, predictor = train_hcrf(docs, pipeline)
+            dropped = "theta_obs"
+        else:
+            matrix = np.stack([aggregate_document_vector(pipeline.transform(d)) for d in docs])
+            predictor = LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs]))
+            dropped = "weights"
+        path = tmp_path / "model.json"
+        save_archive(path, predictor, pipeline)
+        doc = json.loads(path.read_text())
+        doc["label_names"] = names
+        del doc["model"][dropped]
+        path.write_text(canonical_json(doc))
+        with pytest.raises(FileFormatError) as info:
+            load_archive(path)
+        assert [msg for _, _, msg in info.value.problems] == [
+            f"missing key 'model.{dropped}'",
+            problem,
+        ]
 
 
 class TestResourceDrift:

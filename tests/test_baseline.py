@@ -6,21 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from opinionchain.baseline import (
     DEFAULT_C_GRID,
     LogRegModel,
     LogRegPredictor,
     aggregate_document_vector,
-    predict_logreg,
     train_logreg,
 )
 from opinionchain.errors import InvalidInputError
+from opinionchain.evaluation import predict_batch
 from opinionchain.model import ObservationSequence
 
 
+def one_segment(vec, doc_id="d"):
+    """A document whose averaged vector is ``vec`` itself."""
+    return ObservationSequence(doc_id, np.asarray(vec, dtype=float)[None])
+
+
 def predicted_labels(model, matrix):
-    return [predict_logreg(model, row)[0] for row in matrix]
+    docs = [one_segment(row, f"r{i}") for i, row in enumerate(matrix)]
+    return predict_batch(LogRegPredictor(model), docs)
 
 
 def blob_dataset(n=60, separation=2.0, seed=0, dim=3):
@@ -121,35 +128,35 @@ class TestTraining:
 class TestPrediction:
     def test_zero_model_is_label_zero_at_half(self):
         model = LogRegModel(weights=np.zeros(2), intercept=0.0, c=1.0)
-        label, prob = predict_logreg(model, np.array([3.0, -4.0]))
-        assert (label, prob) == (0, 0.5)
         predictor = LogRegPredictor(model)
-        seq = ObservationSequence("d", np.array([[3.0, -4.0], [1.0, 2.0]]))
-        assert predictor.posterior(seq).tolist() == [0.5, 0.5]
-        assert predictor.predict(seq) == 0
+        seqs = [one_segment([3.0, -4.0]), ObservationSequence("d", [[3.0, -4.0], [1.0, 2.0]])]
+        assert predictor.posterior_batch(seqs).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert predict_batch(predictor, seqs) == [0, 0]
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=-40.0, max_value=40.0))
     def test_predictor_is_argmax_of_posterior(self, margin):
         model = LogRegModel(weights=np.array([1.0]), intercept=0.0, c=1.0)
-        seq = ObservationSequence("d", np.array([[margin]]))
-        label, prob = predict_logreg(model, np.array([margin]))
+        seq = one_segment([margin])
+        prob = float(expit(margin))
         predictor = LogRegPredictor(model)
-        assert predictor.posterior(seq).tolist() == [1.0 - prob, prob]
-        assert predictor.predict(seq) == label
+        assert predictor.posterior_batch([seq]).tolist() == [[1.0 - prob, prob]]
+        assert predict_batch(predictor, [seq]) == [1 if prob > 0.5 else 0]
 
     def test_log_three_margin_gives_three_quarters(self):
         model = LogRegModel(weights=np.array([math.log(3.0)]), intercept=0.0, c=1.0)
-        label, prob = predict_logreg(model, np.array([1.0]))
-        assert label == 1
+        predictor = LogRegPredictor(model)
+        assert predict_batch(predictor, [one_segment([1.0])]) == [1]
+        prob = predictor.posterior_batch([one_segment([1.0])])[0, 1]
         assert prob == pytest.approx(0.75, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = LogRegModel(weights=np.zeros(2), intercept=0.0, c=1.0)
-        with pytest.raises(InvalidInputError):
-            predict_logreg(model, np.zeros(3))
-        with pytest.raises(InvalidInputError):
-            LogRegPredictor(model).posterior(ObservationSequence("d", np.zeros((4, 3))))
+        predictor = LogRegPredictor(model)
+        with pytest.raises(InvalidInputError, match="dimension 2"):
+            predictor.posterior_batch([one_segment(np.zeros(3))])
+        with pytest.raises(InvalidInputError, match="dimension 2"):
+            predictor.posterior_batch([one_segment(np.zeros(2)), one_segment(np.zeros(3))])
 
     def test_nonfinite_model_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -168,9 +175,9 @@ class TestPosteriorBatch:
         batch = predictor.posterior_batch(iter(seqs))
         assert batch.shape == (len(seqs), 2)
         for row, seq in zip(batch, seqs):
-            _, prob = predict_logreg(model, aggregate_document_vector(seq))
+            prob = float(expit(model.weights @ aggregate_document_vector(seq) + model.intercept))
             assert row.tolist() == [1.0 - prob, prob]
-            assert np.array_equal(row, predictor.posterior(seq))
+            assert np.array_equal(row, predictor.posterior_batch([seq])[0])
         assert predictor.posterior_batch([]).shape == (0, 2)
 
 

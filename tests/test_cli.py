@@ -272,9 +272,9 @@ class TestTrainPredict:
         loaded = load_archive(model)
         for row, doc in zip(lines[2:], load_corpus(generated / "corpus")):
             doc_id, predicted, p_neg, p_pos = row.split("\t")
-            label, posterior = loaded.predict_transcript(doc)
+            posterior = loaded.posteriors([doc])[0]
             assert doc_id == doc.doc_id
-            assert predicted == loaded.label_names[label]
+            assert predicted == loaded.label_names[int(posterior.argmax())]
             assert p_neg == repr(float(posterior[0]))
             assert p_pos == repr(float(posterior[1]))
 
@@ -354,6 +354,30 @@ class TestTrainPredict:
             f"error: {model}: malformed archive (1 problem(s))"
         ]
         assert f"missing key '{section}.{key}'" in err
+
+    @pytest.mark.parametrize("names", [["negative"], [0, 1], ["neg", "neu", "pos"]])
+    def test_bad_label_names_fail_with_one_error_line(self, tmp_path, generated, capsys, names):
+        cfg = train_config_file(tmp_path, generated)
+        t_dir = tmp_path / "t"
+        rc = main(
+            ["train", "--corpus", str(generated / "corpus"), "--out", str(t_dir), "--config", cfg]
+        )
+        assert rc == 0
+        model = t_dir / "model.json"
+        doc = json.loads(model.read_text())
+        doc["label_names"] = names
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(
+            ["predict", "--model", str(model), "--corpus", str(generated / "corpus"),
+             "--out", str(tmp_path / "p")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {model}: malformed archive (1 problem(s))"
+        ]
+        assert "'label_names'" in err and "Traceback" not in err
 
     def test_bad_feature_block_fails(self, tmp_path, generated, capsys):
         rc = main(

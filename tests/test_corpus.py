@@ -143,8 +143,3 @@ class TestStats:
             "unlabeled": 1,
         }
         assert stats.word_count == 2 + 2 + 2 + 1 + 1
-
-    def test_ipu_count_at_threshold(self):
-        corpus = [make_transcript("d", ("a", "b", "c"), gaps=[400, 100])]
-        assert corpus_stats(corpus, threshold_ms=300).ipu_count == 2
-        assert corpus_stats(corpus, threshold_ms=500).ipu_count == 1

@@ -180,12 +180,6 @@ class _MajorityPredictor:
     def posterior_batch(self, seqs):
         return np.array([np.eye(2)[self.label] for _ in seqs])
 
-    def posterior(self, seq):
-        return self.posterior_batch([seq])[0]
-
-    def predict(self, seq):
-        return self.label
-
     def describe(self):
         return {"model": "majority", "label": self.label}
 
@@ -216,12 +210,6 @@ class _RecordingPredictor:
         seqs = list(seqs)
         self.seen.append(seqs)
         return np.tile([1.0, 0.0], (len(seqs), 1))
-
-    def posterior(self, seq):
-        return self.posterior_batch([seq])[0]
-
-    def predict(self, seq):
-        return 0
 
     def describe(self):
         return {"model": "recording"}

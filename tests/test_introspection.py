@@ -11,7 +11,6 @@ from opinionchain.introspection import (
     build_state_report,
     state_character,
     top_features_per_state,
-    word_state_profile,
 )
 from opinionchain.model import HcrfParameters
 
@@ -180,42 +179,6 @@ class TestActivationWords:
             theta_trans=rng.standard_normal((2, 1, 1)),
         )
         assert activation_words(shuffled, self.schema, 0, self.table, vocab, k=3) == base
-
-
-class TestWordStateProfile:
-    def setup_method(self):
-        self.schema = schema_with_embedding()
-        self.table = table_from({"zero": [0.0, 0.0, 0.0], "one": [1.0, 2.0, -1.0]})
-
-    def test_zero_embedding_zero_profile(self):
-        rng = np.random.default_rng(1)
-        theta_obs = rng.standard_normal((3, 8))
-        theta = make_params(theta_obs, theta_state=np.zeros((2, 3)), theta_trans=np.zeros((2, 3, 3)))
-        profile = word_state_profile("zero", theta, self.schema, self.table)
-        np.testing.assert_array_equal(profile, np.zeros(3))
-
-    def test_consistent_with_activation_scores(self):
-        rng = np.random.default_rng(2)
-        theta_obs = rng.standard_normal((2, 8))
-        theta = make_params(theta_obs)
-        profile = word_state_profile("one", theta, self.schema, self.table)
-        for state in range(2):
-            ranked = activation_words(theta, self.schema, state, self.table, ["one"], k=1)
-            assert ranked[0][1] == pytest.approx(profile[state], abs=1e-12)
-
-    def test_oov_returns_none(self):
-        theta = make_params(np.zeros((2, 8)))
-        assert word_state_profile("nope", theta, self.schema, self.table) is None
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_matches_direct_recomputation(self, seed):
-        rng = np.random.default_rng(seed)
-        theta = make_params(rng.standard_normal((4, 8)))
-        profile = word_state_profile("one", theta, self.schema, self.table)
-        vec = self.table.lookup("one")
-        expected = [float(theta.theta_obs[h, 2:5] @ vec) for h in range(4)]
-        np.testing.assert_allclose(profile, expected, atol=1e-12)
 
 
 class TestStateCharacter:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
+from opinionchain.evaluation import predict_batch
 from opinionchain.model import (
     ChainLayout,
     HcrfParameters,
@@ -11,13 +12,11 @@ from opinionchain.model import (
     Workspace,
     backward,
     forward,
-    log_partition_per_label,
-    log_partitions,
-    marginals,
     node_scores,
-    posterior,
-    predict,
 )
+from opinionchain.training import HcrfPredictor, TrainingConfig
+
+from conftest import alone, posterior
 from oracles import (
     BRUTE_FORCE_MAX_PATHS,
     brute_force_log_partitions,
@@ -58,6 +57,24 @@ def build(params):
     seed, length, num_hidden, dim, num_labels = params
     rng = np.random.default_rng(seed)
     return random_instance(rng, length, num_hidden, dim, num_labels)
+
+
+def log_partitions(x, theta):
+    """(Y,) log-partitions of one chain, in a kernel call of its own."""
+    return alone(x, theta, np.ones((theta.num_labels, 1)))[0].log_z[:, 0]
+
+
+def marginals(y, x, theta):
+    """(state (L, H), pair (L-1, from, to)) posteriors of one chain given
+    label ``y``: its weight-1 posteriors, alone in a kernel call."""
+    post = alone(x, theta, np.ones((theta.num_labels, 1)))[1]
+    return post.state[:, :, y, 0], post.pair[..., y, 0].transpose(0, 2, 1)
+
+
+def predict(x, theta):
+    """The label a predictor reads off the batched posteriors of ``x``."""
+    config = TrainingConfig(num_hidden_states=theta.num_hidden_states)
+    return predict_batch(HcrfPredictor(theta, config), [x])[0]
 
 
 class TestConstruction:
@@ -136,17 +153,15 @@ class TestLogPartition:
     def test_zero_parameters_give_length_log_states(self):
         theta = HcrfParameters.zeros(3, 2, 2)
         x = seq(np.random.default_rng(0).standard_normal((4, 2)))
-        for y in range(2):
-            assert log_partition_per_label(y, x, theta) == pytest.approx(
-                4 * np.log(3), abs=1e-12
-            )
+        for log_z in log_partitions(x, theta):
+            assert log_z == pytest.approx(4 * np.log(3), abs=1e-12)
 
     def test_single_hidden_state_is_single_path_score(self):
         rng = np.random.default_rng(2)
         theta = HcrfParameters.random(1, 2, 3, rng, scale=1.0)
         x = seq(rng.standard_normal((5, 3)))
         want = potential(1, [0] * 5, x, theta)
-        assert log_partition_per_label(1, x, theta) == pytest.approx(want, abs=1e-12)
+        assert log_partitions(x, theta)[1] == pytest.approx(want, abs=1e-12)
 
     def test_matches_explicit_path_sum(self):
         rng = np.random.default_rng(7)
@@ -214,16 +229,16 @@ class TestMarginals:
     def test_zero_parameters_uniform(self):
         theta = HcrfParameters.zeros(3, 2, 2)
         x = seq(np.random.default_rng(0).standard_normal((4, 2)))
-        m = marginals(0, x, theta)
-        np.testing.assert_allclose(m.state_posteriors, 1.0 / 3.0, atol=1e-12)
-        np.testing.assert_allclose(m.pair_posteriors, 1.0 / 9.0, atol=1e-12)
+        state, pair = marginals(0, x, theta)
+        np.testing.assert_allclose(state, 1.0 / 3.0, atol=1e-12)
+        np.testing.assert_allclose(pair, 1.0 / 9.0, atol=1e-12)
 
     def test_single_state_all_ones(self):
         rng = np.random.default_rng(4)
         theta = HcrfParameters.random(1, 2, 2, rng, scale=1.0)
-        m = marginals(1, seq(rng.standard_normal((3, 2))), theta)
-        np.testing.assert_allclose(m.state_posteriors, 1.0, atol=1e-12)
-        np.testing.assert_allclose(m.pair_posteriors, 1.0, atol=1e-12)
+        state, pair = marginals(1, seq(rng.standard_normal((3, 2))), theta)
+        np.testing.assert_allclose(state, 1.0, atol=1e-12)
+        np.testing.assert_allclose(pair, 1.0, atol=1e-12)
 
     def test_matches_brute_force_path_sums(self):
         """Normalize explicit path scores and accumulate state/pair counts."""
@@ -231,11 +246,11 @@ class TestMarginals:
         for _ in range(15):
             x, theta = random_instance(rng)
             y = int(rng.integers(theta.num_labels))
-            state, pair = path_sum_marginals(y, x, theta)
-            m = marginals(y, x, theta)
-            np.testing.assert_allclose(m.state_posteriors, state, atol=1e-10)
+            want_state, want_pair = path_sum_marginals(y, x, theta)
+            state, pair = marginals(y, x, theta)
+            np.testing.assert_allclose(state, want_state, atol=1e-10)
             if x.length > 1:
-                np.testing.assert_allclose(m.pair_posteriors, pair, atol=1e-10)
+                np.testing.assert_allclose(pair, want_pair, atol=1e-10)
 
 
 def path_sum_marginals(y, x, theta):
@@ -303,12 +318,9 @@ class TestBatchedKernel:
         theta, chains, _, _, post = self.batch(np.random.default_rng(40 + length), length)
         state, pair = post.state, post.pair
         for n, x in enumerate(chains):
-            for y in range(self.NUM_LABELS):
-                m = marginals(y, x, theta)
-                np.testing.assert_allclose(state[:, :, y, n], m.state_posteriors, atol=1e-12)
-                np.testing.assert_allclose(
-                    pair[..., y, n].transpose(0, 2, 1), m.pair_posteriors, atol=1e-12
-                )
+            single = alone(x, theta, np.ones((self.NUM_LABELS, 1)))[1]
+            np.testing.assert_allclose(state[..., n], single.state[..., 0], atol=1e-12)
+            np.testing.assert_allclose(pair[..., n], single.pair[..., 0], atol=1e-12)
         np.testing.assert_allclose(state.sum(axis=1), 1.0, atol=1e-12)
         if length > 1:
             # summing out the later state leaves the earlier one's posterior
@@ -334,14 +346,6 @@ def ragged_batch(rng, lengths, num_labels, num_hidden, dim=3):
     for row, i in enumerate(order):
         emission[row, : chains[i].length] = chains[i].features @ theta.theta_obs.T
     return theta, chains, order, node_scores(emission, theta), layout
-
-
-def alone(x, theta, weights):
-    """The kernel's results for one chain in a call of its own, with its
-    (Y, 1) column of the batch's weights."""
-    node = node_scores((x.features @ theta.theta_obs.T)[None], theta)
-    chain = forward(node, theta.theta_trans, ChainLayout([x.length]))
-    return chain, backward(chain, weights)
 
 
 def assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights):
@@ -596,15 +600,11 @@ def test_posterior_matches_brute_force(params):
 @given(instance_params)
 def test_marginal_consistency(params):
     x, theta = build(params)
-    m = marginals(0, x, theta)
-    np.testing.assert_allclose(m.state_posteriors.sum(axis=1), 1.0, atol=1e-10)
+    state, pair = marginals(0, x, theta)
+    np.testing.assert_allclose(state.sum(axis=1), 1.0, atol=1e-10)
     for j in range(x.length - 1):
-        np.testing.assert_allclose(
-            m.pair_posteriors[j].sum(axis=1), m.state_posteriors[j], atol=1e-10
-        )
-        np.testing.assert_allclose(
-            m.pair_posteriors[j].sum(axis=0), m.state_posteriors[j + 1], atol=1e-10
-        )
+        np.testing.assert_allclose(pair[j].sum(axis=1), state[j], atol=1e-10)
+        np.testing.assert_allclose(pair[j].sum(axis=0), state[j + 1], atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -642,8 +642,6 @@ def test_hidden_state_permutation_invariance(params, perm_seed):
     )
     np.testing.assert_allclose(posterior(x, permuted), posterior(x, theta), atol=1e-12)
     for y in range(theta.num_labels):
-        m, pm = marginals(y, x, theta), marginals(y, x, permuted)
-        np.testing.assert_allclose(pm.state_posteriors, m.state_posteriors[:, perm], atol=1e-12)
-        np.testing.assert_allclose(
-            pm.pair_posteriors, m.pair_posteriors[:, perm][:, :, perm], atol=1e-12
-        )
+        (state, pair), (p_state, p_pair) = marginals(y, x, theta), marginals(y, x, permuted)
+        np.testing.assert_allclose(p_state, state[:, perm], atol=1e-12)
+        np.testing.assert_allclose(p_pair, pair[:, perm][:, :, perm], atol=1e-12)

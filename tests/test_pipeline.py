@@ -75,7 +75,7 @@ class TestSchema:
         config = PipelineConfig(
             blocks=("embedding",), embedding_path=str(path), standardize=False
         )
-        fitted = FeaturePipeline(config).fit(small_corpus())
+        fitted = FeaturePipeline(config).fit_transform(small_corpus())[0]
         assert fitted.schema.dim == 3 + 1
         assert fitted.schema.feature_names[-1] == "emb:coverage"
 
@@ -88,7 +88,7 @@ class TestSchema:
             embedding_path=str(path),
             lexicon_paths=(str(swn_lexicon_file), str(socal_lexicon_file)),
         )
-        fitted = FeaturePipeline(config).fit(small_corpus())
+        fitted = FeaturePipeline(config).fit_transform(small_corpus())[0]
         widths = {name: width for name, _, width in fitted.schema.blocks}
         assert fitted.schema.dim == sum(widths.values())
         assert widths["embedding"] == 4
@@ -120,7 +120,7 @@ class TestRecomposition:
             standardize=False,  # raw vectors so block outputs match exactly
         )
         corpus = small_corpus()
-        fitted = FeaturePipeline(config).fit(corpus)
+        fitted = FeaturePipeline(config).fit_transform(corpus)[0]
 
         doc = corpus[0]
         x = fitted.transform(doc)
@@ -181,7 +181,7 @@ class TestFitTransform:
         config = block_config(block, standardize, embedding_file, socal_lexicon_file)
         corpus = small_corpus()
         fitted, sequences = FeaturePipeline(config).fit_transform(corpus)
-        alone = FeaturePipeline(config).fit(corpus)
+        alone = FeaturePipeline(config).fit_transform(corpus)[0]
         assert fitted.state_checksum() == alone.state_checksum()
         assert [s.doc_id for s in sequences] == [d.doc_id for d in corpus]
         for doc, seq in zip(corpus, sequences):
@@ -189,7 +189,7 @@ class TestFitTransform:
         if standardize:
             # fit on the raw rows, as an unstandardized pipeline builds them
             raw_config = block_config(block, False, embedding_file, socal_lexicon_file)
-            raw = FeaturePipeline(raw_config).fit(corpus)
+            raw = FeaturePipeline(raw_config).fit_transform(corpus)[0]
             rows = np.concatenate([raw.transform(d).features for d in corpus])
             want = fit_standardizer(rows)
             assert np.array_equal(fitted.standardizer.mean, want.mean)
@@ -202,15 +202,15 @@ class TestFitTransform:
         corpus = small_corpus()
         segmented = [pipeline.segment(doc) for doc in corpus]
         fitted, sequences = pipeline.fit_transform(segmented)
-        _, from_docs = pipeline.fit_transform(corpus)
-        assert fitted.state_checksum() == pipeline.fit(corpus).state_checksum()
+        want_fitted, from_docs = pipeline.fit_transform(corpus)
+        assert fitted.state_checksum() == want_fitted.state_checksum()
         for seg, seq, want in zip(segmented, sequences, from_docs):
             assert np.array_equal(seq.features, want.features)
             assert np.array_equal(fitted.transform(seg).features, want.features)
 
     def test_segmentation_from_another_threshold_rejected(self):
         seg = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(small_corpus()[0])
-        fitted = FeaturePipeline(PipelineConfig()).fit(small_corpus())
+        fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
         with pytest.raises(InvalidInputError, match="200 ms"):
             fitted.transform(seg)
         with pytest.raises(InvalidInputError, match="200 ms"):
@@ -230,7 +230,7 @@ class TestFitTransform:
 
     def test_prepared_under_another_configuration_rejected(self):
         seg = FeaturePipeline(PipelineConfig(blocks=("pattern",))).prepare(small_corpus()[0])
-        fitted = FeaturePipeline(PipelineConfig()).fit(small_corpus())
+        fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
         with pytest.raises(InvalidInputError, match="another pipeline configuration"):
             fitted.transform(seg)
         with pytest.raises(InvalidInputError, match="another pipeline configuration"):
@@ -243,14 +243,14 @@ class TestFitTransform:
     def test_sequence_length_matches_ipu_count(self):
         config = PipelineConfig()
         corpus = small_corpus()
-        fitted = FeaturePipeline(config).fit(corpus)
+        fitted = FeaturePipeline(config).fit_transform(corpus)[0]
         for doc in corpus:
             want = len(segment_into_ipus(doc, config.threshold_ms))
             assert fitted.transform(doc).length == want
 
     def test_transform_is_deterministic(self):
         corpus = small_corpus()
-        fitted = FeaturePipeline(PipelineConfig()).fit(corpus)
+        fitted = FeaturePipeline(PipelineConfig()).fit_transform(corpus)[0]
         a = fitted.transform(corpus[1])
         b = fitted.transform(corpus[1])
         assert np.array_equal(a.features, b.features)
@@ -258,7 +258,7 @@ class TestFitTransform:
     def test_standardized_train_matrix_statistics(self):
         corpus = small_corpus()
         config = PipelineConfig()
-        fitted = FeaturePipeline(config).fit(corpus)
+        fitted = FeaturePipeline(config).fit_transform(corpus)[0]
         rows = np.vstack([fitted.transform(d).features for d in corpus])
         assert np.abs(rows.mean(axis=0)).max() <= 1e-12
         stds = rows.std(axis=0, ddof=0)
@@ -268,28 +268,27 @@ class TestFitTransform:
     def test_fit_state_ignores_held_out_documents(self):
         corpus = small_corpus()
         train, held_out = corpus[:4], corpus[4:]
-        fitted_a = FeaturePipeline(PipelineConfig()).fit(train)
-        fitted_b = FeaturePipeline(PipelineConfig()).fit(train)
+        fitted_a = FeaturePipeline(PipelineConfig()).fit_transform(train)[0]
+        fitted_b = FeaturePipeline(PipelineConfig()).fit_transform(train)[0]
         [fitted_b.transform(d) for d in held_out]  # must not touch fitted state
         assert fitted_a.state_checksum() == fitted_b.state_checksum()
-        fitted_c = FeaturePipeline(PipelineConfig()).fit(corpus)
+        fitted_c = FeaturePipeline(PipelineConfig()).fit_transform(corpus)[0]
         assert fitted_c.state_checksum() != fitted_a.state_checksum()
 
     def test_unseen_terms_ignored_at_transform(self):
         train = small_corpus()[:2]
-        fitted = FeaturePipeline(PipelineConfig(blocks=("bong",), standardize=False)).fit(
-            train
-        )
+        config = PipelineConfig(blocks=("bong",), standardize=False)
+        fitted = FeaturePipeline(config).fit_transform(train)[0]
         unseen = make_transcript("new", ("zebra", "quagga"), valences=(4.0,))
         np.testing.assert_array_equal(
             fitted.transform(unseen).features, np.zeros((1, fitted.schema.dim))
         )
 
     def test_tokenless_document_rejected_at_transform(self):
-        fitted = FeaturePipeline(PipelineConfig()).fit(small_corpus())
+        fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
         with pytest.raises(InvalidInputError):
             fitted.transform(make_transcript("empty", ()))
 
     def test_fit_requires_documents(self):
         with pytest.raises(InvalidInputError):
-            FeaturePipeline(PipelineConfig()).fit([])
+            FeaturePipeline(PipelineConfig()).fit_transform([])

@@ -5,6 +5,7 @@ import pytest
 
 from opinionchain import training
 from opinionchain.errors import InvalidInputError
+from opinionchain.evaluation import predict_batch
 from opinionchain.model import (
     ChainLayout,
     HcrfParameters,
@@ -12,11 +13,7 @@ from opinionchain.model import (
     backward,
     forward,
     label_log_posteriors,
-    log_partitions,
-    marginals,
     node_scores,
-    posterior,
-    predict,
 )
 from opinionchain.training import (
     HcrfPredictor,
@@ -26,6 +23,8 @@ from opinionchain.training import (
     objective_and_gradient,
     train,
 )
+
+from conftest import alone, posterior
 from oracles import brute_force_posterior
 
 
@@ -129,8 +128,8 @@ class TestGradient:
         rng = np.random.default_rng(3)
         dataset = random_dataset(rng, size=3)
         theta = HcrfParameters.zeros(2, 2, 3)
-        g0 = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1].as_vector()
-        g1 = objective_and_gradient(grouped(dataset, theta), theta, 5.0)[1].as_vector()
+        g0 = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1]
+        g1 = objective_and_gradient(grouped(dataset, theta), theta, 5.0)[1]
         np.testing.assert_array_equal(g0, g1)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -140,7 +139,6 @@ class TestGradient:
             dataset = random_dataset(rng, size=4, dim=3, max_len=5)
             theta = random_theta(rng, 3, 2, 3)
             analytic = objective_and_gradient(grouped(dataset, theta), theta, lam)[1]
-            analytic = analytic.as_vector()
             numeric = fd_gradient(dataset, theta, lam)
             denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-6
@@ -150,7 +148,7 @@ class TestGradient:
             np.zeros((1, 2)), np.array([[50.0], [-50.0]]), np.zeros((2, 1, 1))
         )
         dataset = [(seq([[0.3, -0.2], [0.1, 0.4]]), 0)]
-        g = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1].as_vector()
+        g = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1]
         assert np.linalg.norm(g) <= 1e-8
 
     def test_matches_per_sequence_reference(self):
@@ -177,15 +175,20 @@ def assert_matches_per_sequence_reference(dataset, theta, lam):
     ref_trans = lam * theta.theta_trans.copy()
     for x, gold in dataset:
         post = posterior(x, theta)
+        plain = alone(x, theta, np.ones((theta.num_labels, 1)))[1]
         for y in range(theta.num_labels):
-            m = marginals(y, x, theta)
+            state = plain.state[:, :, y, 0]  # (L, H)
+            pair = plain.pair[..., y, 0].transpose(0, 2, 1)  # (L-1, from, to)
             coeff = post[y] - (1.0 if y == gold else 0.0)
-            ref_obs += coeff * (m.state_posteriors.T @ x.features)
-            ref_state[y] += coeff * m.state_posteriors.sum(axis=0)
+            ref_obs += coeff * (state.T @ x.features)
+            ref_state[y] += coeff * state.sum(axis=0)
             if x.length > 1:
-                ref_trans[y] += coeff * m.pair_posteriors.sum(axis=0)
+                ref_trans[y] += coeff * pair.sum(axis=0)
 
     _, got = objective_and_gradient(grouped(dataset, theta), theta, lam)
+    got = HcrfParameters.from_vector(
+        got, theta.num_hidden_states, theta.num_labels, theta.feature_dim
+    )
     np.testing.assert_allclose(got.theta_obs, ref_obs, atol=1e-12)
     np.testing.assert_allclose(got.theta_state, ref_state, atol=1e-12)
     np.testing.assert_allclose(got.theta_trans, ref_trans, atol=1e-12)
@@ -252,9 +255,7 @@ class TestRaggedObjective:
             value, grad = objective_and_gradient(groups, theta, lam)
             want_value, want_grad = per_group_objective_and_gradient(dataset, theta, lam)
             assert value == pytest.approx(want_value, rel=1e-12, abs=0)
-            np.testing.assert_allclose(
-                grad.as_vector(), want_grad.as_vector(), rtol=1e-12, atol=1e-12
-            )
+            np.testing.assert_allclose(grad, want_grad.as_vector(), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("num_labels", [2, 3])
     def test_nan_padding_leaves_objective_bitwise_unchanged(self, num_labels, monkeypatch):
@@ -283,7 +284,7 @@ class TestRaggedObjective:
         padding = groups.filled.size - groups.filled.sum()
         assert poisoned == [num_labels * padding * theta.num_hidden_states] and padding > 0
         assert got_value == value
-        assert np.array_equal(got_grad.as_vector(), grad.as_vector())
+        assert np.array_equal(got_grad, grad)
 
 
     def test_repeated_calls_match_a_fresh_layout(self):
@@ -298,7 +299,7 @@ class TestRaggedObjective:
                 group_by_length(dataset, 3, 3), theta, 0.2
             )
             assert value == want_value
-            assert np.array_equal(grad.as_vector(), want_grad.as_vector())
+            assert np.array_equal(grad, want_grad)
 
 
 class TestLengthGroups:
@@ -400,7 +401,8 @@ class TestTrain:
         data = separable_dataset(rng)
         config = TrainingConfig(num_hidden_states=2, l2_lambda=0.01, seed=1)
         theta, trace = train(data, config)
-        correct = sum(predict(x, theta) == y for x, y in data)
+        predicted = predict_batch(HcrfPredictor(theta, config), [x for x, _ in data])
+        correct = sum(p == y for p, (_, y) in zip(predicted, data))
         assert correct / len(data) >= 0.95
         assert trace.status in ("converged", "max_iterations", "stalled")
 
@@ -486,12 +488,13 @@ class TestPosteriorBatch:
         assert batch.shape == (len(seqs), num_labels)
         for row, x in zip(batch, seqs):
             windowed = apply_context_window(x, window)
-            assert np.array_equal(row, predictor.posterior(x))
+            assert np.array_equal(row, predictor.posterior_batch([x])[0])
             assert np.array_equal(row, posterior(windowed, theta))
-            assert predictor.predict(x) == int(np.argmax(row))
             # the kernel's log-partitions for this chain alone, and enumeration
-            alone = np.exp(label_log_posteriors(log_partitions(windowed, theta)))
-            np.testing.assert_allclose(row, alone, rtol=0, atol=1e-15)
+            log_z = alone(windowed, theta, np.ones((num_labels, 1)))[0].log_z[:, 0]
+            np.testing.assert_allclose(
+                row, np.exp(label_log_posteriors(log_z)), rtol=0, atol=1e-15
+            )
             np.testing.assert_allclose(
                 row, brute_force_posterior(windowed, theta), rtol=0, atol=1e-10
             )
