@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Time one objective+gradient call on one fold of the cv-embedding workload.
+"""Time one objective+gradient call at the benchmark's two training shapes.
 
-The training set is the first fold's training documents (200 of 250) of
-the synthetic default spec, featurized with the embedding block alone
-(D=9) and standardized, as `evaluate --features embedding --folds 5`
-does.  The script times `training.objective_and_gradient` at fixed
+* embedding: the first fold's training documents (200 of 250) of the
+  synthetic default spec, featurized with the embedding block alone
+  (D=9) and standardized, as `evaluate --features embedding --folds 5`
+  does;
+* default: 100 documents of the default spec with the default blocks
+  (bong, pattern and paralinguistic; D about 2.4k, the bong rows
+  sparse), as default-predict's `train` featurizes them.
+
+For each, the script times `training.objective_and_gradient` at fixed
 random parameters and prints the minimum and median call time and the
-objective value, so two checkouts can be compared by running it with
-each one's `src/` on PYTHONPATH, alternating between them.
+objective value (the default shape's lines prefixed `default_`), so two
+checkouts can be compared by running it with each one's `src/` on
+PYTHONPATH, alternating between them.
 """
 
 import argparse
@@ -33,36 +39,39 @@ from opinionchain.training import TrainingConfig, group_by_length, objective_and
 FOLDS = 5
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="corpus, fold and parameter seed")
-    parser.add_argument("--repeats", type=int, default=500, help="timed calls")
-    parser.add_argument("--hidden-states", type=int, default=TrainingConfig().num_hidden_states)
-    args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-
+def embedding_shape(seed):
+    """The sequences and labels of the cv-embedding workload's first training fold."""
     spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=125)
-    corpus = generate_corpus(spec, seed=args.seed)
+    corpus = generate_corpus(spec, seed=seed)
     labels = [doc.polarity for doc in corpus]
-    held = set(stratified_k_fold(labels, FOLDS, args.seed).folds[0])
+    held = set(stratified_k_fold(labels, FOLDS, seed).folds[0])
     train_docs = [doc for i, doc in enumerate(corpus) if i not in held]
     with tempfile.TemporaryDirectory() as tmp:
         emb_path = Path(tmp) / "embeddings.txt"
-        write_embeddings(generate_embeddings(spec, seed=args.seed), emb_path)
+        write_embeddings(generate_embeddings(spec, seed=seed), emb_path)
         config = PipelineConfig(blocks=("embedding",), embedding_path=str(emb_path))
         _, sequences = FeaturePipeline(config).fit_transform(train_docs)
-    train_labels = [doc.polarity for doc in train_docs]
+    return sequences, [doc.polarity for doc in train_docs]
+
+
+def default_shape(seed):
+    """The sequences and labels of default-predict's default-block training corpus."""
+    spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=50)
+    corpus = generate_corpus(spec, seed=seed)
+    _, sequences = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
+    return sequences, [doc.polarity for doc in corpus]
+
+
+def time_calls(name, prefix, sequences, labels, args):
     dim = sequences[0].dim
-    grouped = group_by_length(list(zip(sequences, train_labels)), 2, dim)
+    grouped = group_by_length(list(zip(sequences, labels)), 2, dim)
     rng = np.random.default_rng(args.seed)
     theta = HcrfParameters.random(args.hidden_states, 2, dim, rng, scale=0.5)
     lengths = sorted({x.length for x in sequences})
     print(
-        f"{len(sequences)} documents, lengths {lengths[0]}-{lengths[-1]}, "
+        f"{name}: {len(sequences)} documents, lengths {lengths[0]}-{lengths[-1]}, "
         f"D={dim}, H={args.hidden_states}, {args.repeats} calls"
     )
-
     l2_lambda = TrainingConfig().l2_lambda
     value, _ = objective_and_gradient(grouped, theta, l2_lambda)  # warm-up
     times = []
@@ -70,9 +79,21 @@ def main():
         start = time.perf_counter()
         objective_and_gradient(grouped, theta, l2_lambda)
         times.append(time.perf_counter() - start)
-    print(f"objective_ms_min {1e3 * min(times):.4f}")
-    print(f"objective_ms_median {1e3 * statistics.median(times):.4f}")
-    print(f"objective_value {value!r}")
+    print(f"{prefix}objective_ms_min {1e3 * min(times):.4f}")
+    print(f"{prefix}objective_ms_median {1e3 * statistics.median(times):.4f}")
+    print(f"{prefix}objective_value {value!r}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0, help="corpus, fold and parameter seed")
+    parser.add_argument("--repeats", type=int, default=500, help="timed calls per shape")
+    parser.add_argument("--hidden-states", type=int, default=TrainingConfig().num_hidden_states)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    time_calls("embedding", "", *embedding_shape(args.seed), args)
+    time_calls("default", "default_", *default_shape(args.seed), args)
 
 
 if __name__ == "__main__":

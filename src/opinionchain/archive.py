@@ -252,6 +252,53 @@ def _label_name_problems(names: list, kind, model) -> list[str]:
     return problems
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _width_problems(doc: dict) -> list[str]:
+    """The parts of a structurally sound archive must agree on the
+    feature dimension D, the sum of the schema's block widths: the
+    vocabulary's terms and the widths of the other blocks add up to D,
+    the standardizer has D entries, and the model reads (2w+1) D columns
+    under its context window w (D for logreg).  A part too malformed to
+    measure is left to the constructors."""
+    pipeline, model = doc["pipeline"], doc["model"]
+    blocks = pipeline["schema"]["blocks"]
+    if not all(
+        isinstance(b, list) and len(b) == 3 and isinstance(b[0], str) and _is_int(b[2])
+        for b in blocks
+    ):
+        return []
+    dim = sum(width for _, _, width in blocks)
+    fixed = sum(width for name, _, width in blocks if name != "bong")
+    vocab = pipeline["vocabulary"]
+    terms = 0 if vocab is None else len(vocab["terms"])
+    problems = []
+    if terms + fixed != dim:
+        problems.append(f"vocabulary size {terms} + fixed-block widths {fixed} != schema dim {dim}")
+    standardizer = pipeline["standardizer"]
+    if standardizer is not None and {len(standardizer["mean"]), len(standardizer["std"])} != {dim}:
+        problems.append(
+            f"'pipeline.standardizer' has {len(standardizer['mean'])} means and "
+            f"{len(standardizer['std'])} stds for schema dim {dim}"
+        )
+    if doc["kind"] == "hcrf":
+        window = model["training"].get("context_window", 0)
+        rows = model["theta_obs"]
+        widths = {len(row) for row in rows if isinstance(row, list)}
+        if _is_int(window) and window >= 0 and len(widths) == 1:
+            width, want = widths.pop(), (2 * window + 1) * dim
+            if width != want:
+                problems.append(
+                    f"'model.theta_obs' has {width} columns, but context window {window} "
+                    f"and schema dim {dim} need {want}"
+                )
+    elif len(model["weights"]) != dim:
+        problems.append(f"'model.weights' has {len(model['weights'])} entries for schema dim {dim}")
+    return problems
+
+
 def _archive_problems(doc: dict) -> list[str]:
     problems = _spec_problems(doc, _ARCHIVE_SPEC)
     kind, model = doc.get("kind"), doc.get("model")
@@ -259,6 +306,8 @@ def _archive_problems(doc: dict) -> list[str]:
         problems.append(f"unknown model kind {kind!r}; known: {sorted(_MODEL_SPECS)}")
     elif isinstance(kind, str) and isinstance(model, dict):
         problems.extend(_spec_problems(model, _MODEL_SPECS[kind], "model."))
+        if not problems:
+            problems.extend(_width_problems(doc))
     names = doc.get("label_names")
     if isinstance(names, list):
         problems.extend(_label_name_problems(names, kind, model))
@@ -318,8 +367,9 @@ def load_archive(path, allow_resource_drift: bool = False) -> LoadedModel:
     """Read an archive written by :func:`save_archive`.
 
     A structurally broken archive (missing keys, values of the wrong JSON
-    type, values no constructor accepts) raises one FileFormatError that
-    lists every structural problem at once.
+    type, parts that disagree on the feature dimension, values no
+    constructor accepts) raises one FileFormatError that lists every
+    structural problem at once.
     """
     path = Path(path)
     try:

@@ -47,8 +47,13 @@ class LogRegModel:
 
 
 def aggregate_document_vector(seq: ObservationSequence) -> np.ndarray:
-    """Mean of the per-segment feature vectors."""
-    return seq.features.mean(axis=0)
+    """Mean of the per-segment feature vectors; a sparse block's columns
+    are summed from its entries."""
+    mean = seq.features.mean(axis=0)
+    if seq.sparse is None:
+        return mean
+    sparse_mean = seq.sparse.transpose_dot(np.ones((seq.length, 1)))[0] / seq.length
+    return np.concatenate([sparse_mean, mean])
 
 
 def _objective_factory(matrix, targets, c):

@@ -26,7 +26,7 @@ segmented corpus (with an appended IPU-index column) reload cleanly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FileFormatError, InvalidInputError

@@ -49,14 +49,6 @@ class FoldPlan:
                 raise InvalidInputError(f"folds overlap on indices {sorted(overlap)}")
             seen.update(fold)
 
-    @property
-    def k(self) -> int:
-        return len(self.folds)
-
-    @property
-    def num_items(self) -> int:
-        return sum(len(f) for f in self.folds)
-
 
 def stratified_k_fold(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
     """Deterministic partition keeping per-fold class counts within one
@@ -96,10 +88,6 @@ class MetricsReport:
     accuracy: float  # percent
     weighted_f1: float  # percent
     per_fold: tuple["MetricsReport", ...] = ()
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.confusion)
 
     def rounded(self) -> dict:
         out = {"accuracy": round_half_up(self.accuracy), "weighted_f1": round_half_up(self.weighted_f1)}

@@ -18,7 +18,9 @@ its folds and computes only the bong rows and the standardizer per fold.
 
 Feature blocks are concatenated in a fixed canonical order (bong |
 embedding | lexicon | pattern | paralinguistic) and the layout is
-recorded as a ``FeatureSchema`` for downstream introspection.
+recorded as a ``FeatureSchema`` for downstream introspection.  The bong
+block is kept sparse from ``vectorize_bong`` on (see
+``FittedFeaturePipeline``): no rows-by-vocabulary array is ever built.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from ..corpus import Transcript
 from ..errors import ConfigurationError, InvalidInputError
-from ..model import ObservationSequence
+from ..model import ObservationSequence, SparseRows
 from . import resources as res
 from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from .lexicons import Lexicon, lexicon_features, load_lexicon
@@ -286,9 +288,10 @@ class FeaturePipeline:
         """Fit on ``train_docs`` (transcripts, segmented or prepared
         documents) and return the fitted pipeline with their sequences.
 
-        Each document's raw rows are built once: the standardizer is fit
-        on them and then applied to them, which gives the same sequences,
-        bit for bit, as the fitted pipeline's ``transform``.
+        Each document's raw rows are built once, the bong block's as its
+        nonzero entries: the standardizer is fit on them and then applied
+        to them, which gives the same sequences, bit for bit, as the
+        fitted pipeline's ``transform``.
         """
         if not train_docs:
             raise InvalidInputError("cannot fit a pipeline on zero documents")
@@ -310,10 +313,21 @@ class FeaturePipeline:
             standardizer=None,
             _resources=loaded,
         )
-        raw = [fitted._raw_matrix(seg) for seg in segmented]
+        fixed = [fitted._fixed_matrix(seg) for seg in segmented]
+        bong = [fitted._bong_entries(seg) for seg in segmented]
         if config.standardize:
-            fitted = replace(fitted, standardizer=fit_standardizer(np.concatenate(raw)))
-        sequences = [fitted._sequence(seg, matrix) for seg, matrix in zip(segmented, raw)]
+            sparse_columns = None
+            if vocab is not None:
+                indices = np.concatenate([entries[1] for entries in bong])
+                values = np.concatenate([entries[2] for entries in bong])
+                sparse_columns = (indices, values, len(vocab))
+            fitted = replace(
+                fitted, standardizer=fit_standardizer(np.concatenate(fixed), sparse_columns)
+            )
+        sequences = [
+            fitted._sequence(seg, matrix, entries)
+            for seg, matrix, entries in zip(segmented, fixed, bong)
+        ]
         return fitted, sequences
 
 
@@ -345,37 +359,77 @@ def _build_schema(config, loaded: _Resources, vocab) -> FeatureSchema:
 
 @dataclass(frozen=True)
 class FittedFeaturePipeline:
+    """A fitted pipeline; ``transform`` turns a document into its
+    observation sequence.
+
+    The bong block, first in canonical order, is never built densely: a
+    sequence keeps it as ``SparseRows``, one (index, value) entry per
+    in-vocabulary n-gram of an IPU, and its dense ``features`` are the
+    other blocks' columns.  Standardizing divides the bong entries by
+    the standardizer's std (1 for a zero-variance column, as
+    ``Standardizer.apply`` does) and keeps the centering as one offset
+    row, -mean/std, shared by every sequence of the pipeline; the other
+    blocks are standardized as dense rows.  So a sequence's vectors are
+    the standardized rows, and the model's parameters stay in
+    standardized space.
+    """
+
     config: PipelineConfig
     schema: FeatureSchema
     vocabulary: NGramVocabulary | None
     standardizer: Standardizer | None
     _resources: _Resources
+    _fixed_standardizer: Standardizer | None = field(init=False, repr=False, compare=False)
+    _bong_divisor: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _bong_offset: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def _raw_matrix(self, seg: SegmentedDocument) -> np.ndarray:
-        """The document's (L, D) rows before standardizing: the bong rows
-        (the first canonical block) beside the fold-independent ones."""
-        fixed = seg.fixed_rows
-        if fixed is None:
-            fixed = _fixed_rows(seg, self.config, self._resources)
+    def __post_init__(self):
+        std, vocab = self.standardizer, self.vocabulary
+        fixed = divisor = offset = None
+        if std is not None and vocab is None:
+            fixed = std
+        elif std is not None:
+            width = len(vocab)
+            fixed = Standardizer(mean=std.mean[width:], std=std.std[width:])
+            divisor = std.divisor[:width]
+            offset = -std.mean[:width] / divisor
+            offset.flags.writeable = False
+        object.__setattr__(self, "_fixed_standardizer", fixed)
+        object.__setattr__(self, "_bong_divisor", divisor)
+        object.__setattr__(self, "_bong_offset", offset)
+
+    def _fixed_matrix(self, seg: SegmentedDocument) -> np.ndarray:
+        """The document's (L, D') rows of every block but bong, before
+        standardizing."""
+        if seg.fixed_rows is not None:
+            return seg.fixed_rows
+        return _fixed_rows(seg, self.config, self._resources)
+
+    def _bong_entries(self, seg: SegmentedDocument):
+        """The document's bong rows before standardizing, as (rows,
+        indices, values) of their nonzero entries; None without bong."""
         if self.vocabulary is None:
-            return fixed
-        width = len(self.vocabulary)
-        raw = np.empty((fixed.shape[0], width + fixed.shape[1]))
-        for row, tokens in zip(raw, seg.tokens):
-            row[:width] = vectorize_bong(tokens, self.vocabulary)
-        raw[:, width:] = fixed
-        return raw
+            return None
+        return vectorize_bong(seg.tokens, self.vocabulary)
 
-    def _sequence(self, seg: SegmentedDocument, raw: np.ndarray) -> ObservationSequence:
-        if self.standardizer is not None:
-            raw = self.standardizer.apply(raw)
-        return ObservationSequence(doc_id=seg.doc_id, features=raw)
+    def _sequence(self, seg: SegmentedDocument, fixed: np.ndarray, bong) -> ObservationSequence:
+        if self._fixed_standardizer is not None:
+            fixed = self._fixed_standardizer.apply(fixed)
+        sparse = None
+        if bong is not None:
+            rows, indices, values = bong
+            if self._bong_divisor is not None:
+                values = values / self._bong_divisor[indices]
+            sparse = SparseRows(
+                rows, indices, values, len(seg.ipus), len(self.vocabulary), self._bong_offset
+            )
+        return ObservationSequence(doc_id=seg.doc_id, features=fixed, sparse=sparse)
 
     def transform(self, doc) -> ObservationSequence:
         """One document (a transcript or a ``SegmentedDocument``) as an
         observation sequence."""
         seg = _segmented(doc, self.config)
-        return self._sequence(seg, self._raw_matrix(seg))
+        return self._sequence(seg, self._fixed_matrix(seg), self._bong_entries(seg))
 
     def state_checksum(self) -> str:
         """Digest of everything learned from data; used to prove that

@@ -32,6 +32,11 @@ class Standardizer:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    @property
+    def divisor(self) -> np.ndarray:
+        """What each dimension is divided by: its std, or 1 if that is 0."""
+        return np.where(self.std > 0, self.std, 1.0)
+
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape[-1] != self.dim:
@@ -39,12 +44,27 @@ class Standardizer:
                 f"matrix width {matrix.shape[-1]} != standardizer dim {self.dim}"
             )
         centered = matrix - self.mean
-        divisor = np.where(self.std > 0, self.std, 1.0)
-        return centered / divisor
+        return centered / self.divisor
 
 
-def fit_standardizer(train_matrix: np.ndarray) -> Standardizer:
+def fit_standardizer(train_matrix: np.ndarray, sparse_columns=None) -> Standardizer:
+    """Fit on the rows of ``train_matrix``.  ``sparse_columns``, if given,
+    is ``(indices, values, width)``: ``width`` more columns that come
+    before the matrix's, over the same rows, given by their nonzero
+    entries' column indices and values.  Their statistics are computed
+    from the entries alone, each of the other rows counting as a 0."""
     matrix = np.asarray(train_matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise InvalidInputError("need a nonempty 2-D matrix to fit")
-    return Standardizer(mean=matrix.mean(axis=0), std=matrix.std(axis=0, ddof=0))
+    mean, std = matrix.mean(axis=0), matrix.std(axis=0, ddof=0)
+    if sparse_columns is not None:
+        indices, values, width = sparse_columns
+        num_rows = matrix.shape[0]
+        sparse_mean = np.bincount(indices, values, minlength=width) / num_rows
+        deviation = values - sparse_mean[indices]
+        zeros = num_rows - np.bincount(indices, minlength=width)
+        squares = np.bincount(indices, deviation * deviation, minlength=width)
+        squares = squares + zeros * sparse_mean**2  # bincount gives integers for no entries
+        mean = np.concatenate([sparse_mean, mean])
+        std = np.concatenate([np.sqrt(squares / num_rows), std])
+    return Standardizer(mean=mean, std=std)

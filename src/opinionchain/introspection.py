@@ -94,10 +94,6 @@ class StateCharacter:
     margin: float
     transitions: tuple  # per label, the raw transition weight matrix
 
-    @property
-    def num_aligned(self) -> int:
-        return sum(a is not None for a in self.alignments)
-
 
 def state_character(theta: HcrfParameters, margin: float | None = None) -> StateCharacter:
     """Classify each state as aligned to one label or neutral.

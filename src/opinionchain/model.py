@@ -8,7 +8,11 @@ configuration ``(y, h, x)`` is
                    + sum_j W_state[y, h_j]
                    + sum_{j<L} W_trans[y, h_j, h_{j+1}]
 
-and the label posterior marginalizes the latent states per label.  All
+and the label posterior marginalizes the latent states per label.  The
+emission scores ``<x_j, W_obs[h]>`` come from :func:`emission_scores`,
+which reads a sequence's sparse block (:class:`SparseRows`) by a
+gather-and-sum and applies a context window as shifted per-block
+scores, so neither the dense rows nor the windowed ones are built.  All
 inference goes through one kernel, batched over labels and over chains
 of any mix of lengths: :func:`forward` gives the log-partitions, which
 is all the label posteriors (:func:`label_posteriors`) need, and
@@ -54,16 +58,103 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+def _scatter_add(cells: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """(size,) sums of ``values`` by cell; float zeros for no values, for
+    which ``np.bincount`` would return integers."""
+    return np.bincount(cells, values, minlength=size).astype(np.float64, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """A (num_rows, width) block of feature rows kept sparse: entry i is
+    ``values[i]`` in column ``indices[i]`` of row ``rows[i]`` (a column
+    may repeat within a row; its entries add), and every row also adds
+    the dense ``offset`` row, if there is one.
+
+    The bag-of-n-grams block is kept this way.  Its TF-IDF rows are
+    almost all zero, and centering them would make every entry nonzero,
+    so a standardized pipeline divides the entries by the standardizer's
+    std and keeps the centering as one offset row, -mean/std, shared by
+    every row it builds."""
+
+    rows: np.ndarray  # (nnz,)
+    indices: np.ndarray  # (nnz,)
+    values: np.ndarray  # (nnz,)
+    num_rows: int
+    width: int
+    offset: np.ndarray | None = None  # (width,)
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.intp)
+        indices = np.asarray(self.indices, dtype=np.intp)
+        values = np.asarray(self.values, dtype=np.float64)
+        if not rows.ndim == indices.ndim == values.ndim == 1 or not (
+            rows.shape == indices.shape == values.shape
+        ):
+            raise InvalidInputError("sparse rows, indices and values must be equal-length vectors")
+        if rows.size and (
+            rows.min() < 0
+            or rows.max() >= self.num_rows
+            or indices.min() < 0
+            or indices.max() >= self.width
+        ):
+            raise InvalidInputError(
+                f"sparse entries outside a ({self.num_rows}, {self.width}) block"
+            )
+        if not np.isfinite(values).all():
+            raise InvalidInputError("non-finite sparse feature values")
+        if self.offset is not None:
+            offset = np.asarray(self.offset, dtype=np.float64)
+            if offset.shape != (self.width,) or not np.isfinite(offset).all():
+                raise InvalidInputError(f"the offset row must be {self.width} finite values")
+            object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
+
+    def dot(self, weights: np.ndarray) -> np.ndarray:
+        """(num_rows, K) products of the rows with the K rows of the
+        (K, width) ``weights``: each entry's weight columns, gathered,
+        scaled and summed into its row, plus offset · weightsᵀ."""
+        num_k = weights.shape[0]
+        terms = weights[:, self.indices] * self.values  # (K, nnz)
+        cells = (self.rows + self.num_rows * np.arange(num_k)[:, None]).ravel()
+        out = _scatter_add(cells, terms.ravel(), num_k * self.num_rows)
+        out = out.reshape(num_k, self.num_rows).T
+        if self.offset is not None:
+            out += weights @ self.offset
+        return out
+
+    def transpose_dot(self, row_weights: np.ndarray) -> np.ndarray:
+        """(K, width) sum over the rows of ``row_weights[r]`` ⊗ row r, for
+        (num_rows, K) ``row_weights``: each entry's weighted value added
+        into its column (one scatter-add), plus the summed row weights ⊗
+        offset."""
+        num_k = row_weights.shape[1]
+        terms = row_weights[self.rows].T * self.values  # (K, nnz)
+        cells = (self.indices + self.width * np.arange(num_k)[:, None]).ravel()
+        out = _scatter_add(cells, terms.ravel(), num_k * self.width)
+        out = out.reshape(num_k, self.width)
+        if self.offset is not None:
+            out += np.outer(row_weights.sum(axis=0), self.offset)
+        return out
+
+
 @dataclass(frozen=True)
 class ObservationSequence:
-    """One document: an ordered (L, D) matrix of per-segment feature vectors.
+    """One document: an ordered sequence of L per-segment feature vectors.
 
-    L >= 1 and every entry must be finite; both are checked at construction,
-    so an empty sequence can never reach the inference routines.
+    ``features`` holds the dense (L, D') columns.  ``sparse``, if given,
+    holds a (L, V) block of further columns that come first, so a vector
+    is the sparse block's row followed by the dense row and D = V + D'.
+    L >= 1 and every entry must be finite; both are checked at
+    construction, so an empty sequence can never reach the inference
+    routines.
     """
 
     doc_id: str
     features: np.ndarray
+    sparse: SparseRows | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -75,6 +166,11 @@ class ObservationSequence:
             raise InvalidInputError(f"{self.doc_id}: a sequence needs at least one segment")
         if not np.isfinite(feats).all():
             raise InvalidInputError(f"{self.doc_id}: non-finite feature values")
+        if self.sparse is not None and self.sparse.num_rows != feats.shape[0]:
+            raise InvalidInputError(
+                f"{self.doc_id}: {self.sparse.num_rows} sparse rows for "
+                f"{feats.shape[0]} segments"
+            )
         object.__setattr__(self, "features", feats)
 
     @property
@@ -83,7 +179,8 @@ class ObservationSequence:
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        width = 0 if self.sparse is None else self.sparse.width
+        return width + self.features.shape[1]
 
 
 @dataclass
@@ -173,11 +270,6 @@ class HcrfParameters:
             vec[b:].reshape(y, h, h),
         )
 
-    def copy(self) -> "HcrfParameters":
-        return HcrfParameters(
-            self.theta_obs.copy(), self.theta_state.copy(), self.theta_trans.copy()
-        )
-
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over axis 0, shifted by the maximum so the largest
@@ -186,6 +278,60 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     add whole trailing slices elementwise, in index order."""
     m = a.max(axis=0)
     return np.log(np.exp(a - m).sum(axis=0)) + m
+
+
+def emission_blocks(
+    features: np.ndarray, sparse: SparseRows | None, theta_obs: np.ndarray, window: int
+) -> list[np.ndarray]:
+    """The (R, H) scores ``x_r · W_kᵀ`` of R rows against each of the
+    2w+1 column blocks ``W_k`` of the (H, (2w+1) D) ``theta_obs``, the
+    rows given as dense ``features`` (R, D') after an optional ``sparse``
+    (R, V) block.  Block k scores the rows as the neighbours at offset
+    k - w of the positions :func:`window_sum` adds them into, so the
+    (2w+1) D windowed vectors are never built."""
+    width = 0 if sparse is None else sparse.width
+    dim = width + features.shape[1]
+    blocks = []
+    for k in range(2 * window + 1):
+        weights = theta_obs if window == 0 else theta_obs[:, k * dim : (k + 1) * dim]
+        if sparse is None:
+            blocks.append(features @ weights.T)
+        else:
+            block = sparse.dot(weights[:, :width])
+            block += features @ weights[:, width:].T
+            blocks.append(block)
+    return blocks
+
+
+def shift_rows(a: np.ndarray, shift: int) -> np.ndarray:
+    """``out[j] = a[j + shift]`` along axis 0, and 0 where ``j + shift``
+    falls outside ``a``."""
+    out = np.zeros(a.shape)
+    n = a.shape[0]
+    if shift >= 0 and shift < n:
+        out[: n - shift] = a[shift:]
+    elif shift < 0 and -shift < n:
+        out[-shift:] = a[: n + shift]
+    return out
+
+
+def window_sum(blocks: list[np.ndarray], window: int) -> np.ndarray:
+    """Emission scores under a context window of ``window`` segments
+    either side, from :func:`emission_blocks`: position j adds block k's
+    row j + k - w, and nothing for a neighbour past either end of the
+    chain, as if the windowed vectors were zero-padded there.  Rows of
+    a padded (position, chain) grid work too, if the padding is zero."""
+    if window == 0:
+        return blocks[0]
+    out = shift_rows(blocks[0], -window)
+    for k in range(1, len(blocks)):
+        out += shift_rows(blocks[k], k - window)
+    return out
+
+
+def emission_scores(x: ObservationSequence, theta_obs: np.ndarray, window: int) -> np.ndarray:
+    """(L, H) emission scores of one sequence under a context window."""
+    return window_sum(emission_blocks(x.features, x.sparse, theta_obs, window), window)
 
 
 def node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:

@@ -9,8 +9,10 @@ pair posteriors weighted by (P(y|x) - 1[y = gold]).
 ``train`` validates the dataset and lays it out once per fit
 (:func:`group_by_length`): one ragged batch of every sequence, sorted by
 non-increasing length, with the feature rows of all sequences kept once,
-position by position and unpadded.  Every objective call reuses that
-layout: one matmul gives every emission, scattered into the kernel's
+position by position and unpadded, a sparse block's as its entries.
+Every objective call reuses that layout: one matmul gives every
+emission (plus a gather-and-sum over a sparse block's entries, and one
+block per shift of a context window), scattered into the kernel's
 padded (position, chain) grid; the forward recursion (``model.forward``,
 the kernel that also computes the label posteriors at prediction time)
 gives the log-partitions, and from them the weights P(y|x) - 1[y = gold].
@@ -20,9 +22,11 @@ kept) then returns the weighted state and pair posteriors of every
 sequence, and the gradient blocks are sums of those: the state and
 transition blocks directly, the observation block by one matmul of the
 label-summed state posteriors, gathered back from the grid, with the
-feature rows.  The gradient comes back as one flat vector, in
-``HcrfParameters.as_vector`` order, which is what the optimizer reads.
-Nothing reads the grid's padding, and results are bitwise reproducible.
+feature rows (a scatter-add into a sparse block's columns, and one
+product per shift of a context window).  The gradient comes back as one
+flat vector, in ``HcrfParameters.as_vector`` order, which is what the
+optimizer reads.  Nothing reads the grid's padding, and results are
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -37,12 +41,17 @@ from .model import (
     ChainLayout,
     HcrfParameters,
     ObservationSequence,
+    SparseRows,
     Workspace,
     backward,
+    emission_blocks,
+    emission_scores,
     forward,
     label_log_posteriors,
     label_posteriors,
     node_scores,
+    shift_rows,
+    window_sum,
 )
 from .optimize import TraceEntry, minimize
 
@@ -86,27 +95,6 @@ class TrainingTrace:
     status: str
     evaluations: int  # objective+gradient calls, backtracks included
 
-    @property
-    def objectives(self) -> list[float]:
-        return [e.objective for e in self.entries]
-
-
-def apply_context_window(x: ObservationSequence, window: int) -> ObservationSequence:
-    """Concatenate the 2w+1 neighboring vectors at each position.
-
-    Boundaries are zero-padded, so the output dimension is (2w+1) * D
-    regardless of position.  w=0 is the identity.
-    """
-    if window < 0:
-        raise InvalidInputError("window must be >= 0")
-    if window == 0:
-        return x
-    length, dim = x.features.shape
-    padded = np.zeros((length + 2 * window, dim))
-    padded[window : window + length] = x.features
-    stacked = np.hstack([padded[k : k + length] for k in range(2 * window + 1)])
-    return ObservationSequence(doc_id=x.doc_id, features=stacked)
-
 
 @dataclass(frozen=True, eq=False)
 class LengthGroups:
@@ -116,29 +104,48 @@ class LengthGroups:
     The chain axis holds every sequence by non-increasing length, in
     dataset order among equal lengths; ``labels`` (N,) and ``layout``
     (lengths and active-chain counts) follow that order.  ``features``
-    is the only copy of the training features kept: their (sum of
-    lengths, D) rows, position-major with no padding, so the block of
-    position j holds the rows of the ``active[j]`` chains still running
-    there, in chain order.  ``filled`` (Lmax, N) marks the same entries
-    of the kernel's padded (position, chain) grid, in the same row-major
-    order.  Built once per fit by :func:`group_by_length`; every
-    objective call reuses it, and the kernel's work arrays in ``work``.
+    and ``sparse`` are the only copy of the training features kept:
+    their (sum of lengths, ...) rows, position-major with no padding, so
+    the block of position j holds the rows of the ``active[j]`` chains
+    still running there, in chain order; ``sparse`` is None when the
+    sequences have no sparse block.  ``filled`` (Lmax, N) marks the same
+    entries of the kernel's padded (position, chain) grid, in the same
+    row-major order.  ``feature_dim`` is the sequences' dimension D and
+    ``window`` the context window the parameters are fit under, so they
+    are (H, (2w+1) D).  Built once per fit by :func:`group_by_length`;
+    every objective call reuses it, and the kernel's work arrays in
+    ``work``.
     """
 
     features: np.ndarray
+    sparse: SparseRows | None
     filled: np.ndarray
     labels: np.ndarray
     layout: ChainLayout
     num_labels: int
     feature_dim: int
+    window: int = 0
     work: Workspace = field(default_factory=Workspace)
 
 
-def group_by_length(dataset: Dataset, num_labels: int, feature_dim: int) -> LengthGroups:
+def _sparse_layout(x: ObservationSequence) -> tuple:
+    """What the sparse blocks of one training set must share."""
+    sparse = x.sparse
+    return (None, None) if sparse is None else (sparse.width, sparse.offset)
+
+
+def group_by_length(
+    dataset: Dataset, num_labels: int, feature_dim: int, window: int = 0
+) -> LengthGroups:
     """Check every example's dimension and label, then lay the dataset
-    out for :func:`objective_and_gradient`."""
+    out for :func:`objective_and_gradient` under a context window of
+    ``window``.  The sequences must all have a sparse block of one width
+    and offset row, or none."""
     if not dataset:
         raise InvalidInputError("dataset must be nonempty")
+    if window < 0:
+        raise InvalidInputError("window must be >= 0")
+    width, offset = _sparse_layout(dataset[0][0])
     for x, y in dataset:
         if x.dim != feature_dim:
             raise InvalidInputError(
@@ -146,17 +153,59 @@ def group_by_length(dataset: Dataset, num_labels: int, feature_dim: int) -> Leng
             )
         if not 0 <= y < num_labels:
             raise InvalidInputError(f"{x.doc_id}: label {y} out of range [0, {num_labels})")
+        other_width, other_offset = _sparse_layout(x)
+        if other_width != width or not (
+            other_offset is offset or np.array_equal(other_offset, offset)
+        ):
+            raise InvalidInputError(f"{x.doc_id}: sparse block unlike the first sequence's")
     order = sorted(range(len(dataset)), key=lambda i: -dataset[i][0].length)  # stable
     layout = ChainLayout([dataset[i][0].length for i in order])
     running = np.array(layout.active[:-1])  # chains at each position
     filled = np.arange(len(dataset)) < running[:, None]
     starts = np.cumsum(running) - running  # first row of each position's block
-    features = np.empty((int(running.sum()), feature_dim))
+    num_rows = int(running.sum())
+    features = np.empty((num_rows, feature_dim - (width or 0)))
     for chain, i in enumerate(order):
         x = dataset[i][0]
         features[starts[: x.length] + chain] = x.features
+    sparse = None
+    if width is not None:
+        parts = [dataset[i][0].sparse for i in order]
+        sparse = SparseRows(
+            rows=np.concatenate(
+                [starts[part.rows] + chain for chain, part in enumerate(parts)]
+            ),
+            indices=np.concatenate([part.indices for part in parts]),
+            values=np.concatenate([part.values for part in parts]),
+            num_rows=num_rows,
+            width=width,
+            offset=offset,
+        )
     labels = np.array([dataset[i][1] for i in order], dtype=np.intp)
-    return LengthGroups(features, filled, labels, layout, num_labels, feature_dim)
+    return LengthGroups(
+        features, sparse, filled, labels, layout, num_labels, feature_dim, window
+    )
+
+
+def _observation_gradient(grouped: LengthGroups, node_weight: np.ndarray) -> np.ndarray:
+    """(H, (2w+1) D) likelihood gradient of ``theta_obs`` from the
+    label-summed state posteriors ``node_weight`` (Lmax, N, H), exactly 0
+    on padding.  Column block k scores the row at offset k - w of each
+    position, so its row weights are the node weights shifted back by
+    k - w, zero past the chain ends."""
+    feats, sparse, filled, window = (
+        grouped.features, grouped.sparse, grouped.filled, grouped.window
+    )
+    blocks = []
+    for k in range(2 * window + 1):
+        shifted = node_weight if window == 0 else shift_rows(node_weight, window - k)
+        row_weight = shifted[filled]
+        if sparse is None:
+            blocks.append(row_weight.T @ feats)
+        else:
+            blocks.append(sparse.transpose_dot(row_weight))
+            blocks.append(row_weight.T @ feats)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def objective_and_gradient(
@@ -168,17 +217,22 @@ def objective_and_gradient(
     order."""
     if l2_lambda < 0:
         raise InvalidInputError("l2_lambda must be >= 0")
-    if (theta.num_labels, theta.feature_dim) != (grouped.num_labels, grouped.feature_dim):
+    model_dim = (2 * grouped.window + 1) * grouped.feature_dim
+    if (theta.num_labels, theta.feature_dim) != (grouped.num_labels, model_dim):
         raise InvalidInputError(
             f"parameters for {theta.num_labels} labels and dim {theta.feature_dim} do not "
-            f"match a dataset grouped for {grouped.num_labels} labels and dim "
-            f"{grouped.feature_dim}"
+            f"match a dataset grouped for {grouped.num_labels} labels and dim {model_dim}"
         )
 
-    feats, filled, labels = grouped.features, grouped.filled, grouped.labels
+    filled, labels, window = grouped.filled, grouped.labels, grouped.window
     max_len, num = filled.shape
-    emission = np.zeros((max_len, num, theta.num_hidden_states))
-    emission[filled] = feats @ theta.theta_obs.T
+    blocks = emission_blocks(grouped.features, grouped.sparse, theta.theta_obs, window)
+    grids = []
+    for block in blocks:
+        grid = np.zeros((max_len, num, theta.num_hidden_states))
+        grid[filled] = block
+        grids.append(grid)
+    emission = window_sum(grids, window)
     node = node_scores(emission.transpose(1, 0, 2), theta)
     chain = forward(node, theta.theta_trans, grouped.layout, grouped.work)
     log_post = label_log_posteriors(chain.log_z)  # (Y, N)
@@ -191,7 +245,7 @@ def objective_and_gradient(
     grad_state = post.state.sum(axis=(0, 3)).T  # (Y, H)
     grad_trans = post.pair.sum(axis=(0, 4)).transpose(2, 1, 0)  # (Y, from, to)
     node_weight = post.state.sum(axis=2).transpose(0, 2, 1)  # (Lmax, N, H), over labels
-    grad_obs = node_weight[filled].T @ feats
+    grad_obs = _observation_gradient(grouped, node_weight)
 
     sq_norm = float(
         (theta.theta_obs**2).sum()
@@ -212,8 +266,9 @@ def objective_and_gradient(
 def train(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfParameters, TrainingTrace]:
     """Fit parameters by quasi-Newton minimization of the objective.
 
-    The context window from ``config`` is applied here, so the returned
-    parameters expect windowed inputs of dimension (2w+1) * D.  The model
+    The context window from ``config`` is applied to the emissions, so
+    the returned parameters are (H, (2w+1) D) for sequences of dimension
+    D, and predicting replays the window.  The model
     has max(2, largest label + 1) labels, and every one of them must
     occur in the dataset.
     """
@@ -225,9 +280,9 @@ def train(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfParameters, Tra
     if missing:
         raise InvalidInputError(f"no training example for label(s) {missing}")
 
-    windowed = [(apply_context_window(x, config.context_window), y) for x, y in dataset]
-    dim = windowed[0][0].dim
-    grouped = group_by_length(windowed, num_labels, dim)
+    window = config.context_window
+    grouped = group_by_length(dataset, num_labels, dataset[0][0].dim, window)
+    dim = (2 * window + 1) * grouped.feature_dim
 
     rng = np.random.default_rng(config.seed)
     init = HcrfParameters.random(config.num_hidden_states, num_labels, dim, rng)
@@ -261,21 +316,20 @@ class HcrfPredictor:
     params: HcrfParameters
     config: TrainingConfig
 
-    def _windowed(self, x: ObservationSequence) -> ObservationSequence:
-        x = apply_context_window(x, self.config.context_window)
-        if x.dim != self.params.feature_dim:
-            raise InvalidInputError(
-                f"{x.doc_id}: windowed dim {x.dim} != model dim {self.params.feature_dim}"
-            )
-        return x
-
     def posterior_batch(self, xs) -> np.ndarray:
         """(N, Y) label posteriors of the sequences in ``xs`` (any
         iterable, read once).  Only each sequence's (L, H) emission
         scores are kept, so a generator of sequences is never held in
         memory at once; one kernel call covers every sequence."""
-        obs_t = self.params.theta_obs.T
-        emissions = [self._windowed(x).features @ obs_t for x in xs]
+        window, theta_obs = self.config.context_window, self.params.theta_obs
+        emissions = []
+        for x in xs:
+            if (2 * window + 1) * x.dim != self.params.feature_dim:
+                raise InvalidInputError(
+                    f"{x.doc_id}: windowed dim {(2 * window + 1) * x.dim} != model dim "
+                    f"{self.params.feature_dim}"
+                )
+            emissions.append(emission_scores(x, theta_obs, window))
         return label_posteriors(emissions, self.params)
 
     def describe(self) -> dict:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from opinionchain.corpus import ParaMarker, Transcript, TranscriptToken
-from opinionchain.model import ChainLayout, backward, forward, label_posteriors, node_scores
+from opinionchain.model import (
+    ChainLayout,
+    ObservationSequence,
+    backward,
+    forward,
+    label_posteriors,
+    node_scores,
+)
 
 
 def make_transcript(
@@ -35,6 +42,49 @@ def make_transcript(
         para_markers=tuple(ParaMarker(m, tm) for m, tm in markers),
         valences=valences,
     )
+
+
+def dense_features(x):
+    """The (L, D) rows of ``x`` as one dense matrix: its sparse block's
+    rows, offset row included, built densely before its dense columns."""
+    if x.sparse is None:
+        return x.features
+    sparse = x.sparse
+    rows = np.zeros((x.length, sparse.width))
+    np.add.at(rows, (sparse.rows, sparse.indices), sparse.values)
+    if sparse.offset is not None:
+        rows += sparse.offset
+    return np.hstack([rows, x.features])
+
+
+def same_sequence(a, b):
+    """Whether two sequences hold bitwise the same rows, dense and sparse."""
+    if a.doc_id != b.doc_id or not np.array_equal(a.features, b.features):
+        return False
+    if a.sparse is None or b.sparse is None:
+        return a.sparse is b.sparse
+    sa, sb = a.sparse, b.sparse
+    return (
+        (sa.num_rows, sa.width) == (sb.num_rows, sb.width)
+        and all(
+            np.array_equal(getattr(sa, name), getattr(sb, name))
+            for name in ("rows", "indices", "values")
+        )
+        and (sa.offset is None) == (sb.offset is None)
+        and (sa.offset is None or np.array_equal(sa.offset, sb.offset))
+    )
+
+
+def windowed(x, window):
+    """``x`` with the 2w+1 neighbouring vectors of each position
+    concatenated, zero-padded at both ends: the dense (2w+1) D inputs
+    that a context window of ``window`` stands for."""
+    feats = dense_features(x)
+    length, dim = feats.shape
+    padded = np.zeros((length + 2 * window, dim))
+    padded[window : window + length] = feats
+    stacked = np.hstack([padded[k : k + length] for k in range(2 * window + 1)])
+    return ObservationSequence(doc_id=x.doc_id, features=stacked)
 
 
 def alone(x, theta, weights):

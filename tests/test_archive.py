@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from opinionchain.archive import canonical_json, load_archive, save_archive
 from opinionchain.baseline import LogRegPredictor, aggregate_document_vector, train_logreg
 from opinionchain.errors import FileFormatError
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
+from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from opinionchain.training import TrainingConfig, fit_predictor
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def fitted_setup(tmp_path, blocks=("bong",), **config_kwargs):
@@ -84,6 +88,38 @@ class TestHcrfRoundTrip:
         assert loaded.predictor.config == predictor.config
 
 
+class TestArchiveFromTheDensePipeline:
+    """``window1_archive.json`` is a default-block archive (context window
+    1) written when the bong rows were still built densely and windowed
+    by materializing the (2w+1) D vectors, trained on the synthetic
+    corpus below; ``window1_predictions.tsv`` holds what ``predict`` wrote
+    with it then."""
+
+    def corpus(self):
+        spec = SyntheticSpec(
+            num_docs_per_label=8, min_segments=2, max_segments=3, embedding_dim=4,
+            num_polar_words=3, num_neutral_words=5,
+        )
+        return generate_corpus(spec, seed=5)
+
+    def test_predicts_what_it_predicted_then(self):
+        loaded = load_archive(DATA / "window1_archive.json")
+        lines = (DATA / "window1_predictions.tsv").read_text().splitlines()[2:]
+        rows = [line.split("\t") for line in lines]
+        corpus = self.corpus()
+        assert [row[0] for row in rows] == [doc.doc_id for doc in corpus]
+        got = loaded.posteriors(corpus)
+        want = np.array([[float(p) for p in row[2:]] for row in rows])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert [loaded.label_names[i] for i in got.argmax(axis=1)] == [row[1] for row in rows]
+
+    def test_saved_again_byte_for_byte(self, tmp_path):
+        source = DATA / "window1_archive.json"
+        loaded = load_archive(source)
+        save_archive(tmp_path / "again.json", loaded.predictor, loaded.pipeline)
+        assert (tmp_path / "again.json").read_bytes() == source.read_bytes()
+
+
 class TestLogRegRoundTrip:
     def test_bitwise_reprediction(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
@@ -153,6 +189,53 @@ class TestArchiveFormat:
             "missing key 'pipeline.standardizer.std'",
             "missing key 'model.theta_obs'",
             "'model.theta_trans' must be an array, got a boolean",
+        ]
+
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_parts_that_disagree_in_width_listed_together(self, tmp_path, window):
+        docs, pipeline = fitted_setup(tmp_path, blocks=("bong", "paralinguistic"))
+        sequences = [pipeline.transform(d) for d in docs]
+        predictor, _ = fit_predictor(
+            list(zip(sequences, [d.polarity for d in docs])),
+            TrainingConfig(num_hidden_states=2, context_window=window, max_iterations=5),
+        )
+        path = tmp_path / "model.json"
+        save_archive(path, predictor, pipeline)
+        doc = json.loads(path.read_text())
+        dim = pipeline.schema.dim
+        vocab = doc["pipeline"]["vocabulary"]
+        vocab["terms"].pop()
+        vocab["doc_freq"].pop()
+        doc["pipeline"]["standardizer"]["std"].pop()
+        for row in doc["model"]["theta_obs"]:
+            row.pop()
+        path.write_text(canonical_json(doc))
+        with pytest.raises(FileFormatError) as info:
+            load_archive(path)
+        fixed = dim - len(pipeline.vocabulary)
+        width = (2 * window + 1) * dim
+        assert [msg for _, _, msg in info.value.problems] == [
+            f"vocabulary size {len(pipeline.vocabulary) - 1} + fixed-block widths {fixed} "
+            f"!= schema dim {dim}",
+            f"'pipeline.standardizer' has {dim} means and {dim - 1} stds for schema dim {dim}",
+            f"'model.theta_obs' has {width - 1} columns, but context window {window} "
+            f"and schema dim {dim} need {width}",
+        ]
+
+    def test_logreg_weights_of_another_width_reported(self, tmp_path):
+        docs, pipeline = fitted_setup(tmp_path)
+        matrix = np.stack([aggregate_document_vector(pipeline.transform(d)) for d in docs])
+        predictor = LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs]))
+        path = tmp_path / "model.json"
+        save_archive(path, predictor, pipeline)
+        doc = json.loads(path.read_text())
+        doc["model"]["weights"].append(0.0)
+        path.write_text(canonical_json(doc))
+        dim = pipeline.schema.dim
+        with pytest.raises(FileFormatError) as info:
+            load_archive(path)
+        assert [msg for _, _, msg in info.value.problems] == [
+            f"'model.weights' has {dim + 1} entries for schema dim {dim}"
         ]
 
     def test_inconsistent_parameter_shapes_reported_by_loader(self, tmp_path):

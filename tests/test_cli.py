@@ -80,17 +80,30 @@ def package_env() -> dict:
     return env
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(tmp_path, generated):
+    """Neither importing the CLI nor running the HCRF commands on the
+    default blocks loads scipy: the sparse bong rows use numpy alone."""
+    corpus, out = str(generated / "corpus"), tmp_path / "runs"
+    cfg = write_config(tmp_path, {"training": {"num_hidden_states": 2, "max_iterations": 5}})
+    commands = [
+        ["train", "--corpus", corpus, "--config", cfg, "--out", str(out / "t")],
+        ["predict", "--model", str(out / "t" / "model.json"), "--corpus", corpus,
+         "--out", str(out / "p")],
+        ["evaluate", "--model", "hcrf", "--folds", "2", "--corpus", corpus, "--config", cfg,
+         "--out", str(out / "e")],
+    ]
     code = (
         "import sys, opinionchain.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        f"codes = [opinionchain.cli.main(argv) for argv in {commands!r}]; "
+        "print(loaded, codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[] [0, 0, 0] []"
 
 
 @pytest.fixture
@@ -354,6 +367,42 @@ class TestTrainPredict:
             f"error: {model}: malformed archive (1 problem(s))"
         ]
         assert f"missing key '{section}.{key}'" in err
+
+    @pytest.mark.parametrize("part", ["theta_obs", "standardizer", "vocabulary"])
+    def test_default_archive_of_mismatched_widths_fails_with_one_error_line(
+        self, tmp_path, generated, capsys, part
+    ):
+        """One column fewer in any part of a default-block archive is
+        caught when it loads, not at the first document."""
+        cfg = write_config(tmp_path, {"training": {"num_hidden_states": 2, "max_iterations": 5}})
+        t_dir = tmp_path / "t"
+        rc = main(
+            ["train", "--corpus", str(generated / "corpus"), "--out", str(t_dir), "--config", cfg]
+        )
+        assert rc == 0
+        model = t_dir / "model.json"
+        doc = json.loads(model.read_text())
+        if part == "theta_obs":
+            for row in doc["model"]["theta_obs"]:
+                row.pop()
+        elif part == "standardizer":
+            doc["pipeline"]["standardizer"]["mean"].pop()
+            doc["pipeline"]["standardizer"]["std"].pop()
+        else:
+            doc["pipeline"]["vocabulary"]["terms"].pop()
+            doc["pipeline"]["vocabulary"]["doc_freq"].pop()
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(
+            ["predict", "--model", str(model), "--corpus", str(generated / "corpus"),
+             "--out", str(tmp_path / "p")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {model}: malformed archive (1 problem(s))"
+        ]
+        assert "schema dim" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("names", [["negative"], [0, 1], ["neg", "neu", "pos"]])
     def test_bad_label_names_fail_with_one_error_line(self, tmp_path, generated, capsys, names):

@@ -1,7 +1,6 @@
 import pytest
 
 from opinionchain.corpus import (
-    ParaMarker,
     Transcript,
     TranscriptToken,
     corpus_stats,

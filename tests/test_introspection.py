@@ -201,7 +201,7 @@ class TestStateCharacter:
             theta_trans=np.zeros((2, 5, 5)),
         )
         counts = [
-            state_character(theta, margin=tau).num_aligned
+            sum(a is not None for a in state_character(theta, margin=tau).alignments)
             for tau in [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
         ]
         for a, b in zip(counts, counts[1:]):

@@ -25,6 +25,12 @@ from oracles import (
 )
 
 
+def copy_params(theta):
+    return HcrfParameters(
+        theta.theta_obs.copy(), theta.theta_state.copy(), theta.theta_trans.copy()
+    )
+
+
 def seq(features, doc_id="t"):
     return ObservationSequence(doc_id=doc_id, features=np.asarray(features, dtype=float))
 
@@ -220,7 +226,7 @@ class TestPredict:
         rng = np.random.default_rng(9)
         for _ in range(10):
             x, theta = random_instance(rng)
-            shifted = theta.copy()
+            shifted = copy_params(theta)
             shifted.theta_state = shifted.theta_state + 3.7
             assert predict(x, theta) == predict(x, shifted)
 
@@ -624,7 +630,7 @@ def test_label_permutation_symmetry(params, perm_seed):
 @given(instance_params, st.floats(-5.0, 5.0, allow_nan=False))
 def test_state_bias_shift_invariance(params, shift):
     x, theta = build(params)
-    shifted = theta.copy()
+    shifted = copy_params(theta)
     shifted.theta_state = shifted.theta_state + shift
     np.testing.assert_allclose(posterior(x, shifted), posterior(x, theta), atol=1e-12)
 

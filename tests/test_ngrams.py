@@ -58,6 +58,22 @@ class TestFit:
         assert vocab.doc_freq[vocab.index["plot"]] == 2
 
 
+def dense_rows(units, vocab):
+    """``vectorize_bong``'s entries as one dense row per unit."""
+    rows, indices, values = vectorize_bong(units, vocab)
+    for unit in range(len(units)):
+        mine = indices[rows == unit].tolist()
+        assert mine == sorted(set(mine))
+    out = np.zeros((len(units), len(vocab)))
+    out[rows, indices] = values
+    return out
+
+
+def dense(tokens, vocab):
+    """The dense TF-IDF vector of one unit."""
+    return dense_rows([tokens], vocab)[0]
+
+
 class TestVectorize:
     def test_hand_computed_three_doc_matrix(self):
         """tf * ln(N/df) / token_count, unigrams only."""
@@ -72,28 +88,32 @@ class TestVectorize:
                 [0.0, 2 * ln15 / 3, 0.0, ln3 / 3],
             ]
         )
-        got = np.array([vectorize_bong(doc, vocab) for doc in docs])
+        got = np.array([dense(doc, vocab) for doc in docs])
         np.testing.assert_allclose(got, want, atol=1e-12)
+        # the three as the units of one document, entries row by row
+        assert np.array_equal(dense_rows(docs, vocab), got)
+        assert vectorize_bong(docs, vocab)[0].tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_out_of_vocabulary_ignored(self):
         vocab = fit_bong([["good"]], max_order=1)
-        vec = vectorize_bong(["unseen", "tokens"], vocab)
-        np.testing.assert_array_equal(vec, np.zeros(1))
+        rows, indices, values = vectorize_bong([["unseen", "tokens"]], vocab)
+        assert rows.size == indices.size == values.size == 0
+        np.testing.assert_array_equal(dense(["unseen", "tokens"], vocab), np.zeros(1))
 
     def test_empty_unit_is_zero_vector(self):
         vocab = fit_bong([["good"]], max_order=1)
-        np.testing.assert_array_equal(vectorize_bong([], vocab), np.zeros(1))
+        np.testing.assert_array_equal(dense([], vocab), np.zeros(1))
 
     def test_length_normalization_uses_token_count(self):
         vocab = fit_bong([["good", "plot"], ["bad"]], max_order=1)
-        short = vectorize_bong(["good"], vocab)
-        long = vectorize_bong(["good", "filler", "filler", "filler"], vocab)
+        short = dense(["good"], vocab)
+        long = dense(["good", "filler", "filler", "filler"], vocab)
         idx = vocab.index["good"]
         assert long[idx] == pytest.approx(short[idx] / 4)
 
     def test_bigrams_and_trigrams_weighted_like_unigrams(self):
         docs = [["a", "b", "c"], ["a", "c", "b"]]
         vocab = fit_bong(docs, max_order=3)
-        vec = vectorize_bong(["a", "b", "c"], vocab)
+        vec = dense(["a", "b", "c"], vocab)
         assert vec[vocab.index["a_b_c"]] == pytest.approx(np.log(2.0) / 3)
         assert vec[vocab.index["a"]] == 0.0  # in both docs

@@ -21,7 +21,7 @@ from opinionchain.features.resources import (
 from opinionchain.features.segmentation import segment_into_ipus
 from opinionchain.features.standardize import fit_standardizer
 
-from conftest import make_transcript
+from conftest import dense_features, make_transcript, same_sequence
 
 
 def small_corpus():
@@ -123,7 +123,7 @@ class TestRecomposition:
         fitted = FeaturePipeline(config).fit_transform(corpus)[0]
 
         doc = corpus[0]
-        x = fitted.transform(doc)
+        x = dense_features(fitted.transform(doc))
         ipus = segment_into_ipus(doc, config.threshold_ms)
         stopwords = load_stopwords()
         table = load_embeddings(emb_path)
@@ -135,11 +135,11 @@ class TestRecomposition:
 
         for j, ipu in enumerate(ipus):
             tokens = list(ipu.tokens)  # single-word records, no splitting needed
-            row = x.features[j]
-            np.testing.assert_allclose(
-                row[fitted.schema.block_slice("bong")],
-                vectorize_bong(tokens, fitted.vocabulary),
-            )
+            row = x[j]
+            _, indices, values = vectorize_bong([tokens], fitted.vocabulary)
+            bong = np.zeros(len(fitted.vocabulary))
+            bong[indices] = values
+            np.testing.assert_array_equal(row[fitted.schema.block_slice("bong")], bong)
             np.testing.assert_allclose(
                 row[fitted.schema.block_slice("embedding")],
                 embed_tokens(tokens, table, stopwords),
@@ -185,15 +185,21 @@ class TestFitTransform:
         assert fitted.state_checksum() == alone.state_checksum()
         assert [s.doc_id for s in sequences] == [d.doc_id for d in corpus]
         for doc, seq in zip(corpus, sequences):
-            assert np.array_equal(seq.features, alone.transform(doc).features)
+            assert same_sequence(seq, alone.transform(doc))
         if standardize:
             # fit on the raw rows, as an unstandardized pipeline builds them
             raw_config = block_config(block, False, embedding_file, socal_lexicon_file)
             raw = FeaturePipeline(raw_config).fit_transform(corpus)[0]
-            rows = np.concatenate([raw.transform(d).features for d in corpus])
+            rows = np.concatenate([dense_features(raw.transform(d)) for d in corpus])
             want = fit_standardizer(rows)
-            assert np.array_equal(fitted.standardizer.mean, want.mean)
-            assert np.array_equal(fitted.standardizer.std, want.std)
+            width = 0 if fitted.vocabulary is None else len(fitted.vocabulary)
+            assert np.array_equal(fitted.standardizer.mean[width:], want.mean[width:])
+            assert np.array_equal(fitted.standardizer.std[width:], want.std[width:])
+            # the bong columns' statistics are summed from their nonzero
+            # entries, in another order than over the dense rows
+            for got, expected in [(fitted.standardizer.mean, want.mean),
+                                  (fitted.standardizer.std, want.std)]:
+                np.testing.assert_allclose(got[:width], expected[:width], rtol=1e-13, atol=0)
         else:
             assert fitted.standardizer is None
 
@@ -205,8 +211,8 @@ class TestFitTransform:
         want_fitted, from_docs = pipeline.fit_transform(corpus)
         assert fitted.state_checksum() == want_fitted.state_checksum()
         for seg, seq, want in zip(segmented, sequences, from_docs):
-            assert np.array_equal(seq.features, want.features)
-            assert np.array_equal(fitted.transform(seg).features, want.features)
+            assert same_sequence(seq, want)
+            assert same_sequence(fitted.transform(seg), want)
 
     def test_segmentation_from_another_threshold_rejected(self):
         seg = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(small_corpus()[0])
@@ -224,9 +230,9 @@ class TestFitTransform:
         want_fitted, want = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
         assert fitted.state_checksum() == want_fitted.state_checksum()
         for doc, seg, seq, expected in zip(corpus, prepared, sequences, want):
-            assert np.array_equal(seq.features, expected.features)
-            assert np.array_equal(fitted.transform(seg).features, expected.features)
-            assert np.array_equal(fitted.transform(doc).features, expected.features)
+            assert same_sequence(seq, expected)
+            assert same_sequence(fitted.transform(seg), expected)
+            assert same_sequence(fitted.transform(doc), expected)
 
     def test_prepared_under_another_configuration_rejected(self):
         seg = FeaturePipeline(PipelineConfig(blocks=("pattern",))).prepare(small_corpus()[0])
@@ -253,13 +259,13 @@ class TestFitTransform:
         fitted = FeaturePipeline(PipelineConfig()).fit_transform(corpus)[0]
         a = fitted.transform(corpus[1])
         b = fitted.transform(corpus[1])
-        assert np.array_equal(a.features, b.features)
+        assert same_sequence(a, b)
 
     def test_standardized_train_matrix_statistics(self):
         corpus = small_corpus()
         config = PipelineConfig()
         fitted = FeaturePipeline(config).fit_transform(corpus)[0]
-        rows = np.vstack([fitted.transform(d).features for d in corpus])
+        rows = np.vstack([dense_features(fitted.transform(d)) for d in corpus])
         assert np.abs(rows.mean(axis=0)).max() <= 1e-12
         stds = rows.std(axis=0, ddof=0)
         nondegenerate = stds > 1e-9
@@ -280,9 +286,9 @@ class TestFitTransform:
         config = PipelineConfig(blocks=("bong",), standardize=False)
         fitted = FeaturePipeline(config).fit_transform(train)[0]
         unseen = make_transcript("new", ("zebra", "quagga"), valences=(4.0,))
-        np.testing.assert_array_equal(
-            fitted.transform(unseen).features, np.zeros((1, fitted.schema.dim))
-        )
+        x = fitted.transform(unseen)
+        assert x.sparse.values.size == 0
+        np.testing.assert_array_equal(dense_features(x), np.zeros((1, fitted.schema.dim)))
 
     def test_tokenless_document_rejected_at_transform(self):
         fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]

@@ -1,10 +1,14 @@
-"""Every public top-level name of the package has a user outside tests/.
+"""Every public name of the package has a user outside tests/.
 
 A name nothing but tests reaches is dead API: it has to be kept working,
 yet no command, script or benchmark depends on it.  Users are found in
-the ASTs of ``src/``, ``scripts/`` and ``perfbench/``: a read of the
-name, an attribute of that name, or an import of it.  The definition
-itself does not count, and neither do strings or docstrings.
+the ASTs of ``src/``, ``scripts/`` and ``perfbench/``.  For a top-level
+name, a user is a read of the name, an attribute of that name, or an
+import of it; for a public method or property of a class, it is an
+attribute of that name.  The definition itself does not count, and
+neither do strings or docstrings.  A member is matched by name alone,
+so one that shares its name with another type's attribute (``copy``,
+say) passes whether or not it is used.
 """
 
 import ast
@@ -25,6 +29,23 @@ def _public_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
     return [name for name in names if not name.startswith("_")]
+
+
+def _public_members(tree: ast.Module) -> list[str]:
+    """``Class.member`` for every public method or property of the
+    module's top-level classes."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def _attributes(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def _references(tree: ast.AST) -> set[str]:
@@ -56,6 +77,32 @@ def test_every_public_name_has_a_user_outside_tests():
         if name not in used
     ]
     assert not unused, "public names with no user outside tests/:\n" + "\n".join(unused)
+
+
+def test_every_public_member_has_a_user_outside_tests():
+    used: set[str] = set()
+    for directory in USER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            used |= _attributes(_parse(path))
+    unused = [
+        f"{path.relative_to(ROOT)}: {member}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for member in _public_members(_parse(path))
+        if member.split(".")[1] not in used
+    ]
+    assert not unused, "public members with no user outside tests/:\n" + "\n".join(unused)
+
+
+def test_the_member_scan_counts_attributes_only():
+    tree = ast.parse(
+        "class A:\n"
+        "    def size(self):\n        pass\n\n"
+        "    @property\n    def width(self):\n        return self.size()\n\n"
+        "    def _hidden(self):\n        pass\n\n"
+        "width = 3\n"
+    )
+    assert _public_members(tree) == ["A.size", "A.width"]
+    assert _attributes(tree) == {"size"}
 
 
 def test_the_scan_ignores_definitions_and_strings():

@@ -54,9 +54,11 @@ def test_script_help_exits_zero(script):
 def test_objective_timing_runs_a_few_calls():
     proc = run_script("objective_timing.py", "--seed", "0", "--repeats", "3")
     assert proc.returncode == 0, proc.stderr
-    assert re.search(r"^objective_ms_median \d+\.\d+$", proc.stdout, re.M)
-    value = re.search(r"^objective_value (\S+)$", proc.stdout, re.M)
-    assert value and math.isfinite(float(value.group(1)))
+    for prefix in ("", "default_"):
+        assert re.search(rf"^{prefix}objective_ms_median \d+\.\d+$", proc.stdout, re.M)
+        value = re.search(rf"^{prefix}objective_value (\S+)$", proc.stdout, re.M)
+        assert value and math.isfinite(float(value.group(1)))
+    assert re.search(r"^default: 100 documents, .* D=2\d{3}, ", proc.stdout, re.M)
 
 
 class TestSignificance:

@@ -64,3 +64,25 @@ def test_apply_is_affine_and_fit_centers(seed, rows, cols):
         np.testing.assert_allclose(
             out[:, nondegenerate].std(axis=0), 1.0, atol=1e-9
         )
+
+
+def test_sparse_columns_fit_like_their_dense_rows():
+    """Leading columns given by their nonzero entries get the statistics
+    of the same columns built densely, to rounding; a column with no
+    entry gets mean and std exactly 0."""
+    rng = np.random.default_rng(4)
+    num_rows, width = 40, 6
+    present = rng.uniform(size=(num_rows, width)) < 0.3
+    sparse = np.where(present, rng.uniform(0, 2, (num_rows, width)), 0.0)
+    sparse[:, 2] = 0.0
+    rest = rng.standard_normal((num_rows, 3))
+    rows, indices = np.nonzero(sparse)
+    got = fit_standardizer(rest, (indices, sparse[rows, indices], width))
+    want = fit_standardizer(np.hstack([sparse, rest]))
+    np.testing.assert_allclose(got.mean, want.mean, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.std, want.std, rtol=1e-13, atol=0)
+    assert got.mean[2] == got.std[2] == 0.0
+    assert np.array_equal(got.mean[width:], want.mean[width:])
+    empty = fit_standardizer(rest, (np.zeros(0, dtype=np.intp), np.zeros(0), width))
+    assert np.array_equal(empty.mean[:width], np.zeros(width))
+    assert np.array_equal(empty.std[:width], np.zeros(width))

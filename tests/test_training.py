@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,20 +9,22 @@ from opinionchain.model import (
     HcrfParameters,
     ObservationSequence,
     backward,
+    emission_blocks,
+    emission_scores,
     forward,
     label_log_posteriors,
     node_scores,
+    window_sum,
 )
 from opinionchain.training import (
     HcrfPredictor,
     TrainingConfig,
-    apply_context_window,
     group_by_length,
     objective_and_gradient,
     train,
 )
 
-from conftest import alone, posterior
+from conftest import alone, posterior, windowed
 from oracles import brute_force_posterior
 
 
@@ -246,14 +246,14 @@ class TestRaggedObjective:
         for trial in range(4):
             num_labels = 2 + trial % 2
             dataset = random_dataset(rng, size=25, dim=3, max_len=9, num_labels=num_labels)
-            dataset = [(apply_context_window(x, window), y) for x, y in dataset]
             assert len({x.length for x, _ in dataset}) >= 4
             scale = (0.1, 1.0, 5.0, 0.5)[trial]
-            theta = random_theta(rng, num_hidden, num_labels, dataset[0][0].dim, scale)
+            theta = random_theta(rng, num_hidden, num_labels, (2 * window + 1) * 3, scale)
             lam = float(rng.uniform(0.0, 1.0))
-            groups = group_by_length(dataset, num_labels, theta.feature_dim)
+            groups = group_by_length(dataset, num_labels, 3, window)
             value, grad = objective_and_gradient(groups, theta, lam)
-            want_value, want_grad = per_group_objective_and_gradient(dataset, theta, lam)
+            reference = [(windowed(x, window), y) for x, y in dataset]
+            want_value, want_grad = per_group_objective_and_gradient(reference, theta, lam)
             assert value == pytest.approx(want_value, rel=1e-12, abs=0)
             np.testing.assert_allclose(grad, want_grad.as_vector(), rtol=1e-12, atol=1e-12)
 
@@ -368,30 +368,45 @@ class TestLengthGroups:
 
 
 class TestContextWindow:
+    """The window is applied to per-shift emission blocks; each test
+    checks them against the (2w+1) D windowed vectors they stand for."""
+
     def test_zero_window_is_identity(self):
         x = seq([[1.0, 2.0], [3.0, 4.0]])
-        assert apply_context_window(x, 0) is x
+        weights = np.array([[0.5, -1.0], [2.0, 0.25]])
+        blocks = emission_blocks(x.features, None, weights, 0)
+        assert window_sum(blocks, 0) is blocks[0]
+        assert np.array_equal(emission_scores(x, weights, 0), x.features @ weights.T)
 
     def test_window_one_boundary_padding(self):
         a, b, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
-        out = apply_context_window(seq([a, b, c]), 1)
-        assert out.dim == 6
-        np.testing.assert_array_equal(out.features[0], [0.0, 0.0] + a + b)
-        np.testing.assert_array_equal(out.features[1], a + b + c)
-        np.testing.assert_array_equal(out.features[2], b + c + [0.0, 0.0])
+        weights = np.arange(12.0).reshape(2, 6) - 5.0
+        got = emission_scores(seq([a, b, c]), weights, 1)
+        rows = [[0.0, 0.0] + a + b, a + b + c, b + c + [0.0, 0.0]]
+        np.testing.assert_array_equal(got, np.array(rows) @ weights.T)
 
     def test_window_two_single_segment(self):
-        out = apply_context_window(seq([[7.0]]), 2)
-        np.testing.assert_array_equal(out.features, [[0.0, 0.0, 7.0, 0.0, 0.0]])
+        weights = np.arange(10.0).reshape(2, 5)
+        got = emission_scores(seq([[7.0]]), weights, 2)
+        np.testing.assert_array_equal(got, [[7.0 * 2.0, 7.0 * 7.0]])
 
     def test_center_slice_is_original(self):
         rng = np.random.default_rng(6)
         x = seq(rng.standard_normal((5, 3)))
         for w in (1, 2, 3):
-            out = apply_context_window(x, w)
-            assert out.dim == (2 * w + 1) * 3
-            np.testing.assert_array_equal(
-                out.features[:, w * 3 : (w + 1) * 3], x.features
+            weights = np.zeros((2, (2 * w + 1) * 3))
+            weights[:, w * 3 : (w + 1) * 3] = rng.standard_normal((2, 3))
+            np.testing.assert_allclose(
+                emission_scores(x, weights, w),
+                x.features @ weights[:, w * 3 : (w + 1) * 3].T,
+                rtol=0,
+                atol=1e-15,
+            )
+            np.testing.assert_allclose(
+                emission_scores(x, weights, w),
+                windowed(x, w).features @ weights.T,
+                rtol=0,
+                atol=1e-15,
             )
 
 
@@ -427,7 +442,7 @@ class TestTrain:
         rng = np.random.default_rng(10)
         data = separable_dataset(rng, per_label=4)
         _, trace = train(data, TrainingConfig(num_hidden_states=2, l2_lambda=0.1, seed=0))
-        objs = trace.objectives
+        objs = [entry.objective for entry in trace.entries]
         assert all(b <= a for a, b in zip(objs, objs[1:]))
         assert all(np.isfinite(o) for o in objs)
 
@@ -487,16 +502,21 @@ class TestPosteriorBatch:
         batch = predictor.posterior_batch(iter(seqs))
         assert batch.shape == (len(seqs), num_labels)
         for row, x in zip(batch, seqs):
-            windowed = apply_context_window(x, window)
+            dense = windowed(x, window)
             assert np.array_equal(row, predictor.posterior_batch([x])[0])
-            assert np.array_equal(row, posterior(windowed, theta))
+            if window == 0:
+                assert np.array_equal(row, posterior(dense, theta))
+            else:
+                # the shifted emission blocks add in another order than
+                # one matmul of the windowed vectors
+                np.testing.assert_allclose(row, posterior(dense, theta), rtol=0, atol=1e-15)
             # the kernel's log-partitions for this chain alone, and enumeration
-            log_z = alone(windowed, theta, np.ones((num_labels, 1)))[0].log_z[:, 0]
+            log_z = alone(dense, theta, np.ones((num_labels, 1)))[0].log_z[:, 0]
             np.testing.assert_allclose(
                 row, np.exp(label_log_posteriors(log_z)), rtol=0, atol=1e-15
             )
             np.testing.assert_allclose(
-                row, brute_force_posterior(windowed, theta), rtol=0, atol=1e-10
+                row, brute_force_posterior(dense, theta), rtol=0, atol=1e-10
             )
 
     def test_empty_batch(self):
