@@ -276,13 +276,16 @@ def _width_problems(doc: dict) -> list[str]:
     terms = 0 if vocab is None else len(vocab["terms"])
     problems = []
     if terms + fixed != dim:
-        problems.append(f"vocabulary size {terms} + fixed-block widths {fixed} != schema dim {dim}")
-    standardizer = pipeline["standardizer"]
-    if standardizer is not None and {len(standardizer["mean"]), len(standardizer["std"])} != {dim}:
         problems.append(
-            f"'pipeline.standardizer' has {len(standardizer['mean'])} means and "
-            f"{len(standardizer['std'])} stds for schema dim {dim}"
+            f"vocabulary size {terms} + fixed-block widths {fixed} != schema dim {dim}"
         )
+    standardizer = pipeline["standardizer"]
+    if standardizer is not None:
+        means, stds = len(standardizer["mean"]), len(standardizer["std"])
+        if (means, stds) != (dim, dim):
+            problems.append(
+                f"'pipeline.standardizer' has {means} means and {stds} stds for schema dim {dim}"
+            )
     if doc["kind"] == "hcrf":
         window = model["training"].get("context_window", 0)
         rows = model["theta_obs"]
@@ -295,7 +298,9 @@ def _width_problems(doc: dict) -> list[str]:
                     f"and schema dim {dim} need {want}"
                 )
     elif len(model["weights"]) != dim:
-        problems.append(f"'model.weights' has {len(model['weights'])} entries for schema dim {dim}")
+        problems.append(
+            f"'model.weights' has {len(model['weights'])} entries for schema dim {dim}"
+        )
     return problems
 
 

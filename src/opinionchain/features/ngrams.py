@@ -4,8 +4,8 @@ Tokens are lowercased and Porter-stemmed; n-grams up to the configured
 order are joined with "_".  IDF uses the log(N / df) convention with no
 smoothing, so a term present in every fitting document gets weight 0.
 Transform output is tf * idf divided by the unit's token count, given
-by its nonzero entries, for all the units of a document at once; the vocabulary and document frequencies come
-from training folds only.
+by its nonzero entries, for all the units of a document at once; the
+vocabulary and document frequencies come from training folds only.
 """
 
 from __future__ import annotations
@@ -96,25 +96,20 @@ def vectorize_bong(units, vocab: NGramVocabulary) -> tuple[np.ndarray, np.ndarra
     """TF-IDF vectors of a document's units (IPUs, or whole documents),
     one token list each, over the fitted vocabulary, as their nonzero
     entries: ``(rows, indices, values)``, where ``rows`` is the unit and
-    ``indices`` the vocabulary index of each entry, ascending within a
-    unit, and ``values`` its tf * idf / the unit's token count (0 for a
-    term of idf 0).  Out-of-vocabulary n-grams are ignored, so a unit
-    with none in the vocabulary has no entries."""
-    index, max_order = vocab.index, vocab.max_order
-    rows: list[int] = []
-    hits: list[int] = []
-    term_freqs: list[int] = []
+    ``indices`` the vocabulary index of each entry, in ascending (row,
+    index) order, and ``values`` its tf * idf / the unit's token count (0
+    for a term of idf 0).  Out-of-vocabulary n-grams are ignored, so a
+    unit with none in the vocabulary has no entries."""
+    index, width = vocab.index, len(vocab)
+    cells: list[int] = []  # row * width + index, one per in-vocabulary n-gram
     token_counts = []
     for row, tokens in enumerate(units):
-        counts = Counter(map(index.get, extract_ngrams(tokens, max_order)))
-        counts.pop(None, None)
-        for idx, tf in sorted(counts.items()):
-            hits.append(idx)
-            term_freqs.append(tf)
-        rows += [row] * len(counts)
+        base = row * width
+        grams = extract_ngrams(tokens, vocab.max_order)
+        cells += [base + index[gram] for gram in grams if gram in index]
         token_counts.append(max(1, len(tokens)))
-    rows = np.array(rows, dtype=np.intp)
-    indices = np.array(hits, dtype=np.intp)
-    values = np.array(term_freqs, dtype=np.intp) * vocab.idf[indices]
+    cells, term_freqs = np.unique(np.array(cells, dtype=np.intp), return_counts=True)
+    rows, indices = np.divmod(cells, width)
+    values = term_freqs * vocab.idf[indices]
     values /= np.array(token_counts, dtype=np.float64)[rows]
     return rows, indices, values

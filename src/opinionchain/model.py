@@ -91,7 +91,9 @@ class SparseRows:
         if not rows.ndim == indices.ndim == values.ndim == 1 or not (
             rows.shape == indices.shape == values.shape
         ):
-            raise InvalidInputError("sparse rows, indices and values must be equal-length vectors")
+            raise InvalidInputError(
+                "sparse rows, indices and values must be equal-length vectors"
+            )
         if rows.size and (
             rows.min() < 0
             or rows.max() >= self.num_rows
