@@ -283,25 +283,37 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def emission_blocks(
-    features: np.ndarray, sparse: SparseRows | None, theta_obs: np.ndarray, window: int
-) -> list[np.ndarray]:
-    """The (R, H) scores ``x_r · W_kᵀ`` of R rows against each of the
-    2w+1 column blocks ``W_k`` of the (H, (2w+1) D) ``theta_obs``, the
-    rows given as dense ``features`` (R, D') after an optional ``sparse``
-    (R, V) block.  Block k scores the rows as the neighbours at offset
-    k - w of the positions :func:`window_sum` adds them into, so the
-    (2w+1) D windowed vectors are never built."""
+    parts: list[np.ndarray], sparse: SparseRows | None, theta_obs: np.ndarray, window: int
+) -> list[list[np.ndarray]]:
+    """Scores ``x_r · W_kᵀ`` of rows against each of the 2w+1 column
+    blocks ``W_k`` of the (H, (2w+1) D) ``theta_obs``: ``blocks[k][i]`` is
+    the (R_i, H) scores of the i-th of ``parts``, consecutive runs of
+    rows each given by its dense (R_i, D') columns; ``sparse``, if given,
+    holds the (sum of R_i, V) columns that come first, for all the parts
+    stacked in order.  The sparse block is scored in one call, whose
+    rows add their entries in the same order however the parts are
+    stacked, and each part's dense rows get a matmul of their own, so a
+    part's scores are bitwise what it gives alone.  Block k scores the
+    rows as the neighbours at offset k - w of the positions
+    :func:`window_sum` adds them into, so the (2w+1) D windowed vectors
+    are never built."""
     width = 0 if sparse is None else sparse.width
-    dim = width + features.shape[1]
+    dim = width + parts[0].shape[1]
+    bounds = np.cumsum([0] + [part.shape[0] for part in parts]).tolist()
     blocks = []
     for k in range(2 * window + 1):
         weights = theta_obs if window == 0 else theta_obs[:, k * dim : (k + 1) * dim]
         if sparse is None:
-            blocks.append(features @ weights.T)
-        else:
-            block = sparse.dot(weights[:, :width])
-            block += features @ weights[:, width:].T
-            blocks.append(block)
+            blocks.append([part @ weights.T for part in parts])
+            continue
+        scores = sparse.dot(weights[:, :width])
+        dense = weights[:, width:].T
+        shifted = []
+        for part, start, stop in zip(parts, bounds, bounds[1:]):
+            block = scores[start:stop]
+            block += part @ dense
+            shifted.append(block)
+        blocks.append(shifted)
     return blocks
 
 
@@ -331,9 +343,60 @@ def window_sum(blocks: list[np.ndarray], window: int) -> np.ndarray:
     return out
 
 
-def emission_scores(x: ObservationSequence, theta_obs: np.ndarray, window: int) -> np.ndarray:
-    """(L, H) emission scores of one sequence under a context window."""
-    return window_sum(emission_blocks(x.features, x.sparse, theta_obs, window), window)
+def same_sparse_layout(xs: list[ObservationSequence]) -> bool:
+    """Whether the sequences all have no sparse block, or all have one
+    of one width and offset row, so that their sparse rows can be
+    stacked into one block."""
+    first = xs[0].sparse
+    for x in xs:
+        other = x.sparse
+        if (other is None) != (first is None):
+            return False
+        if other is not None and (
+            other.width != first.width
+            or not (other.offset is first.offset or np.array_equal(other.offset, first.offset))
+        ):
+            return False
+    return True
+
+
+def stack_sparse(parts: list[SparseRows], rows: list[np.ndarray], num_rows: int) -> SparseRows:
+    """One block of the entries of ``parts``, which share one layout
+    (:func:`same_sparse_layout`), with ``rows[i]`` the new row of each
+    entry of ``parts[i]``."""
+    return SparseRows(
+        rows=np.concatenate(rows),
+        indices=np.concatenate([part.indices for part in parts]),
+        values=np.concatenate([part.values for part in parts]),
+        num_rows=num_rows,
+        width=parts[0].width,
+        offset=parts[0].offset,
+    )
+
+
+def emission_scores(
+    xs: list[ObservationSequence], theta_obs: np.ndarray, window: int
+) -> list[np.ndarray]:
+    """The (L, H) emission scores of each sequence of ``xs`` under a
+    context window, each bitwise what the sequence alone gives.  The
+    sparse blocks of sequences that share one layout are stacked and
+    scored in one call; a per-sequence call would spend more on numpy's
+    per-call overhead than on the few entries of each sequence."""
+    if not xs:
+        return []
+    if not same_sparse_layout(xs):
+        return [emission_scores([x], theta_obs, window)[0] for x in xs]
+    sparse = None
+    if xs[0].sparse is not None:
+        lengths = [x.length for x in xs]
+        starts = np.cumsum(lengths) - lengths
+        sparse = stack_sparse(
+            [x.sparse for x in xs],
+            [x.sparse.rows + start for x, start in zip(xs, starts)],
+            int(sum(lengths)),
+        )
+    blocks = emission_blocks([x.features for x in xs], sparse, theta_obs, window)
+    return [window_sum([shift[i] for shift in blocks], window) for i in range(len(xs))]
 
 
 def node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:

@@ -31,6 +31,7 @@ bitwise reproducible.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -50,7 +51,9 @@ from .model import (
     label_log_posteriors,
     label_posteriors,
     node_scores,
+    same_sparse_layout,
     shift_rows,
+    stack_sparse,
     window_sum,
 )
 from .optimize import TraceEntry, minimize
@@ -58,6 +61,10 @@ from .optimize import TraceEntry, minimize
 log = logging.getLogger(__name__)
 
 Dataset = list[tuple[ObservationSequence, int]]
+
+# sequences scored per emission_scores call at prediction time: enough to
+# amortize numpy's per-call overhead, few enough to hold their rows briefly
+SCORING_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,6 @@ class LengthGroups:
     work: Workspace = field(default_factory=Workspace)
 
 
-def _sparse_layout(x: ObservationSequence) -> tuple:
-    """What the sparse blocks of one training set must share."""
-    sparse = x.sparse
-    return (None, None) if sparse is None else (sparse.width, sparse.offset)
-
-
 def group_by_length(
     dataset: Dataset, num_labels: int, feature_dim: int, window: int = 0
 ) -> LengthGroups:
@@ -145,7 +146,6 @@ def group_by_length(
         raise InvalidInputError("dataset must be nonempty")
     if window < 0:
         raise InvalidInputError("window must be >= 0")
-    width, offset = _sparse_layout(dataset[0][0])
     for x, y in dataset:
         if x.dim != feature_dim:
             raise InvalidInputError(
@@ -153,34 +153,24 @@ def group_by_length(
             )
         if not 0 <= y < num_labels:
             raise InvalidInputError(f"{x.doc_id}: label {y} out of range [0, {num_labels})")
-        other_width, other_offset = _sparse_layout(x)
-        if other_width != width or not (
-            other_offset is offset or np.array_equal(other_offset, offset)
-        ):
-            raise InvalidInputError(f"{x.doc_id}: sparse block unlike the first sequence's")
+    if not same_sparse_layout([x for x, _ in dataset]):
+        raise InvalidInputError("the sequences' sparse blocks do not share one layout")
     order = sorted(range(len(dataset)), key=lambda i: -dataset[i][0].length)  # stable
     layout = ChainLayout([dataset[i][0].length for i in order])
     running = np.array(layout.active[:-1])  # chains at each position
     filled = np.arange(len(dataset)) < running[:, None]
     starts = np.cumsum(running) - running  # first row of each position's block
     num_rows = int(running.sum())
-    features = np.empty((num_rows, feature_dim - (width or 0)))
+    first = dataset[0][0]
+    features = np.empty((num_rows, first.features.shape[1]))
     for chain, i in enumerate(order):
         x = dataset[i][0]
         features[starts[: x.length] + chain] = x.features
     sparse = None
-    if width is not None:
+    if first.sparse is not None:
         parts = [dataset[i][0].sparse for i in order]
-        sparse = SparseRows(
-            rows=np.concatenate(
-                [starts[part.rows] + chain for chain, part in enumerate(parts)]
-            ),
-            indices=np.concatenate([part.indices for part in parts]),
-            values=np.concatenate([part.values for part in parts]),
-            num_rows=num_rows,
-            width=width,
-            offset=offset,
-        )
+        rows = [starts[part.rows] + chain for chain, part in enumerate(parts)]
+        sparse = stack_sparse(parts, rows, num_rows)
     labels = np.array([dataset[i][1] for i in order], dtype=np.intp)
     return LengthGroups(
         features, sparse, filled, labels, layout, num_labels, feature_dim, window
@@ -226,9 +216,9 @@ def objective_and_gradient(
 
     filled, labels, window = grouped.filled, grouped.labels, grouped.window
     max_len, num = filled.shape
-    blocks = emission_blocks(grouped.features, grouped.sparse, theta.theta_obs, window)
+    blocks = emission_blocks([grouped.features], grouped.sparse, theta.theta_obs, window)
     grids = []
-    for block in blocks:
+    for (block,) in blocks:
         grid = np.zeros((max_len, num, theta.num_hidden_states))
         grid[filled] = block
         grids.append(grid)
@@ -318,18 +308,23 @@ class HcrfPredictor:
 
     def posterior_batch(self, xs) -> np.ndarray:
         """(N, Y) label posteriors of the sequences in ``xs`` (any
-        iterable, read once).  Only each sequence's (L, H) emission
-        scores are kept, so a generator of sequences is never held in
-        memory at once; one kernel call covers every sequence."""
+        iterable, read once).  Sequences are read in chunks of
+        ``SCORING_CHUNK``, each scored by one ``emission_scores`` call,
+        and only their (L, H) emission scores are kept, so a generator of
+        sequences is never held in memory at once; one kernel call
+        covers every sequence, and each row is bitwise what the sequence
+        alone gives."""
         window, theta_obs = self.config.context_window, self.params.theta_obs
+        xs = iter(xs)
         emissions = []
-        for x in xs:
-            if (2 * window + 1) * x.dim != self.params.feature_dim:
-                raise InvalidInputError(
-                    f"{x.doc_id}: windowed dim {(2 * window + 1) * x.dim} != model dim "
-                    f"{self.params.feature_dim}"
-                )
-            emissions.append(emission_scores(x, theta_obs, window))
+        while chunk := list(itertools.islice(xs, SCORING_CHUNK)):
+            for x in chunk:
+                if (2 * window + 1) * x.dim != self.params.feature_dim:
+                    raise InvalidInputError(
+                        f"{x.doc_id}: windowed dim {(2 * window + 1) * x.dim} != model dim "
+                        f"{self.params.feature_dim}"
+                    )
+            emissions.extend(emission_scores(chunk, theta_obs, window))
         return label_posteriors(emissions, self.params)
 
     def describe(self) -> dict:

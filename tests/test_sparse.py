@@ -18,6 +18,7 @@ from opinionchain.baseline import aggregate_document_vector
 from opinionchain.errors import InvalidInputError
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.model import HcrfParameters, ObservationSequence, SparseRows, label_posteriors
+from opinionchain import training
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from opinionchain.training import (
     HcrfPredictor,
@@ -167,6 +168,24 @@ def test_gradient_matches_central_finite_differences_at_window_one():
     np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("window", [0, 1])
+def test_batch_rows_bitwise_equal_one_by_one(window, monkeypatch):
+    """Sequences are scored in chunks, their sparse rows stacked into one
+    block; each row is still bitwise what the sequence alone gives, and
+    a sequence of another layout (no offset row) is scored on its own."""
+    monkeypatch.setattr(training, "SCORING_CHUNK", 4)
+    pipeline, _ = fitted(standardize=True)
+    unstandardized, _ = fitted(standardize=False)
+    docs = training_corpus() + held_out()
+    xs = [pipeline.transform(doc) for doc in docs] + [unstandardized.transform(docs[0])]
+    theta = random_theta(np.random.default_rng(7), 3, (2 * window + 1) * pipeline.schema.dim)
+    predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
+    batch = predictor.posterior_batch(iter(xs))
+    assert batch.shape == (len(xs), 2)
+    for row, x in zip(batch, xs):
+        assert np.array_equal(row, predictor.posterior_batch([x])[0])
+
+
 def test_document_vector_is_the_mean_of_the_dense_rows():
     pipeline, sequences = fitted(standardize=True)
     for x in sequences:
@@ -180,10 +199,10 @@ def test_training_set_must_share_one_sparse_layout():
     other, _ = fitted(standardize=False)
     dim = pipeline.schema.dim
     mixed = [(sequences[0], 0), (other.transform(training_corpus()[1]), 1)]
-    with pytest.raises(InvalidInputError, match="sparse block unlike the first"):
+    with pytest.raises(InvalidInputError, match="do not share one layout"):
         group_by_length(mixed, 2, dim)
     dense = ObservationSequence("dense", np.zeros((2, dim)))
-    with pytest.raises(InvalidInputError, match="sparse block unlike the first"):
+    with pytest.raises(InvalidInputError, match="do not share one layout"):
         group_by_length([(sequences[0], 0), (dense, 1)], 2, dim)
 
 

@@ -374,20 +374,20 @@ class TestContextWindow:
     def test_zero_window_is_identity(self):
         x = seq([[1.0, 2.0], [3.0, 4.0]])
         weights = np.array([[0.5, -1.0], [2.0, 0.25]])
-        blocks = emission_blocks(x.features, None, weights, 0)
-        assert window_sum(blocks, 0) is blocks[0]
-        assert np.array_equal(emission_scores(x, weights, 0), x.features @ weights.T)
+        blocks = emission_blocks([x.features], None, weights, 0)
+        assert window_sum(blocks[0], 0) is blocks[0][0]
+        assert np.array_equal(emission_scores([x], weights, 0)[0], x.features @ weights.T)
 
     def test_window_one_boundary_padding(self):
         a, b, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
         weights = np.arange(12.0).reshape(2, 6) - 5.0
-        got = emission_scores(seq([a, b, c]), weights, 1)
+        got = emission_scores([seq([a, b, c])], weights, 1)[0]
         rows = [[0.0, 0.0] + a + b, a + b + c, b + c + [0.0, 0.0]]
         np.testing.assert_array_equal(got, np.array(rows) @ weights.T)
 
     def test_window_two_single_segment(self):
         weights = np.arange(10.0).reshape(2, 5)
-        got = emission_scores(seq([[7.0]]), weights, 2)
+        got = emission_scores([seq([[7.0]])], weights, 2)[0]
         np.testing.assert_array_equal(got, [[7.0 * 2.0, 7.0 * 7.0]])
 
     def test_center_slice_is_original(self):
@@ -396,17 +396,12 @@ class TestContextWindow:
         for w in (1, 2, 3):
             weights = np.zeros((2, (2 * w + 1) * 3))
             weights[:, w * 3 : (w + 1) * 3] = rng.standard_normal((2, 3))
+            got = emission_scores([x], weights, w)[0]
             np.testing.assert_allclose(
-                emission_scores(x, weights, w),
-                x.features @ weights[:, w * 3 : (w + 1) * 3].T,
-                rtol=0,
-                atol=1e-15,
+                got, x.features @ weights[:, w * 3 : (w + 1) * 3].T, rtol=0, atol=1e-15
             )
             np.testing.assert_allclose(
-                emission_scores(x, weights, w),
-                windowed(x, w).features @ weights.T,
-                rtol=0,
-                atol=1e-15,
+                got, windowed(x, w).features @ weights.T, rtol=0, atol=1e-15
             )
 
 
