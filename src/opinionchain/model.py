@@ -299,7 +299,6 @@ def emission_blocks(
     are never built."""
     width = 0 if sparse is None else sparse.width
     dim = width + parts[0].shape[1]
-    bounds = np.cumsum([0] + [part.shape[0] for part in parts]).tolist()
     blocks = []
     for k in range(2 * window + 1):
         weights = theta_obs if window == 0 else theta_obs[:, k * dim : (k + 1) * dim]
@@ -308,6 +307,7 @@ def emission_blocks(
             continue
         scores = sparse.dot(weights[:, :width])
         dense = weights[:, width:].T
+        bounds = np.cumsum([0] + [part.shape[0] for part in parts]).tolist()
         shifted = []
         for part, start, stop in zip(parts, bounds, bounds[1:]):
             block = scores[start:stop]
