@@ -11,9 +11,12 @@
 
 For each, the script times `training.objective_and_gradient` at fixed
 random parameters and prints the minimum and median call time and the
-objective value (the default shape's lines prefixed `default_`), so two
-checkouts can be compared by running it with each one's `src/` on
-PYTHONPATH, alternating between them.
+objective value (the default shape's lines prefixed `default_`).  At
+the default shape it also prints `default_transform_ms_per_doc`: the
+median over a few passes of the fitted pipeline's `transform` of 1000
+held-out transcripts of another seed, a chunk at a time as `predict`
+reads them, per document.  Two checkouts can be compared by running it
+with each one's `src/` on PYTHONPATH, alternating between them.
 """
 
 import argparse
@@ -34,9 +37,17 @@ from opinionchain.synthetic import (
     generate_embeddings,
     write_embeddings,
 )
-from opinionchain.training import TrainingConfig, group_by_length, objective_and_gradient
+from opinionchain.training import (
+    TrainingConfig,
+    chunked,
+    group_by_length,
+    objective_and_gradient,
+)
 
 FOLDS = 5
+HELDOUT_DOCS_PER_LABEL = 500  # default-predict's held-out corpus size
+HELDOUT_SEED_OFFSET = 1_000_003
+TRANSFORM_PASSES = 5
 
 
 def embedding_shape(seed):
@@ -55,11 +66,25 @@ def embedding_shape(seed):
 
 
 def default_shape(seed):
-    """The sequences and labels of default-predict's default-block training corpus."""
+    """The sequences and labels of default-predict's default-block
+    training corpus, and the pipeline fitted on it."""
     spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=50)
     corpus = generate_corpus(spec, seed=seed)
-    _, sequences = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
-    return sequences, [doc.polarity for doc in corpus]
+    pipeline, sequences = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
+    return sequences, [doc.polarity for doc in corpus], pipeline
+
+
+def time_transform(pipeline, seed):
+    spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=HELDOUT_DOCS_PER_LABEL)
+    docs = generate_corpus(spec, seed=seed + HELDOUT_SEED_OFFSET)
+    times = []
+    for _ in range(TRANSFORM_PASSES):
+        start = time.perf_counter()
+        for chunk in chunked(docs):
+            pipeline.transform(chunk)
+        times.append(time.perf_counter() - start)
+    per_doc = 1e3 * statistics.median(times) / len(docs)
+    print(f"default_transform_ms_per_doc {per_doc:.4f}")
 
 
 def time_calls(name, prefix, sequences, labels, args):
@@ -93,7 +118,9 @@ def main():
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     time_calls("embedding", "", *embedding_shape(args.seed), args)
-    time_calls("default", "default_", *default_shape(args.seed), args)
+    sequences, labels, pipeline = default_shape(args.seed)
+    time_calls("default", "default_", sequences, labels, args)
+    time_transform(pipeline, args.seed)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .features.pipeline import (
 from .features.resources import default_resource_path
 from .features.standardize import Standardizer
 from .model import HcrfParameters
-from .training import HcrfPredictor, TrainingConfig
+from .training import HcrfPredictor, TrainingConfig, chunked
 
 ARCHIVE_FORMAT = "model-archive/v1"
 
@@ -141,10 +141,12 @@ class LoadedModel:
     label_names: tuple[str, ...]
 
     def posteriors(self, docs) -> np.ndarray:
-        """(N, Y) label posteriors of the transcripts in ``docs``; each is
-        featurized as the predictor reads it, so the corpus's feature
-        matrices are never all held at once."""
-        return self.predictor.posterior_batch(self.pipeline.transform(doc) for doc in docs)
+        """(N, Y) label posteriors of the transcripts in ``docs``; they are
+        featurized a chunk at a time as the predictor reads them, so the
+        corpus's feature matrices are never all held at once."""
+        return self.predictor.posterior_batch(
+            sequence for chunk in chunked(docs) for sequence in self.pipeline.transform(chunk)
+        )
 
 
 def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):

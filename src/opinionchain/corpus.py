@@ -126,9 +126,11 @@ def _parse_int(raw: str, what: str) -> int:
 def load_corpus(path: str | Path) -> list[Transcript]:
     """Load and validate a corpus directory.
 
-    Any malformed record is collected, and a single error reporting every
-    one of them is raised at the end; an empty directory loads as an
-    empty corpus with a warning.
+    Any malformed record, and any document whose token times the
+    ``Transcript`` constructor rejects (one problem per document, at line
+    0 of its file), is collected, and a single error reporting every one
+    of them is raised at the end; an empty directory loads as an empty
+    corpus with a warning.
     """
     root = Path(path)
     if not root.is_dir():
@@ -184,11 +186,8 @@ def load_corpus(path: str | Path) -> list[Transcript]:
     for filename in sorted({f for _, f, _ in entries}):
         _read_transcript_file(root / filename, records, problems)
 
-    if problems:
-        raise FileFormatError(f"{len(problems)} malformed record(s) in {root}", problems)
-
     corpus = []
-    for doc_id, _, valences in entries:
+    for doc_id, filename, valences in entries:
         tokens, markers = records[doc_id]
         try:
             corpus.append(
@@ -200,7 +199,9 @@ def load_corpus(path: str | Path) -> list[Transcript]:
                 )
             )
         except InvalidInputError as exc:
-            raise FileFormatError(str(exc)) from exc
+            problems.append((str(root / filename), 0, str(exc)))
+    if problems:
+        raise FileFormatError(f"{len(problems)} malformed record(s) in {root}", problems)
     return corpus
 
 
@@ -243,7 +244,8 @@ def _read_transcript_file(path: Path, records, problems):
         except ValueError as exc:
             problems.append((str(path), lineno, str(exc)))
     # sequencing errors (non-monotone times) are caught by the Transcript
-    # constructor, per document, after all files are read
+    # constructor, per document, after all files are read, and reported
+    # with the records' problems
 
 
 def save_corpus(corpus: list[Transcript], path: str | Path, ipu_index=None):

@@ -343,7 +343,7 @@ def cross_validate(
 
     plan = stratified_k_fold(labels, k, seed)
     unfitted = FeaturePipeline(pipeline_config)
-    prepared = [unfitted.prepare(doc) for doc in segmented]
+    prepared = unfitted.prepare(segmented)
     pooled = np.full(len(corpus), -1, dtype=np.int64)
     fold_reports = []
     details = []
@@ -353,7 +353,7 @@ def cross_validate(
         train_labels = [l for i, l in enumerate(labels) if i not in held]
         pipeline, train_seqs = unfitted.fit_transform(train_docs)
         predictor = learner.fit(train_seqs, train_labels)
-        preds = predict_batch(predictor, (pipeline.transform(prepared[i]) for i in fold))
+        preds = predict_batch(predictor, pipeline.transform([prepared[i] for i in fold]))
         pooled[list(fold)] = preds
         fold_reports.append(compute_metrics(preds, [labels[i] for i in fold]))
         details.append(

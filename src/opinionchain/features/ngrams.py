@@ -4,8 +4,9 @@ Tokens are lowercased and Porter-stemmed; n-grams up to the configured
 order are joined with "_".  IDF uses the log(N / df) convention with no
 smoothing, so a term present in every fitting document gets weight 0.
 Transform output is tf * idf divided by the unit's token count, given
-by its nonzero entries, for all the units of a document at once; the
-vocabulary and document frequencies come from training folds only.
+by its nonzero entries, for all the units of a chunk of documents at
+once; the vocabulary and document frequencies come from training folds
+only.
 """
 
 from __future__ import annotations
@@ -92,24 +93,48 @@ def fit_bong(train_docs, max_order: int = MAX_ORDER, min_df: int = 1) -> NGramVo
     )
 
 
-def vectorize_bong(units, vocab: NGramVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """TF-IDF vectors of a document's units (IPUs, or whole documents),
-    one token list each, over the fitted vocabulary, as their nonzero
-    entries: ``(rows, indices, values)``, where ``rows`` is the unit and
+def vectorize_bong(tokens, vocab: NGramVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TF-IDF vectors of the U units of ``tokens`` (a ``TokenChunk``
+    with stem ids) over the fitted vocabulary, as their nonzero entries:
+    ``(rows, indices, values)``, where ``rows`` is the unit and
     ``indices`` the vocabulary index of each entry, in ascending (row,
     index) order, and ``values`` its tf * idf / the unit's token count (0
     for a term of idf 0).  Out-of-vocabulary n-grams are ignored, so a
-    unit with none in the vocabulary has no entries."""
+    unit with none in the vocabulary has no entries.
+
+    An n-gram of order k is a run of k stem ids within one unit.  The
+    distinct runs are numbered by one ``np.unique`` over the pairs (the
+    number of the run's first k-1 stems, its last stem id), so no key
+    outgrows the token count times the stem count, and each is joined
+    and looked up in the vocabulary once per call, however often it
+    occurs."""
     index, width = vocab.index, len(vocab)
-    cells: list[int] = []  # row * width + index, one per in-vocabulary n-gram
-    token_counts = []
-    for row, tokens in enumerate(units):
-        base = row * width
-        grams = extract_ngrams(tokens, vocab.max_order)
-        cells += [base + index[gram] for gram in grams if gram in index]
-        token_counts.append(max(1, len(tokens)))
-    cells, term_freqs = np.unique(np.array(cells, dtype=np.intp), return_counts=True)
+    stems, unit, names = tokens.stems, tokens.unit, tokens.stem_names
+    words = [names[s] for s in stems.tolist()]  # the stem of each token
+    # unit * width + vocabulary index, one per in-vocabulary n-gram
+    cells = [np.empty(0, dtype=np.intp)]
+    prefix = np.zeros(len(stems), dtype=np.int64)  # number of the run before each token
+    for order in range(1, vocab.max_order + 1):
+        count = len(stems) - order + 1
+        if count <= 0:
+            break
+        within = unit[:count] == unit[order - 1 :]
+        keys = np.where(within, prefix[:count] * len(names) + stems[order - 1 :], -1)
+        distinct, first, number = np.unique(keys, return_index=True, return_inverse=True)
+        terms = np.array(
+            [
+                index.get("_".join(words[p : p + order]), -1)
+                if key >= 0
+                else -1
+                for key, p in zip(distinct.tolist(), first.tolist())
+            ],
+            dtype=np.intp,
+        )[number]
+        kept = terms >= 0
+        cells.append(unit[:count][kept] * width + terms[kept])
+        prefix = number
+    cells, term_freqs = np.unique(np.concatenate(cells), return_counts=True)
     rows, indices = np.divmod(cells, width)
     values = term_freqs * vocab.idf[indices]
-    values /= np.array(token_counts, dtype=np.float64)[rows]
+    values /= np.maximum(tokens.sizes, 1).astype(np.float64)[rows]
     return rows, indices, values

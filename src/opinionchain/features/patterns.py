@@ -2,8 +2,10 @@
 
 The tagger is intentionally small: a closed-class lexicon plus suffix
 heuristics, just rich enough for the pattern counters.  Any POS tagger
-producing the same tag strings can be plugged in instead, and pre-tagged
-input is accepted directly by ``pattern_features``.
+producing the same tag strings can be plugged in instead.  The counts
+are taken over a chunk of units at once: each distinct token's tag
+column and flags come from ``token_pattern`` once, and
+``pattern_features`` counts them with numpy.
 """
 
 from __future__ import annotations
@@ -109,26 +111,52 @@ def pattern_feature_names(tag_set=DEFAULT_TAG_SET) -> tuple[str, ...]:
     ) + tuple(f"pos_{t.lower()}" for t in tag_set)
 
 
-def pattern_features(tokens, tags, resources: PatternResources) -> np.ndarray:
-    """Counts: adjective+noun bigrams, negations, amplifiers, downtoners,
-    disfluencies, capitalized tokens, then one count per tag."""
-    tokens = list(tokens)
-    tags = list(tags)
-    if len(tokens) != len(tags):
-        raise InvalidInputError(
-            f"{len(tokens)} tokens vs {len(tags)} tags; must align 1:1"
-        )
-    lows = [t.lower() for t in tokens]
-    adj_noun = sum(
-        1 for a, b in zip(tags, tags[1:]) if a == "ADJ" and b == "NOUN"
+# Bits of a token's pattern flags (``token_pattern``).  The first five
+# are counted, in this order, after adj_noun; the last two mark its tag.
+_NEGATION, _AMPLIFIER, _DOWNTONER, _DISFLUENCY, _CAPITALIZED, _ADJ, _NOUN = (
+    1 << k for k in range(7)
+)
+_COUNTED_FLAGS = 5
+
+
+def token_pattern(token: str, tag: str, resources: PatternResources) -> tuple[int, int]:
+    """What the pattern counts read of one token tagged ``tag``: the
+    tag's column in ``resources.tag_set`` (-1 if it has none) and the
+    token's flag bits."""
+    low = token.lower()
+    flags = (
+        _NEGATION * (low in resources.negations)
+        | _AMPLIFIER * (low in resources.amplifiers)
+        | _DOWNTONER * (low in resources.downtoners)
+        | _DISFLUENCY * (low in resources.disfluencies)
+        | _CAPITALIZED * token[:1].isupper()
+        | _ADJ * (tag == "ADJ")
+        | _NOUN * (tag == "NOUN")
     )
-    counts = [
-        float(adj_noun),
-        float(sum(1 for t in lows if t in resources.negations)),
-        float(sum(1 for t in lows if t in resources.amplifiers)),
-        float(sum(1 for t in lows if t in resources.downtoners)),
-        float(sum(1 for t in lows if t in resources.disfluencies)),
-        float(sum(1 for t in tokens if t[:1].isupper())),
-    ]
-    counts.extend(float(tags.count(tag)) for tag in resources.tag_set)
-    return np.array(counts)
+    column = resources.tag_set.index(tag) if tag in resources.tag_set else -1
+    return column, flags
+
+
+def pattern_features(tokens, resources: PatternResources) -> np.ndarray:
+    """(U, 6 + len(tag_set)) counts for the U units of ``tokens`` (a
+    ``TokenChunk`` with tag columns and flags): adjective+noun bigrams
+    within the unit, negations, amplifiers, downtoners, disfluencies,
+    capitalized tokens, then one count per tag."""
+    num_units = len(tokens.sizes)
+    width = 1 + _COUNTED_FLAGS + len(resources.tag_set)
+    unit, flags, tags = tokens.unit, tokens.flags, tokens.tags
+    pairs = (flags[:-1] & _ADJ != 0) & (flags[1:] & _NOUN != 0) & (unit[:-1] == unit[1:])
+    flagged, bit = np.nonzero((flags[:, None] >> np.arange(_COUNTED_FLAGS)) & 1)
+    tagged = tags >= 0
+    cells = np.concatenate(
+        [
+            unit[:-1][pairs] * width,
+            unit[flagged] * width + 1 + bit,
+            unit[tagged] * width + 1 + _COUNTED_FLAGS + tags[tagged],
+        ]
+    )
+    counts = np.bincount(cells, minlength=num_units * width).reshape(num_units, width)
+    # a tag listed twice in the tag set is counted in both of its columns
+    first = [1 + _COUNTED_FLAGS + resources.tag_set.index(t) for t in resources.tag_set]
+    counts[:, 1 + _COUNTED_FLAGS :] = counts[:, first]
+    return counts.astype(np.float64)

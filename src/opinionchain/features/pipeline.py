@@ -8,6 +8,15 @@ once.  The returned ``FittedFeaturePipeline`` is immutable and its
 ``transform`` is a pure function, so fitting on a training fold and
 transforming held-out documents cannot leak fold statistics.
 
+Documents are featurized a chunk at a time (``training.SCORING_CHUNK``
+of them), each chunk's tokens as ids into a bounded ``TokenTypes``
+table, which works out once per distinct token what the bong and pattern
+blocks read of it.  The pattern and paralinguistic counts of all the
+chunk's IPUs are then one ``np.bincount`` each, and the bong entries one
+``np.unique`` (``vectorize_bong``); only the embedding and lexicon rows
+are built one IPU at a time.  A document's sequence does not depend on
+the chunk it is in.
+
 Segmentation and tokenization depend only on the configuration, never
 on fitted state: ``FeaturePipeline.segment`` does them once, and both
 ``fit_transform`` and ``transform`` accept its ``SegmentedDocument`` in
@@ -26,6 +35,7 @@ block is kept sparse from ``vectorize_bong`` on (see
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -34,19 +44,29 @@ import numpy as np
 from ..corpus import Transcript
 from ..errors import ConfigurationError, InvalidInputError
 from ..model import ObservationSequence, SparseRows
+from ..training import chunked
 from . import resources as res
 from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from .lexicons import Lexicon, lexicon_features, load_lexicon
-from .ngrams import NGramVocabulary, fit_bong, vectorize_bong
+from .ngrams import NGramVocabulary, fit_bong, stem_tokens, vectorize_bong
 from .paralinguistic import FEATURE_NAMES as PARA_NAMES
 from .paralinguistic import paralinguistic_features
-from .patterns import DEFAULT_TAG_SET, pattern_feature_names, pattern_features
+from .patterns import (
+    DEFAULT_TAG_SET,
+    PatternResources,
+    RuleTagger,
+    pattern_feature_names,
+    pattern_features,
+    token_pattern,
+)
 from .segmentation import IPU, segment_into_ipus
 from .standardize import Standardizer, fit_standardizer
 from .tokenizer import get_normalizer, tokenize_many
 
 CANONICAL_BLOCKS = ("bong", "embedding", "lexicon", "pattern", "paralinguistic")
 DEFAULT_BLOCKS = ("bong", "pattern", "paralinguistic")
+# distinct tokens one ``TokenTypes`` table holds at most
+TYPE_TABLE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,6 +165,90 @@ class FeatureSchema:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class TokenChunk:
+    """The tokens of a chunk of U units (IPUs), T tokens in all, each
+    given by what the feature blocks read of its type (``TokenTypes``).
+    A unit's tokens are contiguous and the units are in order."""
+
+    sizes: np.ndarray  # (U,) tokens per unit
+    unit: np.ndarray  # (T,) unit of each token
+    tags: np.ndarray | None  # (T,) column of each token's tag in the tag set, or -1
+    flags: np.ndarray | None  # (T,) pattern flag bits of each token
+    stems: np.ndarray | None  # (T,) stem id of each token
+    stem_names: list[str]  # the stem of each stem id
+
+
+class TokenTypes:
+    """A table of the distinct tokens (types) seen, each numbered once,
+    with what the feature blocks read of it worked out once: its tag
+    column and pattern flags (``token_pattern``) when ``pattern`` is
+    given, and its stem when ``stems`` is set.  Everything these blocks
+    read of a token depends on the token alone, and a corpus has far
+    fewer types than tokens.
+
+    The table holds at most ``TYPE_TABLE_SIZE`` types: a chunk that could
+    push it past that first empties it, and a chunk of more tokens than
+    that is numbered in a table of its own."""
+
+    def __init__(self, tagger: RuleTagger | None, pattern: PatternResources | None, stems: bool):
+        self.tagger, self.pattern, self.with_stems = tagger, pattern, stems
+        self._clear()
+
+    def _clear(self):
+        self.ids: dict[str, int] = {}
+        self._stem_ids: dict[str, int] = {}
+        self._tags: list[int] = []
+        self._flags: list[int] = []
+        self._stems: list[int] = []
+        self._arrays = None
+
+    def _extend(self, new: list[str]):
+        self.ids.update(zip(new, range(len(self.ids), len(self.ids) + len(new))))
+        if self.pattern is not None:
+            for token, tag in zip(new, self.tagger.tag(new)):
+                column, flags = token_pattern(token, tag, self.pattern)
+                self._tags.append(column)
+                self._flags.append(flags)
+        if self.with_stems:
+            stem_ids = self._stem_ids
+            self._stems.extend(stem_ids.setdefault(s, len(stem_ids)) for s in stem_tokens(new))
+        self._arrays = None
+
+    def _numbered(self, tokens: list[str]) -> np.ndarray:
+        get = self.ids.get
+        ids = [get(token, -1) for token in tokens]
+        if -1 in ids:
+            self._extend(list(dict.fromkeys(t for t, i in zip(tokens, ids) if i < 0)))
+            ids = [self.ids[token] for token in tokens]
+        return np.array(ids, dtype=np.intp)
+
+    def chunk(self, units) -> TokenChunk:
+        """``units`` (one token list per unit) as a ``TokenChunk``."""
+        sizes = np.array([len(tokens) for tokens in units], dtype=np.intp)
+        tokens = [token for unit in units for token in unit]
+        table = self
+        if len(self.ids) + len(tokens) > TYPE_TABLE_SIZE:
+            if len(tokens) > TYPE_TABLE_SIZE:
+                table = TokenTypes(self.tagger, self.pattern, self.with_stems)
+            else:
+                self._clear()
+        ids = table._numbered(tokens)
+        if table._arrays is None:
+            table._arrays = tuple(
+                np.array(values, dtype=np.intp) for values in (table._tags, table._flags, table._stems)
+            ) + (list(table._stem_ids),)
+        tags, flags, stems, stem_names = table._arrays
+        return TokenChunk(
+            sizes=sizes,
+            unit=np.repeat(np.arange(len(sizes)), sizes),
+            tags=tags[ids] if self.pattern is not None else None,
+            flags=flags[ids] if self.pattern is not None else None,
+            stems=stems[ids] if self.with_stems else None,
+            stem_names=stem_names,
+        )
+
+
 @dataclass(frozen=True)
 class _Resources:
     stopwords: frozenset = frozenset()
@@ -154,6 +258,7 @@ class _Resources:
     tagger: object = None
     embedding: EmbeddingTable | None = None
     lexicons: tuple[Lexicon, ...] = ()
+    types: TokenTypes | None = None  # for the pattern and bong blocks
 
 
 def _load_resources(config: PipelineConfig) -> _Resources:
@@ -181,6 +286,10 @@ def _load_resources(config: PipelineConfig) -> _Resources:
         )
     if "paralinguistic" in config.blocks:
         kwargs["marker_map"] = res.load_marker_map(config.markers_path)
+    if "pattern" in config.blocks or "bong" in config.blocks:
+        kwargs["types"] = TokenTypes(
+            kwargs.get("tagger"), kwargs.get("pattern"), stems="bong" in config.blocks
+        )
     return _Resources(**kwargs)
 
 
@@ -226,30 +335,67 @@ def _segmented(doc, config: PipelineConfig) -> SegmentedDocument:
     return doc
 
 
-def _fixed_rows(
-    seg: SegmentedDocument, config: PipelineConfig, loaded: _Resources
-) -> np.ndarray:
-    """(L, D') rows of every enabled block but bong, in canonical order;
-    none of them depends on fitted state."""
+def _featurizable(docs, config: PipelineConfig) -> list[SegmentedDocument]:
+    """``docs`` segmented under ``config``, each checked to have an IPU."""
+    segmented = []
+    for doc in docs:
+        seg = _segmented(doc, config)
+        _require_ipus(seg)
+        segmented.append(seg)
+    return segmented
+
+
+def _require_ipus(seg: SegmentedDocument):
     if not seg.ipus:
         raise InvalidInputError(
             f"{seg.doc_id}: no IPUs (tokenless document cannot be featurized)"
         )
-    rows = []
-    for ipu, tokens in zip(seg.ipus, seg.tokens):
-        parts = []
-        for block in config.blocks:
-            if block == "embedding":
-                parts.append(embed_tokens(tokens, loaded.embedding, loaded.stopwords))
-            elif block == "lexicon":
-                parts.append(lexicon_features(tokens, loaded.lexicons, loaded.modifiers))
-            elif block == "pattern":
-                tags = loaded.tagger.tag(tokens)
-                parts.append(pattern_features(tokens, tags, loaded.pattern))
-            elif block == "paralinguistic":
-                parts.append(paralinguistic_features(ipu.para_events, loaded.marker_map))
-        rows.append(np.concatenate(parts) if parts else np.empty(0))
-    return np.array(rows)
+
+
+def _token_chunk(segs: list[SegmentedDocument], loaded: _Resources) -> TokenChunk:
+    return loaded.types.chunk([tokens for seg in segs for tokens in seg.tokens])
+
+
+def _unit_bounds(segs: list[SegmentedDocument]) -> list[int]:
+    """Where each document's IPUs start among the chunk's, and the end."""
+    return [0, *itertools.accumulate(len(seg.ipus) for seg in segs)]
+
+
+def _fixed_rows(
+    segs: list[SegmentedDocument],
+    config: PipelineConfig,
+    loaded: _Resources,
+    tokens: TokenChunk | None = None,
+) -> np.ndarray:
+    """(U, D') rows of every enabled block but bong for the U IPUs of a
+    chunk of documents, in canonical order; none of them depends on
+    fitted state.  The embedding and lexicon rows are built per IPU, the
+    pattern and paralinguistic ones for the whole chunk (from ``tokens``,
+    the chunk's ``TokenChunk``, if given)."""
+    blocks = []
+    per_ipu = [block for block in config.blocks if block in ("embedding", "lexicon")]
+    if per_ipu:
+        rows = []
+        for seg in segs:
+            for unit in seg.tokens:
+                parts = [
+                    embed_tokens(unit, loaded.embedding, loaded.stopwords)
+                    if block == "embedding"
+                    else lexicon_features(unit, loaded.lexicons, loaded.modifiers)
+                    for block in per_ipu
+                ]
+                rows.append(np.concatenate(parts))
+        blocks.append(np.array(rows))
+    if "pattern" in config.blocks:
+        if tokens is None:
+            tokens = _token_chunk(segs, loaded)
+        blocks.append(pattern_features(tokens, loaded.pattern))
+    if "paralinguistic" in config.blocks:
+        events = [ipu.para_events for seg in segs for ipu in seg.ipus]
+        blocks.append(paralinguistic_features(events, loaded.marker_map))
+    if not blocks:
+        return np.empty((_unit_bounds(segs)[-1], 0))
+    return np.concatenate(blocks, axis=1)
 
 
 class FeaturePipeline:
@@ -272,15 +418,22 @@ class FeaturePipeline:
         transforms under this configuration."""
         return _segmented(doc, self.config)
 
-    def prepare(self, doc) -> SegmentedDocument:
-        """``doc`` (a transcript or a segmented document) segmented, with
-        the rows of its fold-independent blocks built once, for any
+    def prepare(self, docs) -> list[SegmentedDocument]:
+        """``docs`` (transcripts or segmented documents) segmented, with
+        the rows of their fold-independent blocks built once, for any
         number of fits and transforms under this configuration; only the
         bong rows and the standardizer are then computed per fit."""
-        seg = _segmented(doc, self.config)
-        rows = _fixed_rows(seg, self.config, self._resources())
-        rows.flags.writeable = False
-        return replace(seg, fixed_rows=rows, fixed_config=self.config)
+        prepared = []
+        for chunk in chunked(docs):
+            segs = _featurizable(chunk, self.config)
+            rows = _fixed_rows(segs, self.config, self._resources())
+            rows.flags.writeable = False
+            bounds = _unit_bounds(segs)
+            prepared.extend(
+                replace(seg, fixed_rows=rows[lo:hi], fixed_config=self.config)
+                for seg, lo, hi in zip(segs, bounds, bounds[1:])
+            )
+        return prepared
 
     def fit_transform(
         self, train_docs
@@ -288,10 +441,10 @@ class FeaturePipeline:
         """Fit on ``train_docs`` (transcripts, segmented or prepared
         documents) and return the fitted pipeline with their sequences.
 
-        Each document's raw rows are built once, the bong block's as its
-        nonzero entries: the standardizer is fit on them and then applied
-        to them, which gives the same sequences, bit for bit, as the
-        fitted pipeline's ``transform``.
+        Each document's raw rows are built once, a chunk of documents at
+        a time, the bong block's as its nonzero entries: the standardizer
+        is fit on them and then applied to them, which gives the same
+        sequences, bit for bit, as the fitted pipeline's ``transform``.
         """
         if not train_docs:
             raise InvalidInputError("cannot fit a pipeline on zero documents")
@@ -313,20 +466,22 @@ class FeaturePipeline:
             standardizer=None,
             _resources=loaded,
         )
-        fixed = [fitted._fixed_matrix(seg) for seg in segmented]
-        bong = [fitted._bong_entries(seg) for seg in segmented]
+        chunks = list(chunked(segmented))
+        for seg in segmented:
+            _require_ipus(seg)
+        raw = [fitted._raw_rows(chunk) for chunk in chunks]
         if config.standardize:
             sparse_columns = None
             if vocab is not None:
-                indices = np.concatenate([entries[1] for entries in bong])
-                values = np.concatenate([entries[2] for entries in bong])
+                indices = np.concatenate([bong[1] for _, bong in raw])
+                values = np.concatenate([bong[2] for _, bong in raw])
                 sparse_columns = (indices, values, len(vocab))
-            fitted = replace(
-                fitted, standardizer=fit_standardizer(np.concatenate(fixed), sparse_columns)
-            )
+            fixed = np.concatenate([rows for rows, _ in raw])
+            fitted = replace(fitted, standardizer=fit_standardizer(fixed, sparse_columns))
         sequences = [
-            fitted._sequence(seg, matrix, entries)
-            for seg, matrix, entries in zip(segmented, fixed, bong)
+            sequence
+            for chunk, (fixed, bong) in zip(chunks, raw)
+            for sequence in fitted._sequences(chunk, fixed, bong)
         ]
         return fitted, sequences
 
@@ -359,8 +514,8 @@ def _build_schema(config, loaded: _Resources, vocab) -> FeatureSchema:
 
 @dataclass(frozen=True)
 class FittedFeaturePipeline:
-    """A fitted pipeline; ``transform`` turns a document into its
-    observation sequence.
+    """A fitted pipeline; ``transform`` turns documents into their
+    observation sequences.
 
     The bong block, first in canonical order, is never built densely: a
     sequence keeps it as ``SparseRows``, one (index, value) entry per
@@ -392,44 +547,72 @@ class FittedFeaturePipeline:
             width = len(vocab)
             fixed = Standardizer(mean=std.mean[width:], std=std.std[width:])
             divisor = std.divisor[:width]
-            offset = -std.mean[:width] / divisor
+            with np.errstate(over="ignore"):
+                offset = -std.mean[:width] / divisor
+            # checked here once; every sequence's SparseRows shares it
+            if not np.isfinite(offset).all():
+                raise InvalidInputError(
+                    "the standardizer's bong offset row, -mean/std, is not finite"
+                )
             offset.flags.writeable = False
         object.__setattr__(self, "_fixed_standardizer", fixed)
         object.__setattr__(self, "_bong_divisor", divisor)
         object.__setattr__(self, "_bong_offset", offset)
 
-    def _fixed_matrix(self, seg: SegmentedDocument) -> np.ndarray:
-        """The document's (L, D') rows of every block but bong, before
-        standardizing."""
-        if seg.fixed_rows is not None:
-            return seg.fixed_rows
-        return _fixed_rows(seg, self.config, self._resources)
+    def _raw_rows(self, segs: list[SegmentedDocument]):
+        """A chunk's rows before standardizing: the (U, D') rows of every
+        block but bong over its U IPUs, and the bong rows as (rows,
+        indices, values) of their nonzero entries, None without bong."""
+        tokens = None
+        if self.vocabulary is not None:
+            tokens = _token_chunk(segs, self._resources)
+        if all(seg.fixed_rows is not None for seg in segs):
+            fixed = np.concatenate([seg.fixed_rows for seg in segs])
+        else:  # a chunk with an unprepared document is built whole
+            fixed = _fixed_rows(segs, self.config, self._resources, tokens)
+        bong = None if tokens is None else vectorize_bong(tokens, self.vocabulary)
+        return fixed, bong
 
-    def _bong_entries(self, seg: SegmentedDocument):
-        """The document's bong rows before standardizing, as (rows,
-        indices, values) of their nonzero entries; None without bong."""
-        if self.vocabulary is None:
-            return None
-        return vectorize_bong(seg.tokens, self.vocabulary)
-
-    def _sequence(self, seg: SegmentedDocument, fixed: np.ndarray, bong) -> ObservationSequence:
+    def _sequences(self, segs, fixed: np.ndarray, bong) -> list[ObservationSequence]:
+        """The chunk's sequences, from its raw rows (``_raw_rows``): the
+        dense rows standardized at once, the bong values divided at
+        once, then both split by document."""
         if self._fixed_standardizer is not None:
             fixed = self._fixed_standardizer.apply(fixed)
-        sparse = None
+        bounds = _unit_bounds(segs)
         if bong is not None:
             rows, indices, values = bong
             if self._bong_divisor is not None:
                 values = values / self._bong_divisor[indices]
-            sparse = SparseRows(
-                rows, indices, values, len(seg.ipus), len(self.vocabulary), self._bong_offset
-            )
-        return ObservationSequence(doc_id=seg.doc_id, features=fixed, sparse=sparse)
+            cuts = np.searchsorted(rows, bounds).tolist()
+        sequences = []
+        for k, seg in enumerate(segs):
+            lo, hi = bounds[k], bounds[k + 1]
+            sparse = None
+            if bong is not None:
+                a, b = cuts[k], cuts[k + 1]
+                sparse = SparseRows(
+                    rows[a:b] - lo,
+                    indices[a:b],
+                    values[a:b],
+                    hi - lo,
+                    len(self.vocabulary),
+                    self._bong_offset,
+                    checked_offset=True,
+                )
+            sequences.append(ObservationSequence(seg.doc_id, fixed[lo:hi], sparse))
+        return sequences
 
-    def transform(self, doc) -> ObservationSequence:
-        """One document (a transcript or a ``SegmentedDocument``) as an
-        observation sequence."""
-        seg = _segmented(doc, self.config)
-        return self._sequence(seg, self._fixed_matrix(seg), self._bong_entries(seg))
+    def transform(self, docs) -> list[ObservationSequence]:
+        """The observation sequences of ``docs`` (transcripts or
+        ``SegmentedDocument``s), featurized a chunk of documents at a
+        time; a document's sequence is the same, bit for bit, whatever
+        chunk it is in."""
+        sequences = []
+        for chunk in chunked(docs):
+            segs = _featurizable(chunk, self.config)
+            sequences.extend(self._sequences(segs, *self._raw_rows(segs)))
+        return sequences
 
     def state_checksum(self) -> str:
         """Digest of everything learned from data; used to prove that

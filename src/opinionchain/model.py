@@ -51,7 +51,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -83,8 +83,11 @@ class SparseRows:
     num_rows: int
     width: int
     offset: np.ndarray | None = None  # (width,)
+    # set by a caller that has already checked ``offset``: width float64
+    # finite values, shared by many blocks and so checked once
+    checked_offset: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked_offset):
         rows = np.asarray(self.rows, dtype=np.intp)
         indices = np.asarray(self.indices, dtype=np.intp)
         values = np.asarray(self.values, dtype=np.float64)
@@ -105,7 +108,7 @@ class SparseRows:
             )
         if not np.isfinite(values).all():
             raise InvalidInputError("non-finite sparse feature values")
-        if self.offset is not None:
+        if self.offset is not None and not checked_offset:
             offset = np.asarray(self.offset, dtype=np.float64)
             if offset.shape != (self.width,) or not np.isfinite(offset).all():
                 raise InvalidInputError(f"the offset row must be {self.width} finite values")
@@ -371,6 +374,7 @@ def stack_sparse(parts: list[SparseRows], rows: list[np.ndarray], num_rows: int)
         num_rows=num_rows,
         width=parts[0].width,
         offset=parts[0].offset,
+        checked_offset=True,
     )
 
 

@@ -62,8 +62,9 @@ log = logging.getLogger(__name__)
 
 Dataset = list[tuple[ObservationSequence, int]]
 
-# sequences scored per emission_scores call at prediction time: enough to
-# amortize numpy's per-call overhead, few enough to hold their rows briefly
+# documents featurized, and sequences scored per emission_scores call, at
+# once: enough to amortize numpy's per-call overhead, few enough to hold
+# their rows briefly
 SCORING_CHUNK = 256
 
 
@@ -295,6 +296,14 @@ def train(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfParameters, Tra
     )
 
 
+def chunked(items):
+    """The items of ``items`` (any iterable, read once) in lists of up to
+    ``SCORING_CHUNK``, so that a stream is never held at once."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, SCORING_CHUNK)):
+        yield chunk
+
+
 @dataclass(frozen=True, eq=False)
 class HcrfPredictor:
     """Trained parameters plus the context window they were fit under.
@@ -315,9 +324,8 @@ class HcrfPredictor:
         covers every sequence, and each row is bitwise what the sequence
         alone gives."""
         window, theta_obs = self.config.context_window, self.params.theta_obs
-        xs = iter(xs)
         emissions = []
-        while chunk := list(itertools.islice(xs, SCORING_CHUNK)):
+        for chunk in chunked(xs):
             for x in chunk:
                 if (2 * window + 1) * x.dim != self.params.feature_dim:
                     raise InvalidInputError(

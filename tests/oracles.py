@@ -1,4 +1,13 @@
-"""Test oracles for the hidden-state chain model, independent of its kernel.
+"""Test oracles, independent of the code they check.
+
+For the chunk featurizer (``opinionchain.features.pipeline``):
+
+* The per-IPU reference: a document's rows built one IPU at a time and
+  one token occurrence at a time, as the pipeline did before it counted
+  token-type ids: every token tagged, tested against the word sets and
+  stemmed, and every n-gram joined and looked up, where it occurs.
+
+For the hidden-state chain model, independent of its kernel:
 
 * Path enumeration: every latent path is scored explicitly and the
   scores are summed with scipy's logsumexp.  Exact to rounding, but
@@ -12,13 +21,97 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 from scipy.special import logsumexp
 
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
+from opinionchain.features.embeddings import embed_tokens
+from opinionchain.features.lexicons import lexicon_features
+from opinionchain.features.ngrams import extract_ngrams
+from opinionchain.features.paralinguistic import CATEGORIES, OTHER
 from opinionchain.model import HcrfParameters, ObservationSequence
 
 BRUTE_FORCE_MAX_PATHS = 10**6
+
+para_log = logging.getLogger("opinionchain.features.paralinguistic")
+
+
+def reference_bong(units, vocab):
+    """TF-IDF entries ``(rows, indices, values)`` of ``units`` (token
+    lists), one n-gram occurrence at a time: tf * idf / the unit's token
+    count, in ascending (row, index) order."""
+    index, width = vocab.index, len(vocab)
+    cells: list[int] = []
+    token_counts = []
+    for row, tokens in enumerate(units):
+        base = row * width
+        grams = extract_ngrams(tokens, vocab.max_order)
+        cells += [base + index[gram] for gram in grams if gram in index]
+        token_counts.append(max(1, len(tokens)))
+    cells, term_freqs = np.unique(np.array(cells, dtype=np.intp), return_counts=True)
+    rows, indices = np.divmod(cells, width)
+    values = term_freqs * vocab.idf[indices]
+    values /= np.array(token_counts, dtype=np.float64)[rows]
+    return rows, indices, values
+
+
+def reference_pattern(tokens, tags, resources) -> np.ndarray:
+    """One unit's pattern counts from its tokens and their tags."""
+    tokens = list(tokens)
+    tags = list(tags)
+    if len(tokens) != len(tags):
+        raise InvalidInputError(f"{len(tokens)} tokens vs {len(tags)} tags; must align 1:1")
+    lows = [t.lower() for t in tokens]
+    adj_noun = sum(1 for a, b in zip(tags, tags[1:]) if a == "ADJ" and b == "NOUN")
+    counts = [
+        float(adj_noun),
+        float(sum(1 for t in lows if t in resources.negations)),
+        float(sum(1 for t in lows if t in resources.amplifiers)),
+        float(sum(1 for t in lows if t in resources.downtoners)),
+        float(sum(1 for t in lows if t in resources.disfluencies)),
+        float(sum(1 for t in tokens if t[:1].isupper())),
+    ]
+    counts.extend(float(tags.count(tag)) for tag in resources.tag_set)
+    return np.array(counts)
+
+
+def reference_paralinguistic(para_events, marker_map: dict) -> np.ndarray:
+    """One unit's marker counts per category, 'other' last."""
+    counts = dict.fromkeys(CATEGORIES + (OTHER,), 0.0)
+    for event in para_events:
+        category = marker_map.get(event.strip("*").lower())
+        if category is None:
+            para_log.info("unknown paralinguistic marker %r counted as other", event)
+            category = OTHER
+        counts[category] += 1.0
+    return np.array([counts[c] for c in CATEGORIES + (OTHER,)])
+
+
+def reference_rows(seg, pipeline):
+    """A segmented document's raw rows under ``pipeline`` (a fitted
+    pipeline), built one IPU at a time: its (L, D') rows of every block
+    but bong, and its bong entries (None without a vocabulary)."""
+    loaded = pipeline._resources
+    rows = []
+    for ipu, tokens in zip(seg.ipus, seg.tokens):
+        parts = []
+        for block in pipeline.config.blocks:
+            if block == "embedding":
+                parts.append(embed_tokens(tokens, loaded.embedding, loaded.stopwords))
+            elif block == "lexicon":
+                parts.append(lexicon_features(tokens, loaded.lexicons, loaded.modifiers))
+            elif block == "pattern":
+                tags = loaded.tagger.tag(tokens)
+                parts.append(reference_pattern(tokens, tags, loaded.pattern))
+            elif block == "paralinguistic":
+                parts.append(reference_paralinguistic(ipu.para_events, loaded.marker_map))
+        rows.append(np.concatenate(parts) if parts else np.empty(0))
+    bong = None
+    if pipeline.vocabulary is not None:
+        bong = reference_bong(seg.tokens, pipeline.vocabulary)
+    return np.array(rows), bong
 
 
 def _check(x: ObservationSequence, theta: HcrfParameters, y: int | None = None):

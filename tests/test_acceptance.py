@@ -286,7 +286,8 @@ def test_repeated_evaluation_runs_are_byte_identical(tmp_path):
 def test_trained_states_align_with_generator_polarity(synthetic_setup):
     setup = synthetic_setup
     fitted = FeaturePipeline(setup.config).fit_transform(list(setup.corpus))[0]
-    dataset = [(fitted.transform(doc), doc.polarity) for doc in setup.corpus]
+    sequences = fitted.transform(setup.corpus)
+    dataset = [(x, doc.polarity) for x, doc in zip(sequences, setup.corpus)]
     train_config = TrainingConfig(
         num_hidden_states=3, l2_lambda=0.1, max_iterations=150, seed=0
     )

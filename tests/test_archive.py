@@ -37,7 +37,7 @@ def fitted_setup(tmp_path, blocks=("bong",), **config_kwargs):
 
 
 def train_hcrf(docs, pipeline):
-    sequences = [pipeline.transform(d) for d in docs]
+    sequences = pipeline.transform(docs)
     labels = [d.polarity for d in docs]
     predictor, _ = fit_predictor(
         list(zip(sequences, labels)),
@@ -76,7 +76,7 @@ class TestHcrfRoundTrip:
         loaded = load_archive(path)
         fresh = make_transcript(doc_id="new", words=("loved", "movie"), valences=None)
         posterior = loaded.posteriors([fresh])[0]
-        seq = pipeline.transform(fresh)
+        seq = pipeline.transform([fresh])[0]
         assert np.array_equal(posterior, predictor.posterior_batch([seq])[0])
 
     def test_training_config_preserved(self, tmp_path):
@@ -123,7 +123,7 @@ class TestArchiveFromTheDensePipeline:
 class TestLogRegRoundTrip:
     def test_bitwise_reprediction(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
-        sequences = [pipeline.transform(d) for d in docs]
+        sequences = pipeline.transform(docs)
         labels = [d.polarity for d in docs]
         matrix = np.stack([aggregate_document_vector(s) for s in sequences])
         predictor = LogRegPredictor(train_logreg(matrix, labels, c=10.0))
@@ -194,7 +194,7 @@ class TestArchiveFormat:
     @pytest.mark.parametrize("window", [0, 1])
     def test_parts_that_disagree_in_width_listed_together(self, tmp_path, window):
         docs, pipeline = fitted_setup(tmp_path, blocks=("bong", "paralinguistic"))
-        sequences = [pipeline.transform(d) for d in docs]
+        sequences = pipeline.transform(docs)
         predictor, _ = fit_predictor(
             list(zip(sequences, [d.polarity for d in docs])),
             TrainingConfig(num_hidden_states=2, context_window=window, max_iterations=5),
@@ -224,7 +224,7 @@ class TestArchiveFormat:
 
     def test_logreg_weights_of_another_width_reported(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
-        matrix = np.stack([aggregate_document_vector(pipeline.transform(d)) for d in docs])
+        matrix = np.stack([aggregate_document_vector(x) for x in pipeline.transform(docs)])
         predictor = LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs]))
         path = tmp_path / "model.json"
         save_archive(path, predictor, pipeline)
@@ -267,7 +267,7 @@ class TestArchiveFormat:
             _, predictor = train_hcrf(docs, pipeline)
             dropped = "theta_obs"
         else:
-            matrix = np.stack([aggregate_document_vector(pipeline.transform(d)) for d in docs])
+            matrix = np.stack([aggregate_document_vector(x) for x in pipeline.transform(docs)])
             predictor = LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs]))
             dropped = "weights"
         path = tmp_path / "model.json"

@@ -11,6 +11,9 @@ import pytest
 import opinionchain
 
 from opinionchain.cli import main
+from opinionchain.corpus import save_corpus
+
+from conftest import make_transcript
 
 
 @pytest.fixture
@@ -248,6 +251,24 @@ class TestSegment:
         assert rc == 1
         assert "absent" in capsys.readouterr().err
 
+    def test_every_bad_document_listed_under_one_error_line(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        save_corpus(
+            [make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))], root
+        )
+        for name in ("a", "b"):  # the second token starts inside the first
+            path = root / f"{name}.txt"
+            path.write_text(path.read_text().replace("\t300\t500", "\t100\t500"))
+        rc = main(["segment", "--corpus", str(root), "--out", str(tmp_path / "s")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: 2 malformed record(s) in {root}"
+        ]
+        assert f"{root / 'a.txt'}:0: a: token times" in err
+        assert f"{root / 'b.txt'}:0: b: token times" in err
+        assert "Traceback" not in err
+
     def test_run_log_closed_when_command_returns(self, tmp_path, generated):
         out = tmp_path / "g"
         assert main(["segment", "--corpus", str(generated / "corpus"), "--out", str(out)]) == 0
@@ -403,6 +424,32 @@ class TestTrainPredict:
             f"error: {model}: malformed archive (1 problem(s))"
         ]
         assert "schema dim" in err and "Traceback" not in err
+
+    def test_non_finite_offset_row_fails_with_one_error_line(self, tmp_path, generated, capsys):
+        """A standardizer whose std is positive but so small that -mean/std
+        overflows gives a non-finite bong offset row: checked once, when
+        the archive's pipeline is built."""
+        cfg = write_config(tmp_path, {"training": {"num_hidden_states": 2, "max_iterations": 5}})
+        t_dir = tmp_path / "t"
+        rc = main(
+            ["train", "--corpus", str(generated / "corpus"), "--out", str(t_dir), "--config", cfg]
+        )
+        assert rc == 0
+        model = t_dir / "model.json"
+        doc = json.loads(model.read_text())
+        doc["pipeline"]["standardizer"]["mean"][0] = 1.0
+        doc["pipeline"]["standardizer"]["std"][0] = 5e-324
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(
+            ["predict", "--model", str(model), "--corpus", str(generated / "corpus"),
+             "--out", str(tmp_path / "p")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: the standardizer's bong offset row, -mean/std, is not finite"
+        ]
 
     @pytest.mark.parametrize("names", [["negative"], [0, 1], ["neg", "neu", "pos"]])
     def test_bad_label_names_fail_with_one_error_line(self, tmp_path, generated, capsys, names):

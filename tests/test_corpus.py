@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionchain.corpus import (
     Transcript,
@@ -114,6 +119,99 @@ class TestLoadValidation:
         with pytest.raises(FileFormatError) as err:
             load_corpus(root)
         assert any("missing" in msg for _, _, msg in err.value.problems)
+
+
+    def test_every_document_with_bad_times_reported(self, tmp_path):
+        root = tmp_path / "c"
+        save_corpus([make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))], root)
+        for name in ("a", "b"):  # the second token starts inside the first
+            path = root / f"{name}.txt"
+            path.write_text(path.read_text().replace("\t300\t500", "\t100\t500"))
+        with pytest.raises(FileFormatError) as err:
+            load_corpus(root)
+        assert str(err.value).splitlines()[0] == f"2 malformed record(s) in {root}"
+        assert err.value.problems == [
+            (str(root / "a.txt"), 0, "a: token times not non-decreasing at 'y'"),
+            (str(root / "b.txt"), 0, "b: token times not non-decreasing at 'v'"),
+        ]
+
+
+# Each mutation breaks one document in one way that the loader must
+# report as exactly one problem, at a place known in advance.
+_MUTATIONS = (
+    None,
+    "manifest_doc_file_swapped",
+    "manifest_file_valence_swapped",
+    "missing_file",
+    "text_time_swapped",
+    "non_integer_time",
+    "overlapping_times",
+    "unknown_record_kind",
+)
+
+
+def _mutate(root, index, doc_id, mutation):
+    """Apply ``mutation`` to document ``doc_id`` (manifest line
+    ``index`` + 3) and return the (path, line) its problem is reported at."""
+    manifest = root / "manifest.tsv"
+    transcript = root / f"{doc_id}.txt"
+    lineno = index + 3
+    if mutation and mutation.startswith("manifest_"):
+        lines = manifest.read_text().splitlines()
+        doc, file, valence = lines[lineno - 1].split("\t")
+        if mutation == "manifest_doc_file_swapped":
+            lines[lineno - 1] = f"{file}\t{doc}\t{valence}"
+            where = (str(root / doc), 0)  # a file named like the doc, missing
+        else:
+            lines[lineno - 1] = f"{doc}\t{valence}\t{file}"
+            where = (str(manifest), lineno)
+        manifest.write_text("\n".join(lines) + "\n")
+        return where
+    if mutation == "missing_file":
+        transcript.unlink()
+        return (str(transcript), 0)
+    lines = transcript.read_text().splitlines()
+    parts = lines[2].split("\t")  # the second token, on line 3
+    if mutation == "text_time_swapped":
+        parts[2], parts[3] = parts[3], parts[2]
+    elif mutation == "non_integer_time":
+        parts[4] = parts[4] + ".5"
+    elif mutation == "overlapping_times":
+        parts[3] = lines[1].split("\t")[3]  # starts with the first token
+    else:
+        parts[0] = "tokn"
+    lines[2] = "\t".join(parts)
+    transcript.write_text("\n".join(lines) + "\n")
+    return (str(transcript), 0 if mutation == "overlapping_times" else 3)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=6))
+    def test_only_file_format_errors_listing_every_injected_problem(self, mutations):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "c"
+            corpus = [
+                make_transcript(
+                    f"d{i}", ("fine", "words", "here"), valences=(4.0,),
+                    markers=[("*chuckling*", 250)],
+                )
+                for i in range(len(mutations))
+            ]
+            save_corpus(corpus, root)
+            expected = sorted(
+                _mutate(root, i, doc.doc_id, mutation)
+                for i, (doc, mutation) in enumerate(zip(corpus, mutations))
+                if mutation
+            )
+            try:
+                loaded = load_corpus(root)
+            except FileFormatError as exc:
+                assert sorted((path, line) for path, line, _ in exc.problems) == expected
+                assert str(exc).startswith(f"{len(expected)} malformed record(s) in {root}")
+            else:
+                assert expected == []
+                assert loaded == corpus
 
 
 class TestFilterNeutral:

@@ -298,8 +298,10 @@ class TestCrossValidate:
     ):
         """Every fold's training and held-out sequences, and its pipeline
         checksum, are bitwise those of a pipeline fit from scratch on the
-        fold's transcripts, while every fold-independent block runs once
-        per IPU and the embedding table loads once."""
+        fold's transcripts, while every fold-independent block featurizes
+        each IPU once across all folds and the embedding table loads once.
+        ``embed_tokens`` takes one IPU a call, ``paralinguistic_features``
+        a chunk of them, so units are counted, not calls."""
         import dataclasses
 
         from opinionchain.features import pipeline as pipeline_module
@@ -319,12 +321,17 @@ class TestCrossValidate:
             embedding_path=str(tmp_path / "emb.txt"),
             lexicon_paths=(str(socal_lexicon_file),),
         )
-        calls = Counter()
-        for name in ("embed_tokens", "load_embeddings", "paralinguistic_features"):
+        units = Counter()  # IPUs featurized, or files loaded
+        sizes = {
+            "embed_tokens": lambda args: 1,
+            "load_embeddings": lambda args: 1,
+            "paralinguistic_features": lambda args: len(args[0]),
+        }
+        for name, size in sizes.items():
             original = getattr(pipeline_module, name)
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+            def counting(*args, _name=name, _size=size, _original=original, **kwargs):
+                units[_name] += _size(args)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(pipeline_module, name, counting)
@@ -332,7 +339,7 @@ class TestCrossValidate:
         learner = _RecordingLearner()
         _, details = cross_validate(corpus, config, learner, k=3, seed=2, return_details=True)
         num_ipus = sum(x.length for x in learner.train[0] + learner.held_out[0])
-        assert calls == {
+        assert units == {
             "embed_tokens": num_ipus,
             "paralinguistic_features": num_ipus,
             "load_embeddings": 1,
@@ -343,7 +350,7 @@ class TestCrossValidate:
         ):
             train_docs = [doc for i, doc in enumerate(corpus) if i not in set(fold)]
             fitted, want_train = FeaturePipeline(config).fit_transform(train_docs)
-            want_held_out = [fitted.transform(corpus[i]) for i in fold]
+            want_held_out = fitted.transform([corpus[i] for i in fold])
             assert detail.pipeline_checksum == fitted.state_checksum()
             for got, want in zip(train + held_out, want_train + want_held_out, strict=True):
                 assert got.doc_id == want.doc_id

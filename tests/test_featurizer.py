@@ -1,0 +1,178 @@
+"""The chunk featurizer against the per-IPU reference in ``oracles.py``.
+
+``FeaturePipeline.fit_transform`` and ``FittedFeaturePipeline.transform``
+featurize a chunk of documents at a time from token-type ids; every
+document's dense rows and bong entries must be bitwise what the per-IPU,
+per-occurrence reference builds for it alone, whatever chunk it falls
+in and however full the type table is.
+"""
+
+import dataclasses
+import logging
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from opinionchain import training
+from opinionchain.features import pipeline
+from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, SegmentedDocument
+from opinionchain.features.segmentation import IPU
+from opinionchain.features.standardize import fit_standardizer
+from opinionchain.synthetic import SyntheticSpec, generate_corpus
+
+from oracles import reference_rows
+
+_WORDS = (
+    "great", "Great", "GREAT", "movie", "Movies", "not", "Never", "very", "slightly",
+    "um", "plot", "acting", "zorp", "Boring", "really", "watching", "terribly",
+)  # fmt: skip
+# in-vocabulary, out-of-vocabulary and capitalized words, word-set members
+_TOKEN = st.sampled_from(_WORDS) | st.text(alphabet="abcdeXY'-", min_size=1, max_size=5)
+_EVENT = st.sampled_from(
+    ("*chuckling*", "*Laughing*", "*shouting*", "*interpretive dance*", "*hum*")
+)
+# an IPU: its tokens after tokenizing (possibly none) and its markers
+_IPU = st.tuples(st.lists(_TOKEN, max_size=6), st.lists(_EVENT, max_size=2))
+_DOC = st.lists(_IPU, min_size=1, max_size=4)
+
+
+def segmented(doc_id, ipus, config):
+    """A segmented document of the given (tokens, markers) IPUs."""
+    return SegmentedDocument(
+        doc_id,
+        tuple(
+            IPU(tokens=tuple(tokens) or ("--",), start_ms=0, end_ms=0, para_events=tuple(events))
+            for tokens, events in ipus
+        ),
+        tuple(list(tokens) for tokens, _ in ipus),
+        config.threshold_ms,
+        config.normalizer,
+    )
+
+
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_against_reference(fitted, docs, sequences):
+    """Every sequence bitwise the reference's rows, standardized as the
+    fitted pipeline does."""
+    std = fitted._fixed_standardizer
+    assert [x.doc_id for x in sequences] == [seg.doc_id for seg in docs]
+    for seg, x in zip(docs, sequences, strict=True):
+        fixed, bong = reference_rows(seg, fitted)
+        assert bitwise(x.features, fixed if std is None else std.apply(fixed))
+        rows, indices, values = bong
+        if fitted._bong_divisor is not None:
+            values = values / fitted._bong_divisor[indices]
+        assert bitwise(x.sparse.rows, rows.astype(np.intp))
+        assert bitwise(x.sparse.indices, indices.astype(np.intp))
+        assert bitwise(x.sparse.values, values)
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    train=st.lists(_DOC, min_size=1, max_size=5),
+    held_out=st.lists(_DOC, max_size=7),
+    order=st.integers(1, 3),
+    standardize=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 256]),
+    bound=st.sampled_from([3, 12, pipeline.TYPE_TABLE_SIZE]),
+)
+def test_chunks_bitwise_equal_the_per_ipu_reference(
+    train, held_out, order, standardize, chunk, bound
+):
+    assume(any(tokens for doc in train for tokens, _ in doc))  # some vocabulary
+    config = PipelineConfig(bong_max_order=order, standardize=standardize)
+    train_docs = [segmented(f"t{i}", doc, config) for i, doc in enumerate(train)]
+    held_docs = [segmented(f"h{i}", doc, config) for i, doc in enumerate(held_out)]
+    para_log = logging.getLogger("opinionchain.features.paralinguistic")
+    got, want = _Messages(), _Messages()
+    para_log.addHandler(got)
+    try:
+        with patch.object(training, "SCORING_CHUNK", chunk), patch.object(
+            pipeline, "TYPE_TABLE_SIZE", bound
+        ):
+            fitted, sequences = FeaturePipeline(config).fit_transform(train_docs)
+            sequences = sequences + fitted.transform(held_docs)
+            assert len(fitted._resources.types.ids) <= bound
+        para_log.removeHandler(got)
+        para_log.addHandler(want)
+        raw = [reference_rows(seg, fitted) for seg in train_docs + held_docs]
+    finally:
+        para_log.removeHandler(got)
+        para_log.removeHandler(want)
+    # an unknown marker is logged once per occurrence, in document order
+    assert got.messages == want.messages
+    raw = raw[: len(train_docs)]
+    if standardize:
+        sparse = (
+            np.concatenate([bong[1] for _, bong in raw]),
+            np.concatenate([bong[2] for _, bong in raw]),
+            len(fitted.vocabulary),
+        )
+        expected = fit_standardizer(np.concatenate([fixed for fixed, _ in raw]), sparse)
+        assert bitwise(fitted.standardizer.mean, expected.mean)
+        assert bitwise(fitted.standardizer.std, expected.std)
+    check_against_reference(fitted, train_docs + held_docs, sequences)
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257])
+def test_chunk_boundaries_change_nothing(count):
+    """Documents on either side of a ``SCORING_CHUNK`` boundary, and the
+    last chunk's lone document, featurize as they would alone."""
+    assert training.SCORING_CHUNK == 256
+    corpus = generate_corpus(dataclasses.replace(SyntheticSpec(), num_docs_per_label=129), seed=4)
+    unfitted = FeaturePipeline(PipelineConfig())
+    fitted, _ = unfitted.fit_transform(corpus[:40])
+    docs = [unfitted.segment(doc) for doc in corpus[:count]]
+    sequences = fitted.transform(docs)
+    check_against_reference(fitted, docs, sequences)
+    for k in {0, count - 1}:  # a chunk of one
+        check_against_reference(fitted, docs[k : k + 1], fitted.transform(docs[k : k + 1]))
+
+
+def test_type_table_stops_growing_at_its_bound(monkeypatch):
+    """On documents with five times as many distinct tokens as the type
+    table's bound, the table and its stems never pass the bound and every
+    sequence stays bitwise the reference's.  A chunk of more tokens than
+    the bound is numbered in a table of its own and leaves this one as
+    it was.  There is no n-gram table to bound: ``vectorize_bong`` numbers
+    a chunk's distinct n-grams within the one call."""
+    bound = 40
+    monkeypatch.setattr(pipeline, "TYPE_TABLE_SIZE", bound)
+    monkeypatch.setattr(training, "SCORING_CHUNK", 3)
+    config = PipelineConfig()
+    docs = [
+        segmented(f"d{i}", [([f"w{i}n{j}" for j in range(6)] + ["Great", "movie"], [])], config)
+        for i in range(34)
+    ]
+    assert len({t for seg in docs for tokens in seg.tokens for t in tokens}) > 5 * bound
+    fitted, sequences = FeaturePipeline(config).fit_transform(docs[:4])
+    types = fitted._resources.types
+    check_against_reference(fitted, docs[:4], sequences)
+    sizes = []
+    for start in range(4, len(docs), 3):
+        chunk = docs[start : start + 3]
+        check_against_reference(fitted, chunk, fitted.transform(chunk))
+        sizes.append((len(types.ids), len(types._stem_ids)))
+    assert max(n for n, _ in sizes) <= bound and max(s for _, s in sizes) <= bound
+    assert "w4n0" not in types.ids  # emptied since the first chunk
+
+    monkeypatch.setattr(training, "SCORING_CHUNK", 6)  # 48 tokens a chunk
+    before = dict(types.ids)
+    check_against_reference(fitted, docs[:6], fitted.transform(docs[:6]))
+    assert types.ids == before

@@ -8,6 +8,8 @@ from opinionchain.features.ngrams import (
     vectorize_bong,
 )
 
+from conftest import token_chunk
+
 
 class TestExtraction:
     def test_great_movie(self):
@@ -58,9 +60,14 @@ class TestFit:
         assert vocab.doc_freq[vocab.index["plot"]] == 2
 
 
+def entries(units, vocab):
+    """``vectorize_bong``'s entries for ``units`` (token lists)."""
+    return vectorize_bong(token_chunk(units, stems=True), vocab)
+
+
 def dense_rows(units, vocab):
     """``vectorize_bong``'s entries as one dense row per unit."""
-    rows, indices, values = vectorize_bong(units, vocab)
+    rows, indices, values = entries(units, vocab)
     for unit in range(len(units)):
         mine = indices[rows == unit].tolist()
         assert mine == sorted(set(mine))
@@ -92,11 +99,11 @@ class TestVectorize:
         np.testing.assert_allclose(got, want, atol=1e-12)
         # the three as the units of one document, entries row by row
         assert np.array_equal(dense_rows(docs, vocab), got)
-        assert vectorize_bong(docs, vocab)[0].tolist() == [0, 0, 1, 1, 2, 2]
+        assert entries(docs, vocab)[0].tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_out_of_vocabulary_ignored(self):
         vocab = fit_bong([["good"]], max_order=1)
-        rows, indices, values = vectorize_bong([["unseen", "tokens"]], vocab)
+        rows, indices, values = entries([["unseen", "tokens"]], vocab)
         assert rows.size == indices.size == values.size == 0
         np.testing.assert_array_equal(dense(["unseen", "tokens"], vocab), np.zeros(1))
 

@@ -17,11 +17,11 @@ MAP = {
 
 
 def test_no_markers_zero_vector():
-    np.testing.assert_array_equal(paralinguistic_features([], MAP), np.zeros(5))
+    np.testing.assert_array_equal(paralinguistic_features([[]], MAP), np.zeros((1, 5)))
 
 
 def test_single_chuckle():
-    out = paralinguistic_features(["*chuckling*"], MAP)
+    out = paralinguistic_features([["*chuckling*"]], MAP)[0]
     assert out[FEATURE_NAMES.index("para_laughter")] == 1.0
     assert out.sum() == 1.0
 
@@ -35,7 +35,7 @@ def test_mixed_markers_recounted():
         "*falling intonation*",
         "*word elongation*",
     ]
-    out = paralinguistic_features(events, MAP)
+    out = paralinguistic_features([events], MAP)[0]
     recount = {c: 0 for c in CATEGORIES + ("other",)}
     for e in events:
         recount[MAP[e.strip("*")]] += 1
@@ -44,7 +44,7 @@ def test_mixed_markers_recounted():
 
 
 def test_unknown_marker_lands_in_other_bucket():
-    out = paralinguistic_features(["*interpretive dance*"], MAP)
+    out = paralinguistic_features([["*interpretive dance*"]], MAP)[0]
     assert out[FEATURE_NAMES.index("para_other")] == 1.0
     assert out.sum() == 1.0
 
@@ -55,3 +55,17 @@ def test_shipped_marker_map_loads():
     assert mapping["falling intonation"] == "intonation"
     assert mapping["word elongation"] == "pronunciation"
     assert mapping["shouting"] == "volume"
+
+
+def test_units_counted_row_by_row_and_unknown_markers_logged_in_order(caplog):
+    units = [["*chuckling*", "*hum*"], [], ["*Shouting*", "*sigh*", "*hum*"]]
+    with caplog.at_level("INFO", logger="opinionchain.features.paralinguistic"):
+        out = paralinguistic_features(units, MAP)
+    laughter, volume, other = (
+        FEATURE_NAMES.index(n) for n in ("para_laughter", "para_volume", "para_other")
+    )
+    want = np.zeros((3, 5))
+    want[0, [laughter, other]] = 1.0
+    want[2, volume], want[2, other] = 1.0, 2.0
+    np.testing.assert_array_equal(out, want)
+    assert [r.args[0] for r in caplog.records] == ["*hum*", "*sigh*", "*hum*"]

@@ -19,6 +19,8 @@ from opinionchain.features.resources import (
     load_tagger,
 )
 
+from conftest import token_chunk
+
 RES = PatternResources(
     negations=frozenset({"not", "never"}),
     amplifiers=frozenset({"really", "very"}),
@@ -27,28 +29,30 @@ RES = PatternResources(
 )
 
 
+def counts(tokens, tags, resources=RES):
+    """``pattern_features`` of one unit, each token tagged as in ``tags``."""
+    tagger = RuleTagger(lexicon={t.lower(): tag for t, tag in zip(tokens, tags)})
+    return pattern_features(token_chunk([tokens], tagger, resources), resources)[0]
+
+
 class TestPatternCounts:
     def test_adjective_noun_bigram(self):
-        out = pattern_features(["great", "movie"], ["ADJ", "NOUN"], RES)
+        out = counts(["great", "movie"], ["ADJ", "NOUN"])
         names = pattern_feature_names()
         assert out[names.index("adj_noun")] == 1.0
 
     def test_negation_and_amplifier(self):
         tokens = ["not", "really", "good"]
-        out = pattern_features(tokens, ["ADV", "ADV", "ADJ"], RES)
+        out = counts(tokens, ["ADV", "ADV", "ADJ"])
         names = pattern_feature_names()
         assert out[names.index("negation")] == 1.0
         assert out[names.index("amplifier")] == 1.0
         assert out[names.index("downtoner")] == 0.0
 
     def test_capitalized_counts_raw_case(self):
-        out = pattern_features(["Great", "MOVIE", "plot"], ["ADJ", "NOUN", "NOUN"], RES)
+        out = counts(["Great", "MOVIE", "plot"], ["ADJ", "NOUN", "NOUN"])
         names = pattern_feature_names()
         assert out[names.index("capitalized")] == 2.0
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pattern_features(["a", "b"], ["ADJ"], RES)
 
     def test_twenty_token_recount(self):
         """Independent recount with regex + Counter over the same inputs."""
@@ -62,7 +66,7 @@ class TestPatternCounts:
             "CONJ", "OTHER", "NOUN", "VERB", "ADV", "ADV", "ADJ", "CONJ",
             "ADV", "ADV", "ADJ", "PREP",
         ]
-        out = pattern_features(tokens, tags, RES)
+        out = counts(tokens, tags)
         names = pattern_feature_names()
 
         lows = [t.lower() for t in tokens]
@@ -83,8 +87,20 @@ class TestPatternCounts:
             assert out[names.index(name)] == float(want), name
 
     def test_vector_width_matches_names(self):
-        out = pattern_features([], [], RES)
+        out = counts([], [])
         assert out.shape == (len(pattern_feature_names()),)
+
+    def test_adjective_noun_pairs_stay_within_a_unit(self):
+        tagger = RuleTagger(lexicon={"great": "ADJ", "movie": "NOUN"})
+        out = pattern_features(token_chunk([["great"], ["movie"]], tagger, RES), RES)
+        assert out[:, pattern_feature_names().index("adj_noun")].tolist() == [0.0, 0.0]
+
+    def test_tag_listed_twice_counted_in_both_columns(self):
+        tag_set = ("ADJ", "NOUN", "ADJ")
+        res = PatternResources(**{**RES.__dict__, "tag_set": tag_set})
+        tagger = RuleTagger(lexicon={"great": "ADJ"}, tag_set=tag_set)
+        out = pattern_features(token_chunk([["great", "great"]], tagger, res), res)[0]
+        assert out[6:].tolist() == [2.0, 0.0, 2.0]
 
 
 def uncached_tags(lexicon, tokens):

@@ -4,7 +4,6 @@ import pytest
 from opinionchain.errors import ConfigurationError, InvalidInputError
 from opinionchain.features.embeddings import embed_tokens, load_embeddings
 from opinionchain.features.lexicons import lexicon_features, load_lexicon
-from opinionchain.features.ngrams import vectorize_bong
 from opinionchain.features.pipeline import (
     CANONICAL_BLOCKS,
     FeaturePipeline,
@@ -22,6 +21,7 @@ from opinionchain.features.segmentation import segment_into_ipus
 from opinionchain.features.standardize import fit_standardizer
 
 from conftest import dense_features, make_transcript, same_sequence
+from oracles import reference_bong, reference_paralinguistic, reference_pattern
 
 
 def small_corpus():
@@ -94,7 +94,7 @@ class TestSchema:
         assert widths["embedding"] == 4
         assert widths["lexicon"] == 6
         assert widths["paralinguistic"] == 5
-        x = fitted.transform(small_corpus()[0])
+        x = fitted.transform(small_corpus()[:1])[0]
         assert x.dim == fitted.schema.dim
 
     def test_contiguity_enforced(self):
@@ -123,7 +123,7 @@ class TestRecomposition:
         fitted = FeaturePipeline(config).fit_transform(corpus)[0]
 
         doc = corpus[0]
-        x = dense_features(fitted.transform(doc))
+        x = dense_features(fitted.transform([doc])[0])
         ipus = segment_into_ipus(doc, config.threshold_ms)
         stopwords = load_stopwords()
         table = load_embeddings(emb_path)
@@ -136,7 +136,7 @@ class TestRecomposition:
         for j, ipu in enumerate(ipus):
             tokens = list(ipu.tokens)  # single-word records, no splitting needed
             row = x[j]
-            _, indices, values = vectorize_bong([tokens], fitted.vocabulary)
+            _, indices, values = reference_bong([tokens], fitted.vocabulary)
             bong = np.zeros(len(fitted.vocabulary))
             bong[indices] = values
             np.testing.assert_array_equal(row[fitted.schema.block_slice("bong")], bong)
@@ -148,17 +148,13 @@ class TestRecomposition:
                 row[fitted.schema.block_slice("lexicon")],
                 lexicon_features(tokens, lexicons, modifiers),
             )
-            from opinionchain.features.patterns import pattern_features
-
             np.testing.assert_allclose(
                 row[fitted.schema.block_slice("pattern")],
-                pattern_features(tokens, tagger.tag(tokens), pattern_res),
+                reference_pattern(tokens, tagger.tag(tokens), pattern_res),
             )
-            from opinionchain.features.paralinguistic import paralinguistic_features
-
             np.testing.assert_allclose(
                 row[fitted.schema.block_slice("paralinguistic")],
-                paralinguistic_features(ipu.para_events, marker_map),
+                reference_paralinguistic(ipu.para_events, marker_map),
             )
 
 
@@ -185,12 +181,12 @@ class TestFitTransform:
         assert fitted.state_checksum() == alone.state_checksum()
         assert [s.doc_id for s in sequences] == [d.doc_id for d in corpus]
         for doc, seq in zip(corpus, sequences):
-            assert same_sequence(seq, alone.transform(doc))
+            assert same_sequence(seq, alone.transform([doc])[0])
         if standardize:
             # fit on the raw rows, as an unstandardized pipeline builds them
             raw_config = block_config(block, False, embedding_file, socal_lexicon_file)
             raw = FeaturePipeline(raw_config).fit_transform(corpus)[0]
-            rows = np.concatenate([dense_features(raw.transform(d)) for d in corpus])
+            rows = np.concatenate([dense_features(x) for x in raw.transform(corpus)])
             want = fit_standardizer(rows)
             width = 0 if fitted.vocabulary is None else len(fitted.vocabulary)
             assert np.array_equal(fitted.standardizer.mean[width:], want.mean[width:])
@@ -212,39 +208,39 @@ class TestFitTransform:
         assert fitted.state_checksum() == want_fitted.state_checksum()
         for seg, seq, want in zip(segmented, sequences, from_docs):
             assert same_sequence(seq, want)
-            assert same_sequence(fitted.transform(seg), want)
+            assert same_sequence(fitted.transform([seg])[0], want)
 
     def test_segmentation_from_another_threshold_rejected(self):
         seg = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(small_corpus()[0])
         fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
         with pytest.raises(InvalidInputError, match="200 ms"):
-            fitted.transform(seg)
+            fitted.transform([seg])
         with pytest.raises(InvalidInputError, match="200 ms"):
             FeaturePipeline(PipelineConfig()).fit_transform([seg])
 
     def test_prepared_documents_featurize_like_transcripts(self):
         pipeline = FeaturePipeline(PipelineConfig())
         corpus = small_corpus()
-        prepared = [pipeline.prepare(doc) for doc in corpus]
+        prepared = pipeline.prepare(corpus)
         fitted, sequences = pipeline.fit_transform(prepared)
         want_fitted, want = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
         assert fitted.state_checksum() == want_fitted.state_checksum()
         for doc, seg, seq, expected in zip(corpus, prepared, sequences, want):
             assert same_sequence(seq, expected)
-            assert same_sequence(fitted.transform(seg), expected)
-            assert same_sequence(fitted.transform(doc), expected)
+            assert same_sequence(fitted.transform([seg])[0], expected)
+            assert same_sequence(fitted.transform([doc])[0], expected)
 
     def test_prepared_under_another_configuration_rejected(self):
-        seg = FeaturePipeline(PipelineConfig(blocks=("pattern",))).prepare(small_corpus()[0])
+        seg = FeaturePipeline(PipelineConfig(blocks=("pattern",))).prepare(small_corpus()[:1])[0]
         fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
         with pytest.raises(InvalidInputError, match="another pipeline configuration"):
-            fitted.transform(seg)
+            fitted.transform([seg])
         with pytest.raises(InvalidInputError, match="another pipeline configuration"):
             FeaturePipeline(PipelineConfig()).fit_transform([seg])
 
     def test_tokenless_document_rejected_at_prepare(self):
         with pytest.raises(InvalidInputError, match="no IPUs"):
-            FeaturePipeline(PipelineConfig()).prepare(make_transcript("empty", ()))
+            FeaturePipeline(PipelineConfig()).prepare([make_transcript("empty", ())])
 
     def test_sequence_length_matches_ipu_count(self):
         config = PipelineConfig()
@@ -252,20 +248,20 @@ class TestFitTransform:
         fitted = FeaturePipeline(config).fit_transform(corpus)[0]
         for doc in corpus:
             want = len(segment_into_ipus(doc, config.threshold_ms))
-            assert fitted.transform(doc).length == want
+            assert fitted.transform([doc])[0].length == want
 
     def test_transform_is_deterministic(self):
         corpus = small_corpus()
         fitted = FeaturePipeline(PipelineConfig()).fit_transform(corpus)[0]
-        a = fitted.transform(corpus[1])
-        b = fitted.transform(corpus[1])
+        a = fitted.transform(corpus[1:2])[0]
+        b = fitted.transform(corpus[1:2])[0]
         assert same_sequence(a, b)
 
     def test_standardized_train_matrix_statistics(self):
         corpus = small_corpus()
         config = PipelineConfig()
         fitted = FeaturePipeline(config).fit_transform(corpus)[0]
-        rows = np.vstack([dense_features(fitted.transform(d)) for d in corpus])
+        rows = np.vstack([dense_features(x) for x in fitted.transform(corpus)])
         assert np.abs(rows.mean(axis=0)).max() <= 1e-12
         stds = rows.std(axis=0, ddof=0)
         nondegenerate = stds > 1e-9
@@ -276,7 +272,7 @@ class TestFitTransform:
         train, held_out = corpus[:4], corpus[4:]
         fitted_a = FeaturePipeline(PipelineConfig()).fit_transform(train)[0]
         fitted_b = FeaturePipeline(PipelineConfig()).fit_transform(train)[0]
-        [fitted_b.transform(d) for d in held_out]  # must not touch fitted state
+        fitted_b.transform(held_out)  # must not touch fitted state
         assert fitted_a.state_checksum() == fitted_b.state_checksum()
         fitted_c = FeaturePipeline(PipelineConfig()).fit_transform(corpus)[0]
         assert fitted_c.state_checksum() != fitted_a.state_checksum()
@@ -286,14 +282,14 @@ class TestFitTransform:
         config = PipelineConfig(blocks=("bong",), standardize=False)
         fitted = FeaturePipeline(config).fit_transform(train)[0]
         unseen = make_transcript("new", ("zebra", "quagga"), valences=(4.0,))
-        x = fitted.transform(unseen)
+        x = fitted.transform([unseen])[0]
         assert x.sparse.values.size == 0
         np.testing.assert_array_equal(dense_features(x), np.zeros((1, fitted.schema.dim)))
 
     def test_tokenless_document_rejected_at_transform(self):
         fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
         with pytest.raises(InvalidInputError):
-            fitted.transform(make_transcript("empty", ()))
+            fitted.transform([make_transcript("empty", ())])
 
     def test_fit_requires_documents(self):
         with pytest.raises(InvalidInputError):

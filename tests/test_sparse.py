@@ -73,7 +73,7 @@ def dense_reference(pipeline, doc):
     raw = FeaturePipeline(dataclasses.replace(pipeline.config, standardize=False))
     raw_pipeline = raw.fit_transform(training_corpus())[0]
     assert raw_pipeline.vocabulary.terms == pipeline.vocabulary.terms
-    rows = dense_features(raw_pipeline.transform(doc))
+    rows = dense_features(raw_pipeline.transform([doc])[0])
     if pipeline.standardizer is None:
         return rows
     return pipeline.standardizer.apply(rows)
@@ -93,7 +93,7 @@ def test_the_fixture_has_the_awkward_cases():
     std = pipeline.standardizer.std[:width]
     assert std[pipeline.vocabulary.index["the"]] == 0.0
     assert std[pipeline.vocabulary.index["great_the"]] == 0.0
-    x = pipeline.transform(held_out()[0])
+    x = pipeline.transform(held_out()[:1])[0]
     assert 0 not in x.sparse.rows.tolist()  # "zebra quagga" has no entry
     # one offset row, shared by every sequence of the pipeline
     assert all(s.sparse.offset is sequences[0].sparse.offset for s in sequences)
@@ -104,7 +104,7 @@ def test_the_fixture_has_the_awkward_cases():
 def test_rows_match_the_dense_standardized_rows(standardize):
     pipeline, sequences = fitted(standardize)
     for doc, seq in zip(training_corpus() + held_out(), sequences + [None] * 3):
-        x = pipeline.transform(doc)
+        x = pipeline.transform([doc])[0]
         assert x.features.shape[1] == pipeline.schema.dim - len(pipeline.vocabulary)
         np.testing.assert_allclose(
             dense_features(x), dense_reference(pipeline, doc), rtol=0, atol=1e-12
@@ -119,7 +119,7 @@ def test_posteriors_match_the_dense_path(window, standardize):
     rng = np.random.default_rng(10 * window + standardize)
     theta = random_theta(rng, 3, (2 * window + 1) * pipeline.schema.dim)
     predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
-    got = predictor.posterior_batch(pipeline.transform(doc) for doc in docs)
+    got = predictor.posterior_batch(pipeline.transform(docs))
     dense = [
         windowed(ObservationSequence(doc.doc_id, dense_reference(pipeline, doc)), window)
         for doc in docs
@@ -177,7 +177,7 @@ def test_batch_rows_bitwise_equal_one_by_one(window, monkeypatch):
     pipeline, _ = fitted(standardize=True)
     unstandardized, _ = fitted(standardize=False)
     docs = training_corpus() + held_out()
-    xs = [pipeline.transform(doc) for doc in docs] + [unstandardized.transform(docs[0])]
+    xs = pipeline.transform(docs) + unstandardized.transform(docs[:1])
     theta = random_theta(np.random.default_rng(7), 3, (2 * window + 1) * pipeline.schema.dim)
     predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
     batch = predictor.posterior_batch(iter(xs))
@@ -198,7 +198,7 @@ def test_training_set_must_share_one_sparse_layout():
     pipeline, sequences = fitted(standardize=True)
     other, _ = fitted(standardize=False)
     dim = pipeline.schema.dim
-    mixed = [(sequences[0], 0), (other.transform(training_corpus()[1]), 1)]
+    mixed = [(sequences[0], 0), (other.transform(training_corpus()[1:2])[0], 1)]
     with pytest.raises(InvalidInputError, match="do not share one layout"):
         group_by_length(mixed, 2, dim)
     dense = ObservationSequence("dense", np.zeros((2, dim)))
