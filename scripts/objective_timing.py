@@ -12,11 +12,14 @@
 For each, the script times `training.objective_and_gradient` at fixed
 random parameters and prints the minimum and median call time and the
 objective value (the default shape's lines prefixed `default_`).  At
-the default shape it also prints `default_transform_ms_per_doc`: the
-median over a few passes of the fitted pipeline's `transform` of 1000
-held-out transcripts of another seed, a chunk at a time as `predict`
-reads them, per document.  Two checkouts can be compared by running it
-with each one's `src/` on PYTHONPATH, alternating between them.
+the default shape it also prints `default_fit_transform_ms`: the median
+over a few passes of a fresh default pipeline's `fit_transform` of the
+100 training documents (resource loading, n-gram fit, featurizing and
+standardizing), and `default_transform_ms_per_doc`: the median over a
+few passes of the fitted pipeline's `transform` of 1000 held-out
+transcripts of another seed, a chunk at a time as `predict` reads them,
+per document.  Two checkouts can be compared by running it with each
+one's `src/` on PYTHONPATH, alternating between them.
 """
 
 import argparse
@@ -67,11 +70,20 @@ def embedding_shape(seed):
 
 def default_shape(seed):
     """The sequences and labels of default-predict's default-block
-    training corpus, and the pipeline fitted on it."""
+    training corpus, the pipeline fitted on it, and the corpus."""
     spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=50)
     corpus = generate_corpus(spec, seed=seed)
     pipeline, sequences = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
-    return sequences, [doc.polarity for doc in corpus], pipeline
+    return sequences, [doc.polarity for doc in corpus], pipeline, corpus
+
+
+def time_fit_transform(corpus):
+    times = []
+    for _ in range(TRANSFORM_PASSES):
+        start = time.perf_counter()
+        FeaturePipeline(PipelineConfig()).fit_transform(corpus)
+        times.append(time.perf_counter() - start)
+    print(f"default_fit_transform_ms {1e3 * statistics.median(times):.4f}")
 
 
 def time_transform(pipeline, seed):
@@ -118,8 +130,9 @@ def main():
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     time_calls("embedding", "", *embedding_shape(args.seed), args)
-    sequences, labels, pipeline = default_shape(args.seed)
+    sequences, labels, pipeline, corpus = default_shape(args.seed)
     time_calls("default", "default_", sequences, labels, args)
+    time_fit_transform(corpus)
     time_transform(pipeline, args.seed)
 
 

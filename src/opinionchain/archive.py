@@ -258,25 +258,31 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _width_problems(doc: dict) -> list[str]:
-    """The parts of a structurally sound archive must agree on the
-    feature dimension D, the sum of the schema's block widths: the
+def _agreement_problems(doc: dict) -> list[str]:
+    """The parts of a structurally sound archive must agree: the
+    vocabulary on the configured n-gram order, and all on the feature
+    dimension D, the sum of the schema's block widths: the
     vocabulary's terms and the widths of the other blocks add up to D,
     the standardizer has D entries, and the model reads (2w+1) D columns
     under its context window w (D for logreg).  A part too malformed to
     measure is left to the constructors."""
     pipeline, model = doc["pipeline"], doc["model"]
+    vocab, problems = pipeline["vocabulary"], []
+    order = pipeline["config"].get("bong_max_order", PipelineConfig.bong_max_order)
+    if vocab is not None and vocab["max_order"] != order:
+        problems.append(
+            f"'pipeline.vocabulary.max_order' is {vocab['max_order']}, "
+            f"but 'pipeline.config.bong_max_order' is {order!r}"
+        )
     blocks = pipeline["schema"]["blocks"]
     if not all(
         isinstance(b, list) and len(b) == 3 and isinstance(b[0], str) and _is_int(b[2])
         for b in blocks
     ):
-        return []
+        return problems
     dim = sum(width for _, _, width in blocks)
     fixed = sum(width for name, _, width in blocks if name != "bong")
-    vocab = pipeline["vocabulary"]
     terms = 0 if vocab is None else len(vocab["terms"])
-    problems = []
     if terms + fixed != dim:
         problems.append(
             f"vocabulary size {terms} + fixed-block widths {fixed} != schema dim {dim}"
@@ -314,7 +320,7 @@ def _archive_problems(doc: dict) -> list[str]:
     elif isinstance(kind, str) and isinstance(model, dict):
         problems.extend(_spec_problems(model, _MODEL_SPECS[kind], "model."))
         if not problems:
-            problems.extend(_width_problems(doc))
+            problems.extend(_agreement_problems(doc))
     names = doc.get("label_names")
     if isinstance(names, list):
         problems.extend(_label_name_problems(names, kind, model))
@@ -397,11 +403,13 @@ def load_archive(path, allow_resource_drift: bool = False) -> LoadedModel:
         config = PipelineConfig(**pipe_doc["config"])
         parts = _fitted_parts(pipe_doc)
         predictor = _predictor_from_doc(doc["kind"], doc["model"])
-    except (TypeError, ValueError) as exc:
+        if not allow_resource_drift:
+            _check_resource_digests(config, doc["resources"], path)
+        pipeline = FittedFeaturePipeline(config=config, **parts, _resources=_load_resources(config))
+    except FileFormatError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # values a constructor rejects
         raise FileFormatError(f"{path}: malformed archive: {exc}") from None
-    if not allow_resource_drift:
-        _check_resource_digests(config, doc["resources"], path)
-    pipeline = FittedFeaturePipeline(config=config, **parts, _resources=_load_resources(config))
     return LoadedModel(
         kind=doc["kind"],
         pipeline=pipeline,

@@ -374,7 +374,7 @@ def cmd_inspect(args) -> int:
         vocab = sorted(words)
     report = build_state_report(
         loaded.predictor.params,
-        loaded.pipeline.schema,
+        loaded.pipeline.schema.windowed(loaded.predictor.config.context_window),
         k=args.top_k,
         embedding_table=table if vocab else None,
         corpus_vocab=vocab,

@@ -2,15 +2,15 @@
 
 The tagger is intentionally small: a closed-class lexicon plus suffix
 heuristics, just rich enough for the pattern counters.  Any POS tagger
-producing the same tag strings can be plugged in instead.  The counts
-are taken over a chunk of units at once: each distinct token's tag
-column and flags come from ``token_pattern`` once, and
-``pattern_features`` counts them with numpy.
+producing the same tag strings can be plugged in instead.  The tagger
+keeps no memo: the pipeline's token-type table tags each distinct token
+once and keeps its tag column and flags (``token_pattern``), which
+``pattern_features`` counts over a chunk of units at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,21 +45,14 @@ _SUFFIX_RULES = (
 )
 # the order ``RuleTagger`` tries them in: longest first, ties in table order
 _SUFFIXES_LONGEST_FIRST = tuple(sorted(_SUFFIX_RULES, key=lambda r: -len(r[0])))
-# distinct tokens one tagger remembers; later new tokens are tagged uncached
-TAG_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
 class RuleTagger:
-    """Lexicon lookup first, then longest-suffix heuristic, else NOUN.
-
-    A token's tag depends on the token alone, so each tagger remembers
-    the tag of every distinct token it has seen (up to ``TAG_MEMO_SIZE``).
-    """
+    """Lexicon lookup first, then longest-suffix heuristic, else NOUN."""
 
     lexicon: dict  # lowercased word -> tag
     tag_set: tuple[str, ...] = DEFAULT_TAG_SET
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = sorted(
@@ -79,16 +72,7 @@ class RuleTagger:
         return "NOUN"
 
     def tag(self, tokens) -> list[str]:
-        memo = self.memo
-        out = []
-        for token in tokens:
-            tag = memo.get(token)
-            if tag is None:
-                tag = self._tag_token(token)
-                if len(memo) < TAG_MEMO_SIZE:
-                    memo[token] = tag
-            out.append(tag)
-        return out
+        return [self._tag_token(token) for token in tokens]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ blocks read of it.  The pattern and paralinguistic counts of all the
 chunk's IPUs are then one ``np.bincount`` each, and the bong entries one
 ``np.unique`` (``vectorize_bong``); only the embedding and lexicon rows
 are built one IPU at a time.  A document's sequence does not depend on
-the chunk it is in.
+the chunk it is in.  ``fit_bong`` reads the same table: the training
+documents are numbered as one chunk, one unit per document.
 
 Segmentation and tokenization depend only on the configuration, never
 on fitted state: ``FeaturePipeline.segment`` does them once, and both
@@ -48,7 +49,7 @@ from ..training import chunked
 from . import resources as res
 from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from .lexicons import Lexicon, lexicon_features, load_lexicon
-from .ngrams import NGramVocabulary, fit_bong, stem_tokens, vectorize_bong
+from .ngrams import NGramVocabulary, fit_bong, vectorize_bong
 from .paralinguistic import FEATURE_NAMES as PARA_NAMES
 from .paralinguistic import paralinguistic_features
 from .patterns import (
@@ -61,6 +62,7 @@ from .patterns import (
 )
 from .segmentation import IPU, segment_into_ipus
 from .standardize import Standardizer, fit_standardizer
+from .stemmer import stem
 from .tokenizer import get_normalizer, tokenize_many
 
 CANONICAL_BLOCKS = ("bong", "embedding", "lexicon", "pattern", "paralinguistic")
@@ -113,6 +115,7 @@ class PipelineConfig:
         object.__setattr__(self, "blocks", ordered)
         if self.threshold_ms <= 0:
             raise ConfigurationError("threshold_ms must be positive")
+        get_normalizer(self.normalizer)  # an unknown name is rejected here
         if "embedding" in self.blocks and not self.embedding_path:
             raise ConfigurationError("embedding block enabled but embedding_path missing")
         if "lexicon" in self.blocks and not self.lexicon_paths:
@@ -144,6 +147,17 @@ class FeatureSchema:
             return 0
         name, offset, width = self.blocks[-1]
         return offset + width
+
+    def windowed(self, window: int) -> "FeatureSchema":
+        """The layout of the (2w+1) D columns a model reads under context
+        window w, one copy per neighbour offset -w..w: each name gets its
+        offset ("bong:movi@-1"), and each block too but the centre's."""
+        blocks, names = [], []
+        for k, offset in enumerate(range(-window, window + 1)):
+            at = f"@{offset:+d}" if offset else "@0"
+            blocks += [(b + at if offset else b, o + k * self.dim, w) for b, o, w in self.blocks]
+            names += [name + at for name in self.feature_names]
+        return FeatureSchema(tuple(blocks), tuple(names)) if window else self
 
     def block_slice(self, name: str) -> slice:
         for block, offset, width in self.blocks:
@@ -212,7 +226,7 @@ class TokenTypes:
                 self._flags.append(flags)
         if self.with_stems:
             stem_ids = self._stem_ids
-            self._stems.extend(stem_ids.setdefault(s, len(stem_ids)) for s in stem_tokens(new))
+            self._stems.extend(stem_ids.setdefault(stem(t), len(stem_ids)) for t in new)
         self._arrays = None
 
     def _numbered(self, tokens: list[str]) -> np.ndarray:
@@ -454,7 +468,9 @@ class FeaturePipeline:
 
         vocab = None
         if "bong" in config.blocks:
-            doc_tokens = [[tok for toks in seg.tokens for tok in toks] for seg in segmented]
+            doc_tokens = loaded.types.chunk(
+                [[tok for toks in seg.tokens for tok in toks] for seg in segmented]
+            )
             vocab = fit_bong(
                 doc_tokens, max_order=config.bong_max_order, min_df=config.bong_min_df
             )
@@ -540,6 +556,12 @@ class FittedFeaturePipeline:
 
     def __post_init__(self):
         std, vocab = self.standardizer, self.vocabulary
+        names = tuple(name for name, _, _ in self.schema.blocks)
+        if names != self.config.blocks or (vocab is not None) != ("bong" in names):
+            raise InvalidInputError(
+                f"the schema's blocks {list(names)} and the vocabulary must match "
+                f"the configured blocks {list(self.config.blocks)}"
+            )
         fixed = divisor = offset = None
         if std is not None and vocab is None:
             fixed = std

@@ -6,16 +6,13 @@ considered; if its condition fails, the whole block is a no-op (so
 "feed" survives step 1b even though it ends in "ed").  Words of length
 one or two are returned unchanged.
 
-``stem`` is memoized per word (a bounded LRU table): a corpus has far
-fewer distinct words than tokens, and the rules are pure Python.
+``stem`` keeps no cache: the feature pipeline's token-type table calls it
+once per distinct token it numbers.
 """
 
 from __future__ import annotations
 
-import functools
-
 _VOWELS = "aeiou"
-STEM_CACHE_SIZE = 1 << 16  # distinct words remembered by ``stem``
 
 
 def _is_consonant(word: str, i: int) -> bool:
@@ -171,7 +168,6 @@ def _step5b(word: str) -> str:
     return word
 
 
-@functools.lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(word: str) -> str:
     word = word.lower()
     if len(word) <= 2:

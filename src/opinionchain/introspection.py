@@ -2,6 +2,8 @@
 
 Everything here resolves parameter indices through the feature schema,
 so reports speak in feature names and words rather than raw positions.
+Under a context window, pass the schema's ``windowed`` layout: names
+then carry the neighbour offset, and activation words read the centre.
 The rankings are deterministic: weight ties fall back to ascending
 feature index, score ties to lexicographic word order.
 """

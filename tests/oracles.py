@@ -6,6 +6,9 @@ For the chunk featurizer (``opinionchain.features.pipeline``):
   one token occurrence at a time, as the pipeline did before it counted
   token-type ids: every token tagged, tested against the word sets and
   stemmed, and every n-gram joined and looked up, where it occurs.
+* The per-occurrence vocabulary fit: every n-gram of every training
+  document stemmed and joined where it occurs, and its document
+  frequency counted over the set of a document's joined strings.
 
 For the hidden-state chain model, independent of its kernel:
 
@@ -22,6 +25,7 @@ For the hidden-state chain model, independent of its kernel:
 from __future__ import annotations
 
 import logging
+from collections import Counter
 
 import numpy as np
 from scipy.special import logsumexp
@@ -29,13 +33,37 @@ from scipy.special import logsumexp
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
 from opinionchain.features.embeddings import embed_tokens
 from opinionchain.features.lexicons import lexicon_features
-from opinionchain.features.ngrams import extract_ngrams
 from opinionchain.features.paralinguistic import CATEGORIES, OTHER
+from opinionchain.features.stemmer import stem
 from opinionchain.model import HcrfParameters, ObservationSequence
 
 BRUTE_FORCE_MAX_PATHS = 10**6
 
 para_log = logging.getLogger("opinionchain.features.paralinguistic")
+
+
+def extract_ngrams(tokens, max_order: int = 3) -> list[str]:
+    """All 1..max_order grams over the stemmed token sequence."""
+    if max_order < 1:
+        raise InvalidInputError("max_order must be >= 1")
+    stems = [stem(tok.lower()) for tok in tokens]
+    grams = list(stems)
+    for order in range(2, max_order + 1):
+        grams.extend(
+            "_".join(stems[i : i + order]) for i in range(len(stems) - order + 1)
+        )
+    return grams
+
+
+def reference_vocabulary(docs, max_order: int, min_df: int):
+    """``(terms, doc_freq)`` fitted on ``docs`` (token lists): the sorted
+    terms held by at least ``min_df`` documents, and how many documents
+    hold each."""
+    df = Counter()
+    for tokens in docs:
+        df.update(set(extract_ngrams(tokens, max_order)))
+    terms = tuple(sorted(t for t, c in df.items() if c >= min_df))
+    return terms, np.array([df[t] for t in terms], dtype=np.int64)
 
 
 def reference_bong(units, vocab):

@@ -1,12 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_transcript
 from opinionchain.archive import canonical_json, load_archive, save_archive
 from opinionchain.baseline import LogRegPredictor, aggregate_document_vector, train_logreg
+from opinionchain.cli import main
+from opinionchain.corpus import save_corpus
 from opinionchain.errors import FileFormatError
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
@@ -319,3 +326,98 @@ class TestResourceDrift:
     def test_intact_resources_load(self, tmp_path):
         path, _ = self.make_embedding_archive(tmp_path)
         assert load_archive(path).kind == "hcrf"
+
+
+# Any JSON value, NaN and the infinities included (Python's json reads
+# them), for a mutation to put where the archive held something else.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.floats()
+    | st.text(alphabet="ab:/_-", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet="ab_", max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def json_paths(value, path=()):
+    """The path of every object member and array element in ``value``."""
+    children = (
+        value.items() if isinstance(value, dict)
+        else enumerate(value) if isinstance(value, list)
+        else ()
+    )
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def mutate(doc, path, how, value):
+    """``doc`` with the member at ``path`` dropped, replaced by ``value``,
+    or, for an array, given ``value`` as one more element."""
+    *parents, last = path
+    container = doc
+    for key in parents:
+        container = container[key]
+    if how == "drop":
+        del container[last]
+    elif how == "append" and isinstance(container[last], list):
+        container[last].append(value)
+    else:
+        container[last] = value
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small hcrf and a small logreg archive of one default-block
+    pipeline, as JSON documents, and a corpus to predict."""
+    root = tmp_path_factory.mktemp("fuzz")
+    docs, pipeline = fitted_setup(root, blocks=("bong", "pattern", "paralinguistic"))
+    _, hcrf = train_hcrf(docs, pipeline)
+    matrix = np.stack([aggregate_document_vector(x) for x in pipeline.transform(docs)])
+    logreg = LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs]))
+    archives = {}
+    for kind, predictor in (("hcrf", hcrf), ("logreg", logreg)):
+        save_archive(root / "model.json", predictor, pipeline)
+        archives[kind] = json.loads((root / "model.json").read_text())
+    save_corpus(docs, root / "corpus")
+    return root, archives
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), kind=st.sampled_from(["hcrf", "logreg"]))
+def test_mutated_archives_fail_only_with_file_format_errors(fuzz_inputs, data, kind):
+    """Dropped members, values of another JSON type, ragged or NaN
+    parameter rows, parts of other widths and bad label names, max
+    orders or configuration values: ``load_archive`` raises nothing but
+    FileFormatError, and ``predict`` of a broken archive prints one
+    ``error:`` line and exits 1."""
+    root, archives = fuzz_inputs
+    doc = copy.deepcopy(archives[kind])
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        # the members of objects, and the elements of arrays that are
+        # members, drawn as often as a path anywhere (most of which are
+        # parameter values)
+        shallow = [p for p in paths if all(isinstance(k, str) for k in p[:-1])] or paths
+        path = data.draw(st.sampled_from(shallow) | st.sampled_from(paths))
+        how = data.draw(st.sampled_from(["drop", "set", "append"]))
+        mutate(doc, path, how, data.draw(_JSON))
+    model = root / "model.json"
+    model.write_text(json.dumps(doc))
+    try:
+        load_archive(model)
+        loaded = True
+    except FileFormatError:
+        loaded = False
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["predict", "--model", str(model), "--corpus", str(root / "corpus"),
+                   "--out", str(root / "p")])  # fmt: skip
+    err = err.getvalue()
+    if not loaded:
+        assert rc == 1
+    if rc:
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1

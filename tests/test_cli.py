@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -425,6 +426,41 @@ class TestTrainPredict:
         ]
         assert "schema dim" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("order, config_order", [(0, None), (-5, None), (2, None), (0, 0)])
+    def test_bad_vocabulary_order_fails_with_one_error_line(
+        self, tmp_path, generated, capsys, order, config_order
+    ):
+        """An archive whose n-gram order is below 1, or is not the one its
+        configuration fitted, is refused when it loads; with the order
+        unchecked, predict wrote an empty bong row for every document."""
+        cfg = write_config(tmp_path, {"training": {"num_hidden_states": 2, "max_iterations": 5}})
+        t_dir = tmp_path / "t"
+        rc = main(
+            ["train", "--corpus", str(generated / "corpus"), "--out", str(t_dir), "--config", cfg]
+        )
+        assert rc == 0
+        model = t_dir / "model.json"
+        doc = json.loads(model.read_text())
+        doc["pipeline"]["vocabulary"]["max_order"] = order
+        problem = (
+            f"'pipeline.vocabulary.max_order' is {order}, "
+            "but 'pipeline.config.bong_max_order' is 3"
+        )
+        if config_order is not None:
+            doc["pipeline"]["config"]["bong_max_order"] = config_order
+            problem = "malformed archive: max_order must be >= 1"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(
+            ["predict", "--model", str(model), "--corpus", str(generated / "corpus"),
+             "--out", str(tmp_path / "p")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert problem in err and "Traceback" not in err
+        assert not (tmp_path / "p" / "predictions.tsv").exists()
+
     def test_non_finite_offset_row_fails_with_one_error_line(self, tmp_path, generated, capsys):
         """A standardizer whose std is positive but so small that -mean/std
         overflows gives a non-finite bong offset row: checked once, when
@@ -448,7 +484,8 @@ class TestTrainPredict:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            "error: the standardizer's bong offset row, -mean/std, is not finite"
+            f"error: {model}: malformed archive: "
+            "the standardizer's bong offset row, -mean/std, is not finite"
         ]
 
     @pytest.mark.parametrize("names", [["negative"], [0, 1], ["neg", "neu", "pos"]])
@@ -628,6 +665,16 @@ class TestInspect:
         doc = json.loads((i_dir / "state_report.json").read_text())
         assert doc["format"] == "state-report/v1"
         assert len(doc["states"]) == 2
+
+    def test_windowed_archive_reports_offset_names(self, tmp_path):
+        """A context-window-1 archive's (2w+1) D columns are named by their
+        neighbour offset."""
+        model = Path(__file__).resolve().parent / "data" / "window1_archive.json"
+        rc = main(["inspect", "--model", str(model), "--out", str(tmp_path / "i")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "i" / "state_report.json").read_text())
+        names = [name for state in doc["states"] for name, _ in state["top_features"]]
+        assert names and all(re.search(r"@(-1|0|\+1)$", name) for name in names)
 
     def test_logreg_archive_rejected(self, tmp_path, generated, capsys):
         cfg = train_config_file(tmp_path, generated)

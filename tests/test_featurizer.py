@@ -23,7 +23,7 @@ from opinionchain.features.segmentation import IPU
 from opinionchain.features.standardize import fit_standardizer
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 
-from oracles import reference_rows
+from oracles import reference_rows, reference_vocabulary
 
 _WORDS = (
     "great", "Great", "GREAT", "movie", "Movies", "not", "Never", "very", "slightly",
@@ -117,6 +117,12 @@ def test_chunks_bitwise_equal_the_per_ipu_reference(
         para_log.removeHandler(want)
     # an unknown marker is logged once per occurrence, in document order
     assert got.messages == want.messages
+    # the vocabulary counts runs across the IPU boundaries of a document
+    terms, doc_freq = reference_vocabulary(
+        [[t for tokens in seg.tokens for t in tokens] for seg in train_docs], order, 1
+    )
+    assert fitted.vocabulary.terms == terms
+    assert bitwise(fitted.vocabulary.doc_freq, doc_freq)
     raw = raw[: len(train_docs)]
     if standardize:
         sparse = (

@@ -89,6 +89,18 @@ class TestTopFeatures:
         with pytest.raises(ConfigurationError):
             top_features_per_state(theta, bong_only_schema(4))
 
+    def test_windowed_columns_named_by_neighbour_offset(self):
+        """Under context window 1 the model reads the previous, the own
+        and the next IPU's D columns, in that order."""
+        schema = bong_only_schema(2).windowed(1)
+        assert schema.feature_names == (
+            "bong:w0@-1", "bong:w1@-1", "bong:w0@0", "bong:w1@0", "bong:w0@+1", "bong:w1@+1"
+        )
+        theta = make_params([[0.0, 0.0, 3.0, 0.0, 2.0, 0.0]])
+        ranked = top_features_per_state(theta, schema)
+        assert ranked[0] == [("bong:w0@0", 3.0), ("bong:w0@+1", 2.0)]
+        assert bong_only_schema(2).windowed(0) == bong_only_schema(2)
+
 
 def table_from(words: dict) -> EmbeddingTable:
     return EmbeddingTable(
@@ -167,6 +179,18 @@ class TestActivationWords:
         theta = self.params_with_block([[1.0, 0.0, 0.0]])
         with pytest.raises(InvalidInputError):
             activation_words(theta, self.schema, 3, self.table, ["alpha"])
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_windowed_model_reads_the_centre_copy(self, window):
+        rng = np.random.default_rng(window)
+        theta = self.params_with_block([rng.standard_normal(3)])
+        vocab = ["alpha", "bravo", "charlie", "delta"]
+        want = activation_words(theta, self.schema, 0, self.table, vocab, k=4)
+        copies = [rng.standard_normal((1, 8)) for _ in range(2 * window + 1)]
+        copies[window] = theta.theta_obs
+        windowed = make_params(np.hstack(copies))
+        schema = self.schema.windowed(window)
+        assert activation_words(windowed, schema, 0, self.table, vocab, k=4) == want
 
     def test_invariant_under_other_blocks(self):
         rng = np.random.default_rng(0)

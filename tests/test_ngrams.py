@@ -1,17 +1,28 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionchain.errors import ConfigurationError, InvalidInputError
-from opinionchain.features.ngrams import (
-    extract_ngrams,
-    fit_bong,
-    vectorize_bong,
-)
+from opinionchain.features import pipeline
+from opinionchain.features.ngrams import NGramVocabulary, fit_bong, vectorize_bong
+from opinionchain.features.pipeline import TokenTypes
 
 from conftest import token_chunk
+from oracles import extract_ngrams, reference_vocabulary
+
+
+def fit(docs, max_order=3, min_df=1):
+    """``fit_bong`` on ``docs`` (token lists), one unit per document."""
+    return fit_bong(token_chunk(docs, stems=True), max_order=max_order, min_df=min_df)
 
 
 class TestExtraction:
+    """The per-occurrence reference that fit and vectorize are checked
+    against."""
+
     def test_great_movie(self):
         assert extract_ngrams(["great", "movie"]) == ["great", "movi", "great_movi"]
 
@@ -37,27 +48,79 @@ class TestExtraction:
 class TestFit:
     def test_ubiquitous_term_gets_zero_idf(self):
         docs = [["movie", "good"], ["movie", "bad"], ["movie"]]
-        vocab = fit_bong(docs, max_order=1)
+        vocab = fit(docs, max_order=1)
         assert vocab.idf[vocab.index["movi"]] == 0.0
         assert vocab.idf[vocab.index["good"]] == pytest.approx(np.log(3.0))
 
     def test_min_df_drops_rare_terms(self):
         docs = [["good", "movie"], ["bad", "movie"]]
-        vocab = fit_bong(docs, max_order=1, min_df=2)
+        vocab = fit(docs, max_order=1, min_df=2)
         assert vocab.terms == ("movi",)
 
     def test_empty_vocabulary_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fit_bong([[], []])
-        with pytest.raises(ConfigurationError):
-            fit_bong([])
+        with pytest.raises(ConfigurationError, match="empty vocabulary after fitting"):
+            fit([[], []])
+        with pytest.raises(ConfigurationError, match="on zero documents"):
+            fit([])
+
+    def test_bad_order_and_min_df_rejected(self):
+        with pytest.raises(InvalidInputError, match="max_order must be >= 1"):
+            fit([["good"]], max_order=0)
+        with pytest.raises(InvalidInputError, match="min_df must be >= 1"):
+            fit([["good"]], min_df=0)
+        for order in (0, -5):
+            with pytest.raises(InvalidInputError, match="max_order must be >= 1"):
+                NGramVocabulary(("good",), np.array([1]), 1, max_order=order)
 
     def test_terms_sorted_and_df_counted_once_per_doc(self):
         docs = [["good", "good", "plot"], ["plot"]]
-        vocab = fit_bong(docs, max_order=1)
+        vocab = fit(docs, max_order=1)
         assert vocab.terms == tuple(sorted(vocab.terms))
         assert vocab.doc_freq[vocab.index["good"]] == 1  # two mentions, one doc
         assert vocab.doc_freq[vocab.index["plot"]] == 2
+
+
+# tokens with "_" that join to one term (a_b + c, a + b_c and a, b, c
+# all give a_b_c), case variants of one stem, and arbitrary short words
+_FIT_TOKEN = st.sampled_from(
+    ("a", "b", "c", "a_b", "b_c", "a_b_c", "_", "Movies", "movie", "MOVIE", "movi_a")
+) | st.text(alphabet="abcXY_'", min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=st.lists(st.lists(_FIT_TOKEN, max_size=6), min_size=1, max_size=6),
+    seen=st.lists(_FIT_TOKEN, max_size=5),
+    order=st.integers(1, 3),
+    min_df=st.integers(1, 3),
+    bound=st.sampled_from([5, 12, pipeline.TYPE_TABLE_SIZE]),
+)
+def test_fit_bitwise_equals_the_per_occurrence_reference(docs, seen, order, min_df, bound):
+    """Through a type table that already holds ``seen``, and that a fit
+    may empty (or, for more tokens than ``bound``, number in a table of
+    its own), the vocabulary is bitwise the reference's."""
+    terms, doc_freq = reference_vocabulary(docs, order, min_df)
+    with patch.object(pipeline, "TYPE_TABLE_SIZE", bound):
+        types = TokenTypes(None, None, stems=True)
+        types.chunk([seen])
+        tokens = types.chunk(docs)
+        assert len(types.ids) <= bound
+    if not terms:
+        with pytest.raises(ConfigurationError, match="empty vocabulary"):
+            fit_bong(tokens, max_order=order, min_df=min_df)
+        return
+    vocab = fit_bong(tokens, max_order=order, min_df=min_df)
+    assert vocab.terms == terms and vocab.num_docs == len(docs)
+    assert vocab.doc_freq.dtype == doc_freq.dtype
+    assert vocab.doc_freq.tobytes() == doc_freq.tobytes()
+    assert vocab.idf.tobytes() == np.log(len(docs) / doc_freq).tobytes()
+
+
+def test_joined_duplicates_count_once_per_document():
+    docs = [["a_b", "c"], ["a", "b_c"], ["a", "b", "c", "a_b_c"], ["c"]]
+    vocab = fit(docs, max_order=3)
+    assert vocab.doc_freq[vocab.index["a_b_c"]] == 3
+    assert vocab.doc_freq[vocab.index["a_b"]] == 2
 
 
 def entries(units, vocab):
@@ -85,7 +148,7 @@ class TestVectorize:
     def test_hand_computed_three_doc_matrix(self):
         """tf * ln(N/df) / token_count, unigrams only."""
         docs = [["good", "movie"], ["bad", "movie"], ["good", "good", "plot"]]
-        vocab = fit_bong(docs, max_order=1)
+        vocab = fit(docs, max_order=1)
         assert vocab.terms == ("bad", "good", "movi", "plot")
         ln3, ln15 = np.log(3.0), np.log(1.5)
         want = np.array(
@@ -102,17 +165,17 @@ class TestVectorize:
         assert entries(docs, vocab)[0].tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_out_of_vocabulary_ignored(self):
-        vocab = fit_bong([["good"]], max_order=1)
+        vocab = fit([["good"]], max_order=1)
         rows, indices, values = entries([["unseen", "tokens"]], vocab)
         assert rows.size == indices.size == values.size == 0
         np.testing.assert_array_equal(dense(["unseen", "tokens"], vocab), np.zeros(1))
 
     def test_empty_unit_is_zero_vector(self):
-        vocab = fit_bong([["good"]], max_order=1)
+        vocab = fit([["good"]], max_order=1)
         np.testing.assert_array_equal(dense([], vocab), np.zeros(1))
 
     def test_length_normalization_uses_token_count(self):
-        vocab = fit_bong([["good", "plot"], ["bad"]], max_order=1)
+        vocab = fit([["good", "plot"], ["bad"]], max_order=1)
         short = dense(["good"], vocab)
         long = dense(["good", "filler", "filler", "filler"], vocab)
         idx = vocab.index["good"]
@@ -120,7 +183,7 @@ class TestVectorize:
 
     def test_bigrams_and_trigrams_weighted_like_unigrams(self):
         docs = [["a", "b", "c"], ["a", "c", "b"]]
-        vocab = fit_bong(docs, max_order=3)
+        vocab = fit(docs, max_order=3)
         vec = dense(["a", "b", "c"], vocab)
         assert vec[vocab.index["a_b_c"]] == pytest.approx(np.log(2.0) / 3)
         assert vec[vocab.index["a"]] == 0.0  # in both docs

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opinionchain.features.stemmer import STEM_CACHE_SIZE, stem
+from opinionchain.features.stemmer import stem
 
 # classic algorithm outputs, traced rule by rule; several exercise
 # multi-step chains (generalization runs through steps 2, 3, and 4)
@@ -96,20 +96,3 @@ def test_never_grows_and_never_crashes(word):
     assert len(out) <= max(len(word), 1) + 1  # only growth: +e restorations
     assert stem(out.lower()) == stem(out.lower())
 
-
-# words drawn from a small pool so lists repeat them, in every case form
-_POOL_WORDS = ("movies", "Movies", "MOVIES", "running", "Running", "feed", "a", "is")
-_word = st.sampled_from(_POOL_WORDS) | st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ'-", max_size=12
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_word, max_size=30))
-def test_memoized_stem_equals_uncached_computation(words):
-    for word in words + words:
-        assert stem(word) == stem.__wrapped__(word)
-
-
-def test_stem_memo_is_bounded():
-    assert stem.cache_info().maxsize == STEM_CACHE_SIZE
