@@ -23,7 +23,7 @@ import numpy as np
 
 from .baseline import LogRegModel, LogRegPredictor
 from .corpus import LABEL_NAMES
-from .errors import FileFormatError
+from .errors import FileFormatError, read_utf8
 from .evaluation import Predictor
 from .features.ngrams import NGramVocabulary
 from .features.pipeline import (
@@ -170,7 +170,7 @@ def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
             )
     if problems:
         raise FileFormatError(
-            "archived resources drifted; re-train or pass allow_resource_drift=True",
+            "archived resources drifted; re-train on the current resources",
             problems,
         )
 
@@ -376,7 +376,7 @@ def _fitted_parts(pipe_doc: dict) -> dict:
     }
 
 
-def load_archive(path, allow_resource_drift: bool = False) -> LoadedModel:
+def load_archive(path) -> LoadedModel:
     """Read an archive written by :func:`save_archive`.
 
     A structurally broken archive (missing keys, values of the wrong JSON
@@ -386,7 +386,7 @@ def load_archive(path, allow_resource_drift: bool = False) -> LoadedModel:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: cannot read archive: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != ARCHIVE_FORMAT:
@@ -403,8 +403,7 @@ def load_archive(path, allow_resource_drift: bool = False) -> LoadedModel:
         config = PipelineConfig(**pipe_doc["config"])
         parts = _fitted_parts(pipe_doc)
         predictor = _predictor_from_doc(doc["kind"], doc["model"])
-        if not allow_resource_drift:
-            _check_resource_digests(config, doc["resources"], path)
+        _check_resource_digests(config, doc["resources"], path)
         pipeline = FittedFeaturePipeline(config=config, **parts, _resources=_load_resources(config))
     except FileFormatError:
         raise

@@ -5,9 +5,8 @@ per-segment vectors and fits a binary ℓ2-regularized logistic model
 with the shared quasi-Newton optimizer.  The intercept is left out of
 the penalty so that heavy regularization falls back to the majority
 class rather than to a coin flip.  Each fit logs one line with the
-optimizer's status, at WARNING when it did not converge.  scipy's
-``expit`` is imported by the functions that use it, so importing this
-module does not load scipy.
+optimizer's status, at WARNING when it did not converge.  The sigmoid
+is computed in numpy (``_sigmoid``), so the baseline needs nothing else.
 """
 
 from __future__ import annotations
@@ -56,9 +55,14 @@ def aggregate_document_vector(seq: ObservationSequence) -> np.ndarray:
     return np.concatenate([sparse_mean, mean])
 
 
-def _objective_factory(matrix, targets, c):
-    from scipy.special import expit
+def _sigmoid(z):
+    """1 / (1 + exp(-z)), elementwise, with exp taken only of -|z|, so
+    it neither overflows nor warns."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
+
+def _objective_factory(matrix, targets, c):
     n_features = matrix.shape[1]
 
     def fun(x):
@@ -66,7 +70,7 @@ def _objective_factory(matrix, targets, c):
         z = matrix @ w + b
         value = float(np.sum(np.logaddexp(0.0, z)) - targets @ z)
         value += 0.5 / c * float(w @ w)
-        residual = expit(z) - targets
+        residual = _sigmoid(z) - targets
         grad = np.empty_like(x)
         grad[:n_features] = matrix.T @ residual + w / c
         grad[n_features] = residual.sum()
@@ -89,7 +93,7 @@ def train_logreg(
         raise InvalidInputError("doc_vectors must be a nonempty (N, D) matrix")
     if targets.shape != (matrix.shape[0],):
         raise InvalidInputError("labels must align with doc_vectors rows")
-    present = set(np.unique(targets).tolist())
+    present = set(targets.tolist())
     if not present <= {0.0, 1.0}:
         raise InvalidInputError("labels must be 0 or 1")
     if len(present) < 2:
@@ -129,8 +133,6 @@ class LogRegPredictor:
         ``seqs`` (any iterable, read once); exact 0.5 gives label 0 as
         the argmax.  Each document is scored on its own averaged vector:
         a matrix-vector product over all of them could round differently."""
-        from scipy.special import expit
-
         model = self.model
         probs = []
         for seq in seqs:
@@ -139,7 +141,7 @@ class LogRegPredictor:
                 raise InvalidInputError(
                     f"expected a vector of dimension {model.dim}, got shape {vec.shape}"
                 )
-            probs.append(float(expit(model.weights @ vec + model.intercept)))
+            probs.append(float(_sigmoid(model.weights @ vec + model.intercept)))
         probs = np.array(probs)
         return np.stack([1.0 - probs, probs], axis=1)
 

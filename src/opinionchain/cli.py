@@ -28,6 +28,7 @@ from .errors import (
     FileFormatError,
     InvalidInputError,
     TrainingDivergedError,
+    read_utf8,
 )
 from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate, predict_batch
 from .features.pipeline import FeaturePipeline, PipelineConfig
@@ -63,7 +64,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

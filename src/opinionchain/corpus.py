@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FileFormatError, InvalidInputError
+from .errors import FileFormatError, InvalidInputError, read_utf8
 
 log = logging.getLogger(__name__)
 
@@ -146,7 +146,7 @@ def load_corpus(path: str | Path) -> list[Transcript]:
     entries: list[tuple[str, str, tuple[float, ...] | None]] = []
     seen_ids: set[str] = set()
 
-    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(manifest).splitlines()
     if not lines or lines[0].strip() != MANIFEST_VERSION:
         raise FileFormatError(f"{manifest}: first line must be {MANIFEST_VERSION!r}")
     if len(lines) < 2 or lines[1].split("\t") != ["doc_id", "file", "valence"]:
@@ -209,7 +209,11 @@ def _read_transcript_file(path: Path, records, problems):
     if not path.exists():
         problems.append((str(path), 0, "file listed in manifest but missing"))
         return
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = read_utf8(path).splitlines()
+    except FileFormatError:
+        problems.append((str(path), 0, "not UTF-8 text"))
+        return
     if not lines or lines[0].strip() != TRANSCRIPT_VERSION:
         problems.append((str(path), 1, f"first line must be {TRANSCRIPT_VERSION!r}"))
         return

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of
+text files, which raises them."""
+
+from pathlib import Path
 
 
 class InvalidInputError(ValueError):
@@ -28,6 +31,17 @@ class FileFormatError(ValueError):
         for path, line, msg in self.problems:
             lines.append(f"  {path}:{line}: {msg}")
         return "\n".join(lines)
+
+
+def read_utf8(path) -> str:
+    """The text of the file at ``path``.  A file that is not valid UTF-8
+    raises FileFormatError naming it; OSError passes through."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import FileFormatError, InvalidInputError
+from ..errors import FileFormatError, InvalidInputError, read_utf8
 
 
 @dataclass
@@ -48,7 +48,7 @@ def load_embeddings(path: str | Path, lowercase: bool = True) -> EmbeddingTable:
     """Read a text embedding file: one "word v1 .. vE" record per line,
     optionally preceded by a "count dim" header line."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty embedding file")
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import FileFormatError, InvalidInputError
+from ..errors import FileFormatError, InvalidInputError, read_utf8
 
 NEGATION_SHIFT = 4.0
 SO_VALUE_CHANNEL = "value"
@@ -64,7 +64,7 @@ def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
     """Read a TSV lexicon: mandatory header "word<TAB>ch1[<TAB>ch2...]",
     one word per following row.  pos/neg/neu triples must sum to 1."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty lexicon file")
     header = lines[0].split("\t")

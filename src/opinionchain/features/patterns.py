@@ -3,9 +3,9 @@
 The tagger is intentionally small: a closed-class lexicon plus suffix
 heuristics, just rich enough for the pattern counters.  Any POS tagger
 producing the same tag strings can be plugged in instead.  The tagger
-keeps no memo: the pipeline's token-type table tags each distinct token
-once and keeps its tag column and flags (``token_pattern``), which
-``pattern_features`` counts over a chunk of units at once.
+keeps no memo: the pipeline's ``token_chunk`` tags each distinct token
+of a chunk once and keeps its tag column and flags (``token_pattern``),
+which ``pattern_features`` counts over the chunk's units at once.
 """
 
 from __future__ import annotations

@@ -9,14 +9,15 @@ once.  The returned ``FittedFeaturePipeline`` is immutable and its
 transforming held-out documents cannot leak fold statistics.
 
 Documents are featurized a chunk at a time (``training.SCORING_CHUNK``
-of them), each chunk's tokens as ids into a bounded ``TokenTypes``
-table, which works out once per distinct token what the bong and pattern
-blocks read of it.  The pattern and paralinguistic counts of all the
-chunk's IPUs are then one ``np.bincount`` each, and the bong entries one
-``np.unique`` (``vectorize_bong``); only the embedding and lexicon rows
-are built one IPU at a time.  A document's sequence does not depend on
-the chunk it is in.  ``fit_bong`` reads the same table: the training
-documents are numbered as one chunk, one unit per document.
+of them), each chunk's tokens as ids into a type table of the chunk's
+own (``token_chunk``), which works out once per distinct token what the
+bong and pattern blocks read of it; nothing is kept between chunks.  The
+pattern and paralinguistic counts of all the chunk's IPUs are then one
+``np.bincount`` each, and the bong entries one ``np.unique``
+(``vectorize_bong``); only the embedding and lexicon rows are built one
+IPU at a time.  A document's sequence does not depend on the chunk it is
+in.  ``fit_bong`` reads a ``TokenChunk`` too: the training documents are
+numbered as one chunk, one unit per document.
 
 Segmentation and tokenization depend only on the configuration, never
 on fitted state: ``FeaturePipeline.segment`` does them once, and both
@@ -67,8 +68,6 @@ from .tokenizer import get_normalizer, tokenize_many
 
 CANONICAL_BLOCKS = ("bong", "embedding", "lexicon", "pattern", "paralinguistic")
 DEFAULT_BLOCKS = ("bong", "pattern", "paralinguistic")
-# distinct tokens one ``TokenTypes`` table holds at most
-TYPE_TABLE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ class FeatureSchema:
 @dataclass(frozen=True, eq=False)
 class TokenChunk:
     """The tokens of a chunk of U units (IPUs), T tokens in all, each
-    given by what the feature blocks read of its type (``TokenTypes``).
+    given by what the feature blocks read of its type (``token_chunk``).
     A unit's tokens are contiguous and the units are in order."""
 
     sizes: np.ndarray  # (U,) tokens per unit
@@ -193,74 +192,42 @@ class TokenChunk:
     stem_names: list[str]  # the stem of each stem id
 
 
-class TokenTypes:
-    """A table of the distinct tokens (types) seen, each numbered once,
-    with what the feature blocks read of it worked out once: its tag
-    column and pattern flags (``token_pattern``) when ``pattern`` is
+def token_chunk(
+    units,
+    tagger: RuleTagger | None = None,
+    pattern: PatternResources | None = None,
+    stems: bool = False,
+) -> TokenChunk:
+    """``units`` (one token list per unit) as a ``TokenChunk``.  Its
+    distinct tokens (types) are numbered in a table of this call's own,
+    and what the feature blocks read of a type is worked out once: its
+    tag column and pattern flags (``token_pattern``) when ``pattern`` is
     given, and its stem when ``stems`` is set.  Everything these blocks
-    read of a token depends on the token alone, and a corpus has far
-    fewer types than tokens.
-
-    The table holds at most ``TYPE_TABLE_SIZE`` types: a chunk that could
-    push it past that first empties it, and a chunk of more tokens than
-    that is numbered in a table of its own."""
-
-    def __init__(self, tagger: RuleTagger | None, pattern: PatternResources | None, stems: bool):
-        self.tagger, self.pattern, self.with_stems = tagger, pattern, stems
-        self._clear()
-
-    def _clear(self):
-        self.ids: dict[str, int] = {}
-        self._stem_ids: dict[str, int] = {}
-        self._tags: list[int] = []
-        self._flags: list[int] = []
-        self._stems: list[int] = []
-        self._arrays = None
-
-    def _extend(self, new: list[str]):
-        self.ids.update(zip(new, range(len(self.ids), len(self.ids) + len(new))))
-        if self.pattern is not None:
-            for token, tag in zip(new, self.tagger.tag(new)):
-                column, flags = token_pattern(token, tag, self.pattern)
-                self._tags.append(column)
-                self._flags.append(flags)
-        if self.with_stems:
-            stem_ids = self._stem_ids
-            self._stems.extend(stem_ids.setdefault(stem(t), len(stem_ids)) for t in new)
-        self._arrays = None
-
-    def _numbered(self, tokens: list[str]) -> np.ndarray:
-        get = self.ids.get
-        ids = [get(token, -1) for token in tokens]
-        if -1 in ids:
-            self._extend(list(dict.fromkeys(t for t, i in zip(tokens, ids) if i < 0)))
-            ids = [self.ids[token] for token in tokens]
-        return np.array(ids, dtype=np.intp)
-
-    def chunk(self, units) -> TokenChunk:
-        """``units`` (one token list per unit) as a ``TokenChunk``."""
-        sizes = np.array([len(tokens) for tokens in units], dtype=np.intp)
-        tokens = [token for unit in units for token in unit]
-        table = self
-        if len(self.ids) + len(tokens) > TYPE_TABLE_SIZE:
-            if len(tokens) > TYPE_TABLE_SIZE:
-                table = TokenTypes(self.tagger, self.pattern, self.with_stems)
-            else:
-                self._clear()
-        ids = table._numbered(tokens)
-        if table._arrays is None:
-            table._arrays = tuple(
-                np.array(values, dtype=np.intp) for values in (table._tags, table._flags, table._stems)
-            ) + (list(table._stem_ids),)
-        tags, flags, stems, stem_names = table._arrays
-        return TokenChunk(
-            sizes=sizes,
-            unit=np.repeat(np.arange(len(sizes)), sizes),
-            tags=tags[ids] if self.pattern is not None else None,
-            flags=flags[ids] if self.pattern is not None else None,
-            stems=stems[ids] if self.with_stems else None,
-            stem_names=stem_names,
-        )
+    read of a token depends on the token alone, and a chunk has far
+    fewer types than tokens."""
+    ids: dict[str, int] = {}
+    numbered = np.array(
+        [ids.setdefault(token, len(ids)) for tokens in units for token in tokens], dtype=np.intp
+    )
+    sizes = np.array([len(tokens) for tokens in units], dtype=np.intp)
+    types = list(ids)
+    tags = flags = stem_ids = None
+    if pattern is not None:
+        columns = [token_pattern(t, tag, pattern) for t, tag in zip(types, tagger.tag(types))]
+        tags, flags = np.array(columns, dtype=np.intp).reshape(-1, 2).T[:, numbered]
+    stem_names: dict[str, int] = {}
+    if stems:
+        stem_ids = np.array(
+            [stem_names.setdefault(stem(t), len(stem_names)) for t in types], dtype=np.intp
+        )[numbered]
+    return TokenChunk(
+        sizes=sizes,
+        unit=np.repeat(np.arange(len(sizes)), sizes),
+        tags=tags,
+        flags=flags,
+        stems=stem_ids,
+        stem_names=list(stem_names),
+    )
 
 
 @dataclass(frozen=True)
@@ -272,7 +239,6 @@ class _Resources:
     tagger: object = None
     embedding: EmbeddingTable | None = None
     lexicons: tuple[Lexicon, ...] = ()
-    types: TokenTypes | None = None  # for the pattern and bong blocks
 
 
 def _load_resources(config: PipelineConfig) -> _Resources:
@@ -300,10 +266,6 @@ def _load_resources(config: PipelineConfig) -> _Resources:
         )
     if "paralinguistic" in config.blocks:
         kwargs["marker_map"] = res.load_marker_map(config.markers_path)
-    if "pattern" in config.blocks or "bong" in config.blocks:
-        kwargs["types"] = TokenTypes(
-            kwargs.get("tagger"), kwargs.get("pattern"), stems="bong" in config.blocks
-        )
     return _Resources(**kwargs)
 
 
@@ -366,8 +328,13 @@ def _require_ipus(seg: SegmentedDocument):
         )
 
 
-def _token_chunk(segs: list[SegmentedDocument], loaded: _Resources) -> TokenChunk:
-    return loaded.types.chunk([tokens for seg in segs for tokens in seg.tokens])
+def _token_chunk(
+    segs: list[SegmentedDocument], loaded: _Resources, pattern: bool, stems: bool
+) -> TokenChunk:
+    """The chunk's IPUs as a ``TokenChunk``, with the pattern block's tag
+    columns and flags if ``pattern`` and stem ids if ``stems``."""
+    units = [tokens for seg in segs for tokens in seg.tokens]
+    return token_chunk(units, loaded.tagger, loaded.pattern if pattern else None, stems)
 
 
 def _unit_bounds(segs: list[SegmentedDocument]) -> list[int]:
@@ -402,7 +369,7 @@ def _fixed_rows(
         blocks.append(np.array(rows))
     if "pattern" in config.blocks:
         if tokens is None:
-            tokens = _token_chunk(segs, loaded)
+            tokens = _token_chunk(segs, loaded, pattern=True, stems=False)
         blocks.append(pattern_features(tokens, loaded.pattern))
     if "paralinguistic" in config.blocks:
         events = [ipu.para_events for seg in segs for ipu in seg.ipus]
@@ -468,8 +435,8 @@ class FeaturePipeline:
 
         vocab = None
         if "bong" in config.blocks:
-            doc_tokens = loaded.types.chunk(
-                [[tok for toks in seg.tokens for tok in toks] for seg in segmented]
+            doc_tokens = token_chunk(
+                [[tok for toks in seg.tokens for tok in toks] for seg in segmented], stems=True
             )
             vocab = fit_bong(
                 doc_tokens, max_order=config.bong_max_order, min_df=config.bong_min_df
@@ -585,10 +552,11 @@ class FittedFeaturePipeline:
         """A chunk's rows before standardizing: the (U, D') rows of every
         block but bong over its U IPUs, and the bong rows as (rows,
         indices, values) of their nonzero entries, None without bong."""
+        prepared = all(seg.fixed_rows is not None for seg in segs)
         tokens = None
         if self.vocabulary is not None:
-            tokens = _token_chunk(segs, self._resources)
-        if all(seg.fixed_rows is not None for seg in segs):
+            tokens = _token_chunk(segs, self._resources, pattern=not prepared, stems=True)
+        if prepared:
             fixed = np.concatenate([seg.fixed_rows for seg in segs])
         else:  # a chunk with an unprepared document is built whole
             fixed = _fixed_rows(segs, self.config, self._resources, tokens)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from ..errors import FileFormatError
+from ..errors import FileFormatError, read_utf8
 from .lexicons import ModifierLists
 from .paralinguistic import CATEGORIES
 from .patterns import DEFAULT_TAG_SET, OTHER_TAG, PatternResources, RuleTagger
@@ -37,7 +37,7 @@ def default_resource_path(name: str) -> Path:
 
 def _read_versioned(path: str | Path, version: str) -> list[tuple[int, str]]:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0].strip() != version:
         raise FileFormatError(f"{path}: first line must be {version!r}")
     return [

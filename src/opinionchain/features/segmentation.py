@@ -1,8 +1,13 @@
-"""Pause-based segmentation of transcripts into inter-pausal units."""
+"""Pause-based segmentation of transcripts into inter-pausal units.
+
+An ``IPU`` keeps only what the feature blocks read of a unit, its tokens
+and its paralinguistic markers; its timing stays in the transcript.
+"""
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..corpus import Transcript
@@ -13,19 +18,12 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class IPU:
-    """A maximal run of tokens with no silent gap above the threshold."""
+    """A maximal run of tokens with no silent gap above the threshold,
+    and the paralinguistic markers attached to it: what the feature
+    blocks read of the unit."""
 
     tokens: tuple[str, ...]
-    start_ms: int
-    end_ms: int
     para_events: tuple[str, ...] = ()
-    following_pause_ms: int | None = None  # absent for the last IPU
-
-    def __post_init__(self):
-        if self.end_ms < self.start_ms:
-            raise InvalidInputError("IPU ends before it starts")
-        if not self.tokens and not self.para_events:
-            raise InvalidInputError("IPU must carry tokens or paralinguistic events")
 
 
 def segment_into_ipus(transcript: Transcript, threshold_ms: int) -> list[IPU]:
@@ -56,30 +54,14 @@ def segment_into_ipus(transcript: Transcript, threshold_ms: int) -> list[IPU]:
         else:
             groups[-1].append(cur)
 
-    spans = [(g[0].start_ms, g[-1].end_ms) for g in groups]
+    starts = [group[0].start_ms for group in groups]  # increasing: each gap is positive
     events: list[list[str]] = [[] for _ in groups]
     for marker in transcript.para_markers:
-        idx = 0
-        for i, (start, _) in enumerate(spans):
-            if start <= marker.time_ms:
-                idx = i
-        events[idx].append(marker.text)
-
-    ipus = []
-    for i, group in enumerate(groups):
-        following = (
-            groups[i + 1][0].start_ms - group[-1].end_ms if i + 1 < len(groups) else None
-        )
-        ipus.append(
-            IPU(
-                tokens=tuple(t.text for t in group),
-                start_ms=group[0].start_ms,
-                end_ms=group[-1].end_ms,
-                para_events=tuple(events[i]),
-                following_pause_ms=following,
-            )
-        )
-    return ipus
+        events[max(0, bisect_right(starts, marker.time_ms) - 1)].append(marker.text)
+    return [
+        IPU(tokens=tuple(t.text for t in group), para_events=tuple(attached))
+        for group, attached in zip(groups, events)
+    ]
 
 
 def ipu_index_per_token(transcript: Transcript, threshold_ms: int) -> list[int]:

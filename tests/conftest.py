@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from opinionchain.corpus import ParaMarker, Transcript, TranscriptToken
-from opinionchain.features.pipeline import TokenTypes
 from opinionchain.model import (
     ChainLayout,
     ObservationSequence,
@@ -43,11 +42,6 @@ def make_transcript(
         para_markers=tuple(ParaMarker(m, tm) for m, tm in markers),
         valences=valences,
     )
-
-
-def token_chunk(units, tagger=None, pattern=None, stems=False):
-    """``units`` (token lists) as the ``TokenChunk`` of a fresh type table."""
-    return TokenTypes(tagger, pattern, stems).chunk(units)
 
 
 def dense_features(x):

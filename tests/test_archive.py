@@ -311,12 +311,6 @@ class TestResourceDrift:
         with pytest.raises(FileFormatError, match="changed since archiving"):
             load_archive(path)
 
-    def test_drift_override(self, tmp_path):
-        path, emb = self.make_embedding_archive(tmp_path)
-        emb.write_text("great 2.0 0.0\nawful -2.0 0.0\n")
-        loaded = load_archive(path, allow_resource_drift=True)
-        assert loaded.kind == "hcrf"
-
     def test_deleted_resource_refused(self, tmp_path):
         path, emb = self.make_embedding_archive(tmp_path)
         emb.unlink()

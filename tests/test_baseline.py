@@ -136,11 +136,14 @@ class TestPrediction:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=-40.0, max_value=40.0))
     def test_predictor_is_argmax_of_posterior(self, margin):
+        """P(label 1) is the sigmoid of the margin to a few ulps (scipy's
+        ``expit`` is the reference), and P(label 0) is exactly 1 - it."""
         model = LogRegModel(weights=np.array([1.0]), intercept=0.0, c=1.0)
         seq = one_segment([margin])
-        prob = float(expit(margin))
         predictor = LogRegPredictor(model)
-        assert predictor.posterior_batch([seq]).tolist() == [[1.0 - prob, prob]]
+        [[rest, prob]] = predictor.posterior_batch([seq]).tolist()
+        assert prob == pytest.approx(float(expit(margin)), rel=1e-15, abs=0)
+        assert rest == 1.0 - prob
         assert predict_batch(predictor, [seq]) == [1 if prob > 0.5 else 0]
 
     def test_log_three_margin_gives_three_quarters(self):
@@ -175,8 +178,9 @@ class TestPosteriorBatch:
         batch = predictor.posterior_batch(iter(seqs))
         assert batch.shape == (len(seqs), 2)
         for row, seq in zip(batch, seqs):
-            prob = float(expit(model.weights @ aggregate_document_vector(seq) + model.intercept))
-            assert row.tolist() == [1.0 - prob, prob]
+            margin = model.weights @ aggregate_document_vector(seq) + model.intercept
+            assert row[1] == pytest.approx(float(expit(margin)), rel=1e-15, abs=0)
+            assert row[0] == 1.0 - row[1]
             assert np.array_equal(row, predictor.posterior_batch([seq])[0])
         assert predictor.posterior_batch([]).shape == (0, 2)
 

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -85,29 +86,35 @@ def package_env() -> dict:
 
 
 def test_cli_import_does_not_load_scipy(tmp_path, generated):
-    """Neither importing the CLI nor running the HCRF commands on the
-    default blocks loads scipy: the sparse bong rows use numpy alone."""
+    """Neither importing the CLI nor running ``train``, ``predict`` and
+    ``evaluate`` on the default blocks loads scipy or ``numpy.ma``, with
+    either model: the package needs numpy alone."""
     corpus, out = str(generated / "corpus"), tmp_path / "runs"
     cfg = write_config(tmp_path, {"training": {"num_hidden_states": 2, "max_iterations": 5}})
-    commands = [
-        ["train", "--corpus", corpus, "--config", cfg, "--out", str(out / "t")],
-        ["predict", "--model", str(out / "t" / "model.json"), "--corpus", corpus,
-         "--out", str(out / "p")],
-        ["evaluate", "--model", "hcrf", "--folds", "2", "--corpus", corpus, "--config", cfg,
-         "--out", str(out / "e")],
-    ]
+    commands = []
+    for model in ("hcrf", "logreg"):
+        run = out / model
+        commands += [
+            ["train", "--model", model, "--corpus", corpus, "--config", cfg,
+             "--out", str(run / "t")],
+            ["predict", "--model", str(run / "t" / "model.json"), "--corpus", corpus,
+             "--out", str(run / "p")],
+            ["evaluate", "--model", model, "--folds", "2", "--corpus", corpus, "--config", cfg,
+             "--out", str(run / "e")],
+        ]
+    unwanted = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma')"
     code = (
         "import sys, opinionchain.cli; "
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        f"loaded = {unwanted}; "
         f"codes = [opinionchain.cli.main(argv) for argv in {commands!r}]; "
-        "print(loaded, codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(loaded, codes, {unwanted})"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[] [0, 0, 0] []"
+    assert proc.stdout.strip().splitlines()[-1] == "[] [0, 0, 0, 0, 0, 0] []"
 
 
 @pytest.fixture
@@ -126,6 +133,40 @@ def segment_counts(monkeypatch):
     monkeypatch.setattr(pipeline, "segment_into_ipus", counting)
     monkeypatch.setattr(segmentation, "segment_into_ipus", counting)
     return counts
+
+
+@pytest.mark.parametrize("case", ["transcript", "config", "archive", "embeddings"])
+def test_file_that_is_not_utf8_fails_with_one_error_line(tmp_path, generated, capsys, case):
+    """A transcript, config, archive or embeddings file ending in byte
+    0xff, which starts no UTF-8 sequence, fails its command with one
+    error line and no traceback, and the file is named."""
+    corpus = tmp_path / "c"
+    shutil.copytree(generated / "corpus", corpus)
+    embeddings = tmp_path / "vectors.txt"
+    shutil.copy(generated / "embeddings.txt", embeddings)
+    cfg = Path(write_config(tmp_path, {
+        "pipeline": {"blocks": ["embedding"], "embedding_path": str(embeddings)},
+        "training": {"num_hidden_states": 2, "max_iterations": 5},
+    }))
+    train = ["train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(tmp_path / "t")]
+    model = tmp_path / "t" / "model.json"
+    predict = ["predict", "--model", str(model), "--corpus", str(corpus),
+               "--out", str(tmp_path / "p")]
+    if case in ("transcript", "archive"):
+        assert main(train) == 0
+    bad, argv = {
+        "transcript": (sorted(corpus.glob("*.txt"))[0], predict),
+        "config": (cfg, train),
+        "archive": (model, predict),
+        "embeddings": (embeddings, train),
+    }[case]
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert str(bad) in err and "not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 class TestSegmentationCount:

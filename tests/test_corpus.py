@@ -147,6 +147,7 @@ _MUTATIONS = (
     "non_integer_time",
     "overlapping_times",
     "unknown_record_kind",
+    "transcript_not_utf8",
 )
 
 
@@ -169,6 +170,9 @@ def _mutate(root, index, doc_id, mutation):
         return where
     if mutation == "missing_file":
         transcript.unlink()
+        return (str(transcript), 0)
+    if mutation == "transcript_not_utf8":  # byte 0xff starts no UTF-8 sequence
+        transcript.write_bytes(transcript.read_bytes().replace(b"words", b"w\xffrds"))
         return (str(transcript), 0)
     lines = transcript.read_text().splitlines()
     parts = lines[2].split("\t")  # the second token, on line 3

@@ -4,7 +4,7 @@
 featurize a chunk of documents at a time from token-type ids; every
 document's dense rows and bong entries must be bitwise what the per-IPU,
 per-occurrence reference builds for it alone, whatever chunk it falls
-in and however full the type table is.
+in.
 """
 
 import dataclasses
@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opinionchain import training
-from opinionchain.features import pipeline
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, SegmentedDocument
 from opinionchain.features.segmentation import IPU
 from opinionchain.features.standardize import fit_standardizer
@@ -44,7 +43,7 @@ def segmented(doc_id, ipus, config):
     return SegmentedDocument(
         doc_id,
         tuple(
-            IPU(tokens=tuple(tokens) or ("--",), start_ms=0, end_ms=0, para_events=tuple(events))
+            IPU(tokens=tuple(tokens), para_events=tuple(events))
             for tokens, events in ipus
         ),
         tuple(list(tokens) for tokens, _ in ipus),
@@ -90,11 +89,8 @@ class _Messages(logging.Handler):
     order=st.integers(1, 3),
     standardize=st.booleans(),
     chunk=st.sampled_from([1, 2, 3, 256]),
-    bound=st.sampled_from([3, 12, pipeline.TYPE_TABLE_SIZE]),
 )
-def test_chunks_bitwise_equal_the_per_ipu_reference(
-    train, held_out, order, standardize, chunk, bound
-):
+def test_chunks_bitwise_equal_the_per_ipu_reference(train, held_out, order, standardize, chunk):
     assume(any(tokens for doc in train for tokens, _ in doc))  # some vocabulary
     config = PipelineConfig(bong_max_order=order, standardize=standardize)
     train_docs = [segmented(f"t{i}", doc, config) for i, doc in enumerate(train)]
@@ -103,12 +99,9 @@ def test_chunks_bitwise_equal_the_per_ipu_reference(
     got, want = _Messages(), _Messages()
     para_log.addHandler(got)
     try:
-        with patch.object(training, "SCORING_CHUNK", chunk), patch.object(
-            pipeline, "TYPE_TABLE_SIZE", bound
-        ):
+        with patch.object(training, "SCORING_CHUNK", chunk):
             fitted, sequences = FeaturePipeline(config).fit_transform(train_docs)
             sequences = sequences + fitted.transform(held_docs)
-            assert len(fitted._resources.types.ids) <= bound
         para_log.removeHandler(got)
         para_log.addHandler(want)
         raw = [reference_rows(seg, fitted) for seg in train_docs + held_docs]
@@ -149,36 +142,3 @@ def test_chunk_boundaries_change_nothing(count):
     check_against_reference(fitted, docs, sequences)
     for k in {0, count - 1}:  # a chunk of one
         check_against_reference(fitted, docs[k : k + 1], fitted.transform(docs[k : k + 1]))
-
-
-def test_type_table_stops_growing_at_its_bound(monkeypatch):
-    """On documents with five times as many distinct tokens as the type
-    table's bound, the table and its stems never pass the bound and every
-    sequence stays bitwise the reference's.  A chunk of more tokens than
-    the bound is numbered in a table of its own and leaves this one as
-    it was.  There is no n-gram table to bound: ``vectorize_bong`` numbers
-    a chunk's distinct n-grams within the one call."""
-    bound = 40
-    monkeypatch.setattr(pipeline, "TYPE_TABLE_SIZE", bound)
-    monkeypatch.setattr(training, "SCORING_CHUNK", 3)
-    config = PipelineConfig()
-    docs = [
-        segmented(f"d{i}", [([f"w{i}n{j}" for j in range(6)] + ["Great", "movie"], [])], config)
-        for i in range(34)
-    ]
-    assert len({t for seg in docs for tokens in seg.tokens for t in tokens}) > 5 * bound
-    fitted, sequences = FeaturePipeline(config).fit_transform(docs[:4])
-    types = fitted._resources.types
-    check_against_reference(fitted, docs[:4], sequences)
-    sizes = []
-    for start in range(4, len(docs), 3):
-        chunk = docs[start : start + 3]
-        check_against_reference(fitted, chunk, fitted.transform(chunk))
-        sizes.append((len(types.ids), len(types._stem_ids)))
-    assert max(n for n, _ in sizes) <= bound and max(s for _, s in sizes) <= bound
-    assert "w4n0" not in types.ids  # emptied since the first chunk
-
-    monkeypatch.setattr(training, "SCORING_CHUNK", 6)  # 48 tokens a chunk
-    before = dict(types.ids)
-    check_against_reference(fitted, docs[:6], fitted.transform(docs[:6]))
-    assert types.ids == before

@@ -1,16 +1,12 @@
-from unittest.mock import patch
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionchain.errors import ConfigurationError, InvalidInputError
-from opinionchain.features import pipeline
 from opinionchain.features.ngrams import NGramVocabulary, fit_bong, vectorize_bong
-from opinionchain.features.pipeline import TokenTypes
+from opinionchain.features.pipeline import token_chunk
 
-from conftest import token_chunk
 from oracles import extract_ngrams, reference_vocabulary
 
 
@@ -90,21 +86,14 @@ _FIT_TOKEN = st.sampled_from(
 @settings(max_examples=150, deadline=None)
 @given(
     docs=st.lists(st.lists(_FIT_TOKEN, max_size=6), min_size=1, max_size=6),
-    seen=st.lists(_FIT_TOKEN, max_size=5),
     order=st.integers(1, 3),
     min_df=st.integers(1, 3),
-    bound=st.sampled_from([5, 12, pipeline.TYPE_TABLE_SIZE]),
 )
-def test_fit_bitwise_equals_the_per_occurrence_reference(docs, seen, order, min_df, bound):
-    """Through a type table that already holds ``seen``, and that a fit
-    may empty (or, for more tokens than ``bound``, number in a table of
-    its own), the vocabulary is bitwise the reference's."""
+def test_fit_bitwise_equals_the_per_occurrence_reference(docs, order, min_df):
+    """The vocabulary fitted from a chunk's stem ids is bitwise the
+    reference's."""
     terms, doc_freq = reference_vocabulary(docs, order, min_df)
-    with patch.object(pipeline, "TYPE_TABLE_SIZE", bound):
-        types = TokenTypes(None, None, stems=True)
-        types.chunk([seen])
-        tokens = types.chunk(docs)
-        assert len(types.ids) <= bound
+    tokens = token_chunk(docs, stems=True)
     if not terms:
         with pytest.raises(ConfigurationError, match="empty vocabulary"):
             fit_bong(tokens, max_order=order, min_df=min_df)

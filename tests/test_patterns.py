@@ -14,12 +14,11 @@ from opinionchain.features.patterns import (
     pattern_feature_names,
     pattern_features,
 )
+from opinionchain.features.pipeline import token_chunk
 from opinionchain.features.resources import (
     load_pattern_resources,
     load_tagger,
 )
-
-from conftest import token_chunk
 
 RES = PatternResources(
     negations=frozenset({"not", "never"}),

@@ -35,13 +35,7 @@ class TestBoundaryRule:
     def test_single_token(self):
         doc = make_transcript(words=("solo",))
         ipus = segment_into_ipus(doc, 300)
-        assert len(ipus) == 1
-        assert ipus[0].following_pause_ms is None
-
-    def test_following_pause_recorded(self):
-        doc = make_transcript(words=("a", "b", "c"), gaps=[400, 500])
-        ipus = segment_into_ipus(doc, 300)
-        assert [i.following_pause_ms for i in ipus] == [400, 500, None]
+        assert ipus == [IPU(tokens=("solo",))]
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(InvalidInputError):
@@ -66,6 +60,14 @@ class TestMarkerAttachment:
         )
         ipus = segment_into_ipus(doc, 300)
         assert ipus[0].para_events == ("*laughing*",)
+
+    def test_marker_at_an_ipu_start_attaches_to_that_ipu(self):
+        # words at [0,200], [600,800] and [1200,1400]
+        doc = make_transcript(
+            words=("a", "b", "c"), gaps=[400, 400], markers=[("*hum*", 600), ("*hum*", 599)]
+        )
+        ipus = segment_into_ipus(doc, 300)
+        assert [ipu.para_events for ipu in ipus] == [("*hum*",), ("*hum*",), ()]
 
     def test_marker_before_first_token_attaches_to_first_ipu(self):
         doc = make_transcript(
@@ -92,10 +94,6 @@ class TestInvariants:
     def test_ipu_index_matches_segmentation(self):
         doc = make_transcript(words=list("abcde"), gaps=[400, 100, 500, 100])
         assert ipu_index_per_token(doc, 300) == [0, 1, 1, 2, 2]
-
-    def test_ipu_requires_content(self):
-        with pytest.raises(InvalidInputError):
-            IPU(tokens=(), start_ms=0, end_ms=10)
 
 
 @st.composite
