@@ -18,8 +18,12 @@ over a few passes of a fresh default pipeline's `fit_transform` of the
 standardizing), and `default_transform_ms_per_doc`: the median over a
 few passes of the fitted pipeline's `transform` of 1000 held-out
 transcripts of another seed, a chunk at a time as `predict` reads them,
-per document.  Two checkouts can be compared by running it with each
-one's `src/` on PYTHONPATH, alternating between them.
+per document.  It also prints `default_read_ms_per_doc`: the same 1000
+transcripts are saved to a temporary directory, and the median over a
+few passes of `load_corpus` on it plus `FeaturePipeline.segment` of the
+loaded documents (cutting IPUs and tokenizing) is printed per document.
+Two checkouts can be compared by running it with each one's `src/` on
+PYTHONPATH, alternating between them.
 """
 
 import argparse
@@ -31,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from opinionchain.corpus import load_corpus, save_corpus
 from opinionchain.evaluation import stratified_k_fold
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.model import HcrfParameters
@@ -86,9 +91,12 @@ def time_fit_transform(corpus):
     print(f"default_fit_transform_ms {1e3 * statistics.median(times):.4f}")
 
 
-def time_transform(pipeline, seed):
+def heldout_corpus(seed):
     spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=HELDOUT_DOCS_PER_LABEL)
-    docs = generate_corpus(spec, seed=seed + HELDOUT_SEED_OFFSET)
+    return generate_corpus(spec, seed=seed + HELDOUT_SEED_OFFSET)
+
+
+def time_transform(pipeline, docs):
     times = []
     for _ in range(TRANSFORM_PASSES):
         start = time.perf_counter()
@@ -97,6 +105,19 @@ def time_transform(pipeline, seed):
         times.append(time.perf_counter() - start)
     per_doc = 1e3 * statistics.median(times) / len(docs)
     print(f"default_transform_ms_per_doc {per_doc:.4f}")
+
+
+def time_read(docs):
+    unfitted = FeaturePipeline(PipelineConfig())
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(docs, tmp)
+        for _ in range(TRANSFORM_PASSES):
+            start = time.perf_counter()
+            unfitted.segment(load_corpus(tmp))
+            times.append(time.perf_counter() - start)
+    per_doc = 1e3 * statistics.median(times) / len(docs)
+    print(f"default_read_ms_per_doc {per_doc:.4f}")
 
 
 def time_calls(name, prefix, sequences, labels, args):
@@ -133,7 +154,9 @@ def main():
     sequences, labels, pipeline, corpus = default_shape(args.seed)
     time_calls("default", "default_", sequences, labels, args)
     time_fit_transform(corpus)
-    time_transform(pipeline, args.seed)
+    heldout = heldout_corpus(args.seed)
+    time_transform(pipeline, heldout)
+    time_read(heldout)
 
 
 if __name__ == "__main__":

@@ -163,7 +163,12 @@ def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
         if not path.exists():
             problems.append((str(archive_path), 0, f"resource {role!r} not found at {path}"))
             continue
-        digest = _sha256(path)
+        try:
+            digest = _sha256(path)
+        except OSError as exc:
+            reason = f"resource {role!r} at {path} cannot be read: {exc.strerror}"
+            problems.append((str(archive_path), 0, reason))
+            continue
         if digest != stored[role]["sha256"]:
             problems.append(
                 (str(archive_path), 0, f"resource {role!r} at {path} changed since archiving")

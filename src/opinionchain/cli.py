@@ -174,14 +174,14 @@ def _labeled_corpus(path: str, pipeline: FeaturePipeline):
     the same documents segmented once by ``pipeline``.  Every document is
     segmented, the dropped ones too, for the IPU count logged here."""
     corpus = load_corpus(path)
-    segmented = [pipeline.segment(doc) for doc in corpus]
+    segmented = pipeline.segment(corpus)
     stats = corpus_stats(corpus)
     log.info(
         "loaded %d documents (%s), %d words, %d IPUs at %d ms",
         stats.document_count,
         ", ".join(f"{v} {k}" for k, v in sorted(stats.class_counts.items())),
         stats.word_count,
-        sum(len(seg.ipus) for seg in segmented),
+        sum(len(seg.tokens) for seg in segmented),
         pipeline.config.threshold_ms,
     )
     labeled = filter_neutral(corpus)
@@ -369,10 +369,8 @@ def cmd_inspect(args) -> int:
     vocab: list[str] = []
     if args.corpus is not None and table is not None:
         normalizer = get_normalizer(loaded.pipeline.config.normalizer)
-        words = set()
-        for doc in load_corpus(args.corpus):
-            words.update(tokenize_many([t.text for t in doc.tokens], normalizer))
-        vocab = sorted(words)
+        texts = {text for doc in load_corpus(args.corpus) for text in doc.texts}
+        vocab = sorted({word for words in tokenize_many(texts, normalizer) for word in words})
     report = build_state_report(
         loaded.predictor.params,
         loaded.pipeline.schema.windowed(loaded.predictor.config.context_window),

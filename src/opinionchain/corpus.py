@@ -18,16 +18,27 @@ in [1, 5]; ``-`` marks an unlabeled document.  Transcript files::
     token<TAB>d001<TAB>great<TAB>100<TAB>400
     marker<TAB>d001<TAB>*chuckling*<TAB>450
 
-Token times are milliseconds; consecutive tokens must not overlap.
-Extra trailing columns on token/marker lines are ignored, which lets a
-segmented corpus (with an appended IPU-index column) reload cleanly.
+Token times are whole milliseconds (int64); consecutive tokens must not
+overlap.  Extra trailing columns on token/marker lines are ignored, which
+lets a segmented corpus (with an appended IPU-index column) reload
+cleanly.  A record may name any document of the manifest, whatever file
+it is in: a document's tokens are gathered from every file, in file-name
+order and then line order.
+
+A loaded ``Transcript`` holds its tokens as columns (texts, start times,
+end times), built from a file's split lines with one conversion of all
+of its times; no object is made per token.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import FileFormatError, InvalidInputError, read_utf8
 
@@ -42,45 +53,71 @@ LABEL_NAMES = ("negative", "positive")
 
 
 @dataclass(frozen=True)
-class TranscriptToken:
-    text: str
-    start_ms: int
-    end_ms: int
-
-
-@dataclass(frozen=True)
 class ParaMarker:
     text: str  # asterisk-delimited, e.g. "*chuckling*"
     time_ms: int
 
 
-@dataclass(frozen=True)
+def _time_column(values) -> np.ndarray:
+    column = np.array(values, dtype=np.int64)  # the transcript's own copy
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """One document: timed tokens, paralinguistic markers, optional valence."""
+    """One document: timed tokens, paralinguistic markers, optional valence.
+
+    The tokens are held as columns: token i is ``texts[i]``, spoken from
+    ``starts[i]`` to ``ends[i]`` ms.  The times are read-only int64
+    arrays, and two transcripts are equal when their contents are."""
 
     doc_id: str
-    tokens: tuple[TranscriptToken, ...]
+    texts: tuple[str, ...]
+    starts: np.ndarray
+    ends: np.ndarray
     para_markers: tuple[ParaMarker, ...] = ()
     valences: tuple[float, ...] | None = None  # one raw value per annotator
 
     def __post_init__(self):
-        prev_end = None
-        for tok in self.tokens:
-            if tok.end_ms < tok.start_ms:
-                raise InvalidInputError(
-                    f"{self.doc_id}: token {tok.text!r} ends before it starts"
-                )
-            if prev_end is not None and tok.start_ms < prev_end:
-                raise InvalidInputError(
-                    f"{self.doc_id}: token times not non-decreasing at {tok.text!r}"
-                )
-            prev_end = tok.end_ms
+        texts = tuple(self.texts)
+        try:
+            starts, ends = _time_column(self.starts), _time_column(self.ends)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"{self.doc_id}: token times must be int64: {exc}") from None
+        if not (starts.ndim == ends.ndim == 1 and len(texts) == starts.size == ends.size):
+            raise InvalidInputError(
+                f"{self.doc_id}: {len(texts)} token texts, {starts.size} start "
+                f"and {ends.size} end times"
+            )
+        early = ends < starts
+        overlap = starts[1:] < ends[:-1]
+        if early.any() or overlap.any():  # name the first offending token
+            i = int(min([*np.flatnonzero(early)[:1], *np.flatnonzero(overlap)[:1] + 1]))
+            if early[i]:
+                raise InvalidInputError(f"{self.doc_id}: token {texts[i]!r} ends before it starts")
+            raise InvalidInputError(
+                f"{self.doc_id}: token times not non-decreasing at {texts[i]!r}"
+            )
         if self.valences is not None:
             if not self.valences:
                 raise InvalidInputError(f"{self.doc_id}: empty valence tuple")
             for v in self.valences:
                 if not 1.0 <= v <= 5.0:
                     raise InvalidInputError(f"{self.doc_id}: valence {v} outside [1, 5]")
+        object.__setattr__(self, "texts", texts)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", ends)
+
+    def __eq__(self, other):
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return (
+            (self.doc_id, self.texts, self.para_markers, self.valences)
+            == (other.doc_id, other.texts, other.para_markers, other.valences)
+            and np.array_equal(self.starts, other.starts)
+            and np.array_equal(self.ends, other.ends)
+        )
 
     @property
     def mean_valence(self) -> float | None:
@@ -98,7 +135,7 @@ class Transcript:
 
     @property
     def word_count(self) -> int:
-        return len(self.tokens)
+        return len(self.texts)
 
 
 @dataclass(frozen=True)
@@ -180,76 +217,131 @@ def load_corpus(path: str | Path) -> list[Transcript]:
                 continue
         entries.append((doc_id, filename, valences))
 
-    records: dict[str, tuple[list[TranscriptToken], list[ParaMarker]]] = {
-        doc_id: ([], []) for doc_id, _, _ in entries
+    # each document's token columns (texts, starts, ends), filled from
+    # every file that holds its records, and its markers
+    records: dict[str, tuple[list, list, list, list[ParaMarker]]] = {
+        doc_id: ([], [], [], []) for doc_id, _, _ in entries
     }
     for filename in sorted({f for _, f, _ in entries}):
-        _read_transcript_file(root / filename, records, problems)
+        _read_transcript_file(os.path.join(root, filename), records, problems)
 
     corpus = []
     for doc_id, filename, valences in entries:
-        tokens, markers = records[doc_id]
+        texts, starts, ends, markers = records[doc_id]
         try:
             corpus.append(
                 Transcript(
-                    doc_id=doc_id,
-                    tokens=tuple(tokens),
+                    doc_id,
+                    texts,
+                    starts,
+                    ends,
                     para_markers=tuple(sorted(markers, key=lambda m: m.time_ms)),
                     valences=valences,
                 )
             )
         except InvalidInputError as exc:
-            problems.append((str(root / filename), 0, str(exc)))
+            problems.append((os.path.join(root, filename), 0, str(exc)))
     if problems:
         raise FileFormatError(f"{len(problems)} malformed record(s) in {root}", problems)
     return corpus
 
 
-def _read_transcript_file(path: Path, records, problems):
-    if not path.exists():
-        problems.append((str(path), 0, "file listed in manifest but missing"))
-        return
+def _read_transcript_file(path: str, records, problems):
+    """Add the records of the transcript file at ``path`` to ``records``
+    and its malformed records, in line order, to ``problems``.  A token
+    record of a manifest document is only split here; its times are
+    converted with those of all the file's tokens (``_add_tokens``)."""
     try:
         lines = read_utf8(path).splitlines()
+    except FileNotFoundError:
+        problems.append((path, 0, "file listed in manifest but missing"))
+        return
+    except OSError as exc:
+        problems.append((path, 0, f"cannot read the file: {exc.strerror}"))
+        return
     except FileFormatError:
-        problems.append((str(path), 0, "not UTF-8 text"))
+        problems.append((path, 0, "not UTF-8 text"))
         return
     if not lines or lines[0].strip() != TRANSCRIPT_VERSION:
-        problems.append((str(path), 1, f"first line must be {TRANSCRIPT_VERSION!r}"))
+        problems.append((path, 1, f"first line must be {TRANSCRIPT_VERSION!r}"))
         return
+    found: list[tuple[int, str]] = []  # (line, message) of each malformed record
+    tokens, token_lines = [], []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split("\t")
-        kind = parts[0]
-        try:
-            if kind == "token":
-                if len(parts) < 5:
-                    raise ValueError(f"token record needs 5 columns, got {len(parts)}")
-                _, doc_id, text, start_raw, end_raw = parts[:5]
-                if doc_id not in records:
-                    raise ValueError(f"doc_id {doc_id!r} not in manifest")
-                start = _parse_int(start_raw, "startMs")
-                end = _parse_int(end_raw, "endMs")
-                if end < start:
-                    raise ValueError(f"endMs {end} < startMs {start}")
-                records[doc_id][0].append(TranscriptToken(text, start, end))
-            elif kind == "marker":
-                if len(parts) < 4:
-                    raise ValueError(f"marker record needs 4 columns, got {len(parts)}")
-                _, doc_id, text, time_raw = parts[:4]
-                if doc_id not in records:
-                    raise ValueError(f"doc_id {doc_id!r} not in manifest")
-                if not (text.startswith("*") and text.endswith("*") and len(text) > 2):
-                    raise ValueError(f"marker text must be *-delimited: {text!r}")
-                records[doc_id][1].append(ParaMarker(text, _parse_int(time_raw, "timeMs")))
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except ValueError as exc:
-            problems.append((str(path), lineno, str(exc)))
+        if parts[0] == "token" and len(parts) >= 5 and parts[1] in records:
+            tokens.append(parts)
+            token_lines.append(lineno)
+        elif line.strip():
+            try:
+                _read_other_record(parts, records)
+            except ValueError as exc:
+                found.append((lineno, str(exc)))
+    found += _add_tokens(tokens, token_lines, records)
+    problems.extend((path, lineno, message) for lineno, message in sorted(found))
     # sequencing errors (non-monotone times) are caught by the Transcript
     # constructor, per document, after all files are read, and reported
     # with the records' problems
+
+
+def _read_other_record(parts: list[str], records):
+    """Add a marker record to ``records``; any other record that reaches
+    here is malformed and raises ValueError."""
+    kind = parts[0]
+    if kind == "token":
+        if len(parts) < 5:
+            raise ValueError(f"token record needs 5 columns, got {len(parts)}")
+        raise ValueError(f"doc_id {parts[1]!r} not in manifest")
+    if kind != "marker":
+        raise ValueError(f"unknown record kind {kind!r}")
+    if len(parts) < 4:
+        raise ValueError(f"marker record needs 4 columns, got {len(parts)}")
+    _, doc_id, text, time_raw = parts[:4]
+    if doc_id not in records:
+        raise ValueError(f"doc_id {doc_id!r} not in manifest")
+    if not (text.startswith("*") and text.endswith("*") and len(text) > 2):
+        raise ValueError(f"marker text must be *-delimited: {text!r}")
+    records[doc_id][3].append(ParaMarker(text, _parse_int(time_raw, "timeMs")))
+
+
+def _add_tokens(rows: list[list[str]], linenos: list[int], records) -> list[tuple[int, str]]:
+    """Add a file's token records, the split lines ``rows`` at lines
+    ``linenos``, to the columns of their documents, and return the
+    (line, message) of each malformed one.  All start and end times are converted at once; only
+    when one is not an integer or ends before it starts are the records
+    looked at one by one, to find which."""
+    if not rows:
+        return []
+    _, docs, texts, starts, ends = list(zip(*rows))[:5]
+    try:
+        starts, ends = list(map(int, starts)), list(map(int, ends))
+        well_formed = not any(map(operator.lt, ends, starts))
+    except ValueError:
+        well_formed = False
+    if not well_formed:
+        found, kept, kept_lines = [], [], []
+        for row, lineno in zip(rows, linenos):
+            try:
+                start, end = _parse_int(row[3], "startMs"), _parse_int(row[4], "endMs")
+                if end < start:
+                    raise ValueError(f"endMs {end} < startMs {start}")
+            except ValueError as exc:
+                found.append((lineno, str(exc)))
+            else:
+                kept.append(row)
+                kept_lines.append(lineno)
+        return found + _add_tokens(kept, kept_lines, records)
+    if docs.count(docs[0]) == len(docs):  # one document's tokens, as save_corpus writes
+        columns = records[docs[0]]
+        for column, values in zip(columns, (texts, starts, ends)):
+            column.extend(values)
+    else:
+        for doc_id, text, start, end in zip(docs, texts, starts, ends):
+            columns = records[doc_id]
+            columns[0].append(text)
+            columns[1].append(start)
+            columns[2].append(end)
+    return []
 
 
 def save_corpus(corpus: list[Transcript], path: str | Path, ipu_index=None):
@@ -271,11 +363,9 @@ def save_corpus(corpus: list[Transcript], path: str | Path, ipu_index=None):
         manifest_lines.append(f"{doc.doc_id}\t{filename}\t{valence}")
         doc_lines = [TRANSCRIPT_VERSION]
         index = ipu_index.get(doc.doc_id) if ipu_index else None
-        for pos, tok in enumerate(doc.tokens):
-            row = f"token\t{doc.doc_id}\t{tok.text}\t{tok.start_ms}\t{tok.end_ms}"
-            if index is not None:
-                row += f"\t{index[pos]}"
-            doc_lines.append(row)
+        tails = [""] * len(doc.texts) if index is None else [f"\t{i}" for i in index]
+        rows = zip(doc.texts, doc.starts.tolist(), doc.ends.tolist(), tails, strict=True)
+        doc_lines += [f"token\t{doc.doc_id}\t{t}\t{s}\t{e}{tail}" for t, s, e, tail in rows]
         for marker in doc.para_markers:
             doc_lines.append(f"marker\t{doc.doc_id}\t{marker.text}\t{marker.time_ms}")
         (root / filename).write_text("\n".join(doc_lines) + "\n", encoding="utf-8")

@@ -1,8 +1,6 @@
 """Exception types shared across the package, and the one reader of
 text files, which raises them."""
 
-from pathlib import Path
-
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition (shape, range, length)."""
@@ -34,10 +32,13 @@ class FileFormatError(ValueError):
 
 
 def read_utf8(path) -> str:
-    """The text of the file at ``path``.  A file that is not valid UTF-8
+    """The text of the file at ``path``, its line ends as they are (its
+    readers split lines with ``str.splitlines`` or parse JSON, to which
+    CR, LF and CRLF are all the same).  A file that is not valid UTF-8
     raises FileFormatError naming it; OSError passes through."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:  # decoding the bytes at once skips the text layer
+            return fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -73,6 +73,8 @@ def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
             f"{path}: header row must be 'word' followed by channel names"
         )
     channels = tuple(header[1:])
+    if len(set(channels)) != len(channels):
+        raise FileFormatError(f"{path}: duplicate channel names in the header row")
     check_sum = all(c in channels for c in SUM_TO_ONE_CHANNELS)
     sum_idx = [channels.index(c) for c in SUM_TO_ONE_CHANNELS] if check_sum else None
 

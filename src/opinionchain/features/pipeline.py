@@ -15,17 +15,23 @@ bong and pattern blocks read of it; nothing is kept between chunks.  The
 pattern and paralinguistic counts of all the chunk's IPUs are then one
 ``np.bincount`` each, and the bong entries one ``np.unique``
 (``vectorize_bong``); only the embedding and lexicon rows are built one
-IPU at a time.  A document's sequence does not depend on the chunk it is
-in.  ``fit_bong`` reads a ``TokenChunk`` too: the training documents are
-numbered as one chunk, one unit per document.
+IPU at a time.  A chunk's rows are checked once, and its documents'
+sequences are then built without checks of their own.  A document's
+sequence does not depend on the chunk it is in.  ``fit_bong`` reads a
+``TokenChunk`` too: the training documents are numbered as one chunk,
+one unit per document.
 
-Segmentation and tokenization depend only on the configuration, never
-on fitted state: ``FeaturePipeline.segment`` does them once, and both
-``fit_transform`` and ``transform`` accept its ``SegmentedDocument`` in
-place of a transcript.  Of the blocks, only bong is fitted (its
-vocabulary), so ``FeaturePipeline.prepare`` also builds the rows of all
-the others once; cross-validation prepares each document once for all of
-its folds and computes only the bong rows and the standardizer per fold.
+A transcript's tokens are columns (``corpus.Transcript``), and
+segmentation cuts them at the indices ``segment_into_ipus`` finds;
+tokenization runs once per distinct token string of a call, so a
+normalizer must be a pure function of its string.  Segmentation and
+tokenization depend only on the configuration, never on fitted state:
+``FeaturePipeline.segment`` does them once, and both ``fit_transform``
+and ``transform`` accept its ``SegmentedDocument`` in place of a
+transcript.  Of the blocks, only bong is fitted (its vocabulary), so
+``FeaturePipeline.prepare`` also builds the rows of all the others
+once; cross-validation prepares each document once for all of its folds
+and computes only the bong rows and the standardizer per fold.
 
 Feature blocks are concatenated in a fixed canonical order (bong |
 embedding | lexicon | pattern | paralinguistic) and the layout is
@@ -61,7 +67,7 @@ from .patterns import (
     pattern_features,
     token_pattern,
 )
-from .segmentation import IPU, segment_into_ipus
+from .segmentation import segment_into_ipus
 from .standardize import Standardizer, fit_standardizer
 from .stemmer import stem
 from .tokenizer import get_normalizer, tokenize_many
@@ -205,12 +211,11 @@ def token_chunk(
     given, and its stem when ``stems`` is set.  Everything these blocks
     read of a token depends on the token alone, and a chunk has far
     fewer types than tokens."""
-    ids: dict[str, int] = {}
-    numbered = np.array(
-        [ids.setdefault(token, len(ids)) for tokens in units for token in tokens], dtype=np.intp
-    )
-    sizes = np.array([len(tokens) for tokens in units], dtype=np.intp)
-    types = list(ids)
+    flat = list(itertools.chain.from_iterable(units))
+    types = list(dict.fromkeys(flat))  # in order of first occurrence
+    ids = {token: i for i, token in enumerate(types)}
+    numbered = np.fromiter(map(ids.__getitem__, flat), dtype=np.intp, count=len(flat))
+    sizes = np.fromiter(map(len, units), dtype=np.intp, count=len(units))
     tags = flags = stem_ids = None
     if pattern is not None:
         columns = [token_pattern(t, tag, pattern) for t, tag in zip(types, tagger.tag(types))]
@@ -271,33 +276,62 @@ def _load_resources(config: PipelineConfig) -> _Resources:
 
 @dataclass(frozen=True, eq=False)
 class SegmentedDocument:
-    """A transcript cut into IPUs, with each IPU's normalized tokens, and
-    the threshold and normalizer that produced them.
+    """A transcript cut into IPUs: each IPU's normalized tokens and its
+    paralinguistic markers, and the threshold and normalizer that
+    produced them.
 
     ``FeaturePipeline.prepare`` also attaches ``fixed_rows``: the (L, D')
     rows of every enabled block but bong, none of which is fitted to
     data, built under ``fixed_config``."""
 
     doc_id: str
-    ipus: tuple[IPU, ...]
     tokens: tuple[list[str], ...]  # one token list per IPU
+    para_events: tuple[tuple[str, ...], ...]  # one marker tuple per IPU
     threshold_ms: int
     normalizer: str
     fixed_rows: np.ndarray | None = None
     fixed_config: PipelineConfig | None = None
 
 
-def _segmented(doc, config: PipelineConfig) -> SegmentedDocument:
-    """``doc`` segmented under ``config``; a transcript is segmented here,
-    a ``SegmentedDocument`` must come from the same threshold and normalizer,
-    and its fixed rows, if any, from the same configuration."""
-    if not isinstance(doc, SegmentedDocument):
-        normalizer = get_normalizer(config.normalizer)
-        ipus = tuple(segment_into_ipus(doc, config.threshold_ms))
-        tokens = tuple(tokenize_many(ipu.tokens, normalizer) for ipu in ipus)
-        return SegmentedDocument(
-            doc.doc_id, ipus, tokens, config.threshold_ms, config.normalizer
+def _segmented(docs, config: PipelineConfig) -> list[SegmentedDocument]:
+    """``docs`` segmented under ``config``.  A transcript is segmented
+    here: cut at the bounds ``segment_into_ipus`` finds, each distinct
+    token string of the call's transcripts tokenized once (a normalizer
+    is a pure function of its string) and its words reused wherever it
+    occurs.  A ``SegmentedDocument`` must come from the same threshold
+    and normalizer, and its fixed rows, if any, from the same
+    configuration."""
+    transcripts = [doc for doc in docs if not isinstance(doc, SegmentedDocument)]
+    words, verbatim = {}, True
+    if transcripts:
+        texts = itertools.chain.from_iterable(doc.texts for doc in transcripts)
+        distinct = list(dict.fromkeys(texts))
+        words = dict(zip(distinct, tokenize_many(distinct, get_normalizer(config.normalizer))))
+        verbatim = all(found == [text] for text, found in words.items())
+    segmented = []
+    for doc in docs:
+        if isinstance(doc, SegmentedDocument):
+            _check_segmented(doc, config)
+            segmented.append(doc)
+            continue
+        bounds, events = segment_into_ipus(doc, config.threshold_ms)
+        if verbatim:  # each string is its one word, so an IPU's tokens are its texts
+            tokens = tuple(list(doc.texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        else:
+            per_token = list(map(words.__getitem__, doc.texts))
+            tokens = tuple(
+                list(itertools.chain.from_iterable(per_token[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])
+            )
+        segmented.append(
+            SegmentedDocument(
+                doc.doc_id, tokens, tuple(events), config.threshold_ms, config.normalizer
+            )
         )
+    return segmented
+
+
+def _check_segmented(doc: SegmentedDocument, config: PipelineConfig):
     if (doc.threshold_ms, doc.normalizer) != (config.threshold_ms, config.normalizer):
         raise InvalidInputError(
             f"{doc.doc_id}: segmented at {doc.threshold_ms} ms with the "
@@ -308,21 +342,18 @@ def _segmented(doc, config: PipelineConfig) -> SegmentedDocument:
         raise InvalidInputError(
             f"{doc.doc_id}: prepared under another pipeline configuration"
         )
-    return doc
 
 
 def _featurizable(docs, config: PipelineConfig) -> list[SegmentedDocument]:
     """``docs`` segmented under ``config``, each checked to have an IPU."""
-    segmented = []
-    for doc in docs:
-        seg = _segmented(doc, config)
+    segmented = _segmented(docs, config)
+    for seg in segmented:
         _require_ipus(seg)
-        segmented.append(seg)
     return segmented
 
 
 def _require_ipus(seg: SegmentedDocument):
-    if not seg.ipus:
+    if not seg.tokens:
         raise InvalidInputError(
             f"{seg.doc_id}: no IPUs (tokenless document cannot be featurized)"
         )
@@ -339,7 +370,7 @@ def _token_chunk(
 
 def _unit_bounds(segs: list[SegmentedDocument]) -> list[int]:
     """Where each document's IPUs start among the chunk's, and the end."""
-    return [0, *itertools.accumulate(len(seg.ipus) for seg in segs)]
+    return [0, *itertools.accumulate(len(seg.tokens) for seg in segs)]
 
 
 def _fixed_rows(
@@ -372,7 +403,7 @@ def _fixed_rows(
             tokens = _token_chunk(segs, loaded, pattern=True, stems=False)
         blocks.append(pattern_features(tokens, loaded.pattern))
     if "paralinguistic" in config.blocks:
-        events = [ipu.para_events for seg in segs for ipu in seg.ipus]
+        events = [unit for seg in segs for unit in seg.para_events]
         blocks.append(paralinguistic_features(events, loaded.marker_map))
     if not blocks:
         return np.empty((_unit_bounds(segs)[-1], 0))
@@ -394,10 +425,11 @@ class FeaturePipeline:
             self._loaded = _load_resources(self.config)
         return self._loaded
 
-    def segment(self, doc: Transcript) -> SegmentedDocument:
-        """Segment and tokenize ``doc`` once, for any number of fits and
-        transforms under this configuration."""
-        return _segmented(doc, self.config)
+    def segment(self, docs: list[Transcript]) -> list[SegmentedDocument]:
+        """Segment and tokenize ``docs`` once, for any number of fits and
+        transforms under this configuration; each distinct token string
+        among them is tokenized once."""
+        return _segmented(docs, self.config)
 
     def prepare(self, docs) -> list[SegmentedDocument]:
         """``docs`` (transcripts or segmented documents) segmented, with
@@ -431,7 +463,7 @@ class FeaturePipeline:
             raise InvalidInputError("cannot fit a pipeline on zero documents")
         config = self.config
         loaded = self._resources()
-        segmented = [_segmented(doc, config) for doc in train_docs]
+        segmented = _segmented(train_docs, config)
 
         vocab = None
         if "bong" in config.blocks:
@@ -566,15 +598,36 @@ class FittedFeaturePipeline:
     def _sequences(self, segs, fixed: np.ndarray, bong) -> list[ObservationSequence]:
         """The chunk's sequences, from its raw rows (``_raw_rows``): the
         dense rows standardized at once, the bong values divided at
-        once, then both split by document."""
+        once, then both split by document.
+
+        The chunk's entries are checked once, here: bong rows in order
+        and within the chunk's units (so each document's cut of them
+        lies within its own), indices within the vocabulary, and every
+        value finite.  Each document's sequence is then built as
+        checked; should a value not be finite, the documents are built
+        with every check, which names the first one at fault."""
         if self._fixed_standardizer is not None:
             fixed = self._fixed_standardizer.apply(fixed)
         bounds = _unit_bounds(segs)
+        finite = np.isfinite(fixed).all()
         if bong is not None:
             rows, indices, values = bong
+            width = len(self.vocabulary)
+            if rows.size and not (
+                0 <= rows[0]
+                and rows[-1] < bounds[-1]
+                and (rows[1:] >= rows[:-1]).all()
+                and 0 <= indices.min()
+                and indices.max() < width
+            ):
+                raise InvalidInputError(
+                    f"sparse entries out of order or outside a ({bounds[-1]}, {width}) block"
+                )
             if self._bong_divisor is not None:
                 values = values / self._bong_divisor[indices]
+            finite = finite and np.isfinite(values).all()
             cuts = np.searchsorted(rows, bounds).tolist()
+        checked = bool(finite)
         sequences = []
         for k, seg in enumerate(segs):
             lo, hi = bounds[k], bounds[k + 1]
@@ -586,11 +639,13 @@ class FittedFeaturePipeline:
                     indices[a:b],
                     values[a:b],
                     hi - lo,
-                    len(self.vocabulary),
+                    width,
                     self._bong_offset,
-                    checked_offset=True,
+                    checked=checked,
                 )
-            sequences.append(ObservationSequence(seg.doc_id, fixed[lo:hi], sparse))
+            sequences.append(
+                ObservationSequence(seg.doc_id, fixed[lo:hi], sparse, checked=checked)
+            )
         return sequences
 
     def transform(self, docs) -> list[ObservationSequence]:

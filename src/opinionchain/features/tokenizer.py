@@ -6,7 +6,10 @@ hyphens are stripped and other punctuation is dropped.  Case is
 preserved (capitalization is itself a feature downstream).
 
 The normalizer hook exists so a spell-corrector can be plugged in; the
-default is the identity and the only named normalizer shipped.
+default is the identity and the only named normalizer shipped.  A
+normalizer must be a pure function of its string: the pipeline
+tokenizes each distinct token string once and reuses its words
+wherever the string occurs.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ def tokenize(text: str, normalizer: Normalizer = identity_normalizer) -> list[st
     return out
 
 
-def tokenize_many(texts, normalizer: Normalizer = identity_normalizer) -> list[str]:
-    out = []
-    for text in texts:
-        out.extend(tokenize(text, normalizer))
-    return out
+def tokenize_many(texts, normalizer: Normalizer = identity_normalizer) -> list[list[str]]:
+    """The words of each of ``texts``, one list per text."""
+    return [tokenize(text, normalizer) for text in texts]

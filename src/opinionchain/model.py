@@ -83,11 +83,12 @@ class SparseRows:
     num_rows: int
     width: int
     offset: np.ndarray | None = None  # (width,)
-    # set by a caller that has already checked ``offset``: width float64
-    # finite values, shared by many blocks and so checked once
-    checked_offset: InitVar[bool] = False
+    # set by a caller that has already checked the entries (in the block,
+    # values finite) and ``offset`` (width float64 finite values), as a
+    # chunk of documents' blocks and their shared offset are checked once
+    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked_offset):
+    def __post_init__(self, checked):
         rows = np.asarray(self.rows, dtype=np.intp)
         indices = np.asarray(self.indices, dtype=np.intp)
         values = np.asarray(self.values, dtype=np.float64)
@@ -97,7 +98,7 @@ class SparseRows:
             raise InvalidInputError(
                 "sparse rows, indices and values must be equal-length vectors"
             )
-        if rows.size and (
+        if not checked and rows.size and (
             rows.min() < 0
             or rows.max() >= self.num_rows
             or indices.min() < 0
@@ -106,9 +107,9 @@ class SparseRows:
             raise InvalidInputError(
                 f"sparse entries outside a ({self.num_rows}, {self.width}) block"
             )
-        if not np.isfinite(values).all():
+        if not checked and not np.isfinite(values).all():
             raise InvalidInputError("non-finite sparse feature values")
-        if self.offset is not None and not checked_offset:
+        if self.offset is not None and not checked:
             offset = np.asarray(self.offset, dtype=np.float64)
             if offset.shape != (self.width,) or not np.isfinite(offset).all():
                 raise InvalidInputError(f"the offset row must be {self.width} finite values")
@@ -160,8 +161,10 @@ class ObservationSequence:
     doc_id: str
     features: np.ndarray
     sparse: SparseRows | None = None
+    # set by a caller that has already checked that ``features`` is finite
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise InvalidInputError(
@@ -169,7 +172,7 @@ class ObservationSequence:
             )
         if feats.shape[0] < 1:
             raise InvalidInputError(f"{self.doc_id}: a sequence needs at least one segment")
-        if not np.isfinite(feats).all():
+        if not checked and not np.isfinite(feats).all():
             raise InvalidInputError(f"{self.doc_id}: non-finite feature values")
         if self.sparse is not None and self.sparse.num_rows != feats.shape[0]:
             raise InvalidInputError(
@@ -374,7 +377,6 @@ def stack_sparse(parts: list[SparseRows], rows: list[np.ndarray], num_rows: int)
         num_rows=num_rows,
         width=parts[0].width,
         offset=parts[0].offset,
-        checked_offset=True,
     )
 
 

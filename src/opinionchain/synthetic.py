@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Transcript, TranscriptToken
+from .corpus import Transcript
 from .errors import EnumerationBudgetError, InvalidInputError
 
 ENUMERATION_BUDGET = 10**6
@@ -112,7 +112,7 @@ def generate_corpus(spec: SyntheticSpec, seed: int) -> list[Transcript]:
     for i in range(2 * spec.num_docs_per_label):
         label = 1 if i % 2 == 0 else 0
         polarities = _segment_polarities(spec, label, rng)
-        tokens = []
+        texts, starts = [], []
         t = 0
         for j, polarity in enumerate(polarities):
             if j > 0:
@@ -120,12 +120,15 @@ def generate_corpus(spec: SyntheticSpec, seed: int) -> list[Transcript]:
             for k, text in enumerate(_segment_tokens(spec, polarity, rng, words)):
                 if k > 0:
                     t += spec.within_gap_ms
-                tokens.append(TranscriptToken(text, t, t + spec.word_ms))
+                texts.append(text)
+                starts.append(t)
                 t += spec.word_ms
         corpus.append(
             Transcript(
                 doc_id=f"syn{i:04d}",
-                tokens=tuple(tokens),
+                texts=texts,
+                starts=starts,
+                ends=[start + spec.word_ms for start in starts],
                 valences=(5.0,) if label == 1 else (1.0,),
             )
         )

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from opinionchain.corpus import ParaMarker, Transcript, TranscriptToken
+from opinionchain.corpus import ParaMarker, Transcript
+from opinionchain.features.segmentation import segment_into_ipus
 from opinionchain.model import (
     ChainLayout,
     ObservationSequence,
@@ -29,19 +31,47 @@ def make_transcript(
     words = list(words)
     gaps = list(gaps) if gaps is not None else [100] * (len(words) - 1)
     assert len(gaps) == max(0, len(words) - 1)
-    tokens = []
+    starts = []
     t = start_ms
     for i, word in enumerate(words):
-        tokens.append(TranscriptToken(word, t, t + word_ms))
+        starts.append(t)
         t += word_ms
         if i < len(gaps):
             t += gaps[i]
     return Transcript(
         doc_id=doc_id,
-        tokens=tuple(tokens),
+        texts=words,
+        starts=starts,
+        ends=[start + word_ms for start in starts],
         para_markers=tuple(ParaMarker(m, tm) for m, tm in markers),
         valences=valences,
     )
+
+
+def ipus(doc, threshold_ms):
+    """The (texts, markers) of each IPU of ``doc``, from the bounds and
+    marker tuples that ``segment_into_ipus`` gives."""
+    bounds, events = segment_into_ipus(doc, threshold_ms)
+    assert len(bounds) == len(events) + 1
+    return [(doc.texts[lo:hi], attached) for lo, hi, attached in zip(bounds, bounds[1:], events)]
+
+
+# fields of the fuzzed lines of a resource file: words, header names,
+# numbers, and values that are not finite, not decimal or empty
+_FIELD = st.sampled_from(
+    ("word", "pos", "neg", "neu", "value", "good", "Good", "1", "2", "0.5", "-3", "1_0",
+     "nan", "inf", "1e999", "0x1", "x", "")
+)  # fmt: skip
+
+
+@st.composite
+def resource_text(draw, separators):
+    """A few lines of fields joined by one of ``separators`` each."""
+    lines = [
+        draw(st.sampled_from(separators)).join(draw(st.lists(_FIELD, max_size=5)))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
 
 
 def dense_features(x):

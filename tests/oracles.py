@@ -1,5 +1,14 @@
 """Test oracles, independent of the code they check.
 
+For the corpus reader and the segmenter (``opinionchain.corpus``,
+``opinionchain.features.segmentation``):
+
+* The per-line reader: a valid corpus directory read one line and one
+  token record at a time, as the loader did before it read columns.
+* The per-token segmenter: a document cut one token at a time, as
+  ``segment_into_ipus`` did before it cut at indices, and each token
+  text tokenized where it occurs, not once per distinct string.
+
 For the chunk featurizer (``opinionchain.features.pipeline``):
 
 * The per-IPU reference: a document's rows built one IPU at a time and
@@ -25,7 +34,9 @@ For the hidden-state chain model, independent of its kernel:
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
@@ -35,11 +46,78 @@ from opinionchain.features.embeddings import embed_tokens
 from opinionchain.features.lexicons import lexicon_features
 from opinionchain.features.paralinguistic import CATEGORIES, OTHER
 from opinionchain.features.stemmer import stem
+from opinionchain.features.tokenizer import tokenize
 from opinionchain.model import HcrfParameters, ObservationSequence
 
 BRUTE_FORCE_MAX_PATHS = 10**6
 
 para_log = logging.getLogger("opinionchain.features.paralinguistic")
+
+
+def reference_load(root):
+    """``(doc_id, texts, starts, ends, markers, valences)`` of each
+    manifest document of the valid corpus directory ``root``, in
+    manifest order: its token columns as tuples, and its markers as
+    (text, time) pairs.  Every line is read on its own, and a document's
+    records are gathered from every file, in file-name order and then
+    line order; its markers are then ordered by time."""
+    root = Path(root)
+    entries = []
+    for line in (root / "manifest.tsv").read_text(encoding="utf-8").splitlines()[2:]:
+        if line.strip():
+            doc_id, filename, valence = line.split("\t")
+            valences = None if valence == "-" else tuple(float(v) for v in valence.split(","))
+            entries.append((doc_id, filename, valences))
+    records = {doc_id: ([], []) for doc_id, _, _ in entries}
+    for filename in sorted({filename for _, filename, _ in entries}):
+        for line in (root / filename).read_text(encoding="utf-8").splitlines()[1:]:
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if parts[0] == "token":
+                _, doc_id, text, start, end = parts[:5]
+                records[doc_id][0].append((text, int(start), int(end)))
+            else:
+                _, doc_id, text, time = parts[:4]
+                records[doc_id][1].append((text, int(time)))
+    corpus = []
+    for doc_id, _, valences in entries:
+        tokens, markers = records[doc_id]
+        texts, starts, ends = (tuple(column) for column in zip(*tokens)) if tokens else ((),) * 3
+        markers = tuple(sorted(markers, key=lambda marker: marker[1]))
+        corpus.append((doc_id, texts, starts, ends, markers, valences))
+    return corpus
+
+
+def reference_segment(texts, starts, ends, markers, threshold_ms: int):
+    """The IPUs of one document's token columns and (text, time)
+    markers, cut one token at a time: a new IPU starts at every token
+    whose silent gap from the previous token is longer than
+    ``threshold_ms``, and a marker attaches to the last IPU that starts
+    at or before it (the first IPU if none does).  Each IPU as the tuple
+    of its token texts and the tuple of its markers' texts."""
+    if not texts:
+        return []
+    groups = [[0]]
+    for i in range(1, len(texts)):
+        if starts[i] - ends[i - 1] > threshold_ms:
+            groups.append([i])
+        else:
+            groups[-1].append(i)
+    ipu_starts = [starts[group[0]] for group in groups]
+    events = [[] for _ in groups]
+    for text, time in markers:
+        events[max(0, bisect_right(ipu_starts, time) - 1)].append(text)
+    return [
+        (tuple(texts[i] for i in group), tuple(attached))
+        for group, attached in zip(groups, events)
+    ]
+
+
+def reference_tokens(texts) -> list[str]:
+    """The words of an IPU's token texts, each text tokenized where it
+    occurs."""
+    return [word for text in texts for word in tokenize(text)]
 
 
 def extract_ngrams(tokens, max_order: int = 3) -> list[str]:
@@ -123,7 +201,7 @@ def reference_rows(seg, pipeline):
     but bong, and its bong entries (None without a vocabulary)."""
     loaded = pipeline._resources
     rows = []
-    for ipu, tokens in zip(seg.ipus, seg.tokens):
+    for tokens, events in zip(seg.tokens, seg.para_events):
         parts = []
         for block in pipeline.config.blocks:
             if block == "embedding":
@@ -134,7 +212,7 @@ def reference_rows(seg, pipeline):
                 tags = loaded.tagger.tag(tokens)
                 parts.append(reference_pattern(tokens, tags, loaded.pattern))
             elif block == "paralinguistic":
-                parts.append(reference_paralinguistic(ipu.para_events, loaded.marker_map))
+                parts.append(reference_paralinguistic(events, loaded.marker_map))
         rows.append(np.concatenate(parts) if parts else np.empty(0))
     bong = None
     if pipeline.vocabulary is not None:

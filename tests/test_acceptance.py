@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from opinionchain import cli
-from opinionchain.corpus import LABEL_NAMES, Transcript, TranscriptToken
+from opinionchain.corpus import LABEL_NAMES, Transcript
 from opinionchain.evaluation import (
     HcrfLearner,
     LogRegLearner,
@@ -207,12 +207,14 @@ def test_sequence_model_beats_aggregate_baseline_on_synthetic_corpus(synthetic_s
 
 
 def _gap_transcript(doc_id: str, gaps: list[int]) -> Transcript:
-    tokens = []
+    starts = []
     t = 0
     for i in range(len(gaps) + 1):
-        tokens.append(TranscriptToken(f"w{i}", t, t + 200))
+        starts.append(t)
         t += 200 + (gaps[i] if i < len(gaps) else 0)
-    return Transcript(doc_id=doc_id, tokens=tuple(tokens), para_markers=(), valences=None)
+    texts = [f"w{i}" for i in range(len(starts))]
+    ends = [start + 200 for start in starts]
+    return Transcript(doc_id, texts, starts, ends, para_markers=(), valences=None)
 
 
 def test_pause_threshold_ladder_is_monotone_and_nested(synthetic_setup):

@@ -169,6 +169,58 @@ def test_file_that_is_not_utf8_fails_with_one_error_line(tmp_path, generated, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "block, name, text",
+    [
+        ("embedding", "vectors.txt", "good 1.0 2.0\nbad 1.0 x\nugly 1.0\n"),
+        ("lexicon", "lexicon.tsv", "word\tvalue\tvalue\ngood\t1\t2\n"),
+    ],
+)
+def test_malformed_resource_fails_with_one_error_line(
+    tmp_path, generated, capsys, block, name, text
+):
+    """A malformed embeddings or lexicon file fails ``train`` with one
+    error line, the file named and no traceback."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    key = {"embedding": ("embedding_path", str(path)), "lexicon": ("lexicon_paths", [str(path)])}
+    cfg = write_config(tmp_path, {"pipeline": {"blocks": [block], key[block][0]: key[block][1]}})
+    capsys.readouterr()
+    argv = ["train", "--corpus", str(generated / "corpus"), "--config", cfg]
+    assert main(argv + ["--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_archived_resource_that_became_a_directory_fails_with_one_error_line(
+    tmp_path, generated, capsys
+):
+    """An embedding archive whose embeddings file was replaced by a
+    directory fails ``predict`` with one error line, its problem naming
+    the archive and the resource's role, and no traceback."""
+    embeddings = tmp_path / "emb.txt"
+    shutil.copy(generated / "embeddings.txt", embeddings)
+    cfg = write_config(tmp_path, {
+        "pipeline": {"blocks": ["embedding"], "embedding_path": str(embeddings)},
+        "training": {"num_hidden_states": 2, "max_iterations": 5},
+    })
+    corpus = str(generated / "corpus")
+    assert main(["train", "--corpus", corpus, "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+    embeddings.unlink()
+    embeddings.mkdir()
+    model = tmp_path / "t" / "model.json"
+    capsys.readouterr()
+    argv = ["predict", "--model", str(model), "--corpus", corpus, "--out", str(tmp_path / "p")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: archived resources drifted; re-train on the current resources"
+    ]
+    assert f"{model}:0: resource 'embedding' at {embeddings} cannot be read" in err
+    assert "Traceback" not in err
+
+
 class TestSegmentationCount:
     @pytest.mark.parametrize(
         "command", [["train"], ["evaluate", "--folds", "2"], ["segment"]]
@@ -198,7 +250,7 @@ class TestSegmentationCount:
         corpus = load_corpus(generated / "corpus")
         neutral = dataclasses.replace(corpus[0], doc_id="neutral", valences=(3.0,))
         save_corpus(corpus + [neutral], tmp_path / "with_neutral")
-        want = sum(len(segment_into_ipus(doc, 300)) for doc in corpus + [neutral])
+        want = sum(len(segment_into_ipus(doc, 300)[1]) for doc in corpus + [neutral])
         cfg = train_config_file(tmp_path, generated)
         argv = command + ["--corpus", str(tmp_path / "with_neutral"), "--out", str(tmp_path / "o")]
         assert main(argv + ["--config", cfg]) == 0
@@ -281,7 +333,7 @@ class TestSegment:
         from opinionchain.features.segmentation import segment_into_ipus
 
         corpus = load_corpus(generated / "corpus")
-        want = sum(len(segment_into_ipus(doc, 150)) for doc in corpus)
+        want = sum(len(segment_into_ipus(doc, 150)[1]) for doc in corpus)
         out = tmp_path / "s"
         argv = ["segment", "--corpus", str(generated / "corpus"), "--threshold-ms", "150"]
         assert main(argv + ["--out", str(out)]) == 0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from opinionchain.corpus import (
     Transcript,
-    TranscriptToken,
     corpus_stats,
     filter_neutral,
     load_corpus,
@@ -35,15 +34,26 @@ def sample_corpus():
 
 class TestTranscript:
     def test_non_monotone_times_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Transcript(
-                "d",
-                (TranscriptToken("a", 0, 300), TranscriptToken("b", 200, 400)),
-            )
+        with pytest.raises(InvalidInputError, match="not non-decreasing at 'b'"):
+            Transcript("d", ("a", "b"), (0, 200), (300, 400))
 
     def test_token_end_before_start_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Transcript("d", (TranscriptToken("a", 500, 100),))
+        with pytest.raises(InvalidInputError, match="token 'a' ends before it starts"):
+            Transcript("d", ("a",), (500,), (100,))
+
+    @pytest.mark.parametrize(
+        "starts, ends, message",
+        [
+            ((0, 200), (300, 100), "token 'b' ends before it starts"),
+            ((0, 200, 400), (300, 350, 350), "token times not non-decreasing at 'b'"),
+            ((0, 300, 400), (300, 250, 350), "token 'b' ends before it starts"),
+        ],
+    )
+    def test_the_first_offending_token_is_named(self, starts, ends, message):
+        """Token by token, an end before its start is found before a
+        start before the previous end."""
+        with pytest.raises(InvalidInputError, match=f"^d: {message}$"):
+            Transcript("d", ("a", "b", "c")[: len(starts)], starts, ends)
 
     def test_valence_range_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -119,6 +129,16 @@ class TestLoadValidation:
         with pytest.raises(FileFormatError) as err:
             load_corpus(root)
         assert any("missing" in msg for _, _, msg in err.value.problems)
+
+    def test_unreadable_transcript_file_reported(self, tmp_path):
+        root = tmp_path / "c"
+        save_corpus([make_transcript("d1", ("a",)), make_transcript("d2", ("b",))], root)
+        (root / "d1.txt").unlink()
+        (root / "d1.txt").mkdir()
+        with pytest.raises(FileFormatError) as err:
+            load_corpus(root)
+        assert [(path, line) for path, line, _ in err.value.problems] == [(str(root / "d1.txt"), 0)]
+        assert "cannot read the file" in err.value.problems[0][2]
 
 
     def test_every_document_with_bad_times_reported(self, tmp_path):

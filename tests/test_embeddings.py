@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionchain.errors import FileFormatError, InvalidInputError
 from opinionchain.features.embeddings import (
@@ -7,6 +12,8 @@ from opinionchain.features.embeddings import (
     embed_tokens,
     load_embeddings,
 )
+
+from conftest import resource_text
 
 NO_STOPWORDS = frozenset()
 
@@ -84,3 +91,18 @@ class TestLoadEmbeddings:
             EmbeddingTable(vectors={"a": np.zeros(3)}, dim=2)
         with pytest.raises(InvalidInputError):
             EmbeddingTable(vectors={"a": [np.nan]}, dim=1)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(resource_text((" ", "  ", "\t")), st.booleans())
+    def test_only_file_format_errors_escape(self, text, lowercase):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vectors.txt"
+            path.write_text(text, encoding="utf-8")
+            try:
+                loaded = load_embeddings(path, lowercase=lowercase)
+            except FileFormatError as exc:
+                assert str(path) in str(exc)
+            else:
+                assert len(loaded) >= 1

@@ -361,7 +361,7 @@ class TestCrossValidate:
 
         docs = tiny_corpus()
         config = PipelineConfig(blocks=("bong",), standardize=False)
-        segmented = [FeaturePipeline(config).segment(doc) for doc in docs]
+        segmented = FeaturePipeline(config).segment(docs)
         with pytest.raises(InvalidInputError, match="do not match the corpus"):
             cross_validate(docs, config, _MajorityLearner(), k=2, segmented=segmented[::-1])
         want = cross_validate(docs, config, _MajorityLearner(), k=2)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from opinionchain import training
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, SegmentedDocument
-from opinionchain.features.segmentation import IPU
 from opinionchain.features.standardize import fit_standardizer
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 
@@ -42,11 +41,8 @@ def segmented(doc_id, ipus, config):
     """A segmented document of the given (tokens, markers) IPUs."""
     return SegmentedDocument(
         doc_id,
-        tuple(
-            IPU(tokens=tuple(tokens), para_events=tuple(events))
-            for tokens, events in ipus
-        ),
         tuple(list(tokens) for tokens, _ in ipus),
+        tuple(tuple(events) for _, events in ipus),
         config.threshold_ms,
         config.normalizer,
     )
@@ -137,7 +133,7 @@ def test_chunk_boundaries_change_nothing(count):
     corpus = generate_corpus(dataclasses.replace(SyntheticSpec(), num_docs_per_label=129), seed=4)
     unfitted = FeaturePipeline(PipelineConfig())
     fitted, _ = unfitted.fit_transform(corpus[:40])
-    docs = [unfitted.segment(doc) for doc in corpus[:count]]
+    docs = unfitted.segment(corpus[:count])
     sequences = fitted.transform(docs)
     check_against_reference(fitted, docs, sequences)
     for k in {0, count - 1}:  # a chunk of one

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from opinionchain.errors import FileFormatError, InvalidInputError
 from opinionchain.features.lexicons import (
@@ -9,6 +13,8 @@ from opinionchain.features.lexicons import (
     load_lexicon,
     semantic_orientation_values,
 )
+
+from conftest import resource_text
 
 MODIFIERS = ModifierLists(
     negations=frozenset({"not", "never"}),
@@ -119,6 +125,25 @@ class TestLoadLexicon:
         with pytest.raises(FileFormatError) as err:
             load_lexicon(path)
         assert len(err.value.problems) == 3  # non-numeric, wrong arity, duplicate
+
+    def test_duplicate_channels_rejected(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("word\tvalue\tvalue\ngood\t1\t2\n")
+        with pytest.raises(FileFormatError, match="duplicate channel names"):
+            load_lexicon(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(resource_text(("\t", "\t", " ")))
+    def test_fuzzed_files_raise_only_file_format_errors(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lex.tsv"
+            path.write_text(text, encoding="utf-8")
+            try:
+                lexicon = load_lexicon(path)
+            except FileFormatError as exc:
+                assert str(path) in str(exc)
+            else:
+                assert lexicon.channels
 
     def test_modifier_factor_ranges_validated(self):
         with pytest.raises(InvalidInputError):

@@ -17,10 +17,9 @@ from opinionchain.features.resources import (
     load_stopwords,
     load_tagger,
 )
-from opinionchain.features.segmentation import segment_into_ipus
 from opinionchain.features.standardize import fit_standardizer
 
-from conftest import dense_features, make_transcript, same_sequence
+from conftest import dense_features, ipus, make_transcript, same_sequence
 from oracles import reference_bong, reference_paralinguistic, reference_pattern
 
 
@@ -124,7 +123,7 @@ class TestRecomposition:
 
         doc = corpus[0]
         x = dense_features(fitted.transform([doc])[0])
-        ipus = segment_into_ipus(doc, config.threshold_ms)
+        units = ipus(doc, config.threshold_ms)
         stopwords = load_stopwords()
         table = load_embeddings(emb_path)
         lexicons = [load_lexicon(socal_lexicon_file)]
@@ -133,8 +132,8 @@ class TestRecomposition:
         pattern_res = load_pattern_resources()
         marker_map = load_marker_map()
 
-        for j, ipu in enumerate(ipus):
-            tokens = list(ipu.tokens)  # single-word records, no splitting needed
+        for j, (texts, events) in enumerate(units):
+            tokens = list(texts)  # single-word records, no splitting needed
             row = x[j]
             _, indices, values = reference_bong([tokens], fitted.vocabulary)
             bong = np.zeros(len(fitted.vocabulary))
@@ -154,7 +153,7 @@ class TestRecomposition:
             )
             np.testing.assert_allclose(
                 row[fitted.schema.block_slice("paralinguistic")],
-                reference_paralinguistic(ipu.para_events, marker_map),
+                reference_paralinguistic(events, marker_map),
             )
 
 
@@ -202,7 +201,7 @@ class TestFitTransform:
     def test_segmented_documents_featurize_like_transcripts(self):
         pipeline = FeaturePipeline(PipelineConfig())
         corpus = small_corpus()
-        segmented = [pipeline.segment(doc) for doc in corpus]
+        segmented = pipeline.segment(corpus)
         fitted, sequences = pipeline.fit_transform(segmented)
         want_fitted, from_docs = pipeline.fit_transform(corpus)
         assert fitted.state_checksum() == want_fitted.state_checksum()
@@ -211,7 +210,7 @@ class TestFitTransform:
             assert same_sequence(fitted.transform([seg])[0], want)
 
     def test_segmentation_from_another_threshold_rejected(self):
-        seg = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(small_corpus()[0])
+        [seg] = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(small_corpus()[:1])
         fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
         with pytest.raises(InvalidInputError, match="200 ms"):
             fitted.transform([seg])
@@ -247,7 +246,7 @@ class TestFitTransform:
         corpus = small_corpus()
         fitted = FeaturePipeline(config).fit_transform(corpus)[0]
         for doc in corpus:
-            want = len(segment_into_ipus(doc, config.threshold_ms))
+            want = len(ipus(doc, config.threshold_ms))
             assert fitted.transform([doc])[0].length == want
 
     def test_transform_is_deterministic(self):

@@ -3,43 +3,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionchain.errors import InvalidInputError
-from opinionchain.features.segmentation import (
-    IPU,
-    ipu_index_per_token,
-    segment_into_ipus,
-)
+from opinionchain.features.segmentation import ipu_index_per_token, segment_into_ipus
 
-from conftest import make_transcript
+from conftest import ipus, make_transcript
 
 
 class TestBoundaryRule:
     def test_gaps_100_400_200_threshold_300(self):
         doc = make_transcript(words=list("abcd"), gaps=[100, 400, 200])
-        ipus = segment_into_ipus(doc, 300)
-        assert [ipu.tokens for ipu in ipus] == [("a", "b"), ("c", "d")]
+        units = ipus(doc, 300)
+        assert [tokens for tokens, _ in units] == [("a", "b"), ("c", "d")]
 
     def test_gaps_100_400_200_threshold_150(self):
         doc = make_transcript(words=list("abcd"), gaps=[100, 400, 200])
-        ipus = segment_into_ipus(doc, 150)
-        assert [ipu.tokens for ipu in ipus] == [("a", "b"), ("c",), ("d",)]
+        units = ipus(doc, 150)
+        assert [tokens for tokens, _ in units] == [("a", "b"), ("c",), ("d",)]
 
     def test_gap_equal_to_threshold_does_not_split(self):
         doc = make_transcript(words=("a", "b"), gaps=[300])
-        assert len(segment_into_ipus(doc, 300)) == 1
-        assert len(segment_into_ipus(doc, 299)) == 2
+        assert len(ipus(doc, 300)) == 1
+        assert len(ipus(doc, 299)) == 2
 
     def test_empty_transcript_gives_empty_list(self):
         doc = make_transcript(words=())
-        assert segment_into_ipus(doc, 300) == []
+        assert segment_into_ipus(doc, 300) == ([0], [])
+        assert ipus(doc, 300) == []
 
     def test_single_token(self):
         doc = make_transcript(words=("solo",))
-        ipus = segment_into_ipus(doc, 300)
-        assert ipus == [IPU(tokens=("solo",))]
+        units = ipus(doc, 300)
+        assert units == [(("solo",), ())]
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(InvalidInputError):
-            segment_into_ipus(make_transcript(), 0)
+            ipus(make_transcript(), 0)
 
 
 class TestMarkerAttachment:
@@ -50,35 +47,35 @@ class TestMarkerAttachment:
             gaps=[100, 600],
             markers=[("*chuckling*", 250)],
         )
-        ipus = segment_into_ipus(doc, 300)
-        assert ipus[0].para_events == ("*chuckling*",)
-        assert ipus[1].para_events == ()
+        units = ipus(doc, 300)
+        assert units[0][1] == ("*chuckling*",)
+        assert units[1][1] == ()
 
     def test_marker_in_long_pause_attaches_to_preceding_ipu(self):
         doc = make_transcript(
             words=("a", "b"), gaps=[1000], markers=[("*laughing*", 700)]
         )
-        ipus = segment_into_ipus(doc, 300)
-        assert ipus[0].para_events == ("*laughing*",)
+        units = ipus(doc, 300)
+        assert units[0][1] == ("*laughing*",)
 
     def test_marker_at_an_ipu_start_attaches_to_that_ipu(self):
         # words at [0,200], [600,800] and [1200,1400]
         doc = make_transcript(
             words=("a", "b", "c"), gaps=[400, 400], markers=[("*hum*", 600), ("*hum*", 599)]
         )
-        ipus = segment_into_ipus(doc, 300)
-        assert [ipu.para_events for ipu in ipus] == [("*hum*",), ("*hum*",), ()]
+        units = ipus(doc, 300)
+        assert [events for _, events in units] == [("*hum*",), ("*hum*",), ()]
 
     def test_marker_before_first_token_attaches_to_first_ipu(self):
         doc = make_transcript(
             words=("a", "b"), gaps=[1000], markers=[("*shouting*", 0)], start_ms=500
         )
-        ipus = segment_into_ipus(doc, 300)
-        assert ipus[0].para_events == ("*shouting*",)
+        units = ipus(doc, 300)
+        assert units[0][1] == ("*shouting*",)
 
     def test_tokenless_transcript_drops_markers(self):
         doc = make_transcript(words=(), markers=[("*laughing*", 10)])
-        assert segment_into_ipus(doc, 300) == []
+        assert ipus(doc, 300) == []
 
 
 class TestInvariants:
@@ -87,9 +84,9 @@ class TestInvariants:
             words=[f"w{i}" for i in range(12)],
             gaps=[100, 400, 50, 800, 100, 100, 350, 20, 900, 10, 400],
         )
-        ipus = segment_into_ipus(doc, 300)
-        flat = [tok for ipu in ipus for tok in ipu.tokens]
-        assert flat == [t.text for t in doc.tokens]
+        units = ipus(doc, 300)
+        flat = [tok for tokens, _ in units for tok in tokens]
+        assert flat == list(doc.texts)
 
     def test_ipu_index_matches_segmentation(self):
         doc = make_transcript(words=list("abcde"), gaps=[400, 100, 500, 100])
@@ -107,9 +104,9 @@ def gap_transcripts(draw):
 @given(gap_transcripts())
 def test_partition_invariant(doc):
     for threshold in (150, 300, 500):
-        ipus = segment_into_ipus(doc, threshold)
-        flat = [tok for ipu in ipus for tok in ipu.tokens]
-        assert flat == [t.text for t in doc.tokens]
+        units = ipus(doc, threshold)
+        flat = [tok for tokens, _ in units for tok in tokens]
+        assert flat == list(doc.texts)
 
 
 @settings(max_examples=80, deadline=None)
@@ -120,13 +117,13 @@ def test_threshold_monotonicity_and_refinement(doc):
     counts = {}
     boundaries = {}
     for threshold in (150, 300, 500):
-        ipus = segment_into_ipus(doc, threshold)
-        counts[threshold] = len(ipus)
+        units = ipus(doc, threshold)
+        counts[threshold] = len(units)
         starts = []
         pos = 0
-        for ipu in ipus:
+        for tokens, _ in units:
             starts.append(pos)
-            pos += len(ipu.tokens)
+            pos += len(tokens)
         boundaries[threshold] = set(starts)
     assert counts[150] >= counts[300] >= counts[500]
     assert boundaries[300] >= boundaries[500]

@@ -224,6 +224,51 @@ def test_sparse_rows_validated(kwargs, match):
         SparseRows(**args)
 
 
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize(
+    "fault, match",
+    [
+        ("index_past_width", "outside a"),
+        ("negative_index", "outside a"),
+        ("rows_out_of_order", "out of order"),
+        ("nan_value", "non-finite sparse"),
+        ("nan_dense_row", "non-finite feature"),
+    ],
+)
+def test_transform_rejects_faulty_chunk_rows(monkeypatch, standardize, fault, match):
+    """A chunk's rows are checked once, before its sequences are built
+    without checks of their own: bong entries that ``vectorize_bong``
+    returns out of range, out of order or not finite, or a dense row
+    that is not finite, still make ``transform`` raise."""
+    from opinionchain.features import pipeline as module
+
+    pipeline, _ = fitted(standardize)
+    vectorize, patterns = module.vectorize_bong, module.pattern_features
+
+    def faulty_bong(tokens, vocab):
+        rows, indices, values = (np.array(a) for a in vectorize(tokens, vocab))
+        if fault == "index_past_width":
+            indices[-1] = len(vocab)
+        elif fault == "negative_index":
+            indices[0] = -1
+        elif fault == "rows_out_of_order":
+            rows[[0, -1]] = rows[[-1, 0]]
+        elif fault == "nan_value":
+            values[0] = np.nan
+        return rows, indices, values
+
+    def faulty_patterns(tokens, resources):
+        rows = patterns(tokens, resources)
+        if fault == "nan_dense_row":
+            rows[-1, 0] = np.nan
+        return rows
+
+    monkeypatch.setattr(module, "vectorize_bong", faulty_bong)
+    monkeypatch.setattr(module, "pattern_features", faulty_patterns)
+    with pytest.raises(InvalidInputError, match=match):
+        pipeline.transform(held_out())
+
+
 def test_default_block_fit_and_train_stay_small():
     """A default-block fit_transform and train on 100 default-spec
     documents (D about 2.4k) peaked at 36.5 MB of traced allocations

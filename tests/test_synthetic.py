@@ -5,7 +5,6 @@ import pytest
 
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
 from opinionchain.features.embeddings import load_embeddings
-from opinionchain.features.segmentation import segment_into_ipus
 from opinionchain.synthetic import (
     SyntheticSpec,
     generate_corpus,
@@ -14,6 +13,8 @@ from opinionchain.synthetic import (
     vocabulary,
     write_embeddings,
 )
+
+from conftest import ipus
 
 
 def closed_form_bayes(spec: SyntheticSpec) -> float:
@@ -127,11 +128,11 @@ class TestGenerator:
         positive, negative, _ = vocabulary(spec)
         for threshold in (150, 300, 500):
             for doc in corpus:
-                ipus = segment_into_ipus(doc, threshold_ms=threshold)
-                assert spec.min_segments <= len(ipus) <= spec.max_segments
-                for ipu in ipus:
-                    n_pos = sum(t in positive for t in ipu.tokens)
-                    n_neg = sum(t in negative for t in ipu.tokens)
+                units = ipus(doc, threshold)
+                assert spec.min_segments <= len(units) <= spec.max_segments
+                for tokens, _ in units:
+                    n_pos = sum(t in positive for t in tokens)
+                    n_neg = sum(t in negative for t in tokens)
                     # exactly one polarity per segment
                     assert (n_pos, n_neg) in ((1, 0), (0, 1))
 
@@ -140,10 +141,9 @@ class TestGenerator:
         corpus = generate_corpus(spec, seed=11)
         positive, negative, _ = vocabulary(spec)
         for doc in corpus:
-            ipus = segment_into_ipus(doc, threshold_ms=300)
             wanted = positive if doc.polarity == 1 else negative
-            for ipu in ipus[-2:]:
-                assert any(t in wanted for t in ipu.tokens)
+            for tokens, _ in ipus(doc, 300)[-2:]:
+                assert any(t in wanted for t in tokens)
 
     def test_free_segment_match_rate_near_q(self):
         spec = SyntheticSpec(num_docs_per_label=150, match_prob=0.3)
@@ -151,9 +151,8 @@ class TestGenerator:
         positive, _, _ = vocabulary(spec)
         matches = total = 0
         for doc in corpus:
-            ipus = segment_into_ipus(doc, threshold_ms=300)
-            for ipu in ipus[: -spec.decisive_segments]:
-                is_pos = any(t in positive for t in ipu.tokens)
+            for tokens, _ in ipus(doc, 300)[: -spec.decisive_segments]:
+                is_pos = any(t in positive for t in tokens)
                 matches += is_pos == (doc.polarity == 1)
                 total += 1
         rate = matches / total
@@ -163,15 +162,14 @@ class TestGenerator:
         spec = SyntheticSpec(num_docs_per_label=5, neutral_tokens_per_segment=(2, 2))
         corpus = generate_corpus(spec, seed=1)
         for doc in corpus:
-            for ipu in segment_into_ipus(doc, threshold_ms=300):
-                neutral = [t for t in ipu.tokens if t.startswith("neu")]
+            for tokens, _ in ipus(doc, 300):
+                neutral = [t for t in tokens if t.startswith("neu")]
                 assert len(neutral) == 2
 
     def test_timing_is_well_formed(self):
         corpus = generate_corpus(SyntheticSpec(num_docs_per_label=3), seed=2)
         for doc in corpus:
-            for a, b in zip(doc.tokens, doc.tokens[1:]):
-                assert b.start_ms >= a.end_ms
+            assert (doc.starts[1:] >= doc.ends[:-1]).all()
 
 
 class TestEmbeddings:
