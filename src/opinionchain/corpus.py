@@ -32,6 +32,7 @@ of its times; no object is made per token.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import operator
 import os
@@ -59,7 +60,16 @@ class ParaMarker:
 
 
 def _time_column(values) -> np.ndarray:
-    column = np.array(values, dtype=np.int64)  # the transcript's own copy
+    """The transcript's own read-only int64 copy of ``values``.  They
+    must be integers already: TypeError for any other kind (a float time
+    is not rounded, nor a string parsed), or for unsigned ones that may
+    not fit."""
+    column = np.array(values)
+    if not column.size:
+        column = column.astype(np.int64)
+    if column.dtype.kind not in "iu":
+        raise TypeError(f"times of dtype {column.dtype}")
+    column = column.astype(np.int64, casting="safe", copy=False)
     column.flags.writeable = False
     return column
 
@@ -70,7 +80,8 @@ class Transcript:
 
     The tokens are held as columns: token i is ``texts[i]``, spoken from
     ``starts[i]`` to ``ends[i]`` ms.  The times are read-only int64
-    arrays, and two transcripts are equal when their contents are."""
+    arrays, and two transcripts are equal when their contents are; a
+    transcript hashes by its id and texts."""
 
     doc_id: str
     texts: tuple[str, ...]
@@ -118,6 +129,9 @@ class Transcript:
             and np.array_equal(self.starts, other.starts)
             and np.array_equal(self.ends, other.ends)
         )
+
+    def __hash__(self):
+        return hash((self.doc_id, self.texts))
 
     @property
     def mean_valence(self) -> float | None:
@@ -331,16 +345,13 @@ def _add_tokens(rows: list[list[str]], linenos: list[int], records) -> list[tupl
                 kept.append(row)
                 kept_lines.append(lineno)
         return found + _add_tokens(kept, kept_lines, records)
-    if docs.count(docs[0]) == len(docs):  # one document's tokens, as save_corpus writes
-        columns = records[docs[0]]
+    at = 0
+    for doc_id, run in itertools.groupby(docs):  # each run of one document's records
+        size = len(list(run))
+        columns = records[doc_id]
         for column, values in zip(columns, (texts, starts, ends)):
-            column.extend(values)
-    else:
-        for doc_id, text, start, end in zip(docs, texts, starts, ends):
-            columns = records[doc_id]
-            columns[0].append(text)
-            columns[1].append(start)
-            columns[2].append(end)
+            column.extend(values[at : at + size])
+        at += size
     return []
 
 

@@ -15,11 +15,11 @@ bong and pattern blocks read of it; nothing is kept between chunks.  The
 pattern and paralinguistic counts of all the chunk's IPUs are then one
 ``np.bincount`` each, and the bong entries one ``np.unique``
 (``vectorize_bong``); only the embedding and lexicon rows are built one
-IPU at a time.  A chunk's rows are checked once, and its documents'
-sequences are then built without checks of their own.  A document's
-sequence does not depend on the chunk it is in.  ``fit_bong`` reads a
-``TokenChunk`` too: the training documents are numbered as one chunk,
-one unit per document.
+IPU at a time.  A chunk's bong entries are checked once, and its
+documents' sparse blocks are then built without checks of their own.  A
+document's sequence does not depend on the chunk it is in.
+``fit_bong`` reads a ``TokenChunk`` too: the training documents are
+numbered as one chunk, one unit per document.
 
 A transcript's tokens are columns (``corpus.Transcript``), and
 segmentation cuts them at the indices ``segment_into_ipus`` finds;
@@ -51,7 +51,7 @@ import numpy as np
 
 from ..corpus import Transcript
 from ..errors import ConfigurationError, InvalidInputError
-from ..model import ObservationSequence, SparseRows
+from ..model import ObservationSequence, SparseRows, check_sparse_entries
 from ..training import chunked
 from . import resources as res
 from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
@@ -295,34 +295,29 @@ class SegmentedDocument:
 
 def _segmented(docs, config: PipelineConfig) -> list[SegmentedDocument]:
     """``docs`` segmented under ``config``.  A transcript is segmented
-    here: cut at the bounds ``segment_into_ipus`` finds, each distinct
-    token string of the call's transcripts tokenized once (a normalizer
-    is a pure function of its string) and its words reused wherever it
-    occurs.  A ``SegmentedDocument`` must come from the same threshold
-    and normalizer, and its fixed rows, if any, from the same
+    here: cut at the bounds ``segment_into_ipus`` finds.  Each distinct
+    token string of the call's transcripts is tokenized once (a
+    normalizer is a pure function of its string), and the words of all
+    their tokens are laid end to end in one list, so an IPU's tokens are
+    one slice of it.  A ``SegmentedDocument`` must come from the same
+    threshold and normalizer, and its fixed rows, if any, from the same
     configuration."""
-    transcripts = [doc for doc in docs if not isinstance(doc, SegmentedDocument)]
-    words, verbatim = {}, True
-    if transcripts:
-        texts = itertools.chain.from_iterable(doc.texts for doc in transcripts)
-        distinct = list(dict.fromkeys(texts))
-        words = dict(zip(distinct, tokenize_many(distinct, get_normalizer(config.normalizer))))
-        verbatim = all(found == [text] for text, found in words.items())
-    segmented = []
+    texts = [text for doc in docs if not isinstance(doc, SegmentedDocument) for text in doc.texts]
+    distinct = list(dict.fromkeys(texts))
+    words = dict(zip(distinct, tokenize_many(distinct, get_normalizer(config.normalizer))))
+    per_token = list(map(words.__getitem__, texts))
+    flat = list(itertools.chain.from_iterable(per_token))
+    word_at = list(itertools.accumulate(map(len, per_token), initial=0))  # token i's first word
+    segmented, first = [], 0  # the document's first token among ``texts``
     for doc in docs:
         if isinstance(doc, SegmentedDocument):
             _check_segmented(doc, config)
             segmented.append(doc)
             continue
         bounds, events = segment_into_ipus(doc, config.threshold_ms)
-        if verbatim:  # each string is its one word, so an IPU's tokens are its texts
-            tokens = tuple(list(doc.texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-        else:
-            per_token = list(map(words.__getitem__, doc.texts))
-            tokens = tuple(
-                list(itertools.chain.from_iterable(per_token[lo:hi]))
-                for lo, hi in zip(bounds, bounds[1:])
-            )
+        at = [word_at[first + bound] for bound in bounds]
+        tokens = tuple(flat[lo:hi] for lo, hi in zip(at, at[1:]))
+        first += len(doc.texts)
         segmented.append(
             SegmentedDocument(
                 doc.doc_id, tokens, tuple(events), config.threshold_ms, config.normalizer
@@ -600,34 +595,26 @@ class FittedFeaturePipeline:
         dense rows standardized at once, the bong values divided at
         once, then both split by document.
 
-        The chunk's entries are checked once, here: bong rows in order
-        and within the chunk's units (so each document's cut of them
-        lies within its own), indices within the vocabulary, and every
-        value finite.  Each document's sequence is then built as
-        checked; should a value not be finite, the documents are built
-        with every check, which names the first one at fault."""
+        The chunk's bong entries are checked once, here: in row order
+        (so each document's cut of them lies within its own IPUs), and
+        within the chunk's block with finite values
+        (``check_sparse_entries``).  Each document's ``SparseRows`` is
+        then built as checked; its dense rows are checked by its
+        ``ObservationSequence``."""
         if self._fixed_standardizer is not None:
             fixed = self._fixed_standardizer.apply(fixed)
         bounds = _unit_bounds(segs)
-        finite = np.isfinite(fixed).all()
         if bong is not None:
             rows, indices, values = bong
             width = len(self.vocabulary)
-            if rows.size and not (
-                0 <= rows[0]
-                and rows[-1] < bounds[-1]
-                and (rows[1:] >= rows[:-1]).all()
-                and 0 <= indices.min()
-                and indices.max() < width
-            ):
-                raise InvalidInputError(
-                    f"sparse entries out of order or outside a ({bounds[-1]}, {width}) block"
-                )
+            if (rows[1:] < rows[:-1]).any():
+                raise InvalidInputError("sparse entries out of order")
             if self._bong_divisor is not None:
-                values = values / self._bong_divisor[indices]
-            finite = finite and np.isfinite(values).all()
+                # a column outside the vocabulary is clipped here and
+                # rejected by the check that follows
+                values = values / self._bong_divisor.take(indices, mode="clip")
+            check_sparse_entries(rows, indices, values, bounds[-1], width)
             cuts = np.searchsorted(rows, bounds).tolist()
-        checked = bool(finite)
         sequences = []
         for k, seg in enumerate(segs):
             lo, hi = bounds[k], bounds[k + 1]
@@ -641,11 +628,9 @@ class FittedFeaturePipeline:
                     hi - lo,
                     width,
                     self._bong_offset,
-                    checked=checked,
+                    checked=True,
                 )
-            sequences.append(
-                ObservationSequence(seg.doc_id, fixed[lo:hi], sparse, checked=checked)
-            )
+            sequences.append(ObservationSequence(seg.doc_id, fixed[lo:hi], sparse))
         return sequences
 
     def transform(self, docs) -> list[ObservationSequence]:

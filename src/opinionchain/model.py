@@ -64,6 +64,19 @@ def _scatter_add(cells: np.ndarray, values: np.ndarray, size: int) -> np.ndarray
     return np.bincount(cells, values, minlength=size).astype(np.float64, copy=False)
 
 
+def check_sparse_entries(rows, indices, values, num_rows: int, width: int):
+    """Raise InvalidInputError unless every sparse entry (row, index,
+    value) lies in a (num_rows, width) block and every value is finite:
+    the check ``SparseRows`` makes, also made once on a chunk's entries
+    before they are cut into the blocks of its documents."""
+    if rows.size and (
+        rows.min() < 0 or rows.max() >= num_rows or indices.min() < 0 or indices.max() >= width
+    ):
+        raise InvalidInputError(f"sparse entries outside a ({num_rows}, {width}) block")
+    if not np.isfinite(values).all():
+        raise InvalidInputError("non-finite sparse feature values")
+
+
 @dataclass(frozen=True, eq=False)
 class SparseRows:
     """A (num_rows, width) block of feature rows kept sparse: entry i is
@@ -83,9 +96,10 @@ class SparseRows:
     num_rows: int
     width: int
     offset: np.ndarray | None = None  # (width,)
-    # set by a caller that has already checked the entries (in the block,
-    # values finite) and ``offset`` (width float64 finite values), as a
-    # chunk of documents' blocks and their shared offset are checked once
+    # set by a caller that has already checked the entries
+    # (``check_sparse_entries``) and ``offset`` (width float64 finite
+    # values), as a chunk of documents' blocks and their shared offset
+    # are checked once
     checked: InitVar[bool] = False
 
     def __post_init__(self, checked):
@@ -98,17 +112,8 @@ class SparseRows:
             raise InvalidInputError(
                 "sparse rows, indices and values must be equal-length vectors"
             )
-        if not checked and rows.size and (
-            rows.min() < 0
-            or rows.max() >= self.num_rows
-            or indices.min() < 0
-            or indices.max() >= self.width
-        ):
-            raise InvalidInputError(
-                f"sparse entries outside a ({self.num_rows}, {self.width}) block"
-            )
-        if not checked and not np.isfinite(values).all():
-            raise InvalidInputError("non-finite sparse feature values")
+        if not checked:
+            check_sparse_entries(rows, indices, values, self.num_rows, self.width)
         if self.offset is not None and not checked:
             offset = np.asarray(self.offset, dtype=np.float64)
             if offset.shape != (self.width,) or not np.isfinite(offset).all():
@@ -161,10 +166,8 @@ class ObservationSequence:
     doc_id: str
     features: np.ndarray
     sparse: SparseRows | None = None
-    # set by a caller that has already checked that ``features`` is finite
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked):
+    def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise InvalidInputError(
@@ -172,7 +175,7 @@ class ObservationSequence:
             )
         if feats.shape[0] < 1:
             raise InvalidInputError(f"{self.doc_id}: a sequence needs at least one segment")
-        if not checked and not np.isfinite(feats).all():
+        if not np.isfinite(feats).all():
             raise InvalidInputError(f"{self.doc_id}: non-finite feature values")
         if self.sparse is not None and self.sparse.num_rows != feats.shape[0]:
             raise InvalidInputError(

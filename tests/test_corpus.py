@@ -1,6 +1,7 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,36 @@ class TestTranscript:
         start before the previous end."""
         with pytest.raises(InvalidInputError, match=f"^d: {message}$"):
             Transcript("d", ("a", "b", "c")[: len(starts)], starts, ends)
+
+    @pytest.mark.parametrize(
+        "starts, ends",
+        [
+            ((0, 1.5), (1, 2)),
+            ((0.0,), (1.0,)),
+            (("0",), ("1",)),
+            ((True,), (True,)),
+            ((0,), (2**63,)),
+            (np.array([0], dtype=np.uint64), np.array([1], dtype=np.uint64)),
+        ],
+    )
+    def test_times_that_are_not_integers_rejected(self, starts, ends):
+        """A float time is not truncated, a numeric string not parsed,
+        and an unsigned one that may not fit int64 not wrapped."""
+        with pytest.raises(InvalidInputError, match="^d: token times must be int64"):
+            Transcript("d", ("a",) * len(starts), starts, ends)
+
+    def test_narrower_integer_times_and_no_tokens_accepted(self):
+        doc = Transcript("d", ("a",), np.array([5], dtype=np.uint16), np.array([9], np.int32))
+        assert doc.starts.dtype == doc.ends.dtype == np.int64
+        assert (doc.starts.tolist(), doc.ends.tolist()) == ([5], [9])
+        assert Transcript("d", (), (), []).starts.dtype == np.int64
+
+    def test_equal_transcripts_hash_equal(self):
+        """A transcript compares by content and stays hashable."""
+        doc = make_transcript("d1", ("a", "b"))
+        copy = Transcript(doc.doc_id, doc.texts, doc.starts.tolist(), doc.ends, doc.para_markers)
+        assert copy == doc and hash(copy) == hash(doc)
+        assert len({doc, copy}) == 1
 
     def test_valence_range_enforced(self):
         with pytest.raises(InvalidInputError):

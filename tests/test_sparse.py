@@ -269,6 +269,27 @@ def test_transform_rejects_faulty_chunk_rows(monkeypatch, standardize, fault, ma
         pipeline.transform(held_out())
 
 
+def test_transform_rejects_a_value_that_overflows_when_standardized(monkeypatch):
+    """The chunk's bong values are checked after they are divided by the
+    standardizer's std, so a finite value that overflows there is
+    still rejected."""
+    from opinionchain.features import pipeline as module
+
+    pipeline, _ = fitted(True)
+    vectorize = module.vectorize_bong
+    divisor = pipeline.standardizer.divisor
+
+    def huge_bong(tokens, vocab):
+        rows, indices, values = (np.array(a) for a in vectorize(tokens, vocab))
+        small = np.flatnonzero(divisor[indices] < 1)[0]  # the std of a TF-IDF column
+        values[small] = np.finfo(np.float64).max
+        return rows, indices, values
+
+    monkeypatch.setattr(module, "vectorize_bong", huge_bong)
+    with pytest.raises(InvalidInputError, match="non-finite sparse"), np.errstate(over="ignore"):
+        pipeline.transform(held_out())
+
+
 def test_default_block_fit_and_train_stay_small():
     """A default-block fit_transform and train on 100 default-spec
     documents (D about 2.4k) peaked at 36.5 MB of traced allocations
