@@ -6,7 +6,8 @@ round-trip repr, so save → load → save reproduces identical bytes and a
 loaded model re-predicts any dataset bitwise.
 
 Static resource files (lexicons, embeddings, word lists) are not copied
-into the archive; their resolved paths and content digests are.  Loading
+into the archive; their content digests are, keyed by their roles in the
+pipeline's ``resource_paths``, the one map of the files it reads.  Loading
 re-reads them and refuses to proceed when a digest has drifted, since
 silently changed resources would break the re-prediction guarantee.
 """
@@ -31,8 +32,8 @@ from .features.pipeline import (
     FittedFeaturePipeline,
     PipelineConfig,
     _load_resources,
+    resource_paths,
 )
-from .features.resources import default_resource_path
 from .features.standardize import Standardizer
 from .model import HcrfParameters
 from .training import HcrfPredictor, TrainingConfig, chunked
@@ -46,31 +47,6 @@ def canonical_json(doc) -> str:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _resource_paths(config: PipelineConfig) -> dict[str, Path]:
-    """Every static file the pipeline reads, keyed by role."""
-
-    def resolved(value, name):
-        return Path(value) if value else default_resource_path(name)
-
-    paths: dict[str, Path] = {}
-    blocks = config.blocks
-    if "embedding" in blocks:
-        paths["embedding"] = Path(config.embedding_path)
-        paths["stopwords"] = resolved(config.stopwords_path, "stopwords")
-    for i, lex in enumerate(config.lexicon_paths if "lexicon" in blocks else ()):
-        paths[f"lexicon:{i}"] = Path(lex)
-    if "lexicon" in blocks or "pattern" in blocks:
-        paths["negations"] = resolved(config.negations_path, "negations")
-        paths["amplifiers"] = resolved(config.amplifiers_path, "amplifiers")
-        paths["downtoners"] = resolved(config.downtoners_path, "downtoners")
-    if "pattern" in blocks:
-        paths["disfluencies"] = resolved(config.disfluencies_path, "disfluencies")
-        paths["tagger_lexicon"] = resolved(config.tagger_lexicon_path, "tagger_lexicon")
-    if "paralinguistic" in blocks:
-        paths["markers"] = resolved(config.markers_path, "markers")
-    return paths
 
 
 def _pipeline_doc(pipeline: FittedFeaturePipeline) -> dict:
@@ -126,7 +102,7 @@ def save_archive(
         "pipeline": _pipeline_doc(pipeline),
         "resources": {
             role: {"sha256": _sha256(p)}
-            for role, p in sorted(_resource_paths(pipeline.config).items())
+            for role, p in sorted(resource_paths(pipeline.config).items())
         },
         "model": model_doc,
     }
@@ -151,7 +127,7 @@ class LoadedModel:
 
 def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
     problems = []
-    current = {role: str(p) for role, p in _resource_paths(config).items()}
+    current = resource_paths(config)
     for role in sorted(set(stored) | set(current)):
         if role not in current:
             problems.append((str(archive_path), 0, f"archived resource {role!r} is no longer used"))
@@ -159,7 +135,7 @@ def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
         if role not in stored:
             problems.append((str(archive_path), 0, f"resource {role!r} missing from archive"))
             continue
-        path = Path(current[role])
+        path = current[role]
         if not path.exists():
             problems.append((str(archive_path), 0, f"resource {role!r} not found at {path}"))
             continue

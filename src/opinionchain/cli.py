@@ -33,7 +33,6 @@ from .errors import (
 from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate, predict_batch
 from .features.pipeline import FeaturePipeline, PipelineConfig
 from .features.segmentation import ipu_index_per_token
-from .features.tokenizer import get_normalizer, tokenize_many
 from .introspection import build_state_report
 from .synthetic import (
     SyntheticSpec,
@@ -233,7 +232,9 @@ def cmd_generate(args) -> int:
 def cmd_segment(args) -> int:
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
-    threshold = args.threshold_ms if args.threshold_ms is not None else 300
+    threshold = args.threshold_ms
+    if threshold is None:
+        threshold = PipelineConfig.threshold_ms
     _write_resolved_config(
         out_dir, {"command": "segment", "corpus": args.corpus, "threshold_ms": threshold}
     )
@@ -368,9 +369,8 @@ def cmd_inspect(args) -> int:
     table = loaded.pipeline._resources.embedding
     vocab: list[str] = []
     if args.corpus is not None and table is not None:
-        normalizer = get_normalizer(loaded.pipeline.config.normalizer)
-        texts = {text for doc in load_corpus(args.corpus) for text in doc.texts}
-        vocab = sorted({word for words in tokenize_many(texts, normalizer) for word in words})
+        segmented = FeaturePipeline(loaded.pipeline.config).segment(load_corpus(args.corpus))
+        vocab = sorted({word for seg in segmented for words in seg.tokens for word in words})
     report = build_state_report(
         loaded.predictor.params,
         loaded.pipeline.schema.windowed(loaded.predictor.config.context_window),

@@ -27,6 +27,7 @@ from .training import HcrfPredictor, TrainingConfig, fit_predictor
 HIDDEN_STATE_GRID = (2, 3, 4, 5)
 CONTEXT_WINDOW_GRID = (0, 1, 2)
 L2_GRID = (0.01, 0.05, 0.075, 0.1, 0.25, 0.5, 1.0)
+INNER_FOLDS = 3  # of the inner cross-validation that selects from a grid
 
 
 def round_half_up(x: float) -> int:
@@ -150,7 +151,6 @@ class MetricsReport:
 def compute_metrics(
     predicted: Sequence[int],
     gold: Sequence[int],
-    label_names: tuple[str, ...] = LABEL_NAMES,
     priors: Sequence[float] | None = None,
 ) -> MetricsReport:
     pred = np.asarray(predicted, dtype=np.int64)
@@ -159,7 +159,7 @@ def compute_metrics(
         raise InvalidInputError("predictions and golds must be equal-length vectors")
     if pred.size == 0:
         raise InvalidInputError("cannot score an empty prediction list")
-    n = len(label_names)
+    n = len(LABEL_NAMES)
     if pred.min() < 0 or true.min() < 0 or pred.max() >= n or true.max() >= n:
         raise InvalidInputError(f"labels must lie in [0, {n})")
 
@@ -183,7 +183,7 @@ def compute_metrics(
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class.append(
             ClassMetrics(
-                label=label_names[c],
+                label=LABEL_NAMES[c],
                 precision=precision,
                 recall=recall,
                 f1=f1,
@@ -221,9 +221,9 @@ def predict_batch(predictor: Predictor, seqs: Iterable[ObservationSequence]) -> 
     return np.argmax(predictor.posterior_batch(seqs), axis=1).tolist()
 
 
-def _inner_cv_score(fit_one, sequences, labels, folds: int, seed: int) -> float:
+def _inner_cv_score(fit_one, sequences, labels, seed: int) -> float:
     """Pooled weighted F1 of ``fit_one`` over an inner stratified split."""
-    plan = stratified_k_fold(labels, folds, seed)
+    plan = stratified_k_fold(labels, INNER_FOLDS, seed)
     pooled_pred: list[int] = []
     pooled_gold: list[int] = []
     for fold in plan.folds:
@@ -236,15 +236,13 @@ def _inner_cv_score(fit_one, sequences, labels, folds: int, seed: int) -> float:
     return compute_metrics(pooled_pred, pooled_gold).weighted_f1
 
 
-def _select_candidate(candidates, fit_with, sequences, labels, inner_folds, seed):
+def _select_candidate(candidates, fit_with, sequences, labels, seed):
     """Best candidate by inner-CV weighted F1; ties keep grid order."""
     if len(candidates) == 1:
         return candidates[0]
     best, best_score = None, -np.inf
     for cand in candidates:
-        score = _inner_cv_score(
-            lambda s, l: fit_with(cand, s, l), sequences, labels, inner_folds, seed
-        )
+        score = _inner_cv_score(lambda s, l: fit_with(cand, s, l), sequences, labels, seed)
         if score > best_score:
             best, best_score = cand, score
     return best
@@ -258,7 +256,6 @@ class HcrfLearner:
     hidden_state_grid: tuple[int, ...] | None = None
     context_window_grid: tuple[int, ...] | None = None
     l2_grid: tuple[float, ...] | None = None
-    inner_folds: int = 3
 
     def _candidates(self) -> list[TrainingConfig]:
         hs = self.hidden_state_grid or (self.config.num_hidden_states,)
@@ -275,8 +272,7 @@ class HcrfLearner:
             return predictor
 
         chosen = _select_candidate(
-            self._candidates(), fit_with, sequences, labels,
-            self.inner_folds, self.config.seed,
+            self._candidates(), fit_with, sequences, labels, self.config.seed
         )
         return fit_with(chosen, list(sequences), list(labels))
 
@@ -287,16 +283,13 @@ class LogRegLearner:
 
     c_grid: tuple[float, ...] = (1.0,)
     seed: int = 0
-    inner_folds: int = 3
 
     def fit(self, sequences: list[ObservationSequence], labels: Sequence[int]) -> LogRegPredictor:
         def fit_with(c, seqs, labs):
             matrix = np.stack([aggregate_document_vector(s) for s in seqs])
             return LogRegPredictor(train_logreg(matrix, labs, c=c, seed=self.seed))
 
-        chosen = _select_candidate(
-            list(self.c_grid), fit_with, sequences, labels, self.inner_folds, self.seed
-        )
+        chosen = _select_candidate(list(self.c_grid), fit_with, sequences, labels, self.seed)
         return fit_with(chosen, list(sequences), list(labels))
 
 

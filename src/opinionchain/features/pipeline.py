@@ -23,15 +23,18 @@ numbered as one chunk, one unit per document.
 
 A transcript's tokens are columns (``corpus.Transcript``), and
 segmentation cuts them at the indices ``segment_into_ipus`` finds;
-tokenization runs once per distinct token string of a call, so a
-normalizer must be a pure function of its string.  Segmentation and
-tokenization depend only on the configuration, never on fitted state:
-``FeaturePipeline.segment`` does them once, and both ``fit_transform``
-and ``transform`` accept its ``SegmentedDocument`` in place of a
-transcript.  Of the blocks, only bong is fitted (its vocabulary), so
+tokenization runs once per distinct token string of a call.
+Segmentation and tokenization depend only on the configuration, never
+on fitted state: ``FeaturePipeline.segment`` does them once, and both
+``fit_transform`` and ``transform`` accept its ``SegmentedDocument`` in
+place of a transcript.  Of the blocks, only bong is fitted (its vocabulary), so
 ``FeaturePipeline.prepare`` also builds the rows of all the others
 once; cross-validation prepares each document once for all of its folds
 and computes only the bong rows and the standardizer per fold.
+
+Which static files the pipeline reads is decided in one place,
+``resource_paths``: ``_load_resources`` reads every file from it, and
+an archive records the digest of each.
 
 Feature blocks are concatenated in a fixed canonical order (bong |
 embedding | lexicon | pattern | paralinguistic) and the layout is
@@ -46,6 +49,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -70,7 +74,7 @@ from .patterns import (
 from .segmentation import segment_into_ipus
 from .standardize import Standardizer, fit_standardizer
 from .stemmer import stem
-from .tokenizer import get_normalizer, tokenize_many
+from .tokenizer import tokenize_many
 
 CANONICAL_BLOCKS = ("bong", "embedding", "lexicon", "pattern", "paralinguistic")
 DEFAULT_BLOCKS = ("bong", "pattern", "paralinguistic")
@@ -82,7 +86,9 @@ class PipelineConfig:
 
     Blocks needing external files (``embedding``, ``lexicon``) must be
     pointed at their paths; the remaining resources fall back to the
-    files shipped with the package when their path is None.
+    files shipped with the package when their path is None.  The one
+    normalizer is ``"identity"``: tokens are used as the tokenizer
+    gives them.
     """
 
     threshold_ms: int = 300
@@ -120,7 +126,10 @@ class PipelineConfig:
         object.__setattr__(self, "blocks", ordered)
         if self.threshold_ms <= 0:
             raise ConfigurationError("threshold_ms must be positive")
-        get_normalizer(self.normalizer)  # an unknown name is rejected here
+        if self.normalizer != "identity":
+            raise ConfigurationError(
+                f"unknown normalizer {self.normalizer!r}; available: ['identity']"
+            )
         if "embedding" in self.blocks and not self.embedding_path:
             raise ConfigurationError("embedding block enabled but embedding_path missing")
         if "lexicon" in self.blocks and not self.lexicon_paths:
@@ -235,6 +244,32 @@ def token_chunk(
     )
 
 
+def resource_paths(config: PipelineConfig) -> dict[str, Path]:
+    """Every static file the pipeline reads under ``config``, keyed by
+    role: a configured path, or else the file shipped with the package."""
+
+    def resolved(value, name):
+        return Path(value) if value else res.default_resource_path(name)
+
+    paths: dict[str, Path] = {}
+    blocks = config.blocks
+    if "embedding" in blocks:
+        paths["embedding"] = Path(config.embedding_path)
+        paths["stopwords"] = resolved(config.stopwords_path, "stopwords")
+    for i, lex in enumerate(config.lexicon_paths if "lexicon" in blocks else ()):
+        paths[f"lexicon:{i}"] = Path(lex)
+    if "lexicon" in blocks or "pattern" in blocks:
+        paths["negations"] = resolved(config.negations_path, "negations")
+        paths["amplifiers"] = resolved(config.amplifiers_path, "amplifiers")
+        paths["downtoners"] = resolved(config.downtoners_path, "downtoners")
+    if "pattern" in blocks:
+        paths["disfluencies"] = resolved(config.disfluencies_path, "disfluencies")
+        paths["tagger_lexicon"] = resolved(config.tagger_lexicon_path, "tagger_lexicon")
+    if "paralinguistic" in blocks:
+        paths["markers"] = resolved(config.markers_path, "markers")
+    return paths
+
+
 @dataclass(frozen=True)
 class _Resources:
     stopwords: frozenset = frozenset()
@@ -247,38 +282,40 @@ class _Resources:
 
 
 def _load_resources(config: PipelineConfig) -> _Resources:
+    """The resources of ``config``'s blocks, each read from its file in
+    ``resource_paths``."""
+    paths = resource_paths(config)
     kwargs = {}
     if "embedding" in config.blocks:
         kwargs["embedding"] = load_embeddings(
-            config.embedding_path, lowercase=config.embedding_lowercase
+            paths["embedding"], lowercase=config.embedding_lowercase
         )
-        kwargs["stopwords"] = res.load_stopwords(config.stopwords_path)
+        kwargs["stopwords"] = res.load_stopwords(paths["stopwords"])
     if "lexicon" in config.blocks:
-        kwargs["lexicons"] = tuple(load_lexicon(p) for p in config.lexicon_paths)
+        kwargs["lexicons"] = tuple(
+            load_lexicon(paths[f"lexicon:{i}"]) for i in range(len(config.lexicon_paths))
+        )
         kwargs["modifiers"] = res.load_modifier_lists(
-            config.negations_path, config.amplifiers_path, config.downtoners_path
+            paths["negations"], paths["amplifiers"], paths["downtoners"]
         )
     if "pattern" in config.blocks:
         kwargs["pattern"] = res.load_pattern_resources(
             tag_set=config.tag_set,
-            negations_path=config.negations_path,
-            amplifiers_path=config.amplifiers_path,
-            downtoners_path=config.downtoners_path,
-            disfluencies_path=config.disfluencies_path,
+            negations_path=paths["negations"],
+            amplifiers_path=paths["amplifiers"],
+            downtoners_path=paths["downtoners"],
+            disfluencies_path=paths["disfluencies"],
         )
-        kwargs["tagger"] = res.load_tagger(
-            config.tagger_lexicon_path, tag_set=config.tag_set
-        )
+        kwargs["tagger"] = res.load_tagger(paths["tagger_lexicon"], tag_set=config.tag_set)
     if "paralinguistic" in config.blocks:
-        kwargs["marker_map"] = res.load_marker_map(config.markers_path)
+        kwargs["marker_map"] = res.load_marker_map(paths["markers"])
     return _Resources(**kwargs)
 
 
 @dataclass(frozen=True, eq=False)
 class SegmentedDocument:
-    """A transcript cut into IPUs: each IPU's normalized tokens and its
-    paralinguistic markers, and the threshold and normalizer that
-    produced them.
+    """A transcript cut into IPUs: each IPU's tokens and its
+    paralinguistic markers, and the threshold that produced them.
 
     ``FeaturePipeline.prepare`` also attaches ``fixed_rows``: the (L, D')
     rows of every enabled block but bong, none of which is fitted to
@@ -288,7 +325,6 @@ class SegmentedDocument:
     tokens: tuple[list[str], ...]  # one token list per IPU
     para_events: tuple[tuple[str, ...], ...]  # one marker tuple per IPU
     threshold_ms: int
-    normalizer: str
     fixed_rows: np.ndarray | None = None
     fixed_config: PipelineConfig | None = None
 
@@ -296,15 +332,14 @@ class SegmentedDocument:
 def _segmented(docs, config: PipelineConfig) -> list[SegmentedDocument]:
     """``docs`` segmented under ``config``.  A transcript is segmented
     here: cut at the bounds ``segment_into_ipus`` finds.  Each distinct
-    token string of the call's transcripts is tokenized once (a
-    normalizer is a pure function of its string), and the words of all
-    their tokens are laid end to end in one list, so an IPU's tokens are
-    one slice of it.  A ``SegmentedDocument`` must come from the same
-    threshold and normalizer, and its fixed rows, if any, from the same
+    token string of the call's transcripts is tokenized once, and the
+    words of all their tokens are laid end to end in one list, so an
+    IPU's tokens are one slice of it.  A ``SegmentedDocument`` must come
+    from the same threshold, and its fixed rows, if any, from the same
     configuration."""
     texts = [text for doc in docs if not isinstance(doc, SegmentedDocument) for text in doc.texts]
     distinct = list(dict.fromkeys(texts))
-    words = dict(zip(distinct, tokenize_many(distinct, get_normalizer(config.normalizer))))
+    words = dict(zip(distinct, tokenize_many(distinct)))
     per_token = list(map(words.__getitem__, texts))
     flat = list(itertools.chain.from_iterable(per_token))
     word_at = list(itertools.accumulate(map(len, per_token), initial=0))  # token i's first word
@@ -318,20 +353,15 @@ def _segmented(docs, config: PipelineConfig) -> list[SegmentedDocument]:
         at = [word_at[first + bound] for bound in bounds]
         tokens = tuple(flat[lo:hi] for lo, hi in zip(at, at[1:]))
         first += len(doc.texts)
-        segmented.append(
-            SegmentedDocument(
-                doc.doc_id, tokens, tuple(events), config.threshold_ms, config.normalizer
-            )
-        )
+        segmented.append(SegmentedDocument(doc.doc_id, tokens, tuple(events), config.threshold_ms))
     return segmented
 
 
 def _check_segmented(doc: SegmentedDocument, config: PipelineConfig):
-    if (doc.threshold_ms, doc.normalizer) != (config.threshold_ms, config.normalizer):
+    if doc.threshold_ms != config.threshold_ms:
         raise InvalidInputError(
-            f"{doc.doc_id}: segmented at {doc.threshold_ms} ms with the "
-            f"{doc.normalizer!r} normalizer, but the pipeline uses "
-            f"{config.threshold_ms} ms and {config.normalizer!r}"
+            f"{doc.doc_id}: segmented at {doc.threshold_ms} ms, but the pipeline "
+            f"uses {config.threshold_ms} ms"
         )
     if doc.fixed_rows is not None and doc.fixed_config != config:
         raise InvalidInputError(

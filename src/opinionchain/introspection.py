@@ -210,11 +210,10 @@ def build_state_report(
     embedding_table: EmbeddingTable | None = None,
     corpus_vocab=(),
     label_names: tuple[str, ...] = LABEL_NAMES,
-    margin: float | None = None,
 ) -> StateReport:
     if len(label_names) != theta.num_labels:
         raise InvalidInputError("label_names must match the model's label count")
-    character = state_character(theta, margin=margin)
+    character = state_character(theta)
     features = top_features_per_state(theta, schema, k)
     summaries = []
     for h in range(theta.num_hidden_states):

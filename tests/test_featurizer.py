@@ -44,7 +44,6 @@ def segmented(doc_id, ipus, config):
         tuple(list(tokens) for tokens, _ in ipus),
         tuple(tuple(events) for _, events in ipus),
         config.threshold_ms,
-        config.normalizer,
     )
 
 
