@@ -6,16 +6,16 @@ round-trip repr, so save → load → save reproduces identical bytes and a
 loaded model re-predicts any dataset bitwise.
 
 Static resource files (lexicons, embeddings, word lists) are not copied
-into the archive; their content digests are, keyed by their roles in the
-pipeline's ``resource_paths``, the one map of the files it reads.  Loading
-re-reads them and refuses to proceed when a digest has drifted, since
-silently changed resources would break the re-prediction guarantee.
+into the archive; the configuration that names them is, and the sha256
+of each as the fitted pipeline read it.  Which files those are is the
+pipeline's ``resource_paths``.  Loading re-reads them and refuses to
+proceed when a digest has drifted, since silently changed resources
+would break the re-prediction guarantee.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +33,7 @@ from .features.pipeline import (
     PipelineConfig,
     _load_resources,
     resource_paths,
+    sha256_file,
 )
 from .features.standardize import Standardizer
 from .model import HcrfParameters
@@ -43,10 +44,6 @@ ARCHIVE_FORMAT = "model-archive/v1"
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _pipeline_doc(pipeline: FittedFeaturePipeline) -> dict:
@@ -101,8 +98,7 @@ def save_archive(
         "label_names": list(label_names),
         "pipeline": _pipeline_doc(pipeline),
         "resources": {
-            role: {"sha256": _sha256(p)}
-            for role, p in sorted(resource_paths(pipeline.config).items())
+            role: {"sha256": digest} for role, digest in pipeline.resource_digests.items()
         },
         "model": model_doc,
     }
@@ -140,7 +136,7 @@ def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
             problems.append((str(archive_path), 0, f"resource {role!r} not found at {path}"))
             continue
         try:
-            digest = _sha256(path)
+            digest = sha256_file(path)
         except OSError as exc:
             reason = f"resource {role!r} at {path} cannot be read: {exc.strerror}"
             problems.append((str(archive_path), 0, reason))

@@ -28,6 +28,7 @@ from .errors import (
     FileFormatError,
     InvalidInputError,
     TrainingDivergedError,
+    is_finite_number,
     read_utf8,
 )
 from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate, predict_batch
@@ -134,8 +135,8 @@ def _learner(args, file_config: dict) -> tuple[Learner, dict]:
         return HcrfLearner(config=config), {"training": dataclasses.asdict(config)}
     c_grid = logreg.get("c_grid", [1.0])
     with _section_errors("logreg"):
-        if not isinstance(c_grid, list) or not c_grid:
-            raise ValueError("c_grid must be a nonempty list of numbers")
+        if not isinstance(c_grid, list) or not c_grid or not all(map(is_finite_number, c_grid)):
+            raise ValueError(f"c_grid must be a nonempty list of finite numbers, got {c_grid!r}")
         c_grid = tuple(float(c) for c in c_grid)
     seed = args.seed if args.seed is not None else 0
     learner = LogRegLearner(c_grid=c_grid, seed=seed)
@@ -311,8 +312,10 @@ def cmd_evaluate(args) -> int:
     pipeline_config = _pipeline_config(args, file_config)
     learner, model_resolved = _learner(args, file_config)
     evaluate = _section(file_config, "evaluate", ["folds"], {"folds": args.folds})
+    folds = evaluate.get("folds", 10)
     with _section_errors("evaluate"):
-        folds = int(evaluate.get("folds", 10))
+        if not isinstance(folds, int) or isinstance(folds, bool):
+            raise ValueError(f"folds must be an integer, got {folds!r}")
     seed = args.seed if args.seed is not None else 0
     labeled, segmented = _labeled_corpus(args.corpus, FeaturePipeline(pipeline_config))
 
@@ -387,6 +390,14 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of ``--seed``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opinionchain",
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--corpus", required=True, help="corpus directory (manifest.tsv)")
         p.add_argument("--out", required=True, help="run directory for outputs")
         if config:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=non_negative_int, default=None)
             p.add_argument("--config", default=None, help="JSON config file")
 
     def add_pipeline_flags(p):

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the one reader of
-text files, which raises them."""
+"""Exception types shared across the package, and the two checks of
+outside input that raise them: the one reader of text files, and the
+one type check of configuration fields."""
+
+import dataclasses
+import math
 
 
 class InvalidInputError(ValueError):
@@ -43,6 +47,51 @@ def read_utf8(path) -> str:
         raise FileFormatError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float with a finite float value; a
+    bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# what a configuration field annotated with the key may hold
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", is_finite_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[str, ...]": (
+        "a list of strings",
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+    ),
+    "tuple[int, int]": (
+        "a pair of integers",
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v)),
+    ),
+}
+
+
+def check_field_types(config, error: type[ValueError]) -> None:
+    """Raise ``error`` for the first field of the dataclass ``config``
+    whose value its annotation does not allow.  A bool is not a number
+    here, and an integer is a float; lists stand for tuples, as JSON
+    has no tuples."""
+    for field in dataclasses.fields(config):
+        kind, allowed = _FIELD_TYPES[field.type]
+        value = getattr(config, field.name)
+        if not allowed(value):
+            raise error(f"{field.name} must be {kind}, got {value!r}")
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -58,14 +58,16 @@ def stratified_k_fold(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise InvalidInputError("k must be at least 2")
     arr = np.asarray(labels, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in sorted(set(arr.tolist())):
-        members = np.flatnonzero(arr == cls)
+    classes = sorted(set(arr.tolist()))
+    by_class = [np.flatnonzero(arr == cls) for cls in classes]
+    for cls, members in zip(classes, by_class):  # checked before k folds are made
         if len(members) < k:
             raise InvalidInputError(
                 f"class {cls} has {len(members)} members, fewer than k={k}"
             )
+    rng = np.random.default_rng(seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for members in by_class:
         rng.shuffle(members)
         for i, idx in enumerate(members.tolist()):
             folds[i % k].append(idx)

@@ -124,8 +124,8 @@ class ModifierLists:
 
     def __post_init__(self):
         for word, factor in self.amplifiers.items():
-            if factor <= 1.0:
-                raise InvalidInputError(f"amplifier {word!r} factor must be > 1")
+            if not 1.0 < factor < np.inf:
+                raise InvalidInputError(f"amplifier {word!r} factor must be finite and > 1")
         for word, factor in self.downtoners.items():
             if not 0.0 < factor < 1.0:
                 raise InvalidInputError(f"downtoner {word!r} factor must be in (0, 1)")

@@ -34,7 +34,8 @@ and computes only the bong rows and the standardizer per fold.
 
 Which static files the pipeline reads is decided in one place,
 ``resource_paths``: ``_load_resources`` reads every file from it, and
-an archive records the digest of each.
+records each file's sha256 as it reads it, which an archive of the
+fitted pipeline stores (``FittedFeaturePipeline.resource_digests``).
 
 Feature blocks are concatenated in a fixed canonical order (bong |
 embedding | lexicon | pattern | paralinguistic) and the layout is
@@ -54,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Transcript
-from ..errors import ConfigurationError, InvalidInputError
+from ..errors import ConfigurationError, InvalidInputError, check_field_types
 from ..model import ObservationSequence, SparseRows, check_sparse_entries
 from ..training import chunked
 from . import resources as res
@@ -110,6 +111,7 @@ class PipelineConfig:
     tagger_lexicon_path: str | None = None
 
     def __post_init__(self):
+        check_field_types(self, ConfigurationError)
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "lexicon_paths", tuple(self.lexicon_paths))
         object.__setattr__(self, "tag_set", tuple(self.tag_set))
@@ -270,6 +272,11 @@ def resource_paths(config: PipelineConfig) -> dict[str, Path]:
     return paths
 
 
+def sha256_file(path) -> str:
+    """The hex sha256 of the file at ``path``; OSError passes through."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @dataclass(frozen=True)
 class _Resources:
     stopwords: frozenset = frozenset()
@@ -279,11 +286,12 @@ class _Resources:
     tagger: object = None
     embedding: EmbeddingTable | None = None
     lexicons: tuple[Lexicon, ...] = ()
+    digests: dict = field(default_factory=dict)  # role -> sha256 of the file read
 
 
 def _load_resources(config: PipelineConfig) -> _Resources:
     """The resources of ``config``'s blocks, each read from its file in
-    ``resource_paths``."""
+    ``resource_paths``, with the digest of every file as it was read."""
     paths = resource_paths(config)
     kwargs = {}
     if "embedding" in config.blocks:
@@ -309,7 +317,8 @@ def _load_resources(config: PipelineConfig) -> _Resources:
         kwargs["tagger"] = res.load_tagger(paths["tagger_lexicon"], tag_set=config.tag_set)
     if "paralinguistic" in config.blocks:
         kwargs["marker_map"] = res.load_marker_map(paths["markers"])
-    return _Resources(**kwargs)
+    digests = {role: sha256_file(path) for role, path in paths.items()}
+    return _Resources(**kwargs, digests=digests)
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,6 +671,13 @@ class FittedFeaturePipeline:
                 )
             sequences.append(ObservationSequence(seg.doc_id, fixed[lo:hi], sparse))
         return sequences
+
+    @property
+    def resource_digests(self) -> dict[str, str]:
+        """The sha256 of each static file the pipeline read, keyed by its
+        role in ``resource_paths``: the files as they were when read,
+        whatever has happened to them since."""
+        return dict(self._resources.digests)
 
     def transform(self, docs) -> list[ObservationSequence]:
         """The observation sequences of ``docs`` (transcripts or

@@ -8,6 +8,7 @@ also accepts an explicit path to a user-supplied replacement.
 
 from __future__ import annotations
 
+import math
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -53,9 +54,15 @@ def load_word_list(path: str | Path, version: str) -> frozenset:
 
 
 def load_word_table(
-    path: str | Path, version: str, columns: tuple[str, str]
+    path: str | Path, version: str, columns: tuple[str, str], parse=str
 ) -> dict:
-    """Two-column TSV after the version line; the header row is checked."""
+    """Two-column TSV after the version line; the header row is checked.
+
+    A key is lowercased with its asterisks stripped, and ``parse`` turns
+    its value into its entry, raising ValueError with the reason for a
+    value the table does not allow.  A row of another width, a key
+    listed twice and a value ``parse`` rejects are each a problem at its
+    line, all raised at once."""
     path = Path(path)
     rows = _read_versioned(path, version)
     if not rows or rows[0][1].split("\t") != list(columns):
@@ -64,28 +71,47 @@ def load_word_table(
         )
     problems = []
     table = {}
+    seen = set()
     for lineno, line in rows[1:]:
         parts = line.split("\t")
         if len(parts) != 2:
             problems.append((str(path), lineno, f"expected 2 columns, got {len(parts)}"))
             continue
-        table[parts[0].strip("*").lower()] = parts[1]
+        key = parts[0].strip("*").lower()
+        if key in seen:
+            problems.append((str(path), lineno, f"{columns[0]} {key!r} listed twice"))
+            continue
+        seen.add(key)
+        try:
+            table[key] = parse(parts[1])
+        except ValueError as exc:
+            problems.append((str(path), lineno, f"{columns[0]} {key!r}: {exc}"))
     if problems:
         raise FileFormatError(f"{len(problems)} malformed record(s)", problems)
     return table
 
 
-def _float_values(table: dict, path) -> dict:
-    out = {}
-    problems = []
-    for word, raw in table.items():
+def _factor(low: float, high: float):
+    """A ``load_word_table`` parser of factors strictly between ``low``
+    and ``high``; NaN lies between no bounds."""
+
+    def parse(raw: str) -> float:
         try:
-            out[word] = float(raw)
+            value = float(raw)
         except ValueError:
-            problems.append((str(path), 0, f"non-numeric factor for {word!r}: {raw!r}"))
-    if problems:
-        raise FileFormatError(f"{len(problems)} malformed factor(s)", problems)
-    return out
+            raise ValueError(f"non-numeric factor {raw!r}") from None
+        if not low < value < high:
+            raise ValueError(f"factor {raw!r} must lie in ({low:g}, {high:g})")
+        return value
+
+    return parse
+
+
+def _category(raw: str) -> str:
+    """The ``load_word_table`` parser of a marker's category."""
+    if raw not in CATEGORIES:
+        raise ValueError(f"category {raw!r} not in {CATEGORIES}")
+    return raw
 
 
 def load_stopwords(path=None) -> frozenset:
@@ -94,11 +120,7 @@ def load_stopwords(path=None) -> frozenset:
 
 def load_marker_map(path=None) -> dict:
     path = path or default_resource_path("markers")
-    table = load_word_table(path, "marker-map/v1", ("marker", "category"))
-    bad = sorted(set(table.values()) - set(CATEGORIES))
-    if bad:
-        raise FileFormatError(f"{path}: categories {bad} not in {CATEGORIES}")
-    return table
+    return load_word_table(path, "marker-map/v1", ("marker", "category"), _category)
 
 
 def load_modifier_lists(
@@ -107,13 +129,17 @@ def load_modifier_lists(
     negations = load_word_list(
         negations_path or default_resource_path("negations"), "negations/v1"
     )
-    amp_path = amplifiers_path or default_resource_path("amplifiers")
-    down_path = downtoners_path or default_resource_path("downtoners")
-    amplifiers = _float_values(
-        load_word_table(amp_path, "amplifiers/v1", ("word", "factor")), amp_path
+    amplifiers = load_word_table(
+        amplifiers_path or default_resource_path("amplifiers"),
+        "amplifiers/v1",
+        ("word", "factor"),
+        _factor(1.0, math.inf),
     )
-    downtoners = _float_values(
-        load_word_table(down_path, "downtoners/v1", ("word", "factor")), down_path
+    downtoners = load_word_table(
+        downtoners_path or default_resource_path("downtoners"),
+        "downtoners/v1",
+        ("word", "factor"),
+        _factor(0.0, 1.0),
     )
     return ModifierLists(
         negations=negations, amplifiers=amplifiers, downtoners=downtoners

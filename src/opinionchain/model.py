@@ -239,11 +239,6 @@ class HcrfParameters:
         return self.theta_obs.shape[1]
 
     @classmethod
-    def zeros(cls, num_hidden_states: int, num_labels: int, feature_dim: int) -> "HcrfParameters":
-        h, y, d = num_hidden_states, num_labels, feature_dim
-        return cls(np.zeros((h, d)), np.zeros((y, h)), np.zeros((y, h, h)))
-
-    @classmethod
     def random(
         cls,
         num_hidden_states: int,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Transcript
-from .errors import EnumerationBudgetError, InvalidInputError
+from .errors import EnumerationBudgetError, InvalidInputError, check_field_types
 
 ENUMERATION_BUDGET = 10**6
 
@@ -49,6 +49,7 @@ class SyntheticSpec:
     between_gap_ms: int = 600  # above every standard threshold
 
     def __post_init__(self):
+        check_field_types(self, InvalidInputError)
         if self.num_docs_per_label < 1:
             raise InvalidInputError("num_docs_per_label must be >= 1")
         if not 1 <= self.min_segments <= self.max_segments:

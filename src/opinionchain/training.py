@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_field_types
 from .model import (
     ChainLayout,
     HcrfParameters,
@@ -85,6 +85,7 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, InvalidInputError)
         if self.num_hidden_states < 1:
             raise InvalidInputError("num_hidden_states must be >= 1")
         if self.context_window < 0:
@@ -95,6 +96,8 @@ class TrainingConfig:
             raise InvalidInputError("max_iterations must be >= 1")
         if self.grad_tolerance <= 0:
             raise InvalidInputError("grad_tolerance must be positive")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
 
 
 @dataclass

@@ -6,6 +6,7 @@ from opinionchain.corpus import ParaMarker, Transcript
 from opinionchain.features.segmentation import segment_into_ipus
 from opinionchain.model import (
     ChainLayout,
+    HcrfParameters,
     ObservationSequence,
     backward,
     forward,
@@ -72,6 +73,12 @@ def resource_text(draw, separators):
         for _ in range(draw(st.integers(0, 5)))
     ]
     return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def zero_params(num_hidden_states, num_labels, feature_dim):
+    """All-zero HCRF parameters of the given shape."""
+    h, y, d = num_hidden_states, num_labels, feature_dim
+    return HcrfParameters(np.zeros((h, d)), np.zeros((y, h)), np.zeros((y, h, h)))
 
 
 def dense_features(x):

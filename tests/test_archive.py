@@ -321,6 +321,48 @@ class TestResourceDrift:
         path, _ = self.make_embedding_archive(tmp_path)
         assert load_archive(path).kind == "hcrf"
 
+    def test_resource_changed_between_fit_and_save_refused(self, tmp_path):
+        """The archive holds the digests of the files the pipeline read,
+        not of the files as they are when it is saved."""
+        emb = tmp_path / "vectors.txt"
+        emb.write_text("great 1.0 0.0\nawful -1.0 0.0\nmovie 0.1 0.2\n")
+        docs, pipeline = fitted_setup(tmp_path, blocks=("embedding",), embedding_path=str(emb))
+        _, predictor = train_hcrf(docs, pipeline)
+        emb.write_text("great -1.0 0.0\nawful 1.0 0.0\nmovie 0.1 0.2\n")
+        path = tmp_path / "model.json"
+        save_archive(path, predictor, pipeline)
+        with pytest.raises(FileFormatError, match="'embedding' .* changed since archiving"):
+            load_archive(path)
+
+    def test_saved_again_byte_for_byte(self, tmp_path):
+        path, _ = self.make_embedding_archive(tmp_path)
+        loaded = load_archive(path)
+        again = tmp_path / "again.json"
+        save_archive(again, loaded.predictor, loaded.pipeline)
+        assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("pipeline", "threshold_ms", True),
+        ("pipeline", "bong_min_df", 1.5),
+        ("training", "max_iterations", 2.5),
+        ("training", "seed", False),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_format_error(tmp_path, section, key, value):
+    docs, pipeline = fitted_setup(tmp_path)
+    _, predictor = train_hcrf(docs, pipeline)
+    path = tmp_path / "model.json"
+    save_archive(path, predictor, pipeline)
+    doc = json.loads(path.read_text())
+    config = doc["pipeline"]["config"] if section == "pipeline" else doc["model"]["training"]
+    config[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match=f"{key} must be an integer"):
+        load_archive(path)
+
 
 # Any JSON value, NaN and the infinities included (Python's json reads
 # them), for a mutation to put where the archive held something else.

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import logging
 import os
@@ -9,11 +12,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import opinionchain
 
 from opinionchain.cli import main
 from opinionchain.corpus import save_corpus
+from opinionchain.features.pipeline import PipelineConfig
+from opinionchain.synthetic import SyntheticSpec
+from opinionchain.training import TrainingConfig
 
 from conftest import make_transcript
 
@@ -718,6 +726,117 @@ class TestConfigFile:
         assert rc == 1
         [error] = error_lines(capsys)
         assert key in error
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"pipeline": {"bong_max_order": 2.5}}, "bong_max_order"),
+            ({"training": {"num_hidden_states": 2.5}}, "num_hidden_states"),
+            ({"pipeline": {"threshold_ms": True}}, "threshold_ms"),
+        ],
+    )
+    def test_value_of_the_wrong_type_fails_with_one_error_line(
+        self, tmp_path, generated, capsys, doc, key
+    ):
+        cfg = write_config(tmp_path, doc)
+        rc = main(
+            ["train", "--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o"),
+             "--config", cfg]
+        )
+        assert rc == 1
+        [error] = error_lines(capsys)
+        assert f"{key} must be an integer" in error
+
+    def test_negative_training_seed_fails_with_one_error_line(self, tmp_path, generated, capsys):
+        cfg = write_config(tmp_path, {"training": {"seed": -1}})
+        rc = main(
+            ["train", "--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o"),
+             "--config", cfg]
+        )
+        assert rc == 1
+        [error] = error_lines(capsys)
+        assert "seed must be >= 0" in error
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+def test_negative_seed_option_is_a_usage_error(tmp_path, capsys, command):
+    argv = [command, "--out", str(tmp_path / "o"), "--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([] if command == "generate" else ["--corpus", "c"]))
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# the keys of each config section, and values of every JSON type for them
+_SECTION_KEYS = {
+    "pipeline": [f.name for f in dataclasses.fields(PipelineConfig)],
+    "training": [f.name for f in dataclasses.fields(TrainingConfig)],
+    "generator": [f.name for f in dataclasses.fields(SyntheticSpec)],
+    "logreg": ["c_grid"],
+    "evaluate": ["folds"],
+}
+_VALUE = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.sampled_from((0.5, 2.5, -1.0, 1e300, float("nan"), float("inf")))
+    | st.text(alphabet="ab", max_size=2)
+    | st.lists(
+        st.sampled_from(("bong", "pattern", "embedding", "NOUN", "a", 1, 0.5, float("nan"), None)),
+        max_size=3,
+    )
+    | st.dictionaries(st.just("a"), st.integers(0, 2), max_size=1)
+)
+
+
+@st.composite
+def fuzzed_config(draw, base):
+    """``base`` with a few keys set to values of any type or dropped,
+    now and then an unknown key or section, or a section or the whole
+    file that is not an object."""
+    doc = json.loads(json.dumps(base))
+    now_and_then = st.integers(0, 19).map(lambda n: n == 19)
+    for _ in range(draw(st.integers(1, 3))):
+        name = "bogus" if draw(now_and_then) else draw(st.sampled_from(sorted(_SECTION_KEYS)))
+        section = doc.setdefault(name, {})
+        if draw(now_and_then) or not isinstance(section, dict):
+            doc[name] = draw(_VALUE)
+            continue
+        keys = _SECTION_KEYS.get(name, ["a"])
+        key = "bogus" if draw(now_and_then) else draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            section[key] = draw(_VALUE)
+        else:
+            section.pop(key, None)
+    return [doc] if draw(now_and_then) else doc
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_fuzzed_config_fails_only_with_one_error_line(tmp_path, generated, data):
+    """A config file with values of any type in any section: the command
+    either runs or prints one ``error:`` line and exits 1."""
+    base = {
+        "generator": {"num_docs_per_label": 3, "min_segments": 2, "max_segments": 3},
+        "pipeline": {"embedding_path": str(generated / "embeddings.txt")},
+        "training": {"max_iterations": 5},
+        "evaluate": {"folds": 2},
+    }
+    cfg = write_config(tmp_path, data.draw(fuzzed_config(base)))
+    command = data.draw(st.sampled_from(("generate", "train", "evaluate")))
+    argv = [command, "--out", str(tmp_path / "o"), "--config", cfg]
+    if command != "generate":
+        argv += ["--corpus", str(generated / "corpus")]
+        argv += ["--model", data.draw(st.sampled_from(("hcrf", "logreg")))]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 1)
+    if rc:
+        assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -67,6 +67,10 @@ class TestFoldPlan:
         with pytest.raises(InvalidInputError):
             stratified_k_fold([0, 0, 0, 1, 1], k=3, seed=0)
 
+    def test_huge_k_rejected_before_its_folds_are_made(self):
+        with pytest.raises(InvalidInputError, match="fewer than k"):
+            stratified_k_fold([0, 1] * 4, k=10**12, seed=0)
+
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidInputError):
             stratified_k_fold([0, 1], k=1, seed=0)

@@ -145,6 +145,11 @@ class TestLoadLexicon:
             else:
                 assert lexicon.channels
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_amplifier_factor_must_be_finite(self, factor):
+        with pytest.raises(InvalidInputError):
+            ModifierLists(frozenset(), {"odd": factor}, {})
+
     def test_modifier_factor_ranges_validated(self):
         with pytest.raises(InvalidInputError):
             ModifierLists(frozenset(), {"weak": 0.9}, {})

@@ -16,7 +16,7 @@ from opinionchain.model import (
 )
 from opinionchain.training import HcrfPredictor, TrainingConfig
 
-from conftest import alone, posterior
+from conftest import alone, posterior, zero_params
 from oracles import (
     BRUTE_FORCE_MAX_PATHS,
     brute_force_log_partitions,
@@ -115,7 +115,7 @@ class TestConstruction:
 
 class TestPotential:
     def test_zero_parameters_score_zero(self):
-        theta = HcrfParameters.zeros(3, 2, 4)
+        theta = zero_params(3, 2, 4)
         x = seq(np.random.default_rng(0).standard_normal((5, 4)))
         assert potential(1, [0, 2, 1, 1, 0], x, theta) == 0.0
 
@@ -140,7 +140,7 @@ class TestPotential:
         assert potential(0, [1, 1], x, theta) == pytest.approx(2.0, abs=1e-12)
 
     def test_bad_hidden_path_rejected(self):
-        theta = HcrfParameters.zeros(2, 2, 2)
+        theta = zero_params(2, 2, 2)
         x = seq([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(InvalidInputError):
             potential(0, [0], x, theta)
@@ -150,14 +150,14 @@ class TestPotential:
             potential(2, [0, 0], x, theta)
 
     def test_dimension_mismatch_rejected(self):
-        theta = HcrfParameters.zeros(2, 2, 3)
+        theta = zero_params(2, 2, 3)
         with pytest.raises(InvalidInputError):
             potential(0, [0, 0], seq([[0.0, 0.0], [0.0, 0.0]]), theta)
 
 
 class TestLogPartition:
     def test_zero_parameters_give_length_log_states(self):
-        theta = HcrfParameters.zeros(3, 2, 2)
+        theta = zero_params(3, 2, 2)
         x = seq(np.random.default_rng(0).standard_normal((4, 2)))
         for log_z in log_partitions(x, theta):
             assert log_z == pytest.approx(4 * np.log(3), abs=1e-12)
@@ -180,7 +180,7 @@ class TestLogPartition:
 
 class TestPosterior:
     def test_zero_parameters_uniform(self):
-        theta = HcrfParameters.zeros(2, 2, 3)
+        theta = zero_params(2, 2, 3)
         x = seq(np.random.default_rng(5).standard_normal((6, 3)))
         np.testing.assert_allclose(posterior(x, theta), [0.5, 0.5], atol=1e-12)
 
@@ -219,7 +219,7 @@ class TestPredict:
         assert predict(seq([[0.0], [0.0]]), theta) == 0
 
     def test_exact_tie_goes_to_lowest_index(self):
-        theta = HcrfParameters.zeros(2, 2, 1)
+        theta = zero_params(2, 2, 1)
         assert predict(seq([[1.0]]), theta) == 0
 
     def test_state_bias_shift_preserves_prediction(self):
@@ -233,7 +233,7 @@ class TestPredict:
 
 class TestMarginals:
     def test_zero_parameters_uniform(self):
-        theta = HcrfParameters.zeros(3, 2, 2)
+        theta = zero_params(3, 2, 2)
         x = seq(np.random.default_rng(0).standard_normal((4, 2)))
         state, pair = marginals(0, x, theta)
         np.testing.assert_allclose(state, 1.0 / 3.0, atol=1e-12)
@@ -547,7 +547,7 @@ class TestRaggedKernel:
         "lengths", [[2, 3, 1], [4, 3, 3], [3, 3, 0], [3, 3], [3, 2, 2, 1], [[3, 3, 2]]]
     )
     def test_rejects_lengths_out_of_order_or_range(self, lengths):
-        theta = HcrfParameters.zeros(2, 2, 1)
+        theta = zero_params(2, 2, 1)
         node = node_scores(np.zeros((3, 3, 2)), theta)
         with pytest.raises(InvalidInputError, match="chain lengths"):
             forward(node, theta.theta_trans, ChainLayout(lengths))
@@ -576,14 +576,14 @@ class TestRaggedKernel:
 
 class TestBruteForceGuard:
     def test_budget_exceeded_refused(self):
-        theta = HcrfParameters.zeros(4, 2, 1)
+        theta = zero_params(4, 2, 1)
         x = seq(np.zeros((11, 1)))
         with pytest.raises(EnumerationBudgetError):
             brute_force_posterior(x, theta)
 
     def test_budget_boundary_allowed(self):
         # 4^10 = 1048576 > 10^6 refused; 2^10 well inside
-        theta = HcrfParameters.zeros(2, 2, 1)
+        theta = zero_params(2, 2, 1)
         x = seq(np.zeros((10, 1)))
         np.testing.assert_allclose(brute_force_posterior(x, theta), [0.5, 0.5], atol=1e-12)
 

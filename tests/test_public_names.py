@@ -5,8 +5,11 @@ yet no command, script or benchmark depends on it.  Users are found in
 the ASTs of ``src/``, ``scripts/`` and ``perfbench/``.  For a top-level
 name, a user is a read of the name, an attribute of that name, or an
 import of it; for a public method or property of a class, it is an
-attribute of that name.  The definition itself does not count, and
-neither do strings or docstrings.  A member is matched by name alone,
+attribute of that name, unless its receiver is a module name bound by
+an ``import`` statement: ``np.zeros`` is numpy's, not a use of a member
+named ``zeros``.  (A ``from`` import may bind a class, so its
+attributes count.)  The definition itself does not count, and neither
+do strings or docstrings.  Otherwise a member is matched by name alone,
 so one that shares its name with another type's attribute (``copy``,
 say) passes whether or not it is used.
 """
@@ -44,8 +47,26 @@ def _public_members(tree: ast.Module) -> list[str]:
     ]
 
 
+def _module_names(tree: ast.AST) -> set[str]:
+    """The names that ``import`` statements (not ``from`` ones) bind in
+    ``tree``, each to a module."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
 def _attributes(tree: ast.AST) -> set[str]:
-    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    """Every attribute read in ``tree`` but those of imported modules."""
+    modules = _module_names(tree)
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+    }
 
 
 def _references(tree: ast.AST) -> set[str]:
@@ -103,6 +124,14 @@ def test_the_member_scan_counts_attributes_only():
     )
     assert _public_members(tree) == ["A.size", "A.width"]
     assert _attributes(tree) == {"size"}
+
+
+def test_the_member_scan_skips_attributes_of_imported_modules():
+    tree = ast.parse(
+        "import numpy as np\nimport json\nfrom .model import Params\n\n"
+        "np.zeros(3)\njson.dumps(1)\nParams.random()\nmodel.fit()\n"
+    )
+    assert _attributes(tree) == {"random", "fit"}
 
 
 def test_the_scan_ignores_definitions_and_strings():

@@ -24,7 +24,7 @@ from opinionchain.training import (
     train,
 )
 
-from conftest import alone, posterior, windowed
+from conftest import alone, posterior, windowed, zero_params
 from oracles import brute_force_posterior
 
 
@@ -89,7 +89,7 @@ class TestObjective:
     def test_zero_parameters_give_n_log_2(self):
         rng = np.random.default_rng(0)
         dataset = random_dataset(rng, size=7)
-        theta = HcrfParameters.zeros(3, 2, 3)
+        theta = zero_params(3, 2, 3)
         value, _ = objective_and_gradient(grouped(dataset, theta), theta, 0.0)
         assert value == pytest.approx(7 * np.log(2), abs=1e-12)
 
@@ -113,12 +113,12 @@ class TestObjective:
             assert value == pytest.approx(want, rel=1e-10)
 
     def test_rejects_empty_dataset(self):
-        theta = HcrfParameters.zeros(2, 2, 2)
+        theta = zero_params(2, 2, 2)
         with pytest.raises(InvalidInputError):
             objective_and_gradient(grouped([], theta), theta, 0.1)
 
     def test_rejects_dimension_mismatch(self):
-        theta = HcrfParameters.zeros(2, 2, 3)
+        theta = zero_params(2, 2, 3)
         with pytest.raises(InvalidInputError):
             objective_and_gradient(grouped([(seq([[1.0, 2.0]]), 0)], theta), theta, 0.1)
 
@@ -127,7 +127,7 @@ class TestGradient:
     def test_regularizer_vanishes_at_zero(self):
         rng = np.random.default_rng(3)
         dataset = random_dataset(rng, size=3)
-        theta = HcrfParameters.zeros(2, 2, 3)
+        theta = zero_params(2, 2, 3)
         g0 = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1]
         g1 = objective_and_gradient(grouped(dataset, theta), theta, 5.0)[1]
         np.testing.assert_array_equal(g0, g1)
@@ -338,7 +338,7 @@ class TestLengthGroups:
         dataset = [(seq([[1.0, 2.0]]), 0)]
         with pytest.raises(InvalidInputError, match="do not match"):
             objective_and_gradient(
-                group_by_length(dataset, 2, 2), HcrfParameters.zeros(2, 3, 2), 0.1
+                group_by_length(dataset, 2, 2), zero_params(2, 3, 2), 0.1
             )
 
     def test_train_groups_once_per_fit(self, monkeypatch):
