@@ -17,13 +17,16 @@ over a few passes of a fresh default pipeline's `fit_transform` of the
 100 training documents (resource loading, n-gram fit, featurizing and
 standardizing), and `default_transform_ms_per_doc`: the median over a
 few passes of the fitted pipeline's `transform` of 1000 held-out
-transcripts of another seed, a chunk at a time as `predict` reads them,
-per document.  It also prints `default_read_ms_per_doc`: the same 1000
-transcripts are saved to a temporary directory, and the median over a
-few passes of `load_corpus` on it plus `FeaturePipeline.segment` of the
-loaded documents (cutting IPUs and tokenizing) is printed per document.
-Two checkouts can be compared by running it with each one's `src/` on
-PYTHONPATH, alternating between them.
+transcripts of another seed, a chunk at a time, per document.  It also
+prints `default_read_ms_per_doc`: the same 1000 transcripts are saved to
+a temporary directory, and the median over a few passes of `load_corpus`
+on it plus `FeaturePipeline.segment` of the loaded documents (cutting
+IPUs and tokenizing) is printed per document; and beside it
+`default_predict_ms_per_doc`, the median over a few passes of reading,
+featurizing and scoring them as `predict` does (`read_corpus`, then the
+posteriors of an HCRF fitted on the default shape's sequences), per
+document.  Two checkouts can be compared by running it with each one's
+`src/` on PYTHONPATH, alternating between them.
 """
 
 import argparse
@@ -35,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from opinionchain.corpus import load_corpus, save_corpus
+from opinionchain.archive import LoadedModel
+from opinionchain.corpus import LABEL_NAMES, load_corpus, read_corpus, save_corpus
 from opinionchain.evaluation import stratified_k_fold
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.model import HcrfParameters
@@ -48,6 +52,7 @@ from opinionchain.synthetic import (
 from opinionchain.training import (
     TrainingConfig,
     chunked,
+    fit_predictor,
     group_by_length,
     objective_and_gradient,
 )
@@ -107,17 +112,20 @@ def time_transform(pipeline, docs):
     print(f"default_transform_ms_per_doc {per_doc:.4f}")
 
 
-def time_read(docs):
+def time_read_and_predict(docs, model):
     unfitted = FeaturePipeline(PipelineConfig())
-    times = []
+    read, predict = [], []
     with tempfile.TemporaryDirectory() as tmp:
         save_corpus(docs, tmp)
         for _ in range(TRANSFORM_PASSES):
             start = time.perf_counter()
             unfitted.segment(load_corpus(tmp))
-            times.append(time.perf_counter() - start)
-    per_doc = 1e3 * statistics.median(times) / len(docs)
-    print(f"default_read_ms_per_doc {per_doc:.4f}")
+            read.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            model.posteriors(read_corpus(tmp))
+            predict.append(time.perf_counter() - start)
+    for name, times in (("read", read), ("predict", predict)):
+        print(f"default_{name}_ms_per_doc {1e3 * statistics.median(times) / len(docs):.4f}")
 
 
 def time_calls(name, prefix, sequences, labels, args):
@@ -156,7 +164,8 @@ def main():
     time_fit_transform(corpus)
     heldout = heldout_corpus(args.seed)
     time_transform(pipeline, heldout)
-    time_read(heldout)
+    predictor, _ = fit_predictor(list(zip(sequences, labels)), TrainingConfig())
+    time_read_and_predict(heldout, LoadedModel("hcrf", pipeline, predictor, LABEL_NAMES))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import LogRegModel, LogRegPredictor
-from .corpus import LABEL_NAMES
+from .corpus import LABEL_NAMES, CorpusColumns
 from .errors import FileFormatError, read_utf8
 from .evaluation import Predictor
 from .features.ngrams import NGramVocabulary
@@ -37,7 +37,7 @@ from .features.pipeline import (
 )
 from .features.standardize import Standardizer
 from .model import HcrfParameters
-from .training import HcrfPredictor, TrainingConfig, chunked
+from .training import HcrfPredictor, TrainingConfig
 
 ARCHIVE_FORMAT = "model-archive/v1"
 
@@ -113,16 +113,22 @@ class LoadedModel:
     label_names: tuple[str, ...]
 
     def posteriors(self, docs) -> np.ndarray:
-        """(N, Y) label posteriors of the transcripts in ``docs``; they are
-        featurized a chunk at a time as the predictor reads them, so the
-        corpus's feature matrices are never all held at once."""
-        return self.predictor.posterior_batch(
-            sequence for chunk in chunked(docs) for sequence in self.pipeline.transform(chunk)
-        )
+        """(N, Y) label posteriors of ``docs``: a corpus as columns
+        (``read_corpus``), or transcripts.  The pipeline carries a chunk
+        of documents at a time from its columns to one block of
+        sequences (``FittedFeaturePipeline.blocks``), which the predictor
+        scores as it reads them, so the corpus's feature matrices are
+        never all held at once."""
+        corpus = docs if isinstance(docs, CorpusColumns) else CorpusColumns.from_transcripts(docs)
+        return self.predictor.posterior_blocks(self.pipeline.blocks(corpus))
 
 
-def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
-    problems = []
+def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path) -> dict:
+    """The sha256 of each resource file ``config`` reads, hashed once and
+    checked against the archive's ``stored`` digests; every file missing,
+    unused, unreadable or changed is a problem, and all of them are
+    raised at once."""
+    problems, digests = [], {}
     current = resource_paths(config)
     for role in sorted(set(stored) | set(current)):
         if role not in current:
@@ -145,11 +151,13 @@ def _check_resource_digests(config: PipelineConfig, stored: dict, archive_path):
             problems.append(
                 (str(archive_path), 0, f"resource {role!r} at {path} changed since archiving")
             )
+        digests[role] = digest
     if problems:
         raise FileFormatError(
             "archived resources drifted; re-train on the current resources",
             problems,
         )
+    return digests
 
 
 # The JSON structure load_archive expects.  A key maps to the Python type
@@ -380,8 +388,9 @@ def load_archive(path) -> LoadedModel:
         config = PipelineConfig(**pipe_doc["config"])
         parts = _fitted_parts(pipe_doc)
         predictor = _predictor_from_doc(doc["kind"], doc["model"])
-        _check_resource_digests(config, doc["resources"], path)
-        pipeline = FittedFeaturePipeline(config=config, **parts, _resources=_load_resources(config))
+        digests = _check_resource_digests(config, doc["resources"], path)
+        resources = _load_resources(config, digests)
+        pipeline = FittedFeaturePipeline(config=config, **parts, _resources=resources)
     except FileFormatError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:  # values a constructor rejects

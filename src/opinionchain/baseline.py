@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ObservationSequence
+from .model import ObservationSequence, SequenceBlock, SparseRows, scatter_add
 from .optimize import minimize
+from .training import sequence_blocks
 
 log = logging.getLogger(__name__)
 
@@ -45,14 +46,35 @@ class LogRegModel:
         return self.weights.shape[0]
 
 
+def _mean_vectors(features: np.ndarray, sparse: SparseRows | None, bounds) -> np.ndarray:
+    """(N, D) mean vector of each run of rows ``bounds[i]:bounds[i + 1]``:
+    a sparse block's column sums, added up from its entries in their
+    order, plus the offset row times the run's length, over the length,
+    then the dense rows' mean."""
+    runs = bounds.tolist()
+    means = np.array([features[lo:hi].mean(axis=0) for lo, hi in zip(runs, runs[1:])])
+    means = means.reshape(len(runs) - 1, features.shape[1])
+    if sparse is None:
+        return means
+    num, width, lengths = len(runs) - 1, sparse.width, np.diff(bounds).astype(np.float64)
+    run = np.repeat(np.arange(num), np.diff(bounds))[sparse.rows]
+    sums = scatter_add(run * width + sparse.indices, sparse.values, num * width)
+    sums = sums.reshape(num, width)
+    if sparse.offset is not None:
+        sums += np.outer(lengths, sparse.offset)
+    return np.concatenate([sums / lengths[:, None], means], axis=1)
+
+
 def aggregate_document_vector(seq: ObservationSequence) -> np.ndarray:
     """Mean of the per-segment feature vectors; a sparse block's columns
     are summed from its entries."""
-    mean = seq.features.mean(axis=0)
-    if seq.sparse is None:
-        return mean
-    sparse_mean = seq.sparse.transpose_dot(np.ones((seq.length, 1)))[0] / seq.length
-    return np.concatenate([sparse_mean, mean])
+    return _mean_vectors(seq.features, seq.sparse, np.array([0, seq.length]))[0]
+
+
+def document_vectors(block: SequenceBlock) -> np.ndarray:
+    """(N, D) mean vectors of the N sequences of ``block``, each bitwise
+    its ``aggregate_document_vector``."""
+    return _mean_vectors(block.features, block.sparse, block.bounds)
 
 
 def _sigmoid(z):
@@ -128,22 +150,28 @@ class LogRegPredictor:
 
     model: LogRegModel
 
-    def posterior_batch(self, seqs) -> np.ndarray:
-        """(N, 2) rows [P(label 0), P(label 1)], one per sequence in
-        ``seqs`` (any iterable, read once); exact 0.5 gives label 0 as
-        the argmax.  Each document is scored on its own averaged vector:
-        a matrix-vector product over all of them could round differently."""
+    def posterior_blocks(self, blocks) -> np.ndarray:
+        """(N, 2) rows [P(label 0), P(label 1)], one per sequence of
+        ``blocks`` (any iterable of ``SequenceBlock``s, read once); exact
+        0.5 gives label 0 as the argmax.  Each document is scored on its
+        own averaged vector: a matrix-vector product over all of them
+        could round differently."""
         model = self.model
         probs = []
-        for seq in seqs:
-            vec = aggregate_document_vector(seq)
-            if vec.shape != (model.dim,):
+        for block in blocks:
+            if block.dim != model.dim:
                 raise InvalidInputError(
-                    f"expected a vector of dimension {model.dim}, got shape {vec.shape}"
+                    f"expected a vector of dimension {model.dim}, got shape {(block.dim,)}"
                 )
-            probs.append(float(_sigmoid(model.weights @ vec + model.intercept)))
+            for vec in document_vectors(block):
+                probs.append(float(_sigmoid(model.weights @ vec + model.intercept)))
         probs = np.array(probs)
         return np.stack([1.0 - probs, probs], axis=1)
+
+    def posterior_batch(self, seqs) -> np.ndarray:
+        """``posterior_blocks`` of the sequences in ``seqs`` (any
+        iterable, read once), stacked into blocks a chunk at a time."""
+        return self.posterior_blocks(sequence_blocks(seqs))
 
     def describe(self) -> dict:
         return {"model": "logreg", "c": self.model.c}

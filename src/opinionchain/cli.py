@@ -18,10 +18,8 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .archive import canonical_json, load_archive, save_archive
-from .corpus import corpus_stats, filter_neutral, load_corpus, save_corpus
+from .corpus import corpus_stats, filter_neutral, load_corpus, read_corpus, save_corpus
 from .errors import (
     ConfigurationError,
     EnumerationBudgetError,
@@ -285,19 +283,15 @@ def cmd_predict(args) -> int:
         out_dir, {"command": "predict", "corpus": args.corpus, "model": args.model}
     )
     loaded = load_archive(args.model)
-    corpus = load_corpus(args.corpus)
-    if not corpus:
+    corpus = read_corpus(args.corpus)
+    if not len(corpus):
         raise InvalidInputError(f"{args.corpus}: empty corpus")
     names = loaded.label_names
     lines = [PREDICTIONS_VERSION, "doc_id\tpredicted\t" + "\t".join(f"p_{n}" for n in names)]
-    for doc, posterior in zip(corpus, loaded.posteriors(corpus)):
-        lines.append(
-            doc.doc_id
-            + "\t"
-            + names[int(np.argmax(posterior))]
-            + "\t"
-            + "\t".join(repr(float(p)) for p in posterior)
-        )
+    posteriors = loaded.posteriors(corpus)
+    predicted = posteriors.argmax(axis=1).tolist()
+    for doc_id, label, posterior in zip(corpus.doc_ids, predicted, posteriors.tolist()):
+        lines.append(f"{doc_id}\t{names[label]}\t" + "\t".join(map(repr, posterior)))
     path = out_dir / "predictions.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("predicted %d documents with the %s model", len(corpus), loaded.kind)
@@ -369,7 +363,7 @@ def cmd_inspect(args) -> int:
     if loaded.kind != "hcrf":
         raise ConfigurationError("state reports require an hcrf archive")
 
-    table = loaded.pipeline._resources.embedding
+    table = loaded.pipeline.embedding_table
     vocab: list[str] = []
     if args.corpus is not None and table is not None:
         segmented = FeaturePipeline(loaded.pipeline.config).segment(load_corpus(args.corpus))

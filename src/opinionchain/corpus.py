@@ -25,16 +25,19 @@ cleanly.  A record may name any document of the manifest, whatever file
 it is in: a document's tokens are gathered from every file, in file-name
 order and then line order.
 
-A loaded ``Transcript`` holds its tokens as columns (texts, start times,
-end times), built from a file's split lines with one conversion of all
-of its times; no object is made per token.
+``read_corpus`` reads a corpus directory as one set of columns
+(``CorpusColumns``): every token's text, start and end, each document's
+offsets into them, and the markers, with no object per document or
+token.  Every line is split once, and each file's times are parsed as
+its records are gathered; the times are then converted to int64, and
+each check run, once over the corpus's columns.  The records are
+looked at one by one only to list the problems of a malformed corpus.  ``load_corpus`` builds a ``Transcript``, which holds
+its tokens as columns too, per document from those columns.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,14 +177,113 @@ def _parse_int(raw: str, what: str) -> int:
         raise ValueError(f"{what} is not an integer: {raw!r}") from None
 
 
-def load_corpus(path: str | Path) -> list[Transcript]:
-    """Load and validate a corpus directory.
+def _offsets(counts) -> np.ndarray:
+    """(N + 1,) bounds of N consecutive runs of ``counts`` items each."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
-    Any malformed record, and any document whose token times the
-    ``Transcript`` constructor rejects (one problem per document, at line
-    0 of its file), is collected, and a single error reporting every one
-    of them is raised at the end; an empty directory loads as an empty
-    corpus with a warning.
+
+_NO_TIMES = np.empty(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusColumns:
+    """A corpus, or a chunk of one, as columns: N documents, T tokens and
+    M markers in all, with no object per document or token.
+
+    Document i is ``doc_ids[i]``, with ``valences[i]``; its tokens are
+    ``offsets[i]:offsets[i + 1]`` of the token columns (``texts``,
+    ``starts``, ``ends``, the times int64), and its markers
+    ``marker_offsets[i]:marker_offsets[i + 1]`` of the marker columns
+    (``marker_texts``, ``marker_times``, the times Python ints).
+    ``read_corpus`` checks what it builds; columns made from transcripts
+    (``from_transcripts``) hold what their constructor checked."""
+
+    doc_ids: tuple[str, ...]
+    valences: tuple[tuple[float, ...] | None, ...]
+    texts: list[str]
+    starts: np.ndarray
+    ends: np.ndarray
+    offsets: np.ndarray
+    marker_texts: list[str]
+    marker_times: list[int]
+    marker_offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def select(self, lo: int, hi: int) -> "CorpusColumns":
+        """Documents ``lo:hi`` as columns of their own."""
+        a, b = self.offsets[[lo, hi]].tolist()
+        p, q = self.marker_offsets[[lo, hi]].tolist()
+        return CorpusColumns(
+            self.doc_ids[lo:hi],
+            self.valences[lo:hi],
+            self.texts[a:b],
+            self.starts[a:b],
+            self.ends[a:b],
+            self.offsets[lo : hi + 1] - a,
+            self.marker_texts[p:q],
+            self.marker_times[p:q],
+            self.marker_offsets[lo : hi + 1] - p,
+        )
+
+    def transcripts(self) -> list[Transcript]:
+        """One ``Transcript`` per document."""
+        offsets, marks = self.offsets.tolist(), self.marker_offsets.tolist()
+        markers = list(map(ParaMarker, self.marker_texts, self.marker_times))
+        return [
+            Transcript(
+                doc_id,
+                self.texts[a:b],
+                self.starts[a:b],
+                self.ends[a:b],
+                para_markers=tuple(markers[p:q]),
+                valences=valences,
+            )
+            for doc_id, valences, a, b, p, q in zip(
+                self.doc_ids, self.valences, offsets, offsets[1:], marks, marks[1:]
+            )
+        ]
+
+    @classmethod
+    def from_transcripts(cls, docs) -> "CorpusColumns":
+        """The transcripts ``docs`` as columns, their markers in their order."""
+        docs = list(docs)
+        markers = [marker for doc in docs for marker in doc.para_markers]
+        return cls(
+            tuple(doc.doc_id for doc in docs),
+            tuple(doc.valences for doc in docs),
+            [text for doc in docs for text in doc.texts],
+            np.concatenate([doc.starts for doc in docs] or [_NO_TIMES]),
+            np.concatenate([doc.ends for doc in docs] or [_NO_TIMES]),
+            _offsets([len(doc.texts) for doc in docs]),
+            [marker.text for marker in markers],
+            [marker.time_ms for marker in markers],
+            _offsets([len(doc.para_markers) for doc in docs]),
+        )
+
+
+def load_corpus(path: str | Path) -> list[Transcript]:
+    """Load and validate a corpus directory: ``read_corpus``, one
+    ``Transcript`` per document."""
+    return read_corpus(path).transcripts()
+
+
+def read_corpus(path: str | Path) -> CorpusColumns:
+    """Read and check a corpus directory, as columns.
+
+    Every token record is split once, and its times parsed with those of
+    its file; all of them are then converted to int64 at once and
+    checked (each token ends at or after its start, and no token of a
+    document starts before the previous one ends) with one comparison
+    each over the corpus.  Only when a check fails are the
+    records looked at one by one, to list every problem: each malformed
+    record at its line, and each document whose token times the
+    ``Transcript`` constructor rejects at line 0 of its file.  A single
+    error reporting all of them is raised; an empty directory loads as
+    an empty corpus with a warning.
     """
     root = Path(path)
     if not root.is_dir():
@@ -190,13 +292,46 @@ def load_corpus(path: str | Path) -> list[Transcript]:
     if not manifest.exists():
         if not any(root.iterdir()):
             log.warning("empty corpus directory %s", root)
-            return []
+            return CorpusColumns.from_transcripts([])
         raise FileFormatError(f"missing {MANIFEST_NAME} in {root}")
 
     problems: list[tuple[str, int, str]] = []
-    entries: list[tuple[str, str, tuple[float, ...] | None]] = []
-    seen_ids: set[str] = set()
+    entries = _read_manifest(manifest, problems)
+    index = {doc_id: i for i, (doc_id, _, _) in enumerate(entries)}
+    # the document number, text, start and end of every token record of
+    # a manifest document, as four columns
+    fields: tuple[list, ...] = ([], [], [], [])
+    markers: list[tuple[int, int, str]] = []  # (document, time, text)
+    files = []  # (path, lines of its token records, its other problems) of each file
+    for filename in sorted({filename for _, filename, _ in entries}):
+        file = os.path.join(root, filename)
+        files.append((file, *_read_transcript_file(file, index, fields, markers)))
 
+    columns = _token_columns(*fields, len(entries))
+    # a failed check is looked for one record and one document at a time
+    documents = [] if columns is not None else _token_problems(root, entries, fields, files)
+    for file, _, found in files:
+        problems.extend((file, line, message) for line, message in sorted(found))
+    problems += documents
+    if problems:
+        raise FileFormatError(f"{len(problems)} malformed record(s) in {root}", problems)
+    markers.sort(key=lambda marker: marker[:2])  # by document, then time
+    return CorpusColumns(
+        tuple(doc_id for doc_id, _, _ in entries),
+        tuple(valences for _, _, valences in entries),
+        *columns,
+        [text for _, _, text in markers],
+        [time for _, time, _ in markers],
+        _offsets(np.bincount(np.array([doc for doc, _, _ in markers], dtype=np.intp),
+                             minlength=len(entries))),
+    )
+
+
+def _read_manifest(manifest: Path, problems) -> list[tuple[str, str, tuple[float, ...] | None]]:
+    """The (doc_id, file, valences) of each well-formed manifest entry;
+    the malformed ones are added to ``problems``."""
+    entries = []
+    seen_ids: set[str] = set()
     lines = read_utf8(manifest).splitlines()
     if not lines or lines[0].strip() != MANIFEST_VERSION:
         raise FileFormatError(f"{manifest}: first line must be {MANIFEST_VERSION!r}")
@@ -230,77 +365,53 @@ def load_corpus(path: str | Path) -> list[Transcript]:
                 )
                 continue
         entries.append((doc_id, filename, valences))
-
-    # each document's token columns (texts, starts, ends), filled from
-    # every file that holds its records, and its markers
-    records: dict[str, tuple[list, list, list, list[ParaMarker]]] = {
-        doc_id: ([], [], [], []) for doc_id, _, _ in entries
-    }
-    for filename in sorted({f for _, f, _ in entries}):
-        _read_transcript_file(os.path.join(root, filename), records, problems)
-
-    corpus = []
-    for doc_id, filename, valences in entries:
-        texts, starts, ends, markers = records[doc_id]
-        try:
-            corpus.append(
-                Transcript(
-                    doc_id,
-                    texts,
-                    starts,
-                    ends,
-                    para_markers=tuple(sorted(markers, key=lambda m: m.time_ms)),
-                    valences=valences,
-                )
-            )
-        except InvalidInputError as exc:
-            problems.append((os.path.join(root, filename), 0, str(exc)))
-    if problems:
-        raise FileFormatError(f"{len(problems)} malformed record(s) in {root}", problems)
-    return corpus
+    return entries
 
 
-def _read_transcript_file(path: str, records, problems):
-    """Add the records of the transcript file at ``path`` to ``records``
-    and its malformed records, in line order, to ``problems``.  A token
-    record of a manifest document is only split here; its times are
-    converted with those of all the file's tokens (``_add_tokens``)."""
+def _read_transcript_file(path: str, index: dict, fields: tuple, markers: list):
+    """Add the document number (in ``index``), text, start and end of the
+    transcript file at ``path``'s token records that name a manifest
+    document to the four lists ``fields``, the times as ints if they all
+    parse, and its markers to ``markers``; return the lines of those
+    token records and the (line, message) of each malformed record.
+    Only numbers and strings outlive the call: a corpus's split lines,
+    held at once, would make the garbage collector walk them over and
+    over, and its time strings take twice the memory of ints."""
     try:
         lines = read_utf8(path).splitlines()
     except FileNotFoundError:
-        problems.append((path, 0, "file listed in manifest but missing"))
-        return
+        return [], [(0, "file listed in manifest but missing")]
     except OSError as exc:
-        problems.append((path, 0, f"cannot read the file: {exc.strerror}"))
-        return
+        return [], [(0, f"cannot read the file: {exc.strerror}")]
     except FileFormatError:
-        problems.append((path, 0, "not UTF-8 text"))
-        return
+        return [], [(0, "not UTF-8 text")]
     if not lines or lines[0].strip() != TRANSCRIPT_VERSION:
-        problems.append((path, 1, f"first line must be {TRANSCRIPT_VERSION!r}"))
-        return
-    found: list[tuple[int, str]] = []  # (line, message) of each malformed record
-    tokens, token_lines = [], []
+        return [], [(1, f"first line must be {TRANSCRIPT_VERSION!r}")]
+    rows, token_lines, found = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
-        if parts[0] == "token" and len(parts) >= 5 and parts[1] in records:
-            tokens.append(parts)
+        if parts[0] == "token" and len(parts) >= 5 and parts[1] in index:
+            rows.append(parts)
             token_lines.append(lineno)
         elif line.strip():
             try:
-                _read_other_record(parts, records)
+                markers.append(_marker_record(parts, index))
             except ValueError as exc:
                 found.append((lineno, str(exc)))
-    found += _add_tokens(tokens, token_lines, records)
-    problems.extend((path, lineno, message) for lineno, message in sorted(found))
-    # sequencing errors (non-monotone times) are caught by the Transcript
-    # constructor, per document, after all files are read, and reported
-    # with the records' problems
+    if rows:
+        _, docs, texts, starts, ends = list(zip(*rows))[:5]
+        try:  # a time that is not an integer is left as it is, to be listed later
+            starts, ends = list(map(int, starts)), list(map(int, ends))
+        except ValueError:
+            pass
+        for field, values in zip(fields, (map(index.__getitem__, docs), texts, starts, ends)):
+            field.extend(values)
+    return token_lines, found
 
 
-def _read_other_record(parts: list[str], records):
-    """Add a marker record to ``records``; any other record that reaches
-    here is malformed and raises ValueError."""
+def _marker_record(parts: list[str], index: dict) -> tuple[int, int, str]:
+    """The (document, time, text) of a marker record; any other record
+    that reaches here is malformed and raises ValueError."""
     kind = parts[0]
     if kind == "token":
         if len(parts) < 5:
@@ -311,48 +422,60 @@ def _read_other_record(parts: list[str], records):
     if len(parts) < 4:
         raise ValueError(f"marker record needs 4 columns, got {len(parts)}")
     _, doc_id, text, time_raw = parts[:4]
-    if doc_id not in records:
+    if doc_id not in index:
         raise ValueError(f"doc_id {doc_id!r} not in manifest")
     if not (text.startswith("*") and text.endswith("*") and len(text) > 2):
         raise ValueError(f"marker text must be *-delimited: {text!r}")
-    records[doc_id][3].append(ParaMarker(text, _parse_int(time_raw, "timeMs")))
+    return index[doc_id], _parse_int(time_raw, "timeMs"), text
 
 
-def _add_tokens(rows: list[list[str]], linenos: list[int], records) -> list[tuple[int, str]]:
-    """Add a file's token records, the split lines ``rows`` at lines
-    ``linenos``, to the columns of their documents, and return the
-    (line, message) of each malformed one.  All start and end times are converted at once; only
-    when one is not an integer or ends before it starts are the records
-    looked at one by one, to find which."""
-    if not rows:
-        return []
-    _, docs, texts, starts, ends = list(zip(*rows))[:5]
+def _token_columns(docs, texts, starts, ends, num_docs: int):
+    """The (texts, starts, ends, offsets) columns of the token records
+    given by their fields, document by document, each document's
+    records in their order here; None when a time is not an int64
+    integer, a token ends before it starts or starts before the previous
+    token of its document ends."""
     try:
-        starts, ends = list(map(int, starts)), list(map(int, ends))
-        well_formed = not any(map(operator.lt, ends, starts))
-    except ValueError:
-        well_formed = False
-    if not well_formed:
-        found, kept, kept_lines = [], [], []
-        for row, lineno in zip(rows, linenos):
+        starts = np.fromiter(map(int, starts), dtype=np.int64, count=len(starts))
+        ends = np.fromiter(map(int, ends), dtype=np.int64, count=len(ends))
+    except (ValueError, OverflowError):
+        return None
+    doc = np.array(docs, dtype=np.intp)
+    if (doc[1:] < doc[:-1]).any():  # records of a document in several files
+        order = np.argsort(doc, kind="stable")
+        doc, starts, ends = doc[order], starts[order], ends[order]
+        texts = list(map(texts.__getitem__, order.tolist()))
+    if (ends < starts).any() or ((starts[1:] < ends[:-1]) & (doc[1:] == doc[:-1])).any():
+        return None
+    return texts, starts, ends, _offsets(np.bincount(doc, minlength=num_docs))
+
+
+def _token_problems(root: Path, entries, fields, files) -> list[tuple[str, int, str]]:
+    """The problems of the token records given by their ``fields``, one
+    record at a time: each malformed one is added at its line to the
+    problems of its file in ``files``, and each document whose remaining
+    token times the ``Transcript`` constructor rejects is returned, at
+    line 0 of its manifest file."""
+    columns = [([], [], []) for _ in entries]
+    records = zip(*fields)
+    for _, lines, found in files:
+        for lineno, (doc, text, start, end) in zip(lines, records):
             try:
-                start, end = _parse_int(row[3], "startMs"), _parse_int(row[4], "endMs")
+                start, end = _parse_int(start, "startMs"), _parse_int(end, "endMs")
                 if end < start:
                     raise ValueError(f"endMs {end} < startMs {start}")
             except ValueError as exc:
                 found.append((lineno, str(exc)))
-            else:
-                kept.append(row)
-                kept_lines.append(lineno)
-        return found + _add_tokens(kept, kept_lines, records)
-    at = 0
-    for doc_id, run in itertools.groupby(docs):  # each run of one document's records
-        size = len(list(run))
-        columns = records[doc_id]
-        for column, values in zip(columns, (texts, starts, ends)):
-            column.extend(values[at : at + size])
-        at += size
-    return []
+                continue
+            for column, value in zip(columns[doc], (text, start, end)):
+                column.append(value)
+    problems = []
+    for (doc_id, filename, valences), doc_columns in zip(entries, columns):
+        try:
+            Transcript(doc_id, *doc_columns, valences=valences)
+        except InvalidInputError as exc:
+            problems.append((os.path.join(root, filename), 0, str(exc)))
+    return problems
 
 
 def save_corpus(corpus: list[Transcript], path: str | Path, ipu_index=None):

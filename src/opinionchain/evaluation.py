@@ -20,7 +20,7 @@ from .baseline import LogRegPredictor, aggregate_document_vector, train_logreg
 from .corpus import LABEL_NAMES, Transcript
 from .errors import InvalidInputError
 from .features.pipeline import FeaturePipeline, PipelineConfig, SegmentedDocument
-from .model import ObservationSequence
+from .model import ObservationSequence, SequenceBlock
 from .training import HcrfPredictor, TrainingConfig, fit_predictor
 
 # grids swept by the reference protocol
@@ -206,8 +206,11 @@ def compute_metrics(
 class Predictor(Protocol):
     """What every trained model offers: the (N, Y) label posteriors of a
     batch of sequences, one row per sequence, whose argmax is the
-    prediction (exact ties go to the lowest label index), and the
-    hyperparameters it was fit with."""
+    prediction (exact ties go to the lowest label index), given as
+    ``SequenceBlock``s or as sequences (which are stacked into blocks),
+    and the hyperparameters it was fit with."""
+
+    def posterior_blocks(self, blocks: Iterable[SequenceBlock]) -> np.ndarray: ...
 
     def posterior_batch(self, seqs: Iterable[ObservationSequence]) -> np.ndarray: ...
 

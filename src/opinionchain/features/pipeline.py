@@ -9,33 +9,38 @@ once.  The returned ``FittedFeaturePipeline`` is immutable and its
 transforming held-out documents cannot leak fold statistics.
 
 Documents are featurized a chunk at a time (``training.SCORING_CHUNK``
-of them), each chunk's tokens as ids into a type table of the chunk's
-own (``token_chunk``), which works out once per distinct token what the
-bong and pattern blocks read of it; nothing is kept between chunks.  The
-pattern and paralinguistic counts of all the chunk's IPUs are then one
-``np.bincount`` each, and the bong entries one ``np.unique``
-(``vectorize_bong``); only the embedding and lexicon rows are built one
-IPU at a time.  A chunk's bong entries are checked once, and its
-documents' sparse blocks are then built without checks of their own.  A
-document's sequence does not depend on the chunk it is in.
-``fit_bong`` reads a ``TokenChunk`` too: the training documents are
-numbered as one chunk, one unit per document.
+of them, a ``SegmentedChunk``), each chunk's tokens as ids into a type
+table of the chunk's own (``token_chunk``), which works out once per
+distinct token what the bong and pattern blocks read of it; nothing is
+kept between chunks.  The pattern and paralinguistic counts of all the
+chunk's IPUs are then one ``np.bincount`` each, and the bong entries one
+``np.unique`` (``vectorize_bong``); only the embedding and lexicon rows
+are built one IPU at a time.  A chunk's rows are standardized at once
+into one ``model.SequenceBlock``, which is checked once; ``transform``
+splits it into the documents' sequences.  A document's rows do not
+depend on the chunk it is in.  ``fit_bong`` reads a ``TokenChunk`` too:
+the training documents are numbered as one chunk, one unit per document.
 
-A transcript's tokens are columns (``corpus.Transcript``), and
-segmentation cuts them at the indices ``segment_into_ipus`` finds;
-tokenization runs once per distinct token string of a call.
-Segmentation and tokenization depend only on the configuration, never
-on fitted state: ``FeaturePipeline.segment`` does them once, and both
-``fit_transform`` and ``transform`` accept its ``SegmentedDocument`` in
-place of a transcript.  Of the blocks, only bong is fitted (its vocabulary), so
-``FeaturePipeline.prepare`` also builds the rows of all the others
-once; cross-validation prepares each document once for all of its folds
-and computes only the bong rows and the standardizer per fold.
+``FittedFeaturePipeline.blocks`` is ``predict``'s path: it takes a
+corpus as columns (``corpus.CorpusColumns``) and carries each chunk of
+them to its block with no object made per document.  A chunk's columns
+are cut at the indices ``segment_into_ipus`` finds, and tokenization
+runs once per distinct token string of the chunk
+(``_segment_chunk``).  Transcripts are segmented the same way, as the
+columns of one chunk.  Segmentation and tokenization depend only on the
+configuration, never on fitted state: ``FeaturePipeline.segment`` does
+them once, and both ``fit_transform`` and ``transform`` accept its
+``SegmentedDocument`` in place of a transcript.  Of the blocks, only
+bong is fitted (its vocabulary), so ``FeaturePipeline.prepare`` also
+builds the rows of all the others once; cross-validation prepares each
+document once for all of its folds and computes only the bong rows and
+the standardizer per fold.
 
 Which static files the pipeline reads is decided in one place,
 ``resource_paths``: ``_load_resources`` reads every file from it, and
-records each file's sha256 as it reads it, which an archive of the
-fitted pipeline stores (``FittedFeaturePipeline.resource_digests``).
+records each file's sha256, which an archive of the fitted pipeline
+stores (``FittedFeaturePipeline.resource_digests``); loading an archive
+hashes each file once, to check it, and records those digests.
 
 Feature blocks are concatenated in a fixed canonical order (bong |
 embedding | lexicon | pattern | paralinguistic) and the layout is
@@ -49,14 +54,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..corpus import Transcript
+from ..corpus import CorpusColumns, Transcript
 from ..errors import ConfigurationError, InvalidInputError, check_field_types
-from ..model import ObservationSequence, SparseRows, check_sparse_entries
+from ..model import ObservationSequence, SequenceBlock, SparseRows
 from ..training import chunked
 from . import resources as res
 from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
@@ -289,9 +295,12 @@ class _Resources:
     digests: dict = field(default_factory=dict)  # role -> sha256 of the file read
 
 
-def _load_resources(config: PipelineConfig) -> _Resources:
+def _load_resources(config: PipelineConfig, digests: dict[str, str] | None = None) -> _Resources:
     """The resources of ``config``'s blocks, each read from its file in
-    ``resource_paths``, with the digest of every file as it was read."""
+    ``resource_paths``, with the digest of every file: ``digests`` if
+    the caller has hashed them already (an archive checks its stored
+    ones before any file is parsed), else each file's as hashed here
+    once it is read."""
     paths = resource_paths(config)
     kwargs = {}
     if "embedding" in config.blocks:
@@ -317,8 +326,9 @@ def _load_resources(config: PipelineConfig) -> _Resources:
         kwargs["tagger"] = res.load_tagger(paths["tagger_lexicon"], tag_set=config.tag_set)
     if "paralinguistic" in config.blocks:
         kwargs["marker_map"] = res.load_marker_map(paths["markers"])
-    digests = {role: sha256_file(path) for role, path in paths.items()}
-    return _Resources(**kwargs, digests=digests)
+    if digests is None:
+        digests = {role: sha256_file(path) for role, path in paths.items()}
+    return _Resources(**kwargs, digests=dict(digests))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,31 +348,76 @@ class SegmentedDocument:
     fixed_config: PipelineConfig | None = None
 
 
-def _segmented(docs, config: PipelineConfig) -> list[SegmentedDocument]:
-    """``docs`` segmented under ``config``.  A transcript is segmented
-    here: cut at the bounds ``segment_into_ipus`` finds.  Each distinct
-    token string of the call's transcripts is tokenized once, and the
-    words of all their tokens are laid end to end in one list, so an
-    IPU's tokens are one slice of it.  A ``SegmentedDocument`` must come
-    from the same threshold, and its fixed rows, if any, from the same
-    configuration."""
-    texts = [text for doc in docs if not isinstance(doc, SegmentedDocument) for text in doc.texts]
-    distinct = list(dict.fromkeys(texts))
+@dataclass(frozen=True, eq=False)
+class SegmentedChunk:
+    """A chunk of N documents cut into U IPUs, the unit the feature blocks
+    and the standardizer work on: IPU u's words are ``units[u]`` and its
+    markers ``events[u]``, and document i's IPUs are
+    ``bounds[i]:bounds[i + 1]``.  ``fixed_rows``, if given, holds the
+    (U, D') rows of every enabled block but bong, as
+    ``FeaturePipeline.prepare`` built them."""
+
+    doc_ids: tuple[str, ...]
+    units: list[list[str]]
+    events: list[tuple[str, ...]]
+    bounds: list[int]
+    fixed_rows: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, segs: list[SegmentedDocument]) -> "SegmentedChunk":
+        """The documents ``segs`` as one chunk, with their fixed rows if
+        every one of them is prepared."""
+        prepared = all(seg.fixed_rows is not None for seg in segs)
+        return cls(
+            tuple(seg.doc_id for seg in segs),
+            [tokens for seg in segs for tokens in seg.tokens],
+            [events for seg in segs for events in seg.para_events],
+            [0, *itertools.accumulate(len(seg.tokens) for seg in segs)],
+            np.concatenate([seg.fixed_rows for seg in segs]) if prepared else None,
+        )
+
+    def documents(self, threshold_ms: int) -> list[SegmentedDocument]:
+        """One ``SegmentedDocument`` per document of the chunk."""
+        bounds = self.bounds
+        return [
+            SegmentedDocument(
+                doc_id, tuple(self.units[lo:hi]), tuple(self.events[lo:hi]), threshold_ms
+            )
+            for doc_id, lo, hi in zip(self.doc_ids, bounds, bounds[1:])
+        ]
+
+
+def _segment_chunk(chunk: CorpusColumns, config: PipelineConfig) -> SegmentedChunk:
+    """The documents of ``chunk`` cut into IPUs (``segment_into_ipus``)
+    and tokenized.  Each distinct token string of the chunk is tokenized
+    once, and the words of all its tokens are laid end to end in one
+    list, so an IPU's words are one slice of it."""
+    cuts = segment_into_ipus(chunk, config.threshold_ms)
+    distinct = list(dict.fromkeys(chunk.texts))
     words = dict(zip(distinct, tokenize_many(distinct)))
-    per_token = list(map(words.__getitem__, texts))
+    per_token = list(map(words.__getitem__, chunk.texts))
     flat = list(itertools.chain.from_iterable(per_token))
     word_at = list(itertools.accumulate(map(len, per_token), initial=0))  # token i's first word
-    segmented, first = [], 0  # the document's first token among ``texts``
+    at = [word_at[bound] for bound in cuts.bounds.tolist()]
+    units = [flat[lo:hi] for lo, hi in zip(at, at[1:])]
+    return SegmentedChunk(chunk.doc_ids, units, cuts.events, cuts.docs.tolist())
+
+
+def _segmented(docs, config: PipelineConfig) -> list[SegmentedDocument]:
+    """``docs`` segmented under ``config``.  Their transcripts are
+    segmented here, as one chunk (``_segment_chunk``).  A
+    ``SegmentedDocument`` must come from the same threshold, and its
+    fixed rows, if any, from the same configuration."""
+    transcripts = [doc for doc in docs if not isinstance(doc, SegmentedDocument)]
+    chunk = _segment_chunk(CorpusColumns.from_transcripts(transcripts), config)
+    cut = iter(chunk.documents(config.threshold_ms))
+    segmented = []
     for doc in docs:
         if isinstance(doc, SegmentedDocument):
             _check_segmented(doc, config)
             segmented.append(doc)
-            continue
-        bounds, events = segment_into_ipus(doc, config.threshold_ms)
-        at = [word_at[first + bound] for bound in bounds]
-        tokens = tuple(flat[lo:hi] for lo, hi in zip(at, at[1:]))
-        first += len(doc.texts)
-        segmented.append(SegmentedDocument(doc.doc_id, tokens, tuple(events), config.threshold_ms))
+        else:
+            segmented.append(next(cut))
     return segmented
 
 
@@ -378,37 +433,26 @@ def _check_segmented(doc: SegmentedDocument, config: PipelineConfig):
         )
 
 
-def _featurizable(docs, config: PipelineConfig) -> list[SegmentedDocument]:
-    """``docs`` segmented under ``config``, each checked to have an IPU."""
-    segmented = _segmented(docs, config)
-    for seg in segmented:
-        _require_ipus(seg)
-    return segmented
-
-
-def _require_ipus(seg: SegmentedDocument):
-    if not seg.tokens:
-        raise InvalidInputError(
-            f"{seg.doc_id}: no IPUs (tokenless document cannot be featurized)"
-        )
+def _require_ipus(chunk: SegmentedChunk):
+    """Raise InvalidInputError naming the chunk's first document with no IPU."""
+    bounds = chunk.bounds
+    for doc_id, lo, hi in zip(chunk.doc_ids, bounds, bounds[1:]):
+        if lo == hi:
+            raise InvalidInputError(
+                f"{doc_id}: no IPUs (tokenless document cannot be featurized)"
+            )
 
 
 def _token_chunk(
-    segs: list[SegmentedDocument], loaded: _Resources, pattern: bool, stems: bool
+    chunk: SegmentedChunk, loaded: _Resources, pattern: bool, stems: bool
 ) -> TokenChunk:
     """The chunk's IPUs as a ``TokenChunk``, with the pattern block's tag
     columns and flags if ``pattern`` and stem ids if ``stems``."""
-    units = [tokens for seg in segs for tokens in seg.tokens]
-    return token_chunk(units, loaded.tagger, loaded.pattern if pattern else None, stems)
-
-
-def _unit_bounds(segs: list[SegmentedDocument]) -> list[int]:
-    """Where each document's IPUs start among the chunk's, and the end."""
-    return [0, *itertools.accumulate(len(seg.tokens) for seg in segs)]
+    return token_chunk(chunk.units, loaded.tagger, loaded.pattern if pattern else None, stems)
 
 
 def _fixed_rows(
-    segs: list[SegmentedDocument],
+    chunk: SegmentedChunk,
     config: PipelineConfig,
     loaded: _Resources,
     tokens: TokenChunk | None = None,
@@ -422,25 +466,23 @@ def _fixed_rows(
     per_ipu = [block for block in config.blocks if block in ("embedding", "lexicon")]
     if per_ipu:
         rows = []
-        for seg in segs:
-            for unit in seg.tokens:
-                parts = [
-                    embed_tokens(unit, loaded.embedding, loaded.stopwords)
-                    if block == "embedding"
-                    else lexicon_features(unit, loaded.lexicons, loaded.modifiers)
-                    for block in per_ipu
-                ]
-                rows.append(np.concatenate(parts))
+        for unit in chunk.units:
+            parts = [
+                embed_tokens(unit, loaded.embedding, loaded.stopwords)
+                if block == "embedding"
+                else lexicon_features(unit, loaded.lexicons, loaded.modifiers)
+                for block in per_ipu
+            ]
+            rows.append(np.concatenate(parts))
         blocks.append(np.array(rows))
     if "pattern" in config.blocks:
         if tokens is None:
-            tokens = _token_chunk(segs, loaded, pattern=True, stems=False)
+            tokens = _token_chunk(chunk, loaded, pattern=True, stems=False)
         blocks.append(pattern_features(tokens, loaded.pattern))
     if "paralinguistic" in config.blocks:
-        events = [unit for seg in segs for unit in seg.para_events]
-        blocks.append(paralinguistic_features(events, loaded.marker_map))
+        blocks.append(paralinguistic_features(chunk.events, loaded.marker_map))
     if not blocks:
-        return np.empty((_unit_bounds(segs)[-1], 0))
+        return np.empty((len(chunk.units), 0))
     return np.concatenate(blocks, axis=1)
 
 
@@ -471,11 +513,13 @@ class FeaturePipeline:
         number of fits and transforms under this configuration; only the
         bong rows and the standardizer are then computed per fit."""
         prepared = []
-        for chunk in chunked(docs):
-            segs = _featurizable(chunk, self.config)
-            rows = _fixed_rows(segs, self.config, self._resources())
+        for part in chunked(docs):
+            segs = _segmented(part, self.config)
+            chunk = SegmentedChunk.of(segs)
+            _require_ipus(chunk)
+            rows = _fixed_rows(chunk, self.config, self._resources())
             rows.flags.writeable = False
-            bounds = _unit_bounds(segs)
+            bounds = chunk.bounds
             prepared.extend(
                 replace(seg, fixed_rows=rows[lo:hi], fixed_config=self.config)
                 for seg, lo, hi in zip(segs, bounds, bounds[1:])
@@ -515,9 +559,9 @@ class FeaturePipeline:
             standardizer=None,
             _resources=loaded,
         )
-        chunks = list(chunked(segmented))
-        for seg in segmented:
-            _require_ipus(seg)
+        chunks = [SegmentedChunk.of(part) for part in chunked(segmented)]
+        for chunk in chunks:
+            _require_ipus(chunk)
         raw = [fitted._raw_rows(chunk) for chunk in chunks]
         if config.standardize:
             sparse_columns = None
@@ -530,7 +574,7 @@ class FeaturePipeline:
         sequences = [
             sequence
             for chunk, (fixed, bong) in zip(chunks, raw)
-            for sequence in fitted._sequences(chunk, fixed, bong)
+            for sequence in fitted._block(chunk, fixed, bong).sequences()
         ]
         return fitted, sequences
 
@@ -614,63 +658,37 @@ class FittedFeaturePipeline:
         object.__setattr__(self, "_bong_divisor", divisor)
         object.__setattr__(self, "_bong_offset", offset)
 
-    def _raw_rows(self, segs: list[SegmentedDocument]):
+    def _raw_rows(self, chunk: SegmentedChunk):
         """A chunk's rows before standardizing: the (U, D') rows of every
         block but bong over its U IPUs, and the bong rows as (rows,
         indices, values) of their nonzero entries, None without bong."""
-        prepared = all(seg.fixed_rows is not None for seg in segs)
+        prepared = chunk.fixed_rows is not None
         tokens = None
         if self.vocabulary is not None:
-            tokens = _token_chunk(segs, self._resources, pattern=not prepared, stems=True)
-        if prepared:
-            fixed = np.concatenate([seg.fixed_rows for seg in segs])
-        else:  # a chunk with an unprepared document is built whole
-            fixed = _fixed_rows(segs, self.config, self._resources, tokens)
+            tokens = _token_chunk(chunk, self._resources, pattern=not prepared, stems=True)
+        fixed = chunk.fixed_rows
+        if not prepared:  # a chunk with an unprepared document is built whole
+            fixed = _fixed_rows(chunk, self.config, self._resources, tokens)
         bong = None if tokens is None else vectorize_bong(tokens, self.vocabulary)
         return fixed, bong
 
-    def _sequences(self, segs, fixed: np.ndarray, bong) -> list[ObservationSequence]:
-        """The chunk's sequences, from its raw rows (``_raw_rows``): the
-        dense rows standardized at once, the bong values divided at
-        once, then both split by document.
-
-        The chunk's bong entries are checked once, here: in row order
-        (so each document's cut of them lies within its own IPUs), and
-        within the chunk's block with finite values
-        (``check_sparse_entries``).  Each document's ``SparseRows`` is
-        then built as checked; its dense rows are checked by its
-        ``ObservationSequence``."""
+    def _block(self, chunk: SegmentedChunk, fixed: np.ndarray, bong) -> SequenceBlock:
+        """The chunk's sequences as one block, from its raw rows
+        (``_raw_rows``): the dense rows standardized at once and the bong
+        values divided at once.  The block is checked once, as a whole
+        (``SparseRows``, ``SequenceBlock``)."""
         if self._fixed_standardizer is not None:
             fixed = self._fixed_standardizer.apply(fixed)
-        bounds = _unit_bounds(segs)
+        sparse = None
         if bong is not None:
             rows, indices, values = bong
-            width = len(self.vocabulary)
-            if (rows[1:] < rows[:-1]).any():
-                raise InvalidInputError("sparse entries out of order")
             if self._bong_divisor is not None:
                 # a column outside the vocabulary is clipped here and
-                # rejected by the check that follows
+                # rejected by the ``SparseRows`` check
                 values = values / self._bong_divisor.take(indices, mode="clip")
-            check_sparse_entries(rows, indices, values, bounds[-1], width)
-            cuts = np.searchsorted(rows, bounds).tolist()
-        sequences = []
-        for k, seg in enumerate(segs):
-            lo, hi = bounds[k], bounds[k + 1]
-            sparse = None
-            if bong is not None:
-                a, b = cuts[k], cuts[k + 1]
-                sparse = SparseRows(
-                    rows[a:b] - lo,
-                    indices[a:b],
-                    values[a:b],
-                    hi - lo,
-                    width,
-                    self._bong_offset,
-                    checked=True,
-                )
-            sequences.append(ObservationSequence(seg.doc_id, fixed[lo:hi], sparse))
-        return sequences
+            width = len(self.vocabulary)
+            sparse = SparseRows(rows, indices, values, len(fixed), width, self._bong_offset)
+        return SequenceBlock(chunk.doc_ids, fixed, sparse, chunk.bounds)
 
     @property
     def resource_digests(self) -> dict[str, str]:
@@ -679,16 +697,35 @@ class FittedFeaturePipeline:
         whatever has happened to them since."""
         return dict(self._resources.digests)
 
+    @property
+    def embedding_table(self) -> EmbeddingTable | None:
+        """The embedding table the embedding block reads, None without
+        that block."""
+        return self._resources.embedding
+
     def transform(self, docs) -> list[ObservationSequence]:
         """The observation sequences of ``docs`` (transcripts or
         ``SegmentedDocument``s), featurized a chunk of documents at a
         time; a document's sequence is the same, bit for bit, whatever
         chunk it is in."""
         sequences = []
-        for chunk in chunked(docs):
-            segs = _featurizable(chunk, self.config)
-            sequences.extend(self._sequences(segs, *self._raw_rows(segs)))
+        for part in chunked(docs):
+            chunk = SegmentedChunk.of(_segmented(part, self.config))
+            _require_ipus(chunk)
+            sequences += self._block(chunk, *self._raw_rows(chunk)).sequences()
         return sequences
+
+    def blocks(self, corpus: CorpusColumns) -> Iterator[SequenceBlock]:
+        """The sequences of the documents of ``corpus``, one block per
+        chunk of ``training.SCORING_CHUNK`` documents, in order.  A chunk
+        goes from its columns to its block as one set of columns:
+        segmented and tokenized (``_segment_chunk``), featurized and
+        standardized, with no object made per document; each document's
+        rows are bitwise those ``transform`` gives it."""
+        for ids in chunked(range(len(corpus))):
+            chunk = _segment_chunk(corpus.select(ids[0], ids[-1] + 1), self.config)
+            _require_ipus(chunk)
+            yield self._block(chunk, *self._raw_rows(chunk))
 
     def state_checksum(self) -> str:
         """Digest of everything learned from data; used to prove that

@@ -12,7 +12,7 @@ import math
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from ..errors import FileFormatError, read_utf8
+from ..errors import ConfigurationError, FileFormatError, read_utf8
 from .lexicons import ModifierLists
 from .paralinguistic import CATEGORIES
 from .patterns import DEFAULT_TAG_SET, OTHER_TAG, PatternResources, RuleTagger
@@ -156,8 +156,12 @@ def load_tagger(path=None, tag_set=DEFAULT_TAG_SET) -> RuleTagger:
     path = path or default_resource_path("tagger_lexicon")
     table = load_word_table(path, "tagger-lexicon/v1", ("word", "tag"))
     bad = sorted(set(table.values()) - set(tag_set) - {OTHER_TAG})
-    if bad:
+    if not set(bad) <= set(DEFAULT_TAG_SET):  # a tag no tag set has: the lexicon is at fault
         raise FileFormatError(f"{path}: tags {bad} not in {tag_set}")
+    if bad:
+        raise ConfigurationError(
+            f"tag_set {tuple(tag_set)} leaves out tags {bad} of the tagger lexicon {path}"
+        )
     return RuleTagger(lexicon=table, tag_set=tuple(tag_set))
 
 

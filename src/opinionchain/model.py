@@ -8,11 +8,13 @@ configuration ``(y, h, x)`` is
                    + sum_j W_state[y, h_j]
                    + sum_{j<L} W_trans[y, h_j, h_{j+1}]
 
-and the label posterior marginalizes the latent states per label.  The
-emission scores ``<x_j, W_obs[h]>`` come from :func:`emission_scores`,
-which reads a sequence's sparse block (:class:`SparseRows`) by a
-gather-and-sum and applies a context window as shifted per-block
-scores, so neither the dense rows nor the windowed ones are built.  All
+and the label posterior marginalizes the latent states per label.
+Prediction scores sequences stacked into a :class:`SequenceBlock`,
+checked once for all of them; the emission scores ``<x_j, W_obs[h]>``
+come from :func:`emission_scores`, which reads the block's sparse rows
+(:class:`SparseRows`) by one gather-and-sum and applies a context window
+as shifted per-block scores, so neither the dense rows nor the windowed
+ones are built.  All
 inference goes through one kernel, batched over labels and over chains
 of any mix of lengths: :func:`forward` gives the log-partitions, which
 is all the label posteriors (:func:`label_posteriors`) need, and
@@ -58,23 +60,10 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-def _scatter_add(cells: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+def scatter_add(cells: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """(size,) sums of ``values`` by cell; float zeros for no values, for
     which ``np.bincount`` would return integers."""
     return np.bincount(cells, values, minlength=size).astype(np.float64, copy=False)
-
-
-def check_sparse_entries(rows, indices, values, num_rows: int, width: int):
-    """Raise InvalidInputError unless every sparse entry (row, index,
-    value) lies in a (num_rows, width) block and every value is finite:
-    the check ``SparseRows`` makes, also made once on a chunk's entries
-    before they are cut into the blocks of its documents."""
-    if rows.size and (
-        rows.min() < 0 or rows.max() >= num_rows or indices.min() < 0 or indices.max() >= width
-    ):
-        raise InvalidInputError(f"sparse entries outside a ({num_rows}, {width}) block")
-    if not np.isfinite(values).all():
-        raise InvalidInputError("non-finite sparse feature values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +85,8 @@ class SparseRows:
     num_rows: int
     width: int
     offset: np.ndarray | None = None  # (width,)
-    # set by a caller that has already checked the entries
-    # (``check_sparse_entries``) and ``offset`` (width float64 finite
-    # values), as a chunk of documents' blocks and their shared offset
-    # are checked once
+    # set by a caller that cuts these entries, and ``offset``, out of a
+    # block already checked (``SequenceBlock.sequences``)
     checked: InitVar[bool] = False
 
     def __post_init__(self, checked):
@@ -113,7 +100,14 @@ class SparseRows:
                 "sparse rows, indices and values must be equal-length vectors"
             )
         if not checked:
-            check_sparse_entries(rows, indices, values, self.num_rows, self.width)
+            num_rows, width = self.num_rows, self.width
+            if rows.size and (
+                rows.min() < 0 or rows.max() >= num_rows or indices.min() < 0
+                or indices.max() >= width
+            ):
+                raise InvalidInputError(f"sparse entries outside a ({num_rows}, {width}) block")
+            if not np.isfinite(values).all():
+                raise InvalidInputError("non-finite sparse feature values")
         if self.offset is not None and not checked:
             offset = np.asarray(self.offset, dtype=np.float64)
             if offset.shape != (self.width,) or not np.isfinite(offset).all():
@@ -130,7 +124,7 @@ class SparseRows:
         num_k = weights.shape[0]
         terms = weights[:, self.indices] * self.values  # (K, nnz)
         cells = (self.rows + self.num_rows * np.arange(num_k)[:, None]).ravel()
-        out = _scatter_add(cells, terms.ravel(), num_k * self.num_rows)
+        out = scatter_add(cells, terms.ravel(), num_k * self.num_rows)
         out = out.reshape(num_k, self.num_rows).T
         if self.offset is not None:
             out += weights @ self.offset
@@ -144,7 +138,7 @@ class SparseRows:
         num_k = row_weights.shape[1]
         terms = row_weights[self.rows].T * self.values  # (K, nnz)
         cells = (self.indices + self.width * np.arange(num_k)[:, None]).ravel()
-        out = _scatter_add(cells, terms.ravel(), num_k * self.width)
+        out = scatter_add(cells, terms.ravel(), num_k * self.width)
         out = out.reshape(num_k, self.width)
         if self.offset is not None:
             out += np.outer(row_weights.sum(axis=0), self.offset)
@@ -378,29 +372,122 @@ def stack_sparse(parts: list[SparseRows], rows: list[np.ndarray], num_rows: int)
     )
 
 
-def emission_scores(
-    xs: list[ObservationSequence], theta_obs: np.ndarray, window: int
-) -> list[np.ndarray]:
-    """The (L, H) emission scores of each sequence of ``xs`` under a
-    context window, each bitwise what the sequence alone gives.  The
-    sparse blocks of sequences that share one layout are stacked and
-    scored in one call; a per-sequence call would spend more on numpy's
-    per-call overhead than on the few entries of each sequence."""
-    if not xs:
+@dataclass(frozen=True, eq=False)
+class SequenceBlock:
+    """N sequences stacked, the unit that prediction scores: sequence i,
+    named ``doc_ids[i]``, is rows ``bounds[i]:bounds[i + 1]`` of the
+    dense (U, D') ``features`` and of the (U, V) ``sparse`` block, if
+    there is one, whose columns come first (as in an
+    :class:`ObservationSequence`).
+
+    The block is checked once at construction, for all of its
+    sequences: every sequence has at least one row, every dense value is
+    finite, and the sparse entries are in row order, so that each
+    sequence's entries are one run of them (``SparseRows`` checks their
+    columns and values)."""
+
+    doc_ids: tuple[str, ...]
+    features: np.ndarray
+    sparse: SparseRows | None
+    bounds: np.ndarray
+
+    def __post_init__(self):
+        feats = np.asarray(self.features, dtype=np.float64)
+        bounds = np.asarray(self.bounds, dtype=np.intp)
+        if feats.ndim != 2:
+            raise InvalidInputError(f"features must be 2-D (U, D), got shape {feats.shape}")
+        if bounds.shape != (len(self.doc_ids) + 1,) or bounds[0] != 0 or bounds[-1] != len(feats):
+            raise InvalidInputError(
+                f"sequence bounds {bounds.tolist()} do not split {len(feats)} rows "
+                f"into {len(self.doc_ids)} sequences"
+            )
+        empty = np.flatnonzero(bounds[1:] <= bounds[:-1])
+        if empty.size:
+            raise InvalidInputError(
+                f"{self.doc_ids[empty[0]]}: a sequence needs at least one segment"
+            )
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if bad.size:
+            doc = np.searchsorted(bounds, bad[0], side="right") - 1
+            raise InvalidInputError(f"{self.doc_ids[doc]}: non-finite feature values")
+        sparse = self.sparse
+        if sparse is not None:
+            if sparse.num_rows != len(feats):
+                raise InvalidInputError(
+                    f"{sparse.num_rows} sparse rows for {len(feats)} segments"
+                )
+            if (sparse.rows[1:] < sparse.rows[:-1]).any():
+                raise InvalidInputError("sparse entries out of order")
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "bounds", bounds)
+
+    @property
+    def dim(self) -> int:
+        width = 0 if self.sparse is None else self.sparse.width
+        return width + self.features.shape[1]
+
+    def sequences(self) -> list[ObservationSequence]:
+        """The block's sequences, each on its own rows and its run of the
+        sparse entries."""
+        bounds, sparse = self.bounds.tolist(), self.sparse
+        if sparse is not None:
+            cuts = np.searchsorted(sparse.rows, bounds).tolist()
+        sequences = []
+        for k, doc_id in enumerate(self.doc_ids):
+            lo, hi = bounds[k], bounds[k + 1]
+            part = None
+            if sparse is not None:
+                a, b = cuts[k], cuts[k + 1]
+                part = SparseRows(
+                    sparse.rows[a:b] - lo,
+                    sparse.indices[a:b],
+                    sparse.values[a:b],
+                    hi - lo,
+                    sparse.width,
+                    sparse.offset,
+                    checked=True,
+                )
+            sequences.append(ObservationSequence(doc_id, self.features[lo:hi], part))
+        return sequences
+
+
+def stack_sequences(xs: list[ObservationSequence]) -> list[SequenceBlock]:
+    """``xs`` as blocks: each maximal run of consecutive sequences of one
+    layout (dense width, and :func:`same_sparse_layout`) is one block."""
+    runs: list[list[ObservationSequence]] = []
+    for x in xs:
+        if runs and (
+            x.features.shape[1] == runs[-1][0].features.shape[1]
+            and same_sparse_layout([runs[-1][0], x])
+        ):
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    blocks = []
+    for run in runs:
+        bounds = np.cumsum([0] + [x.length for x in run])
+        sparse = None
+        if run[0].sparse is not None:
+            rows = [x.sparse.rows + start for x, start in zip(run, bounds.tolist())]
+            sparse = stack_sparse([x.sparse for x in run], rows, int(bounds[-1]))
+        features = np.concatenate([x.features for x in run])
+        blocks.append(SequenceBlock(tuple(x.doc_id for x in run), features, sparse, bounds))
+    return blocks
+
+
+def emission_scores(block: SequenceBlock, theta_obs: np.ndarray, window: int) -> list[np.ndarray]:
+    """The (L, H) emission scores of each sequence of ``block`` under a
+    context window, each bitwise what the sequence alone gives: the
+    block's sparse rows are scored in one call, and each sequence's dense
+    rows get a matmul of their own (:func:`emission_blocks`).  A
+    per-sequence call would spend more on numpy's per-call overhead than
+    on the few entries of each sequence."""
+    bounds = block.bounds.tolist()
+    parts = [block.features[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if not parts:
         return []
-    if not same_sparse_layout(xs):
-        return [emission_scores([x], theta_obs, window)[0] for x in xs]
-    sparse = None
-    if xs[0].sparse is not None:
-        lengths = [x.length for x in xs]
-        starts = np.cumsum(lengths) - lengths
-        sparse = stack_sparse(
-            [x.sparse for x in xs],
-            [x.sparse.rows + start for x, start in zip(xs, starts)],
-            int(sum(lengths)),
-        )
-    blocks = emission_blocks([x.features for x in xs], sparse, theta_obs, window)
-    return [window_sum([shift[i] for shift in blocks], window) for i in range(len(xs))]
+    blocks = emission_blocks(parts, block.sparse, theta_obs, window)
+    return [window_sum([shift[i] for shift in blocks], window) for i in range(len(parts))]
 
 
 def node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:

@@ -27,12 +27,18 @@ product per shift of a context window).  The gradient comes back as one
 flat vector, in ``HcrfParameters.as_vector`` order, which is what the
 optimizer reads.  Nothing reads the grid's padding, and results are
 bitwise reproducible.
+
+Prediction (``HcrfPredictor.posterior_blocks``) scores blocks of
+sequences (``model.SequenceBlock``), a chunk of ``SCORING_CHUNK``
+documents each, as ``predict`` builds them from a corpus's columns;
+``posterior_batch`` stacks sequences into such blocks first.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +48,7 @@ from .model import (
     ChainLayout,
     HcrfParameters,
     ObservationSequence,
+    SequenceBlock,
     SparseRows,
     Workspace,
     backward,
@@ -53,6 +60,7 @@ from .model import (
     node_scores,
     same_sparse_layout,
     shift_rows,
+    stack_sequences,
     stack_sparse,
     window_sum,
 )
@@ -62,9 +70,9 @@ log = logging.getLogger(__name__)
 
 Dataset = list[tuple[ObservationSequence, int]]
 
-# documents featurized, and sequences scored per emission_scores call, at
-# once: enough to amortize numpy's per-call overhead, few enough to hold
-# their rows briefly
+# documents featurized, and sequences scored, as one block at once:
+# enough to amortize numpy's per-call overhead, few enough to hold their
+# rows briefly
 SCORING_CHUNK = 256
 
 
@@ -307,6 +315,13 @@ def chunked(items):
         yield chunk
 
 
+def sequence_blocks(xs) -> Iterator[SequenceBlock]:
+    """The sequences of ``xs`` (any iterable, read once) stacked into
+    blocks (``stack_sequences``), a chunk of them at a time."""
+    for chunk in chunked(xs):
+        yield from stack_sequences(chunk)
+
+
 @dataclass(frozen=True, eq=False)
 class HcrfPredictor:
     """Trained parameters plus the context window they were fit under.
@@ -318,25 +333,29 @@ class HcrfPredictor:
     params: HcrfParameters
     config: TrainingConfig
 
-    def posterior_batch(self, xs) -> np.ndarray:
-        """(N, Y) label posteriors of the sequences in ``xs`` (any
-        iterable, read once).  Sequences are read in chunks of
-        ``SCORING_CHUNK``, each scored by one ``emission_scores`` call,
-        and only their (L, H) emission scores are kept, so a generator of
-        sequences is never held in memory at once; one kernel call
-        covers every sequence, and each row is bitwise what the sequence
-        alone gives."""
+    def posterior_blocks(self, blocks) -> np.ndarray:
+        """(N, Y) label posteriors of the sequences of ``blocks`` (any
+        iterable of ``SequenceBlock``s, read once), in order.  Each block's
+        dimension is checked once and its emission scores taken by one
+        ``emission_scores`` call; only those are kept, so the blocks are
+        never held at once.  One kernel call then covers every sequence,
+        and each row is bitwise what the sequence alone gives."""
         window, theta_obs = self.config.context_window, self.params.theta_obs
         emissions = []
-        for chunk in chunked(xs):
-            for x in chunk:
-                if (2 * window + 1) * x.dim != self.params.feature_dim:
-                    raise InvalidInputError(
-                        f"{x.doc_id}: windowed dim {(2 * window + 1) * x.dim} != model dim "
-                        f"{self.params.feature_dim}"
-                    )
-            emissions.extend(emission_scores(chunk, theta_obs, window))
+        for block in blocks:
+            if (2 * window + 1) * block.dim != self.params.feature_dim:
+                raise InvalidInputError(
+                    f"{block.doc_ids[0]}: windowed dim {(2 * window + 1) * block.dim} != "
+                    f"model dim {self.params.feature_dim}"
+                )
+            emissions.extend(emission_scores(block, theta_obs, window))
         return label_posteriors(emissions, self.params)
+
+    def posterior_batch(self, xs) -> np.ndarray:
+        """(N, Y) label posteriors of the sequences in ``xs`` (any
+        iterable, read once): stacked into blocks, a chunk of
+        ``SCORING_CHUNK`` at a time, and scored by ``posterior_blocks``."""
+        return self.posterior_blocks(sequence_blocks(xs))
 
     def describe(self) -> dict:
         return {

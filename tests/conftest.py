@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from opinionchain.corpus import ParaMarker, Transcript
+from opinionchain.corpus import CorpusColumns, ParaMarker, Transcript
 from opinionchain.features.segmentation import segment_into_ipus
 from opinionchain.model import (
     ChainLayout,
@@ -51,10 +51,13 @@ def make_transcript(
 
 def ipus(doc, threshold_ms):
     """The (texts, markers) of each IPU of ``doc``, from the bounds and
-    marker tuples that ``segment_into_ipus`` gives."""
-    bounds, events = segment_into_ipus(doc, threshold_ms)
-    assert len(bounds) == len(events) + 1
-    return [(doc.texts[lo:hi], attached) for lo, hi, attached in zip(bounds, bounds[1:], events)]
+    marker tuples that ``segment_into_ipus`` gives for it alone."""
+    cuts = segment_into_ipus(CorpusColumns.from_transcripts([doc]), threshold_ms)
+    bounds = cuts.bounds.tolist()
+    assert cuts.docs.tolist() == [0, len(bounds) - 1] and len(cuts.events) == len(bounds) - 1
+    return [
+        (doc.texts[lo:hi], attached) for lo, hi, attached in zip(bounds, bounds[1:], cuts.events)
+    ]
 
 
 # fields of the fuzzed lines of a resource file: words, header names,

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,12 @@ from opinionchain.baseline import LogRegPredictor, aggregate_document_vector, tr
 from opinionchain.cli import main
 from opinionchain.corpus import save_corpus
 from opinionchain.errors import FileFormatError
-from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
+from opinionchain.features.pipeline import (
+    DEFAULT_BLOCKS,
+    FeaturePipeline,
+    PipelineConfig,
+    resource_paths,
+)
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from opinionchain.training import TrainingConfig, fit_predictor
 
@@ -333,6 +339,25 @@ class TestResourceDrift:
         save_archive(path, predictor, pipeline)
         with pytest.raises(FileFormatError, match="'embedding' .* changed since archiving"):
             load_archive(path)
+
+    def test_each_resource_is_hashed_once_per_load(self, tmp_path, monkeypatch):
+        """Loading checks the digests that the load itself records: each
+        of a default archive's six packaged files is hashed once."""
+        docs, pipeline = fitted_setup(tmp_path, blocks=DEFAULT_BLOCKS)
+        _, predictor = train_hcrf(docs, pipeline)
+        path = tmp_path / "model.json"
+        save_archive(path, predictor, pipeline)
+        hashed = Counter()
+        original = Path.read_bytes
+
+        def counting(self):
+            hashed[self] += 1
+            return original(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        load_archive(path)
+        paths = resource_paths(pipeline.config).values()
+        assert len(paths) == 6 and hashed == Counter(paths)
 
     def test_saved_again_byte_for_byte(self, tmp_path):
         path, _ = self.make_embedding_archive(tmp_path)

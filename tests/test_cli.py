@@ -23,7 +23,7 @@ from opinionchain.features.pipeline import PipelineConfig
 from opinionchain.synthetic import SyntheticSpec
 from opinionchain.training import TrainingConfig
 
-from conftest import make_transcript
+from conftest import ipus, make_transcript
 
 
 @pytest.fixture
@@ -127,16 +127,17 @@ def test_cli_import_does_not_load_scipy(tmp_path, generated):
 
 @pytest.fixture
 def segment_counts(monkeypatch):
-    """Calls of ``segment_into_ipus`` per document id, through both names
-    the program calls it by."""
+    """Segmentations of each document id by ``segment_into_ipus``, through
+    both names the program calls it by: each call segments a chunk of
+    documents once."""
     from opinionchain.features import pipeline, segmentation
 
     counts = Counter()
     original = segmentation.segment_into_ipus
 
-    def counting(transcript, threshold_ms):
-        counts[transcript.doc_id] += 1
-        return original(transcript, threshold_ms)
+    def counting(chunk, threshold_ms):
+        counts.update(chunk.doc_ids)
+        return original(chunk, threshold_ms)
 
     monkeypatch.setattr(pipeline, "segment_into_ipus", counting)
     monkeypatch.setattr(segmentation, "segment_into_ipus", counting)
@@ -253,12 +254,11 @@ class TestSegmentationCount:
         import dataclasses
 
         from opinionchain.corpus import load_corpus, save_corpus
-        from opinionchain.features.segmentation import segment_into_ipus
 
         corpus = load_corpus(generated / "corpus")
         neutral = dataclasses.replace(corpus[0], doc_id="neutral", valences=(3.0,))
         save_corpus(corpus + [neutral], tmp_path / "with_neutral")
-        want = sum(len(segment_into_ipus(doc, 300)[1]) for doc in corpus + [neutral])
+        want = sum(len(ipus(doc, 300)) for doc in corpus + [neutral])
         cfg = train_config_file(tmp_path, generated)
         argv = command + ["--corpus", str(tmp_path / "with_neutral"), "--out", str(tmp_path / "o")]
         assert main(argv + ["--config", cfg]) == 0
@@ -338,10 +338,9 @@ class TestSegment:
 
     def test_printed_and_logged_ipu_counts_match_a_direct_count(self, tmp_path, generated, capsys):
         from opinionchain.corpus import load_corpus
-        from opinionchain.features.segmentation import segment_into_ipus
 
         corpus = load_corpus(generated / "corpus")
-        want = sum(len(segment_into_ipus(doc, 150)[1]) for doc in corpus)
+        want = sum(len(ipus(doc, 150)) for doc in corpus)
         out = tmp_path / "s"
         argv = ["segment", "--corpus", str(generated / "corpus"), "--threshold-ms", "150"]
         assert main(argv + ["--out", str(out)]) == 0
@@ -746,6 +745,19 @@ class TestConfigFile:
         assert rc == 1
         [error] = error_lines(capsys)
         assert f"{key} must be an integer" in error
+
+    def test_tag_set_leaving_out_a_lexicon_tag_names_tag_set(self, tmp_path, generated, capsys):
+        """The packaged tagger lexicon is not to blame: the error names the
+        configured ``tag_set``, the tags it leaves out and the lexicon."""
+        cfg = write_config(tmp_path, {"pipeline": {"tag_set": []}})
+        rc = main(
+            ["train", "--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o"),
+             "--config", cfg]
+        )
+        assert rc == 1
+        [error] = error_lines(capsys)
+        assert error.startswith("error: tag_set () leaves out tags ['")
+        assert error.endswith("tagger_lexicon.tsv")
 
     def test_negative_training_seed_fails_with_one_error_line(self, tmp_path, generated, capsys):
         cfg = write_config(tmp_path, {"training": {"seed": -1}})

@@ -172,6 +172,15 @@ class TestLoadValidation:
         assert "cannot read the file" in err.value.problems[0][2]
 
 
+    def test_token_ending_before_it_starts_reported_at_its_line(self, tmp_path):
+        root = tmp_path / "c"
+        save_corpus([make_transcript("a", ("x",)), make_transcript("b", ("u", "v"))], root)
+        path = root / "b.txt"
+        path.write_text(path.read_text().replace("\t0\t200", "\t0\t-5"))
+        with pytest.raises(FileFormatError) as err:
+            load_corpus(root)
+        assert err.value.problems == [(str(path), 2, "endMs -5 < startMs 0")]
+
     def test_every_document_with_bad_times_reported(self, tmp_path):
         root = tmp_path / "c"
         save_corpus([make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))], root)

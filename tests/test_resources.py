@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionchain import errors
-from opinionchain.errors import FileFormatError
+from opinionchain.errors import ConfigurationError, FileFormatError
 from opinionchain.features import embeddings, lexicons
 from opinionchain.features import resources as res
 from opinionchain.features.pipeline import (
@@ -85,6 +85,10 @@ class TestWordTables:
         with pytest.raises(FileFormatError) as exc:
             load_tagger(lexicon)
         assert problem_lines(exc) == [4]
+
+    def test_tag_set_leaving_out_a_lexicon_tag_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match=r"^tag_set \('ADJ',\) leaves out tags \["):
+            load_tagger(tag_set=("ADJ",))
 
     def test_packaged_tables_load(self):
         modifiers = load_modifier_lists()

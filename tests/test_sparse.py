@@ -14,10 +14,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opinionchain.baseline import aggregate_document_vector
+from opinionchain.baseline import aggregate_document_vector, document_vectors
+from opinionchain.corpus import CorpusColumns
 from opinionchain.errors import InvalidInputError
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
-from opinionchain.model import HcrfParameters, ObservationSequence, SparseRows, label_posteriors
+from opinionchain.model import (
+    HcrfParameters,
+    ObservationSequence,
+    SparseRows,
+    label_posteriors,
+    stack_sequences,
+)
 from opinionchain import training
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from opinionchain.training import (
@@ -194,6 +201,21 @@ def test_document_vector_is_the_mean_of_the_dense_rows():
         )
 
 
+def test_document_vectors_add_up_each_sequence_alone():
+    """A block's mean vectors are bitwise each sequence's own: its sparse
+    columns summed by ``transpose_dot`` over its rows, over its length,
+    then its dense mean."""
+    pipeline, _ = fitted(standardize=True)
+    words = ("great", "movie", "the", "awful", "plot", "bad", "good")
+    docs = [make_transcript(f"n{n}", words[:n], gaps=[500] * (n - 1)) for n in (3, 5, 7)]
+    sequences = pipeline.transform(held_out() + docs)
+    [block] = stack_sequences(sequences)
+    for x, got in zip(sequences, document_vectors(block), strict=True):
+        sparse = x.sparse.transpose_dot(np.ones((x.length, 1)))[0] / x.length
+        assert np.array_equal(got, np.concatenate([sparse, x.features.mean(axis=0)]))
+        assert np.array_equal(got, aggregate_document_vector(x))
+
+
 def test_training_set_must_share_one_sparse_layout():
     pipeline, sequences = fitted(standardize=True)
     other, _ = fitted(standardize=False)
@@ -236,10 +258,11 @@ def test_sparse_rows_validated(kwargs, match):
     ],
 )
 def test_transform_rejects_faulty_chunk_rows(monkeypatch, standardize, fault, match):
-    """A chunk's rows are checked once, before its sequences are built
-    without checks of their own: bong entries that ``vectorize_bong``
-    returns out of range, out of order or not finite, or a dense row
-    that is not finite, still make ``transform`` raise."""
+    """A chunk's rows are checked once, as one block, before its
+    sequences are cut from it without checks of their own: bong entries
+    that ``vectorize_bong`` returns out of range, out of order or not
+    finite, or a dense row that is not finite, still make ``transform``
+    raise, and ``blocks``, which ``predict`` scores."""
     from opinionchain.features import pipeline as module
 
     pipeline, _ = fitted(standardize)
@@ -267,6 +290,8 @@ def test_transform_rejects_faulty_chunk_rows(monkeypatch, standardize, fault, ma
     monkeypatch.setattr(module, "pattern_features", faulty_patterns)
     with pytest.raises(InvalidInputError, match=match):
         pipeline.transform(held_out())
+    with pytest.raises(InvalidInputError, match=match):
+        list(pipeline.blocks(CorpusColumns.from_transcripts(held_out())))
 
 
 def test_transform_rejects_a_value_that_overflows_when_standardized(monkeypatch):

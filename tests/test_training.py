@@ -14,6 +14,7 @@ from opinionchain.model import (
     forward,
     label_log_posteriors,
     node_scores,
+    stack_sequences,
     window_sum,
 )
 from opinionchain.training import (
@@ -30,6 +31,13 @@ from oracles import brute_force_posterior
 
 def seq(features, doc_id="t"):
     return ObservationSequence(doc_id=doc_id, features=np.asarray(features, dtype=float))
+
+
+def scores(x, weights, window):
+    """``emission_scores`` of the one sequence ``x``, as a block of its own."""
+    [block] = stack_sequences([x])
+    [out] = emission_scores(block, weights, window)
+    return out
 
 
 def random_dataset(rng, size=6, dim=3, max_len=5, num_labels=2):
@@ -376,18 +384,18 @@ class TestContextWindow:
         weights = np.array([[0.5, -1.0], [2.0, 0.25]])
         blocks = emission_blocks([x.features], None, weights, 0)
         assert window_sum(blocks[0], 0) is blocks[0][0]
-        assert np.array_equal(emission_scores([x], weights, 0)[0], x.features @ weights.T)
+        assert np.array_equal(scores(x, weights, 0), x.features @ weights.T)
 
     def test_window_one_boundary_padding(self):
         a, b, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
         weights = np.arange(12.0).reshape(2, 6) - 5.0
-        got = emission_scores([seq([a, b, c])], weights, 1)[0]
+        got = scores(seq([a, b, c]), weights, 1)
         rows = [[0.0, 0.0] + a + b, a + b + c, b + c + [0.0, 0.0]]
         np.testing.assert_array_equal(got, np.array(rows) @ weights.T)
 
     def test_window_two_single_segment(self):
         weights = np.arange(10.0).reshape(2, 5)
-        got = emission_scores([seq([[7.0]])], weights, 2)[0]
+        got = scores(seq([[7.0]]), weights, 2)
         np.testing.assert_array_equal(got, [[7.0 * 2.0, 7.0 * 7.0]])
 
     def test_center_slice_is_original(self):
@@ -396,7 +404,7 @@ class TestContextWindow:
         for w in (1, 2, 3):
             weights = np.zeros((2, (2 * w + 1) * 3))
             weights[:, w * 3 : (w + 1) * 3] = rng.standard_normal((2, 3))
-            got = emission_scores([x], weights, w)[0]
+            got = scores(x, weights, w)
             np.testing.assert_allclose(
                 got, x.features @ weights[:, w * 3 : (w + 1) * 3].T, rtol=0, atol=1e-15
             )
