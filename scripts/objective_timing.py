@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one objective+gradient call at the benchmark's two training shapes.
+"""Time one objective call, with and without its gradient, at the benchmark's two training shapes.
 
 * embedding: the first fold's training documents (200 of 250) of the
   synthetic default spec, featurized with the embedding block alone
@@ -10,7 +10,10 @@
   sparse), as default-predict's `train` featurizes them.
 
 For each, the script times `training.objective_and_gradient` at fixed
-random parameters and prints the minimum and median call time and the
+random parameters and prints the minimum and median time of a full call
+(the value, then the gradient from its callable, as at the optimizer's
+start and accepted steps) as `objective_ms_*`, and beside it of a
+value-only call (a rejected line-search trial) as `value_ms_*`, and the
 objective value (the default shape's lines prefixed `default_`).  At
 the default shape it also prints `default_fit_transform_ms`: the median
 over a few passes of a fresh default pipeline's `fit_transform` of the
@@ -128,26 +131,39 @@ def time_read_and_predict(docs, model):
         print(f"default_{name}_ms_per_doc {1e3 * statistics.median(times) / len(docs):.4f}")
 
 
+def min_and_median_ms(call, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times), 1e3 * statistics.median(times)
+
+
 def time_calls(name, prefix, sequences, labels, args):
     dim = sequences[0].dim
     grouped = group_by_length(list(zip(sequences, labels)), 2, dim)
     rng = np.random.default_rng(args.seed)
-    theta = HcrfParameters.random(args.hidden_states, 2, dim, rng, scale=0.5)
+    vec = HcrfParameters.random(args.hidden_states, 2, dim, rng, scale=0.5).as_vector()
     lengths = sorted({x.length for x in sequences})
     print(
         f"{name}: {len(sequences)} documents, lengths {lengths[0]}-{lengths[-1]}, "
         f"D={dim}, H={args.hidden_states}, {args.repeats} calls"
     )
     l2_lambda = TrainingConfig().l2_lambda
-    value, _ = objective_and_gradient(grouped, theta, l2_lambda)  # warm-up
-    times = []
-    for _ in range(args.repeats):
-        start = time.perf_counter()
-        objective_and_gradient(grouped, theta, l2_lambda)
-        times.append(time.perf_counter() - start)
-    print(f"{prefix}objective_ms_min {1e3 * min(times):.4f}")
-    print(f"{prefix}objective_ms_median {1e3 * statistics.median(times):.4f}")
-    print(f"{prefix}objective_value {value!r}")
+
+    def value():
+        return objective_and_gradient(grouped, vec, args.hidden_states, l2_lambda)
+
+    def full():
+        value()[1]()
+
+    full()  # warm-up, and the plan laid out
+    for kind, call in (("objective", full), ("value", value)):
+        fastest, median = min_and_median_ms(call, args.repeats)
+        print(f"{prefix}{kind}_ms_min {fastest:.4f}")
+        print(f"{prefix}{kind}_ms_median {median:.4f}")
+    print(f"{prefix}objective_value {value()[0]!r}")
 
 
 def main():

@@ -85,6 +85,9 @@ def _sigmoid(z):
 
 
 def _objective_factory(matrix, targets, c):
+    """The objective in the optimizer's value-first form: the residual
+    and ``matrix.T @ residual`` are formed only when the gradient is
+    asked for."""
     n_features = matrix.shape[1]
 
     def fun(x):
@@ -92,11 +95,15 @@ def _objective_factory(matrix, targets, c):
         z = matrix @ w + b
         value = float(np.sum(np.logaddexp(0.0, z)) - targets @ z)
         value += 0.5 / c * float(w @ w)
-        residual = _sigmoid(z) - targets
-        grad = np.empty_like(x)
-        grad[:n_features] = matrix.T @ residual + w / c
-        grad[n_features] = residual.sum()
-        return value, grad
+
+        def gradient():
+            residual = _sigmoid(z) - targets
+            grad = np.empty_like(x)
+            grad[:n_features] = matrix.T @ residual + w / c
+            grad[n_features] = residual.sum()
+            return grad
+
+        return value, gradient
 
     return fun
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate, predict_batch
 from .features.pipeline import FeaturePipeline, PipelineConfig
-from .features.segmentation import ipu_index_per_token
+from .features.segmentation import ipu_indices
 from .introspection import build_state_report
 from .synthetic import (
     SyntheticSpec,
@@ -237,8 +237,9 @@ def cmd_segment(args) -> int:
     _write_resolved_config(
         out_dir, {"command": "segment", "corpus": args.corpus, "threshold_ms": threshold}
     )
-    corpus = load_corpus(args.corpus)
-    index = {doc.doc_id: ipu_index_per_token(doc, threshold) for doc in corpus}
+    columns = read_corpus(args.corpus)
+    corpus = columns.transcripts()
+    index = dict(zip(columns.doc_ids, ipu_indices(columns, threshold)))
     save_corpus(corpus, out_dir / "corpus", ipu_index=index)
     ipu_count = sum(ipus[-1] + 1 for ipus in index.values() if ipus)  # every IPU has a token
     log.info("segmented %d documents into %d IPUs", len(corpus), ipu_count)

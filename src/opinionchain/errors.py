@@ -99,4 +99,4 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """The objective became non-finite during optimization."""
+    """The objective or its gradient became non-finite during optimization."""

@@ -95,18 +95,45 @@ def load_embeddings(path: str | Path, lowercase: bool = True) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, dim=int(dim), lowercase=lowercase)
 
 
-def embed_tokens(tokens, table: EmbeddingTable, stopwords: frozenset) -> np.ndarray:
-    """Mean of the in-vocabulary, non-stopword token vectors, plus a
-    trailing coverage flag (0 when nothing was covered).  Width E + 1."""
-    vectors = []
-    for token in tokens:
-        if token.lower() in stopwords:
-            continue
-        vec = table.lookup(token)
-        if vec is not None:
-            vectors.append(vec)
-    out = np.zeros(table.dim + 1)
-    if vectors:
-        out[: table.dim] = np.mean(vectors, axis=0)
-        out[table.dim] = 1.0
+def embed_units(units, table: EmbeddingTable, stopwords: frozenset) -> np.ndarray:
+    """(U, E + 1) rows of the U IPUs ``units`` (lists of tokens): each
+    IPU's mean of its in-vocabulary, non-stopword token vectors, plus a
+    trailing coverage flag (0, and a zero mean, when nothing was
+    covered).  Each distinct token is tested against the stopwords and
+    looked up once.  Each IPU's covered vectors are then summed in token
+    order, starting from the first, and divided by their count, so a row
+    is bitwise ``np.mean`` of its vectors along axis 0, which adds them
+    in that order.  Rank r of every IPU is added at once, so the loop
+    runs once per rank, not once per IPU."""
+    index: dict[str, int] = {}
+    vectors: list[np.ndarray] = []
+    unit_of: list[int] = []  # the IPU and vector of each covered token, in order
+    vector_of: list[int] = []
+    for u, tokens in enumerate(units):
+        for token in tokens:
+            k = index.get(token)
+            if k is None:
+                vec = None if token.lower() in stopwords else table.lookup(token)
+                k = index[token] = -1 if vec is None else len(vectors)
+                if vec is not None:
+                    vectors.append(vec)
+            if k >= 0:
+                unit_of.append(u)
+                vector_of.append(k)
+    out = np.zeros((len(units), table.dim + 1))
+    if not unit_of:
+        return out
+    unit_of, vector_of = np.array(unit_of), np.array(vector_of)
+    counts = np.bincount(unit_of, minlength=len(units))
+    rank = np.arange(unit_of.size) - (np.cumsum(counts) - counts)[unit_of]
+    sums, rows = out[:, : table.dim], np.array(vectors)
+    for r in range(int(counts.max())):
+        at = rank == r
+        if r == 0:
+            sums[unit_of[at]] = rows[vector_of[at]]
+        else:
+            sums[unit_of[at]] += rows[vector_of[at]]
+    covered = counts > 0
+    sums[covered] /= counts[covered, None]
+    out[covered, table.dim] = 1.0
     return out

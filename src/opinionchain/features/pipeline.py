@@ -65,7 +65,7 @@ from ..errors import ConfigurationError, InvalidInputError, check_field_types
 from ..model import ObservationSequence, SequenceBlock, SparseRows
 from ..training import chunked
 from . import resources as res
-from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
+from .embeddings import EmbeddingTable, embed_units, load_embeddings
 from .lexicons import Lexicon, lexicon_features, load_lexicon
 from .ngrams import NGramVocabulary, fit_bong, vectorize_bong
 from .paralinguistic import FEATURE_NAMES as PARA_NAMES
@@ -459,22 +459,18 @@ def _fixed_rows(
 ) -> np.ndarray:
     """(U, D') rows of every enabled block but bong for the U IPUs of a
     chunk of documents, in canonical order; none of them depends on
-    fitted state.  The embedding and lexicon rows are built per IPU, the
-    pattern and paralinguistic ones for the whole chunk (from ``tokens``,
-    the chunk's ``TokenChunk``, if given)."""
+    fitted state.  The lexicon rows are built per IPU, the embedding,
+    pattern and paralinguistic ones for the whole chunk (the pattern
+    rows from ``tokens``, the chunk's ``TokenChunk``, if given)."""
     blocks = []
-    per_ipu = [block for block in config.blocks if block in ("embedding", "lexicon")]
-    if per_ipu:
-        rows = []
-        for unit in chunk.units:
-            parts = [
-                embed_tokens(unit, loaded.embedding, loaded.stopwords)
-                if block == "embedding"
-                else lexicon_features(unit, loaded.lexicons, loaded.modifiers)
-                for block in per_ipu
-            ]
-            rows.append(np.concatenate(parts))
-        blocks.append(np.array(rows))
+    if "embedding" in config.blocks:
+        blocks.append(embed_units(chunk.units, loaded.embedding, loaded.stopwords))
+    if "lexicon" in config.blocks:
+        blocks.append(
+            np.array(
+                [lexicon_features(unit, loaded.lexicons, loaded.modifiers) for unit in chunk.units]
+            )
+        )
     if "pattern" in config.blocks:
         if tokens is None:
             tokens = _token_chunk(chunk, loaded, pattern=True, stems=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import CorpusColumns, Transcript
+from ..corpus import CorpusColumns
 from ..errors import InvalidInputError
 
 log = logging.getLogger(__name__)
@@ -78,7 +78,10 @@ def _attach_markers(chunk: CorpusColumns, firsts: np.ndarray, docs: np.ndarray) 
     return list(map(tuple, attached))
 
 
-def ipu_index_per_token(transcript: Transcript, threshold_ms: int) -> list[int]:
-    """Parallel list mapping each transcript token to its IPU index."""
-    bounds = segment_into_ipus(CorpusColumns.from_transcripts([transcript]), threshold_ms).bounds
-    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds)).tolist()
+def ipu_indices(chunk: CorpusColumns, threshold_ms: int) -> list[list[int]]:
+    """For each document of ``chunk``, the index of each of its tokens'
+    IPU within the document, from one ``segment_into_ipus`` call."""
+    cuts = segment_into_ipus(chunk, threshold_ms)
+    ipu = np.repeat(np.arange(cuts.bounds.size - 1), np.diff(cuts.bounds))
+    offsets, docs = chunk.offsets.tolist(), cuts.docs.tolist()
+    return [(ipu[a:b] - first).tolist() for a, b, first in zip(offsets, offsets[1:], docs)]

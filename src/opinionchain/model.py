@@ -14,18 +14,20 @@ checked once for all of them; the emission scores ``<x_j, W_obs[h]>``
 come from :func:`emission_scores`, which reads the block's sparse rows
 (:class:`SparseRows`) by one gather-and-sum and applies a context window
 as shifted per-block scores, so neither the dense rows nor the windowed
-ones are built.  All
-inference goes through one kernel, batched over labels and over chains
-of any mix of lengths: :func:`forward` gives the log-partitions, which
-is all the label posteriors (:func:`label_posteriors`) need, and
-:func:`backward` turns a forward pass and one weight per (label, chain)
-into weighted state and pair posteriors.  Training weights them by
-P(y|x) - 1[y = gold], so the likelihood gradient is a plain sum of the
-backward pass's outputs, and keeps the kernel's arrays in one
-:class:`Workspace` for all the calls of a fit; a weight of 1 gives the
-plain posteriors.  The recursions run position-major, on (position,
-state, label, sequence) arrays, so every reduction sums the leading
-state axis over contiguous slices.
+ones are built.  All inference goes through one kernel, batched over
+labels and over chains of any mix of lengths, whose node scores are
+packed position-major with no padding (:class:`ChainLayout`), so each
+position's are one slice of them: :func:`forward`
+gives the log-partitions, which is all the label posteriors
+(:func:`label_posteriors`) need, and :func:`backward` turns a forward
+pass and one weight per (label, chain) into weighted state and pair
+posteriors.  Training weights them by P(y|x) - 1[y = gold], so the
+likelihood gradient is a plain sum of the backward pass's outputs; a
+weight of 1 gives the plain posteriors.  Both recursions run on the
+arrays and views of a :class:`KernelPlan`, laid out once per layout, so
+the calls of a fit reuse them.  The recursions run position-major, on
+(position, state, label, sequence) arrays, so every reduction sums the
+leading state axis over contiguous slices.
 
 The forward recursion runs in log space: sequences of hundreds of
 segments, or weights in the thousands, would underflow or overflow a
@@ -255,20 +257,28 @@ class HcrfParameters:
             [self.theta_obs.ravel(), self.theta_state.ravel(), self.theta_trans.ravel()]
         )
 
+    @staticmethod
+    def split_vector(
+        vec: np.ndarray, num_hidden_states: int, num_labels: int, feature_dim: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (H, D) observation, (Y, H) state and (Y, H, H) transition
+        blocks of a flat vector in ``as_vector`` order, as views of it;
+        only the vector's length is checked."""
+        h, y, d = num_hidden_states, num_labels, feature_dim
+        sizes = (h * d, y * h, y * h * h)
+        if vec.shape != (sum(sizes),):
+            raise InvalidInputError(
+                f"a vector of shape {vec.shape} and parameters for {h} states, {y} labels "
+                f"and dim {d} do not match"
+            )
+        a, b = sizes[0], sizes[0] + sizes[1]
+        return vec[:a].reshape(h, d), vec[a:b].reshape(y, h), vec[b:].reshape(y, h, h)
+
     @classmethod
     def from_vector(
         cls, vec: np.ndarray, num_hidden_states: int, num_labels: int, feature_dim: int
     ) -> "HcrfParameters":
-        h, y, d = num_hidden_states, num_labels, feature_dim
-        sizes = (h * d, y * h, y * h * h)
-        if vec.shape != (sum(sizes),):
-            raise InvalidInputError(f"vector length {vec.shape} does not match ({h},{y},{d})")
-        a, b = sizes[0], sizes[0] + sizes[1]
-        return cls(
-            vec[:a].reshape(h, d),
-            vec[a:b].reshape(y, h),
-            vec[b:].reshape(y, h, h),
-        )
+        return cls(*cls.split_vector(vec, num_hidden_states, num_labels, feature_dim))
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -331,8 +341,7 @@ def window_sum(blocks: list[np.ndarray], window: int) -> np.ndarray:
     """Emission scores under a context window of ``window`` segments
     either side, from :func:`emission_blocks`: position j adds block k's
     row j + k - w, and nothing for a neighbour past either end of the
-    chain, as if the windowed vectors were zero-padded there.  Rows of
-    a padded (position, chain) grid work too, if the padding is zero."""
+    chain, as if the windowed vectors were zero-padded there."""
     if window == 0:
         return blocks[0]
     out = shift_rows(blocks[0], -window)
@@ -490,29 +499,31 @@ def emission_scores(block: SequenceBlock, theta_obs: np.ndarray, window: int) ->
     return [window_sum([shift[i] for shift in blocks], window) for i in range(len(parts))]
 
 
-def node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:
-    """(Y, N, L, H) per-label node scores from (N, L, H) emission scores:
-    the emission plus the label-state weight of each hidden state.
-
-    The sums are stored position-major, in the (L, H, Y, N) memory order
-    that :func:`forward` and :func:`backward` recurse over, and returned
-    as a transposed view of it."""
-    num, length, num_h = emission.shape
-    out = np.empty((length, num_h, theta.num_labels, num))
-    np.add(emission.transpose(1, 2, 0)[:, :, None], theta.theta_state.T[:, :, None], out=out)
-    return out.transpose(2, 3, 0, 1)
+def node_scores(emission: np.ndarray, theta_state: np.ndarray) -> np.ndarray:
+    """(H, Y, R) per-label node scores of R packed rows from their (R, H)
+    emission scores: each row's emission plus the (Y, H) label-state
+    weight of each hidden state.  The rows keep their packed order
+    (:class:`ChainLayout`), so :func:`forward` reads position j's block
+    as one slice of the last axis."""
+    num_rows, num_h = emission.shape
+    out = np.empty((num_h, theta_state.shape[0], num_rows))
+    np.add(emission.T[:, None], theta_state.T[:, :, None], out=out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class ChainLayout:
     """N chains sorted by non-increasing length, as the kernel lays them
-    out: chain n's scores sit in positions [0, lengths[n]) of its row,
-    and ``active[j]``, for j in [0, Lmax], counts the chains still
-    running at position j, which are the first ``active[j]`` rows.
-    Validated at construction; a training fit builds it once."""
+    out: ``active[j]``, for j in [0, Lmax], counts the chains still
+    running at position j, which are the first ``active[j]`` chains.
+    Their R = sum of lengths rows are packed position-major: rows
+    ``starts[j]:starts[j + 1]`` hold position j of those ``active[j]``
+    chains, in chain order, so nothing pads them.  Validated at
+    construction; a training fit builds it once."""
 
     lengths: np.ndarray  # (N,) non-increasing, all >= 1
     active: tuple[int, ...] = field(init=False)
+    starts: tuple[int, ...] = field(init=False)  # (Lmax + 1,), starts[-1] = R
 
     def __post_init__(self):
         lengths = np.asarray(self.lengths, dtype=np.intp)
@@ -529,40 +540,114 @@ class ChainLayout:
         object.__setattr__(self, "lengths", lengths)
         active = np.searchsorted(-lengths, -np.arange(lengths[0] + 1))
         object.__setattr__(self, "active", tuple(active.tolist()))
+        object.__setattr__(self, "starts", (0, *np.cumsum(active[:-1]).tolist()))
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (R,) position and (R,) chain of each packed row."""
+        running = np.array(self.active[:-1])
+        return np.nonzero(np.arange(self.lengths.shape[0]) < running[:, None])
+
+    def packing(self) -> np.ndarray:
+        """(R,) index of each packed row among the chains' rows stacked
+        chain by chain (chain 0's rows in order, then chain 1's, ...)."""
+        positions, chains = self.rows()
+        return (np.cumsum(self.lengths) - self.lengths)[chains] + positions
 
 
-class Workspace:
-    """Work arrays that successive :func:`forward` and :func:`backward`
-    calls reuse, one per name, so that a training loop allocates them
-    once per fit rather than once per call (a call's fresh arrays would
-    otherwise be handed back to the OS and faulted in again each time).
-    The arrays a call returns in a workspace are overwritten by the next
-    call that uses it."""
+class KernelPlan:
+    """The arrays of :func:`forward` and :func:`backward` for H states and
+    Y labels on the chains of ``layout``, and each step's views into
+    them, laid out once, so that the calls of a training fit reuse them
+    and look nothing up.
 
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
+    ``alpha`` is (Lmax, H, Y, N) and -inf on padding; step j (positions
+    j-1 to j, over the ``a = active[j]`` running chains) has its own
+    contiguous (H, H, Y, a) factors and (H, Y, a) sums and peaks.  The
+    backward arrays, (Lmax, H, Y, N) ``state`` and (Lmax-1, H, H, Y, N)
+    ``pair``, are made at the first backward call, so a plan used only
+    to predict never holds them; their padding is 0.  Padding is filled
+    when an array is made and never written after.  ``last`` holds the
+    (H, Y, N) flat indices into ``alpha`` of each chain's last position.
 
-    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The array kept under ``name``, of ``shape``, holding whatever
-        the last call left in it."""
-        array = self._arrays.get(name)
-        if array is None or array.shape != shape:
-            array = self._arrays[name] = np.empty(shape)
-        return array
+    A forward call overwrites what the last one on the plan left, so a
+    :class:`ForwardPass` holds only until the next forward call on its
+    plan, and :func:`backward` refuses one that a later call has
+    overwritten."""
 
-    def filled(self, name: str, shape: tuple[int, ...], value: float) -> np.ndarray:
-        """The array kept under ``name``, of ``shape`` and set to ``value``."""
-        array = self.array(name, shape)
-        array.fill(value)
-        return array
+    def __init__(self, layout: ChainLayout, num_hidden_states: int, num_labels: int):
+        if num_hidden_states < 1 or num_labels < 1:
+            raise InvalidInputError("a plan needs at least 1 hidden state and 1 label")
+        lengths, active, starts = layout.lengths, layout.active, layout.starts
+        num_h, num_y, num = num_hidden_states, num_labels, lengths.shape[0]
+        max_len = len(active) - 1
+        self.layout = layout
+        self.num_hidden_states, self.num_labels = num_h, num_y
+        self.alpha = alpha = np.full((max_len, num_h, num_y, num), -np.inf)
+        cells = np.arange(num_h * num_y * num).reshape(num_h, num_y, num)
+        self.last = (lengths - 1) * cells.size + cells
+        running = active[1:max_len]
+        self.factors = tuple(np.empty((num_h, num_h, num_y, a)) for a in running)
+        self.sums = tuple(np.empty((num_h, num_y, a)) for a in running)
+        self.forward_steps = tuple(
+            (
+                alpha[j - 1, :, None, :, :a],
+                factors,
+                np.empty((num_h, num_y, a)),
+                sums,
+                alpha[j, ..., :a],
+                slice(starts[j], starts[j] + a),
+            )
+            for j, a, factors, sums in zip(range(1, max_len), running, self.factors, self.sums)
+        )
+        self.calls = 0  # forward calls made on the plan
+        self._backward = None
+        self._row_cells = None
+
+    def row_cells(self) -> np.ndarray:
+        """(R, H) flat indices, into an (Lmax, H, N) array, of the H cells
+        of each packed row, so that ``a.take(row_cells())`` packs a
+        position-major per-state array such as ``state.sum(axis=2)``;
+        made at the first call."""
+        if self._row_cells is None:
+            positions, chains = self.layout.rows()
+            num_h, num = self.num_hidden_states, self.layout.lengths.shape[0]
+            first = positions * (num_h * num) + chains
+            self._row_cells = first[:, None] + num * np.arange(num_h)
+        return self._row_cells
+
+    def backward_arrays(self):
+        """``state``, ``pair`` and the backward steps' views, last step
+        first; made at the first call."""
+        if self._backward is None:
+            alpha, active = self.alpha, self.layout.active
+            state = np.zeros(alpha.shape)
+            pair = np.zeros((alpha.shape[0] - 1, self.num_hidden_states) + alpha.shape[1:])
+            steps = []
+            for j in range(alpha.shape[0] - 1, 0, -1):
+                a = active[j]
+                ahead = np.empty((self.num_hidden_states, self.num_labels, a))
+                steps.append(
+                    (
+                        state[j, ..., :a],
+                        self.sums[j - 1],
+                        ahead,
+                        ahead[:, None],
+                        self.factors[j - 1].transpose(1, 0, 2, 3),
+                        pair[j - 1, ..., :a],
+                        state[j - 1, ..., :a],
+                    )
+                )
+            self._backward = state, pair, tuple(steps)
+        return self._backward
 
 
 @dataclass(frozen=True, eq=False)
 class ForwardPass:
     """The forward recursion's results for Y labels times the N chains of
-    ``layout``, kept for :func:`backward`.  ``alpha`` is position-major
-    (Lmax, H, Y, N) and -inf on padding.  Step j (positions j-1 to j) of
-    the recursion keeps, for its ``a = active[j]`` chains only,
+    its ``plan``, kept there for :func:`backward`.  ``alpha`` is
+    position-major (Lmax, H, Y, N) and -inf on padding.  Step j
+    (positions j-1 to j) of the recursion keeps, for its ``a =
+    active[j]`` chains only,
 
     * ``factors[j-1]``, (from, to, Y, a): ``exp(alpha[j-1, f] + trans[f, t]
       - peak[t])``, with ``peak[t]`` the maximum over f, so every factor
@@ -575,8 +660,8 @@ class ForwardPass:
     alpha: np.ndarray
     factors: tuple[np.ndarray, ...]  # Lmax-1 steps
     sums: tuple[np.ndarray, ...]
-    last: np.ndarray  # (H, Y, N) flat indices into alpha of each chain's last position
-    layout: ChainLayout
+    plan: KernelPlan
+    call: int  # which forward call on the plan made the pass
 
 
 @dataclass(frozen=True)
@@ -593,66 +678,50 @@ class ChainPosteriors:
     pair: np.ndarray  # (Lmax-1, H, H, Y, N)
 
 
-def forward(
-    node: np.ndarray, trans: np.ndarray, layout: ChainLayout, work: Workspace | None = None
-) -> ForwardPass:
+def forward(node: np.ndarray, trans: np.ndarray, plan: KernelPlan) -> ForwardPass:
     """Log-space forward recursion over every label and chain at once.
 
-    ``node`` is (Y, N, Lmax, H) from :func:`node_scores`, with chain n's
-    scores left-aligned in positions [0, lengths[n]) and the padding
-    after them never read; ``trans`` is the (Y, H, H) transition block.
-    Since the chains still running at position j are the prefix
-    ``[:active[j]]``, each step updates ``alpha[j, ..., :active[j]]``
-    with no mask and no arithmetic on padding, and ``log_z`` gathers
-    each chain's ``alpha`` at its own last position.  Every per-chain
-    value comes from the same elementwise operations as for that chain
-    alone, so it is bitwise what a one-chain call gives.
+    ``node`` is the (H, Y, R) scores of the packed rows of the plan's
+    layout, from :func:`node_scores`; ``trans`` is the (Y, H, H)
+    transition block.  Since the chains still running at position j are
+    the prefix ``[:active[j]]``, and position j's rows are one slice of
+    ``node``, each step updates ``alpha[j, ..., :active[j]]`` with no
+    mask and no arithmetic on padding, and ``log_z`` gathers each
+    chain's ``alpha`` at its own last position.  Every per-chain value
+    comes from the same elementwise operations as for that chain alone,
+    so it is bitwise what a one-chain call gives.
 
-    The recursion runs position-major, on (Lmax, H, Y, N) arrays (the
-    memory order :func:`node_scores` already writes, so reading ``node``
-    that way copies nothing), with the transitions held as
+    The recursion runs position-major, with the transitions held as
     (from, to, Y, 1); every log-sum-exp reduces the leading state axis.
-    Each step forms its max-shifted exponentials and their sums in
-    arrays of their own, contiguous and sized to the step's running
-    chains, and keeps them for :func:`backward` as the pass's ``factors``
-    and ``sums``.  ``alpha`` and those arrays are kept in ``work`` if one
-    is given, else in fresh arrays.
+    Each step forms its max-shifted exponentials and their sums in the
+    plan's arrays for that step, which :func:`backward` reads as the
+    pass's ``factors`` and ``sums``.
     """
-    lengths, active = layout.lengths, layout.active
-    num, max_len = lengths.shape[0], len(active) - 1
-    if node.shape[1] != num or node.shape[2] < max_len:
+    num_h, num_y, rows = plan.num_hidden_states, plan.num_labels, plan.layout.starts[-1]
+    if node.shape != (num_h, num_y, rows) or trans.shape != (num_y, num_h, num_h):
         raise InvalidInputError(
-            f"chain lengths {lengths.tolist()} do not fit node scores of shape {node.shape}"
+            f"chain lengths {plan.layout.lengths.tolist()} ({rows} rows), {num_h} states and "
+            f"{num_y} labels do not fit node scores of shape {node.shape} and transitions "
+            f"of shape {trans.shape}"
         )
-    node = np.ascontiguousarray(node.transpose(2, 3, 0, 1))  # (Lmax, H, Y, N)
+    alpha = plan.alpha
+    alpha[0] = node[..., : alpha.shape[3]]
     fwd = trans.transpose(1, 2, 0)[..., None]  # (from, to, Y, 1)
-    work = Workspace() if work is None else work
-    alpha = work.filled("alpha", node.shape, -np.inf)
-    alpha[0] = node[0]
-    num_h, num_y = node.shape[1:3]
-    factors, sums = [], []
-    for j in range(1, max_len):
-        a = active[j]
-        scaled = work.array(f"factors {j}", (num_h, num_h, num_y, a))
-        np.add(alpha[j - 1, :, None, :, :a], fwd, out=scaled)
-        peak = scaled.max(axis=0)
+    for prev, scaled, peak, total, out, rows in plan.forward_steps:
+        np.add(prev, fwd, out=scaled)
+        scaled.max(axis=0, out=peak)
         scaled -= peak
         np.exp(scaled, out=scaled)
-        total = scaled.sum(axis=0, out=work.array(f"sums {j}", (num_h, num_y, a)))
-        step = np.log(total, out=alpha[j, ..., :a])
-        step += peak
-        step += node[j, ..., :a]
-        factors.append(scaled)
-        sums.append(total)
-    cells = np.arange(alpha[0].size).reshape(alpha.shape[1:])  # (H, Y, N)
-    last = (lengths - 1) * cells.size + cells
-    log_z = _logsumexp(alpha.take(last))  # (Y, N)
-    return ForwardPass(log_z, alpha, tuple(factors), tuple(sums), last, layout)
+        scaled.sum(axis=0, out=total)
+        np.log(total, out=out)
+        out += peak
+        out += node[..., rows]
+    log_z = _logsumexp(alpha.take(plan.last))  # (Y, N)
+    plan.calls += 1
+    return ForwardPass(log_z, alpha, plan.factors, plan.sums, plan, plan.calls)
 
 
-def backward(
-    fwd: ForwardPass, weights: np.ndarray, work: Workspace | None = None
-) -> ChainPosteriors:
+def backward(fwd: ForwardPass, weights: np.ndarray) -> ChainPosteriors:
     """The reverse-mode adjoint of :func:`forward`: weighted posteriors.
 
     ``weights`` is (Y, N), one weight per label and chain: training
@@ -666,28 +735,24 @@ def backward(
     ``factors[j-1][f, t] * state[j, t] / sums[j-1][t]`` and its sum over
     t is ``state[j-1, f]``.  That is one divide, one multiply and one sum
     per step, with no exp, log or max, on values no larger than the
-    weight in magnitude.  Nothing reads padding, which comes out exactly
-    0, and like :func:`forward` every chain's outputs are bitwise what it
-    gives alone.  The outputs are kept in ``work`` if one is given, else
-    in fresh arrays.
+    weight in magnitude.  Nothing writes padding, which stays exactly 0,
+    and like :func:`forward` every chain's outputs are bitwise what it
+    gives alone.  The outputs are the plan's arrays, overwritten by the
+    next backward call on it.
     """
-    alpha, log_z, factors, sums = fwd.alpha, fwd.log_z, fwd.factors, fwd.sums
-    active = fwd.layout.active
-    if weights.shape != log_z.shape:
-        raise InvalidInputError(f"weights of shape {weights.shape}, expected {log_z.shape}")
-    work = Workspace() if work is None else work
-    state = work.filled("state", alpha.shape, 0.0)
-    pair = work.filled("pair", (alpha.shape[0] - 1,) + alpha.shape[1:2] + alpha.shape[1:], 0.0)
-    seed = np.exp(alpha.take(fwd.last) - log_z)
+    plan = fwd.plan
+    if fwd.call != plan.calls:
+        raise InvalidInputError("a later forward call on the plan has overwritten this pass")
+    if weights.shape != fwd.log_z.shape:
+        raise InvalidInputError(f"weights of shape {weights.shape}, expected {fwd.log_z.shape}")
+    state, pair, steps = plan.backward_arrays()
+    seed = np.exp(fwd.alpha.take(plan.last) - fwd.log_z)
     seed *= weights
-    state.reshape(-1)[fwd.last] = seed
-    for j in range(len(factors), 0, -1):
-        a = active[j]
-        ahead = state[j, ..., :a] / sums[j - 1]
-        joint = np.multiply(
-            factors[j - 1].transpose(1, 0, 2, 3), ahead[:, None], out=pair[j - 1, ..., :a]
-        )
-        joint.sum(axis=0, out=state[j - 1, ..., :a])
+    state.reshape(-1)[plan.last] = seed
+    for later, sums, ahead, spread, factors, joint, earlier in steps:
+        np.divide(later, sums, out=ahead)
+        np.multiply(factors, spread, out=joint)
+        joint.sum(axis=0, out=earlier)
     return ChainPosteriors(state, pair)
 
 
@@ -699,7 +764,7 @@ def label_log_posteriors(log_z: np.ndarray) -> np.ndarray:
 def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.ndarray:
     """(N, Y) label posteriors P(y | x) of N chains, from each chain's
     (L, H) emission scores.  The chains are sorted by non-increasing
-    length (stably) and left-aligned in one padded batch, so one forward
+    length (stably) and their rows packed position-major, so one forward
     pass covers them all; every row is bitwise what the chain alone
     would give."""
     out = np.empty((len(emissions), theta.num_labels))
@@ -707,10 +772,9 @@ def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.n
         return out
     lengths = np.array([emission.shape[0] for emission in emissions])
     order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    padded = np.zeros((len(emissions), lengths[0], theta.num_hidden_states))
-    filled = np.arange(lengths[0]) < lengths[:, None]  # (N, Lmax), row-major like the rows below
-    padded[filled] = np.concatenate([emissions[i] for i in order.tolist()])
-    log_z = forward(node_scores(padded, theta), theta.theta_trans, ChainLayout(lengths)).log_z
+    layout = ChainLayout(lengths[order])
+    rows = np.concatenate([emissions[i] for i in order.tolist()])[layout.packing()]
+    plan = KernelPlan(layout, theta.num_hidden_states, theta.num_labels)
+    log_z = forward(node_scores(rows, theta.theta_state), theta.theta_trans, plan).log_z
     out[order] = np.exp(label_log_posteriors(log_z)).T
     return out

@@ -4,6 +4,12 @@ Limited-memory BFGS (two-loop recursion, history 10) with Armijo
 backtracking.  Contract, not implementation detail: accepted iterations
 have non-increasing objective, the stop rule is an inf-norm gradient
 threshold, and identical inputs give bitwise-identical traces.
+
+The objective is value first: ``fun(x)`` returns the value at ``x`` and
+a callable of no arguments that returns the gradient there.  The line
+search compares values alone, so the minimizer calls the gradient only
+at the start point and at each accepted step, and a rejected trial
+costs one value.
 """
 
 from __future__ import annotations
@@ -42,23 +48,38 @@ class OptimizationResult:
     trace: list[TraceEntry] = field(default_factory=list)
 
 
-def _check_finite(value: float, grad: np.ndarray):
-    if not np.isfinite(value) or not np.isfinite(grad).all():
-        raise TrainingDivergedError("objective or gradient became non-finite")
+Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
+
+
+def _check_value(value: float):
+    if not np.isfinite(value):
+        raise TrainingDivergedError("objective became non-finite")
+
+
+def _gradient(gradient: Callable[[], np.ndarray]) -> np.ndarray:
+    grad = gradient()
+    if not np.isfinite(grad).all():
+        raise TrainingDivergedError("gradient became non-finite")
+    return grad
 
 
 def minimize(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun: Objective,
     x0: np.ndarray,
     max_iterations: int = 200,
     grad_tolerance: float = 1e-5,
 ) -> OptimizationResult:
-    """Minimize ``fun`` (returning value and gradient) from ``x0``.
+    """Minimize ``fun`` from ``x0``; ``fun(x)`` returns the value at ``x``
+    and a zero-argument callable for the gradient at ``x``, which is
+    called for the start point and for each accepted step only, before
+    the next call of ``fun``.
 
     Stops when the gradient inf-norm drops to ``grad_tolerance``, after
     ``max_iterations`` accepted steps, or when the line search cannot
     find sufficient decrease (status ``stalled``).  The result counts
-    every call of ``fun``, rejected line-search trials included.
+    every call of ``fun``, rejected line-search trials included.  A
+    non-finite value, or a non-finite gradient where one is taken,
+    raises ``TrainingDivergedError``.
     """
     if max_iterations < 1:
         raise InvalidInputError("max_iterations must be >= 1")
@@ -66,9 +87,10 @@ def minimize(
         raise InvalidInputError("grad_tolerance must be positive")
 
     x = np.asarray(x0, dtype=np.float64).copy()
-    value, grad = fun(x)
+    value, gradient = fun(x)
     evaluations = 1
-    _check_finite(value, grad)
+    _check_value(value)
+    grad = _gradient(gradient)
     grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
     trace = [TraceEntry(0, float(value), grad_norm, 0.0)]
 
@@ -97,9 +119,9 @@ def minimize(
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             candidate = x + step * direction
-            cand_value, cand_grad = fun(candidate)
+            cand_value, cand_gradient = fun(candidate)
             evaluations += 1
-            _check_finite(cand_value, cand_grad)
+            _check_value(cand_value)
             if cand_value <= value + ARMIJO_C1 * step * slope:
                 accepted = True
                 break
@@ -107,6 +129,7 @@ def minimize(
         if not accepted:
             status = "stalled"
             break
+        cand_grad = _gradient(cand_gradient)
 
         s = candidate - x
         y = cand_grad - grad

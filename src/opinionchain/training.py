@@ -9,24 +9,28 @@ pair posteriors weighted by (P(y|x) - 1[y = gold]).
 ``train`` validates the dataset and lays it out once per fit
 (:func:`group_by_length`): one ragged batch of every sequence, sorted by
 non-increasing length, with the feature rows of all sequences kept once,
-position by position and unpadded, a sparse block's as its entries.
-Every objective call reuses that layout: one matmul gives every
-emission (plus a gather-and-sum over a sparse block's entries, and one
-block per shift of a context window), scattered into the kernel's
-padded (position, chain) grid; the forward recursion (``model.forward``,
-the kernel that also computes the label posteriors at prediction time)
-gives the log-partitions, and from them the weights P(y|x) - 1[y = gold].
-The weighted backward recursion (``model.backward``, the forward pass's
-reverse-mode adjoint, run back through the factors the forward pass
-kept) then returns the weighted state and pair posteriors of every
-sequence, and the gradient blocks are sums of those: the state and
-transition blocks directly, the observation block by one matmul of the
-label-summed state posteriors, gathered back from the grid, with the
-feature rows (a scatter-add into a sparse block's columns, and one
-product per shift of a context window).  The gradient comes back as one
-flat vector, in ``HcrfParameters.as_vector`` order, which is what the
-optimizer reads.  Nothing reads the grid's padding, and results are
-bitwise reproducible.
+position by position and unpadded, a sparse block's as its entries, and
+the kernel's work arrays (``model.KernelPlan``) made for that layout.
+Every objective call reuses both.  It reads the parameters as views of
+the optimizer's flat vector, and is value first, as the optimizer asks:
+one matmul gives every emission of the packed rows (plus a
+gather-and-sum over a sparse block's entries, and one block per shift
+of a context window, each shift a gather of the packed rows), from
+which the (H, Y, rows) node scores are one sum; the forward recursion
+(``model.forward``, the kernel that also computes the label posteriors
+at prediction time) gives the log-partitions, and from them the value.
+The gradient, taken only when the optimizer asks for it, weights the
+same forward pass by P(y|x) - 1[y = gold]: the weighted backward
+recursion (``model.backward``, the forward pass's reverse-mode adjoint,
+run back through the factors the forward pass kept) returns the
+weighted state and pair posteriors of every sequence, and the gradient
+blocks are sums of those: the state and transition blocks directly, the
+observation block by one matmul of the label-summed state posteriors,
+gathered into the packed rows, with the feature rows (a scatter-add
+into a sparse block's columns, and one product per shift of a context
+window).  The gradient comes back as one flat vector, in
+``HcrfParameters.as_vector`` order, which is what the optimizer reads.
+Results are bitwise reproducible.
 
 Prediction (``HcrfPredictor.posterior_blocks``) scores blocks of
 sequences (``model.SequenceBlock``), a chunk of ``SCORING_CHUNK``
@@ -39,6 +43,7 @@ from __future__ import annotations
 import itertools
 import logging
 from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +52,10 @@ from .errors import InvalidInputError, check_field_types
 from .model import (
     ChainLayout,
     HcrfParameters,
+    KernelPlan,
     ObservationSequence,
     SequenceBlock,
     SparseRows,
-    Workspace,
     backward,
     emission_blocks,
     emission_scores,
@@ -59,10 +64,8 @@ from .model import (
     label_posteriors,
     node_scores,
     same_sparse_layout,
-    shift_rows,
     stack_sequences,
     stack_sparse,
-    window_sum,
 )
 from .optimize import TraceEntry, minimize
 
@@ -112,39 +115,50 @@ class TrainingConfig:
 class TrainingTrace:
     entries: list[TraceEntry]  # accepted iterates; entry 0 is the start
     status: str
-    evaluations: int  # objective+gradient calls, backtracks included
+    evaluations: int  # objective values taken, backtracks included
 
 
 @dataclass(frozen=True, eq=False)
 class LengthGroups:
-    """A validated training set in the ragged layout of the
+    """A validated training set in the packed layout of the
     ``model.forward``/``model.backward`` kernel.
 
     The chain axis holds every sequence by non-increasing length, in
     dataset order among equal lengths; ``labels`` (N,) and ``layout``
-    (lengths and active-chain counts) follow that order.  ``features``
-    and ``sparse`` are the only copy of the training features kept:
-    their (sum of lengths, ...) rows, position-major with no padding, so
-    the block of position j holds the rows of the ``active[j]`` chains
-    still running there, in chain order; ``sparse`` is None when the
-    sequences have no sparse block.  ``filled`` (Lmax, N) marks the same
-    entries of the kernel's padded (position, chain) grid, in the same
-    row-major order.  ``feature_dim`` is the sequences' dimension D and
-    ``window`` the context window the parameters are fit under, so they
-    are (H, (2w+1) D).  Built once per fit by :func:`group_by_length`;
-    every objective call reuses it, and the kernel's work arrays in
-    ``work``.
+    (lengths, active-chain counts and each position's first row) follow
+    that order.  ``features`` and ``sparse`` are the only copy of the
+    training features kept: their (R, ...) rows, R the sum of lengths,
+    position-major with no padding, so the block of position j holds the
+    rows of the ``active[j]`` chains still running there, in chain
+    order; ``sparse`` is None when the sequences have no sparse block.
+    ``feature_dim`` is the sequences' dimension D and ``window`` the
+    context window the parameters are fit under, so they are
+    (H, (2w+1) D).  Under a window, ``neighbours[k]`` (R,) indexes, for
+    each row, the row of the same chain k - w positions on, or R (a zero
+    row the caller appends) where that is past either end of the chain.
+    Built once per fit by :func:`group_by_length`; every objective call
+    reuses it, and the kernel plan ``plan(H)`` makes for H states.
     """
 
     features: np.ndarray
     sparse: SparseRows | None
-    filled: np.ndarray
     labels: np.ndarray
     layout: ChainLayout
     num_labels: int
     feature_dim: int
     window: int = 0
-    work: Workspace = field(default_factory=Workspace)
+    neighbours: tuple[np.ndarray, ...] = ()
+    plans: dict[int, KernelPlan] = field(default_factory=dict, init=False, repr=False)
+
+    def plan(self, num_hidden_states: int) -> KernelPlan:
+        """The kernel plan for ``num_hidden_states`` states on this
+        layout, made at the first call and reused after."""
+        plan = self.plans.get(num_hidden_states)
+        if plan is None:
+            plan = self.plans[num_hidden_states] = KernelPlan(
+                self.layout, num_hidden_states, self.num_labels
+            )
+        return plan
 
 
 def group_by_length(
@@ -169,39 +183,65 @@ def group_by_length(
         raise InvalidInputError("the sequences' sparse blocks do not share one layout")
     order = sorted(range(len(dataset)), key=lambda i: -dataset[i][0].length)  # stable
     layout = ChainLayout([dataset[i][0].length for i in order])
-    running = np.array(layout.active[:-1])  # chains at each position
-    filled = np.arange(len(dataset)) < running[:, None]
-    starts = np.cumsum(running) - running  # first row of each position's block
-    num_rows = int(running.sum())
-    first = dataset[0][0]
-    features = np.empty((num_rows, first.features.shape[1]))
-    for chain, i in enumerate(order):
-        x = dataset[i][0]
-        features[starts[: x.length] + chain] = x.features
+    features = np.concatenate([dataset[i][0].features for i in order])[layout.packing()]
+    starts = np.array(layout.starts)
     sparse = None
-    if first.sparse is not None:
+    if dataset[0][0].sparse is not None:
         parts = [dataset[i][0].sparse for i in order]
         rows = [starts[part.rows] + chain for chain, part in enumerate(parts)]
-        sparse = stack_sparse(parts, rows, num_rows)
+        sparse = stack_sparse(parts, rows, len(features))
     labels = np.array([dataset[i][1] for i in order], dtype=np.intp)
+    neighbours = ()
+    if window:
+        positions, chains = layout.rows()
+        ends = layout.lengths[chains]
+        neighbours = []
+        for offset in range(-window, window + 1):
+            target = positions + offset
+            inside = (target >= 0) & (target < ends)
+            rows = starts[np.where(inside, target, 0)] + chains
+            neighbours.append(np.where(inside, rows, len(features)))
+        neighbours = tuple(neighbours)
     return LengthGroups(
-        features, sparse, filled, labels, layout, num_labels, feature_dim, window
+        features, sparse, labels, layout, num_labels, feature_dim, window, neighbours
     )
+
+
+def _shifted(rows: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """(R, K) rows of ``rows`` gathered by ``neighbours``; index R reads
+    zeros."""
+    padded = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
+    return padded[neighbours]
+
+
+def _emission_rows(grouped: LengthGroups, theta_obs: np.ndarray) -> np.ndarray:
+    """(R, H) emission scores of the packed rows under the context
+    window: position j adds block k's score of the row k - w positions
+    on, and nothing for a neighbour past either end of the chain, as if
+    the windowed vectors were zero-padded there."""
+    window = grouped.window
+    blocks = emission_blocks([grouped.features], grouped.sparse, theta_obs, window)
+    if window == 0:
+        return blocks[0][0]
+    out = _shifted(blocks[0][0], grouped.neighbours[0])
+    for (block,), neighbours in zip(blocks[1:], grouped.neighbours[1:]):
+        out += _shifted(block, neighbours)
+    return out
 
 
 def _observation_gradient(grouped: LengthGroups, node_weight: np.ndarray) -> np.ndarray:
     """(H, (2w+1) D) likelihood gradient of ``theta_obs`` from the
-    label-summed state posteriors ``node_weight`` (Lmax, N, H), exactly 0
-    on padding.  Column block k scores the row at offset k - w of each
-    position, so its row weights are the node weights shifted back by
-    k - w, zero past the chain ends."""
-    feats, sparse, filled, window = (
-        grouped.features, grouped.sparse, grouped.filled, grouped.window
-    )
+    label-summed state posteriors ``node_weight`` (R, H) of the packed
+    rows.  Column block k scores the row at offset k - w of each
+    position, so its row weights are the node weights of the row
+    w - k positions on, zero past the chain ends."""
+    feats, sparse, window = grouped.features, grouped.sparse, grouped.window
     blocks = []
     for k in range(2 * window + 1):
-        shifted = node_weight if window == 0 else shift_rows(node_weight, window - k)
-        row_weight = shifted[filled]
+        row_weight = (
+            node_weight if window == 0
+            else _shifted(node_weight, grouped.neighbours[2 * window - k])
+        )
         if sparse is None:
             blocks.append(row_weight.T @ feats)
         else:
@@ -211,58 +251,45 @@ def _observation_gradient(grouped: LengthGroups, node_weight: np.ndarray) -> np.
 
 
 def objective_and_gradient(
-    grouped: LengthGroups, theta: HcrfParameters, l2_lambda: float
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of the regularized NLL over a training set laid
-    out by :func:`group_by_length`; the gradient is one vector with the
-    observation, state and transition blocks in ``theta.as_vector()``
-    order."""
+    grouped: LengthGroups, vec: np.ndarray, num_hidden_states: int, l2_lambda: float
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """Value of the regularized NLL at the flat parameter vector ``vec``
+    (``HcrfParameters.as_vector`` order, ``num_hidden_states`` states)
+    over a training set laid out by :func:`group_by_length`, and a
+    callable of no arguments for the gradient there, as one vector in
+    the same order.  The callable reads the forward pass this call left
+    in the layout's kernel plan, so it must be called before the next
+    call on the same layout (it raises otherwise), and ``vec`` must not
+    change in between."""
     if l2_lambda < 0:
         raise InvalidInputError("l2_lambda must be >= 0")
     model_dim = (2 * grouped.window + 1) * grouped.feature_dim
-    if (theta.num_labels, theta.feature_dim) != (grouped.num_labels, model_dim):
-        raise InvalidInputError(
-            f"parameters for {theta.num_labels} labels and dim {theta.feature_dim} do not "
-            f"match a dataset grouped for {grouped.num_labels} labels and dim {model_dim}"
-        )
-
-    filled, labels, window = grouped.filled, grouped.labels, grouped.window
-    max_len, num = filled.shape
-    blocks = emission_blocks([grouped.features], grouped.sparse, theta.theta_obs, window)
-    grids = []
-    for (block,) in blocks:
-        grid = np.zeros((max_len, num, theta.num_hidden_states))
-        grid[filled] = block
-        grids.append(grid)
-    emission = window_sum(grids, window)
-    node = node_scores(emission.transpose(1, 0, 2), theta)
-    chain = forward(node, theta.theta_trans, grouped.layout, grouped.work)
+    theta_obs, theta_state, theta_trans = HcrfParameters.split_vector(
+        vec, num_hidden_states, grouped.num_labels, model_dim
+    )
+    plan = grouped.plan(num_hidden_states)
+    labels = grouped.labels
+    node = node_scores(_emission_rows(grouped, theta_obs), theta_state)
+    chain = forward(node, theta_trans, plan)
     log_post = label_log_posteriors(chain.log_z)  # (Y, N)
-    chains = np.arange(num)
+    chains = np.arange(labels.shape[0])
     nll = float(-log_post[labels, chains].sum())
-    coeff = np.exp(log_post)  # P(y | x) - 1[y = gold], (Y, N)
-    coeff[labels, chains] -= 1.0
-    post = backward(chain, coeff, grouped.work)
-
-    grad_state = post.state.sum(axis=(0, 3)).T  # (Y, H)
-    grad_trans = post.pair.sum(axis=(0, 4)).transpose(2, 1, 0)  # (Y, from, to)
-    node_weight = post.state.sum(axis=2).transpose(0, 2, 1)  # (Lmax, N, H), over labels
-    grad_obs = _observation_gradient(grouped, node_weight)
-
-    sq_norm = float(
-        (theta.theta_obs**2).sum()
-        + (theta.theta_state**2).sum()
-        + (theta.theta_trans**2).sum()
-    )
+    sq_norm = float((theta_obs**2).sum() + (theta_state**2).sum() + (theta_trans**2).sum())
     value = nll + 0.5 * l2_lambda * sq_norm
-    grad = np.concatenate(
-        [
-            (grad_obs + l2_lambda * theta.theta_obs).ravel(),
-            (grad_state + l2_lambda * theta.theta_state).ravel(),
-            (grad_trans + l2_lambda * theta.theta_trans).ravel(),
-        ]
-    )
-    return value, grad
+
+    def gradient() -> np.ndarray:
+        coeff = np.exp(log_post)  # P(y | x) - 1[y = gold], (Y, N)
+        coeff[labels, chains] -= 1.0
+        post = backward(chain, coeff)
+        grad_state = post.state.sum(axis=(0, 3)).T  # (Y, H)
+        grad_trans = post.pair.sum(axis=(0, 4)).transpose(2, 1, 0)  # (Y, from, to)
+        node_weight = post.state.sum(axis=2).take(plan.row_cells())  # (R, H), over labels
+        grad_obs = _observation_gradient(grouped, node_weight)
+        grad = np.concatenate([grad_obs.ravel(), grad_state.ravel(), grad_trans.ravel()])
+        grad += l2_lambda * vec
+        return grad
+
+    return value, gradient
 
 
 def train(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfParameters, TrainingTrace]:
@@ -285,13 +312,13 @@ def train(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfParameters, Tra
     window = config.context_window
     grouped = group_by_length(dataset, num_labels, dataset[0][0].dim, window)
     dim = (2 * window + 1) * grouped.feature_dim
+    num_h = config.num_hidden_states
 
     rng = np.random.default_rng(config.seed)
-    init = HcrfParameters.random(config.num_hidden_states, num_labels, dim, rng)
+    init = HcrfParameters.random(num_h, num_labels, dim, rng)
 
-    def fun(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        params = HcrfParameters.from_vector(vec, config.num_hidden_states, num_labels, dim)
-        return objective_and_gradient(grouped, params, config.l2_lambda)
+    def fun(vec: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        return objective_and_gradient(grouped, vec, num_h, config.l2_lambda)
 
     result = minimize(
         fun,
@@ -299,9 +326,7 @@ def train(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfParameters, Tra
         max_iterations=config.max_iterations,
         grad_tolerance=config.grad_tolerance,
     )
-    theta = HcrfParameters.from_vector(
-        result.x, config.num_hidden_states, num_labels, dim
-    )
+    theta = HcrfParameters.from_vector(result.x, num_h, num_labels, dim)
     return theta, TrainingTrace(
         entries=result.trace, status=result.status, evaluations=result.evaluations
     )

@@ -3,16 +3,18 @@ import pytest
 from hypothesis import strategies as st
 
 from opinionchain.corpus import CorpusColumns, ParaMarker, Transcript
-from opinionchain.features.segmentation import segment_into_ipus
+from opinionchain.features.segmentation import ipu_indices, segment_into_ipus
 from opinionchain.model import (
     ChainLayout,
     HcrfParameters,
+    KernelPlan,
     ObservationSequence,
     backward,
     forward,
     label_posteriors,
     node_scores,
 )
+from opinionchain.training import objective_and_gradient
 
 
 def make_transcript(
@@ -58,6 +60,11 @@ def ipus(doc, threshold_ms):
     return [
         (doc.texts[lo:hi], attached) for lo, hi, attached in zip(bounds, bounds[1:], cuts.events)
     ]
+
+
+def ipu_index_per_token(doc, threshold_ms):
+    """The IPU index of each token of ``doc``, segmented alone."""
+    return ipu_indices(CorpusColumns.from_transcripts([doc]), threshold_ms)[0]
 
 
 # fields of the fuzzed lines of a resource file: words, header names,
@@ -127,14 +134,33 @@ def windowed(x, window):
     return ObservationSequence(doc_id=x.doc_id, features=stacked)
 
 
+def packed_kernel(emissions, theta):
+    """The packed (H, Y, R) node scores and a fresh kernel plan for
+    chains of non-increasing length, from each chain's (L, H) emission
+    scores."""
+    layout = ChainLayout([emission.shape[0] for emission in emissions])
+    rows = np.concatenate(emissions)[layout.packing()]
+    plan = KernelPlan(layout, theta.num_hidden_states, theta.num_labels)
+    return node_scores(rows, theta.theta_state), plan
+
+
 def alone(x, theta, weights):
     """The kernel's results for one chain in a call of its own: the
     forward pass (``log_z`` is (Y, 1)) and the posteriors weighted by the
     (Y, 1) ``weights``.  A weight of 1 gives the plain marginals, with
     ``state`` (L, H, Y, 1) and ``pair`` (L-1, later, earlier, Y, 1)."""
-    node = node_scores((x.features @ theta.theta_obs.T)[None], theta)
-    chain = forward(node, theta.theta_trans, ChainLayout([x.length]))
+    node, plan = packed_kernel([x.features @ theta.theta_obs.T], theta)
+    chain = forward(node, theta.theta_trans, plan)
     return chain, backward(chain, weights)
+
+
+def value_and_gradient(grouped, theta, l2_lambda):
+    """``objective_and_gradient`` at the parameters ``theta``: the value,
+    and the gradient vector taken from its callable."""
+    value, gradient = objective_and_gradient(
+        grouped, theta.as_vector(), theta.num_hidden_states, l2_lambda
+    )
+    return value, gradient()
 
 
 def posterior(x, theta):

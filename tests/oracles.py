@@ -29,6 +29,16 @@ For the hidden-state chain model, independent of its kernel:
   x86-64, eps about 1.1e-19): the same max-shifted recursion as the
   float64 kernel, written per label and per position with no batching,
   so it is linear in the length and cheap enough for 10^4 segments.
+
+For the training objective (``opinionchain.training``):
+
+* The padded-grid objective: value and gradient computed as training
+  did before it read packed rows, with every emission block scattered
+  into a zero-padded (position, chain) grid, the windows shifted on the
+  grid, node scores transposed to (label, chain, position, state), and
+  a forward-backward of its own on fresh arrays, with the label-summed
+  state posteriors gathered back from the grid.  Same arithmetic, so
+  the packed objective must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -42,12 +52,18 @@ import numpy as np
 from scipy.special import logsumexp
 
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
-from opinionchain.features.embeddings import embed_tokens
 from opinionchain.features.lexicons import lexicon_features
 from opinionchain.features.paralinguistic import CATEGORIES, OTHER
 from opinionchain.features.stemmer import stem
 from opinionchain.features.tokenizer import tokenize
-from opinionchain.model import HcrfParameters, ObservationSequence
+from opinionchain.model import (
+    HcrfParameters,
+    ObservationSequence,
+    emission_blocks,
+    label_log_posteriors,
+    shift_rows,
+    window_sum,
+)
 
 BRUTE_FORCE_MAX_PATHS = 10**6
 
@@ -195,6 +211,24 @@ def reference_paralinguistic(para_events, marker_map: dict) -> np.ndarray:
     return np.array([counts[c] for c in CATEGORIES + (OTHER,)])
 
 
+def embed_tokens(tokens, table, stopwords) -> np.ndarray:
+    """One IPU's embedding row, one token at a time: the mean of the
+    in-vocabulary, non-stopword token vectors, plus a trailing coverage
+    flag (0 when nothing was covered).  Width E + 1."""
+    vectors = []
+    for token in tokens:
+        if token.lower() in stopwords:
+            continue
+        vec = table.lookup(token)
+        if vec is not None:
+            vectors.append(vec)
+    out = np.zeros(table.dim + 1)
+    if vectors:
+        out[: table.dim] = np.mean(vectors, axis=0)
+        out[table.dim] = 1.0
+    return out
+
+
 def reference_rows(seg, pipeline):
     """A segmented document's raw rows under ``pipeline`` (a fitted
     pipeline), built one IPU at a time: its (L, D') rows of every block
@@ -326,3 +360,102 @@ def log_space_reference(
         log_z[y] = lse(alpha[-1], 0)
         state[y] = np.exp(alpha + beta - log_z[y])
     return log_z, state
+
+
+def _padded_node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:
+    """(Y, N, L, H) node scores of (N, L, H) emissions, stored (L, H, Y, N)."""
+    num, length, num_h = emission.shape
+    out = np.empty((length, num_h, theta.num_labels, num))
+    np.add(emission.transpose(1, 2, 0)[:, :, None], theta.theta_state.T[:, :, None], out=out)
+    return out.transpose(2, 3, 0, 1)
+
+
+def _padded_forward(node, trans, lengths, active):
+    """Log-space forward recursion over the padded (Lmax, H, Y, N) grid."""
+    node = np.ascontiguousarray(node.transpose(2, 3, 0, 1))  # (Lmax, H, Y, N)
+    fwd = trans.transpose(1, 2, 0)[..., None]  # (from, to, Y, 1)
+    alpha = np.full(node.shape, -np.inf)
+    alpha[0] = node[0]
+    factors, sums = [], []
+    for j in range(1, node.shape[0]):
+        a = active[j]
+        scaled = alpha[j - 1, :, None, :, :a] + fwd
+        peak = scaled.max(axis=0)
+        scaled -= peak
+        np.exp(scaled, out=scaled)
+        total = scaled.sum(axis=0)
+        step = np.log(total, out=alpha[j, ..., :a])
+        step += peak
+        step += node[j, ..., :a]
+        factors.append(scaled)
+        sums.append(total)
+    cells = np.arange(alpha[0].size).reshape(alpha.shape[1:])  # (H, Y, N)
+    last = (lengths - 1) * cells.size + cells
+    m = alpha.take(last).max(axis=0)
+    log_z = np.log(np.exp(alpha.take(last) - m).sum(axis=0)) + m
+    return log_z, alpha, factors, sums, last
+
+
+def _padded_backward(forward_pass, weights, active):
+    """Weighted state and pair posteriors on the padded grid, 0 on padding."""
+    log_z, alpha, factors, sums, last = forward_pass
+    state = np.zeros(alpha.shape)
+    pair = np.zeros((alpha.shape[0] - 1,) + alpha.shape[1:2] + alpha.shape[1:])
+    seed = np.exp(alpha.take(last) - log_z)
+    seed *= weights
+    state.reshape(-1)[last] = seed
+    for j in range(len(factors), 0, -1):
+        a = active[j]
+        ahead = state[j, ..., :a] / sums[j - 1]
+        joint = np.multiply(
+            factors[j - 1].transpose(1, 0, 2, 3), ahead[:, None], out=pair[j - 1, ..., :a]
+        )
+        joint.sum(axis=0, out=state[j - 1, ..., :a])
+    return state, pair
+
+
+def padded_objective_and_gradient(grouped, theta: HcrfParameters, l2_lambda: float):
+    """Value and gradient vector of the regularized NLL over ``grouped``
+    (a ``training.LengthGroups``) at ``theta``, on the padded grid."""
+    lengths, active, window = grouped.layout.lengths, grouped.layout.active, grouped.window
+    num, max_len = lengths.shape[0], len(active) - 1
+    filled = np.arange(num) < np.array(active[:-1])[:, None]  # (Lmax, N)
+    blocks = emission_blocks([grouped.features], grouped.sparse, theta.theta_obs, window)
+    grids = []
+    for (block,) in blocks:
+        grid = np.zeros((max_len, num, theta.num_hidden_states))
+        grid[filled] = block
+        grids.append(grid)
+    emission = window_sum(grids, window)
+    node = _padded_node_scores(emission.transpose(1, 0, 2), theta)
+    forward_pass = _padded_forward(node, theta.theta_trans, lengths, active)
+    log_post = label_log_posteriors(forward_pass[0])  # (Y, N)
+    labels, chains = grouped.labels, np.arange(num)
+    nll = float(-log_post[labels, chains].sum())
+    coeff = np.exp(log_post)
+    coeff[labels, chains] -= 1.0
+    state, pair = _padded_backward(forward_pass, coeff, active)
+
+    grad_state = state.sum(axis=(0, 3)).T  # (Y, H)
+    grad_trans = pair.sum(axis=(0, 4)).transpose(2, 1, 0)  # (Y, from, to)
+    node_weight = state.sum(axis=2).transpose(0, 2, 1)  # (Lmax, N, H), over labels
+    grad_blocks = []
+    for k in range(2 * window + 1):
+        shifted = node_weight if window == 0 else shift_rows(node_weight, window - k)
+        row_weight = shifted[filled]
+        if grouped.sparse is not None:
+            grad_blocks.append(grouped.sparse.transpose_dot(row_weight))
+        grad_blocks.append(row_weight.T @ grouped.features)
+    grad_obs = np.concatenate(grad_blocks, axis=1)
+
+    sq_norm = float(
+        (theta.theta_obs**2).sum() + (theta.theta_state**2).sum() + (theta.theta_trans**2).sum()
+    )
+    grad = np.concatenate(
+        [
+            (grad_obs + l2_lambda * theta.theta_obs).ravel(),
+            (grad_state + l2_lambda * theta.theta_state).ravel(),
+            (grad_trans + l2_lambda * theta.theta_trans).ravel(),
+        ]
+    )
+    return nll + 0.5 * l2_lambda * sq_norm, grad

@@ -24,7 +24,6 @@ from opinionchain.evaluation import (
 )
 from opinionchain.features.embeddings import load_embeddings
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
-from opinionchain.features.segmentation import ipu_index_per_token
 from opinionchain.introspection import activation_words, state_character
 from opinionchain.model import HcrfParameters, ObservationSequence
 from opinionchain.synthetic import (
@@ -42,7 +41,7 @@ from opinionchain.training import (
     objective_and_gradient,
 )
 
-from conftest import alone, posterior
+from conftest import alone, ipu_index_per_token, posterior, value_and_gradient
 
 
 def _enumerated_posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
@@ -111,19 +110,15 @@ def test_gradient_matches_central_finite_differences():
             0.5 * rng.normal(size=(2, hidden, hidden)),
         )
         grouped = group_by_length(dataset, 2, dim)
-        analytic = objective_and_gradient(grouped, theta, lam)[1]
+        analytic = value_and_gradient(grouped, theta, lam)[1]
         vec = theta.as_vector()
         step = 1e-5
         for k in range(vec.size):
             bumped = vec.copy()
             bumped[k] = vec[k] + step
-            plus = objective_and_gradient(
-                grouped, HcrfParameters.from_vector(bumped, hidden, 2, dim), lam
-            )[0]
+            plus = objective_and_gradient(grouped, bumped, hidden, lam)[0]
             bumped[k] = vec[k] - step
-            minus = objective_and_gradient(
-                grouped, HcrfParameters.from_vector(bumped, hidden, 2, dim), lam
-            )[0]
+            minus = objective_and_gradient(grouped, bumped, hidden, lam)[0]
             fd = (plus - minus) / (2 * step)
             rel = abs(analytic[k] - fd) / max(1.0, abs(analytic[k]), abs(fd))
             worst = max(worst, rel)

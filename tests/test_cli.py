@@ -336,6 +336,36 @@ class TestSegment:
         assert rc == 0
         assert dir_bytes(seg1 / "corpus") == dir_bytes(seg2 / "corpus")
 
+    @pytest.mark.parametrize("threshold", [150, 300])
+    def test_segment_cuts_the_corpus_with_one_call(
+        self, tmp_path, generated, monkeypatch, threshold
+    ):
+        """``segment`` cuts the whole corpus's columns with one
+        ``segment_into_ipus`` call, and writes the corpus that cutting
+        each document alone gives."""
+        from opinionchain.corpus import load_corpus
+        from opinionchain.features import segmentation
+
+        corpus = load_corpus(generated / "corpus")
+        index = {
+            doc.doc_id: [i for i, (texts, _) in enumerate(ipus(doc, threshold)) for _ in texts]
+            for doc in corpus
+        }
+        save_corpus(corpus, tmp_path / "want", ipu_index=index)
+        calls = []
+        original = segmentation.segment_into_ipus
+
+        def counting(chunk, threshold_ms):
+            calls.append(len(chunk))
+            return original(chunk, threshold_ms)
+
+        monkeypatch.setattr(segmentation, "segment_into_ipus", counting)
+        out = tmp_path / "s"
+        argv = ["segment", "--corpus", str(generated / "corpus"), "--threshold-ms", str(threshold)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert calls == [len(corpus)]
+        assert dir_bytes(out / "corpus") == dir_bytes(tmp_path / "want")
+
     def test_printed_and_logged_ipu_counts_match_a_direct_count(self, tmp_path, generated, capsys):
         from opinionchain.corpus import load_corpus
 

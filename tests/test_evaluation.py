@@ -304,8 +304,8 @@ class TestCrossValidate:
         checksum, are bitwise those of a pipeline fit from scratch on the
         fold's transcripts, while every fold-independent block featurizes
         each IPU once across all folds and the embedding table loads once.
-        ``embed_tokens`` takes one IPU a call, ``paralinguistic_features``
-        a chunk of them, so units are counted, not calls."""
+        ``embed_units`` and ``paralinguistic_features`` take a chunk of
+        IPUs a call, so units are counted, not calls."""
         import dataclasses
 
         from opinionchain.features import pipeline as pipeline_module
@@ -327,7 +327,7 @@ class TestCrossValidate:
         )
         units = Counter()  # IPUs featurized, or files loaded
         sizes = {
-            "embed_tokens": lambda args: 1,
+            "embed_units": lambda args: len(args[0]),
             "load_embeddings": lambda args: 1,
             "paralinguistic_features": lambda args: len(args[0]),
         }
@@ -344,7 +344,7 @@ class TestCrossValidate:
         _, details = cross_validate(corpus, config, learner, k=3, seed=2, return_details=True)
         num_ipus = sum(x.length for x in learner.train[0] + learner.held_out[0])
         assert units == {
-            "embed_tokens": num_ipus,
+            "embed_units": num_ipus,
             "paralinguistic_features": num_ipus,
             "load_embeddings": 1,
         }

@@ -8,15 +8,14 @@ from opinionchain.evaluation import predict_batch
 from opinionchain.model import (
     ChainLayout,
     HcrfParameters,
+    KernelPlan,
     ObservationSequence,
-    Workspace,
     backward,
     forward,
-    node_scores,
 )
 from opinionchain.training import HcrfPredictor, TrainingConfig
 
-from conftest import alone, posterior, zero_params
+from conftest import alone, packed_kernel, posterior, zero_params
 from oracles import (
     BRUTE_FORCE_MAX_PATHS,
     brute_force_log_partitions,
@@ -293,18 +292,18 @@ class TestBatchedKernel:
             2.0 * rng.standard_normal((self.NUM_LABELS, self.NUM_HIDDEN, self.NUM_HIDDEN)),
         )
         feats = rng.standard_normal((self.NUM_CHAINS, length, self.DIM))
-        node = node_scores(feats @ theta.theta_obs.T, theta)
-        chain = forward(node, theta.theta_trans, ChainLayout([length] * self.NUM_CHAINS))
+        node, plan = packed_kernel([f @ theta.theta_obs.T for f in feats], theta)
+        chain = forward(node, theta.theta_trans, plan)
         post = backward(chain, np.ones_like(chain.log_z))
         return theta, [seq(f, f"c{n}") for n, f in enumerate(feats)], node, chain, post
 
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_shapes_are_label_chain_position_state_and_contiguous(self, length):
-        """The node scores go in as (label, chain, position, state); the
+        """The node scores go in as (state, label, packed row); the
         posteriors come out position-major, as the recursions hold them."""
         _, _, node, chain, post = self.batch(np.random.default_rng(length), length)
         y, n, h = self.NUM_LABELS, self.NUM_CHAINS, self.NUM_HIDDEN
-        assert node.shape == (y, n, length, h)
+        assert node.shape == (h, y, n * length)
         assert chain.log_z.shape == (y, n)
         assert post.state.shape == (length, h, y, n)
         assert post.pair.shape == (length - 1, h, h, y, n)
@@ -339,7 +338,8 @@ RAGGED_LENGTHS = (5, 1, 2, 5, 1, 2, 2, 300)
 
 def ragged_batch(rng, lengths, num_labels, num_hidden, dim=3):
     """Random parameters and chains of the given lengths, laid out for one
-    ragged kernel call: ``order[row]`` is the chain in padded row ``row``."""
+    ragged kernel call: ``order[row]`` is the chain in row ``row`` of the
+    layout, and ``node`` holds their packed rows for a fresh ``plan``."""
     theta = HcrfParameters(
         rng.standard_normal((num_hidden, dim)),
         rng.standard_normal((num_labels, num_hidden)),
@@ -347,11 +347,8 @@ def ragged_batch(rng, lengths, num_labels, num_hidden, dim=3):
     )
     chains = [seq(rng.standard_normal((n, dim)), f"c{i}") for i, n in enumerate(lengths)]
     order = sorted(range(len(chains)), key=lambda i: -chains[i].length)  # stable
-    layout = ChainLayout([chains[i].length for i in order])
-    emission = np.zeros((len(chains), layout.lengths[0], num_hidden))
-    for row, i in enumerate(order):
-        emission[row, : chains[i].length] = chains[i].features @ theta.theta_obs.T
-    return theta, chains, order, node_scores(emission, theta), layout
+    node, plan = packed_kernel([chains[i].features @ theta.theta_obs.T for i in order], theta)
+    return theta, chains, order, node, plan
 
 
 def assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights):
@@ -381,13 +378,15 @@ class TestRaggedKernel:
     @pytest.mark.parametrize("num_labels", [2, 3])
     def test_mixed_lengths_bitwise_equal_each_chain_alone(self, num_labels, num_hidden):
         rng = np.random.default_rng(100 * num_labels + num_hidden)
-        theta, chains, order, node, layout = ragged_batch(
+        theta, chains, order, node, plan = ragged_batch(
             rng, RAGGED_LENGTHS, num_labels, num_hidden
         )
         # sorted lengths 300, 5, 5, 2, 2, 2, 1, 1
+        layout = plan.layout
         assert layout.active[:7] == (8, 6, 3, 3, 3, 1, 1)
         assert len(layout.active) == 301 and layout.active[-1] == 0
-        chain = forward(node, theta.theta_trans, layout)
+        assert layout.starts[:4] == (0, 8, 14, 17) and layout.starts[-1] == 318
+        chain = forward(node, theta.theta_trans, plan)
         weights = random_weights(rng, chain)
         post = backward(chain, weights)
         assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights)
@@ -398,9 +397,10 @@ class TestRaggedKernel:
                     chain.log_z[:, row], brute_force_log_partitions(x, theta), rtol=0, atol=1e-10
                 )
         # the weights scale each (label, chain) column of the plain posteriors
+        weighted_state, weighted_pair = post.state.copy(), post.pair.copy()
         plain = backward(chain, np.ones_like(weights))
-        np.testing.assert_allclose(post.state, plain.state * weights, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(post.pair, plain.pair * weights, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(weighted_state, plain.state * weights, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(weighted_pair, plain.pair * weights, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("num_hidden", [8, 9, 16])
     def test_bitwise_equality_holds_from_eight_states(self, num_hidden):
@@ -408,8 +408,8 @@ class TestRaggedKernel:
         slices in index order, whatever H is, so no pairwise summation
         changes the rounding between a batch and a chain alone."""
         rng = np.random.default_rng(num_hidden)
-        theta, chains, order, node, layout = ragged_batch(rng, RAGGED_LENGTHS, 2, num_hidden)
-        chain = forward(node, theta.theta_trans, layout)
+        theta, chains, order, node, plan = ragged_batch(rng, RAGGED_LENGTHS, 2, num_hidden)
+        chain = forward(node, theta.theta_trans, plan)
         weights = random_weights(rng, chain)
         post = backward(chain, weights)
         assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights)
@@ -417,8 +417,8 @@ class TestRaggedKernel:
     @pytest.mark.parametrize("num_labels", [2, 3])
     def test_all_length_one_batch_has_no_pairs(self, num_labels):
         rng = np.random.default_rng(7 + num_labels)
-        theta, chains, order, node, layout = ragged_batch(rng, (1,) * 4, num_labels, 3)
-        chain = forward(node, theta.theta_trans, layout)
+        theta, chains, order, node, plan = ragged_batch(rng, (1,) * 4, num_labels, 3)
+        chain = forward(node, theta.theta_trans, plan)
         weights = random_weights(rng, chain)
         post = backward(chain, weights)
         assert post.pair.shape == (0, 3, 3, num_labels, 4)
@@ -432,8 +432,8 @@ class TestRaggedKernel:
         """Y=3 and H=4 on mixed lengths: each (label, chain) block of the
         weighted posteriors is its weight times the path-sum marginals."""
         rng = np.random.default_rng(11)
-        theta, chains, order, node, layout = ragged_batch(rng, (5, 1, 2, 5, 1, 2, 2), 3, 4)
-        chain = forward(node, theta.theta_trans, layout)
+        theta, chains, order, node, plan = ragged_batch(rng, (5, 1, 2, 5, 1, 2, 2), 3, 4)
+        chain = forward(node, theta.theta_trans, plan)
         weights = random_weights(rng, chain)
         post = backward(chain, weights)
         for row, i in enumerate(order):
@@ -451,57 +451,69 @@ class TestRaggedKernel:
                     atol=1e-10,
                 )
 
-    def test_workspace_reuse_matches_fresh_arrays(self):
-        """A workspace reused over calls with other scores, weights and
-        layouts gives bitwise the results of fresh arrays, in the same
-        memory while the shapes stay."""
-        work = Workspace()
-        kept = []
-        for seed, lengths in [(1, RAGGED_LENGTHS), (2, RAGGED_LENGTHS), (3, (4, 2, 1)), (4, (3,))]:
+    def test_plan_reuse_matches_fresh_arrays(self):
+        """A plan reused over calls with other scores and weights gives
+        bitwise the results of a fresh plan, in the same memory each
+        call."""
+        for seed, lengths in [(1, RAGGED_LENGTHS), (3, (4, 2, 1)), (4, (3,))]:
             rng = np.random.default_rng(seed)
-            theta, _, _, node, layout = ragged_batch(rng, lengths, 3, 4)
-            weights = rng.uniform(-1.0, 1.0, size=(3, len(lengths)))
-            fresh_chain = forward(node, theta.theta_trans, layout)
-            fresh = backward(fresh_chain, weights)
-            chain = forward(node, theta.theta_trans, layout, work)
-            post = backward(chain, weights, work)
-            assert np.array_equal(chain.log_z, fresh_chain.log_z)
-            assert np.array_equal(chain.alpha, fresh_chain.alpha)
-            assert np.array_equal(post.state, fresh.state)
-            assert np.array_equal(post.pair, fresh.pair)
-            kept.append((chain.alpha, post.state, post.pair))
-        for a, b in zip(kept[0], kept[1]):
-            assert np.shares_memory(a, b)
+            theta, _, _, node, plan = ragged_batch(rng, lengths, 3, 4)
+            kept = []
+            for scale in (1.0, 5.0, 0.1):
+                scaled = HcrfParameters(
+                    theta.theta_obs, scale * theta.theta_state, scale * theta.theta_trans
+                )
+                weights = rng.uniform(-1.0, 1.0, size=(3, len(lengths)))
+                fresh_plan = KernelPlan(plan.layout, 4, 3)
+                fresh_chain = forward(scale * node, scaled.theta_trans, fresh_plan)
+                fresh = backward(fresh_chain, weights)
+                chain = forward(scale * node, scaled.theta_trans, plan)
+                post = backward(chain, weights)
+                assert np.array_equal(chain.log_z, fresh_chain.log_z)
+                assert np.array_equal(chain.alpha, fresh_chain.alpha)
+                assert np.array_equal(post.state, fresh.state)
+                assert np.array_equal(post.pair, fresh.pair)
+                kept.append((chain.alpha, post.state, post.pair, *chain.factors))
+            for a, b in zip(kept[0], kept[-1]):
+                assert a is b
 
-    def test_nan_left_in_a_workspace_is_never_read(self):
-        """A workspace whose arrays all hold NaN from an earlier call
-        still gives bitwise the results of fresh arrays."""
+    def test_nan_left_in_a_plan_is_never_read(self):
+        """A plan whose work arrays hold NaN wherever a call writes, and
+        whose ``alpha`` holds NaN on padding too, still gives bitwise the
+        results of a fresh plan: nothing reads what an earlier call left,
+        and nothing reads ``alpha``'s padding."""
         rng = np.random.default_rng(5)
-        theta, _, _, node, layout = ragged_batch(rng, RAGGED_LENGTHS, 3, 4)
+        theta, _, _, node, plan = ragged_batch(rng, RAGGED_LENGTHS, 3, 4)
         weights = rng.uniform(-1.0, 1.0, size=(3, len(RAGGED_LENGTHS)))
-        fresh_chain = forward(node, theta.theta_trans, layout)
-        fresh = backward(fresh_chain, weights)
-        work = Workspace()
-        chain = forward(node, theta.theta_trans, layout, work)
-        post = backward(chain, weights, work)
-        for array in (chain.alpha, *chain.factors, *chain.sums, post.state, post.pair):
+        chain = forward(node, theta.theta_trans, plan)
+        fresh = backward(chain, weights)
+        want_log_z, want_state, want_pair = chain.log_z, fresh.state.copy(), fresh.pair.copy()
+        state, pair, steps = plan.backward_arrays()
+        running = np.arange(len(plan.alpha))[:, None] < plan.layout.lengths  # (Lmax, N)
+        plan.alpha.fill(np.nan)
+        for array in (*plan.factors, *plan.sums, *(step[2] for step in plan.forward_steps)):
             array.fill(np.nan)
-        chain = forward(node, theta.theta_trans, layout, work)
-        post = backward(chain, weights, work)
-        assert np.array_equal(chain.log_z, fresh_chain.log_z)
-        assert np.array_equal(post.state, fresh.state)
-        assert np.array_equal(post.pair, fresh.pair)
+        for step in steps:
+            step[2].fill(np.nan)
+        state.transpose(0, 3, 1, 2)[running] = np.nan
+        pair.transpose(0, 4, 1, 2, 3)[running[1:]] = np.nan
+        chain = forward(node, theta.theta_trans, plan)
+        post = backward(chain, weights)
+        assert np.isnan(chain.alpha.transpose(0, 3, 1, 2)[~running]).all()
+        assert np.array_equal(chain.log_z, want_log_z)
+        assert np.array_equal(post.state, want_state)
+        assert np.array_equal(post.pair, want_pair)
 
     def test_stored_factors_are_normalised_and_rebuild_alpha(self):
         """Step j keeps max-shifted exponentials in [0, 1], whose sum over
         the earlier state is in [1, H] and gives alpha[j] back."""
         rng = np.random.default_rng(6)
-        theta, _, _, node, layout = ragged_batch(rng, (6, 4, 4, 1), 2, 3)
-        chain = forward(node, theta.theta_trans, layout)
-        by_position = node.transpose(2, 3, 0, 1)  # (Lmax, H, Y, N)
+        theta, _, _, node, plan = ragged_batch(rng, (6, 4, 4, 1), 2, 3)
+        layout = plan.layout
+        chain = forward(node, theta.theta_trans, plan)
         assert len(chain.factors) == len(chain.sums) == 5
         for j in range(1, len(layout.active) - 1):
-            a = layout.active[j]
+            a, start = layout.active[j], layout.starts[j]
             factors, sums = chain.factors[j - 1], chain.sums[j - 1]
             assert factors.shape == (3, 3, 2, a) and sums.shape == (3, 2, a)
             assert factors.min() >= 0.0 and factors.max() == 1.0
@@ -512,7 +524,7 @@ class TestRaggedKernel:
             peak = (chain.alpha[j - 1, :, None, :, :a] + trans).max(axis=0)
             np.testing.assert_allclose(
                 chain.alpha[j, ..., :a],
-                np.log(sums) + peak + by_position[j, ..., :a],
+                np.log(sums) + peak + node[..., start : start + a],
                 rtol=1e-15,
                 atol=0,
             )
@@ -523,11 +535,11 @@ class TestRaggedKernel:
         bit for bit; summing out the earlier state gives the later one to
         rounding."""
         rng = np.random.default_rng(8)
-        theta, _, _, node, layout = ragged_batch(rng, RAGGED_LENGTHS, 3, 4)
-        chain = forward(node, theta.theta_trans, layout)
+        theta, _, _, node, plan = ragged_batch(rng, RAGGED_LENGTHS, 3, 4)
+        chain = forward(node, theta.theta_trans, plan)
         post = backward(chain, random_weights(rng, chain))
-        for j in range(1, len(layout.active) - 1):
-            a = layout.active[j]
+        for j in range(1, len(plan.layout.active) - 1):
+            a = plan.layout.active[j]
             pair = post.pair[j - 1, ..., :a]  # (to, from, Y, a)
             assert np.array_equal(pair.sum(axis=0), post.state[j - 1, ..., :a])
             later = post.state[j, ..., :a]
@@ -535,8 +547,8 @@ class TestRaggedKernel:
 
     def test_zero_weights_give_zero_posteriors(self):
         rng = np.random.default_rng(9)
-        theta, _, _, node, layout = ragged_batch(rng, (5, 3, 1), 2, 3)
-        chain = forward(node, theta.theta_trans, layout)
+        theta, _, _, node, plan = ragged_batch(rng, (5, 3, 1), 2, 3)
+        chain = forward(node, theta.theta_trans, plan)
         weights = random_weights(rng, chain)
         weights[1] = 0.0
         post = backward(chain, weights)
@@ -548,30 +560,50 @@ class TestRaggedKernel:
     )
     def test_rejects_lengths_out_of_order_or_range(self, lengths):
         theta = zero_params(2, 2, 1)
-        node = node_scores(np.zeros((3, 3, 2)), theta)
+        node = np.zeros((2, 2, 9))
         with pytest.raises(InvalidInputError, match="chain lengths"):
-            forward(node, theta.theta_trans, ChainLayout(lengths))
+            forward(node, theta.theta_trans, KernelPlan(ChainLayout(lengths), 2, 2))
+
+    def test_rejects_node_scores_of_another_shape(self):
+        rng = np.random.default_rng(4)
+        theta, _, _, node, plan = ragged_batch(rng, (3, 2), 2, 2)
+        for bad in (node[..., :-1], node[:1], node.transpose(1, 0, 2)[:, :, :4]):
+            with pytest.raises(InvalidInputError, match="do not fit node scores"):
+                forward(bad, theta.theta_trans, plan)
+        with pytest.raises(InvalidInputError, match="do not fit node scores"):
+            forward(node, theta.theta_trans[:, :1, :1], plan)
 
     def test_rejects_weights_of_another_shape(self):
         rng = np.random.default_rng(2)
-        theta, _, _, node, layout = ragged_batch(rng, (3, 2), 2, 2)
-        chain = forward(node, theta.theta_trans, layout)
+        theta, _, _, node, plan = ragged_batch(rng, (3, 2), 2, 2)
+        chain = forward(node, theta.theta_trans, plan)
         with pytest.raises(InvalidInputError, match="weights"):
             backward(chain, np.ones((2, 3)))
 
+    def test_rejects_a_pass_that_a_later_call_overwrote(self):
+        """A forward pass lives in its plan's arrays, so once a later call
+        on the plan has overwritten them, its backward pass is refused."""
+        rng = np.random.default_rng(12)
+        theta, _, _, node, plan = ragged_batch(rng, (4, 2, 1), 2, 3)
+        first = forward(node, theta.theta_trans, plan)
+        second = forward(2.0 * node, theta.theta_trans, plan)
+        with pytest.raises(InvalidInputError, match="overwritten"):
+            backward(first, random_weights(rng, first))
+        backward(second, random_weights(rng, second))
+
     def test_padding_is_never_read(self):
+        """Position j reads only its ``active[j]`` running chains: node
+        rows cut to the layout's R rows give the results, and ``alpha`` is
+        -inf past each chain's end, where no step writes."""
         rng = np.random.default_rng(3)
-        theta, chains, order, node, layout = ragged_batch(rng, (4, 2, 1), 2, 3)
-        noisy = node.copy()
-        for row, n in enumerate(layout.lengths):
-            noisy[:, row, n:] = np.nan
-        weights = random_weights(rng, forward(node, theta.theta_trans, layout))
-        want_chain = forward(node, theta.theta_trans, layout)
-        got_chain = forward(noisy, theta.theta_trans, layout)
-        assert np.array_equal(got_chain.log_z, want_chain.log_z)
-        want, got = backward(want_chain, weights), backward(got_chain, weights)
-        assert np.array_equal(got.state, want.state)
-        assert np.array_equal(got.pair, want.pair)
+        theta, chains, order, node, plan = ragged_batch(rng, (4, 2, 1), 2, 3)
+        assert node.shape[2] == sum(x.length for x in chains) == plan.layout.starts[-1]
+        chain = forward(node, theta.theta_trans, plan)
+        weights = random_weights(rng, chain)
+        post = backward(chain, weights)
+        assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights)
+        for row, length in enumerate(plan.layout.lengths):
+            assert (chain.alpha[length:, ..., row] == -np.inf).all()
 
 
 class TestBruteForceGuard:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opinionchain.errors import ConfigurationError, InvalidInputError
-from opinionchain.features.embeddings import embed_tokens, load_embeddings
+from opinionchain.features.embeddings import load_embeddings
 from opinionchain.features.lexicons import lexicon_features, load_lexicon
 from opinionchain.features.pipeline import (
     CANONICAL_BLOCKS,
@@ -20,7 +20,7 @@ from opinionchain.features.resources import (
 from opinionchain.features.standardize import fit_standardizer
 
 from conftest import dense_features, ipus, make_transcript, same_sequence
-from oracles import reference_bong, reference_paralinguistic, reference_pattern
+from oracles import embed_tokens, reference_bong, reference_paralinguistic, reference_pattern
 
 
 def small_corpus():

@@ -16,17 +16,10 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from opinionchain.model import (
-    ChainLayout,
-    HcrfParameters,
-    ObservationSequence,
-    backward,
-    forward,
-    node_scores,
-)
-from opinionchain.training import group_by_length, objective_and_gradient
+from opinionchain.model import HcrfParameters, ObservationSequence, backward, forward
+from opinionchain.training import group_by_length
 
-from conftest import alone, posterior
+from conftest import alone, packed_kernel, posterior, value_and_gradient
 from oracles import log_space_reference, unshifted_logsumexp
 
 mp.dps = 30
@@ -135,7 +128,7 @@ def test_kernel_matches_mpmath(seed, length, num_hidden, scale):
     np.testing.assert_allclose(posterior(x, theta), want_post, rtol=0, atol=log_odds_error)
 
     grouped = group_by_length([(x, gold)], theta.num_labels, theta.feature_dim)
-    _, got_grad = objective_and_gradient(grouped, theta, 0.0)
+    _, got_grad = value_and_gradient(grouped, theta, 0.0)
     count_scale = length * max(1.0, float(np.abs(x.features).max()))
     np.testing.assert_allclose(
         got_grad, want_grad, rtol=0, atol=max(1e-12, log_odds_error) * count_scale
@@ -194,10 +187,8 @@ def test_ragged_kernel_on_ten_thousand_segments_matches_longdouble():
     )
     chains = [ObservationSequence(f"c{i}", rng.standard_normal((n, dim)))
               for i, n in enumerate(LONG_LENGTHS)]
-    emission = np.zeros((len(chains), LONG_LENGTHS[0], num_hidden))
-    for i, x in enumerate(chains):
-        emission[i, : x.length] = x.features @ theta.theta_obs.T
-    chain = forward(node_scores(emission, theta), theta.theta_trans, ChainLayout(LONG_LENGTHS))
+    node, plan = packed_kernel([x.features @ theta.theta_obs.T for x in chains], theta)
+    chain = forward(node, theta.theta_trans, plan)
     state = backward(chain, np.ones_like(chain.log_z)).state  # (Lmax, H, Y, N)
     eps64 = float(np.finfo(np.float64).eps)
 

@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from opinionchain.corpus import load_corpus, save_corpus
 from opinionchain.features.pipeline import PipelineConfig, _segmented
-from opinionchain.features.segmentation import ipu_index_per_token
 
-from conftest import ipus
+from conftest import ipu_index_per_token, ipus
 from oracles import reference_load, reference_segment, reference_tokens
 
 THRESHOLD = 300

@@ -56,6 +56,7 @@ def test_objective_timing_runs_a_few_calls():
     assert proc.returncode == 0, proc.stderr
     for prefix in ("", "default_"):
         assert re.search(rf"^{prefix}objective_ms_median \d+\.\d+$", proc.stdout, re.M)
+        assert re.search(rf"^{prefix}value_ms_median \d+\.\d+$", proc.stdout, re.M)
         value = re.search(rf"^{prefix}objective_value (\S+)$", proc.stdout, re.M)
         assert value and math.isfinite(float(value.group(1)))
     assert re.search(r"^default: 100 documents, .* D=2\d{3}, ", proc.stdout, re.M)

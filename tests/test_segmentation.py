@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from opinionchain.errors import InvalidInputError
 from opinionchain.corpus import CorpusColumns
-from opinionchain.features.segmentation import ipu_index_per_token, segment_into_ipus
+from opinionchain.features.segmentation import segment_into_ipus
 
-from conftest import ipus, make_transcript
+from conftest import ipu_index_per_token, ipus, make_transcript
 
 
 class TestBoundaryRule:

@@ -35,7 +35,7 @@ from opinionchain.training import (
     train,
 )
 
-from conftest import dense_features, make_transcript, windowed
+from conftest import dense_features, make_transcript, value_and_gradient, windowed
 
 BLOCKS = ("bong", "pattern", "paralinguistic")
 
@@ -147,8 +147,8 @@ def test_objective_matches_the_dense_path(window):
         windowed(ObservationSequence(x.doc_id, dense_features(x)), window) for x in sequences
     ]
     reference = group_by_length(list(zip(dense, labels)), 2, theta.feature_dim)
-    value, grad = objective_and_gradient(sparse, theta, 0.3)
-    want_value, want_grad = objective_and_gradient(reference, theta, 0.3)
+    value, grad = value_and_gradient(sparse, theta, 0.3)
+    want_value, want_grad = value_and_gradient(reference, theta, 0.3)
     assert value == pytest.approx(want_value, rel=1e-12, abs=0)
     np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-12)
 
@@ -159,7 +159,7 @@ def test_gradient_matches_central_finite_differences_at_window_one():
     dim = pipeline.schema.dim
     groups = group_by_length(list(zip(sequences, labels)), 2, dim, 1)
     theta = random_theta(np.random.default_rng(5), 2, 3 * dim, scale=0.3)
-    _, grad = objective_and_gradient(groups, theta, 0.2)
+    _, grad = value_and_gradient(groups, theta, 0.2)
     vec, step = theta.as_vector(), 1e-5
     numeric = np.empty_like(vec)
     for k in range(vec.size):
@@ -167,10 +167,8 @@ def test_gradient_matches_central_finite_differences_at_window_one():
         plus[k] += step
         minus[k] -= step
         numeric[k] = (
-            objective_and_gradient(groups, HcrfParameters.from_vector(plus, 2, 2, 3 * dim), 0.2)[0]
-            - objective_and_gradient(
-                groups, HcrfParameters.from_vector(minus, 2, 2, 3 * dim), 0.2
-            )[0]
+            objective_and_gradient(groups, plus, 2, 0.2)[0]
+            - objective_and_gradient(groups, minus, 2, 0.2)[0]
         ) / (2 * step)
     np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-6)
 

@@ -1,19 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionchain import training
 from opinionchain.errors import InvalidInputError
 from opinionchain.evaluation import predict_batch
 from opinionchain.model import (
-    ChainLayout,
     HcrfParameters,
     ObservationSequence,
+    SparseRows,
     backward,
     emission_blocks,
     emission_scores,
     forward,
     label_log_posteriors,
-    node_scores,
     stack_sequences,
     window_sum,
 )
@@ -25,8 +31,8 @@ from opinionchain.training import (
     train,
 )
 
-from conftest import alone, posterior, windowed, zero_params
-from oracles import brute_force_posterior
+from conftest import alone, packed_kernel, posterior, value_and_gradient, windowed, zero_params
+from oracles import brute_force_posterior, padded_objective_and_gradient
 
 
 def seq(features, doc_id="t"):
@@ -65,7 +71,7 @@ def random_theta(rng, num_hidden, num_labels, dim, scale=0.5):
 
 def fd_gradient(dataset, theta, lam, step=1e-5):
     vec = theta.as_vector()
-    h, y, d = theta.num_hidden_states, theta.num_labels, theta.feature_dim
+    h = theta.num_hidden_states
     groups = grouped(dataset, theta)
     out = np.empty_like(vec)
     for k in range(vec.size):
@@ -73,8 +79,8 @@ def fd_gradient(dataset, theta, lam, step=1e-5):
         plus[k] += step
         minus[k] -= step
         out[k] = (
-            objective_and_gradient(groups, HcrfParameters.from_vector(plus, h, y, d), lam)[0]
-            - objective_and_gradient(groups, HcrfParameters.from_vector(minus, h, y, d), lam)[0]
+            objective_and_gradient(groups, plus, h, lam)[0]
+            - objective_and_gradient(groups, minus, h, lam)[0]
         ) / (2 * step)
     return out
 
@@ -98,7 +104,7 @@ class TestObjective:
         rng = np.random.default_rng(0)
         dataset = random_dataset(rng, size=7)
         theta = zero_params(3, 2, 3)
-        value, _ = objective_and_gradient(grouped(dataset, theta), theta, 0.0)
+        value, _ = value_and_gradient(grouped(dataset, theta), theta, 0.0)
         assert value == pytest.approx(7 * np.log(2), abs=1e-12)
 
     def test_zero_lambda_is_pure_likelihood(self):
@@ -106,7 +112,7 @@ class TestObjective:
         dataset = random_dataset(rng, size=5)
         theta = random_theta(rng, 2, 2, 3)
         nll = -sum(np.log(posterior(x, theta)[y]) for x, y in dataset)
-        value, _ = objective_and_gradient(grouped(dataset, theta), theta, 0.0)
+        value, _ = value_and_gradient(grouped(dataset, theta), theta, 0.0)
         assert value == pytest.approx(nll, rel=1e-12)
 
     def test_matches_brute_force_plus_regularizer(self):
@@ -117,18 +123,18 @@ class TestObjective:
             lam = float(rng.uniform(0.0, 1.0))
             want = -sum(np.log(brute_force_posterior(x, theta)[y]) for x, y in dataset)
             want += 0.5 * lam * float((theta.as_vector() ** 2).sum())
-            value, _ = objective_and_gradient(grouped(dataset, theta), theta, lam)
+            value, _ = value_and_gradient(grouped(dataset, theta), theta, lam)
             assert value == pytest.approx(want, rel=1e-10)
 
     def test_rejects_empty_dataset(self):
         theta = zero_params(2, 2, 2)
         with pytest.raises(InvalidInputError):
-            objective_and_gradient(grouped([], theta), theta, 0.1)
+            value_and_gradient(grouped([], theta), theta, 0.1)
 
     def test_rejects_dimension_mismatch(self):
         theta = zero_params(2, 2, 3)
         with pytest.raises(InvalidInputError):
-            objective_and_gradient(grouped([(seq([[1.0, 2.0]]), 0)], theta), theta, 0.1)
+            value_and_gradient(grouped([(seq([[1.0, 2.0]]), 0)], theta), theta, 0.1)
 
 
 class TestGradient:
@@ -136,8 +142,8 @@ class TestGradient:
         rng = np.random.default_rng(3)
         dataset = random_dataset(rng, size=3)
         theta = zero_params(2, 2, 3)
-        g0 = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1]
-        g1 = objective_and_gradient(grouped(dataset, theta), theta, 5.0)[1]
+        g0 = value_and_gradient(grouped(dataset, theta), theta, 0.0)[1]
+        g1 = value_and_gradient(grouped(dataset, theta), theta, 5.0)[1]
         np.testing.assert_array_equal(g0, g1)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -146,7 +152,7 @@ class TestGradient:
         for _ in range(6):
             dataset = random_dataset(rng, size=4, dim=3, max_len=5)
             theta = random_theta(rng, 3, 2, 3)
-            analytic = objective_and_gradient(grouped(dataset, theta), theta, lam)[1]
+            analytic = value_and_gradient(grouped(dataset, theta), theta, lam)[1]
             numeric = fd_gradient(dataset, theta, lam)
             denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-6
@@ -156,7 +162,7 @@ class TestGradient:
             np.zeros((1, 2)), np.array([[50.0], [-50.0]]), np.zeros((2, 1, 1))
         )
         dataset = [(seq([[0.3, -0.2], [0.1, 0.4]]), 0)]
-        g = objective_and_gradient(grouped(dataset, theta), theta, 0.0)[1]
+        g = value_and_gradient(grouped(dataset, theta), theta, 0.0)[1]
         assert np.linalg.norm(g) <= 1e-8
 
     def test_matches_per_sequence_reference(self):
@@ -193,7 +199,7 @@ def assert_matches_per_sequence_reference(dataset, theta, lam):
             if x.length > 1:
                 ref_trans[y] += coeff * pair.sum(axis=0)
 
-    _, got = objective_and_gradient(grouped(dataset, theta), theta, lam)
+    _, got = value_and_gradient(grouped(dataset, theta), theta, lam)
     got = HcrfParameters.from_vector(
         got, theta.num_hidden_states, theta.num_labels, theta.feature_dim
     )
@@ -218,8 +224,8 @@ def per_group_objective_and_gradient(dataset, theta, l2_lambda):
         feats = np.stack([f for f, _ in by_length[length]])
         labels = np.array([y for _, y in by_length[length]])
         num, _, dim = feats.shape
-        node = node_scores(feats @ theta.theta_obs.T, theta)
-        chain = forward(node, theta.theta_trans, ChainLayout([length] * num))
+        node, plan = packed_kernel(list(feats @ theta.theta_obs.T), theta)
+        chain = forward(node, theta.theta_trans, plan)
         plain = backward(chain, np.ones_like(chain.log_z))
         state = plain.state.transpose(2, 3, 0, 1)  # (Y, N, L, H)
         pair = plain.pair.transpose(3, 4, 0, 2, 1)  # (Y, N, L-1, from, to)
@@ -259,41 +265,40 @@ class TestRaggedObjective:
             theta = random_theta(rng, num_hidden, num_labels, (2 * window + 1) * 3, scale)
             lam = float(rng.uniform(0.0, 1.0))
             groups = group_by_length(dataset, num_labels, 3, window)
-            value, grad = objective_and_gradient(groups, theta, lam)
+            value, grad = value_and_gradient(groups, theta, lam)
             reference = [(windowed(x, window), y) for x, y in dataset]
             want_value, want_grad = per_group_objective_and_gradient(reference, theta, lam)
             assert value == pytest.approx(want_value, rel=1e-12, abs=0)
             np.testing.assert_allclose(grad, want_grad.as_vector(), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("num_labels", [2, 3])
-    def test_nan_padding_leaves_objective_bitwise_unchanged(self, num_labels, monkeypatch):
-        """The training features are kept without padding; NaN written
-        into the padding of the (chain, position) grid, in the emissions
-        and so in the node scores built from them, reaches neither the
-        value nor the gradient."""
+    def test_nan_padding_leaves_objective_bitwise_unchanged(self, num_labels):
+        """The training features are kept without padding, and the kernel
+        plan's forward arrays are padded only past each chain's end: NaN
+        written there, and into every work array each call overwrites,
+        reaches neither the value nor the gradient."""
         rng = np.random.default_rng(20 + num_labels)
         dataset = random_dataset(rng, size=15, dim=3, max_len=7, num_labels=num_labels)
         theta = random_theta(rng, 3, num_labels, 3)
         groups = grouped(dataset, theta)
-        value, grad = objective_and_gradient(groups, theta, 0.3)
+        value, grad = value_and_gradient(groups, theta, 0.3)
 
-        original = training.node_scores
-        poisoned = []
-
-        def poisoning(emission, theta):
-            for row, length in enumerate(groups.layout.lengths):
-                emission[row, length:] = np.nan
-            node = original(emission, theta)
-            poisoned.append(int(np.isnan(node).sum()))
-            return node
-
-        monkeypatch.setattr(training, "node_scores", poisoning)
-        got_value, got_grad = objective_and_gradient(groups, theta, 0.3)
-        padding = groups.filled.size - groups.filled.sum()
-        assert poisoned == [num_labels * padding * theta.num_hidden_states] and padding > 0
+        plan = groups.plan(theta.num_hidden_states)
+        lengths = groups.layout.lengths
+        padding = np.arange(len(plan.alpha))[:, None] >= lengths  # (Lmax, N)
+        assert padding.any()
+        plan.alpha.fill(np.nan)
+        state, pair, steps = plan.backward_arrays()
+        for array in (*plan.factors, *plan.sums, *(step[2] for step in plan.forward_steps)):
+            array.fill(np.nan)
+        for step in steps:
+            step[2].fill(np.nan)  # the divided weights
+        state.transpose(0, 3, 1, 2)[~padding] = np.nan
+        pair.transpose(0, 4, 1, 2, 3)[~padding[1:]] = np.nan
+        got_value, got_grad = value_and_gradient(groups, theta, 0.3)
+        assert np.isnan(plan.alpha.transpose(0, 3, 1, 2)[padding]).all()
         assert got_value == value
         assert np.array_equal(got_grad, grad)
-
 
     def test_repeated_calls_match_a_fresh_layout(self):
         """The layout's work arrays carry nothing from one call to the next."""
@@ -302,12 +307,95 @@ class TestRaggedObjective:
         reused = group_by_length(dataset, 3, 3)
         for scale in (0.5, 3.0, 0.1):
             theta = random_theta(rng, 4, 3, 3, scale)
-            value, grad = objective_and_gradient(reused, theta, 0.2)
-            want_value, want_grad = objective_and_gradient(
-                group_by_length(dataset, 3, 3), theta, 0.2
-            )
+            value, grad = value_and_gradient(reused, theta, 0.2)
+            want_value, want_grad = value_and_gradient(group_by_length(dataset, 3, 3), theta, 0.2)
             assert value == want_value
             assert np.array_equal(grad, want_grad)
+
+
+def objective_case(rng, num_labels, window, rows, lengths):
+    """A dataset of dimension 3 (plus 4 sparse columns unless ``rows`` is
+    "dense", with an offset row if it is "offset"), grouped under
+    ``window``: sequences of mixed lengths 1-12, of one length, or a
+    single sequence (``lengths``)."""
+    size = {"mixed": 9, "equal": 6, "single": 1}[lengths]
+    common = int(rng.integers(1, 13))
+    offset = rng.standard_normal(4) if rows == "offset" else None
+    dataset = []
+    for i in range(size):
+        length = int(rng.integers(1, 13)) if lengths == "mixed" else common
+        sparse = None
+        if rows != "dense":
+            nnz = int(rng.integers(0, 3 * length + 1))
+            sparse = SparseRows(
+                np.sort(rng.integers(0, length, nnz)), rng.integers(0, 4, nnz),
+                rng.standard_normal(nnz), length, 4, offset,
+            )
+        x = ObservationSequence(f"d{i}", rng.standard_normal((length, 3)), sparse)
+        dataset.append((x, i % num_labels))
+    dim = dataset[0][0].dim
+    return group_by_length(dataset, num_labels, dim, window), dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2),
+    st.sampled_from(["dense", "sparse", "offset"]),
+    st.sampled_from(["mixed", "equal", "single"]),
+    st.integers(1, 4),
+    st.integers(2, 3),
+)
+def test_objective_bitwise_equals_padded_grid_reference(
+    seed, window, rows, lengths, num_hidden, num_labels
+):
+    """The packed objective does the padded-grid reference's arithmetic
+    on the same numbers, so value and gradient are equal bit for bit,
+    for two parameter draws in a row on one layout."""
+    rng = np.random.default_rng(seed)
+    groups, dim = objective_case(rng, num_labels, window, rows, lengths)
+    for scale in (float(rng.choice([0.1, 1.0, 5.0])), 0.5):
+        theta = random_theta(rng, num_hidden, num_labels, (2 * window + 1) * dim, scale)
+        lam = float(rng.uniform(0.0, 1.0))
+        value, grad = value_and_gradient(groups, theta, lam)
+        want_value, want_grad = padded_objective_and_gradient(groups, theta, lam)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+
+
+def fit_in_a_row(case: int) -> bytes:
+    """The fitted parameters and trace of fit ``case`` of two on datasets
+    of different layouts (the second with three labels and a window),
+    as bytes."""
+    rng = np.random.default_rng(40 + case)
+    if case == 0:
+        data = random_dataset(rng, size=10, dim=3, max_len=6)
+        config = TrainingConfig(num_hidden_states=3, max_iterations=25)
+    else:
+        data = random_dataset(rng, size=14, dim=3, max_len=9, num_labels=3)
+        config = TrainingConfig(num_hidden_states=2, context_window=1, max_iterations=25)
+    theta, trace = train(data, config)
+    entries = [(e.objective, e.gradient_norm, e.step_size) for e in trace.entries]
+    return theta.as_vector().tobytes() + repr((entries, trace.status, trace.evaluations)).encode()
+
+
+def test_fits_in_a_row_match_fits_in_fresh_processes():
+    """Two fits in a row, on different layouts, give bitwise what each
+    gives in a process of its own: no kernel plan or other state carries
+    over from one fit to the next."""
+    in_a_row = [fit_in_a_row(0), fit_in_a_row(1)]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+    )
+    for case, want in enumerate(in_a_row):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, test_training; sys.stdout.buffer.write(test_training.fit_in_a_row({case}))"],
+            env=env, capture_output=True, timeout=120, check=True,
+        )  # fmt: skip
+        assert proc.stdout == want
 
 
 class TestLengthGroups:
@@ -335,8 +423,10 @@ class TestLengthGroups:
         assert grouped.layout.lengths.tolist() == [3, 3, 2, 1, 1]
         assert grouped.layout.active == (5, 3, 2, 0)
         assert grouped.labels.tolist() == [0, 0, 1, 1, 0]  # d0, d2, d3, d1, d4
-        assert grouped.filled.tolist() == [[True] * 5, [True] * 3 + [False] * 2,
-                                           [True] * 2 + [False] * 3]
+        assert grouped.layout.starts == (0, 5, 8, 10)
+        positions, chains = grouped.layout.rows()
+        assert positions.tolist() == [0] * 5 + [1] * 3 + [2] * 2
+        assert chains.tolist() == [0, 1, 2, 3, 4, 0, 1, 2, 0, 1]
 
     def test_rejects_out_of_range_label(self):
         with pytest.raises(InvalidInputError, match="label 2"):
@@ -346,7 +436,7 @@ class TestLengthGroups:
         dataset = [(seq([[1.0, 2.0]]), 0)]
         with pytest.raises(InvalidInputError, match="do not match"):
             objective_and_gradient(
-                group_by_length(dataset, 2, 2), zero_params(2, 3, 2), 0.1
+                group_by_length(dataset, 2, 2), zero_params(2, 3, 2).as_vector(), 2, 0.1
             )
 
     def test_train_groups_once_per_fit(self, monkeypatch):
