@@ -11,7 +11,7 @@ import argparse
 import itertools
 
 from opinionchain.baseline import DEFAULT_C_GRID
-from opinionchain.corpus import filter_neutral, load_corpus
+from opinionchain.corpus import filter_neutral, read_corpus
 from opinionchain.evaluation import (
     CONTEXT_WINDOW_GRID,
     HIDDEN_STATE_GRID,
@@ -43,7 +43,7 @@ def main():
     parser.add_argument("--c", type=float, nargs="*", default=list(DEFAULT_C_GRID))
     args = parser.parse_args()
 
-    corpus = filter_neutral(load_corpus(args.corpus))
+    corpus = filter_neutral(read_corpus(args.corpus))
     print(f"{len(corpus)} labeled documents, {args.folds}-fold cross-validation")
 
     blocks = tuple(b.strip() for b in args.features.split(",") if b.strip())

@@ -16,19 +16,21 @@ start and accepted steps) as `objective_ms_*`, and beside it of a
 value-only call (a rejected line-search trial) as `value_ms_*`, and the
 objective value (the default shape's lines prefixed `default_`).  At
 the default shape it also prints `default_fit_transform_ms`: the median
-over a few passes of a fresh default pipeline's `fit_transform` of the
-100 training documents (resource loading, n-gram fit, featurizing and
+over a few passes of a fresh default pipeline's `segment` and
+`fit_transform` of the 100 training documents' columns (resource
+loading, cutting and tokenizing, n-gram fit, featurizing and
 standardizing), and `default_transform_ms_per_doc`: the median over a
-few passes of the fitted pipeline's `transform` of 1000 held-out
-transcripts of another seed, a chunk at a time, per document.  It also
-prints `default_read_ms_per_doc`: the same 1000 transcripts are saved to
-a temporary directory, and the median over a few passes of `load_corpus`
-on it plus `FeaturePipeline.segment` of the loaded documents (cutting
-IPUs and tokenizing) is printed per document; and beside it
-`default_predict_ms_per_doc`, the median over a few passes of reading,
-featurizing and scoring them as `predict` does (`read_corpus`, then the
-posteriors of an HCRF fitted on the default shape's sequences), per
-document.  Two checkouts can be compared by running it with each one's
+few passes of the fitted pipeline's `blocks` of the columns of 1000
+held-out transcripts of another seed, a chunk at a time (cutting,
+tokenizing, featurizing), per document.  It also prints
+`default_read_ms_per_doc`: the same 1000 transcripts are saved to a
+temporary directory, and the median over a few passes of `load_corpus`
+on it (the transcript reader) plus `FeaturePipeline.segment` of the
+loaded documents as columns (cutting IPUs and tokenizing) is printed
+per document; and beside it `default_predict_ms_per_doc`, the median
+over a few passes of reading, featurizing and scoring them as `predict`
+does (`read_corpus`, then the posteriors of an HCRF fitted on the
+default shape's block), per document.  Two checkouts can be compared by running it with each one's
 `src/` on PYTHONPATH, alternating between them.
 """
 
@@ -42,7 +44,13 @@ from pathlib import Path
 import numpy as np
 
 from opinionchain.archive import LoadedModel
-from opinionchain.corpus import LABEL_NAMES, load_corpus, read_corpus, save_corpus
+from opinionchain.corpus import (
+    LABEL_NAMES,
+    CorpusColumns,
+    load_corpus,
+    read_corpus,
+    save_corpus,
+)
 from opinionchain.evaluation import stratified_k_fold
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.model import HcrfParameters
@@ -54,7 +62,6 @@ from opinionchain.synthetic import (
 )
 from opinionchain.training import (
     TrainingConfig,
-    chunked,
     fit_predictor,
     group_by_length,
     objective_and_gradient,
@@ -66,35 +73,44 @@ HELDOUT_SEED_OFFSET = 1_000_003
 TRANSFORM_PASSES = 5
 
 
+def fit_transform(config, corpus):
+    """A fresh pipeline of ``config`` fit on the columns ``corpus``, and
+    their block."""
+    unfitted = FeaturePipeline(config)
+    return unfitted.fit_transform(unfitted.segment(corpus))
+
+
 def embedding_shape(seed):
-    """The sequences and labels of the cv-embedding workload's first training fold."""
+    """The block and labels of the cv-embedding workload's first training fold."""
     spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=125)
     corpus = generate_corpus(spec, seed=seed)
     labels = [doc.polarity for doc in corpus]
     held = set(stratified_k_fold(labels, FOLDS, seed).folds[0])
-    train_docs = [doc for i, doc in enumerate(corpus) if i not in held]
+    kept = [i for i in range(len(corpus)) if i not in held]
+    train_docs = CorpusColumns.from_transcripts(corpus).select(kept)
     with tempfile.TemporaryDirectory() as tmp:
         emb_path = Path(tmp) / "embeddings.txt"
         write_embeddings(generate_embeddings(spec, seed=seed), emb_path)
         config = PipelineConfig(blocks=("embedding",), embedding_path=str(emb_path))
-        _, sequences = FeaturePipeline(config).fit_transform(train_docs)
-    return sequences, [doc.polarity for doc in train_docs]
+        _, block = fit_transform(config, train_docs)
+    return block, [labels[i] for i in kept]
 
 
 def default_shape(seed):
-    """The sequences and labels of default-predict's default-block
-    training corpus, the pipeline fitted on it, and the corpus."""
+    """The block and labels of default-predict's default-block training
+    corpus, the pipeline fitted on it, and the corpus as columns."""
     spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=50)
-    corpus = generate_corpus(spec, seed=seed)
-    pipeline, sequences = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
-    return sequences, [doc.polarity for doc in corpus], pipeline, corpus
+    docs = generate_corpus(spec, seed=seed)
+    corpus = CorpusColumns.from_transcripts(docs)
+    pipeline, block = fit_transform(PipelineConfig(), corpus)
+    return block, [doc.polarity for doc in docs], pipeline, corpus
 
 
 def time_fit_transform(corpus):
     times = []
     for _ in range(TRANSFORM_PASSES):
         start = time.perf_counter()
-        FeaturePipeline(PipelineConfig()).fit_transform(corpus)
+        fit_transform(PipelineConfig(), corpus)
         times.append(time.perf_counter() - start)
     print(f"default_fit_transform_ms {1e3 * statistics.median(times):.4f}")
 
@@ -105,11 +121,12 @@ def heldout_corpus(seed):
 
 
 def time_transform(pipeline, docs):
+    corpus = CorpusColumns.from_transcripts(docs)
     times = []
     for _ in range(TRANSFORM_PASSES):
         start = time.perf_counter()
-        for chunk in chunked(docs):
-            pipeline.transform(chunk)
+        for _ in pipeline.blocks(corpus):
+            pass
         times.append(time.perf_counter() - start)
     per_doc = 1e3 * statistics.median(times) / len(docs)
     print(f"default_transform_ms_per_doc {per_doc:.4f}")
@@ -122,7 +139,7 @@ def time_read_and_predict(docs, model):
         save_corpus(docs, tmp)
         for _ in range(TRANSFORM_PASSES):
             start = time.perf_counter()
-            unfitted.segment(load_corpus(tmp))
+            unfitted.segment(CorpusColumns.from_transcripts(load_corpus(tmp)))
             read.append(time.perf_counter() - start)
             start = time.perf_counter()
             model.posteriors(read_corpus(tmp))
@@ -140,14 +157,14 @@ def min_and_median_ms(call, repeats):
     return 1e3 * min(times), 1e3 * statistics.median(times)
 
 
-def time_calls(name, prefix, sequences, labels, args):
-    dim = sequences[0].dim
-    grouped = group_by_length(list(zip(sequences, labels)), 2, dim)
+def time_calls(name, prefix, block, labels, args):
+    dim = block.dim
+    grouped = group_by_length(block, labels, 2)
     rng = np.random.default_rng(args.seed)
     vec = HcrfParameters.random(args.hidden_states, 2, dim, rng, scale=0.5).as_vector()
-    lengths = sorted({x.length for x in sequences})
+    lengths = np.diff(block.bounds)
     print(
-        f"{name}: {len(sequences)} documents, lengths {lengths[0]}-{lengths[-1]}, "
+        f"{name}: {len(labels)} documents, lengths {lengths.min()}-{lengths.max()}, "
         f"D={dim}, H={args.hidden_states}, {args.repeats} calls"
     )
     l2_lambda = TrainingConfig().l2_lambda
@@ -175,12 +192,12 @@ def main():
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     time_calls("embedding", "", *embedding_shape(args.seed), args)
-    sequences, labels, pipeline, corpus = default_shape(args.seed)
-    time_calls("default", "default_", sequences, labels, args)
+    block, labels, pipeline, corpus = default_shape(args.seed)
+    time_calls("default", "default_", block, labels, args)
     time_fit_transform(corpus)
     heldout = heldout_corpus(args.seed)
     time_transform(pipeline, heldout)
-    predictor, _ = fit_predictor(list(zip(sequences, labels)), TrainingConfig())
+    predictor, _ = fit_predictor(block, labels, TrainingConfig())
     time_read_and_predict(heldout, LoadedModel("hcrf", pipeline, predictor, LABEL_NAMES))
 
 

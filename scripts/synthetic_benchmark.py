@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import ttest_rel
 
+from opinionchain.corpus import CorpusColumns
 from opinionchain.errors import InvalidInputError
 from opinionchain.evaluation import HcrfLearner, LogRegLearner, MetricsReport, cross_validate
 from opinionchain.features.pipeline import PipelineConfig
@@ -96,7 +97,7 @@ def main():
     bayes = order_insensitive_bayes_accuracy(spec)
     print(f"order-insensitive Bayes bound: {100 * bayes:.2f}%")
 
-    corpus = generate_corpus(spec, seed=args.seed)
+    corpus = CorpusColumns.from_transcripts(generate_corpus(spec, seed=args.seed))
     print(f"corpus: {len(corpus)} documents, {args.folds}-fold cross-validation")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -112,14 +112,13 @@ class LoadedModel:
     predictor: Predictor
     label_names: tuple[str, ...]
 
-    def posteriors(self, docs) -> np.ndarray:
-        """(N, Y) label posteriors of ``docs``: a corpus as columns
-        (``read_corpus``), or transcripts.  The pipeline carries a chunk
-        of documents at a time from its columns to one block of
-        sequences (``FittedFeaturePipeline.blocks``), which the predictor
-        scores as it reads them, so the corpus's feature matrices are
-        never all held at once."""
-        corpus = docs if isinstance(docs, CorpusColumns) else CorpusColumns.from_transcripts(docs)
+    def posteriors(self, corpus: CorpusColumns) -> np.ndarray:
+        """(N, Y) label posteriors of the documents of ``corpus``, read as
+        columns (``read_corpus``).  The pipeline carries a chunk of
+        documents at a time from its columns to one block of sequences
+        (``FittedFeaturePipeline.blocks``), which the predictor scores as
+        it reads them, so the corpus's feature matrices are never all
+        held at once."""
         return self.predictor.posterior_blocks(self.pipeline.blocks(corpus))
 
 

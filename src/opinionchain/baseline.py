@@ -1,12 +1,13 @@
 """Document-level logistic regression over averaged sequence features.
 
-The baseline collapses each observation sequence to the mean of its
-per-segment vectors and fits a binary ℓ2-regularized logistic model
-with the shared quasi-Newton optimizer.  The intercept is left out of
-the penalty so that heavy regularization falls back to the majority
-class rather than to a coin flip.  Each fit logs one line with the
-optimizer's status, at WARNING when it did not converge.  The sigmoid
-is computed in numpy (``_sigmoid``), so the baseline needs nothing else.
+The baseline collapses each sequence of a ``model.SequenceBlock`` to the
+mean of its per-segment vectors (``document_vectors``) and fits a binary
+ℓ2-regularized logistic model with the shared quasi-Newton optimizer.
+The intercept is left out of the penalty so that heavy regularization
+falls back to the majority class rather than to a coin flip.  Each fit
+logs one line with the optimizer's status, at WARNING when it did not
+converge.  The sigmoid is computed in numpy (``_sigmoid``), so the
+baseline needs nothing else.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ObservationSequence, SequenceBlock, SparseRows, scatter_add
+from .model import SequenceBlock, scatter_add
 from .optimize import minimize
-from .training import sequence_blocks
 
 log = logging.getLogger(__name__)
 
@@ -46,11 +46,13 @@ class LogRegModel:
         return self.weights.shape[0]
 
 
-def _mean_vectors(features: np.ndarray, sparse: SparseRows | None, bounds) -> np.ndarray:
-    """(N, D) mean vector of each run of rows ``bounds[i]:bounds[i + 1]``:
-    a sparse block's column sums, added up from its entries in their
-    order, plus the offset row times the run's length, over the length,
-    then the dense rows' mean."""
+def document_vectors(block: SequenceBlock) -> np.ndarray:
+    """(N, D) mean vectors of the N sequences of ``block``: a sparse
+    block's column sums, added up from its entries in their order, plus
+    the offset row times the sequence's length, over the length, then
+    the dense rows' mean.  Each row is bitwise what the sequence gives
+    in a block of its own."""
+    features, sparse, bounds = block.features, block.sparse, block.bounds
     runs = bounds.tolist()
     means = np.array([features[lo:hi].mean(axis=0) for lo, hi in zip(runs, runs[1:])])
     means = means.reshape(len(runs) - 1, features.shape[1])
@@ -63,18 +65,6 @@ def _mean_vectors(features: np.ndarray, sparse: SparseRows | None, bounds) -> np
     if sparse.offset is not None:
         sums += np.outer(lengths, sparse.offset)
     return np.concatenate([sums / lengths[:, None], means], axis=1)
-
-
-def aggregate_document_vector(seq: ObservationSequence) -> np.ndarray:
-    """Mean of the per-segment feature vectors; a sparse block's columns
-    are summed from its entries."""
-    return _mean_vectors(seq.features, seq.sparse, np.array([0, seq.length]))[0]
-
-
-def document_vectors(block: SequenceBlock) -> np.ndarray:
-    """(N, D) mean vectors of the N sequences of ``block``, each bitwise
-    its ``aggregate_document_vector``."""
-    return _mean_vectors(block.features, block.sparse, block.bounds)
 
 
 def _sigmoid(z):
@@ -153,7 +143,8 @@ def train_logreg(
 
 @dataclass(frozen=True, eq=False)
 class LogRegPredictor:
-    """Sequence-in, label-out wrapper: average the segments, then score."""
+    """Block-in, label-out wrapper: average each sequence's segments,
+    then score."""
 
     model: LogRegModel
 
@@ -174,11 +165,6 @@ class LogRegPredictor:
                 probs.append(float(_sigmoid(model.weights @ vec + model.intercept)))
         probs = np.array(probs)
         return np.stack([1.0 - probs, probs], axis=1)
-
-    def posterior_batch(self, seqs) -> np.ndarray:
-        """``posterior_blocks`` of the sequences in ``seqs`` (any
-        iterable, read once), stacked into blocks a chunk at a time."""
-        return self.posterior_blocks(sequence_blocks(seqs))
 
     def describe(self) -> dict:
         return {"model": "logreg", "c": self.model.c}

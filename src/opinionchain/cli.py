@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .archive import canonical_json, load_archive, save_archive
-from .corpus import corpus_stats, filter_neutral, load_corpus, read_corpus, save_corpus
+from .corpus import corpus_stats, filter_neutral, polarity, read_corpus, save_corpus
 from .errors import (
     ConfigurationError,
     EnumerationBudgetError,
@@ -29,7 +29,7 @@ from .errors import (
     is_finite_number,
     read_utf8,
 )
-from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate, predict_batch
+from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate
 from .features.pipeline import FeaturePipeline, PipelineConfig
 from .features.segmentation import ipu_indices
 from .introspection import build_state_report
@@ -168,10 +168,11 @@ def _write_resolved_config(out_dir: Path, resolved: dict):
 
 
 def _labeled_corpus(path: str, pipeline: FeaturePipeline):
-    """The labeled non-neutral documents of the corpus at ``path``, and
-    the same documents segmented once by ``pipeline``.  Every document is
-    segmented, the dropped ones too, for the IPU count logged here."""
-    corpus = load_corpus(path)
+    """The labeled non-neutral documents of the corpus at ``path``, as
+    columns, and the same documents segmented once by ``pipeline``, as
+    one chunk.  Every document is segmented, the dropped ones too, for
+    the IPU count logged here."""
+    corpus = read_corpus(path)
     segmented = pipeline.segment(corpus)
     stats = corpus_stats(corpus)
     log.info(
@@ -179,17 +180,19 @@ def _labeled_corpus(path: str, pipeline: FeaturePipeline):
         stats.document_count,
         ", ".join(f"{v} {k}" for k, v in sorted(stats.class_counts.items())),
         stats.word_count,
-        sum(len(seg.tokens) for seg in segmented),
+        len(segmented.units),
         pipeline.config.threshold_ms,
     )
     labeled = filter_neutral(corpus)
     dropped = len(corpus) - len(labeled)
     if dropped:
         log.info("dropped %d neutral or unlabeled documents", dropped)
-    if not labeled:
+    if not len(labeled):
         raise InvalidInputError(f"{path}: no labeled non-neutral documents")
-    kept = {doc.doc_id for doc in labeled}
-    return labeled, [seg for seg in segmented if seg.doc_id in kept]
+    kept = set(labeled.doc_ids)
+    return labeled, segmented.subchunk(
+        [i for i, doc_id in enumerate(corpus.doc_ids) if doc_id in kept]
+    )
 
 
 def cmd_generate(args) -> int:
@@ -256,10 +259,10 @@ def cmd_train(args) -> int:
     unfitted = FeaturePipeline(pipeline_config)
     labeled, segmented = _labeled_corpus(args.corpus, unfitted)
 
-    pipeline, sequences = unfitted.fit_transform(segmented)
+    pipeline, block = unfitted.fit_transform(segmented)
     log.info("feature dimension %d", pipeline.schema.dim)
-    labels = [doc.polarity for doc in labeled]
-    predictor = learner.fit(sequences, labels)
+    labels = list(map(polarity, labeled.valences))
+    predictor = learner.fit(block, labels)
 
     resolved = {
         "command": "train",
@@ -271,7 +274,8 @@ def cmd_train(args) -> int:
     _write_resolved_config(out_dir, resolved)
     model_path = out_dir / "model.json"
     save_archive(model_path, predictor, pipeline)
-    correct = sum(p == y for p, y in zip(predict_batch(predictor, sequences), labels))
+    predicted = predictor.posterior_blocks([block]).argmax(axis=1).tolist()
+    correct = sum(p == y for p, y in zip(predicted, labels))
     log.info("training accuracy %.4f", correct / len(labels))
     print(f"saved model to {model_path} (training accuracy {100 * correct / len(labels):.1f}%)")
     return 0
@@ -367,8 +371,8 @@ def cmd_inspect(args) -> int:
     table = loaded.pipeline.embedding_table
     vocab: list[str] = []
     if args.corpus is not None and table is not None:
-        segmented = FeaturePipeline(loaded.pipeline.config).segment(load_corpus(args.corpus))
-        vocab = sorted({word for seg in segmented for words in seg.tokens for word in words})
+        segmented = FeaturePipeline(loaded.pipeline.config).segment(read_corpus(args.corpus))
+        vocab = sorted({word for words in segmented.units for word in words})
     report = build_state_report(
         loaded.predictor.params,
         loaded.pipeline.schema.windowed(loaded.predictor.config.context_window),

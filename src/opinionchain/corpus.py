@@ -31,12 +31,17 @@ offsets into them, and the markers, with no object per document or
 token.  Every line is split once, and each file's times are parsed as
 its records are gathered; the times are then converted to int64, and
 each check run, once over the corpus's columns.  The records are
-looked at one by one only to list the problems of a malformed corpus.  ``load_corpus`` builds a ``Transcript``, which holds
-its tokens as columns too, per document from those columns.
+looked at one by one only to list the problems of a malformed corpus.
+Training, evaluation and prediction read those columns; labels come
+from the valences through ``polarity``, and ``filter_neutral`` and
+``corpus_stats`` read them too.  ``load_corpus`` builds a
+``Transcript``, which holds its tokens as columns too, per document
+from the columns, for code that handles one document at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 from dataclasses import dataclass
@@ -60,6 +65,18 @@ LABEL_NAMES = ("negative", "positive")
 class ParaMarker:
     text: str  # asterisk-delimited, e.g. "*chuckling*"
     time_ms: int
+
+
+def polarity(valences: tuple[float, ...] | None) -> int | None:
+    """A document's binary label from its annotators' valences: a mean
+    below 3 is negative, above 3 positive; an unlabeled document (None)
+    or a mean of exactly 3 has none."""
+    if valences is None:
+        return None
+    mean = sum(valences) / len(valences)
+    if mean == 3.0:
+        return None
+    return NEGATIVE if mean < 3.0 else POSITIVE
 
 
 def _time_column(values) -> np.ndarray:
@@ -137,22 +154,9 @@ class Transcript:
         return hash((self.doc_id, self.texts))
 
     @property
-    def mean_valence(self) -> float | None:
-        if self.valences is None:
-            return None
-        return sum(self.valences) / len(self.valences)
-
-    @property
     def polarity(self) -> int | None:
-        """Derived binary label: < 3 negative, > 3 positive, else None."""
-        mean = self.mean_valence
-        if mean is None or mean == 3.0:
-            return None
-        return NEGATIVE if mean < 3.0 else POSITIVE
-
-    @property
-    def word_count(self) -> int:
-        return len(self.texts)
+        """The binary label of the valences (``polarity``)."""
+        return polarity(self.valences)
 
 
 @dataclass(frozen=True)
@@ -213,20 +217,29 @@ class CorpusColumns:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def select(self, lo: int, hi: int) -> "CorpusColumns":
-        """Documents ``lo:hi`` as columns of their own."""
-        a, b = self.offsets[[lo, hi]].tolist()
-        p, q = self.marker_offsets[[lo, hi]].tolist()
+    def select(self, ids) -> "CorpusColumns":
+        """Documents ``ids`` (increasing indices) as columns of their
+        own.  Each run of consecutive documents is one slice of every
+        column, so a range of documents costs one slice each."""
+        ids = np.asarray(ids, dtype=np.intp)
+        firsts = np.flatnonzero(np.diff(ids, prepend=-2) != 1)  # where each run starts
+        los, his = ids[firsts], ids[np.append(firsts, ids.size)[1:] - 1] + 1
+        tokens = list(zip(self.offsets[los].tolist(), self.offsets[his].tolist()))
+        marks = list(zip(self.marker_offsets[los].tolist(), self.marker_offsets[his].tolist()))
+
+        def gathered(column, runs):
+            return list(itertools.chain.from_iterable(column[a:b] for a, b in runs))
+
         return CorpusColumns(
-            self.doc_ids[lo:hi],
-            self.valences[lo:hi],
-            self.texts[a:b],
-            self.starts[a:b],
-            self.ends[a:b],
-            self.offsets[lo : hi + 1] - a,
-            self.marker_texts[p:q],
-            self.marker_times[p:q],
-            self.marker_offsets[lo : hi + 1] - p,
+            tuple(map(self.doc_ids.__getitem__, ids.tolist())),
+            tuple(map(self.valences.__getitem__, ids.tolist())),
+            gathered(self.texts, tokens),
+            np.concatenate([self.starts[a:b] for a, b in tokens] or [_NO_TIMES]),
+            np.concatenate([self.ends[a:b] for a, b in tokens] or [_NO_TIMES]),
+            _offsets(np.diff(self.offsets)[ids]),
+            gathered(self.marker_texts, marks),
+            gathered(self.marker_times, marks),
+            _offsets(np.diff(self.marker_offsets)[ids]),
         )
 
     def transcripts(self) -> list[Transcript]:
@@ -506,24 +519,25 @@ def save_corpus(corpus: list[Transcript], path: str | Path, ipu_index=None):
     (root / MANIFEST_NAME).write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
 
 
-def filter_neutral(corpus: list[Transcript]) -> list[Transcript]:
-    """Drop unlabeled and mean-valence-3 documents; the rest map to a
-    binary polarity via the ``polarity`` property.  Idempotent."""
-    kept = [doc for doc in corpus if doc.polarity is not None]
-    if not kept and corpus:
+def filter_neutral(corpus: CorpusColumns) -> CorpusColumns:
+    """The documents with a binary label (``polarity``): unlabeled and
+    mean-valence-3 documents are dropped.  Idempotent."""
+    kept = [i for i, valences in enumerate(corpus.valences) if polarity(valences) is not None]
+    if not kept and len(corpus):
         log.warning("filter_neutral removed every document")
-    return kept
+    return corpus.select(kept)
 
 
-def corpus_stats(corpus: list[Transcript]) -> CorpusStats:
+def corpus_stats(corpus: CorpusColumns) -> CorpusStats:
     counts = {"negative": 0, "neutral": 0, "positive": 0, "unlabeled": 0}
-    words = 0
-    for doc in corpus:
-        words += doc.word_count
-        if doc.valences is None:
+    for valences in corpus.valences:
+        label = polarity(valences)
+        if valences is None:
             counts["unlabeled"] += 1
-        elif doc.polarity is None:
+        elif label is None:
             counts["neutral"] += 1
         else:
-            counts[LABEL_NAMES[doc.polarity]] += 1
-    return CorpusStats(document_count=len(corpus), class_counts=counts, word_count=words)
+            counts[LABEL_NAMES[label]] += 1
+    return CorpusStats(
+        document_count=len(corpus), class_counts=counts, word_count=len(corpus.texts)
+    )

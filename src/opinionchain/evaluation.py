@@ -16,11 +16,11 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .baseline import LogRegPredictor, aggregate_document_vector, train_logreg
-from .corpus import LABEL_NAMES, Transcript
+from .baseline import LogRegPredictor, document_vectors, train_logreg
+from .corpus import LABEL_NAMES, CorpusColumns, polarity
 from .errors import InvalidInputError
-from .features.pipeline import FeaturePipeline, PipelineConfig, SegmentedDocument
-from .model import ObservationSequence, SequenceBlock
+from .features.pipeline import FeaturePipeline, PipelineConfig, SegmentedChunk
+from .model import SequenceBlock
 from .training import HcrfPredictor, TrainingConfig, fit_predictor
 
 # grids swept by the reference protocol
@@ -204,50 +204,40 @@ def compute_metrics(
 
 
 class Predictor(Protocol):
-    """What every trained model offers: the (N, Y) label posteriors of a
-    batch of sequences, one row per sequence, whose argmax is the
-    prediction (exact ties go to the lowest label index), given as
-    ``SequenceBlock``s or as sequences (which are stacked into blocks),
+    """What every trained model offers: the (N, Y) label posteriors of
+    the sequences of ``SequenceBlock``s, one row per sequence, whose
+    argmax is the prediction (exact ties go to the lowest label index),
     and the hyperparameters it was fit with."""
 
     def posterior_blocks(self, blocks: Iterable[SequenceBlock]) -> np.ndarray: ...
-
-    def posterior_batch(self, seqs: Iterable[ObservationSequence]) -> np.ndarray: ...
 
     def describe(self) -> dict: ...
 
 
 class Learner(Protocol):
-    def fit(self, sequences: list[ObservationSequence], labels: Sequence[int]) -> Predictor: ...
+    def fit(self, block: SequenceBlock, labels: Sequence[int]) -> Predictor: ...
 
 
-def predict_batch(predictor: Predictor, seqs: Iterable[ObservationSequence]) -> list[int]:
-    """Each sequence's argmax label, from one ``posterior_batch`` call."""
-    return np.argmax(predictor.posterior_batch(seqs), axis=1).tolist()
-
-
-def _inner_cv_score(fit_one, sequences, labels, seed: int) -> float:
-    """Pooled weighted F1 of ``fit_one`` over an inner stratified split."""
-    plan = stratified_k_fold(labels, INNER_FOLDS, seed)
-    pooled_pred: list[int] = []
-    pooled_gold: list[int] = []
-    for fold in plan.folds:
-        held = set(fold)
-        train_seqs = [s for i, s in enumerate(sequences) if i not in held]
-        train_labels = [l for i, l in enumerate(labels) if i not in held]
-        predictor = fit_one(train_seqs, train_labels)
-        pooled_pred.extend(predict_batch(predictor, [sequences[i] for i in fold]))
-        pooled_gold.extend(labels[i] for i in fold)
-    return compute_metrics(pooled_pred, pooled_gold).weighted_f1
-
-
-def _select_candidate(candidates, fit_with, sequences, labels, seed):
-    """Best candidate by inner-CV weighted F1; ties keep grid order."""
+def _select_candidate(candidates, fit_with, block: SequenceBlock, labels, seed):
+    """Best candidate by pooled weighted F1 over an inner stratified split
+    of the sequences of ``block``, each fold's blocks picked once for all
+    candidates; ties keep grid order."""
     if len(candidates) == 1:
         return candidates[0]
+    plan = stratified_k_fold(labels, INNER_FOLDS, seed)
+    folds = []
+    for fold in plan.folds:
+        held = set(fold)
+        kept = [i for i in range(len(labels)) if i not in held]
+        folds.append((block.subblock(kept), [labels[i] for i in kept], block.subblock(fold)))
+    gold = [labels[i] for fold in plan.folds for i in fold]
     best, best_score = None, -np.inf
     for cand in candidates:
-        score = _inner_cv_score(lambda s, l: fit_with(cand, s, l), sequences, labels, seed)
+        pooled: list[int] = []
+        for train, train_labels, held_out in folds:
+            predictor = fit_with(cand, train, train_labels)
+            pooled.extend(predictor.posterior_blocks([held_out]).argmax(axis=1).tolist())
+        score = compute_metrics(pooled, gold).weighted_f1
         if score > best_score:
             best, best_score = cand, score
     return best
@@ -271,15 +261,14 @@ class HcrfLearner:
             for h, w, l in itertools.product(hs, ws, ls)
         ]
 
-    def fit(self, sequences: list[ObservationSequence], labels: Sequence[int]) -> HcrfPredictor:
-        def fit_with(config, seqs, labs):
-            predictor, _ = fit_predictor(list(zip(seqs, labs)), config)
+    def fit(self, block: SequenceBlock, labels: Sequence[int]) -> HcrfPredictor:
+        def fit_with(config, part, labs):
+            predictor, _ = fit_predictor(part, labs, config)
             return predictor
 
-        chosen = _select_candidate(
-            self._candidates(), fit_with, sequences, labels, self.config.seed
-        )
-        return fit_with(chosen, list(sequences), list(labels))
+        labels = list(labels)
+        chosen = _select_candidate(self._candidates(), fit_with, block, labels, self.config.seed)
+        return fit_with(chosen, block, labels)
 
 
 @dataclass(frozen=True)
@@ -289,13 +278,14 @@ class LogRegLearner:
     c_grid: tuple[float, ...] = (1.0,)
     seed: int = 0
 
-    def fit(self, sequences: list[ObservationSequence], labels: Sequence[int]) -> LogRegPredictor:
-        def fit_with(c, seqs, labs):
-            matrix = np.stack([aggregate_document_vector(s) for s in seqs])
+    def fit(self, block: SequenceBlock, labels: Sequence[int]) -> LogRegPredictor:
+        def fit_with(c, part, labs):
+            matrix = document_vectors(part)
             return LogRegPredictor(train_logreg(matrix, labs, c=c, seed=self.seed))
 
-        chosen = _select_candidate(list(self.c_grid), fit_with, sequences, labels, self.seed)
-        return fit_with(chosen, list(sequences), list(labels))
+        labels = list(labels)
+        chosen = _select_candidate(list(self.c_grid), fit_with, block, labels, self.seed)
+        return fit_with(chosen, block, labels)
 
 
 @dataclass(frozen=True)
@@ -307,57 +297,61 @@ class FoldDetail:
 
 
 def cross_validate(
-    corpus: list[Transcript],
+    corpus: CorpusColumns,
     pipeline_config: PipelineConfig,
     learner: Learner,
     k: int = 10,
     seed: int = 0,
     return_details: bool = False,
-    segmented: list[SegmentedDocument] | None = None,
+    segmented: SegmentedChunk | None = None,
 ):
-    """Leakage-safe k-fold protocol over a labeled two-class corpus.
+    """Leakage-safe k-fold protocol over a labeled two-class corpus, read
+    as columns (``corpus.filter_neutral`` leaves only such documents).
 
     Every fold refits the feature pipeline on its training documents
     only, trains via the learner (which may run its own inner grid
     selection), and scores the held-out documents.  Segmentation,
     tokenization and every feature block but bong depend on no fitted
-    state, so each document is prepared once for all folds
+    state, so the corpus is prepared once for all folds
     (``FeaturePipeline.prepare``), from ``segmented`` when the caller
-    has already segmented the corpus under ``pipeline_config``; each
-    fold builds only the bong rows and the standardizer.  The headline
-    report pools all held-out predictions; per-fold reports ride along.
+    has already segmented it under ``pipeline_config``; each fold picks
+    its documents from the prepared chunk by index
+    (``SegmentedChunk.subchunk``) and builds only the bong rows and the
+    standardizer.  The headline report pools all held-out predictions;
+    per-fold reports ride along.
     """
     labels = []
-    for doc in corpus:
-        if doc.polarity is None:
+    for doc_id, valences in zip(corpus.doc_ids, corpus.valences):
+        label = polarity(valences)
+        if label is None:
             raise InvalidInputError(
-                f"{doc.doc_id}: unlabeled or neutral document; filter the corpus first"
+                f"{doc_id}: unlabeled or neutral document; filter the corpus first"
             )
-        labels.append(doc.polarity)
+        labels.append(label)
+    unfitted = FeaturePipeline(pipeline_config)
     if segmented is None:
-        segmented = corpus
-    elif [seg.doc_id for seg in segmented] != [doc.doc_id for doc in corpus]:
+        segmented = unfitted.segment(corpus)
+    elif segmented.doc_ids != corpus.doc_ids:
         raise InvalidInputError("segmented documents do not match the corpus")
 
     plan = stratified_k_fold(labels, k, seed)
-    unfitted = FeaturePipeline(pipeline_config)
     prepared = unfitted.prepare(segmented)
     pooled = np.full(len(corpus), -1, dtype=np.int64)
     fold_reports = []
     details = []
     for fold_index, fold in enumerate(plan.folds):
         held = set(fold)
-        train_docs = [d for i, d in enumerate(prepared) if i not in held]
-        train_labels = [l for i, l in enumerate(labels) if i not in held]
-        pipeline, train_seqs = unfitted.fit_transform(train_docs)
-        predictor = learner.fit(train_seqs, train_labels)
-        preds = predict_batch(predictor, pipeline.transform([prepared[i] for i in fold]))
+        kept = [i for i in range(len(labels)) if i not in held]
+        pipeline, train_block = unfitted.fit_transform(prepared.subchunk(kept))
+        predictor = learner.fit(train_block, [labels[i] for i in kept])
+        posteriors = predictor.posterior_blocks([pipeline.block(prepared.subchunk(fold))])
+        preds = posteriors.argmax(axis=1).tolist()
         pooled[list(fold)] = preds
         fold_reports.append(compute_metrics(preds, [labels[i] for i in fold]))
         details.append(
             FoldDetail(
                 fold_index=fold_index,
-                test_doc_ids=tuple(corpus[i].doc_id for i in fold),
+                test_doc_ids=tuple(corpus.doc_ids[i] for i in fold),
                 pipeline_checksum=pipeline.state_checksum(),
                 selection=predictor.describe(),
             )

@@ -1,40 +1,41 @@
-"""End-to-end featurization: transcripts -> per-IPU observation sequences.
+"""End-to-end featurization: corpus columns -> blocks of per-IPU sequences.
 
-``FeaturePipeline.fit_transform`` learns everything that depends on data
-(n-gram vocabulary with IDF, standardizer statistics) from the given
-training documents only, and returns their sequences along with the
-fitted pipeline; it segments, tokenizes and featurizes each document
-once.  The returned ``FittedFeaturePipeline`` is immutable and its
-``transform`` is a pure function, so fitting on a training fold and
-transforming held-out documents cannot leak fold statistics.
+The unit from here on is a chunk of documents, never one document.
+``FeaturePipeline.segment`` cuts a corpus, read as columns
+(``corpus.CorpusColumns``), into IPUs and tokenizes it, as one
+``SegmentedChunk``; ``FeaturePipeline.fit_transform`` learns everything
+that depends on data (n-gram vocabulary with IDF, standardizer
+statistics) from such a chunk of training documents only, and returns
+the fitted pipeline with their sequences as one ``model.SequenceBlock``.
+The returned ``FittedFeaturePipeline`` is immutable and its ``block``
+is a pure function of a chunk, so fitting on a training fold and
+featurizing held-out documents cannot leak fold statistics.
 
-Documents are featurized a chunk at a time (``training.SCORING_CHUNK``
-of them, a ``SegmentedChunk``), each chunk's tokens as ids into a type
-table of the chunk's own (``token_chunk``), which works out once per
-distinct token what the bong and pattern blocks read of it; nothing is
-kept between chunks.  The pattern and paralinguistic counts of all the
-chunk's IPUs are then one ``np.bincount`` each, and the bong entries one
-``np.unique`` (``vectorize_bong``); only the embedding and lexicon rows
-are built one IPU at a time.  A chunk's rows are standardized at once
-into one ``model.SequenceBlock``, which is checked once; ``transform``
-splits it into the documents' sequences.  A document's rows do not
-depend on the chunk it is in.  ``fit_bong`` reads a ``TokenChunk`` too:
-the training documents are numbered as one chunk, one unit per document.
+A chunk's tokens are numbered in a type table of the chunk's own
+(``token_chunk``), which works out once per distinct token what the bong
+and pattern blocks read of it; nothing is kept between chunks.  The
+embedding, pattern and paralinguistic rows of all the chunk's IPUs are
+then a few array operations each, and the bong entries one
+``np.unique`` (``vectorize_bong``); only the lexicon rows are built one
+IPU at a time.  A chunk's rows are standardized at once into one block,
+which is checked once.  A document's rows do not depend on the chunk it
+is in.  ``fit_bong`` reads a ``TokenChunk`` too: the training documents
+are numbered as one chunk, one unit per document.
 
-``FittedFeaturePipeline.blocks`` is ``predict``'s path: it takes a
-corpus as columns (``corpus.CorpusColumns``) and carries each chunk of
-them to its block with no object made per document.  A chunk's columns
-are cut at the indices ``segment_into_ipus`` finds, and tokenization
-runs once per distinct token string of the chunk
-(``_segment_chunk``).  Transcripts are segmented the same way, as the
-columns of one chunk.  Segmentation and tokenization depend only on the
-configuration, never on fitted state: ``FeaturePipeline.segment`` does
-them once, and both ``fit_transform`` and ``transform`` accept its
-``SegmentedDocument`` in place of a transcript.  Of the blocks, only
-bong is fitted (its vocabulary), so ``FeaturePipeline.prepare`` also
-builds the rows of all the others once; cross-validation prepares each
-document once for all of its folds and computes only the bong rows and
-the standardizer per fold.
+``FittedFeaturePipeline.blocks`` is ``predict``'s path: it carries each
+``training.SCORING_CHUNK`` documents of a corpus's columns to their
+block, with no object made per document.  A chunk's columns are cut at
+the indices ``segment_into_ipus`` finds, and tokenization runs once per
+distinct token string of the chunk (``_segment_chunk``).  Segmentation
+and tokenization depend only on the configuration, never on fitted
+state, and of the blocks only bong is fitted (its vocabulary), so
+``FeaturePipeline.prepare`` builds the rows of all the others once for
+a segmented chunk.  Cross-validation prepares the corpus once for all
+of its folds, picks each fold's documents from the prepared chunk by
+index (``SegmentedChunk.subchunk``), and computes only the bong rows
+and the standardizer per fold.  A chunk records the threshold that cut
+it, and a prepared one the configuration of its rows, so a chunk made
+under another configuration is rejected.
 
 Which static files the pipeline reads is decided in one place,
 ``resource_paths``: ``_load_resources`` reads every file from it, and
@@ -60,9 +61,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..corpus import CorpusColumns, Transcript
+from ..corpus import CorpusColumns
 from ..errors import ConfigurationError, InvalidInputError, check_field_types
-from ..model import ObservationSequence, SequenceBlock, SparseRows
+from ..model import SequenceBlock, SparseRows, run_indices
 from ..training import chunked
 from . import resources as res
 from .embeddings import EmbeddingTable, embed_units, load_embeddings
@@ -332,59 +333,40 @@ def _load_resources(config: PipelineConfig, digests: dict[str, str] | None = Non
 
 
 @dataclass(frozen=True, eq=False)
-class SegmentedDocument:
-    """A transcript cut into IPUs: each IPU's tokens and its
-    paralinguistic markers, and the threshold that produced them.
-
-    ``FeaturePipeline.prepare`` also attaches ``fixed_rows``: the (L, D')
-    rows of every enabled block but bong, none of which is fitted to
-    data, built under ``fixed_config``."""
-
-    doc_id: str
-    tokens: tuple[list[str], ...]  # one token list per IPU
-    para_events: tuple[tuple[str, ...], ...]  # one marker tuple per IPU
-    threshold_ms: int
-    fixed_rows: np.ndarray | None = None
-    fixed_config: PipelineConfig | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class SegmentedChunk:
-    """A chunk of N documents cut into U IPUs, the unit the feature blocks
-    and the standardizer work on: IPU u's words are ``units[u]`` and its
-    markers ``events[u]``, and document i's IPUs are
-    ``bounds[i]:bounds[i + 1]``.  ``fixed_rows``, if given, holds the
+    """A chunk of N documents cut into U IPUs at ``threshold_ms``, the
+    unit the feature blocks and the standardizer work on: IPU u's words
+    are ``units[u]`` and its markers ``events[u]``, and document i's IPUs
+    are ``bounds[i]:bounds[i + 1]``.  ``fixed_rows``, if given, holds the
     (U, D') rows of every enabled block but bong, as
-    ``FeaturePipeline.prepare`` built them."""
+    ``FeaturePipeline.prepare`` built them under ``fixed_config``."""
 
     doc_ids: tuple[str, ...]
     units: list[list[str]]
     events: list[tuple[str, ...]]
     bounds: list[int]
+    threshold_ms: int
     fixed_rows: np.ndarray | None = None
+    fixed_config: PipelineConfig | None = None
 
-    @classmethod
-    def of(cls, segs: list[SegmentedDocument]) -> "SegmentedChunk":
-        """The documents ``segs`` as one chunk, with their fixed rows if
-        every one of them is prepared."""
-        prepared = all(seg.fixed_rows is not None for seg in segs)
-        return cls(
-            tuple(seg.doc_id for seg in segs),
-            [tokens for seg in segs for tokens in seg.tokens],
-            [events for seg in segs for events in seg.para_events],
-            [0, *itertools.accumulate(len(seg.tokens) for seg in segs)],
-            np.concatenate([seg.fixed_rows for seg in segs]) if prepared else None,
-        )
-
-    def documents(self, threshold_ms: int) -> list[SegmentedDocument]:
-        """One ``SegmentedDocument`` per document of the chunk."""
+    def subchunk(self, ids) -> "SegmentedChunk":
+        """Documents ``ids`` (indices into the chunk, in the order given)
+        as a chunk of their own, with their fixed rows if prepared."""
         bounds = self.bounds
-        return [
-            SegmentedDocument(
-                doc_id, tuple(self.units[lo:hi]), tuple(self.events[lo:hi]), threshold_ms
-            )
-            for doc_id, lo, hi in zip(self.doc_ids, bounds, bounds[1:])
-        ]
+        runs = [(bounds[i], bounds[i + 1]) for i in ids]
+        fixed = self.fixed_rows
+        if fixed is not None:
+            lo, hi = np.array(runs, dtype=np.intp).reshape(-1, 2).T
+            fixed = fixed[run_indices(lo, hi)]
+            fixed.flags.writeable = False
+        return replace(
+            self,
+            doc_ids=tuple(self.doc_ids[i] for i in ids),
+            units=[unit for lo, hi in runs for unit in self.units[lo:hi]],
+            events=[events for lo, hi in runs for events in self.events[lo:hi]],
+            bounds=[0, *itertools.accumulate(hi - lo for lo, hi in runs)],
+            fixed_rows=fixed,
+        )
 
 
 def _segment_chunk(chunk: CorpusColumns, config: PipelineConfig) -> SegmentedChunk:
@@ -400,37 +382,19 @@ def _segment_chunk(chunk: CorpusColumns, config: PipelineConfig) -> SegmentedChu
     word_at = list(itertools.accumulate(map(len, per_token), initial=0))  # token i's first word
     at = [word_at[bound] for bound in cuts.bounds.tolist()]
     units = [flat[lo:hi] for lo, hi in zip(at, at[1:])]
-    return SegmentedChunk(chunk.doc_ids, units, cuts.events, cuts.docs.tolist())
+    return SegmentedChunk(
+        chunk.doc_ids, units, cuts.events, cuts.docs.tolist(), config.threshold_ms
+    )
 
 
-def _segmented(docs, config: PipelineConfig) -> list[SegmentedDocument]:
-    """``docs`` segmented under ``config``.  Their transcripts are
-    segmented here, as one chunk (``_segment_chunk``).  A
-    ``SegmentedDocument`` must come from the same threshold, and its
-    fixed rows, if any, from the same configuration."""
-    transcripts = [doc for doc in docs if not isinstance(doc, SegmentedDocument)]
-    chunk = _segment_chunk(CorpusColumns.from_transcripts(transcripts), config)
-    cut = iter(chunk.documents(config.threshold_ms))
-    segmented = []
-    for doc in docs:
-        if isinstance(doc, SegmentedDocument):
-            _check_segmented(doc, config)
-            segmented.append(doc)
-        else:
-            segmented.append(next(cut))
-    return segmented
-
-
-def _check_segmented(doc: SegmentedDocument, config: PipelineConfig):
-    if doc.threshold_ms != config.threshold_ms:
+def _check_segmented(chunk: SegmentedChunk, config: PipelineConfig):
+    if chunk.threshold_ms != config.threshold_ms:
         raise InvalidInputError(
-            f"{doc.doc_id}: segmented at {doc.threshold_ms} ms, but the pipeline "
-            f"uses {config.threshold_ms} ms"
+            f"segmented at {chunk.threshold_ms} ms, but the pipeline uses "
+            f"{config.threshold_ms} ms"
         )
-    if doc.fixed_rows is not None and doc.fixed_config != config:
-        raise InvalidInputError(
-            f"{doc.doc_id}: prepared under another pipeline configuration"
-        )
+    if chunk.fixed_rows is not None and chunk.fixed_config != config:
+        raise InvalidInputError("prepared under another pipeline configuration")
 
 
 def _require_ipus(chunk: SegmentedChunk):
@@ -484,7 +448,7 @@ def _fixed_rows(
 
 class FeaturePipeline:
     """Unfitted pipeline; ``fit_transform`` returns the immutable fitted
-    form together with the training documents' sequences.  Resources
+    form together with the training documents' block.  Resources
     (embedding table, lexicons, tagger, ...) are loaded once per
     instance, for all of its fits."""
 
@@ -497,55 +461,53 @@ class FeaturePipeline:
             self._loaded = _load_resources(self.config)
         return self._loaded
 
-    def segment(self, docs: list[Transcript]) -> list[SegmentedDocument]:
-        """Segment and tokenize ``docs`` once, for any number of fits and
-        transforms under this configuration; each distinct token string
-        among them is tokenized once."""
-        return _segmented(docs, self.config)
+    def segment(self, corpus: CorpusColumns) -> SegmentedChunk:
+        """Segment and tokenize the documents of ``corpus`` once, as one
+        chunk, for any number of fits and featurizations under this
+        configuration; each distinct token string among them is
+        tokenized once."""
+        return _segment_chunk(corpus, self.config)
 
-    def prepare(self, docs) -> list[SegmentedDocument]:
-        """``docs`` (transcripts or segmented documents) segmented, with
-        the rows of their fold-independent blocks built once, for any
-        number of fits and transforms under this configuration; only the
-        bong rows and the standardizer are then computed per fit."""
-        prepared = []
-        for part in chunked(docs):
-            segs = _segmented(part, self.config)
-            chunk = SegmentedChunk.of(segs)
-            _require_ipus(chunk)
-            rows = _fixed_rows(chunk, self.config, self._resources())
-            rows.flags.writeable = False
-            bounds = chunk.bounds
-            prepared.extend(
-                replace(seg, fixed_rows=rows[lo:hi], fixed_config=self.config)
-                for seg, lo, hi in zip(segs, bounds, bounds[1:])
-            )
-        return prepared
+    def prepare(self, chunk: SegmentedChunk) -> SegmentedChunk:
+        """``chunk`` with the rows of its fold-independent blocks built
+        once, for any number of fits and featurizations under this
+        configuration; only the bong rows and the standardizer are then
+        computed per fit."""
+        _check_segmented(chunk, self.config)
+        _require_ipus(chunk)
+        rows = _fixed_rows(chunk, self.config, self._resources())
+        rows.flags.writeable = False
+        return replace(chunk, fixed_rows=rows, fixed_config=self.config)
 
     def fit_transform(
-        self, train_docs
-    ) -> tuple["FittedFeaturePipeline", list[ObservationSequence]]:
-        """Fit on ``train_docs`` (transcripts, segmented or prepared
-        documents) and return the fitted pipeline with their sequences.
+        self, chunk: SegmentedChunk
+    ) -> tuple["FittedFeaturePipeline", SequenceBlock]:
+        """Fit on the documents of ``chunk`` (segmented or prepared under
+        this configuration) and return the fitted pipeline with their
+        sequences as one block.
 
-        Each document's raw rows are built once, a chunk of documents at
-        a time, the bong block's as its nonzero entries: the standardizer
-        is fit on them and then applied to them, which gives the same
-        sequences, bit for bit, as the fitted pipeline's ``transform``.
+        The documents' raw rows are built once, the bong block's as its
+        nonzero entries: the standardizer is fit on them and then applied
+        to them, which gives the same block, bit for bit, as the fitted
+        pipeline's ``block``.
         """
-        if not train_docs:
+        if not chunk.doc_ids:
             raise InvalidInputError("cannot fit a pipeline on zero documents")
         config = self.config
+        _check_segmented(chunk, config)
         loaded = self._resources()
-        segmented = _segmented(train_docs, config)
 
         vocab = None
         if "bong" in config.blocks:
-            doc_tokens = token_chunk(
-                [[tok for toks in seg.tokens for tok in toks] for seg in segmented], stems=True
-            )
+            bounds = chunk.bounds
+            words = [
+                list(itertools.chain.from_iterable(chunk.units[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
             vocab = fit_bong(
-                doc_tokens, max_order=config.bong_max_order, min_df=config.bong_min_df
+                token_chunk(words, stems=True),
+                max_order=config.bong_max_order,
+                min_df=config.bong_min_df,
             )
 
         fitted = FittedFeaturePipeline(
@@ -555,24 +517,12 @@ class FeaturePipeline:
             standardizer=None,
             _resources=loaded,
         )
-        chunks = [SegmentedChunk.of(part) for part in chunked(segmented)]
-        for chunk in chunks:
-            _require_ipus(chunk)
-        raw = [fitted._raw_rows(chunk) for chunk in chunks]
+        _require_ipus(chunk)
+        fixed, bong = fitted._raw_rows(chunk)
         if config.standardize:
-            sparse_columns = None
-            if vocab is not None:
-                indices = np.concatenate([bong[1] for _, bong in raw])
-                values = np.concatenate([bong[2] for _, bong in raw])
-                sparse_columns = (indices, values, len(vocab))
-            fixed = np.concatenate([rows for rows, _ in raw])
+            sparse_columns = None if bong is None else (bong[1], bong[2], len(vocab))
             fitted = replace(fitted, standardizer=fit_standardizer(fixed, sparse_columns))
-        sequences = [
-            sequence
-            for chunk, (fixed, bong) in zip(chunks, raw)
-            for sequence in fitted._block(chunk, fixed, bong).sequences()
-        ]
-        return fitted, sequences
+        return fitted, fitted._block(chunk, fixed, bong)
 
 
 def _build_schema(config, loaded: _Resources, vocab) -> FeatureSchema:
@@ -603,16 +553,17 @@ def _build_schema(config, loaded: _Resources, vocab) -> FeatureSchema:
 
 @dataclass(frozen=True)
 class FittedFeaturePipeline:
-    """A fitted pipeline; ``transform`` turns documents into their
-    observation sequences.
+    """A fitted pipeline; ``block`` turns a segmented chunk of documents
+    into their sequences, as one ``model.SequenceBlock``, and ``blocks``
+    a corpus's columns into one block per chunk.
 
     The bong block, first in canonical order, is never built densely: a
-    sequence keeps it as ``SparseRows``, one (index, value) entry per
+    block keeps it as ``SparseRows``, one (index, value) entry per
     in-vocabulary n-gram of an IPU, and its dense ``features`` are the
     other blocks' columns.  Standardizing divides the bong entries by
     the standardizer's std (1 for a zero-variance column, as
     ``Standardizer.apply`` does) and keeps the centering as one offset
-    row, -mean/std, shared by every sequence of the pipeline; the other
+    row, -mean/std, shared by every block of the pipeline; the other
     blocks are standardized as dense rows.  So a sequence's vectors are
     the standardized rows, and the model's parameters stay in
     standardized space.
@@ -644,7 +595,7 @@ class FittedFeaturePipeline:
             divisor = std.divisor[:width]
             with np.errstate(over="ignore"):
                 offset = -std.mean[:width] / divisor
-            # checked here once; every sequence's SparseRows shares it
+            # checked here once; every block's SparseRows shares it
             if not np.isfinite(offset).all():
                 raise InvalidInputError(
                     "the standardizer's bong offset row, -mean/std, is not finite"
@@ -663,7 +614,7 @@ class FittedFeaturePipeline:
         if self.vocabulary is not None:
             tokens = _token_chunk(chunk, self._resources, pattern=not prepared, stems=True)
         fixed = chunk.fixed_rows
-        if not prepared:  # a chunk with an unprepared document is built whole
+        if not prepared:
             fixed = _fixed_rows(chunk, self.config, self._resources, tokens)
         bong = None if tokens is None else vectorize_bong(tokens, self.vocabulary)
         return fixed, bong
@@ -699,29 +650,22 @@ class FittedFeaturePipeline:
         that block."""
         return self._resources.embedding
 
-    def transform(self, docs) -> list[ObservationSequence]:
-        """The observation sequences of ``docs`` (transcripts or
-        ``SegmentedDocument``s), featurized a chunk of documents at a
-        time; a document's sequence is the same, bit for bit, whatever
-        chunk it is in."""
-        sequences = []
-        for part in chunked(docs):
-            chunk = SegmentedChunk.of(_segmented(part, self.config))
-            _require_ipus(chunk)
-            sequences += self._block(chunk, *self._raw_rows(chunk)).sequences()
-        return sequences
+    def block(self, chunk: SegmentedChunk) -> SequenceBlock:
+        """The sequences of the documents of ``chunk`` (segmented or
+        prepared under this pipeline's configuration) as one block; a
+        document's rows are bitwise the same whatever chunk it is in."""
+        _check_segmented(chunk, self.config)
+        _require_ipus(chunk)
+        return self._block(chunk, *self._raw_rows(chunk))
 
     def blocks(self, corpus: CorpusColumns) -> Iterator[SequenceBlock]:
         """The sequences of the documents of ``corpus``, one block per
         chunk of ``training.SCORING_CHUNK`` documents, in order.  A chunk
         goes from its columns to its block as one set of columns:
-        segmented and tokenized (``_segment_chunk``), featurized and
-        standardized, with no object made per document; each document's
-        rows are bitwise those ``transform`` gives it."""
+        segmented and tokenized (``_segment_chunk``), then featurized and
+        standardized by ``block``, with no object made per document."""
         for ids in chunked(range(len(corpus))):
-            chunk = _segment_chunk(corpus.select(ids[0], ids[-1] + 1), self.config)
-            _require_ipus(chunk)
-            yield self._block(chunk, *self._raw_rows(chunk))
+            yield self.block(_segment_chunk(corpus.select(ids), self.config))
 
     def state_checksum(self) -> str:
         """Digest of everything learned from data; used to prove that

@@ -9,8 +9,10 @@ configuration ``(y, h, x)`` is
                    + sum_{j<L} W_trans[y, h_j, h_{j+1}]
 
 and the label posterior marginalizes the latent states per label.
-Prediction scores sequences stacked into a :class:`SequenceBlock`,
-checked once for all of them; the emission scores ``<x_j, W_obs[h]>``
+Sequences travel stacked, as a :class:`SequenceBlock` checked once for
+all of them: training fits on one, cross-validation picks documents
+from one by index (``SequenceBlock.subblock``), and prediction scores
+one per chunk of documents.  The emission scores ``<x_j, W_obs[h]>``
 come from :func:`emission_scores`, which reads the block's sparse rows
 (:class:`SparseRows`) by one gather-and-sum and applies a context window
 as shifted per-block scores, so neither the dense rows nor the windowed
@@ -88,7 +90,7 @@ class SparseRows:
     width: int
     offset: np.ndarray | None = None  # (width,)
     # set by a caller that cuts these entries, and ``offset``, out of a
-    # block already checked (``SequenceBlock.sequences``)
+    # block already checked (``SequenceBlock.subblock``)
     checked: InitVar[bool] = False
 
     def __post_init__(self, checked):
@@ -145,49 +147,6 @@ class SparseRows:
         if self.offset is not None:
             out += np.outer(row_weights.sum(axis=0), self.offset)
         return out
-
-
-@dataclass(frozen=True)
-class ObservationSequence:
-    """One document: an ordered sequence of L per-segment feature vectors.
-
-    ``features`` holds the dense (L, D') columns.  ``sparse``, if given,
-    holds a (L, V) block of further columns that come first, so a vector
-    is the sparse block's row followed by the dense row and D = V + D'.
-    L >= 1 and every entry must be finite; both are checked at
-    construction, so an empty sequence can never reach the inference
-    routines.
-    """
-
-    doc_id: str
-    features: np.ndarray
-    sparse: SparseRows | None = None
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise InvalidInputError(
-                f"{self.doc_id}: features must be 2-D (L, D), got shape {feats.shape}"
-            )
-        if feats.shape[0] < 1:
-            raise InvalidInputError(f"{self.doc_id}: a sequence needs at least one segment")
-        if not np.isfinite(feats).all():
-            raise InvalidInputError(f"{self.doc_id}: non-finite feature values")
-        if self.sparse is not None and self.sparse.num_rows != feats.shape[0]:
-            raise InvalidInputError(
-                f"{self.doc_id}: {self.sparse.num_rows} sparse rows for "
-                f"{feats.shape[0]} segments"
-            )
-        object.__setattr__(self, "features", feats)
-
-    @property
-    def length(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        width = 0 if self.sparse is None else self.sparse.width
-        return width + self.features.shape[1]
 
 
 @dataclass
@@ -350,44 +309,21 @@ def window_sum(blocks: list[np.ndarray], window: int) -> np.ndarray:
     return out
 
 
-def same_sparse_layout(xs: list[ObservationSequence]) -> bool:
-    """Whether the sequences all have no sparse block, or all have one
-    of one width and offset row, so that their sparse rows can be
-    stacked into one block."""
-    first = xs[0].sparse
-    for x in xs:
-        other = x.sparse
-        if (other is None) != (first is None):
-            return False
-        if other is not None and (
-            other.width != first.width
-            or not (other.offset is first.offset or np.array_equal(other.offset, first.offset))
-        ):
-            return False
-    return True
-
-
-def stack_sparse(parts: list[SparseRows], rows: list[np.ndarray], num_rows: int) -> SparseRows:
-    """One block of the entries of ``parts``, which share one layout
-    (:func:`same_sparse_layout`), with ``rows[i]`` the new row of each
-    entry of ``parts[i]``."""
-    return SparseRows(
-        rows=np.concatenate(rows),
-        indices=np.concatenate([part.indices for part in parts]),
-        values=np.concatenate([part.values for part in parts]),
-        num_rows=num_rows,
-        width=parts[0].width,
-        offset=parts[0].offset,
-    )
+def run_indices(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The indices of the runs ``starts[i]:stops[i]``, laid end to end."""
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
 @dataclass(frozen=True, eq=False)
 class SequenceBlock:
-    """N sequences stacked, the unit that prediction scores: sequence i,
-    named ``doc_ids[i]``, is rows ``bounds[i]:bounds[i + 1]`` of the
-    dense (U, D') ``features`` and of the (U, V) ``sparse`` block, if
-    there is one, whose columns come first (as in an
-    :class:`ObservationSequence`).
+    """N sequences stacked, the one unit that passes from the feature
+    pipeline to the learners and predictors: sequence i, named
+    ``doc_ids[i]``, is rows ``bounds[i]:bounds[i + 1]`` of the dense
+    (U, D') ``features`` and of the (U, V) ``sparse`` block, if there is
+    one, whose columns come first, so a vector is the sparse block's row
+    followed by the dense row and D = V + D'.
 
     The block is checked once at construction, for all of its
     sequences: every sequence has at least one row, every dense value is
@@ -435,54 +371,30 @@ class SequenceBlock:
         width = 0 if self.sparse is None else self.sparse.width
         return width + self.features.shape[1]
 
-    def sequences(self) -> list[ObservationSequence]:
-        """The block's sequences, each on its own rows and its run of the
-        sparse entries."""
-        bounds, sparse = self.bounds.tolist(), self.sparse
+    def subblock(self, ids) -> "SequenceBlock":
+        """Sequences ``ids`` (indices into the block, in the order given)
+        as a block of their own: their rows, and their runs of the sparse
+        entries, which this block has checked already."""
+        ids = np.asarray(ids, dtype=np.intp)
+        lo, hi = self.bounds[ids], self.bounds[ids + 1]
+        bounds = np.zeros(ids.size + 1, dtype=np.intp)
+        np.cumsum(hi - lo, out=bounds[1:])
+        sparse = self.sparse
         if sparse is not None:
-            cuts = np.searchsorted(sparse.rows, bounds).tolist()
-        sequences = []
-        for k, doc_id in enumerate(self.doc_ids):
-            lo, hi = bounds[k], bounds[k + 1]
-            part = None
-            if sparse is not None:
-                a, b = cuts[k], cuts[k + 1]
-                part = SparseRows(
-                    sparse.rows[a:b] - lo,
-                    sparse.indices[a:b],
-                    sparse.values[a:b],
-                    hi - lo,
-                    sparse.width,
-                    sparse.offset,
-                    checked=True,
-                )
-            sequences.append(ObservationSequence(doc_id, self.features[lo:hi], part))
-        return sequences
-
-
-def stack_sequences(xs: list[ObservationSequence]) -> list[SequenceBlock]:
-    """``xs`` as blocks: each maximal run of consecutive sequences of one
-    layout (dense width, and :func:`same_sparse_layout`) is one block."""
-    runs: list[list[ObservationSequence]] = []
-    for x in xs:
-        if runs and (
-            x.features.shape[1] == runs[-1][0].features.shape[1]
-            and same_sparse_layout([runs[-1][0], x])
-        ):
-            runs[-1].append(x)
-        else:
-            runs.append([x])
-    blocks = []
-    for run in runs:
-        bounds = np.cumsum([0] + [x.length for x in run])
-        sparse = None
-        if run[0].sparse is not None:
-            rows = [x.sparse.rows + start for x, start in zip(run, bounds.tolist())]
-            sparse = stack_sparse([x.sparse for x in run], rows, int(bounds[-1]))
-        features = np.concatenate([x.features for x in run])
-        blocks.append(SequenceBlock(tuple(x.doc_id for x in run), features, sparse, bounds))
-    return blocks
-
+            cuts = np.searchsorted(sparse.rows, self.bounds)
+            entries = run_indices(cuts[ids], cuts[ids + 1])
+            shift = np.repeat(lo - bounds[:-1], cuts[ids + 1] - cuts[ids])
+            sparse = SparseRows(
+                sparse.rows[entries] - shift,
+                sparse.indices[entries],
+                sparse.values[entries],
+                int(bounds[-1]),
+                sparse.width,
+                sparse.offset,
+                checked=True,
+            )
+        doc_ids = tuple(map(self.doc_ids.__getitem__, ids.tolist()))
+        return SequenceBlock(doc_ids, self.features[run_indices(lo, hi)], sparse, bounds)
 
 def emission_scores(block: SequenceBlock, theta_obs: np.ndarray, window: int) -> list[np.ndarray]:
     """The (L, H) emission scores of each sequence of ``block`` under a

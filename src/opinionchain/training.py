@@ -6,9 +6,10 @@ regularizer's gradient is exactly lambda * theta.  The likelihood
 gradient is the usual expected-count difference: conditional state and
 pair posteriors weighted by (P(y|x) - 1[y = gold]).
 
-``train`` validates the dataset and lays it out once per fit
+``train`` takes the training documents as one ``model.SequenceBlock``
+with their labels, validates them and lays them out once per fit
 (:func:`group_by_length`): one ragged batch of every sequence, sorted by
-non-increasing length, with the feature rows of all sequences kept once,
+non-increasing length, with the block's feature rows kept once,
 position by position and unpadded, a sparse block's as its entries, and
 the kernel's work arrays (``model.KernelPlan``) made for that layout.
 Every objective call reuses both.  It reads the parameters as views of
@@ -33,16 +34,14 @@ window).  The gradient comes back as one flat vector, in
 Results are bitwise reproducible.
 
 Prediction (``HcrfPredictor.posterior_blocks``) scores blocks of
-sequences (``model.SequenceBlock``), a chunk of ``SCORING_CHUNK``
-documents each, as ``predict`` builds them from a corpus's columns;
-``posterior_batch`` stacks sequences into such blocks first.
+sequences: one per chunk of ``SCORING_CHUNK`` documents, as ``predict``
+builds them from a corpus's columns, or a fold's held-out documents.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from collections.abc import Iterator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -53,7 +52,6 @@ from .model import (
     ChainLayout,
     HcrfParameters,
     KernelPlan,
-    ObservationSequence,
     SequenceBlock,
     SparseRows,
     backward,
@@ -63,15 +61,10 @@ from .model import (
     label_log_posteriors,
     label_posteriors,
     node_scores,
-    same_sparse_layout,
-    stack_sequences,
-    stack_sparse,
 )
 from .optimize import TraceEntry, minimize
 
 log = logging.getLogger(__name__)
-
-Dataset = list[tuple[ObservationSequence, int]]
 
 # documents featurized, and sequences scored, as one block at once:
 # enough to amortize numpy's per-call overhead, few enough to hold their
@@ -124,7 +117,7 @@ class LengthGroups:
     ``model.forward``/``model.backward`` kernel.
 
     The chain axis holds every sequence by non-increasing length, in
-    dataset order among equal lengths; ``labels`` (N,) and ``layout``
+    block order among equal lengths; ``labels`` (N,) and ``layout``
     (lengths, active-chain counts and each position's first row) follow
     that order.  ``features`` and ``sparse`` are the only copy of the
     training features kept: their (R, ...) rows, R the sum of lengths,
@@ -162,35 +155,49 @@ class LengthGroups:
 
 
 def group_by_length(
-    dataset: Dataset, num_labels: int, feature_dim: int, window: int = 0
+    block: SequenceBlock, labels, num_labels: int, window: int = 0
 ) -> LengthGroups:
-    """Check every example's dimension and label, then lay the dataset
-    out for :func:`objective_and_gradient` under a context window of
-    ``window``.  The sequences must all have a sparse block of one width
-    and offset row, or none."""
-    if not dataset:
+    """Check every document's label, one per sequence of ``block``, then
+    lay the block out for :func:`objective_and_gradient` under a context
+    window of ``window``: its sequences stacked by non-increasing length
+    (``SequenceBlock.subblock``), their rows packed position-major and
+    their sparse entries kept in that stacked order, each entry moved to
+    its row's packed place."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if not block.doc_ids:
         raise InvalidInputError("dataset must be nonempty")
     if window < 0:
         raise InvalidInputError("window must be >= 0")
-    for x, y in dataset:
-        if x.dim != feature_dim:
-            raise InvalidInputError(
-                f"{x.doc_id}: feature dim {x.dim} != expected {feature_dim}"
-            )
-        if not 0 <= y < num_labels:
-            raise InvalidInputError(f"{x.doc_id}: label {y} out of range [0, {num_labels})")
-    if not same_sparse_layout([x for x, _ in dataset]):
-        raise InvalidInputError("the sequences' sparse blocks do not share one layout")
-    order = sorted(range(len(dataset)), key=lambda i: -dataset[i][0].length)  # stable
-    layout = ChainLayout([dataset[i][0].length for i in order])
-    features = np.concatenate([dataset[i][0].features for i in order])[layout.packing()]
+    if labels.shape != (len(block.doc_ids),):
+        raise InvalidInputError(
+            f"{labels.size} labels for {len(block.doc_ids)} sequences"
+        )
+    bad = np.flatnonzero((labels < 0) | (labels >= num_labels))
+    if bad.size:
+        raise InvalidInputError(
+            f"{block.doc_ids[bad[0]]}: label {labels[bad[0]]} out of range [0, {num_labels})"
+        )
+    lengths = np.diff(block.bounds)
+    order = np.argsort(-lengths, kind="stable")
+    layout = ChainLayout(lengths[order])
+    stacked = block.subblock(order)
+    packing = layout.packing()
+    features = stacked.features[packing]
     starts = np.array(layout.starts)
-    sparse = None
-    if dataset[0][0].sparse is not None:
-        parts = [dataset[i][0].sparse for i in order]
-        rows = [starts[part.rows] + chain for chain, part in enumerate(parts)]
-        sparse = stack_sparse(parts, rows, len(features))
-    labels = np.array([dataset[i][1] for i in order], dtype=np.intp)
+    sparse = stacked.sparse
+    if sparse is not None:
+        packed_at = np.empty_like(packing)
+        packed_at[packing] = np.arange(packing.size)
+        sparse = SparseRows(
+            packed_at[sparse.rows],
+            sparse.indices,
+            sparse.values,
+            sparse.num_rows,
+            sparse.width,
+            sparse.offset,
+            checked=True,
+        )
+    labels = labels[order]
     neighbours = ()
     if window:
         positions, chains = layout.rows()
@@ -203,7 +210,7 @@ def group_by_length(
             neighbours.append(np.where(inside, rows, len(features)))
         neighbours = tuple(neighbours)
     return LengthGroups(
-        features, sparse, labels, layout, num_labels, feature_dim, window, neighbours
+        features, sparse, labels, layout, num_labels, block.dim, window, neighbours
     )
 
 
@@ -292,25 +299,28 @@ def objective_and_gradient(
     return value, gradient
 
 
-def train(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfParameters, TrainingTrace]:
-    """Fit parameters by quasi-Newton minimization of the objective.
+def train(
+    block: SequenceBlock, labels, config: TrainingConfig
+) -> tuple[HcrfParameters, TrainingTrace]:
+    """Fit parameters by quasi-Newton minimization of the objective, on
+    the sequences of ``block`` with ``labels``, one per sequence.
 
     The context window from ``config`` is applied to the emissions, so
     the returned parameters are (H, (2w+1) D) for sequences of dimension
     D, and predicting replays the window.  The model
     has max(2, largest label + 1) labels, and every one of them must
-    occur in the dataset.
+    occur in the training set.
     """
-    if not dataset:
+    labels = list(labels)
+    if not labels:
         raise InvalidInputError("dataset must be nonempty")
-    num_labels = max(2, max(y for _, y in dataset) + 1)
-    present = {y for _, y in dataset}
-    missing = sorted(set(range(num_labels)) - present)
+    num_labels = max(2, max(labels) + 1)
+    missing = sorted(set(range(num_labels)) - set(labels))
     if missing:
         raise InvalidInputError(f"no training example for label(s) {missing}")
 
     window = config.context_window
-    grouped = group_by_length(dataset, num_labels, dataset[0][0].dim, window)
+    grouped = group_by_length(block, labels, num_labels, window)
     dim = (2 * window + 1) * grouped.feature_dim
     num_h = config.num_hidden_states
 
@@ -340,19 +350,12 @@ def chunked(items):
         yield chunk
 
 
-def sequence_blocks(xs) -> Iterator[SequenceBlock]:
-    """The sequences of ``xs`` (any iterable, read once) stacked into
-    blocks (``stack_sequences``), a chunk of them at a time."""
-    for chunk in chunked(xs):
-        yield from stack_sequences(chunk)
-
-
 @dataclass(frozen=True, eq=False)
 class HcrfPredictor:
     """Trained parameters plus the context window they were fit under.
 
     The window is replayed at prediction time, so callers hand in
-    sequences with the raw pipeline dimension.
+    blocks with the raw pipeline dimension.
     """
 
     params: HcrfParameters
@@ -376,12 +379,6 @@ class HcrfPredictor:
             emissions.extend(emission_scores(block, theta_obs, window))
         return label_posteriors(emissions, self.params)
 
-    def posterior_batch(self, xs) -> np.ndarray:
-        """(N, Y) label posteriors of the sequences in ``xs`` (any
-        iterable, read once): stacked into blocks, a chunk of
-        ``SCORING_CHUNK`` at a time, and scored by ``posterior_blocks``."""
-        return self.posterior_blocks(sequence_blocks(xs))
-
     def describe(self) -> dict:
         return {
             "model": "hcrf",
@@ -391,12 +388,14 @@ class HcrfPredictor:
         }
 
 
-def fit_predictor(dataset: Dataset, config: TrainingConfig) -> tuple[HcrfPredictor, TrainingTrace]:
+def fit_predictor(
+    block: SequenceBlock, labels, config: TrainingConfig
+) -> tuple[HcrfPredictor, TrainingTrace]:
     """train() packaged with the window replay needed at prediction time.
 
     Logs one line per fit, at WARNING when the optimizer did not converge.
     """
-    theta, trace = train(dataset, config)
+    theta, trace = train(block, labels, config)
     log.log(
         logging.INFO if trace.status == "converged" else logging.WARNING,
         "hcrf training %s after %d iterations and %d evaluations, objective %.6f",

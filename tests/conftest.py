@@ -3,12 +3,14 @@ import pytest
 from hypothesis import strategies as st
 
 from opinionchain.corpus import CorpusColumns, ParaMarker, Transcript
+from opinionchain.features.pipeline import FeaturePipeline
 from opinionchain.features.segmentation import ipu_indices, segment_into_ipus
 from opinionchain.model import (
     ChainLayout,
     HcrfParameters,
     KernelPlan,
-    ObservationSequence,
+    SequenceBlock,
+    SparseRows,
     backward,
     forward,
     label_posteriors,
@@ -91,22 +93,72 @@ def zero_params(num_hidden_states, num_labels, feature_dim):
     return HcrfParameters(np.zeros((h, d)), np.zeros((y, h)), np.zeros((y, h, h)))
 
 
-def dense_features(x):
-    """The (L, D) rows of ``x`` as one dense matrix: its sparse block's
-    rows, offset row included, built densely before its dense columns."""
-    if x.sparse is None:
-        return x.features
-    sparse = x.sparse
-    rows = np.zeros((x.length, sparse.width))
-    np.add.at(rows, (sparse.rows, sparse.indices), sparse.values)
-    if sparse.offset is not None:
-        rows += sparse.offset
-    return np.hstack([rows, x.features])
+def make_block(docs, doc_ids=None):
+    """Hand-made documents as one ``SequenceBlock``: ``docs`` holds each
+    document's rows, an (L, D) array, or a ``(features, sparse)`` pair of
+    its dense (L, D') rows and its (L, V) ``SparseRows``, all of one
+    width and offset row.  The ids default to d0, d1, ...; a one-document
+    block is ``make_block([rows])``."""
+    parts = [doc if isinstance(doc, tuple) else (doc, None) for doc in docs]
+    features = [np.asarray(f, dtype=np.float64) for f, _ in parts]
+    bounds = np.cumsum([0] + [len(f) for f in features])
+    sparse = None
+    if parts[0][1] is not None:
+        rows = [part.rows + start for (_, part), start in zip(parts, bounds.tolist())]
+        first = parts[0][1]
+        sparse = SparseRows(
+            np.concatenate(rows),
+            np.concatenate([part.indices for _, part in parts]),
+            np.concatenate([part.values for _, part in parts]),
+            int(bounds[-1]),
+            first.width,
+            first.offset,
+        )
+    if doc_ids is None:
+        doc_ids = [f"d{i}" for i in range(len(parts))]
+    return SequenceBlock(tuple(doc_ids), np.concatenate(features), sparse, bounds)
 
 
-def same_sequence(a, b):
-    """Whether two sequences hold bitwise the same rows, dense and sparse."""
-    if a.doc_id != b.doc_id or not np.array_equal(a.features, b.features):
+def columns(docs):
+    """Transcripts as corpus columns."""
+    return CorpusColumns.from_transcripts(docs)
+
+
+def fit(config, docs):
+    """A pipeline of ``config`` fit on the transcripts ``docs``, and
+    their block."""
+    unfitted = FeaturePipeline(config)
+    return unfitted.fit_transform(unfitted.segment(columns(docs)))
+
+
+def featurize(pipeline, docs):
+    """The block of the transcripts ``docs`` under a fitted pipeline."""
+    return pipeline.block(FeaturePipeline(pipeline.config).segment(columns(docs)))
+
+
+def dense_features(block, i=None):
+    """The (U, D) rows of ``block`` as one dense matrix, or sequence i's
+    (L, D) rows: the sparse block's rows, offset row included, built
+    densely before the dense columns."""
+    rows = block.features
+    if block.sparse is not None:
+        sparse = block.sparse
+        dense = np.zeros((sparse.num_rows, sparse.width))
+        np.add.at(dense, (sparse.rows, sparse.indices), sparse.values)
+        if sparse.offset is not None:
+            dense += sparse.offset
+        rows = np.hstack([dense, rows])
+    if i is None:
+        return rows
+    return rows[block.bounds[i] : block.bounds[i + 1]]
+
+
+def same_block(a, b):
+    """Whether two blocks hold bitwise the same documents and rows, dense
+    and sparse."""
+    if a.doc_ids != b.doc_ids or not np.array_equal(a.bounds, b.bounds):
+        return False
+    if not np.array_equal(a.features, b.features):
         return False
     if a.sparse is None or b.sparse is None:
         return a.sparse is b.sparse
@@ -122,16 +174,14 @@ def same_sequence(a, b):
     )
 
 
-def windowed(x, window):
-    """``x`` with the 2w+1 neighbouring vectors of each position
-    concatenated, zero-padded at both ends: the dense (2w+1) D inputs
-    that a context window of ``window`` stands for."""
-    feats = dense_features(x)
-    length, dim = feats.shape
+def windowed(rows, window):
+    """The (L, D) ``rows`` with the 2w+1 neighbouring vectors of each
+    position concatenated, zero-padded at both ends: the dense (2w+1) D
+    inputs that a context window of ``window`` stands for."""
+    length, dim = rows.shape
     padded = np.zeros((length + 2 * window, dim))
-    padded[window : window + length] = feats
-    stacked = np.hstack([padded[k : k + length] for k in range(2 * window + 1)])
-    return ObservationSequence(doc_id=x.doc_id, features=stacked)
+    padded[window : window + length] = rows
+    return np.hstack([padded[k : k + length] for k in range(2 * window + 1)])
 
 
 def packed_kernel(emissions, theta):
@@ -144,12 +194,13 @@ def packed_kernel(emissions, theta):
     return node_scores(rows, theta.theta_state), plan
 
 
-def alone(x, theta, weights):
-    """The kernel's results for one chain in a call of its own: the
-    forward pass (``log_z`` is (Y, 1)) and the posteriors weighted by the
-    (Y, 1) ``weights``.  A weight of 1 gives the plain marginals, with
-    ``state`` (L, H, Y, 1) and ``pair`` (L-1, later, earlier, Y, 1)."""
-    node, plan = packed_kernel([x.features @ theta.theta_obs.T], theta)
+def alone(rows, theta, weights):
+    """The kernel's results for one chain of (L, D) ``rows`` in a call of
+    its own: the forward pass (``log_z`` is (Y, 1)) and the posteriors
+    weighted by the (Y, 1) ``weights``.  A weight of 1 gives the plain
+    marginals, with ``state`` (L, H, Y, 1) and ``pair`` (L-1, later,
+    earlier, Y, 1)."""
+    node, plan = packed_kernel([rows @ theta.theta_obs.T], theta)
     chain = forward(node, theta.theta_trans, plan)
     return chain, backward(chain, weights)
 
@@ -163,9 +214,9 @@ def value_and_gradient(grouped, theta, l2_lambda):
     return value, gradient()
 
 
-def posterior(x, theta):
-    """P(y | x) of one sequence, as a batch of one."""
-    return label_posteriors([x.features @ theta.theta_obs.T], theta)[0]
+def posterior(rows, theta):
+    """P(y | x) of one sequence of (L, D) ``rows``, as a batch of one."""
+    return label_posteriors([rows @ theta.theta_obs.T], theta)[0]
 
 
 @pytest.fixture

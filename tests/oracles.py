@@ -19,7 +19,8 @@ For the chunk featurizer (``opinionchain.features.pipeline``):
   document stemmed and joined where it occurs, and its document
   frequency counted over the set of a document's joined strings.
 
-For the hidden-state chain model, independent of its kernel:
+For the hidden-state chain model, independent of its kernel, each on
+one document's (L, D) feature rows:
 
 * Path enumeration: every latent path is scored explicitly and the
   scores are summed with scipy's logsumexp.  Exact to rounding, but
@@ -58,7 +59,6 @@ from opinionchain.features.stemmer import stem
 from opinionchain.features.tokenizer import tokenize
 from opinionchain.model import (
     HcrfParameters,
-    ObservationSequence,
     emission_blocks,
     label_log_posteriors,
     shift_rows,
@@ -229,13 +229,14 @@ def embed_tokens(tokens, table, stopwords) -> np.ndarray:
     return out
 
 
-def reference_rows(seg, pipeline):
-    """A segmented document's raw rows under ``pipeline`` (a fitted
-    pipeline), built one IPU at a time: its (L, D') rows of every block
-    but bong, and its bong entries (None without a vocabulary)."""
+def reference_rows(units, events_per_unit, pipeline):
+    """A document's raw rows under ``pipeline`` (a fitted pipeline), from
+    its IPUs' words ``units`` and markers ``events_per_unit``, built one
+    IPU at a time: its (L, D') rows of every block but bong, and its bong
+    entries (None without a vocabulary)."""
     loaded = pipeline._resources
     rows = []
-    for tokens, events in zip(seg.tokens, seg.para_events):
+    for tokens, events in zip(units, events_per_unit):
         parts = []
         for block in pipeline.config.blocks:
             if block == "embedding":
@@ -250,33 +251,40 @@ def reference_rows(seg, pipeline):
         rows.append(np.concatenate(parts) if parts else np.empty(0))
     bong = None
     if pipeline.vocabulary is not None:
-        bong = reference_bong(seg.tokens, pipeline.vocabulary)
+        bong = reference_bong(units, pipeline.vocabulary)
     return np.array(rows), bong
 
 
-def _check(x: ObservationSequence, theta: HcrfParameters, y: int | None = None):
-    if x.dim != theta.feature_dim:
+def _check(rows: np.ndarray, theta: HcrfParameters, y: int | None = None) -> np.ndarray:
+    """The (L, D) ``rows`` as floats, checked against ``theta``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 1:
+        raise InvalidInputError(f"rows must be a nonempty (L, D) matrix, got {rows.shape}")
+    if rows.shape[1] != theta.feature_dim:
         raise InvalidInputError(
-            f"{x.doc_id}: feature dim {x.dim} != model dim {theta.feature_dim}"
+            f"feature dim {rows.shape[1]} != model dim {theta.feature_dim}"
         )
     if y is not None and not 0 <= y < theta.num_labels:
         raise InvalidInputError(f"label index {y} out of range [0, {theta.num_labels})")
+    return rows
 
 
-def potential(y: int, hidden_states, x: ObservationSequence, theta: HcrfParameters) -> float:
-    """Unnormalized log-score of one (label, latent path, observations) triple."""
-    _check(x, theta, y)
+def potential(y: int, hidden_states, rows: np.ndarray, theta: HcrfParameters) -> float:
+    """Unnormalized log-score of one (label, latent path, observations)
+    triple, for a document's (L, D) feature rows."""
+    rows = _check(rows, theta, y)
+    length = rows.shape[0]
     h_seq = np.asarray(hidden_states, dtype=np.intp)
-    if h_seq.shape != (x.length,):
+    if h_seq.shape != (length,):
         raise InvalidInputError(
-            f"hidden path length {h_seq.shape} does not match sequence length {x.length}"
+            f"hidden path length {h_seq.shape} does not match sequence length {length}"
         )
     if h_seq.min() < 0 or h_seq.max() >= theta.num_hidden_states:
         raise InvalidInputError("hidden state index out of range")
-    emis = x.features @ theta.theta_obs.T
-    score = emis[np.arange(x.length), h_seq].sum()
+    emis = rows @ theta.theta_obs.T
+    score = emis[np.arange(length), h_seq].sum()
     score += theta.theta_state[y, h_seq].sum()
-    if x.length > 1:
+    if length > 1:
         score += theta.theta_trans[y, h_seq[:-1], h_seq[1:]].sum()
     return float(score)
 
@@ -287,33 +295,36 @@ def _enumerate_paths(num_states: int, length: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def brute_force_log_partitions(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
-    """Per-label log-partitions by explicit path enumeration."""
-    _check(x, theta)
-    num_paths = theta.num_hidden_states**x.length
+def brute_force_log_partitions(rows: np.ndarray, theta: HcrfParameters) -> np.ndarray:
+    """Per-label log-partitions of a document's (L, D) feature rows, by
+    explicit path enumeration."""
+    rows = _check(rows, theta)
+    length = rows.shape[0]
+    num_paths = theta.num_hidden_states**length
     if num_paths > BRUTE_FORCE_MAX_PATHS:
         raise EnumerationBudgetError(
-            f"{theta.num_hidden_states}^{x.length} = {num_paths} paths exceeds "
+            f"{theta.num_hidden_states}^{length} = {num_paths} paths exceeds "
             f"the enumeration budget of {BRUTE_FORCE_MAX_PATHS}"
         )
-    paths = _enumerate_paths(theta.num_hidden_states, x.length)
-    emis = x.features @ theta.theta_obs.T
-    obs_scores = emis[np.arange(x.length)[None, :], paths].sum(axis=1)
+    paths = _enumerate_paths(theta.num_hidden_states, length)
+    emis = rows @ theta.theta_obs.T
+    obs_scores = emis[np.arange(length)[None, :], paths].sum(axis=1)
     log_z = np.empty(theta.num_labels)
     for y in range(theta.num_labels):
         scores = obs_scores + theta.theta_state[y][paths].sum(axis=1)
-        if x.length > 1:
+        if length > 1:
             scores = scores + theta.theta_trans[y][paths[:, :-1], paths[:, 1:]].sum(axis=1)
         log_z[y] = logsumexp(scores)
     return log_z
 
 
-def brute_force_posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
-    """Label posterior P(y | x) via explicit enumeration.
+def brute_force_posterior(rows: np.ndarray, theta: HcrfParameters) -> np.ndarray:
+    """Label posterior P(y | x) of a document's (L, D) feature rows via
+    explicit enumeration.
 
     Refuses when ``H**L`` exceeds ``BRUTE_FORCE_MAX_PATHS``.
     """
-    log_z = brute_force_log_partitions(x, theta)
+    log_z = brute_force_log_partitions(rows, theta)
     return np.exp(log_z - logsumexp(log_z))
 
 
@@ -330,21 +341,22 @@ def unshifted_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def log_space_reference(
-    x: ObservationSequence,
+    rows: np.ndarray,
     theta: HcrfParameters,
     dtype=np.longdouble,
     lse=shifted_logsumexp,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(log-partitions (Y,), state posteriors (Y, L, H)) of one sequence,
-    by a per-label forward-backward in ``dtype`` arithmetic.
+    """(log-partitions (Y,), state posteriors (Y, L, H)) of a document's
+    (L, D) feature rows, by a per-label forward-backward in ``dtype``
+    arithmetic.
 
     The features and weights are float64; the emissions are summed in
     ``dtype`` from the products of their float64 values.
     """
-    _check(x, theta)
-    feats = x.features.astype(dtype)
+    rows = _check(rows, theta)
+    feats = rows.astype(dtype)
     emission = feats @ theta.theta_obs.T.astype(dtype)  # (L, H)
-    length = x.length
+    length = rows.shape[0]
     log_z = np.empty(theta.num_labels, dtype=dtype)
     state = np.empty((theta.num_labels, length, theta.num_hidden_states), dtype=dtype)
     for y in range(theta.num_labels):

@@ -23,9 +23,9 @@ from opinionchain.evaluation import (
     cross_validate,
 )
 from opinionchain.features.embeddings import load_embeddings
-from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
+from opinionchain.features.pipeline import PipelineConfig
 from opinionchain.introspection import activation_words, state_character
-from opinionchain.model import HcrfParameters, ObservationSequence
+from opinionchain.model import HcrfParameters
 from opinionchain.synthetic import (
     SyntheticSpec,
     generate_corpus,
@@ -41,20 +41,29 @@ from opinionchain.training import (
     objective_and_gradient,
 )
 
-from conftest import alone, ipu_index_per_token, posterior, value_and_gradient
+from conftest import (
+    alone,
+    columns,
+    fit,
+    ipu_index_per_token,
+    make_block,
+    posterior,
+    value_and_gradient,
+)
 
 
-def _enumerated_posterior(x: ObservationSequence, theta: HcrfParameters) -> np.ndarray:
-    """Label posterior by summing every hidden-state path explicitly."""
+def _enumerated_posterior(x: np.ndarray, theta: HcrfParameters) -> np.ndarray:
+    """Label posterior of the (L, D) rows ``x`` by summing every
+    hidden-state path explicitly."""
     log_zs = []
     for y in range(theta.num_labels):
         scores = []
-        for path in itertools.product(range(theta.num_hidden_states), repeat=x.length):
+        for path in itertools.product(range(theta.num_hidden_states), repeat=len(x)):
             s = 0.0
             for j, h in enumerate(path):
-                s += float(x.features[j] @ theta.theta_obs[h])
+                s += float(x[j] @ theta.theta_obs[h])
                 s += float(theta.theta_state[y, h])
-            for j in range(x.length - 1):
+            for j in range(len(x) - 1):
                 s += float(theta.theta_trans[y, path[j], path[j + 1]])
             scores.append(s)
         peak = max(scores)
@@ -74,7 +83,7 @@ def _random_instance(rng, max_len=6, max_hidden=4, max_dim=5, max_labels=3):
         rng.normal(size=(labels, hidden)),
         rng.normal(size=(labels, hidden, hidden)),
     )
-    x = ObservationSequence("instance", rng.normal(size=(length, dim)))
+    x = rng.normal(size=(length, dim))
     return x, theta
 
 
@@ -102,14 +111,14 @@ def test_gradient_matches_central_finite_differences():
         dataset = []
         for j in range(int(rng.integers(1, 4))):
             length = int(rng.integers(1, 6))
-            seq = ObservationSequence(f"case{i}.{j}", rng.normal(size=(length, dim)))
-            dataset.append((seq, int(rng.integers(0, 2))))
+            dataset.append((rng.normal(size=(length, dim)), int(rng.integers(0, 2))))
         theta = HcrfParameters(
             0.5 * rng.normal(size=(hidden, dim)),
             0.5 * rng.normal(size=(2, hidden)),
             0.5 * rng.normal(size=(2, hidden, hidden)),
         )
-        grouped = group_by_length(dataset, 2, dim)
+        block = make_block([x for x, _ in dataset])
+        grouped = group_by_length(block, [y for _, y in dataset], 2)
         analytic = value_and_gradient(grouped, theta, lam)[1]
         vec = theta.as_vector()
         step = 1e-5
@@ -140,7 +149,7 @@ def test_posterior_calibration_and_invariances():
             pair = plain.pair[..., y, 0].transpose(0, 2, 1)
             row_err = np.abs(state.sum(axis=1) - 1.0).max()
             assert row_err <= 1e-10
-            if x.length > 1:
+            if len(x) > 1:
                 # pair[j, a, b] = P(h_j = a, h_{j+1} = b); both one-sided
                 # sums must reproduce the unary tables.
                 left = pair.sum(axis=2)
@@ -188,13 +197,12 @@ def test_sequence_model_beats_aggregate_baseline_on_synthetic_corpus(synthetic_s
     bayes = order_insensitive_bayes_accuracy(setup.spec)
     assert bayes == pytest.approx(0.66484375, abs=1e-12)
 
-    logreg = cross_validate(
-        setup.corpus, setup.config, LogRegLearner(c_grid=(1.0,)), k=5, seed=0
-    )
+    corpus = columns(setup.corpus)
+    logreg = cross_validate(corpus, setup.config, LogRegLearner(c_grid=(1.0,)), k=5, seed=0)
     learner = HcrfLearner(
         config=TrainingConfig(num_hidden_states=3, l2_lambda=0.1, max_iterations=150)
     )
-    hcrf = cross_validate(setup.corpus, setup.config, learner, k=5, seed=0)
+    hcrf = cross_validate(corpus, setup.config, learner, k=5, seed=0)
 
     assert logreg.accuracy <= 100 * bayes + 7.5
     assert hcrf.accuracy - logreg.accuracy >= 10.0
@@ -282,13 +290,11 @@ def test_repeated_evaluation_runs_are_byte_identical(tmp_path):
 
 def test_trained_states_align_with_generator_polarity(synthetic_setup):
     setup = synthetic_setup
-    fitted = FeaturePipeline(setup.config).fit_transform(list(setup.corpus))[0]
-    sequences = fitted.transform(setup.corpus)
-    dataset = [(x, doc.polarity) for x, doc in zip(sequences, setup.corpus)]
+    fitted, block = fit(setup.config, setup.corpus)
     train_config = TrainingConfig(
         num_hidden_states=3, l2_lambda=0.1, max_iterations=150, seed=0
     )
-    predictor, _ = fit_predictor(dataset, train_config)
+    predictor, _ = fit_predictor(block, [doc.polarity for doc in setup.corpus], train_config)
 
     character = state_character(predictor.params)
     aligned = {

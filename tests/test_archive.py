@@ -10,15 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_transcript
+from conftest import columns, featurize, fit, make_transcript
 from opinionchain.archive import canonical_json, load_archive, save_archive
-from opinionchain.baseline import LogRegPredictor, aggregate_document_vector, train_logreg
+from opinionchain.baseline import LogRegPredictor, document_vectors, train_logreg
 from opinionchain.cli import main
 from opinionchain.corpus import save_corpus
 from opinionchain.errors import FileFormatError
 from opinionchain.features.pipeline import (
     DEFAULT_BLOCKS,
-    FeaturePipeline,
     PipelineConfig,
     resource_paths,
 )
@@ -45,31 +44,35 @@ def fitted_setup(tmp_path, blocks=("bong",), **config_kwargs):
             )
         )
     config = PipelineConfig(blocks=blocks, **config_kwargs)
-    pipeline = FeaturePipeline(config).fit_transform(docs)[0]
+    pipeline = fit(config, docs)[0]
     return docs, pipeline
 
 
 def train_hcrf(docs, pipeline):
-    sequences = pipeline.transform(docs)
+    block = featurize(pipeline, docs)
     labels = [d.polarity for d in docs]
     predictor, _ = fit_predictor(
-        list(zip(sequences, labels)),
-        TrainingConfig(num_hidden_states=2, max_iterations=30),
+        block, labels, TrainingConfig(num_hidden_states=2, max_iterations=30)
     )
-    return sequences, predictor
+    return block, predictor
+
+
+def train_logreg_on(docs, pipeline, **kwargs):
+    matrix = document_vectors(featurize(pipeline, docs))
+    return LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs], **kwargs))
 
 
 class TestHcrfRoundTrip:
     def test_bitwise_reprediction(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
-        sequences, predictor = train_hcrf(docs, pipeline)
+        block, predictor = train_hcrf(docs, pipeline)
         path = tmp_path / "model.json"
         save_archive(path, predictor, pipeline)
         loaded = load_archive(path)
         assert loaded.kind == "hcrf"
-        for doc, seq in zip(docs, sequences):
-            posterior = loaded.posteriors([doc])[0]
-            assert np.array_equal(posterior, predictor.posterior_batch([seq])[0])
+        for i, doc in enumerate(docs):
+            posterior = loaded.posteriors(columns([doc]))[0]
+            assert np.array_equal(posterior, predictor.posterior_blocks([block.subblock([i])])[0])
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
@@ -88,9 +91,9 @@ class TestHcrfRoundTrip:
         save_archive(path, predictor, pipeline)
         loaded = load_archive(path)
         fresh = make_transcript(doc_id="new", words=("loved", "movie"), valences=None)
-        posterior = loaded.posteriors([fresh])[0]
-        seq = pipeline.transform([fresh])[0]
-        assert np.array_equal(posterior, predictor.posterior_batch([seq])[0])
+        posterior = loaded.posteriors(columns([fresh]))[0]
+        seq = featurize(pipeline, [fresh])
+        assert np.array_equal(posterior, predictor.posterior_blocks([seq])[0])
 
     def test_training_config_preserved(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
@@ -121,7 +124,7 @@ class TestArchiveFromTheDensePipeline:
         rows = [line.split("\t") for line in lines]
         corpus = self.corpus()
         assert [row[0] for row in rows] == [doc.doc_id for doc in corpus]
-        got = loaded.posteriors(corpus)
+        got = loaded.posteriors(columns(corpus))
         want = np.array([[float(p) for p in row[2:]] for row in rows])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         assert [loaded.label_names[i] for i in got.argmax(axis=1)] == [row[1] for row in rows]
@@ -136,17 +139,15 @@ class TestArchiveFromTheDensePipeline:
 class TestLogRegRoundTrip:
     def test_bitwise_reprediction(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
-        sequences = pipeline.transform(docs)
-        labels = [d.polarity for d in docs]
-        matrix = np.stack([aggregate_document_vector(s) for s in sequences])
-        predictor = LogRegPredictor(train_logreg(matrix, labels, c=10.0))
+        block = featurize(pipeline, docs)
+        predictor = train_logreg_on(docs, pipeline, c=10.0)
         path = tmp_path / "model.json"
         save_archive(path, predictor, pipeline)
         loaded = load_archive(path)
         assert loaded.kind == "logreg"
-        for doc, seq in zip(docs, sequences):
-            posterior = loaded.posteriors([doc])[0]
-            assert np.array_equal(posterior, predictor.posterior_batch([seq])[0])
+        for i, doc in enumerate(docs):
+            posterior = loaded.posteriors(columns([doc]))[0]
+            assert np.array_equal(posterior, predictor.posterior_blocks([block.subblock([i])])[0])
 
 
 class TestArchiveFormat:
@@ -207,9 +208,9 @@ class TestArchiveFormat:
     @pytest.mark.parametrize("window", [0, 1])
     def test_parts_that_disagree_in_width_listed_together(self, tmp_path, window):
         docs, pipeline = fitted_setup(tmp_path, blocks=("bong", "paralinguistic"))
-        sequences = pipeline.transform(docs)
         predictor, _ = fit_predictor(
-            list(zip(sequences, [d.polarity for d in docs])),
+            featurize(pipeline, docs),
+            [d.polarity for d in docs],
             TrainingConfig(num_hidden_states=2, context_window=window, max_iterations=5),
         )
         path = tmp_path / "model.json"
@@ -237,8 +238,7 @@ class TestArchiveFormat:
 
     def test_logreg_weights_of_another_width_reported(self, tmp_path):
         docs, pipeline = fitted_setup(tmp_path)
-        matrix = np.stack([aggregate_document_vector(x) for x in pipeline.transform(docs)])
-        predictor = LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs]))
+        predictor = train_logreg_on(docs, pipeline)
         path = tmp_path / "model.json"
         save_archive(path, predictor, pipeline)
         doc = json.loads(path.read_text())
@@ -280,8 +280,7 @@ class TestArchiveFormat:
             _, predictor = train_hcrf(docs, pipeline)
             dropped = "theta_obs"
         else:
-            matrix = np.stack([aggregate_document_vector(x) for x in pipeline.transform(docs)])
-            predictor = LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs]))
+            predictor = train_logreg_on(docs, pipeline)
             dropped = "weights"
         path = tmp_path / "model.json"
         save_archive(path, predictor, pipeline)
@@ -437,8 +436,7 @@ def fuzz_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     docs, pipeline = fitted_setup(root, blocks=("bong", "pattern", "paralinguistic"))
     _, hcrf = train_hcrf(docs, pipeline)
-    matrix = np.stack([aggregate_document_vector(x) for x in pipeline.transform(docs)])
-    logreg = LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs]))
+    logreg = train_logreg_on(docs, pipeline)
     archives = {}
     for kind, predictor in (("hcrf", hcrf), ("logreg", logreg)):
         save_archive(root / "model.json", predictor, pipeline)

@@ -12,22 +12,26 @@ from opinionchain.baseline import (
     DEFAULT_C_GRID,
     LogRegModel,
     LogRegPredictor,
-    aggregate_document_vector,
+    document_vectors,
     train_logreg,
 )
 from opinionchain.errors import InvalidInputError
-from opinionchain.evaluation import predict_batch
-from opinionchain.model import ObservationSequence
+
+from conftest import make_block
 
 
-def one_segment(vec, doc_id="d"):
-    """A document whose averaged vector is ``vec`` itself."""
-    return ObservationSequence(doc_id, np.asarray(vec, dtype=float)[None])
+def one_segment(vec):
+    """The rows of a document whose averaged vector is ``vec`` itself."""
+    return np.asarray(vec, dtype=float)[None]
+
+
+def predict(predictor, docs):
+    """Each document's argmax label, the documents' rows as one block."""
+    return predictor.posterior_blocks([make_block(docs)]).argmax(axis=1).tolist()
 
 
 def predicted_labels(model, matrix):
-    docs = [one_segment(row, f"r{i}") for i, row in enumerate(matrix)]
-    return predict_batch(LogRegPredictor(model), docs)
+    return predict(LogRegPredictor(model), [one_segment(row) for row in matrix])
 
 
 def blob_dataset(n=60, separation=2.0, seed=0, dim=3):
@@ -129,9 +133,9 @@ class TestPrediction:
     def test_zero_model_is_label_zero_at_half(self):
         model = LogRegModel(weights=np.zeros(2), intercept=0.0, c=1.0)
         predictor = LogRegPredictor(model)
-        seqs = [one_segment([3.0, -4.0]), ObservationSequence("d", [[3.0, -4.0], [1.0, 2.0]])]
-        assert predictor.posterior_batch(seqs).tolist() == [[0.5, 0.5], [0.5, 0.5]]
-        assert predict_batch(predictor, seqs) == [0, 0]
+        seqs = [one_segment([3.0, -4.0]), [[3.0, -4.0], [1.0, 2.0]]]
+        assert predictor.posterior_blocks([make_block(seqs)]).tolist() == [[0.5, 0.5]] * 2
+        assert predict(predictor, seqs) == [0, 0]
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=-40.0, max_value=40.0))
@@ -141,25 +145,26 @@ class TestPrediction:
         model = LogRegModel(weights=np.array([1.0]), intercept=0.0, c=1.0)
         seq = one_segment([margin])
         predictor = LogRegPredictor(model)
-        [[rest, prob]] = predictor.posterior_batch([seq]).tolist()
+        [[rest, prob]] = predictor.posterior_blocks([make_block([seq])]).tolist()
         assert prob == pytest.approx(float(expit(margin)), rel=1e-15, abs=0)
         assert rest == 1.0 - prob
-        assert predict_batch(predictor, [seq]) == [1 if prob > 0.5 else 0]
+        assert predict(predictor, [seq]) == [1 if prob > 0.5 else 0]
 
     def test_log_three_margin_gives_three_quarters(self):
         model = LogRegModel(weights=np.array([math.log(3.0)]), intercept=0.0, c=1.0)
         predictor = LogRegPredictor(model)
-        assert predict_batch(predictor, [one_segment([1.0])]) == [1]
-        prob = predictor.posterior_batch([one_segment([1.0])])[0, 1]
+        assert predict(predictor, [one_segment([1.0])]) == [1]
+        prob = predictor.posterior_blocks([make_block([one_segment([1.0])])])[0, 1]
         assert prob == pytest.approx(0.75, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = LogRegModel(weights=np.zeros(2), intercept=0.0, c=1.0)
         predictor = LogRegPredictor(model)
         with pytest.raises(InvalidInputError, match="dimension 2"):
-            predictor.posterior_batch([one_segment(np.zeros(3))])
+            predictor.posterior_blocks([make_block([one_segment(np.zeros(3))])])
         with pytest.raises(InvalidInputError, match="dimension 2"):
-            predictor.posterior_batch([one_segment(np.zeros(2)), one_segment(np.zeros(3))])
+            blocks = [make_block([one_segment(np.zeros(n))]) for n in (2, 3)]
+            predictor.posterior_blocks(blocks)
 
     def test_nonfinite_model_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -171,36 +176,34 @@ class TestPosteriorBatch:
         rng = np.random.default_rng(3)
         model = LogRegModel(weights=rng.standard_normal(4), intercept=0.3, c=1.0)
         predictor = LogRegPredictor(model)
-        seqs = [
-            ObservationSequence(f"d{i}", rng.standard_normal((n, 4)))
-            for i, n in enumerate((5, 1, 2, 5, 1, 2, 2))
-        ]
-        batch = predictor.posterior_batch(iter(seqs))
+        seqs = [rng.standard_normal((n, 4)) for n in (5, 1, 2, 5, 1, 2, 2)]
+        block = make_block(seqs)
+        # an iterator of blocks, read once
+        blocks = iter([block.subblock(range(4)), block.subblock([4, 5, 6])])
+        batch = predictor.posterior_blocks(blocks)
         assert batch.shape == (len(seqs), 2)
         for row, seq in zip(batch, seqs):
-            margin = model.weights @ aggregate_document_vector(seq) + model.intercept
+            alone = make_block([seq])
+            margin = model.weights @ document_vectors(alone)[0] + model.intercept
             assert row[1] == pytest.approx(float(expit(margin)), rel=1e-15, abs=0)
             assert row[0] == 1.0 - row[1]
-            assert np.array_equal(row, predictor.posterior_batch([seq])[0])
-        assert predictor.posterior_batch([]).shape == (0, 2)
+            assert np.array_equal(row, predictor.posterior_blocks([alone])[0])
+        assert predictor.posterior_blocks([]).shape == (0, 2)
 
 
 class TestAggregation:
     def test_single_segment_is_identity(self):
-        seq = ObservationSequence("d", np.array([[1.0, 2.0, 3.0]]))
-        np.testing.assert_array_equal(
-            aggregate_document_vector(seq), np.array([1.0, 2.0, 3.0])
-        )
+        seq = make_block([[[1.0, 2.0, 3.0]]])
+        np.testing.assert_array_equal(document_vectors(seq), [[1.0, 2.0, 3.0]])
 
     def test_two_segment_example(self):
-        seq = ObservationSequence("d", np.array([[0.0, 2.0], [2.0, 0.0]]))
-        np.testing.assert_array_equal(aggregate_document_vector(seq), np.array([1.0, 1.0]))
+        seq = make_block([[[0.0, 2.0], [2.0, 0.0]]])
+        np.testing.assert_array_equal(document_vectors(seq), [[1.0, 1.0]])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=6), st.integers(0, 10**6))
     def test_matches_direct_mean(self, length, dim, seed):
         rng = np.random.default_rng(seed)
         feats = rng.standard_normal((length, dim))
-        seq = ObservationSequence("d", feats)
         manual = feats.sum(axis=0) / length
-        np.testing.assert_allclose(aggregate_document_vector(seq), manual, atol=1e-12)
+        np.testing.assert_allclose(document_vectors(make_block([feats]))[0], manual, atol=1e-12)

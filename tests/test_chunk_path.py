@@ -1,17 +1,23 @@
-"""``predict``'s chunk path against documents scored one at a time.
+"""The chunk path of every command against documents scored one at a time.
 
 ``LoadedModel.posteriors`` carries a chunk of ``SCORING_CHUNK``
 documents from the corpus's columns to its posteriors as one block.  The
 reference reads the same corpus with ``oracles.py``'s per-line reader,
 cuts each document with its per-token segmenter, and scores each
-document alone (``posterior_batch`` of its one sequence).  The corpora
-are ``test_reader.py``'s: records of a document interleaved across files,
-blank lines, extra trailing columns, markers, token texts that tokenize
-to no word and to two words, and a gap equal to the threshold.
+document alone (``posterior_blocks`` of its one-document block).  The
+corpora are ``test_reader.py``'s: records of a document interleaved
+across files, blank lines, extra trailing columns, markers, token texts
+that tokenize to no word and to two words, and a gap equal to the
+threshold.  Cross-validation picks each fold's documents from one
+prepared chunk; its held-out predictions are checked against the fold's
+predictor scoring each document's own block.  No command builds an
+object per document.
 """
 
 import contextlib
+import dataclasses
 import io
+import json
 import tempfile
 from pathlib import Path
 from unittest.mock import patch
@@ -33,11 +39,19 @@ from opinionchain.corpus import (
     save_corpus,
 )
 from opinionchain.errors import FileFormatError, InvalidInputError
-from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, SegmentedDocument
-from opinionchain.model import ObservationSequence, SparseRows
-from opinionchain.training import TrainingConfig, fit_predictor, sequence_blocks
+from opinionchain.evaluation import (
+    HcrfLearner,
+    LogRegLearner,
+    compute_metrics,
+    cross_validate,
+    stratified_k_fold,
+)
+from opinionchain.features.pipeline import PipelineConfig, SegmentedChunk
+from opinionchain.model import SequenceBlock, SparseRows
+from opinionchain.synthetic import SyntheticSpec, generate_corpus
+from opinionchain.training import TrainingConfig, fit_predictor
 
-from conftest import make_transcript
+from conftest import columns, featurize, fit, make_transcript
 from oracles import reference_load, reference_segment, reference_tokens
 from test_corpus import _MUTATIONS, _mutate
 from test_reader import THRESHOLD, _write, corpus_files
@@ -69,18 +83,16 @@ def archives(tmp_path_factory):
     root = tmp_path_factory.mktemp("archives")
     docs = _training_corpus()
     labels = [doc.polarity for doc in docs]
-    pipeline, sequences = FeaturePipeline(PipelineConfig(threshold_ms=THRESHOLD)).fit_transform(
-        docs
-    )
+    pipeline, block = fit(PipelineConfig(threshold_ms=THRESHOLD), docs)
     predictors = {
         f"hcrf-w{window}": fit_predictor(
-            list(zip(sequences, labels)),
+            block,
+            labels,
             TrainingConfig(num_hidden_states=2, context_window=window, max_iterations=30),
         )[0]
         for window in (0, 1)
     }
-    matrix = np.concatenate([document_vectors(block) for block in sequence_blocks(sequences)])
-    predictors["logreg"] = LogRegPredictor(train_logreg(matrix, labels))
+    predictors["logreg"] = LogRegPredictor(train_logreg(document_vectors(block), labels))
     loaded = {}
     for name, predictor in predictors.items():
         save_archive(root / f"{name}.json", predictor, pipeline)
@@ -90,18 +102,20 @@ def archives(tmp_path_factory):
 
 def _reference_posteriors(loaded, root):
     """Each document of the corpus at ``root`` read, cut and scored on
-    its own, or the InvalidInputError its transform raises."""
+    its own, as a one-document chunk, or the InvalidInputError its block
+    raises."""
     rows = []
     for doc_id, texts, starts, ends, markers, _ in reference_load(root):
         units = reference_segment(texts, starts, ends, markers, THRESHOLD)
-        seg = SegmentedDocument(
-            doc_id,
-            tuple(reference_tokens(unit) for unit, _ in units),
-            tuple(events for _, events in units),
+        seg = SegmentedChunk(
+            (doc_id,),
+            [reference_tokens(unit) for unit, _ in units],
+            [events for _, events in units],
+            [0, len(units)],
             THRESHOLD,
         )
-        [sequence] = loaded.pipeline.transform([seg])
-        rows.append(loaded.predictor.posterior_batch([sequence])[0])
+        block = loaded.pipeline.block(seg)
+        rows.append(loaded.predictor.posterior_blocks([block])[0])
     return np.array(rows)
 
 
@@ -128,14 +142,13 @@ def test_chunk_posteriors_equal_each_document_alone(archives, files, chunk, name
                 return
             want = _reference_posteriors(loaded, root)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-            # transcripts take the same path
-            assert np.array_equal(loaded.posteriors(load_corpus(root)), want)
 
 
 def _count_constructions(monkeypatch) -> dict:
-    """Constructions of each per-document class, counted as they happen."""
+    """Constructions of each class a document passes through, counted as
+    they happen."""
     counts = {}
-    for cls in (Transcript, SegmentedDocument, ObservationSequence, SparseRows):
+    for cls in (Transcript, SegmentedChunk, SequenceBlock, SparseRows):
         original = cls.__init__
 
         def counting(self, *args, __original=original, __name=cls.__name__, **kwargs):
@@ -148,8 +161,8 @@ def _count_constructions(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("name", ["hcrf-w0", "hcrf-w1", "logreg"])
 def test_predict_builds_no_object_per_document(archives, tmp_path, monkeypatch, name):
-    """``predict`` makes no transcript, segmented document or sequence,
-    and one sparse block per chunk, however many documents it reads."""
+    """``predict`` makes no transcript, and one segmented chunk, block and
+    sparse block per chunk, however many documents it reads."""
     model = tmp_path / "model.json"
     save_archive(model, archives[name].predictor, archives[name].pipeline)
     seen = []
@@ -165,7 +178,7 @@ def test_predict_builds_no_object_per_document(archives, tmp_path, monkeypatch, 
             assert main(argv + ["--out", str(tmp_path / f"p{size}")]) == 0
         seen.append(counts)
     assert seen[0] == seen[1]
-    assert set(seen[0]) <= {"SparseRows"}
+    assert "Transcript" not in seen[0]
 
 
 @settings(
@@ -211,5 +224,121 @@ def test_columns_of_transcripts_select_and_rebuild():
     ]
     corpus = CorpusColumns.from_transcripts(docs)
     assert corpus.transcripts() == docs
-    assert corpus.select(1, 3).transcripts() == docs[1:]
-    assert len(corpus.select(0, 0)) == 0
+    assert corpus.select([1, 2]).transcripts() == docs[1:]
+    assert corpus.select([0, 2]).transcripts() == [docs[0], docs[2]]
+    assert len(corpus.select([])) == 0
+
+
+class _Scored:
+    """A fold's predictor that keeps what it scores: itself, the blocks
+    and the posteriors it gave them."""
+
+    def __init__(self, predictor, folds):
+        self.predictor, self.folds = predictor, folds
+
+    def posterior_blocks(self, blocks):
+        blocks = list(blocks)
+        posteriors = self.predictor.posterior_blocks(blocks)
+        self.folds.append((self.predictor, blocks, posteriors))
+        return posteriors
+
+    def describe(self):
+        return self.predictor.describe()
+
+
+class _Recording:
+    """A learner whose predictors record each fold's held-out scoring."""
+
+    def __init__(self, learner):
+        self.learner, self.folds = learner, []
+
+    def fit(self, block, labels):
+        return _Scored(self.learner.fit(block, labels), self.folds)
+
+
+_LEARNERS = {
+    "hcrf-w0": HcrfLearner(TrainingConfig(num_hidden_states=2, max_iterations=15)),
+    "hcrf-w1": HcrfLearner(
+        TrainingConfig(num_hidden_states=2, context_window=1, max_iterations=15)
+    ),
+    "logreg-grid": LogRegLearner(c_grid=(0.1, 1.0, 10.0)),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    folds=st.sampled_from((2, 3)),
+    cv_seed=st.integers(0, 100),
+    name=st.sampled_from(sorted(_LEARNERS)),
+)
+def test_cross_validated_predictions_equal_each_document_scored_alone(seed, folds, cv_seed, name):
+    """Each fold's held-out predictions, which the report pools, are
+    document by document what the fold's predictor gives the document's
+    own one-document block, featurized by a pipeline fit from scratch on
+    the fold's training transcripts."""
+    spec = dataclasses.replace(
+        SyntheticSpec(), num_docs_per_label=6, min_segments=2, max_segments=4
+    )
+    docs = generate_corpus(spec, seed=seed)
+    config = PipelineConfig()
+    learner = _Recording(_LEARNERS[name])
+    report, details = cross_validate(
+        columns(docs), config, learner, k=folds, seed=cv_seed, return_details=True
+    )
+    labels = [doc.polarity for doc in docs]
+    plan = stratified_k_fold(labels, folds, cv_seed)
+    pooled = [-1] * len(docs)
+    for fold, detail, (predictor, blocks, posteriors) in zip(
+        plan.folds, details, learner.folds, strict=True
+    ):
+        held = set(fold)
+        fitted = fit(config, [doc for i, doc in enumerate(docs) if i not in held])[0]
+        assert fitted.state_checksum() == detail.pipeline_checksum
+        assert [doc_id for block in blocks for doc_id in block.doc_ids] == [
+            docs[i].doc_id for i in fold
+        ]
+        for i, row in zip(fold, posteriors, strict=True):
+            alone = predictor.posterior_blocks([featurize(fitted, [docs[i]])])
+            assert np.array_equal(row, alone[0])
+            pooled[i] = int(row.argmax())
+    assert report.confusion == compute_metrics(pooled, labels).confusion
+
+
+@pytest.mark.parametrize(
+    "command, model",
+    [("train", "hcrf"), ("train", "logreg"), ("evaluate", "hcrf"), ("evaluate", "logreg")],
+)
+def test_train_and_evaluate_build_no_object_per_document(tmp_path, monkeypatch, command, model):
+    """``train`` and ``evaluate`` read the corpus as columns and build no
+    transcript, and the blocks they build do not grow in number with the
+    corpus: 8 documents against 40."""
+    config = tmp_path / "config.json"
+    c_grid = [0.5, 2.0] if command == "train" else [1.0]  # an inner CV needs 3 per class
+    config.write_text(
+        json.dumps({"training": {"max_iterations": 5}, "logreg": {"c_grid": c_grid}}),
+        encoding="utf-8",
+    )
+    seen = []
+    for size in (8, 40):
+        docs = [
+            make_transcript(
+                f"p{i}", _TRAINING_WORDS[i % 2], gaps=(100, 500, 100, 301, 300),
+                valences=(5.0,) if i % 2 else (1.0,),
+            )
+            for i in range(size)
+        ]
+        save_corpus(docs, tmp_path / f"c{size}")
+        argv = [
+            command, "--corpus", str(tmp_path / f"c{size}"), "--model", model,
+            "--config", str(config), "--out", str(tmp_path / f"{command}{size}"),
+        ]
+        if command == "evaluate":
+            argv += ["--folds", "2"]
+        with monkeypatch.context() as patched:
+            counts = _count_constructions(patched)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        seen.append(counts)
+    assert "Transcript" not in seen[0] and "Transcript" not in seen[1]
+    assert seen[0]["SequenceBlock"] == seen[1]["SequenceBlock"]

@@ -268,11 +268,11 @@ class TestSegmentationCount:
         assert "dropped 1 neutral or unlabeled documents" in log
 
     def test_cross_validate_segments_each_document_once(self, generated, segment_counts):
-        from opinionchain.corpus import load_corpus
+        from opinionchain.corpus import read_corpus
         from opinionchain.evaluation import LogRegLearner, cross_validate
         from opinionchain.features.pipeline import PipelineConfig
 
-        corpus = load_corpus(generated / "corpus")
+        corpus = read_corpus(generated / "corpus")
         cross_validate(corpus, PipelineConfig(), LogRegLearner(), k=2)
         assert set(segment_counts.values()) == {1}
         assert len(segment_counts) == len(corpus)
@@ -432,12 +432,12 @@ class TestTrainPredict:
 
         # library-level re-prediction must agree bitwise with the file
         from opinionchain.archive import load_archive
-        from opinionchain.corpus import load_corpus
+        from opinionchain.corpus import CorpusColumns, load_corpus
 
         loaded = load_archive(model)
         for row, doc in zip(lines[2:], load_corpus(generated / "corpus")):
             doc_id, predicted, p_neg, p_pos = row.split("\t")
-            posterior = loaded.posteriors([doc])[0]
+            posterior = loaded.posteriors(CorpusColumns.from_transcripts([doc]))[0]
             assert doc_id == doc.doc_id
             assert predicted == loaded.label_names[int(posterior.argmax())]
             assert p_neg == repr(float(posterior[0]))

@@ -11,11 +11,12 @@ from opinionchain.corpus import (
     corpus_stats,
     filter_neutral,
     load_corpus,
+    polarity,
     save_corpus,
 )
 from opinionchain.errors import FileFormatError, InvalidInputError
 
-from conftest import make_transcript
+from conftest import columns, make_transcript
 
 
 def sample_corpus():
@@ -280,22 +281,24 @@ class TestLoaderFuzz:
 
 class TestFilterNeutral:
     def test_keeps_only_polar_documents(self):
-        kept = filter_neutral(sample_corpus())
-        assert [d.doc_id for d in kept] == ["neg1", "pos1"]
-        assert [d.polarity for d in kept] == [0, 1]
+        corpus = sample_corpus()
+        kept = filter_neutral(columns(corpus))
+        assert kept.doc_ids == ("neg1", "pos1")
+        assert [polarity(valences) for valences in kept.valences] == [0, 1]
+        assert kept.transcripts() == [corpus[0], corpus[2]]
 
     def test_idempotent(self):
-        once = filter_neutral(sample_corpus())
-        assert filter_neutral(once) == once
+        once = filter_neutral(columns(sample_corpus()))
+        assert filter_neutral(once).transcripts() == once.transcripts()
 
     def test_all_neutral_gives_empty(self):
         corpus = [make_transcript("n", ("x",), valences=(3.0,))]
-        assert filter_neutral(corpus) == []
+        assert filter_neutral(columns(corpus)).transcripts() == []
 
 
 class TestStats:
     def test_counts(self):
-        stats = corpus_stats(sample_corpus())
+        stats = corpus_stats(columns(sample_corpus()))
         assert stats.document_count == 5
         assert stats.class_counts == {
             "negative": 1,

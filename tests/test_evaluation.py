@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_transcript
+from conftest import columns, featurize, fit, make_transcript, same_block
 from opinionchain.errors import InvalidInputError
 from opinionchain.evaluation import (
     FoldPlan,
@@ -180,28 +180,29 @@ class TestComputeMetrics:
 class _MajorityPredictor:
     label: int
 
-    def posterior_batch(self, seqs):
-        return np.array([np.eye(2)[self.label] for _ in seqs])
+    def posterior_blocks(self, blocks):
+        count = sum(len(block.doc_ids) for block in blocks)
+        return np.tile(np.eye(2)[self.label], (count, 1))
 
     def describe(self):
         return {"model": "majority", "label": self.label}
 
 
 class _MajorityLearner:
-    def fit(self, sequences, labels):
+    def fit(self, block, labels):
         counts = np.bincount(np.asarray(labels), minlength=2)
         return _MajorityPredictor(int(np.argmax(counts)))
 
 
 class _RecordingLearner:
-    """Keeps every fold's training sequences and, through its predictor,
-    the held-out sequences it scores."""
+    """Keeps every fold's training block and, through its predictor, the
+    held-out blocks it scores."""
 
     def __init__(self):
         self.train, self.held_out = [], []
 
-    def fit(self, sequences, labels):
-        self.train.append(list(sequences))
+    def fit(self, block, labels):
+        self.train.append(block)
         return _RecordingPredictor(self.held_out)
 
 
@@ -209,10 +210,10 @@ class _RecordingLearner:
 class _RecordingPredictor:
     seen: list
 
-    def posterior_batch(self, seqs):
-        seqs = list(seqs)
-        self.seen.append(seqs)
-        return np.tile([1.0, 0.0], (len(seqs), 1))
+    def posterior_blocks(self, blocks):
+        blocks = list(blocks)
+        self.seen.append(blocks)
+        return np.tile([1.0, 0.0], (sum(len(block.doc_ids) for block in blocks), 1))
 
     def describe(self):
         return {"model": "recording"}
@@ -243,7 +244,7 @@ class TestCrossValidate:
         for i in range(116):
             docs.append(make_transcript(doc_id=f"n{i}", valences=(1.0,)))
         config = PipelineConfig(standardize=False)
-        report = cross_validate(docs, config, _MajorityLearner(), k=10, seed=0)
+        report = cross_validate(columns(docs), config, _MajorityLearner(), k=10, seed=0)
         assert report.rounded() == {
             "accuracy": 64,
             "weighted_f1": 50,
@@ -253,7 +254,7 @@ class TestCrossValidate:
         assert len(report.per_fold) == 10
 
     def test_identical_seeds_identical_reports(self):
-        docs = tiny_corpus()
+        docs = columns(tiny_corpus())
         config = PipelineConfig(blocks=("bong",), standardize=False)
         learner = LogRegLearner(c_grid=(1.0,))
         a = cross_validate(docs, config, learner, k=2, seed=4)
@@ -261,21 +262,21 @@ class TestCrossValidate:
         assert a == b
 
     def test_separable_corpus_scores_high(self):
-        docs = tiny_corpus(n_pos=10, n_neg=10)
+        docs = columns(tiny_corpus(n_pos=10, n_neg=10))
         config = PipelineConfig(blocks=("bong",), standardize=False)
         report = cross_validate(docs, config, LogRegLearner(c_grid=(10.0,)), k=2, seed=0)
         assert report.accuracy == 100.0
 
     def test_unlabeled_document_rejected(self):
-        docs = tiny_corpus() + [make_transcript(doc_id="u", valences=None)]
-        with pytest.raises(InvalidInputError):
+        docs = columns(tiny_corpus() + [make_transcript(doc_id="u", valences=None)])
+        with pytest.raises(InvalidInputError, match="u: unlabeled or neutral"):
             cross_validate(docs, PipelineConfig(), _MajorityLearner(), k=2, seed=0)
 
     def test_fitted_resources_ignore_test_fold_content(self):
         docs = tiny_corpus(n_pos=6, n_neg=6)
         config = PipelineConfig(blocks=("bong",), standardize=False)
         _, details_a = cross_validate(
-            docs, config, _MajorityLearner(), k=3, seed=1, return_details=True
+            columns(docs), config, _MajorityLearner(), k=3, seed=1, return_details=True
         )
         # rewrite fold 0's held-out documents with entirely different text;
         # labels stay put so the fold plan is unchanged
@@ -291,7 +292,7 @@ class TestCrossValidate:
             for d in docs
         ]
         _, details_b = cross_validate(
-            mutated, config, _MajorityLearner(), k=3, seed=1, return_details=True
+            columns(mutated), config, _MajorityLearner(), k=3, seed=1, return_details=True
         )
         assert details_a[0].pipeline_checksum == details_b[0].pipeline_checksum
         # sanity: other folds trained on the mutated docs, so they do change
@@ -300,7 +301,7 @@ class TestCrossValidate:
     def test_prepared_folds_bitwise_equal_per_fold_path(
         self, tmp_path, socal_lexicon_file, monkeypatch
     ):
-        """Every fold's training and held-out sequences, and its pipeline
+        """Every fold's training and held-out blocks, and its pipeline
         checksum, are bitwise those of a pipeline fit from scratch on the
         fold's transcripts, while every fold-independent block featurizes
         each IPU once across all folds and the embedding table loads once.
@@ -309,7 +310,7 @@ class TestCrossValidate:
         import dataclasses
 
         from opinionchain.features import pipeline as pipeline_module
-        from opinionchain.features.pipeline import CANONICAL_BLOCKS, FeaturePipeline
+        from opinionchain.features.pipeline import CANONICAL_BLOCKS
         from opinionchain.synthetic import (
             SyntheticSpec,
             generate_corpus,
@@ -341,8 +342,10 @@ class TestCrossValidate:
             monkeypatch.setattr(pipeline_module, name, counting)
 
         learner = _RecordingLearner()
-        _, details = cross_validate(corpus, config, learner, k=3, seed=2, return_details=True)
-        num_ipus = sum(x.length for x in learner.train[0] + learner.held_out[0])
+        _, details = cross_validate(
+            columns(corpus), config, learner, k=3, seed=2, return_details=True
+        )
+        num_ipus = sum(len(block.features) for block in [learner.train[0], *learner.held_out[0]])
         assert units == {
             "embed_units": num_ipus,
             "paralinguistic_features": num_ipus,
@@ -353,26 +356,27 @@ class TestCrossValidate:
             plan.folds, details, learner.train, learner.held_out
         ):
             train_docs = [doc for i, doc in enumerate(corpus) if i not in set(fold)]
-            fitted, want_train = FeaturePipeline(config).fit_transform(train_docs)
-            want_held_out = fitted.transform([corpus[i] for i in fold])
+            fitted, want_train = fit(config, train_docs)
+            want_held_out = featurize(fitted, [corpus[i] for i in fold])
             assert detail.pipeline_checksum == fitted.state_checksum()
-            for got, want in zip(train + held_out, want_train + want_held_out, strict=True):
-                assert got.doc_id == want.doc_id
-                assert np.array_equal(got.features, want.features)
+            [got_held_out] = held_out
+            assert same_block(train, want_train)
+            assert same_block(got_held_out, want_held_out)
 
     def test_segmented_documents_must_match_the_corpus(self):
         from opinionchain.features.pipeline import FeaturePipeline
 
-        docs = tiny_corpus()
+        docs = columns(tiny_corpus())
         config = PipelineConfig(blocks=("bong",), standardize=False)
         segmented = FeaturePipeline(config).segment(docs)
+        reversed_docs = segmented.subchunk(range(len(docs))[::-1])
         with pytest.raises(InvalidInputError, match="do not match the corpus"):
-            cross_validate(docs, config, _MajorityLearner(), k=2, segmented=segmented[::-1])
+            cross_validate(docs, config, _MajorityLearner(), k=2, segmented=reversed_docs)
         want = cross_validate(docs, config, _MajorityLearner(), k=2)
         assert cross_validate(docs, config, _MajorityLearner(), k=2, segmented=segmented) == want
 
     def test_hcrf_grid_avoids_crushing_regularizer(self):
-        docs = tiny_corpus(n_pos=6, n_neg=6)
+        docs = columns(tiny_corpus(n_pos=6, n_neg=6))
         config = PipelineConfig(blocks=("bong",), standardize=False)
         learner = HcrfLearner(
             config=TrainingConfig(num_hidden_states=2, max_iterations=60),

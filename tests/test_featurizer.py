@@ -1,15 +1,15 @@
 """The chunk featurizer against the per-IPU reference in ``oracles.py``.
 
-``FeaturePipeline.fit_transform`` and ``FittedFeaturePipeline.transform``
-featurize a chunk of documents at a time from token-type ids; every
-document's dense rows and bong entries must be bitwise what the per-IPU,
-per-occurrence reference builds for it alone, whatever chunk it falls
-in.
+``FeaturePipeline.fit_transform`` and ``FittedFeaturePipeline.block``
+featurize a chunk of documents at once from token-type ids, and
+``blocks`` a corpus a chunk at a time; every document's dense rows and
+bong entries must be bitwise what the per-IPU, per-occurrence reference
+builds for it alone, whatever chunk it falls in.
 """
 
 import dataclasses
+import itertools
 import logging
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,10 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opinionchain import training
-from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, SegmentedDocument
+from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, SegmentedChunk
 from opinionchain.features.standardize import fit_standardizer
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 
+from conftest import columns
 from oracles import reference_rows, reference_vocabulary
 
 _WORDS = (
@@ -37,14 +38,24 @@ _IPU = st.tuples(st.lists(_TOKEN, max_size=6), st.lists(_EVENT, max_size=2))
 _DOC = st.lists(_IPU, min_size=1, max_size=4)
 
 
-def segmented(doc_id, ipus, config):
-    """A segmented document of the given (tokens, markers) IPUs."""
-    return SegmentedDocument(
-        doc_id,
-        tuple(list(tokens) for tokens, _ in ipus),
-        tuple(tuple(events) for _, events in ipus),
+def segmented(prefix, docs, config):
+    """A chunk of documents, each given by its (tokens, markers) IPUs,
+    named ``prefix`` and their index."""
+    return SegmentedChunk(
+        tuple(f"{prefix}{i}" for i in range(len(docs))),
+        [list(tokens) for doc in docs for tokens, _ in doc],
+        [tuple(events) for doc in docs for _, events in doc],
+        [0, *itertools.accumulate(map(len, docs))],
         config.threshold_ms,
     )
+
+
+def document_units(chunk):
+    """Each document's (words, markers) of its IPUs."""
+    bounds = chunk.bounds
+    return [
+        (chunk.units[lo:hi], chunk.events[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def bitwise(a, b):
@@ -52,13 +63,15 @@ def bitwise(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def check_against_reference(fitted, docs, sequences):
-    """Every sequence bitwise the reference's rows, standardized as the
-    fitted pipeline does."""
+def check_against_reference(fitted, chunk, blocks):
+    """Every sequence of ``blocks``, in order, bitwise the reference's rows
+    of that document of ``chunk``, standardized as the fitted pipeline
+    does."""
     std = fitted._fixed_standardizer
-    assert [x.doc_id for x in sequences] == [seg.doc_id for seg in docs]
-    for seg, x in zip(docs, sequences, strict=True):
-        fixed, bong = reference_rows(seg, fitted)
+    sequences = [block.subblock([i]) for block in blocks for i in range(len(block.doc_ids))]
+    assert [x.doc_ids[0] for x in sequences] == list(chunk.doc_ids)
+    for (units, events), x in zip(document_units(chunk), sequences, strict=True):
+        fixed, bong = reference_rows(units, events, fitted)
         assert bitwise(x.features, fixed if std is None else std.apply(fixed))
         rows, indices, values = bong
         if fitted._bong_divisor is not None:
@@ -86,20 +99,28 @@ class _Messages(logging.Handler):
     chunk=st.sampled_from([1, 2, 3, 256]),
 )
 def test_chunks_bitwise_equal_the_per_ipu_reference(train, held_out, order, standardize, chunk):
+    """The training documents are one chunk, and the held-out ones are
+    featurized ``chunk`` documents at a time."""
     assume(any(tokens for doc in train for tokens, _ in doc))  # some vocabulary
     config = PipelineConfig(bong_max_order=order, standardize=standardize)
-    train_docs = [segmented(f"t{i}", doc, config) for i, doc in enumerate(train)]
-    held_docs = [segmented(f"h{i}", doc, config) for i, doc in enumerate(held_out)]
+    train_docs = segmented("t", train, config)
+    held_docs = segmented("h", held_out, config)
     para_log = logging.getLogger("opinionchain.features.paralinguistic")
     got, want = _Messages(), _Messages()
     para_log.addHandler(got)
     try:
-        with patch.object(training, "SCORING_CHUNK", chunk):
-            fitted, sequences = FeaturePipeline(config).fit_transform(train_docs)
-            sequences = sequences + fitted.transform(held_docs)
+        fitted, block = FeaturePipeline(config).fit_transform(train_docs)
+        blocks = [block] + [
+            fitted.block(held_docs.subchunk(range(lo, min(lo + chunk, len(held_out)))))
+            for lo in range(0, len(held_out), chunk)
+        ]
         para_log.removeHandler(got)
         para_log.addHandler(want)
-        raw = [reference_rows(seg, fitted) for seg in train_docs + held_docs]
+        raw = [
+            reference_rows(units, events, fitted)
+            for chunk_docs in (train_docs, held_docs)
+            for units, events in document_units(chunk_docs)
+        ]
     finally:
         para_log.removeHandler(got)
         para_log.removeHandler(want)
@@ -107,11 +128,13 @@ def test_chunks_bitwise_equal_the_per_ipu_reference(train, held_out, order, stan
     assert got.messages == want.messages
     # the vocabulary counts runs across the IPU boundaries of a document
     terms, doc_freq = reference_vocabulary(
-        [[t for tokens in seg.tokens for t in tokens] for seg in train_docs], order, 1
+        [[t for tokens in units for t in tokens] for units, _ in document_units(train_docs)],
+        order,
+        1,
     )
     assert fitted.vocabulary.terms == terms
     assert bitwise(fitted.vocabulary.doc_freq, doc_freq)
-    raw = raw[: len(train_docs)]
+    raw = raw[: len(train)]
     if standardize:
         sparse = (
             np.concatenate([bong[1] for _, bong in raw]),
@@ -121,7 +144,8 @@ def test_chunks_bitwise_equal_the_per_ipu_reference(train, held_out, order, stan
         expected = fit_standardizer(np.concatenate([fixed for fixed, _ in raw]), sparse)
         assert bitwise(fitted.standardizer.mean, expected.mean)
         assert bitwise(fitted.standardizer.std, expected.std)
-    check_against_reference(fitted, train_docs + held_docs, sequences)
+    check_against_reference(fitted, train_docs, blocks[:1])
+    check_against_reference(fitted, held_docs, blocks[1:])
 
 
 @pytest.mark.parametrize("count", [1, 255, 256, 257])
@@ -131,9 +155,9 @@ def test_chunk_boundaries_change_nothing(count):
     assert training.SCORING_CHUNK == 256
     corpus = generate_corpus(dataclasses.replace(SyntheticSpec(), num_docs_per_label=129), seed=4)
     unfitted = FeaturePipeline(PipelineConfig())
-    fitted, _ = unfitted.fit_transform(corpus[:40])
-    docs = unfitted.segment(corpus[:count])
-    sequences = fitted.transform(docs)
-    check_against_reference(fitted, docs, sequences)
+    fitted, _ = unfitted.fit_transform(unfitted.segment(columns(corpus[:40])))
+    docs = unfitted.segment(columns(corpus[:count]))
+    check_against_reference(fitted, docs, list(fitted.blocks(columns(corpus[:count]))))
     for k in {0, count - 1}:  # a chunk of one
-        check_against_reference(fitted, docs[k : k + 1], fitted.transform(docs[k : k + 1]))
+        alone = docs.subchunk([k])
+        check_against_reference(fitted, alone, [fitted.block(alone)])

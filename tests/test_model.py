@@ -4,18 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
-from opinionchain.evaluation import predict_batch
 from opinionchain.model import (
     ChainLayout,
     HcrfParameters,
     KernelPlan,
-    ObservationSequence,
     backward,
     forward,
 )
 from opinionchain.training import HcrfPredictor, TrainingConfig
 
-from conftest import alone, packed_kernel, posterior, zero_params
+from conftest import alone, make_block, packed_kernel, posterior, zero_params
 from oracles import (
     BRUTE_FORCE_MAX_PATHS,
     brute_force_log_partitions,
@@ -31,7 +29,9 @@ def copy_params(theta):
 
 
 def seq(features, doc_id="t"):
-    return ObservationSequence(doc_id=doc_id, features=np.asarray(features, dtype=float))
+    """One hand-made document's (L, D) rows, checked as a one-document
+    block."""
+    return make_block([features], [doc_id]).features
 
 
 def random_instance(rng, length=None, num_hidden=None, dim=None, num_labels=2, scale=0.8):
@@ -77,9 +77,10 @@ def marginals(y, x, theta):
 
 
 def predict(x, theta):
-    """The label a predictor reads off the batched posteriors of ``x``."""
+    """The label a predictor reads off the posteriors of ``x``'s block."""
     config = TrainingConfig(num_hidden_states=theta.num_hidden_states)
-    return predict_batch(HcrfPredictor(theta, config), [x])[0]
+    posteriors = HcrfPredictor(theta, config).posterior_blocks([make_block([x])])
+    return int(posteriors.argmax(axis=1)[0])
 
 
 class TestConstruction:
@@ -122,7 +123,7 @@ class TestPotential:
         rng = np.random.default_rng(1)
         theta = HcrfParameters.random(2, 2, 3, rng, scale=1.0)
         x = seq(rng.standard_normal((1, 3)))
-        expected = float(x.features[0] @ theta.theta_obs[1] + theta.theta_state[0, 1])
+        expected = float(x[0] @ theta.theta_obs[1] + theta.theta_state[0, 1])
         assert potential(0, [1], x, theta) == pytest.approx(expected, abs=1e-12)
 
     def test_hand_evaluated_two_segment_score(self):
@@ -254,7 +255,7 @@ class TestMarginals:
             want_state, want_pair = path_sum_marginals(y, x, theta)
             state, pair = marginals(y, x, theta)
             np.testing.assert_allclose(state, want_state, atol=1e-10)
-            if x.length > 1:
+            if len(x) > 1:
                 np.testing.assert_allclose(pair, want_pair, atol=1e-10)
 
 
@@ -264,16 +265,16 @@ def path_sum_marginals(y, x, theta):
     from itertools import product
 
     num_h = theta.num_hidden_states
-    paths = list(product(range(num_h), repeat=x.length))
+    paths = list(product(range(num_h), repeat=len(x)))
     scores = np.array([potential(y, p, x, theta) for p in paths])
     weights = np.exp(scores - scores.max())
     weights /= weights.sum()
-    state = np.zeros((x.length, num_h))
-    pair = np.zeros((x.length - 1, num_h, num_h))
+    state = np.zeros((len(x), num_h))
+    pair = np.zeros((len(x) - 1, num_h, num_h))
     for w, p in zip(weights, paths):
         for j, h in enumerate(p):
             state[j, h] += w
-        for j in range(x.length - 1):
+        for j in range(len(x) - 1):
             pair[j, p[j], p[j + 1]] += w
     return state, pair
 
@@ -346,8 +347,8 @@ def ragged_batch(rng, lengths, num_labels, num_hidden, dim=3):
         rng.standard_normal((num_labels, num_hidden, num_hidden)),
     )
     chains = [seq(rng.standard_normal((n, dim)), f"c{i}") for i, n in enumerate(lengths)]
-    order = sorted(range(len(chains)), key=lambda i: -chains[i].length)  # stable
-    node, plan = packed_kernel([chains[i].features @ theta.theta_obs.T for i in order], theta)
+    order = sorted(range(len(chains)), key=lambda i: -len(chains[i]))  # stable
+    node, plan = packed_kernel([chains[i] @ theta.theta_obs.T for i in order], theta)
     return theta, chains, order, node, plan
 
 
@@ -359,10 +360,10 @@ def assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights):
         x = chains[i]
         single_chain, single = alone(x, theta, weights[:, row : row + 1])
         assert np.array_equal(chain.log_z[:, row], single_chain.log_z[:, 0])
-        assert np.array_equal(post.state[: x.length, ..., row], single.state[..., 0])
-        assert np.array_equal(post.pair[: x.length - 1, ..., row], single.pair[..., 0])
-        assert not post.state[x.length :, ..., row].any()
-        assert not post.pair[x.length - 1 :, ..., row].any()
+        assert np.array_equal(post.state[: len(x), ..., row], single.state[..., 0])
+        assert np.array_equal(post.pair[: len(x) - 1, ..., row], single.pair[..., 0])
+        assert not post.state[len(x) :, ..., row].any()
+        assert not post.pair[len(x) - 1 :, ..., row].any()
 
 
 def random_weights(rng, chain):
@@ -392,7 +393,7 @@ class TestRaggedKernel:
         assert_each_chain_bitwise_alone(theta, chains, order, chain, post, weights)
         for row, i in enumerate(order):
             x = chains[i]
-            if x.length <= 10 and num_hidden**x.length <= BRUTE_FORCE_MAX_PATHS:
+            if len(x) <= 10 and num_hidden**len(x) <= BRUTE_FORCE_MAX_PATHS:
                 np.testing.assert_allclose(
                     chain.log_z[:, row], brute_force_log_partitions(x, theta), rtol=0, atol=1e-10
                 )
@@ -442,10 +443,10 @@ class TestRaggedKernel:
                 state, pair = path_sum_marginals(y, x, theta)
                 w = weights[y, row]
                 np.testing.assert_allclose(
-                    post.state[: x.length, :, y, row], w * state, rtol=0, atol=1e-10
+                    post.state[: len(x), :, y, row], w * state, rtol=0, atol=1e-10
                 )
                 np.testing.assert_allclose(
-                    post.pair[: x.length - 1, :, :, y, row].transpose(0, 2, 1),
+                    post.pair[: len(x) - 1, :, :, y, row].transpose(0, 2, 1),
                     w * pair,
                     rtol=0,
                     atol=1e-10,
@@ -597,7 +598,7 @@ class TestRaggedKernel:
         -inf past each chain's end, where no step writes."""
         rng = np.random.default_rng(3)
         theta, chains, order, node, plan = ragged_batch(rng, (4, 2, 1), 2, 3)
-        assert node.shape[2] == sum(x.length for x in chains) == plan.layout.starts[-1]
+        assert node.shape[2] == sum(len(x) for x in chains) == plan.layout.starts[-1]
         chain = forward(node, theta.theta_trans, plan)
         weights = random_weights(rng, chain)
         post = backward(chain, weights)
@@ -640,7 +641,7 @@ def test_marginal_consistency(params):
     x, theta = build(params)
     state, pair = marginals(0, x, theta)
     np.testing.assert_allclose(state.sum(axis=1), 1.0, atol=1e-10)
-    for j in range(x.length - 1):
+    for j in range(len(x) - 1):
         np.testing.assert_allclose(pair[j].sum(axis=1), state[j], atol=1e-10)
         np.testing.assert_allclose(pair[j].sum(axis=0), state[j + 1], atol=1e-10)
 

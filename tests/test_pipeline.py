@@ -19,7 +19,15 @@ from opinionchain.features.resources import (
 )
 from opinionchain.features.standardize import fit_standardizer
 
-from conftest import dense_features, ipus, make_transcript, same_sequence
+from conftest import (
+    columns,
+    dense_features,
+    featurize,
+    fit,
+    ipus,
+    make_transcript,
+    same_block,
+)
 from oracles import embed_tokens, reference_bong, reference_paralinguistic, reference_pattern
 
 
@@ -74,7 +82,7 @@ class TestSchema:
         config = PipelineConfig(
             blocks=("embedding",), embedding_path=str(path), standardize=False
         )
-        fitted = FeaturePipeline(config).fit_transform(small_corpus())[0]
+        fitted = fit(config, small_corpus())[0]
         assert fitted.schema.dim == 3 + 1
         assert fitted.schema.feature_names[-1] == "emb:coverage"
 
@@ -87,13 +95,13 @@ class TestSchema:
             embedding_path=str(path),
             lexicon_paths=(str(swn_lexicon_file), str(socal_lexicon_file)),
         )
-        fitted = FeaturePipeline(config).fit_transform(small_corpus())[0]
+        fitted = fit(config, small_corpus())[0]
         widths = {name: width for name, _, width in fitted.schema.blocks}
         assert fitted.schema.dim == sum(widths.values())
         assert widths["embedding"] == 4
         assert widths["lexicon"] == 6
         assert widths["paralinguistic"] == 5
-        x = fitted.transform(small_corpus()[:1])[0]
+        x = featurize(fitted, small_corpus()[:1])
         assert x.dim == fitted.schema.dim
 
     def test_contiguity_enforced(self):
@@ -119,10 +127,10 @@ class TestRecomposition:
             standardize=False,  # raw vectors so block outputs match exactly
         )
         corpus = small_corpus()
-        fitted = FeaturePipeline(config).fit_transform(corpus)[0]
+        fitted = fit(config, corpus)[0]
 
         doc = corpus[0]
-        x = dense_features(fitted.transform([doc])[0])
+        x = dense_features(featurize(fitted, [doc]))
         units = ipus(doc, config.threshold_ms)
         stopwords = load_stopwords()
         table = load_embeddings(emb_path)
@@ -175,17 +183,17 @@ class TestFitTransform:
     ):
         config = block_config(block, standardize, embedding_file, socal_lexicon_file)
         corpus = small_corpus()
-        fitted, sequences = FeaturePipeline(config).fit_transform(corpus)
-        alone = FeaturePipeline(config).fit_transform(corpus)[0]
+        fitted, docs = fit(config, corpus)
+        alone = fit(config, corpus)[0]
         assert fitted.state_checksum() == alone.state_checksum()
-        assert [s.doc_id for s in sequences] == [d.doc_id for d in corpus]
-        for doc, seq in zip(corpus, sequences):
-            assert same_sequence(seq, alone.transform([doc])[0])
+        assert docs.doc_ids == tuple(d.doc_id for d in corpus)
+        for i, doc in enumerate(corpus):
+            assert same_block(docs.subblock([i]), featurize(alone, [doc]))
         if standardize:
             # fit on the raw rows, as an unstandardized pipeline builds them
             raw_config = block_config(block, False, embedding_file, socal_lexicon_file)
-            raw = FeaturePipeline(raw_config).fit_transform(corpus)[0]
-            rows = np.concatenate([dense_features(x) for x in raw.transform(corpus)])
+            raw = fit(raw_config, corpus)[0]
+            rows = dense_features(featurize(raw, corpus))
             want = fit_standardizer(rows)
             width = 0 if fitted.vocabulary is None else len(fitted.vocabulary)
             assert np.array_equal(fitted.standardizer.mean[width:], want.mean[width:])
@@ -199,68 +207,79 @@ class TestFitTransform:
             assert fitted.standardizer is None
 
     def test_segmented_documents_featurize_like_transcripts(self):
+        """A segmented chunk, whole or a document at a time, featurizes
+        as the fit gave it and as ``blocks`` reads the corpus's columns."""
         pipeline = FeaturePipeline(PipelineConfig())
-        corpus = small_corpus()
+        corpus = columns(small_corpus())
         segmented = pipeline.segment(corpus)
-        fitted, sequences = pipeline.fit_transform(segmented)
-        want_fitted, from_docs = pipeline.fit_transform(corpus)
-        assert fitted.state_checksum() == want_fitted.state_checksum()
-        for seg, seq, want in zip(segmented, sequences, from_docs):
-            assert same_sequence(seq, want)
-            assert same_sequence(fitted.transform([seg])[0], want)
+        fitted, block = pipeline.fit_transform(segmented)
+        [from_columns] = fitted.blocks(corpus)
+        assert same_block(block, from_columns)
+        assert same_block(fitted.block(segmented), block)
+        for i in range(len(corpus)):
+            assert same_block(fitted.block(segmented.subchunk([i])), block.subblock([i]))
 
     def test_segmentation_from_another_threshold_rejected(self):
-        [seg] = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(small_corpus()[:1])
-        fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
-        with pytest.raises(InvalidInputError, match="200 ms"):
-            fitted.transform([seg])
-        with pytest.raises(InvalidInputError, match="200 ms"):
-            FeaturePipeline(PipelineConfig()).fit_transform([seg])
+        seg = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(
+            columns(small_corpus()[:1])
+        )
+        fitted = fit(PipelineConfig(), small_corpus())[0]
+        message = "segmented at 200 ms, but the pipeline uses 300 ms"
+        with pytest.raises(InvalidInputError, match=message):
+            fitted.block(seg)
+        with pytest.raises(InvalidInputError, match=message):
+            FeaturePipeline(PipelineConfig()).fit_transform(seg)
+        with pytest.raises(InvalidInputError, match=message):
+            FeaturePipeline(PipelineConfig()).prepare(seg)
 
     def test_prepared_documents_featurize_like_transcripts(self):
         pipeline = FeaturePipeline(PipelineConfig())
         corpus = small_corpus()
-        prepared = pipeline.prepare(corpus)
-        fitted, sequences = pipeline.fit_transform(prepared)
-        want_fitted, want = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
+        prepared = pipeline.prepare(pipeline.segment(columns(corpus)))
+        fitted, block = pipeline.fit_transform(prepared)
+        want_fitted, want = fit(PipelineConfig(), corpus)
         assert fitted.state_checksum() == want_fitted.state_checksum()
-        for doc, seg, seq, expected in zip(corpus, prepared, sequences, want):
-            assert same_sequence(seq, expected)
-            assert same_sequence(fitted.transform([seg])[0], expected)
-            assert same_sequence(fitted.transform([doc])[0], expected)
+        assert same_block(block, want)
+        for i, doc in enumerate(corpus):
+            expected = want.subblock([i])
+            assert same_block(fitted.block(prepared.subchunk([i])), expected)
+            assert same_block(featurize(fitted, [doc]), expected)
 
     def test_prepared_under_another_configuration_rejected(self):
-        seg = FeaturePipeline(PipelineConfig(blocks=("pattern",))).prepare(small_corpus()[:1])[0]
-        fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
-        with pytest.raises(InvalidInputError, match="another pipeline configuration"):
-            fitted.transform([seg])
-        with pytest.raises(InvalidInputError, match="another pipeline configuration"):
-            FeaturePipeline(PipelineConfig()).fit_transform([seg])
+        other = FeaturePipeline(PipelineConfig(blocks=("pattern",)))
+        seg = other.prepare(other.segment(columns(small_corpus()[:1])))
+        fitted = fit(PipelineConfig(), small_corpus())[0]
+        message = "prepared under another pipeline configuration"
+        with pytest.raises(InvalidInputError, match=message):
+            fitted.block(seg)
+        with pytest.raises(InvalidInputError, match=message):
+            FeaturePipeline(PipelineConfig()).fit_transform(seg)
 
     def test_tokenless_document_rejected_at_prepare(self):
-        with pytest.raises(InvalidInputError, match="no IPUs"):
-            FeaturePipeline(PipelineConfig()).prepare([make_transcript("empty", ())])
+        pipeline = FeaturePipeline(PipelineConfig())
+        with pytest.raises(InvalidInputError, match="empty: no IPUs"):
+            pipeline.prepare(pipeline.segment(columns([make_transcript("empty", ())])))
 
     def test_sequence_length_matches_ipu_count(self):
         config = PipelineConfig()
         corpus = small_corpus()
-        fitted = FeaturePipeline(config).fit_transform(corpus)[0]
+        fitted = fit(config, corpus)[0]
         for doc in corpus:
             want = len(ipus(doc, config.threshold_ms))
-            assert fitted.transform([doc])[0].length == want
+            assert len(featurize(fitted, [doc]).features) == want
 
     def test_transform_is_deterministic(self):
         corpus = small_corpus()
-        fitted = FeaturePipeline(PipelineConfig()).fit_transform(corpus)[0]
-        a = fitted.transform(corpus[1:2])[0]
-        b = fitted.transform(corpus[1:2])[0]
-        assert same_sequence(a, b)
+        fitted = fit(PipelineConfig(), corpus)[0]
+        a = featurize(fitted, corpus[1:2])
+        b = featurize(fitted, corpus[1:2])
+        assert same_block(a, b)
 
     def test_standardized_train_matrix_statistics(self):
         corpus = small_corpus()
         config = PipelineConfig()
-        fitted = FeaturePipeline(config).fit_transform(corpus)[0]
-        rows = np.vstack([dense_features(x) for x in fitted.transform(corpus)])
+        fitted = fit(config, corpus)[0]
+        rows = dense_features(featurize(fitted, corpus))
         assert np.abs(rows.mean(axis=0)).max() <= 1e-12
         stds = rows.std(axis=0, ddof=0)
         nondegenerate = stds > 1e-9
@@ -269,27 +288,28 @@ class TestFitTransform:
     def test_fit_state_ignores_held_out_documents(self):
         corpus = small_corpus()
         train, held_out = corpus[:4], corpus[4:]
-        fitted_a = FeaturePipeline(PipelineConfig()).fit_transform(train)[0]
-        fitted_b = FeaturePipeline(PipelineConfig()).fit_transform(train)[0]
-        fitted_b.transform(held_out)  # must not touch fitted state
+        fitted_a = fit(PipelineConfig(), train)[0]
+        fitted_b = fit(PipelineConfig(), train)[0]
+        featurize(fitted_b, held_out)  # must not touch fitted state
         assert fitted_a.state_checksum() == fitted_b.state_checksum()
-        fitted_c = FeaturePipeline(PipelineConfig()).fit_transform(corpus)[0]
+        fitted_c = fit(PipelineConfig(), corpus)[0]
         assert fitted_c.state_checksum() != fitted_a.state_checksum()
 
     def test_unseen_terms_ignored_at_transform(self):
         train = small_corpus()[:2]
         config = PipelineConfig(blocks=("bong",), standardize=False)
-        fitted = FeaturePipeline(config).fit_transform(train)[0]
+        fitted = fit(config, train)[0]
         unseen = make_transcript("new", ("zebra", "quagga"), valences=(4.0,))
-        x = fitted.transform([unseen])[0]
+        x = featurize(fitted, [unseen])
         assert x.sparse.values.size == 0
         np.testing.assert_array_equal(dense_features(x), np.zeros((1, fitted.schema.dim)))
 
     def test_tokenless_document_rejected_at_transform(self):
-        fitted = FeaturePipeline(PipelineConfig()).fit_transform(small_corpus())[0]
-        with pytest.raises(InvalidInputError):
-            fitted.transform([make_transcript("empty", ())])
+        fitted = fit(PipelineConfig(), small_corpus())[0]
+        with pytest.raises(InvalidInputError, match="empty: no IPUs"):
+            featurize(fitted, [make_transcript("empty", ())])
 
     def test_fit_requires_documents(self):
-        with pytest.raises(InvalidInputError):
-            FeaturePipeline(PipelineConfig()).fit_transform([])
+        pipeline = FeaturePipeline(PipelineConfig())
+        with pytest.raises(InvalidInputError, match="zero documents"):
+            pipeline.fit_transform(pipeline.segment(columns([])))

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from opinionchain.model import HcrfParameters, ObservationSequence, backward, forward
+from opinionchain.model import HcrfParameters, backward, forward
 from opinionchain.training import group_by_length
 
-from conftest import alone, packed_kernel, posterior, value_and_gradient
+from conftest import alone, make_block, packed_kernel, posterior, value_and_gradient
 from oracles import log_space_reference, unshifted_logsumexp
 
 mp.dps = 30
@@ -86,7 +86,7 @@ def mp_reference(features, theta, gold):
 
 def instance(seed, length, num_hidden, scale, dim=3, num_labels=2):
     rng = np.random.default_rng(seed)
-    x = ObservationSequence("p", rng.standard_normal((length, dim)))
+    x = rng.standard_normal((length, dim))
     theta = HcrfParameters(
         scale * rng.standard_normal((num_hidden, dim)),
         scale * rng.standard_normal((num_labels, num_hidden)),
@@ -109,7 +109,7 @@ CASES = [
 def reference(seed, length, num_hidden, scale, gold=1):
     """One case's instance and its mpmath reference, computed once."""
     x, theta = instance(seed, length, num_hidden, scale)
-    return x, theta, mp_reference(x.features, theta, gold)
+    return x, theta, mp_reference(x, theta, gold)
 
 
 @pytest.mark.parametrize("seed, length, num_hidden, scale", CASES)
@@ -127,9 +127,9 @@ def test_kernel_matches_mpmath(seed, length, num_hidden, scale):
     log_odds_error = 1e-14 * max(1.0, float(np.abs(want_log_z).max()))
     np.testing.assert_allclose(posterior(x, theta), want_post, rtol=0, atol=log_odds_error)
 
-    grouped = group_by_length([(x, gold)], theta.num_labels, theta.feature_dim)
+    grouped = group_by_length(make_block([x]), [gold], theta.num_labels)
     _, got_grad = value_and_gradient(grouped, theta, 0.0)
-    count_scale = length * max(1.0, float(np.abs(x.features).max()))
+    count_scale = length * max(1.0, float(np.abs(x).max()))
     np.testing.assert_allclose(
         got_grad, want_grad, rtol=0, atol=max(1e-12, log_odds_error) * count_scale
     )
@@ -185,9 +185,8 @@ def test_ragged_kernel_on_ten_thousand_segments_matches_longdouble():
         scale * rng.standard_normal((2, num_hidden)),
         scale * rng.standard_normal((2, num_hidden, num_hidden)),
     )
-    chains = [ObservationSequence(f"c{i}", rng.standard_normal((n, dim)))
-              for i, n in enumerate(LONG_LENGTHS)]
-    node, plan = packed_kernel([x.features @ theta.theta_obs.T for x in chains], theta)
+    chains = [rng.standard_normal((n, dim)) for n in LONG_LENGTHS]
+    node, plan = packed_kernel([x @ theta.theta_obs.T for x in chains], theta)
     chain = forward(node, theta.theta_trans, plan)
     state = backward(chain, np.ones_like(chain.log_z)).state  # (Lmax, H, Y, N)
     eps64 = float(np.finfo(np.float64).eps)
@@ -205,11 +204,11 @@ def test_ragged_kernel_on_ten_thousand_segments_matches_longdouble():
     for row in reversed(range(len(chains))):
         x = chains[row]
         want_log_z, want_state = log_space_reference(x, theta)
-        got_state = state[: x.length, :, :, row].transpose(2, 0, 1)  # (Y, L, H)
+        got_state = state[: len(x), :, :, row].transpose(2, 0, 1)  # (Y, L, H)
         assert within_tolerance(
-            chain.log_z[:, row], got_state, want_log_z, want_state, x.length
-        ), x.length
-        assert np.abs(got_state - want_state).max() <= 1e-8, x.length
+            chain.log_z[:, row], got_state, want_log_z, want_state, len(x)
+        ), len(x)
+        assert np.abs(got_state - want_state).max() <= 1e-8, len(x)
 
     long_chain = chains[0]
     assert x is long_chain  # the last row checked is the longest: its references are at hand
@@ -219,5 +218,5 @@ def test_ragged_kernel_on_ten_thousand_segments_matches_longdouble():
                 long_chain, theta, dtype=dtype, lse=unshifted_logsumexp
             )
         assert not within_tolerance(
-            naive_log_z, naive_state, want_log_z, want_state, long_chain.length
+            naive_log_z, naive_state, want_log_z, want_state, len(long_chain)
         )

@@ -16,8 +16,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opinionchain.corpus import load_corpus, save_corpus
-from opinionchain.features.pipeline import PipelineConfig, _segmented
+from opinionchain.corpus import load_corpus, read_corpus, save_corpus
+from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 
 from conftest import ipu_index_per_token, ipus
 from oracles import reference_load, reference_segment, reference_tokens
@@ -131,14 +131,16 @@ def test_columns_and_ipus_equal_the_per_line_reference(files):
             for doc in loaded
         ] == reference
 
-        segmented = _segmented(loaded, PipelineConfig(threshold_ms=THRESHOLD))
-        for doc, seg, (_, texts, starts, ends, markers, _) in zip(
-            loaded, segmented, reference, strict=True
+        chunk = FeaturePipeline(PipelineConfig(threshold_ms=THRESHOLD)).segment(read_corpus(root))
+        assert chunk.doc_ids == tuple(doc.doc_id for doc in loaded)
+        bounds = chunk.bounds
+        for doc, lo, hi, (_, texts, starts, ends, markers, _) in zip(
+            loaded, bounds[:-1], bounds[1:], reference, strict=True
         ):
             want = reference_segment(texts, starts, ends, markers, THRESHOLD)
             assert ipus(doc, THRESHOLD) == want
-            assert seg.tokens == tuple(reference_tokens(unit) for unit, _ in want)
-            assert seg.para_events == tuple(events for _, events in want)
+            assert chunk.units[lo:hi] == [reference_tokens(unit) for unit, _ in want]
+            assert chunk.events[lo:hi] == [events for _, events in want]
             assert ipu_index_per_token(doc, THRESHOLD) == [
                 i for i, (unit, _) in enumerate(want) for _ in unit
             ]

@@ -16,6 +16,7 @@ import pytest
 from opinionchain.errors import InvalidInputError
 from opinionchain.evaluation import compute_metrics, cross_validate
 from opinionchain.features.pipeline import PipelineConfig
+from conftest import columns
 from test_evaluation import _MajorityLearner, tiny_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,7 +104,7 @@ class TestSignificance:
             fold_significance([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_fold_scores_extraction(self):
-        docs = tiny_corpus()
+        docs = columns(tiny_corpus())
         config = PipelineConfig(blocks=("bong",), standardize=False)
         report = cross_validate(docs, config, _MajorityLearner(), k=2, seed=0)
         accs = fold_scores(report, "accuracy")

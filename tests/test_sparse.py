@@ -1,6 +1,6 @@
 """The sparse bag-of-n-grams path against dense references.
 
-A bong-bearing pipeline keeps each sequence's bong rows as their nonzero
+A bong-bearing pipeline keeps a block's bong rows as their nonzero
 entries, divided by the standardizer's std, plus one shared offset row,
 and the model reads them through gathers and scatter-adds.  Every test
 here rebuilds the same rows densely, (L, D) and with the (2w+1) D
@@ -14,17 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opinionchain.baseline import aggregate_document_vector, document_vectors
+from opinionchain.baseline import document_vectors
 from opinionchain.corpus import CorpusColumns
 from opinionchain.errors import InvalidInputError
-from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
-from opinionchain.model import (
-    HcrfParameters,
-    ObservationSequence,
-    SparseRows,
-    label_posteriors,
-    stack_sequences,
-)
+from opinionchain.features.pipeline import PipelineConfig
+from opinionchain.model import HcrfParameters, SparseRows, label_posteriors
 from opinionchain import training
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from opinionchain.training import (
@@ -35,7 +29,15 @@ from opinionchain.training import (
     train,
 )
 
-from conftest import dense_features, make_transcript, value_and_gradient, windowed
+from conftest import (
+    dense_features,
+    featurize,
+    fit,
+    make_block,
+    make_transcript,
+    value_and_gradient,
+    windowed,
+)
 
 BLOCKS = ("bong", "pattern", "paralinguistic")
 
@@ -68,19 +70,17 @@ def held_out():
 
 
 def fitted(standardize):
-    return FeaturePipeline(PipelineConfig(blocks=BLOCKS, standardize=standardize)).fit_transform(
-        training_corpus()
-    )
+    return fit(PipelineConfig(blocks=BLOCKS, standardize=standardize), training_corpus())
 
 
 def dense_reference(pipeline, doc):
     """The document's standardized (L, D) rows, built densely: the raw
     rows of an unstandardized pipeline of the same vocabulary, then
     ``Standardizer.apply`` on all D columns."""
-    raw = FeaturePipeline(dataclasses.replace(pipeline.config, standardize=False))
-    raw_pipeline = raw.fit_transform(training_corpus())[0]
+    raw_config = dataclasses.replace(pipeline.config, standardize=False)
+    raw_pipeline = fit(raw_config, training_corpus())[0]
     assert raw_pipeline.vocabulary.terms == pipeline.vocabulary.terms
-    rows = dense_features(raw_pipeline.transform([doc])[0])
+    rows = dense_features(featurize(raw_pipeline, [doc]))
     if pipeline.standardizer is None:
         return rows
     return pipeline.standardizer.apply(rows)
@@ -95,23 +95,23 @@ def random_theta(rng, num_hidden, dim, scale=0.5):
 
 
 def test_the_fixture_has_the_awkward_cases():
-    pipeline, sequences = fitted(standardize=True)
+    pipeline, block = fitted(standardize=True)
     width = len(pipeline.vocabulary)
     std = pipeline.standardizer.std[:width]
     assert std[pipeline.vocabulary.index["the"]] == 0.0
     assert std[pipeline.vocabulary.index["great_the"]] == 0.0
-    x = pipeline.transform(held_out()[:1])[0]
+    x = featurize(pipeline, held_out()[:1])
     assert 0 not in x.sparse.rows.tolist()  # "zebra quagga" has no entry
-    # one offset row, shared by every sequence of the pipeline
-    assert all(s.sparse.offset is sequences[0].sparse.offset for s in sequences)
-    assert x.sparse.offset is sequences[0].sparse.offset
+    # one offset row, shared by every block of the pipeline
+    assert x.sparse.offset is block.sparse.offset
+    assert block.subblock([2, 0]).sparse.offset is block.sparse.offset
 
 
 @pytest.mark.parametrize("standardize", [True, False])
 def test_rows_match_the_dense_standardized_rows(standardize):
-    pipeline, sequences = fitted(standardize)
-    for doc, seq in zip(training_corpus() + held_out(), sequences + [None] * 3):
-        x = pipeline.transform([doc])[0]
+    pipeline, _ = fitted(standardize)
+    for doc in training_corpus() + held_out():
+        x = featurize(pipeline, [doc])
         assert x.features.shape[1] == pipeline.schema.dim - len(pipeline.vocabulary)
         np.testing.assert_allclose(
             dense_features(x), dense_reference(pipeline, doc), rtol=0, atol=1e-12
@@ -126,27 +126,22 @@ def test_posteriors_match_the_dense_path(window, standardize):
     rng = np.random.default_rng(10 * window + standardize)
     theta = random_theta(rng, 3, (2 * window + 1) * pipeline.schema.dim)
     predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
-    got = predictor.posterior_batch(pipeline.transform(docs))
-    dense = [
-        windowed(ObservationSequence(doc.doc_id, dense_reference(pipeline, doc)), window)
-        for doc in docs
-    ]
-    want = label_posteriors([x.features @ theta.theta_obs.T for x in dense], theta)
+    got = predictor.posterior_blocks([featurize(pipeline, docs)])
+    dense = [windowed(dense_reference(pipeline, doc), window) for doc in docs]
+    want = label_posteriors([x @ theta.theta_obs.T for x in dense], theta)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     assert np.abs(got - 0.5).max() > 0.01  # the weights do move the posteriors
 
 
 @pytest.mark.parametrize("window", [0, 1])
 def test_objective_matches_the_dense_path(window):
-    pipeline, sequences = fitted(standardize=True)
+    pipeline, block = fitted(standardize=True)
     labels = [doc.polarity for doc in training_corpus()]
     dim = pipeline.schema.dim
     theta = random_theta(np.random.default_rng(3 + window), 2, (2 * window + 1) * dim)
-    sparse = group_by_length(list(zip(sequences, labels)), 2, dim, window)
-    dense = [
-        windowed(ObservationSequence(x.doc_id, dense_features(x)), window) for x in sequences
-    ]
-    reference = group_by_length(list(zip(dense, labels)), 2, theta.feature_dim)
+    sparse = group_by_length(block, labels, 2, window)
+    dense = [windowed(dense_features(block, i), window) for i in range(len(labels))]
+    reference = group_by_length(make_block(dense), labels, 2)
     value, grad = value_and_gradient(sparse, theta, 0.3)
     want_value, want_grad = value_and_gradient(reference, theta, 0.3)
     assert value == pytest.approx(want_value, rel=1e-12, abs=0)
@@ -154,10 +149,10 @@ def test_objective_matches_the_dense_path(window):
 
 
 def test_gradient_matches_central_finite_differences_at_window_one():
-    pipeline, sequences = fitted(standardize=True)
+    pipeline, block = fitted(standardize=True)
     labels = [doc.polarity for doc in training_corpus()]
     dim = pipeline.schema.dim
-    groups = group_by_length(list(zip(sequences, labels)), 2, dim, 1)
+    groups = group_by_length(block, labels, 2, 1)
     theta = random_theta(np.random.default_rng(5), 2, 3 * dim, scale=0.3)
     _, grad = value_and_gradient(groups, theta, 0.2)
     vec, step = theta.as_vector(), 1e-5
@@ -175,27 +170,31 @@ def test_gradient_matches_central_finite_differences_at_window_one():
 
 @pytest.mark.parametrize("window", [0, 1])
 def test_batch_rows_bitwise_equal_one_by_one(window, monkeypatch):
-    """Sequences are scored in chunks, their sparse rows stacked into one
-    block; each row is still bitwise what the sequence alone gives, and
-    a sequence of another layout (no offset row) is scored on its own."""
+    """A corpus is scored a chunk of documents at a time, each chunk's
+    sparse rows one block; each row is still bitwise what the document
+    alone gives, and a block of another layout (no offset row) in the
+    same call is scored on its own."""
     monkeypatch.setattr(training, "SCORING_CHUNK", 4)
     pipeline, _ = fitted(standardize=True)
     unstandardized, _ = fitted(standardize=False)
     docs = training_corpus() + held_out()
-    xs = pipeline.transform(docs) + unstandardized.transform(docs[:1])
+    blocks = [*pipeline.blocks(CorpusColumns.from_transcripts(docs))]
+    assert len(blocks) == 3
+    blocks.append(featurize(unstandardized, docs[:1]))
+    alone = [featurize(pipeline, [doc]) for doc in docs] + blocks[-1:]
     theta = random_theta(np.random.default_rng(7), 3, (2 * window + 1) * pipeline.schema.dim)
     predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
-    batch = predictor.posterior_batch(iter(xs))
-    assert batch.shape == (len(xs), 2)
-    for row, x in zip(batch, xs):
-        assert np.array_equal(row, predictor.posterior_batch([x])[0])
+    batch = predictor.posterior_blocks(iter(blocks))
+    assert batch.shape == (len(alone), 2)
+    for row, x in zip(batch, alone):
+        assert np.array_equal(row, predictor.posterior_blocks([x])[0])
 
 
 def test_document_vector_is_the_mean_of_the_dense_rows():
-    pipeline, sequences = fitted(standardize=True)
-    for x in sequences:
+    pipeline, block = fitted(standardize=True)
+    for i, got in enumerate(document_vectors(block)):
         np.testing.assert_allclose(
-            aggregate_document_vector(x), dense_features(x).mean(axis=0), rtol=0, atol=1e-14
+            got, dense_features(block, i).mean(axis=0), rtol=0, atol=1e-14
         )
 
 
@@ -206,24 +205,13 @@ def test_document_vectors_add_up_each_sequence_alone():
     pipeline, _ = fitted(standardize=True)
     words = ("great", "movie", "the", "awful", "plot", "bad", "good")
     docs = [make_transcript(f"n{n}", words[:n], gaps=[500] * (n - 1)) for n in (3, 5, 7)]
-    sequences = pipeline.transform(held_out() + docs)
-    [block] = stack_sequences(sequences)
-    for x, got in zip(sequences, document_vectors(block), strict=True):
-        sparse = x.sparse.transpose_dot(np.ones((x.length, 1)))[0] / x.length
+    block = featurize(pipeline, held_out() + docs)
+    for i, got in enumerate(document_vectors(block)):
+        x = block.subblock([i])
+        length = len(x.features)
+        sparse = x.sparse.transpose_dot(np.ones((length, 1)))[0] / length
         assert np.array_equal(got, np.concatenate([sparse, x.features.mean(axis=0)]))
-        assert np.array_equal(got, aggregate_document_vector(x))
-
-
-def test_training_set_must_share_one_sparse_layout():
-    pipeline, sequences = fitted(standardize=True)
-    other, _ = fitted(standardize=False)
-    dim = pipeline.schema.dim
-    mixed = [(sequences[0], 0), (other.transform(training_corpus()[1:2])[0], 1)]
-    with pytest.raises(InvalidInputError, match="do not share one layout"):
-        group_by_length(mixed, 2, dim)
-    dense = ObservationSequence("dense", np.zeros((2, dim)))
-    with pytest.raises(InvalidInputError, match="do not share one layout"):
-        group_by_length([(sequences[0], 0), (dense, 1)], 2, dim)
+        assert np.array_equal(got, document_vectors(x)[0])
 
 
 @pytest.mark.parametrize(
@@ -260,7 +248,7 @@ def test_transform_rejects_faulty_chunk_rows(monkeypatch, standardize, fault, ma
     sequences are cut from it without checks of their own: bong entries
     that ``vectorize_bong`` returns out of range, out of order or not
     finite, or a dense row that is not finite, still make ``transform``
-    raise, and ``blocks``, which ``predict`` scores."""
+    raise: ``block``, and ``blocks``, which ``predict`` scores."""
     from opinionchain.features import pipeline as module
 
     pipeline, _ = fitted(standardize)
@@ -287,7 +275,7 @@ def test_transform_rejects_faulty_chunk_rows(monkeypatch, standardize, fault, ma
     monkeypatch.setattr(module, "vectorize_bong", faulty_bong)
     monkeypatch.setattr(module, "pattern_features", faulty_patterns)
     with pytest.raises(InvalidInputError, match=match):
-        pipeline.transform(held_out())
+        featurize(pipeline, held_out())
     with pytest.raises(InvalidInputError, match=match):
         list(pipeline.blocks(CorpusColumns.from_transcripts(held_out())))
 
@@ -310,7 +298,7 @@ def test_transform_rejects_a_value_that_overflows_when_standardized(monkeypatch)
 
     monkeypatch.setattr(module, "vectorize_bong", huge_bong)
     with pytest.raises(InvalidInputError, match="non-finite sparse"), np.errstate(over="ignore"):
-        pipeline.transform(held_out())
+        featurize(pipeline, held_out())
 
 
 def test_default_block_fit_and_train_stay_small():
@@ -322,8 +310,8 @@ def test_default_block_fit_and_train_stay_small():
     corpus = generate_corpus(spec, seed=3)
     tracemalloc.start()
     try:
-        pipeline, sequences = FeaturePipeline(PipelineConfig()).fit_transform(corpus)
-        train(list(zip(sequences, [doc.polarity for doc in corpus])), TrainingConfig())
+        pipeline, block = fit(PipelineConfig(), corpus)
+        train(block, [doc.polarity for doc in corpus], TrainingConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

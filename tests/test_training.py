@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 
 from opinionchain import training
 from opinionchain.errors import InvalidInputError
-from opinionchain.evaluation import predict_batch
 from opinionchain.model import (
     HcrfParameters,
-    ObservationSequence,
+    SequenceBlock,
     SparseRows,
     backward,
     emission_blocks,
     emission_scores,
     forward,
     label_log_posteriors,
-    stack_sequences,
     window_sum,
 )
 from opinionchain.training import (
@@ -31,18 +29,32 @@ from opinionchain.training import (
     train,
 )
 
-from conftest import alone, packed_kernel, posterior, value_and_gradient, windowed, zero_params
+from conftest import (
+    alone,
+    make_block,
+    packed_kernel,
+    posterior,
+    value_and_gradient,
+    windowed,
+    zero_params,
+)
 from oracles import brute_force_posterior, padded_objective_and_gradient
 
 
 def seq(features, doc_id="t"):
-    return ObservationSequence(doc_id=doc_id, features=np.asarray(features, dtype=float))
+    """One hand-made document's (L, D) rows, checked as a one-document
+    block."""
+    return make_block([features], [doc_id]).features
+
+
+def as_block(dataset):
+    """A list of (rows, label) pairs as one block and its labels."""
+    return make_block([x for x, _ in dataset]), [y for _, y in dataset]
 
 
 def scores(x, weights, window):
-    """``emission_scores`` of the one sequence ``x``, as a block of its own."""
-    [block] = stack_sequences([x])
-    [out] = emission_scores(block, weights, window)
+    """``emission_scores`` of the rows ``x``, as a block of their own."""
+    [out] = emission_scores(make_block([x]), weights, window)
     return out
 
 
@@ -57,8 +69,8 @@ def random_dataset(rng, size=6, dim=3, max_len=5, num_labels=2):
 
 
 def grouped(dataset, theta):
-    """``dataset`` grouped for the labels and dimension of ``theta``."""
-    return group_by_length(dataset, theta.num_labels, theta.feature_dim)
+    """``dataset`` grouped for the labels of ``theta``."""
+    return group_by_length(*as_block(dataset), theta.num_labels)
 
 
 def random_theta(rng, num_hidden, num_labels, dim, scale=0.5):
@@ -127,9 +139,9 @@ class TestObjective:
             assert value == pytest.approx(want, rel=1e-10)
 
     def test_rejects_empty_dataset(self):
-        theta = zero_params(2, 2, 2)
-        with pytest.raises(InvalidInputError):
-            value_and_gradient(grouped([], theta), theta, 0.1)
+        empty = SequenceBlock((), np.empty((0, 2)), None, [0])
+        with pytest.raises(InvalidInputError, match="nonempty"):
+            group_by_length(empty, [], 2)
 
     def test_rejects_dimension_mismatch(self):
         theta = zero_params(2, 2, 3)
@@ -178,7 +190,7 @@ class TestGradient:
         so a mix-up of the label, state and chain axes cannot cancel."""
         rng = np.random.default_rng(13)
         dataset = random_dataset(rng, size=12, dim=3, max_len=4, num_labels=3)
-        assert {x.length for x, _ in dataset} >= {1, 2}
+        assert {len(x) for x, _ in dataset} >= {1, 2}
         theta = random_theta(rng, 4, 3, 3)
         assert_matches_per_sequence_reference(dataset, theta, 0.25)
 
@@ -194,9 +206,9 @@ def assert_matches_per_sequence_reference(dataset, theta, lam):
             state = plain.state[:, :, y, 0]  # (L, H)
             pair = plain.pair[..., y, 0].transpose(0, 2, 1)  # (L-1, from, to)
             coeff = post[y] - (1.0 if y == gold else 0.0)
-            ref_obs += coeff * (state.T @ x.features)
+            ref_obs += coeff * (state.T @ x)
             ref_state[y] += coeff * state.sum(axis=0)
-            if x.length > 1:
+            if len(x) > 1:
                 ref_trans[y] += coeff * pair.sum(axis=0)
 
     _, got = value_and_gradient(grouped(dataset, theta), theta, lam)
@@ -215,7 +227,7 @@ def per_group_objective_and_gradient(dataset, theta, l2_lambda):
     ragged call, which weights the posteriors inside the backward pass."""
     by_length = {}
     for x, y in dataset:
-        by_length.setdefault(x.length, []).append((x.features, y))
+        by_length.setdefault(len(x), []).append((x, y))
     grad_obs = np.zeros_like(theta.theta_obs)
     grad_state = np.zeros_like(theta.theta_state)
     grad_trans = np.zeros_like(theta.theta_trans)
@@ -260,11 +272,11 @@ class TestRaggedObjective:
         for trial in range(4):
             num_labels = 2 + trial % 2
             dataset = random_dataset(rng, size=25, dim=3, max_len=9, num_labels=num_labels)
-            assert len({x.length for x, _ in dataset}) >= 4
+            assert len({len(x) for x, _ in dataset}) >= 4
             scale = (0.1, 1.0, 5.0, 0.5)[trial]
             theta = random_theta(rng, num_hidden, num_labels, (2 * window + 1) * 3, scale)
             lam = float(rng.uniform(0.0, 1.0))
-            groups = group_by_length(dataset, num_labels, 3, window)
+            groups = group_by_length(*as_block(dataset), num_labels, window)
             value, grad = value_and_gradient(groups, theta, lam)
             reference = [(windowed(x, window), y) for x, y in dataset]
             want_value, want_grad = per_group_objective_and_gradient(reference, theta, lam)
@@ -304,11 +316,12 @@ class TestRaggedObjective:
         """The layout's work arrays carry nothing from one call to the next."""
         rng = np.random.default_rng(30)
         dataset = random_dataset(rng, size=12, dim=3, max_len=6, num_labels=3)
-        reused = group_by_length(dataset, 3, 3)
+        reused = group_by_length(*as_block(dataset), 3)
         for scale in (0.5, 3.0, 0.1):
             theta = random_theta(rng, 4, 3, 3, scale)
             value, grad = value_and_gradient(reused, theta, 0.2)
-            want_value, want_grad = value_and_gradient(group_by_length(dataset, 3, 3), theta, 0.2)
+            fresh = group_by_length(*as_block(dataset), 3)
+            want_value, want_grad = value_and_gradient(fresh, theta, 0.2)
             assert value == want_value
             assert np.array_equal(grad, want_grad)
 
@@ -331,10 +344,10 @@ def objective_case(rng, num_labels, window, rows, lengths):
                 np.sort(rng.integers(0, length, nnz)), rng.integers(0, 4, nnz),
                 rng.standard_normal(nnz), length, 4, offset,
             )
-        x = ObservationSequence(f"d{i}", rng.standard_normal((length, 3)), sparse)
-        dataset.append((x, i % num_labels))
-    dim = dataset[0][0].dim
-    return group_by_length(dataset, num_labels, dim, window), dim
+        x = rng.standard_normal((length, 3))
+        dataset.append(((x, sparse) if sparse is not None else x, i % num_labels))
+    block, labels = as_block(dataset)
+    return group_by_length(block, labels, num_labels, window), block.dim
 
 
 @settings(max_examples=80, deadline=None)
@@ -374,7 +387,7 @@ def fit_in_a_row(case: int) -> bytes:
     else:
         data = random_dataset(rng, size=14, dim=3, max_len=9, num_labels=3)
         config = TrainingConfig(num_hidden_states=2, context_window=1, max_iterations=25)
-    theta, trace = train(data, config)
+    theta, trace = train(*as_block(data), config)
     entries = [(e.objective, e.gradient_norm, e.step_size) for e in trace.entries]
     return theta.as_vector().tobytes() + repr((entries, trace.status, trace.evaluations)).encode()
 
@@ -407,7 +420,7 @@ class TestLengthGroups:
             (seq([[10.0 * (i + 1) + j, -j] for j in range(length)], f"d{i}"), i % 2)
             for i, length in enumerate([3, 1, 3, 2, 1])
         ]
-        groups = group_by_length(dataset, 2, 2)
+        groups = group_by_length(*as_block(dataset), 2)
         assert groups.layout.lengths[::-1].tolist() == [1, 1, 2, 3, 3]
         assert groups.features.shape == (10, 2)  # 3 + 1 + 3 + 2 + 1 rows, no padding
         # chains d0, d2, d3, d1, d4; positions 0, 1, 2 hold 5, 3 and 2 of them
@@ -419,7 +432,7 @@ class TestLengthGroups:
             (seq(np.full((length, 2), float(i)), f"d{i}"), i % 2)
             for i, length in enumerate([3, 1, 3, 2, 1])
         ]
-        grouped = group_by_length(dataset, 2, 2)
+        grouped = group_by_length(*as_block(dataset), 2)
         assert grouped.layout.lengths.tolist() == [3, 3, 2, 1, 1]
         assert grouped.layout.active == (5, 3, 2, 0)
         assert grouped.labels.tolist() == [0, 0, 1, 1, 0]  # d0, d2, d3, d1, d4
@@ -430,13 +443,13 @@ class TestLengthGroups:
 
     def test_rejects_out_of_range_label(self):
         with pytest.raises(InvalidInputError, match="label 2"):
-            group_by_length([(seq([[1.0]]), 2)], 2, 1)
+            group_by_length(make_block([[[1.0]]]), [2], 2)
 
     def test_objective_rejects_parameters_of_another_shape(self):
         dataset = [(seq([[1.0, 2.0]]), 0)]
         with pytest.raises(InvalidInputError, match="do not match"):
             objective_and_gradient(
-                group_by_length(dataset, 2, 2), zero_params(2, 3, 2).as_vector(), 2, 0.1
+                group_by_length(*as_block(dataset), 2), zero_params(2, 3, 2).as_vector(), 2, 0.1
             )
 
     def test_train_groups_once_per_fit(self, monkeypatch):
@@ -448,7 +461,7 @@ class TestLengthGroups:
 
         monkeypatch.setattr(training, "group_by_length", counting)
         data = separable_dataset(np.random.default_rng(14), per_label=3)
-        train(data, TrainingConfig(num_hidden_states=2, max_iterations=20))
+        train(*as_block(data), TrainingConfig(num_hidden_states=2, max_iterations=20))
         assert len(calls) == 1
 
     def test_trace_counts_every_objective_call(self, monkeypatch):
@@ -460,7 +473,7 @@ class TestLengthGroups:
 
         monkeypatch.setattr(training, "objective_and_gradient", counting)
         data = separable_dataset(np.random.default_rng(15), per_label=3)
-        _, trace = train(data, TrainingConfig(num_hidden_states=2, max_iterations=20))
+        _, trace = train(*as_block(data), TrainingConfig(num_hidden_states=2, max_iterations=20))
         assert trace.evaluations == len(calls)
         assert trace.evaluations >= len(trace.entries)
 
@@ -472,9 +485,9 @@ class TestContextWindow:
     def test_zero_window_is_identity(self):
         x = seq([[1.0, 2.0], [3.0, 4.0]])
         weights = np.array([[0.5, -1.0], [2.0, 0.25]])
-        blocks = emission_blocks([x.features], None, weights, 0)
+        blocks = emission_blocks([x], None, weights, 0)
         assert window_sum(blocks[0], 0) is blocks[0][0]
-        assert np.array_equal(scores(x, weights, 0), x.features @ weights.T)
+        assert np.array_equal(scores(x, weights, 0), x @ weights.T)
 
     def test_window_one_boundary_padding(self):
         a, b, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
@@ -496,11 +509,9 @@ class TestContextWindow:
             weights[:, w * 3 : (w + 1) * 3] = rng.standard_normal((2, 3))
             got = scores(x, weights, w)
             np.testing.assert_allclose(
-                got, x.features @ weights[:, w * 3 : (w + 1) * 3].T, rtol=0, atol=1e-15
+                got, x @ weights[:, w * 3 : (w + 1) * 3].T, rtol=0, atol=1e-15
             )
-            np.testing.assert_allclose(
-                got, windowed(x, w).features @ weights.T, rtol=0, atol=1e-15
-            )
+            np.testing.assert_allclose(got, windowed(x, w) @ weights.T, rtol=0, atol=1e-15)
 
 
 class TestTrain:
@@ -508,16 +519,18 @@ class TestTrain:
         rng = np.random.default_rng(7)
         data = separable_dataset(rng)
         config = TrainingConfig(num_hidden_states=2, l2_lambda=0.01, seed=1)
-        theta, trace = train(data, config)
-        predicted = predict_batch(HcrfPredictor(theta, config), [x for x, _ in data])
-        correct = sum(p == y for p, (_, y) in zip(predicted, data))
+        block, labels = as_block(data)
+        theta, trace = train(block, labels, config)
+        posteriors = HcrfPredictor(theta, config).posterior_blocks([block])
+        correct = sum(p == y for p, y in zip(posteriors.argmax(axis=1).tolist(), labels))
         assert correct / len(data) >= 0.95
         assert trace.status in ("converged", "max_iterations", "stalled")
 
     def test_huge_lambda_shrinks_parameters(self):
         rng = np.random.default_rng(8)
         data = separable_dataset(rng, per_label=5)
-        theta, _ = train(data, TrainingConfig(num_hidden_states=2, l2_lambda=1e4, seed=1))
+        config = TrainingConfig(num_hidden_states=2, l2_lambda=1e4, seed=1)
+        theta, _ = train(*as_block(data), config)
         assert np.linalg.norm(theta.as_vector()) <= 1e-2
         post = posterior(data[0][0], theta)
         np.testing.assert_allclose(post, [0.5, 0.5], atol=1e-2)
@@ -526,15 +539,16 @@ class TestTrain:
         rng = np.random.default_rng(9)
         data = separable_dataset(rng, per_label=4)
         config = TrainingConfig(num_hidden_states=2, l2_lambda=0.1, seed=3)
-        theta_a, trace_a = train(data, config)
-        theta_b, trace_b = train(data, config)
+        theta_a, trace_a = train(*as_block(data), config)
+        theta_b, trace_b = train(*as_block(data), config)
         assert np.array_equal(theta_a.as_vector(), theta_b.as_vector())
         assert trace_a.entries == trace_b.entries
 
     def test_trace_objective_non_increasing(self):
         rng = np.random.default_rng(10)
         data = separable_dataset(rng, per_label=4)
-        _, trace = train(data, TrainingConfig(num_hidden_states=2, l2_lambda=0.1, seed=0))
+        config = TrainingConfig(num_hidden_states=2, l2_lambda=0.1, seed=0)
+        _, trace = train(*as_block(data), config)
         objs = [entry.objective for entry in trace.entries]
         assert all(b <= a for a, b in zip(objs, objs[1:]))
         assert all(np.isfinite(o) for o in objs)
@@ -546,7 +560,7 @@ class TestTrain:
         norms = []
         for lam in grid:
             theta, _ = train(
-                data,
+                *as_block(data),
                 TrainingConfig(
                     num_hidden_states=2, l2_lambda=lam, seed=2, max_iterations=300,
                     grad_tolerance=1e-7,
@@ -559,7 +573,7 @@ class TestTrain:
         rng = np.random.default_rng(12)
         data = separable_dataset(rng, per_label=3)
         theta, _ = train(
-            data,
+            *as_block(data),
             TrainingConfig(num_hidden_states=2, context_window=1, l2_lambda=0.1, seed=0,
                            max_iterations=30),
         )
@@ -568,7 +582,7 @@ class TestTrain:
     def test_missing_label_rejected(self):
         data = [(seq([[1.0, 0.0]]), 1), (seq([[0.5, 0.2]]), 1)]
         with pytest.raises(InvalidInputError):
-            train(data, TrainingConfig())
+            train(*as_block(data), TrainingConfig())
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -591,12 +605,15 @@ class TestPosteriorBatch:
         dim = 4
         theta = random_theta(rng, 3, num_labels, (2 * window + 1) * dim)
         predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
-        seqs = [seq(rng.standard_normal((n, dim)), f"d{i}") for i, n in enumerate(BATCH_LENGTHS)]
-        batch = predictor.posterior_batch(iter(seqs))
+        seqs = [rng.standard_normal((n, dim)) for n in BATCH_LENGTHS]
+        block = make_block(seqs)
+        # an iterator of blocks, read once
+        blocks = iter([block.subblock(range(3)), block.subblock([3, 4, 5, 6])])
+        batch = predictor.posterior_blocks(blocks)
         assert batch.shape == (len(seqs), num_labels)
         for row, x in zip(batch, seqs):
             dense = windowed(x, window)
-            assert np.array_equal(row, predictor.posterior_batch([x])[0])
+            assert np.array_equal(row, predictor.posterior_blocks([make_block([x])])[0])
             if window == 0:
                 assert np.array_equal(row, posterior(dense, theta))
             else:
@@ -615,10 +632,10 @@ class TestPosteriorBatch:
     def test_empty_batch(self):
         theta = random_theta(np.random.default_rng(0), 2, 2, 3)
         predictor = HcrfPredictor(theta, TrainingConfig())
-        assert predictor.posterior_batch([]).shape == (0, 2)
+        assert predictor.posterior_blocks([]).shape == (0, 2)
 
     def test_dimension_mismatch_rejected(self):
         theta = random_theta(np.random.default_rng(0), 2, 2, 3)
         predictor = HcrfPredictor(theta, TrainingConfig(context_window=1))
         with pytest.raises(InvalidInputError, match="windowed dim"):
-            predictor.posterior_batch([seq(np.zeros((2, 3)))])
+            predictor.posterior_blocks([make_block([np.zeros((2, 3))])])
