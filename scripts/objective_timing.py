@@ -21,17 +21,18 @@ over a few passes of a fresh default pipeline's `segment` and
 loading, cutting and tokenizing, n-gram fit, featurizing and
 standardizing), and `default_transform_ms_per_doc`: the median over a
 few passes of the fitted pipeline's `blocks` of the columns of 1000
-held-out transcripts of another seed, a chunk at a time (cutting,
+held-out documents of another seed, a chunk at a time (cutting,
 tokenizing, featurizing), per document.  It also prints
-`default_read_ms_per_doc`: the same 1000 transcripts are saved to a
-temporary directory, and the median over a few passes of `load_corpus`
+`default_read_ms_per_doc`: the same 1000 documents are saved to a
+temporary directory, and the median over a few passes of `read_corpus`
 on it (the transcript reader) plus `FeaturePipeline.segment` of the
-loaded documents as columns (cutting IPUs and tokenizing) is printed
-per document; and beside it `default_predict_ms_per_doc`, the median
-over a few passes of reading, featurizing and scoring them as `predict`
-does (`read_corpus`, then the posteriors of an HCRF fitted on the
-default shape's block), per document.  Two checkouts can be compared by running it with each one's
-`src/` on PYTHONPATH, alternating between them.
+read columns (cutting IPUs and tokenizing) is printed per document;
+and beside it `default_predict_ms_per_doc`, the median over a few
+passes of reading, featurizing and scoring them as `predict` does
+(`read_corpus`, then the posteriors of an HCRF fitted on the default
+shape's block), per document.  Two checkouts can be compared by
+running it with each one's `src/` on PYTHONPATH, alternating between
+them.
 """
 
 import argparse
@@ -44,13 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from opinionchain.archive import LoadedModel
-from opinionchain.corpus import (
-    LABEL_NAMES,
-    CorpusColumns,
-    load_corpus,
-    read_corpus,
-    save_corpus,
-)
+from opinionchain.corpus import LABEL_NAMES, polarity, read_corpus, save_corpus
 from opinionchain.evaluation import stratified_k_fold
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.model import HcrfParameters
@@ -84,10 +79,10 @@ def embedding_shape(seed):
     """The block and labels of the cv-embedding workload's first training fold."""
     spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=125)
     corpus = generate_corpus(spec, seed=seed)
-    labels = [doc.polarity for doc in corpus]
+    labels = list(map(polarity, corpus.valences))
     held = set(stratified_k_fold(labels, FOLDS, seed).folds[0])
     kept = [i for i in range(len(corpus)) if i not in held]
-    train_docs = CorpusColumns.from_transcripts(corpus).select(kept)
+    train_docs = corpus.select(kept)
     with tempfile.TemporaryDirectory() as tmp:
         emb_path = Path(tmp) / "embeddings.txt"
         write_embeddings(generate_embeddings(spec, seed=seed), emb_path)
@@ -100,10 +95,9 @@ def default_shape(seed):
     """The block and labels of default-predict's default-block training
     corpus, the pipeline fitted on it, and the corpus as columns."""
     spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=50)
-    docs = generate_corpus(spec, seed=seed)
-    corpus = CorpusColumns.from_transcripts(docs)
+    corpus = generate_corpus(spec, seed=seed)
     pipeline, block = fit_transform(PipelineConfig(), corpus)
-    return block, [doc.polarity for doc in docs], pipeline, corpus
+    return block, list(map(polarity, corpus.valences)), pipeline, corpus
 
 
 def time_fit_transform(corpus):
@@ -120,32 +114,31 @@ def heldout_corpus(seed):
     return generate_corpus(spec, seed=seed + HELDOUT_SEED_OFFSET)
 
 
-def time_transform(pipeline, docs):
-    corpus = CorpusColumns.from_transcripts(docs)
+def time_transform(pipeline, corpus):
     times = []
     for _ in range(TRANSFORM_PASSES):
         start = time.perf_counter()
         for _ in pipeline.blocks(corpus):
             pass
         times.append(time.perf_counter() - start)
-    per_doc = 1e3 * statistics.median(times) / len(docs)
+    per_doc = 1e3 * statistics.median(times) / len(corpus)
     print(f"default_transform_ms_per_doc {per_doc:.4f}")
 
 
-def time_read_and_predict(docs, model):
+def time_read_and_predict(corpus, model):
     unfitted = FeaturePipeline(PipelineConfig())
     read, predict = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        save_corpus(docs, tmp)
+        save_corpus(corpus, tmp)
         for _ in range(TRANSFORM_PASSES):
             start = time.perf_counter()
-            unfitted.segment(CorpusColumns.from_transcripts(load_corpus(tmp)))
+            unfitted.segment(read_corpus(tmp))
             read.append(time.perf_counter() - start)
             start = time.perf_counter()
             model.posteriors(read_corpus(tmp))
             predict.append(time.perf_counter() - start)
     for name, times in (("read", read), ("predict", predict)):
-        print(f"default_{name}_ms_per_doc {1e3 * statistics.median(times) / len(docs):.4f}")
+        print(f"default_{name}_ms_per_doc {1e3 * statistics.median(times) / len(corpus):.4f}")
 
 
 def min_and_median_ms(call, repeats):

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import ttest_rel
 
-from opinionchain.corpus import CorpusColumns
 from opinionchain.errors import InvalidInputError
 from opinionchain.evaluation import HcrfLearner, LogRegLearner, MetricsReport, cross_validate
 from opinionchain.features.pipeline import PipelineConfig
@@ -97,7 +96,7 @@ def main():
     bayes = order_insensitive_bayes_accuracy(spec)
     print(f"order-insensitive Bayes bound: {100 * bayes:.2f}%")
 
-    corpus = CorpusColumns.from_transcripts(generate_corpus(spec, seed=args.seed))
+    corpus = generate_corpus(spec, seed=args.seed)
     print(f"corpus: {len(corpus)} documents, {args.folds}-fold cross-validation")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -240,11 +240,12 @@ def cmd_segment(args) -> int:
     _write_resolved_config(
         out_dir, {"command": "segment", "corpus": args.corpus, "threshold_ms": threshold}
     )
-    columns = read_corpus(args.corpus)
-    corpus = columns.transcripts()
-    index = dict(zip(columns.doc_ids, ipu_indices(columns, threshold)))
+    corpus = read_corpus(args.corpus)
+    index = ipu_indices(corpus, threshold)
     save_corpus(corpus, out_dir / "corpus", ipu_index=index)
-    ipu_count = sum(ipus[-1] + 1 for ipus in index.values() if ipus)  # every IPU has a token
+    # every IPU has a token, so a document has one more than its last token's index
+    lasts = corpus.offsets[1:][corpus.offsets[1:] > corpus.offsets[:-1]] - 1
+    ipu_count = int(index[lasts].sum()) + lasts.size
     log.info("segmented %d documents into %d IPUs", len(corpus), ipu_count)
     print(f"segmented {len(corpus)} documents into {ipu_count} IPUs at {threshold} ms")
     return 0

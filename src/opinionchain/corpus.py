@@ -1,4 +1,4 @@
-"""Transcript corpus format: loading, validation, saving, class filtering.
+"""The corpus format: reading, validation, writing, class filtering.
 
 A corpus is a directory with a ``manifest.tsv`` and one transcript file
 per document.  Both formats are line-oriented TSV with a leading
@@ -12,7 +12,7 @@ manifest.tsv::
     d002<TAB>d002.txt<TAB>2,3
 
 The valence column holds one value per annotator, comma-separated, each
-in [1, 5]; ``-`` marks an unlabeled document.  Transcript files::
+in [1, 5]; ``-`` marks an unlabeled document.  A transcript file::
 
     transcript/v1
     token<TAB>d001<TAB>great<TAB>100<TAB>400
@@ -25,18 +25,18 @@ cleanly.  A record may name any document of the manifest, whatever file
 it is in: a document's tokens are gathered from every file, in file-name
 order and then line order.
 
-``read_corpus`` reads a corpus directory as one set of columns
-(``CorpusColumns``): every token's text, start and end, each document's
-offsets into them, and the markers, with no object per document or
-token.  Every line is split once, and each file's times are parsed as
-its records are gathered; the times are then converted to int64, and
-each check run, once over the corpus's columns.  The records are
-looked at one by one only to list the problems of a malformed corpus.
-Training, evaluation and prediction read those columns; labels come
-from the valences through ``polarity``, and ``filter_neutral`` and
-``corpus_stats`` read them too.  ``load_corpus`` builds a
-``Transcript``, which holds its tokens as columns too, per document
-from the columns, for code that handles one document at a time.
+``CorpusColumns`` is the one in-memory form of a corpus, from the
+synthetic generator to the writer: every token's text, start and end,
+each document's offsets into them, and the markers, with no object per
+document or token.  ``read_corpus`` reads a corpus directory into it.
+Every line is split once, and each file's times are parsed as its
+records are gathered; the times are then converted to int64, and each
+check run, once over the corpus's columns.  The records and documents
+are looked at one by one only to list the problems of a malformed
+corpus.  Training, evaluation and prediction read those columns; labels
+come from the valences through ``polarity``, and ``filter_neutral`` and
+``corpus_stats`` read them too.  ``save_corpus`` writes columns back out,
+with an optional IPU-index column per token.
 """
 
 from __future__ import annotations
@@ -61,12 +61,6 @@ NEGATIVE, POSITIVE = 0, 1
 LABEL_NAMES = ("negative", "positive")
 
 
-@dataclass(frozen=True)
-class ParaMarker:
-    text: str  # asterisk-delimited, e.g. "*chuckling*"
-    time_ms: int
-
-
 def polarity(valences: tuple[float, ...] | None) -> int | None:
     """A document's binary label from its annotators' valences: a mean
     below 3 is negative, above 3 positive; an unlabeled document (None)
@@ -77,86 +71,6 @@ def polarity(valences: tuple[float, ...] | None) -> int | None:
     if mean == 3.0:
         return None
     return NEGATIVE if mean < 3.0 else POSITIVE
-
-
-def _time_column(values) -> np.ndarray:
-    """The transcript's own read-only int64 copy of ``values``.  They
-    must be integers already: TypeError for any other kind (a float time
-    is not rounded, nor a string parsed), or for unsigned ones that may
-    not fit."""
-    column = np.array(values)
-    if not column.size:
-        column = column.astype(np.int64)
-    if column.dtype.kind not in "iu":
-        raise TypeError(f"times of dtype {column.dtype}")
-    column = column.astype(np.int64, casting="safe", copy=False)
-    column.flags.writeable = False
-    return column
-
-
-@dataclass(frozen=True, eq=False)
-class Transcript:
-    """One document: timed tokens, paralinguistic markers, optional valence.
-
-    The tokens are held as columns: token i is ``texts[i]``, spoken from
-    ``starts[i]`` to ``ends[i]`` ms.  The times are read-only int64
-    arrays, and two transcripts are equal when their contents are; a
-    transcript hashes by its id and texts."""
-
-    doc_id: str
-    texts: tuple[str, ...]
-    starts: np.ndarray
-    ends: np.ndarray
-    para_markers: tuple[ParaMarker, ...] = ()
-    valences: tuple[float, ...] | None = None  # one raw value per annotator
-
-    def __post_init__(self):
-        texts = tuple(self.texts)
-        try:
-            starts, ends = _time_column(self.starts), _time_column(self.ends)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"{self.doc_id}: token times must be int64: {exc}") from None
-        if not (starts.ndim == ends.ndim == 1 and len(texts) == starts.size == ends.size):
-            raise InvalidInputError(
-                f"{self.doc_id}: {len(texts)} token texts, {starts.size} start "
-                f"and {ends.size} end times"
-            )
-        early = ends < starts
-        overlap = starts[1:] < ends[:-1]
-        if early.any() or overlap.any():  # name the first offending token
-            i = int(min([*np.flatnonzero(early)[:1], *np.flatnonzero(overlap)[:1] + 1]))
-            if early[i]:
-                raise InvalidInputError(f"{self.doc_id}: token {texts[i]!r} ends before it starts")
-            raise InvalidInputError(
-                f"{self.doc_id}: token times not non-decreasing at {texts[i]!r}"
-            )
-        if self.valences is not None:
-            if not self.valences:
-                raise InvalidInputError(f"{self.doc_id}: empty valence tuple")
-            for v in self.valences:
-                if not 1.0 <= v <= 5.0:
-                    raise InvalidInputError(f"{self.doc_id}: valence {v} outside [1, 5]")
-        object.__setattr__(self, "texts", texts)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "ends", ends)
-
-    def __eq__(self, other):
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        return (
-            (self.doc_id, self.texts, self.para_markers, self.valences)
-            == (other.doc_id, other.texts, other.para_markers, other.valences)
-            and np.array_equal(self.starts, other.starts)
-            and np.array_equal(self.ends, other.ends)
-        )
-
-    def __hash__(self):
-        return hash((self.doc_id, self.texts))
-
-    @property
-    def polarity(self) -> int | None:
-        """The binary label of the valences (``polarity``)."""
-        return polarity(self.valences)
 
 
 @dataclass(frozen=True)
@@ -201,8 +115,9 @@ class CorpusColumns:
     ``starts``, ``ends``, the times int64), and its markers
     ``marker_offsets[i]:marker_offsets[i + 1]`` of the marker columns
     (``marker_texts``, ``marker_times``, the times Python ints).
-    ``read_corpus`` checks what it builds; columns made from transcripts
-    (``from_transcripts``) hold what their constructor checked."""
+    The constructor checks nothing: ``read_corpus`` checks what it reads,
+    and ``synthetic.generate_corpus`` builds only what that check
+    accepts."""
 
     doc_ids: tuple[str, ...]
     valences: tuple[tuple[float, ...] | None, ...]
@@ -242,47 +157,6 @@ class CorpusColumns:
             _offsets(np.diff(self.marker_offsets)[ids]),
         )
 
-    def transcripts(self) -> list[Transcript]:
-        """One ``Transcript`` per document."""
-        offsets, marks = self.offsets.tolist(), self.marker_offsets.tolist()
-        markers = list(map(ParaMarker, self.marker_texts, self.marker_times))
-        return [
-            Transcript(
-                doc_id,
-                self.texts[a:b],
-                self.starts[a:b],
-                self.ends[a:b],
-                para_markers=tuple(markers[p:q]),
-                valences=valences,
-            )
-            for doc_id, valences, a, b, p, q in zip(
-                self.doc_ids, self.valences, offsets, offsets[1:], marks, marks[1:]
-            )
-        ]
-
-    @classmethod
-    def from_transcripts(cls, docs) -> "CorpusColumns":
-        """The transcripts ``docs`` as columns, their markers in their order."""
-        docs = list(docs)
-        markers = [marker for doc in docs for marker in doc.para_markers]
-        return cls(
-            tuple(doc.doc_id for doc in docs),
-            tuple(doc.valences for doc in docs),
-            [text for doc in docs for text in doc.texts],
-            np.concatenate([doc.starts for doc in docs] or [_NO_TIMES]),
-            np.concatenate([doc.ends for doc in docs] or [_NO_TIMES]),
-            _offsets([len(doc.texts) for doc in docs]),
-            [marker.text for marker in markers],
-            [marker.time_ms for marker in markers],
-            _offsets([len(doc.para_markers) for doc in docs]),
-        )
-
-
-def load_corpus(path: str | Path) -> list[Transcript]:
-    """Load and validate a corpus directory: ``read_corpus``, one
-    ``Transcript`` per document."""
-    return read_corpus(path).transcripts()
-
 
 def read_corpus(path: str | Path) -> CorpusColumns:
     """Read and check a corpus directory, as columns.
@@ -293,8 +167,8 @@ def read_corpus(path: str | Path) -> CorpusColumns:
     document starts before the previous one ends) with one comparison
     each over the corpus.  Only when a check fails are the
     records looked at one by one, to list every problem: each malformed
-    record at its line, and each document whose token times the
-    ``Transcript`` constructor rejects at line 0 of its file.  A single
+    record at its line, and each document whose other token times break
+    the rule (``_document_problem``) at line 0 of its file.  A single
     error reporting all of them is raised; an empty directory loads as
     an empty corpus with a warning.
     """
@@ -302,14 +176,14 @@ def read_corpus(path: str | Path) -> CorpusColumns:
     if not root.is_dir():
         raise FileFormatError(f"corpus path is not a directory: {root}")
     manifest = root / MANIFEST_NAME
-    if not manifest.exists():
-        if not any(root.iterdir()):
-            log.warning("empty corpus directory %s", root)
-            return CorpusColumns.from_transcripts([])
-        raise FileFormatError(f"missing {MANIFEST_NAME} in {root}")
-
     problems: list[tuple[str, int, str]] = []
-    entries = _read_manifest(manifest, problems)
+    if manifest.exists():
+        entries = _read_manifest(manifest, problems)
+    elif not any(root.iterdir()):
+        log.warning("empty corpus directory %s", root)
+        entries = []
+    else:
+        raise FileFormatError(f"missing {MANIFEST_NAME} in {root}")
     index = {doc_id: i for i, (doc_id, _, _) in enumerate(entries)}
     # the document number, text, start and end of every token record of
     # a manifest document, as four columns
@@ -377,6 +251,9 @@ def _read_manifest(manifest: Path, problems) -> list[tuple[str, str, tuple[float
                     (str(manifest), lineno, f"valence {bad[0]} outside [1, 5]")
                 )
                 continue
+        if "\0" in filename:  # no file can be named by it
+            problems.append((str(manifest), lineno, f"file name {filename!r} holds a NUL byte"))
+            continue
         entries.append((doc_id, filename, valences))
     return entries
 
@@ -467,7 +344,7 @@ def _token_problems(root: Path, entries, fields, files) -> list[tuple[str, int, 
     """The problems of the token records given by their ``fields``, one
     record at a time: each malformed one is added at its line to the
     problems of its file in ``files``, and each document whose remaining
-    token times the ``Transcript`` constructor rejects is returned, at
+    token times break the rule (``_document_problem``) is returned, at
     line 0 of its manifest file."""
     columns = [([], [], []) for _ in entries]
     records = zip(*fields)
@@ -483,38 +360,62 @@ def _token_problems(root: Path, entries, fields, files) -> list[tuple[str, int, 
             for column, value in zip(columns[doc], (text, start, end)):
                 column.append(value)
     problems = []
-    for (doc_id, filename, valences), doc_columns in zip(entries, columns):
-        try:
-            Transcript(doc_id, *doc_columns, valences=valences)
-        except InvalidInputError as exc:
-            problems.append((os.path.join(root, filename), 0, str(exc)))
+    for (doc_id, filename, _), doc_columns in zip(entries, columns):
+        problem = _document_problem(doc_id, *doc_columns)
+        if problem is not None:
+            problems.append((os.path.join(root, filename), 0, problem))
     return problems
 
 
-def save_corpus(corpus: list[Transcript], path: str | Path, ipu_index=None):
-    """Write a corpus directory (manifest + one transcript file per doc).
+def _document_problem(doc_id: str, texts: list, starts: list, ends: list) -> str | None:
+    """What breaks the token-time rule in one document, given the texts
+    and int times of its tokens whose records parsed and end at or after
+    their start: a time outside int64, or else the first token that
+    starts before the previous one ends; None when nothing does."""
+    try:
+        starts_ms, ends_ms = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+    except OverflowError as exc:
+        return f"{doc_id}: token times must be int64: {exc}"
+    overlap = np.flatnonzero(starts_ms[1:] < ends_ms[:-1])
+    if overlap.size:
+        return f"{doc_id}: token times not non-decreasing at {texts[overlap[0] + 1]!r}"
+    return None
 
-    ``ipu_index``, when given, maps doc_id to a per-token IPU index list;
-    it is appended as an extra trailing column that the loader ignores.
+
+def save_corpus(corpus: CorpusColumns, path: str | Path, ipu_index=None):
+    """Write the columns ``corpus`` as a corpus directory: the manifest
+    and one transcript file per document, ``<doc_id>.txt``.
+
+    ``ipu_index``, when given, holds each token's IPU index within its
+    document, aligned with ``corpus.texts``; it is appended as an extra
+    trailing column that the reader ignores.  Every document id is
+    checked before any file is written: one that holds ``/`` or NUL
+    cannot name a file in the directory, and is an InvalidInputError.
     """
+    bad = [doc_id for doc_id in corpus.doc_ids if "/" in doc_id or "\0" in doc_id]
+    if bad:
+        raise InvalidInputError(
+            f"document id(s) holding '/' or NUL cannot name a file: {', '.join(map(repr, bad))}"
+        )
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest_lines = [MANIFEST_VERSION, "doc_id\tfile\tvalence"]
-    for doc in corpus:
-        filename = f"{doc.doc_id}.txt"
-        valence = (
-            "-"
-            if doc.valences is None
-            else ",".join(_format_valence(v) for v in doc.valences)
-        )
-        manifest_lines.append(f"{doc.doc_id}\t{filename}\t{valence}")
+    tails = [""] * len(corpus.texts)
+    if ipu_index is not None:
+        tails = [f"\t{i}" for i in ipu_index.tolist()]
+    times = corpus.starts.tolist(), corpus.ends.tolist()
+    tokens = list(zip(corpus.texts, *times, tails, strict=True))
+    markers = list(zip(corpus.marker_texts, corpus.marker_times))
+    offsets, marks = corpus.offsets.tolist(), corpus.marker_offsets.tolist()
+    for doc_id, valences, a, b, p, q in zip(
+        corpus.doc_ids, corpus.valences, offsets, offsets[1:], marks, marks[1:]
+    ):
+        filename = f"{doc_id}.txt"
+        valence = "-" if valences is None else ",".join(map(_format_valence, valences))
+        manifest_lines.append(f"{doc_id}\t{filename}\t{valence}")
         doc_lines = [TRANSCRIPT_VERSION]
-        index = ipu_index.get(doc.doc_id) if ipu_index else None
-        tails = [""] * len(doc.texts) if index is None else [f"\t{i}" for i in index]
-        rows = zip(doc.texts, doc.starts.tolist(), doc.ends.tolist(), tails, strict=True)
-        doc_lines += [f"token\t{doc.doc_id}\t{t}\t{s}\t{e}{tail}" for t, s, e, tail in rows]
-        for marker in doc.para_markers:
-            doc_lines.append(f"marker\t{doc.doc_id}\t{marker.text}\t{marker.time_ms}")
+        doc_lines += [f"token\t{doc_id}\t{t}\t{s}\t{e}{tail}" for t, s, e, tail in tokens[a:b]]
+        doc_lines += [f"marker\t{doc_id}\t{text}\t{ms}" for text, ms in markers[p:q]]
         (root / filename).write_text("\n".join(doc_lines) + "\n", encoding="utf-8")
     (root / MANIFEST_NAME).write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
 

@@ -78,10 +78,9 @@ def _attach_markers(chunk: CorpusColumns, firsts: np.ndarray, docs: np.ndarray) 
     return list(map(tuple, attached))
 
 
-def ipu_indices(chunk: CorpusColumns, threshold_ms: int) -> list[list[int]]:
-    """For each document of ``chunk``, the index of each of its tokens'
-    IPU within the document, from one ``segment_into_ipus`` call."""
+def ipu_indices(chunk: CorpusColumns, threshold_ms: int) -> np.ndarray:
+    """The index of each token's IPU within its document, aligned with
+    ``chunk.texts``, from one ``segment_into_ipus`` call."""
     cuts = segment_into_ipus(chunk, threshold_ms)
     ipu = np.repeat(np.arange(cuts.bounds.size - 1), np.diff(cuts.bounds))
-    offsets, docs = chunk.offsets.tolist(), cuts.docs.tolist()
-    return [(ipu[a:b] - first).tolist() for a, b, first in zip(offsets, offsets[1:], docs)]
+    return ipu - np.repeat(cuts.docs[:-1], np.diff(chunk.offsets))

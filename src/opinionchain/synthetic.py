@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Transcript
+from .corpus import CorpusColumns
 from .errors import EnumerationBudgetError, InvalidInputError, check_field_types
 
 ENUMERATION_BUDGET = 10**6
@@ -100,8 +100,9 @@ def _segment_tokens(spec: SyntheticSpec, polarity: int, rng, words) -> list[str]
     return toks
 
 
-def generate_corpus(spec: SyntheticSpec, seed: int) -> list[Transcript]:
-    """Deterministic labeled corpus; positive docs get valence 5, negative 1.
+def generate_corpus(spec: SyntheticSpec, seed: int) -> CorpusColumns:
+    """Deterministic labeled corpus, as columns with no markers; positive
+    docs get valence 5, negative 1.
 
     Documents alternate positive/negative in id order.  Within-segment
     gaps stay below and between-segment gaps above all the standard
@@ -109,11 +110,11 @@ def generate_corpus(spec: SyntheticSpec, seed: int) -> list[Transcript]:
     """
     rng = np.random.default_rng(seed)
     words = vocabulary(spec)
-    corpus = []
-    for i in range(2 * spec.num_docs_per_label):
+    num_docs = 2 * spec.num_docs_per_label
+    texts, starts, offsets = [], [], [0]
+    for i in range(num_docs):
         label = 1 if i % 2 == 0 else 0
         polarities = _segment_polarities(spec, label, rng)
-        texts, starts = [], []
         t = 0
         for j, polarity in enumerate(polarities):
             if j > 0:
@@ -124,16 +125,19 @@ def generate_corpus(spec: SyntheticSpec, seed: int) -> list[Transcript]:
                 texts.append(text)
                 starts.append(t)
                 t += spec.word_ms
-        corpus.append(
-            Transcript(
-                doc_id=f"syn{i:04d}",
-                texts=texts,
-                starts=starts,
-                ends=[start + spec.word_ms for start in starts],
-                valences=(5.0,) if label == 1 else (1.0,),
-            )
-        )
-    return corpus
+        offsets.append(len(texts))
+    start_ms = np.array(starts, dtype=np.int64)
+    return CorpusColumns(
+        tuple(f"syn{i:04d}" for i in range(num_docs)),
+        tuple((5.0,) if i % 2 == 0 else (1.0,) for i in range(num_docs)),
+        texts,
+        start_ms,
+        start_ms + spec.word_ms,
+        np.array(offsets, dtype=np.intp),
+        [],
+        [],
+        np.zeros(num_docs + 1, dtype=np.intp),
+    )
 
 
 def generate_embeddings(spec: SyntheticSpec, seed: int) -> dict:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from opinionchain.corpus import CorpusColumns, ParaMarker, Transcript
+from opinionchain.corpus import CorpusColumns, polarity
 from opinionchain.features.pipeline import FeaturePipeline
 from opinionchain.features.segmentation import ipu_indices, segment_into_ipus
 from opinionchain.model import (
@@ -28,7 +28,8 @@ def make_transcript(
     word_ms=200,
     start_ms=0,
 ):
-    """Build a transcript with the given inter-token silent gaps (ms).
+    """One document, as ``CorpusColumns``, with the given inter-token
+    silent gaps (ms).
 
     ``gaps[i]`` is the silence between word i and word i+1; default 100.
     ``markers`` is a list of (text, time_ms).
@@ -43,30 +44,76 @@ def make_transcript(
         t += word_ms
         if i < len(gaps):
             t += gaps[i]
-    return Transcript(
-        doc_id=doc_id,
-        texts=words,
-        starts=starts,
-        ends=[start + word_ms for start in starts],
-        para_markers=tuple(ParaMarker(m, tm) for m, tm in markers),
-        valences=valences,
+    starts = np.array(starts, dtype=np.int64)
+    return CorpusColumns(
+        (doc_id,),
+        (valences,),
+        words,
+        starts,
+        starts + word_ms,
+        np.array([0, len(words)], dtype=np.intp),
+        [text for text, _ in markers],
+        [time for _, time in markers],
+        np.array([0, len(markers)], dtype=np.intp),
+    )
+
+
+def columns(docs):
+    """The corpora ``docs`` (``CorpusColumns``, one document each from
+    ``make_transcript`` or more) joined into one, in their order."""
+    docs = list(docs)
+
+    def offsets(name):
+        return np.cumsum([0, *(n for doc in docs for n in np.diff(getattr(doc, name)))])
+
+    return CorpusColumns(
+        tuple(doc_id for doc in docs for doc_id in doc.doc_ids),
+        tuple(valences for doc in docs for valences in doc.valences),
+        [text for doc in docs for text in doc.texts],
+        np.concatenate([doc.starts for doc in docs] or [np.empty(0, np.int64)]),
+        np.concatenate([doc.ends for doc in docs] or [np.empty(0, np.int64)]),
+        offsets("offsets"),
+        [text for doc in docs for text in doc.marker_texts],
+        [time for doc in docs for time in doc.marker_times],
+        offsets("marker_offsets"),
+    )
+
+
+def split_documents(corpus):
+    """Each document of ``corpus`` as columns of its own."""
+    return [corpus.select([i]) for i in range(len(corpus))]
+
+
+def same_columns(a, b):
+    """Whether two corpora hold the same documents: ids, valences, token
+    texts and times, and markers, each document's in the same order."""
+    return (
+        (a.doc_ids, a.valences, list(a.texts)) == (b.doc_ids, b.valences, list(b.texts))
+        and (list(a.marker_texts), list(a.marker_times))
+        == (list(b.marker_texts), list(b.marker_times))
+        and all(
+            np.array_equal(getattr(a, name), getattr(b, name))
+            for name in ("starts", "ends", "offsets", "marker_offsets")
+        )
     )
 
 
 def ipus(doc, threshold_ms):
-    """The (texts, markers) of each IPU of ``doc``, from the bounds and
-    marker tuples that ``segment_into_ipus`` gives for it alone."""
-    cuts = segment_into_ipus(CorpusColumns.from_transcripts([doc]), threshold_ms)
+    """The (texts, markers) of each IPU of the one-document corpus
+    ``doc``, from the bounds and marker tuples that ``segment_into_ipus``
+    gives for it."""
+    cuts = segment_into_ipus(doc, threshold_ms)
     bounds = cuts.bounds.tolist()
     assert cuts.docs.tolist() == [0, len(bounds) - 1] and len(cuts.events) == len(bounds) - 1
     return [
-        (doc.texts[lo:hi], attached) for lo, hi, attached in zip(bounds, bounds[1:], cuts.events)
+        (tuple(doc.texts[lo:hi]), attached)
+        for lo, hi, attached in zip(bounds, bounds[1:], cuts.events)
     ]
 
 
 def ipu_index_per_token(doc, threshold_ms):
-    """The IPU index of each token of ``doc``, segmented alone."""
-    return ipu_indices(CorpusColumns.from_transcripts([doc]), threshold_ms)[0]
+    """The IPU index of each token of the one-document corpus ``doc``."""
+    return ipu_indices(doc, threshold_ms).tolist()
 
 
 # fields of the fuzzed lines of a resource file: words, header names,
@@ -119,21 +166,21 @@ def make_block(docs, doc_ids=None):
     return SequenceBlock(tuple(doc_ids), np.concatenate(features), sparse, bounds)
 
 
-def columns(docs):
-    """Transcripts as corpus columns."""
-    return CorpusColumns.from_transcripts(docs)
-
-
-def fit(config, docs):
-    """A pipeline of ``config`` fit on the transcripts ``docs``, and
-    their block."""
+def fit(config, corpus):
+    """A pipeline of ``config`` fit on the columns ``corpus``, and its
+    block."""
     unfitted = FeaturePipeline(config)
-    return unfitted.fit_transform(unfitted.segment(columns(docs)))
+    return unfitted.fit_transform(unfitted.segment(corpus))
 
 
-def featurize(pipeline, docs):
-    """The block of the transcripts ``docs`` under a fitted pipeline."""
-    return pipeline.block(FeaturePipeline(pipeline.config).segment(columns(docs)))
+def featurize(pipeline, corpus):
+    """The block of the columns ``corpus`` under a fitted pipeline."""
+    return pipeline.block(FeaturePipeline(pipeline.config).segment(corpus))
+
+
+def labels(corpus):
+    """The binary label (``polarity``) of each document of ``corpus``."""
+    return [polarity(valences) for valences in corpus.valences]
 
 
 def dense_features(block, i=None):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from opinionchain import cli
-from opinionchain.corpus import LABEL_NAMES, Transcript
+from opinionchain.corpus import LABEL_NAMES
 from opinionchain.evaluation import (
     HcrfLearner,
     LogRegLearner,
@@ -43,11 +43,13 @@ from opinionchain.training import (
 
 from conftest import (
     alone,
-    columns,
     fit,
     ipu_index_per_token,
+    labels,
     make_block,
+    make_transcript,
     posterior,
+    split_documents,
     value_and_gradient,
 )
 
@@ -197,7 +199,7 @@ def test_sequence_model_beats_aggregate_baseline_on_synthetic_corpus(synthetic_s
     bayes = order_insensitive_bayes_accuracy(setup.spec)
     assert bayes == pytest.approx(0.66484375, abs=1e-12)
 
-    corpus = columns(setup.corpus)
+    corpus = setup.corpus
     logreg = cross_validate(corpus, setup.config, LogRegLearner(c_grid=(1.0,)), k=5, seed=0)
     learner = HcrfLearner(
         config=TrainingConfig(num_hidden_states=3, l2_lambda=0.1, max_iterations=150)
@@ -209,26 +211,16 @@ def test_sequence_model_beats_aggregate_baseline_on_synthetic_corpus(synthetic_s
     assert time.perf_counter() - start < 300.0
 
 
-def _gap_transcript(doc_id: str, gaps: list[int]) -> Transcript:
-    starts = []
-    t = 0
-    for i in range(len(gaps) + 1):
-        starts.append(t)
-        t += 200 + (gaps[i] if i < len(gaps) else 0)
-    texts = [f"w{i}" for i in range(len(starts))]
-    ends = [start + 200 for start in starts]
-    return Transcript(doc_id, texts, starts, ends, para_markers=(), valences=None)
-
-
 def test_pause_threshold_ladder_is_monotone_and_nested(synthetic_setup):
     rng = np.random.default_rng(53)
     # Gap pool straddles each threshold, including exact boundary values.
     pool = [40, 120, 150, 151, 299, 300, 301, 499, 500, 501, 650, 900]
-    docs = list(synthetic_setup.corpus[:10])
+    docs = split_documents(synthetic_setup.corpus.select(range(10)))
     for i in range(40):
         n_gaps = int(rng.integers(1, 12))
         gaps = [pool[int(g)] for g in rng.integers(0, len(pool), size=n_gaps)]
-        docs.append(_gap_transcript(f"gaps{i}", gaps))
+        words = [f"w{k}" for k in range(n_gaps + 1)]
+        docs.append(make_transcript(f"gaps{i}", words, gaps=gaps))
 
     def boundaries(indices):
         return {i for i in range(len(indices) - 1) if indices[i] != indices[i + 1]}
@@ -294,7 +286,7 @@ def test_trained_states_align_with_generator_polarity(synthetic_setup):
     train_config = TrainingConfig(
         num_hidden_states=3, l2_lambda=0.1, max_iterations=150, seed=0
     )
-    predictor, _ = fit_predictor(block, [doc.polarity for doc in setup.corpus], train_config)
+    predictor, _ = fit_predictor(block, labels(setup.corpus), train_config)
 
     character = state_character(predictor.params)
     aligned = {

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, featurize, fit, make_transcript
+from conftest import columns, featurize, fit, labels, make_transcript, split_documents
 from opinionchain.archive import canonical_json, load_archive, save_archive
 from opinionchain.baseline import LogRegPredictor, document_vectors, train_logreg
 from opinionchain.cli import main
@@ -43,6 +43,7 @@ def fitted_setup(tmp_path, blocks=("bong",), **config_kwargs):
                 valences=(5.0,) if label else (1.0,),
             )
         )
+    docs = columns(docs)
     config = PipelineConfig(blocks=blocks, **config_kwargs)
     pipeline = fit(config, docs)[0]
     return docs, pipeline
@@ -50,16 +51,15 @@ def fitted_setup(tmp_path, blocks=("bong",), **config_kwargs):
 
 def train_hcrf(docs, pipeline):
     block = featurize(pipeline, docs)
-    labels = [d.polarity for d in docs]
     predictor, _ = fit_predictor(
-        block, labels, TrainingConfig(num_hidden_states=2, max_iterations=30)
+        block, labels(docs), TrainingConfig(num_hidden_states=2, max_iterations=30)
     )
     return block, predictor
 
 
 def train_logreg_on(docs, pipeline, **kwargs):
     matrix = document_vectors(featurize(pipeline, docs))
-    return LogRegPredictor(train_logreg(matrix, [d.polarity for d in docs], **kwargs))
+    return LogRegPredictor(train_logreg(matrix, labels(docs), **kwargs))
 
 
 class TestHcrfRoundTrip:
@@ -70,8 +70,8 @@ class TestHcrfRoundTrip:
         save_archive(path, predictor, pipeline)
         loaded = load_archive(path)
         assert loaded.kind == "hcrf"
-        for i, doc in enumerate(docs):
-            posterior = loaded.posteriors(columns([doc]))[0]
+        for i, doc in enumerate(split_documents(docs)):
+            posterior = loaded.posteriors(doc)[0]
             assert np.array_equal(posterior, predictor.posterior_blocks([block.subblock([i])])[0])
 
     def test_save_load_save_identical_bytes(self, tmp_path):
@@ -91,8 +91,8 @@ class TestHcrfRoundTrip:
         save_archive(path, predictor, pipeline)
         loaded = load_archive(path)
         fresh = make_transcript(doc_id="new", words=("loved", "movie"), valences=None)
-        posterior = loaded.posteriors(columns([fresh]))[0]
-        seq = featurize(pipeline, [fresh])
+        posterior = loaded.posteriors(fresh)[0]
+        seq = featurize(pipeline, fresh)
         assert np.array_equal(posterior, predictor.posterior_blocks([seq])[0])
 
     def test_training_config_preserved(self, tmp_path):
@@ -123,8 +123,8 @@ class TestArchiveFromTheDensePipeline:
         lines = (DATA / "window1_predictions.tsv").read_text().splitlines()[2:]
         rows = [line.split("\t") for line in lines]
         corpus = self.corpus()
-        assert [row[0] for row in rows] == [doc.doc_id for doc in corpus]
-        got = loaded.posteriors(columns(corpus))
+        assert [row[0] for row in rows] == list(corpus.doc_ids)
+        got = loaded.posteriors(corpus)
         want = np.array([[float(p) for p in row[2:]] for row in rows])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         assert [loaded.label_names[i] for i in got.argmax(axis=1)] == [row[1] for row in rows]
@@ -145,8 +145,8 @@ class TestLogRegRoundTrip:
         save_archive(path, predictor, pipeline)
         loaded = load_archive(path)
         assert loaded.kind == "logreg"
-        for i, doc in enumerate(docs):
-            posterior = loaded.posteriors(columns([doc]))[0]
+        for i, doc in enumerate(split_documents(docs)):
+            posterior = loaded.posteriors(doc)[0]
             assert np.array_equal(posterior, predictor.posterior_blocks([block.subblock([i])])[0])
 
 
@@ -210,7 +210,7 @@ class TestArchiveFormat:
         docs, pipeline = fitted_setup(tmp_path, blocks=("bong", "paralinguistic"))
         predictor, _ = fit_predictor(
             featurize(pipeline, docs),
-            [d.polarity for d in docs],
+            labels(docs),
             TrainingConfig(num_hidden_states=2, context_window=window, max_iterations=5),
         )
         path = tmp_path / "model.json"

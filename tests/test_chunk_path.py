@@ -31,13 +31,7 @@ from opinionchain import training
 from opinionchain.archive import load_archive, save_archive
 from opinionchain.baseline import LogRegPredictor, document_vectors, train_logreg
 from opinionchain.cli import main
-from opinionchain.corpus import (
-    CorpusColumns,
-    Transcript,
-    load_corpus,
-    read_corpus,
-    save_corpus,
-)
+from opinionchain.corpus import CorpusColumns, read_corpus, save_corpus
 from opinionchain.errors import FileFormatError, InvalidInputError
 from opinionchain.evaluation import (
     HcrfLearner,
@@ -51,7 +45,15 @@ from opinionchain.model import SequenceBlock, SparseRows
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from opinionchain.training import TrainingConfig, fit_predictor
 
-from conftest import columns, featurize, fit, make_transcript
+from conftest import (
+    columns,
+    featurize,
+    fit,
+    labels,
+    make_transcript,
+    same_columns,
+    split_documents,
+)
 from oracles import reference_load, reference_segment, reference_tokens
 from test_corpus import _MUTATIONS, _mutate
 from test_reader import THRESHOLD, _write, corpus_files
@@ -64,7 +66,7 @@ _TRAINING_WORDS = {
 
 
 def _training_corpus():
-    return [
+    return columns([
         make_transcript(
             f"t{i}",
             _TRAINING_WORDS[i % 2][i % 3 :] + _TRAINING_WORDS[i % 2][: i % 3],
@@ -73,7 +75,7 @@ def _training_corpus():
             valences=(5.0,) if i % 2 else (1.0,),
         )
         for i in range(12)
-    ]
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -82,17 +84,16 @@ def archives(tmp_path_factory):
     and the logistic baseline."""
     root = tmp_path_factory.mktemp("archives")
     docs = _training_corpus()
-    labels = [doc.polarity for doc in docs]
     pipeline, block = fit(PipelineConfig(threshold_ms=THRESHOLD), docs)
     predictors = {
         f"hcrf-w{window}": fit_predictor(
             block,
-            labels,
+            labels(docs),
             TrainingConfig(num_hidden_states=2, context_window=window, max_iterations=30),
         )[0]
         for window in (0, 1)
     }
-    predictors["logreg"] = LogRegPredictor(train_logreg(document_vectors(block), labels))
+    predictors["logreg"] = LogRegPredictor(train_logreg(document_vectors(block), labels(docs)))
     loaded = {}
     for name, predictor in predictors.items():
         save_archive(root / f"{name}.json", predictor, pipeline)
@@ -148,7 +149,7 @@ def _count_constructions(monkeypatch) -> dict:
     """Constructions of each class a document passes through, counted as
     they happen."""
     counts = {}
-    for cls in (Transcript, SegmentedChunk, SequenceBlock, SparseRows):
+    for cls in (CorpusColumns, SegmentedChunk, SequenceBlock, SparseRows):
         original = cls.__init__
 
         def counting(self, *args, __original=original, __name=cls.__name__, **kwargs):
@@ -161,16 +162,16 @@ def _count_constructions(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("name", ["hcrf-w0", "hcrf-w1", "logreg"])
 def test_predict_builds_no_object_per_document(archives, tmp_path, monkeypatch, name):
-    """``predict`` makes no transcript, and one segmented chunk, block and
+    """``predict`` makes one set of columns, segmented chunk, block and
     sparse block per chunk, however many documents it reads."""
     model = tmp_path / "model.json"
     save_archive(model, archives[name].predictor, archives[name].pipeline)
     seen = []
     for size in (8, 40):
-        docs = [
+        docs = columns(
             make_transcript(f"p{i}", _TRAINING_WORDS[i % 2], gaps=(100, 500, 100, 301, 300))
             for i in range(size)
-        ]
+        )
         save_corpus(docs, tmp_path / f"c{size}")
         argv = ["predict", "--model", str(model), "--corpus", str(tmp_path / f"c{size}")]
         with monkeypatch.context() as patched:
@@ -178,7 +179,6 @@ def test_predict_builds_no_object_per_document(archives, tmp_path, monkeypatch, 
             assert main(argv + ["--out", str(tmp_path / f"p{size}")]) == 0
         seen.append(counts)
     assert seen[0] == seen[1]
-    assert "Transcript" not in seen[0]
 
 
 @settings(
@@ -187,24 +187,24 @@ def test_predict_builds_no_object_per_document(archives, tmp_path, monkeypatch, 
 @given(mutations=st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=5))
 def test_malformed_corpus_fails_predict_with_the_loaders_problems(archives, mutations):
     """``predict`` lists every problem of a malformed corpus, as
-    ``load_corpus`` does, in its one error line and the lines after it."""
+    ``read_corpus`` does, in its one error line and the lines after it."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "c"
-        corpus = [
+        corpus = columns(
             make_transcript(
                 f"d{i}", ("fine", "words", "here"), valences=(4.0,),
                 markers=[("*chuckling*", 250)],
             )
             for i in range(len(mutations))
-        ]
+        )
         save_corpus(corpus, root)
-        for i, (doc, mutation) in enumerate(zip(corpus, mutations)):
+        for i, (doc_id, mutation) in enumerate(zip(corpus.doc_ids, mutations)):
             if mutation:
-                _mutate(root, i, doc.doc_id, mutation)
+                _mutate(root, i, doc_id, mutation)
         model = Path(tmp) / "model.json"
         save_archive(model, archives["hcrf-w0"].predictor, archives["hcrf-w0"].pipeline)
         try:
-            load_corpus(root)
+            read_corpus(root)
         except FileFormatError as exc:
             want = (1, f"error: {exc}\n")
         else:
@@ -222,11 +222,11 @@ def test_columns_of_transcripts_select_and_rebuild():
         make_transcript("b", ()),
         make_transcript("c", ("z",), valences=(2.0,)),
     ]
-    corpus = CorpusColumns.from_transcripts(docs)
-    assert corpus.transcripts() == docs
-    assert corpus.select([1, 2]).transcripts() == docs[1:]
-    assert corpus.select([0, 2]).transcripts() == [docs[0], docs[2]]
-    assert len(corpus.select([])) == 0
+    corpus = columns(docs)
+    assert all(map(same_columns, split_documents(corpus), docs))
+    assert same_columns(corpus.select([1, 2]), columns(docs[1:]))
+    assert same_columns(corpus.select([0, 2]), columns([docs[0], docs[2]]))
+    assert same_columns(corpus.select([]), columns([]))
 
 
 class _Scored:
@@ -284,25 +284,25 @@ def test_cross_validated_predictions_equal_each_document_scored_alone(seed, fold
     config = PipelineConfig()
     learner = _Recording(_LEARNERS[name])
     report, details = cross_validate(
-        columns(docs), config, learner, k=folds, seed=cv_seed, return_details=True
+        docs, config, learner, k=folds, seed=cv_seed, return_details=True
     )
-    labels = [doc.polarity for doc in docs]
-    plan = stratified_k_fold(labels, folds, cv_seed)
+    gold = labels(docs)
+    plan = stratified_k_fold(gold, folds, cv_seed)
     pooled = [-1] * len(docs)
     for fold, detail, (predictor, blocks, posteriors) in zip(
         plan.folds, details, learner.folds, strict=True
     ):
         held = set(fold)
-        fitted = fit(config, [doc for i, doc in enumerate(docs) if i not in held])[0]
+        fitted = fit(config, docs.select([i for i in range(len(docs)) if i not in held]))[0]
         assert fitted.state_checksum() == detail.pipeline_checksum
         assert [doc_id for block in blocks for doc_id in block.doc_ids] == [
-            docs[i].doc_id for i in fold
+            docs.doc_ids[i] for i in fold
         ]
         for i, row in zip(fold, posteriors, strict=True):
-            alone = predictor.posterior_blocks([featurize(fitted, [docs[i]])])
+            alone = predictor.posterior_blocks([featurize(fitted, docs.select([i]))])
             assert np.array_equal(row, alone[0])
             pooled[i] = int(row.argmax())
-    assert report.confusion == compute_metrics(pooled, labels).confusion
+    assert report.confusion == compute_metrics(pooled, gold).confusion
 
 
 @pytest.mark.parametrize(
@@ -310,9 +310,9 @@ def test_cross_validated_predictions_equal_each_document_scored_alone(seed, fold
     [("train", "hcrf"), ("train", "logreg"), ("evaluate", "hcrf"), ("evaluate", "logreg")],
 )
 def test_train_and_evaluate_build_no_object_per_document(tmp_path, monkeypatch, command, model):
-    """``train`` and ``evaluate`` read the corpus as columns and build no
-    transcript, and the blocks they build do not grow in number with the
-    corpus: 8 documents against 40."""
+    """``train`` and ``evaluate`` read the corpus as columns, and the
+    columns and blocks they build do not grow in number with the corpus:
+    8 documents against 40."""
     config = tmp_path / "config.json"
     c_grid = [0.5, 2.0] if command == "train" else [1.0]  # an inner CV needs 3 per class
     config.write_text(
@@ -321,13 +321,13 @@ def test_train_and_evaluate_build_no_object_per_document(tmp_path, monkeypatch, 
     )
     seen = []
     for size in (8, 40):
-        docs = [
+        docs = columns(
             make_transcript(
                 f"p{i}", _TRAINING_WORDS[i % 2], gaps=(100, 500, 100, 301, 300),
                 valences=(5.0,) if i % 2 else (1.0,),
             )
             for i in range(size)
-        ]
+        )
         save_corpus(docs, tmp_path / f"c{size}")
         argv = [
             command, "--corpus", str(tmp_path / f"c{size}"), "--model", model,
@@ -340,5 +340,5 @@ def test_train_and_evaluate_build_no_object_per_document(tmp_path, monkeypatch, 
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
         seen.append(counts)
-    assert "Transcript" not in seen[0] and "Transcript" not in seen[1]
-    assert seen[0]["SequenceBlock"] == seen[1]["SequenceBlock"]
+    for name in ("CorpusColumns", "SequenceBlock"):
+        assert seen[0][name] == seen[1][name]

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from opinionchain.features.pipeline import PipelineConfig
 from opinionchain.synthetic import SyntheticSpec
 from opinionchain.training import TrainingConfig
 
-from conftest import ipus, make_transcript
+from conftest import columns, ipus, make_transcript, split_documents
 
 
 @pytest.fixture
@@ -253,12 +254,15 @@ class TestSegmentationCount:
         corpus's, as a direct count of every document's IPUs gives."""
         import dataclasses
 
-        from opinionchain.corpus import load_corpus, save_corpus
+        from opinionchain.corpus import read_corpus
 
-        corpus = load_corpus(generated / "corpus")
-        neutral = dataclasses.replace(corpus[0], doc_id="neutral", valences=(3.0,))
-        save_corpus(corpus + [neutral], tmp_path / "with_neutral")
-        want = sum(len(ipus(doc, 300)) for doc in corpus + [neutral])
+        corpus = read_corpus(generated / "corpus")
+        neutral = dataclasses.replace(
+            corpus.select([0]), doc_ids=("neutral",), valences=((3.0,),)
+        )
+        corpus = columns([corpus, neutral])
+        save_corpus(corpus, tmp_path / "with_neutral")
+        want = sum(len(ipus(doc, 300)) for doc in split_documents(corpus))
         cfg = train_config_file(tmp_path, generated)
         argv = command + ["--corpus", str(tmp_path / "with_neutral"), "--out", str(tmp_path / "o")]
         assert main(argv + ["--config", cfg]) == 0
@@ -343,15 +347,17 @@ class TestSegment:
         """``segment`` cuts the whole corpus's columns with one
         ``segment_into_ipus`` call, and writes the corpus that cutting
         each document alone gives."""
-        from opinionchain.corpus import load_corpus
+        from opinionchain.corpus import read_corpus
         from opinionchain.features import segmentation
 
-        corpus = load_corpus(generated / "corpus")
-        index = {
-            doc.doc_id: [i for i, (texts, _) in enumerate(ipus(doc, threshold)) for _ in texts]
-            for doc in corpus
-        }
-        save_corpus(corpus, tmp_path / "want", ipu_index=index)
+        corpus = read_corpus(generated / "corpus")
+        index = [
+            i
+            for doc in split_documents(corpus)
+            for i, (texts, _) in enumerate(ipus(doc, threshold))
+            for _ in texts
+        ]
+        save_corpus(corpus, tmp_path / "want", ipu_index=np.array(index, dtype=np.intp))
         calls = []
         original = segmentation.segment_into_ipus
 
@@ -367,10 +373,10 @@ class TestSegment:
         assert dir_bytes(out / "corpus") == dir_bytes(tmp_path / "want")
 
     def test_printed_and_logged_ipu_counts_match_a_direct_count(self, tmp_path, generated, capsys):
-        from opinionchain.corpus import load_corpus
+        from opinionchain.corpus import read_corpus
 
-        corpus = load_corpus(generated / "corpus")
-        want = sum(len(ipus(doc, 150)) for doc in corpus)
+        corpus = read_corpus(generated / "corpus")
+        want = sum(len(ipus(doc, 150)) for doc in split_documents(corpus))
         out = tmp_path / "s"
         argv = ["segment", "--corpus", str(generated / "corpus"), "--threshold-ms", "150"]
         assert main(argv + ["--out", str(out)]) == 0
@@ -385,7 +391,7 @@ class TestSegment:
     def test_every_bad_document_listed_under_one_error_line(self, tmp_path, capsys):
         root = tmp_path / "c"
         save_corpus(
-            [make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))], root
+            columns([make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))]), root
         )
         for name in ("a", "b"):  # the second token starts inside the first
             path = root / f"{name}.txt"
@@ -399,6 +405,33 @@ class TestSegment:
         assert f"{root / 'a.txt'}:0: a: token times" in err
         assert f"{root / 'b.txt'}:0: b: token times" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc_id", ["../../escaped", "nul\0id"])
+    def test_a_doc_id_that_cannot_name_a_file_fails_writing_nothing(
+        self, tmp_path, capsys, doc_id
+    ):
+        """Every document id is checked before a file is written: one that
+        would name a file outside ``--out``, or no file at all, is an
+        error, and the command writes no transcript."""
+        root = tmp_path / "c"
+        root.mkdir()
+        (root / "manifest.tsv").write_text(
+            f"corpus-manifest/v1\ndoc_id\tfile\tvalence\nok\tt.txt\t4\n{doc_id}\tt.txt\t2\n"
+        )
+        (root / "t.txt").write_text(
+            f"transcript/v1\ntoken\tok\tgood\t0\t200\ntoken\t{doc_id}\tbad\t0\t200\n"
+        )
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "a" / "run"
+        rc = main(["segment", "--corpus", str(root), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: document id(s) holding '/' or NUL cannot name a file: {doc_id!r}"
+        ]
+        assert "Traceback" not in err
+        written = [path for path in tmp_path.rglob("*") if path not in before]
+        assert sorted(written) == [tmp_path / "a", out, out / "config.json", out / "run.log"]
 
     def test_run_log_closed_when_command_returns(self, tmp_path, generated):
         out = tmp_path / "g"
@@ -432,13 +465,13 @@ class TestTrainPredict:
 
         # library-level re-prediction must agree bitwise with the file
         from opinionchain.archive import load_archive
-        from opinionchain.corpus import CorpusColumns, load_corpus
+        from opinionchain.corpus import read_corpus
 
         loaded = load_archive(model)
-        for row, doc in zip(lines[2:], load_corpus(generated / "corpus")):
+        for row, doc in zip(lines[2:], split_documents(read_corpus(generated / "corpus"))):
             doc_id, predicted, p_neg, p_pos = row.split("\t")
-            posterior = loaded.posteriors(CorpusColumns.from_transcripts([doc]))[0]
-            assert doc_id == doc.doc_id
+            posterior = loaded.posteriors(doc)[0]
+            assert (doc_id,) == doc.doc_ids
             assert predicted == loaded.label_names[int(posterior.argmax())]
             assert p_neg == repr(float(posterior[0]))
             assert p_pos == repr(float(posterior[1]))
@@ -676,12 +709,9 @@ class TestEvaluate:
         assert text.startswith("metrics-report/v1\n")
 
     def test_unlabeled_corpus_fails(self, tmp_path, capsys):
-        from opinionchain.corpus import save_corpus
-        from conftest import make_transcript
-
         docs = [make_transcript(doc_id=f"d{i}", valences=None) for i in range(4)]
         corpus_dir = tmp_path / "c"
-        save_corpus(docs, corpus_dir)
+        save_corpus(columns(docs), corpus_dir)
         rc = main(
             ["evaluate", "--corpus", str(corpus_dir), "--out", str(tmp_path / "e")]
         )

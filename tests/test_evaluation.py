@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, featurize, fit, make_transcript, same_block
+from conftest import columns, featurize, fit, labels, make_transcript, same_block
 from opinionchain.errors import InvalidInputError
 from opinionchain.evaluation import (
     FoldPlan,
@@ -283,11 +283,11 @@ class TestCrossValidate:
         fold0_ids = set(details_a[0].test_doc_ids)
         mutated = [
             make_transcript(
-                doc_id=d.doc_id,
+                doc_id=d.doc_ids[0],
                 words=("rewritten", "content", "entirely"),
-                valences=d.valences,
+                valences=d.valences[0],
             )
-            if d.doc_id in fold0_ids
+            if d.doc_ids[0] in fold0_ids
             else d
             for d in docs
         ]
@@ -343,7 +343,7 @@ class TestCrossValidate:
 
         learner = _RecordingLearner()
         _, details = cross_validate(
-            columns(corpus), config, learner, k=3, seed=2, return_details=True
+            corpus, config, learner, k=3, seed=2, return_details=True
         )
         num_ipus = sum(len(block.features) for block in [learner.train[0], *learner.held_out[0]])
         assert units == {
@@ -351,13 +351,13 @@ class TestCrossValidate:
             "paralinguistic_features": num_ipus,
             "load_embeddings": 1,
         }
-        plan = stratified_k_fold([doc.polarity for doc in corpus], 3, 2)
+        plan = stratified_k_fold(labels(corpus), 3, 2)
         for fold, detail, train, held_out in zip(
             plan.folds, details, learner.train, learner.held_out
         ):
-            train_docs = [doc for i, doc in enumerate(corpus) if i not in set(fold)]
+            train_docs = corpus.select([i for i in range(len(corpus)) if i not in set(fold)])
             fitted, want_train = fit(config, train_docs)
-            want_held_out = featurize(fitted, [corpus[i] for i in fold])
+            want_held_out = featurize(fitted, corpus.select(fold))
             assert detail.pipeline_checksum == fitted.state_checksum()
             [got_held_out] = held_out
             assert same_block(train, want_train)

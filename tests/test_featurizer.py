@@ -21,7 +21,6 @@ from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, Segm
 from opinionchain.features.standardize import fit_standardizer
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 
-from conftest import columns
 from oracles import reference_rows, reference_vocabulary
 
 _WORDS = (
@@ -155,9 +154,9 @@ def test_chunk_boundaries_change_nothing(count):
     assert training.SCORING_CHUNK == 256
     corpus = generate_corpus(dataclasses.replace(SyntheticSpec(), num_docs_per_label=129), seed=4)
     unfitted = FeaturePipeline(PipelineConfig())
-    fitted, _ = unfitted.fit_transform(unfitted.segment(columns(corpus[:40])))
-    docs = unfitted.segment(columns(corpus[:count]))
-    check_against_reference(fitted, docs, list(fitted.blocks(columns(corpus[:count]))))
+    fitted, _ = unfitted.fit_transform(unfitted.segment(corpus.select(range(40))))
+    docs = unfitted.segment(corpus.select(range(count)))
+    check_against_reference(fitted, docs, list(fitted.blocks(corpus.select(range(count)))))
     for k in {0, count - 1}:  # a chunk of one
         alone = docs.subchunk([k])
         check_against_reference(fitted, alone, [fitted.block(alone)])

@@ -27,12 +27,13 @@ from conftest import (
     ipus,
     make_transcript,
     same_block,
+    split_documents,
 )
 from oracles import embed_tokens, reference_bong, reference_paralinguistic, reference_pattern
 
 
 def small_corpus():
-    return [
+    return columns([
         make_transcript(
             "d0",
             ("Great", "movie", "really", "great", "acting"),
@@ -51,7 +52,7 @@ def small_corpus():
                         valences=(2.0,)),
         make_transcript("d4", ("fine", "movie"), valences=(4.0,)),
         make_transcript("d5", ("terrible",), valences=(1.0,)),
-    ]
+    ])
 
 
 class TestConfig:
@@ -101,7 +102,7 @@ class TestSchema:
         assert widths["embedding"] == 4
         assert widths["lexicon"] == 6
         assert widths["paralinguistic"] == 5
-        x = featurize(fitted, small_corpus()[:1])
+        x = featurize(fitted, small_corpus().select([0]))
         assert x.dim == fitted.schema.dim
 
     def test_contiguity_enforced(self):
@@ -129,8 +130,8 @@ class TestRecomposition:
         corpus = small_corpus()
         fitted = fit(config, corpus)[0]
 
-        doc = corpus[0]
-        x = dense_features(featurize(fitted, [doc]))
+        doc = corpus.select([0])
+        x = dense_features(featurize(fitted, doc))
         units = ipus(doc, config.threshold_ms)
         stopwords = load_stopwords()
         table = load_embeddings(emb_path)
@@ -186,9 +187,9 @@ class TestFitTransform:
         fitted, docs = fit(config, corpus)
         alone = fit(config, corpus)[0]
         assert fitted.state_checksum() == alone.state_checksum()
-        assert docs.doc_ids == tuple(d.doc_id for d in corpus)
-        for i, doc in enumerate(corpus):
-            assert same_block(docs.subblock([i]), featurize(alone, [doc]))
+        assert docs.doc_ids == corpus.doc_ids
+        for i, doc in enumerate(split_documents(corpus)):
+            assert same_block(docs.subblock([i]), featurize(alone, doc))
         if standardize:
             # fit on the raw rows, as an unstandardized pipeline builds them
             raw_config = block_config(block, False, embedding_file, socal_lexicon_file)
@@ -210,7 +211,7 @@ class TestFitTransform:
         """A segmented chunk, whole or a document at a time, featurizes
         as the fit gave it and as ``blocks`` reads the corpus's columns."""
         pipeline = FeaturePipeline(PipelineConfig())
-        corpus = columns(small_corpus())
+        corpus = small_corpus()
         segmented = pipeline.segment(corpus)
         fitted, block = pipeline.fit_transform(segmented)
         [from_columns] = fitted.blocks(corpus)
@@ -221,7 +222,7 @@ class TestFitTransform:
 
     def test_segmentation_from_another_threshold_rejected(self):
         seg = FeaturePipeline(PipelineConfig(threshold_ms=200)).segment(
-            columns(small_corpus()[:1])
+            small_corpus().select([0])
         )
         fitted = fit(PipelineConfig(), small_corpus())[0]
         message = "segmented at 200 ms, but the pipeline uses 300 ms"
@@ -235,19 +236,19 @@ class TestFitTransform:
     def test_prepared_documents_featurize_like_transcripts(self):
         pipeline = FeaturePipeline(PipelineConfig())
         corpus = small_corpus()
-        prepared = pipeline.prepare(pipeline.segment(columns(corpus)))
+        prepared = pipeline.prepare(pipeline.segment(corpus))
         fitted, block = pipeline.fit_transform(prepared)
         want_fitted, want = fit(PipelineConfig(), corpus)
         assert fitted.state_checksum() == want_fitted.state_checksum()
         assert same_block(block, want)
-        for i, doc in enumerate(corpus):
+        for i, doc in enumerate(split_documents(corpus)):
             expected = want.subblock([i])
             assert same_block(fitted.block(prepared.subchunk([i])), expected)
-            assert same_block(featurize(fitted, [doc]), expected)
+            assert same_block(featurize(fitted, doc), expected)
 
     def test_prepared_under_another_configuration_rejected(self):
         other = FeaturePipeline(PipelineConfig(blocks=("pattern",)))
-        seg = other.prepare(other.segment(columns(small_corpus()[:1])))
+        seg = other.prepare(other.segment(small_corpus().select([0])))
         fitted = fit(PipelineConfig(), small_corpus())[0]
         message = "prepared under another pipeline configuration"
         with pytest.raises(InvalidInputError, match=message):
@@ -258,21 +259,21 @@ class TestFitTransform:
     def test_tokenless_document_rejected_at_prepare(self):
         pipeline = FeaturePipeline(PipelineConfig())
         with pytest.raises(InvalidInputError, match="empty: no IPUs"):
-            pipeline.prepare(pipeline.segment(columns([make_transcript("empty", ())])))
+            pipeline.prepare(pipeline.segment(make_transcript("empty", ())))
 
     def test_sequence_length_matches_ipu_count(self):
         config = PipelineConfig()
         corpus = small_corpus()
         fitted = fit(config, corpus)[0]
-        for doc in corpus:
+        for doc in split_documents(corpus):
             want = len(ipus(doc, config.threshold_ms))
-            assert len(featurize(fitted, [doc]).features) == want
+            assert len(featurize(fitted, doc).features) == want
 
     def test_transform_is_deterministic(self):
         corpus = small_corpus()
         fitted = fit(PipelineConfig(), corpus)[0]
-        a = featurize(fitted, corpus[1:2])
-        b = featurize(fitted, corpus[1:2])
+        a = featurize(fitted, corpus.select([1]))
+        b = featurize(fitted, corpus.select([1]))
         assert same_block(a, b)
 
     def test_standardized_train_matrix_statistics(self):
@@ -287,7 +288,7 @@ class TestFitTransform:
 
     def test_fit_state_ignores_held_out_documents(self):
         corpus = small_corpus()
-        train, held_out = corpus[:4], corpus[4:]
+        train, held_out = corpus.select(range(4)), corpus.select(range(4, len(corpus)))
         fitted_a = fit(PipelineConfig(), train)[0]
         fitted_b = fit(PipelineConfig(), train)[0]
         featurize(fitted_b, held_out)  # must not touch fitted state
@@ -296,18 +297,18 @@ class TestFitTransform:
         assert fitted_c.state_checksum() != fitted_a.state_checksum()
 
     def test_unseen_terms_ignored_at_transform(self):
-        train = small_corpus()[:2]
+        train = small_corpus().select([0, 1])
         config = PipelineConfig(blocks=("bong",), standardize=False)
         fitted = fit(config, train)[0]
         unseen = make_transcript("new", ("zebra", "quagga"), valences=(4.0,))
-        x = featurize(fitted, [unseen])
+        x = featurize(fitted, unseen)
         assert x.sparse.values.size == 0
         np.testing.assert_array_equal(dense_features(x), np.zeros((1, fitted.schema.dim)))
 
     def test_tokenless_document_rejected_at_transform(self):
         fitted = fit(PipelineConfig(), small_corpus())[0]
         with pytest.raises(InvalidInputError, match="empty: no IPUs"):
-            featurize(fitted, [make_transcript("empty", ())])
+            featurize(fitted, make_transcript("empty", ()))
 
     def test_fit_requires_documents(self):
         pipeline = FeaturePipeline(PipelineConfig())

@@ -16,10 +16,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opinionchain.corpus import load_corpus, read_corpus, save_corpus
+from opinionchain.corpus import read_corpus, save_corpus
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 
-from conftest import ipu_index_per_token, ipus
+from conftest import ipu_index_per_token, ipus, split_documents
 from oracles import reference_load, reference_segment, reference_tokens
 
 THRESHOLD = 300
@@ -116,23 +116,24 @@ def test_columns_and_ipus_equal_the_per_line_reference(files):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "c"
         _write(root, files)
-        loaded = load_corpus(root)
+        corpus = read_corpus(root)
         reference = reference_load(root)
+        loaded = split_documents(corpus)
 
         assert [
             (
-                doc.doc_id,
-                doc.texts,
+                doc.doc_ids[0],
+                tuple(doc.texts),
                 tuple(doc.starts.tolist()),
                 tuple(doc.ends.tolist()),
-                tuple((marker.text, marker.time_ms) for marker in doc.para_markers),
-                doc.valences,
+                tuple(zip(doc.marker_texts, doc.marker_times)),
+                doc.valences[0],
             )
             for doc in loaded
         ] == reference
 
-        chunk = FeaturePipeline(PipelineConfig(threshold_ms=THRESHOLD)).segment(read_corpus(root))
-        assert chunk.doc_ids == tuple(doc.doc_id for doc in loaded)
+        chunk = FeaturePipeline(PipelineConfig(threshold_ms=THRESHOLD)).segment(corpus)
+        assert chunk.doc_ids == corpus.doc_ids
         bounds = chunk.bounds
         for doc, lo, hi, (_, texts, starts, ends, markers, _) in zip(
             loaded, bounds[:-1], bounds[1:], reference, strict=True
@@ -152,7 +153,7 @@ def test_save_of_a_loaded_corpus_rewrites_it_byte_for_byte(files):
     with tempfile.TemporaryDirectory() as tmp:
         written = Path(tmp) / "c"
         _write(Path(tmp) / "hand", files)
-        save_corpus(load_corpus(Path(tmp) / "hand"), written)
+        save_corpus(read_corpus(Path(tmp) / "hand"), written)
         rewritten = Path(tmp) / "again"
-        save_corpus(load_corpus(written), rewritten)
+        save_corpus(read_corpus(written), rewritten)
         assert _bytes(rewritten) == _bytes(written)

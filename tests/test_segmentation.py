@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionchain.errors import InvalidInputError
-from opinionchain.corpus import CorpusColumns
 from opinionchain.features.segmentation import segment_into_ipus
 
 from conftest import ipu_index_per_token, ipus, make_transcript
@@ -27,7 +26,7 @@ class TestBoundaryRule:
 
     def test_empty_transcript_gives_empty_list(self):
         doc = make_transcript(words=())
-        cuts = segment_into_ipus(CorpusColumns.from_transcripts([doc]), 300)
+        cuts = segment_into_ipus(doc, 300)
         assert (cuts.bounds.tolist(), cuts.docs.tolist(), cuts.events) == ([0], [0, 0], [])
         assert ipus(doc, 300) == []
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from opinionchain.baseline import document_vectors
-from opinionchain.corpus import CorpusColumns
+from opinionchain.corpus import polarity
 from opinionchain.errors import InvalidInputError
 from opinionchain.features.pipeline import PipelineConfig
 from opinionchain.model import HcrfParameters, SparseRows, label_posteriors
@@ -30,6 +30,7 @@ from opinionchain.training import (
 )
 
 from conftest import (
+    columns,
     dense_features,
     featurize,
     fit,
@@ -70,7 +71,7 @@ def held_out():
 
 
 def fitted(standardize):
-    return fit(PipelineConfig(blocks=BLOCKS, standardize=standardize), training_corpus())
+    return fit(PipelineConfig(blocks=BLOCKS, standardize=standardize), columns(training_corpus()))
 
 
 def dense_reference(pipeline, doc):
@@ -78,9 +79,9 @@ def dense_reference(pipeline, doc):
     rows of an unstandardized pipeline of the same vocabulary, then
     ``Standardizer.apply`` on all D columns."""
     raw_config = dataclasses.replace(pipeline.config, standardize=False)
-    raw_pipeline = fit(raw_config, training_corpus())[0]
+    raw_pipeline = fit(raw_config, columns(training_corpus()))[0]
     assert raw_pipeline.vocabulary.terms == pipeline.vocabulary.terms
-    rows = dense_features(featurize(raw_pipeline, [doc]))
+    rows = dense_features(featurize(raw_pipeline, doc))
     if pipeline.standardizer is None:
         return rows
     return pipeline.standardizer.apply(rows)
@@ -100,7 +101,7 @@ def test_the_fixture_has_the_awkward_cases():
     std = pipeline.standardizer.std[:width]
     assert std[pipeline.vocabulary.index["the"]] == 0.0
     assert std[pipeline.vocabulary.index["great_the"]] == 0.0
-    x = featurize(pipeline, held_out()[:1])
+    x = featurize(pipeline, held_out()[0])
     assert 0 not in x.sparse.rows.tolist()  # "zebra quagga" has no entry
     # one offset row, shared by every block of the pipeline
     assert x.sparse.offset is block.sparse.offset
@@ -111,7 +112,7 @@ def test_the_fixture_has_the_awkward_cases():
 def test_rows_match_the_dense_standardized_rows(standardize):
     pipeline, _ = fitted(standardize)
     for doc in training_corpus() + held_out():
-        x = featurize(pipeline, [doc])
+        x = featurize(pipeline, doc)
         assert x.features.shape[1] == pipeline.schema.dim - len(pipeline.vocabulary)
         np.testing.assert_allclose(
             dense_features(x), dense_reference(pipeline, doc), rtol=0, atol=1e-12
@@ -126,7 +127,7 @@ def test_posteriors_match_the_dense_path(window, standardize):
     rng = np.random.default_rng(10 * window + standardize)
     theta = random_theta(rng, 3, (2 * window + 1) * pipeline.schema.dim)
     predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
-    got = predictor.posterior_blocks([featurize(pipeline, docs)])
+    got = predictor.posterior_blocks([featurize(pipeline, columns(docs))])
     dense = [windowed(dense_reference(pipeline, doc), window) for doc in docs]
     want = label_posteriors([x @ theta.theta_obs.T for x in dense], theta)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -136,7 +137,7 @@ def test_posteriors_match_the_dense_path(window, standardize):
 @pytest.mark.parametrize("window", [0, 1])
 def test_objective_matches_the_dense_path(window):
     pipeline, block = fitted(standardize=True)
-    labels = [doc.polarity for doc in training_corpus()]
+    labels = [polarity(doc.valences[0]) for doc in training_corpus()]
     dim = pipeline.schema.dim
     theta = random_theta(np.random.default_rng(3 + window), 2, (2 * window + 1) * dim)
     sparse = group_by_length(block, labels, 2, window)
@@ -150,7 +151,7 @@ def test_objective_matches_the_dense_path(window):
 
 def test_gradient_matches_central_finite_differences_at_window_one():
     pipeline, block = fitted(standardize=True)
-    labels = [doc.polarity for doc in training_corpus()]
+    labels = [polarity(doc.valences[0]) for doc in training_corpus()]
     dim = pipeline.schema.dim
     groups = group_by_length(block, labels, 2, 1)
     theta = random_theta(np.random.default_rng(5), 2, 3 * dim, scale=0.3)
@@ -178,10 +179,10 @@ def test_batch_rows_bitwise_equal_one_by_one(window, monkeypatch):
     pipeline, _ = fitted(standardize=True)
     unstandardized, _ = fitted(standardize=False)
     docs = training_corpus() + held_out()
-    blocks = [*pipeline.blocks(CorpusColumns.from_transcripts(docs))]
+    blocks = [*pipeline.blocks(columns(docs))]
     assert len(blocks) == 3
-    blocks.append(featurize(unstandardized, docs[:1]))
-    alone = [featurize(pipeline, [doc]) for doc in docs] + blocks[-1:]
+    blocks.append(featurize(unstandardized, docs[0]))
+    alone = [featurize(pipeline, doc) for doc in docs] + blocks[-1:]
     theta = random_theta(np.random.default_rng(7), 3, (2 * window + 1) * pipeline.schema.dim)
     predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
     batch = predictor.posterior_blocks(iter(blocks))
@@ -205,7 +206,7 @@ def test_document_vectors_add_up_each_sequence_alone():
     pipeline, _ = fitted(standardize=True)
     words = ("great", "movie", "the", "awful", "plot", "bad", "good")
     docs = [make_transcript(f"n{n}", words[:n], gaps=[500] * (n - 1)) for n in (3, 5, 7)]
-    block = featurize(pipeline, held_out() + docs)
+    block = featurize(pipeline, columns(held_out() + docs))
     for i, got in enumerate(document_vectors(block)):
         x = block.subblock([i])
         length = len(x.features)
@@ -275,9 +276,9 @@ def test_transform_rejects_faulty_chunk_rows(monkeypatch, standardize, fault, ma
     monkeypatch.setattr(module, "vectorize_bong", faulty_bong)
     monkeypatch.setattr(module, "pattern_features", faulty_patterns)
     with pytest.raises(InvalidInputError, match=match):
-        featurize(pipeline, held_out())
+        featurize(pipeline, columns(held_out()))
     with pytest.raises(InvalidInputError, match=match):
-        list(pipeline.blocks(CorpusColumns.from_transcripts(held_out())))
+        list(pipeline.blocks(columns(held_out())))
 
 
 def test_transform_rejects_a_value_that_overflows_when_standardized(monkeypatch):
@@ -298,7 +299,7 @@ def test_transform_rejects_a_value_that_overflows_when_standardized(monkeypatch)
 
     monkeypatch.setattr(module, "vectorize_bong", huge_bong)
     with pytest.raises(InvalidInputError, match="non-finite sparse"), np.errstate(over="ignore"):
-        featurize(pipeline, held_out())
+        featurize(pipeline, columns(held_out()))
 
 
 def test_default_block_fit_and_train_stay_small():
@@ -311,7 +312,7 @@ def test_default_block_fit_and_train_stay_small():
     tracemalloc.start()
     try:
         pipeline, block = fit(PipelineConfig(), corpus)
-        train(block, [doc.polarity for doc in corpus], TrainingConfig())
+        train(block, list(map(polarity, corpus.valences)), TrainingConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

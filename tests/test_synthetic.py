@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opinionchain.corpus import read_corpus, save_corpus
 from opinionchain.errors import EnumerationBudgetError, InvalidInputError
 from opinionchain.features.embeddings import load_embeddings
 from opinionchain.synthetic import (
@@ -14,7 +15,7 @@ from opinionchain.synthetic import (
     write_embeddings,
 )
 
-from conftest import ipus
+from conftest import ipus, labels, same_columns, split_documents
 
 
 def closed_form_bayes(spec: SyntheticSpec) -> float:
@@ -108,26 +109,27 @@ class TestSpecValidation:
 class TestGenerator:
     def test_deterministic_for_seed(self):
         spec = SyntheticSpec(num_docs_per_label=5)
-        assert generate_corpus(spec, seed=7) == generate_corpus(spec, seed=7)
+        assert same_columns(generate_corpus(spec, seed=7), generate_corpus(spec, seed=7))
 
     def test_seed_changes_output(self):
         spec = SyntheticSpec(num_docs_per_label=5)
-        assert generate_corpus(spec, seed=7) != generate_corpus(spec, seed=8)
+        assert not same_columns(generate_corpus(spec, seed=7), generate_corpus(spec, seed=8))
 
     def test_doc_count_and_alternating_labels(self):
         spec = SyntheticSpec(num_docs_per_label=4)
         corpus = generate_corpus(spec, seed=0)
         assert len(corpus) == 8
-        assert [doc.polarity for doc in corpus] == [1, 0] * 4
-        assert corpus[0].valences == (5.0,)
-        assert corpus[1].valences == (1.0,)
+        assert labels(corpus) == [1, 0] * 4
+        assert corpus.valences[:2] == ((5.0,), (1.0,))
+        assert corpus.doc_ids[:2] == ("syn0000", "syn0001")
+        assert corpus.marker_texts == [] and corpus.marker_offsets.tolist() == [0] * 9
 
     def test_segment_structure_recovered_at_standard_thresholds(self):
         spec = SyntheticSpec(num_docs_per_label=10)
         corpus = generate_corpus(spec, seed=3)
         positive, negative, _ = vocabulary(spec)
         for threshold in (150, 300, 500):
-            for doc in corpus:
+            for doc in split_documents(corpus):
                 units = ipus(doc, threshold)
                 assert spec.min_segments <= len(units) <= spec.max_segments
                 for tokens, _ in units:
@@ -140,8 +142,8 @@ class TestGenerator:
         spec = SyntheticSpec(num_docs_per_label=20, decisive_segments=2)
         corpus = generate_corpus(spec, seed=11)
         positive, negative, _ = vocabulary(spec)
-        for doc in corpus:
-            wanted = positive if doc.polarity == 1 else negative
+        for doc in split_documents(corpus):
+            wanted = positive if labels(doc) == [1] else negative
             for tokens, _ in ipus(doc, 300)[-2:]:
                 assert any(t in wanted for t in tokens)
 
@@ -150,10 +152,10 @@ class TestGenerator:
         corpus = generate_corpus(spec, seed=5)
         positive, _, _ = vocabulary(spec)
         matches = total = 0
-        for doc in corpus:
+        for doc in split_documents(corpus):
             for tokens, _ in ipus(doc, 300)[: -spec.decisive_segments]:
                 is_pos = any(t in positive for t in tokens)
-                matches += is_pos == (doc.polarity == 1)
+                matches += is_pos == (labels(doc) == [1])
                 total += 1
         rate = matches / total
         assert abs(rate - 0.3) < 0.04
@@ -161,15 +163,19 @@ class TestGenerator:
     def test_neutral_token_counts_in_range(self):
         spec = SyntheticSpec(num_docs_per_label=5, neutral_tokens_per_segment=(2, 2))
         corpus = generate_corpus(spec, seed=1)
-        for doc in corpus:
+        for doc in split_documents(corpus):
             for tokens, _ in ipus(doc, 300):
                 neutral = [t for t in tokens if t.startswith("neu")]
                 assert len(neutral) == 2
 
-    def test_timing_is_well_formed(self):
+    def test_timing_is_well_formed(self, tmp_path):
+        """Tokens of a document do not overlap, and the reader's checks
+        accept the corpus, which reads back as it was generated."""
         corpus = generate_corpus(SyntheticSpec(num_docs_per_label=3), seed=2)
-        for doc in corpus:
-            assert (doc.starts[1:] >= doc.ends[:-1]).all()
+        for doc in split_documents(corpus):
+            assert (doc.starts[1:] >= doc.ends[:-1]).all() and (doc.ends >= doc.starts).all()
+        save_corpus(corpus, tmp_path / "c")
+        assert same_columns(read_corpus(tmp_path / "c"), corpus)
 
 
 class TestEmbeddings:
