@@ -107,19 +107,22 @@ class TestTranscript:
         outside int64 at line 0."""
         path = _write_corpus(tmp_path / "c", starts, ends)
         [(where, line, message)] = _problems(tmp_path / "c")
-        assert where == str(path)
-        if line:
-            assert "is not an integer" in message
-        else:
+        parsed = [s.isdigit() and e.isdigit() for s, e in zip(starts, ends)]
+        if all(parsed):
+            assert (where, line) == (str(path), 0)
             assert message.startswith("d1: token times must be int64: ")
+        else:  # the first token record with a field that is no integer
+            assert (where, line) == (str(path), parsed.index(False) + 2)
+            assert "is not an integer" in message
 
     def test_valence_range_enforced(self, tmp_path):
         """Every annotator's valence is in [1, 5], each bad line listed."""
         root = tmp_path / "c"
-        save_corpus(columns([make_transcript(f"d{i}", ("a",), valences=(2.0,)) for i in range(3)]), root)
+        docs = [make_transcript(f"d{i}", ("a",), valences=(2.0,)) for i in range(3)]
+        save_corpus(columns(docs), root)
         manifest = root / "manifest.tsv"
-        text = manifest.read_text().replace("d0.txt\t2", "d0.txt\t0.5").replace("d2.txt\t2", "d2.txt\t2,6")
-        manifest.write_text(text)
+        text = manifest.read_text().replace("d0.txt\t2", "d0.txt\t0.5")
+        manifest.write_text(text.replace("d2.txt\t2", "d2.txt\t2,6"))
         assert _problems(root) == [
             (str(manifest), 3, "valence 0.5 outside [1, 5]"),
             (str(manifest), 5, "valence 6.0 outside [1, 5]"),
@@ -141,7 +144,9 @@ class TestRoundTrip:
         assert same_columns(read_corpus(tmp_path / "c"), corpus)
 
     def test_ipu_index_column_is_ignored_on_load(self, tmp_path):
-        corpus = columns([make_transcript("d1", ("a", "b", "c"), gaps=[100, 500]), make_transcript("d2", ("d",))])
+        corpus = columns(
+            [make_transcript("d1", ("a", "b", "c"), gaps=[100, 500]), make_transcript("d2", ("d",))]
+        )
         save_corpus(corpus, tmp_path / "c", ipu_index=np.array([0, 0, 1, 0]))
         assert (tmp_path / "c" / "d1.txt").read_text().splitlines()[1:] == [
             "token\td1\ta\t0\t200\t0", "token\td1\tb\t300\t500\t0", "token\td1\tc\t1000\t1200\t1"
@@ -220,7 +225,8 @@ class TestLoadValidation:
 
     def test_every_document_with_bad_times_reported(self, tmp_path):
         root = tmp_path / "c"
-        save_corpus(columns([make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))]), root)
+        docs = [make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))]
+        save_corpus(columns(docs), root)
         for name in ("a", "b"):  # the second token starts inside the first
             path = root / f"{name}.txt"
             path.write_text(path.read_text().replace("\t300\t500", "\t100\t500"))
