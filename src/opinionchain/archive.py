@@ -1,9 +1,10 @@
 """Lossless persistence for trained models and their feature pipelines.
 
-Archives are canonical JSON: sorted keys, two-space indent, no NaN or
-infinity, one trailing newline.  Floats go through Python's shortest
-round-trip repr, so save → load → save reproduces identical bytes and a
-loaded model re-predicts any dataset bitwise.
+Archives are canonical JSON (``errors.canonical_json``): sorted keys,
+two-space indent, no NaN or infinity, one trailing newline.  Floats go
+through Python's shortest round-trip repr, so save → load → save
+reproduces identical bytes and a loaded model re-predicts any dataset
+bitwise.
 
 Static resource files (lexicons, embeddings, word lists) are not copied
 into the archive; the configuration that names them is, and the sha256
@@ -24,8 +25,7 @@ import numpy as np
 
 from .baseline import LogRegModel, LogRegPredictor
 from .corpus import LABEL_NAMES, CorpusColumns
-from .errors import FileFormatError, read_utf8
-from .evaluation import Predictor
+from .errors import FileFormatError, canonical_json, read_utf8
 from .features.ngrams import NGramVocabulary
 from .features.pipeline import (
     FeatureSchema,
@@ -36,14 +36,10 @@ from .features.pipeline import (
     sha256_file,
 )
 from .features.standardize import Standardizer
-from .model import HcrfParameters
+from .model import HcrfParameters, Predictor
 from .training import HcrfPredictor, TrainingConfig
 
 ARCHIVE_FORMAT = "model-archive/v1"
-
-
-def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _pipeline_doc(pipeline: FittedFeaturePipeline) -> dict:

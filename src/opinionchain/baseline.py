@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import SequenceBlock, scatter_add
-from .optimize import minimize
 
 log = logging.getLogger(__name__)
 
@@ -119,6 +118,8 @@ def train_logreg(
         raise InvalidInputError("training data contains a single class")
     if c <= 0:
         raise InvalidInputError("inverse regularization strength must be positive")
+
+    from .optimize import minimize  # only a fit needs the optimizer
 
     rng = np.random.default_rng(seed)
     x0 = 0.01 * rng.standard_normal(matrix.shape[1] + 1)

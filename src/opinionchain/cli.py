@@ -5,7 +5,14 @@ resolved configuration (config.json), a plain log (run.log, no
 timestamps so reruns are byte-comparable), and its outputs.  Flags
 override values from an optional --config JSON file, whose sections are
 "pipeline", "training", "generator" (keys of the matching dataclasses),
-"logreg" (key "c_grid") and "evaluate" (key "folds").
+"logreg" (key "c_grid") and "evaluate" (key "folds").  A command that
+fails prints one ``error:`` line and, once it has opened its run.log,
+logs that line there as well.
+
+Each command imports the modules it runs when it runs: at module level
+this imports only the standard library and ``errors``.  So ``--help``
+loads no numpy, ``generate`` only ``corpus`` and ``synthetic``, and
+``segment`` and ``predict`` none of the training and evaluation code.
 """
 
 from __future__ import annotations
@@ -17,30 +24,21 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .archive import canonical_json, load_archive, save_archive
-from .corpus import corpus_stats, filter_neutral, polarity, read_corpus, save_corpus
 from .errors import (
     ConfigurationError,
-    EnumerationBudgetError,
     FileFormatError,
     InvalidInputError,
     TrainingDivergedError,
+    canonical_json,
     is_finite_number,
     read_utf8,
 )
-from .evaluation import HcrfLearner, Learner, LogRegLearner, cross_validate
-from .features.pipeline import FeaturePipeline, PipelineConfig
-from .features.segmentation import ipu_indices
-from .introspection import build_state_report
-from .synthetic import (
-    SyntheticSpec,
-    generate_corpus,
-    generate_embeddings,
-    order_insensitive_bayes_accuracy,
-    write_embeddings,
-)
-from .training import TrainingConfig
+
+if TYPE_CHECKING:
+    from .evaluation import Learner
+    from .features.pipeline import FeaturePipeline, PipelineConfig
 
 # Named explicitly: under ``python -m opinionchain.cli`` __name__ is
 # "__main__", outside the "opinionchain" logger that run.log records.
@@ -52,7 +50,6 @@ _HANDLED_ERRORS = (
     InvalidInputError,
     ConfigurationError,
     FileFormatError,
-    EnumerationBudgetError,
     TrainingDivergedError,
     OSError,
 )
@@ -106,6 +103,8 @@ def _build_dataclass(cls, file_config: dict, name: str, overrides: dict):
 
 
 def _pipeline_config(args, file_config: dict) -> PipelineConfig:
+    from .features.pipeline import PipelineConfig
+
     overrides = {
         "threshold_ms": args.threshold_ms,
         "blocks": tuple(args.features.split(",")) if args.features else None,
@@ -118,6 +117,9 @@ def _learner(args, file_config: dict) -> tuple[Learner, dict]:
     fits it once, evaluate once per outer fold.  The keys of both model
     sections are checked whichever model runs, so a typo in the other
     one is not silently ignored."""
+    from .evaluation import HcrfLearner, LogRegLearner
+    from .training import TrainingConfig
+
     overrides = {
         "num_hidden_states": args.hidden_states,
         "context_window": args.context_window,
@@ -172,6 +174,8 @@ def _labeled_corpus(path: str, pipeline: FeaturePipeline):
     columns, and the same documents segmented once by ``pipeline``, as
     one chunk.  Every document is segmented, the dropped ones too, for
     the IPU count logged here."""
+    from .corpus import corpus_stats, filter_neutral, read_corpus
+
     corpus = read_corpus(path)
     segmented = pipeline.segment(corpus)
     stats = corpus_stats(corpus)
@@ -196,6 +200,15 @@ def _labeled_corpus(path: str, pipeline: FeaturePipeline):
 
 
 def cmd_generate(args) -> int:
+    from .corpus import save_corpus
+    from .synthetic import (
+        SyntheticSpec,
+        generate_corpus,
+        generate_embeddings,
+        order_insensitive_bayes_accuracy,
+        write_embeddings,
+    )
+
     file_config = _load_config_file(args.config)
     spec = _build_dataclass(SyntheticSpec, file_config, "generator", {})
     seed = args.seed if args.seed is not None else 0
@@ -232,6 +245,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    from .corpus import read_corpus, save_corpus
+    from .features.pipeline import PipelineConfig
+    from .features.segmentation import ipu_indices
+
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
     threshold = args.threshold_ms
@@ -252,6 +269,10 @@ def cmd_segment(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .archive import save_archive
+    from .corpus import polarity
+    from .features.pipeline import FeaturePipeline
+
     file_config = _load_config_file(args.config)
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
@@ -283,6 +304,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .archive import load_archive
+    from .corpus import read_corpus
+
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
     _write_resolved_config(
@@ -306,6 +330,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import cross_validate
+    from .features.pipeline import FeaturePipeline
+
     file_config = _load_config_file(args.config)
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
@@ -354,6 +381,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from .archive import load_archive
+    from .corpus import read_corpus
+    from .features.pipeline import FeaturePipeline
+    from .introspection import build_state_report
+
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
     _write_resolved_config(
@@ -469,7 +501,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _HANDLED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = f"error: {exc}"
+        print(message, file=sys.stderr)
+        if logging.getLogger("opinionchain").handlers:  # the command opened its run.log
+            log.error("%s", message)
         return 1
     finally:
         # library calls made after the command must not reach its run.log

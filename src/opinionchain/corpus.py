@@ -18,7 +18,8 @@ in [1, 5]; ``-`` marks an unlabeled document.  A transcript file::
     token<TAB>d001<TAB>great<TAB>100<TAB>400
     marker<TAB>d001<TAB>*chuckling*<TAB>450
 
-Token times are whole milliseconds (int64); consecutive tokens must not
+Token and marker times are whole milliseconds, each an optional ``-``
+and ASCII digits (int64 for tokens); consecutive tokens must not
 overlap.  Extra trailing columns on token/marker lines are ignored, which
 lets a segmented corpus (with an appended IPU-index column) reload
 cleanly.  A record may name any document of the manifest, whatever file
@@ -44,6 +45,7 @@ from __future__ import annotations
 import itertools
 import logging
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +58,10 @@ log = logging.getLogger(__name__)
 MANIFEST_VERSION = "corpus-manifest/v1"
 TRANSCRIPT_VERSION = "transcript/v1"
 MANIFEST_NAME = "manifest.tsv"
+
+# the longest file name, in bytes, that common file systems (ext4, XFS,
+# Btrfs, APFS) allow; save_corpus names each transcript after its id
+_NAME_MAX = 255
 
 NEGATIVE, POSITIVE = 0, 1
 LABEL_NAMES = ("negative", "positive")
@@ -88,11 +94,29 @@ def _format_valence(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
 
 
-def _parse_int(raw: str, what: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{what} is not an integer: {raw!r}") from None
+# a time is an optional "-" and ASCII digits; int() alone would also take
+# "1_000", " 5", "+5" and non-ASCII digits
+_TIME = re.compile(r"-?[0-9]+")
+_NOT_TIME_CHAR = re.compile(r"[^0-9-]")
+
+
+def _parse_int(raw: str | int, what: str) -> int:
+    """The time ``raw``, a string or an int parsed already, as an int."""
+    if isinstance(raw, int):
+        return raw
+    if _TIME.fullmatch(raw) is None:
+        raise ValueError(f"{what} is not an integer: {raw!r}")
+    return int(raw)
+
+
+def _parse_times(raw: tuple[str, ...]) -> list[int]:
+    """A file's column of time strings as ints; ValueError if any is
+    not an integer of the format.  The format is checked once for the
+    whole column, not once per time: a string of ASCII digits and "-"
+    alone that int() accepts is an optional "-" and digits."""
+    if _NOT_TIME_CHAR.search("".join(raw)):
+        raise ValueError("a time is not an integer")
+    return list(map(int, raw))
 
 
 def _offsets(counts) -> np.ndarray:
@@ -190,11 +214,14 @@ def read_corpus(path: str | Path) -> CorpusColumns:
     fields: tuple[list, ...] = ([], [], [], [])
     markers: list[tuple[int, int, str]] = []  # (document, time, text)
     files = []  # (path, lines of its token records, its other problems) of each file
+    parsed = True  # whether every file's times parsed
     for filename in sorted({filename for _, filename, _ in entries}):
         file = os.path.join(root, filename)
-        files.append((file, *_read_transcript_file(file, index, fields, markers)))
+        lines, found, file_parsed = _read_transcript_file(file, index, fields, markers)
+        files.append((file, lines, found))
+        parsed &= file_parsed
 
-    columns = _token_columns(*fields, len(entries))
+    columns = _token_columns(*fields, len(entries)) if parsed else None
     # a failed check is looked for one record and one document at a time
     documents = [] if columns is not None else _token_problems(root, entries, fields, files)
     for file, _, found in files:
@@ -263,20 +290,21 @@ def _read_transcript_file(path: str, index: dict, fields: tuple, markers: list):
     transcript file at ``path``'s token records that name a manifest
     document to the four lists ``fields``, the times as ints if they all
     parse, and its markers to ``markers``; return the lines of those
-    token records and the (line, message) of each malformed record.
+    token records, the (line, message) of each malformed record, and
+    whether the times parsed.
     Only numbers and strings outlive the call: a corpus's split lines,
     held at once, would make the garbage collector walk them over and
     over, and its time strings take twice the memory of ints."""
     try:
         lines = read_utf8(path).splitlines()
     except FileNotFoundError:
-        return [], [(0, "file listed in manifest but missing")]
+        return [], [(0, "file listed in manifest but missing")], True
     except OSError as exc:
-        return [], [(0, f"cannot read the file: {exc.strerror}")]
+        return [], [(0, f"cannot read the file: {exc.strerror}")], True
     except FileFormatError:
-        return [], [(0, "not UTF-8 text")]
+        return [], [(0, "not UTF-8 text")], True
     if not lines or lines[0].strip() != TRANSCRIPT_VERSION:
-        return [], [(1, f"first line must be {TRANSCRIPT_VERSION!r}")]
+        return [], [(1, f"first line must be {TRANSCRIPT_VERSION!r}")], True
     rows, token_lines, found = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
@@ -288,15 +316,16 @@ def _read_transcript_file(path: str, index: dict, fields: tuple, markers: list):
                 markers.append(_marker_record(parts, index))
             except ValueError as exc:
                 found.append((lineno, str(exc)))
+    parsed = True
     if rows:
         _, docs, texts, starts, ends = list(zip(*rows))[:5]
         try:  # a time that is not an integer is left as it is, to be listed later
-            starts, ends = list(map(int, starts)), list(map(int, ends))
+            starts, ends = _parse_times(starts), _parse_times(ends)
         except ValueError:
-            pass
+            parsed = False
         for field, values in zip(fields, (map(index.__getitem__, docs), texts, starts, ends)):
             field.extend(values)
-    return token_lines, found
+    return token_lines, found, parsed
 
 
 def _marker_record(parts: list[str], index: dict) -> tuple[int, int, str]:
@@ -321,14 +350,14 @@ def _marker_record(parts: list[str], index: dict) -> tuple[int, int, str]:
 
 def _token_columns(docs, texts, starts, ends, num_docs: int):
     """The (texts, starts, ends, offsets) columns of the token records
-    given by their fields, document by document, each document's
-    records in their order here; None when a time is not an int64
-    integer, a token ends before it starts or starts before the previous
+    given by their fields, the times parsed, document by document, each
+    document's records in their order here; None when a time is outside
+    int64, a token ends before it starts or starts before the previous
     token of its document ends."""
     try:
-        starts = np.fromiter(map(int, starts), dtype=np.int64, count=len(starts))
-        ends = np.fromiter(map(int, ends), dtype=np.int64, count=len(ends))
-    except (ValueError, OverflowError):
+        starts = np.fromiter(starts, dtype=np.int64, count=len(starts))
+        ends = np.fromiter(ends, dtype=np.int64, count=len(ends))
+    except OverflowError:
         return None
     doc = np.array(docs, dtype=np.intp)
     if (doc[1:] < doc[:-1]).any():  # records of a document in several files
@@ -382,6 +411,10 @@ def _document_problem(doc_id: str, texts: list, starts: list, ends: list) -> str
     return None
 
 
+def _ids(doc_ids) -> str:
+    return ", ".join(map(repr, doc_ids))
+
+
 def save_corpus(corpus: CorpusColumns, path: str | Path, ipu_index=None):
     """Write the columns ``corpus`` as a corpus directory: the manifest
     and one transcript file per document, ``<doc_id>.txt``.
@@ -389,14 +422,21 @@ def save_corpus(corpus: CorpusColumns, path: str | Path, ipu_index=None):
     ``ipu_index``, when given, holds each token's IPU index within its
     document, aligned with ``corpus.texts``; it is appended as an extra
     trailing column that the reader ignores.  Every document id is
-    checked before any file is written: one that holds ``/`` or NUL
-    cannot name a file in the directory, and is an InvalidInputError.
+    checked before any file is written, so that no part of a corpus is
+    written when one of its ids cannot name a file: one that holds
+    ``/`` or NUL cannot name a file in the directory, nor one whose file
+    name would be longer than ``_NAME_MAX`` bytes.  All of them are
+    listed in one InvalidInputError.
     """
     bad = [doc_id for doc_id in corpus.doc_ids if "/" in doc_id or "\0" in doc_id]
+    long = [doc_id for doc_id in corpus.doc_ids if len(os.fsencode(f"{doc_id}.txt")) > _NAME_MAX]
+    problems = []
     if bad:
-        raise InvalidInputError(
-            f"document id(s) holding '/' or NUL cannot name a file: {', '.join(map(repr, bad))}"
-        )
+        problems.append(f"document id(s) holding '/' or NUL cannot name a file: {_ids(bad)}")
+    if long:
+        problems.append(f"document id(s) too long for a {_NAME_MAX}-byte file name: {_ids(long)}")
+    if problems:
+        raise InvalidInputError("; ".join(problems))
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest_lines = [MANIFEST_VERSION, "doc_id\tfile\tvalence"]

@@ -1,8 +1,11 @@
 """Exception types shared across the package, and the two checks of
 outside input that raise them: the one reader of text files, and the
-one type check of configuration fields."""
+one type check of configuration fields; and the one writer of JSON
+files.  It imports nothing but the standard library, so every command
+can load it before it knows what else it needs."""
 
 import dataclasses
+import json
 import math
 
 
@@ -49,6 +52,14 @@ def read_utf8(path) -> str:
         ) from None
 
 
+def canonical_json(doc) -> str:
+    """``doc`` as canonical JSON: sorted keys, two-space indent, no NaN
+    or infinity, one trailing newline.  Every JSON file the package
+    writes (archives, configurations, reports) goes through it, so a
+    rerun writes the same bytes."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -92,10 +103,6 @@ def check_field_types(config, error: type[ValueError]) -> None:
         value = getattr(config, field.name)
         if not allowed(value):
             raise error(f"{field.name} must be {kind}, got {value!r}")
-
-
-class EnumerationBudgetError(RuntimeError):
-    """An exhaustive enumeration would exceed its guarded budget."""
 
 
 class TrainingDivergedError(RuntimeError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .baseline import LogRegPredictor, document_vectors, train_logreg
 from .corpus import LABEL_NAMES, CorpusColumns, polarity
 from .errors import InvalidInputError
 from .features.pipeline import FeaturePipeline, PipelineConfig, SegmentedChunk
-from .model import SequenceBlock
+from .model import Predictor, SequenceBlock
 from .training import HcrfPredictor, TrainingConfig, fit_predictor
 
 # grids swept by the reference protocol
@@ -201,17 +201,6 @@ def compute_metrics(
         accuracy=accuracy,
         weighted_f1=weighted_f1,
     )
-
-
-class Predictor(Protocol):
-    """What every trained model offers: the (N, Y) label posteriors of
-    the sequences of ``SequenceBlock``s, one row per sequence, whose
-    argmax is the prediction (exact ties go to the lowest label index),
-    and the hyperparameters it was fit with."""
-
-    def posterior_blocks(self, blocks: Iterable[SequenceBlock]) -> np.ndarray: ...
-
-    def describe(self) -> dict: ...
 
 
 class Learner(Protocol):

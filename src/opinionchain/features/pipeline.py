@@ -23,7 +23,7 @@ is in.  ``fit_bong`` reads a ``TokenChunk`` too: the training documents
 are numbered as one chunk, one unit per document.
 
 ``FittedFeaturePipeline.blocks`` is ``predict``'s path: it carries each
-``training.SCORING_CHUNK`` documents of a corpus's columns to their
+``SCORING_CHUNK`` documents of a corpus's columns to their
 block, with no object made per document.  A chunk's columns are cut at
 the indices ``segment_into_ipus`` finds, and tokenization runs once per
 distinct token string of the chunk (``_segment_chunk``).  Segmentation
@@ -64,7 +64,6 @@ import numpy as np
 from ..corpus import CorpusColumns
 from ..errors import ConfigurationError, InvalidInputError, check_field_types
 from ..model import SequenceBlock, SparseRows, run_indices
-from ..training import chunked
 from . import resources as res
 from .embeddings import EmbeddingTable, embed_units, load_embeddings
 from .lexicons import Lexicon, lexicon_features, load_lexicon
@@ -86,6 +85,18 @@ from .tokenizer import tokenize_many
 
 CANONICAL_BLOCKS = ("bong", "embedding", "lexicon", "pattern", "paralinguistic")
 DEFAULT_BLOCKS = ("bong", "pattern", "paralinguistic")
+# documents featurized, and sequences scored, as one block at once:
+# enough to amortize numpy's per-call overhead, few enough to hold their
+# rows briefly
+SCORING_CHUNK = 256
+
+
+def chunked(items):
+    """The items of ``items`` (any iterable, read once) in lists of up to
+    ``SCORING_CHUNK``, so that a stream is never held at once."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, SCORING_CHUNK)):
+        yield chunk
 
 
 @dataclass(frozen=True)
@@ -660,7 +671,7 @@ class FittedFeaturePipeline:
 
     def blocks(self, corpus: CorpusColumns) -> Iterator[SequenceBlock]:
         """The sequences of the documents of ``corpus``, one block per
-        chunk of ``training.SCORING_CHUNK`` documents, in order.  A chunk
+        chunk of ``SCORING_CHUNK`` documents, in order.  A chunk
         goes from its columns to its block as one set of columns:
         segmented and tokenized (``_segment_chunk``), then featurized and
         standardized by ``block``, with no object made per document."""

@@ -12,7 +12,8 @@ and the label posterior marginalizes the latent states per label.
 Sequences travel stacked, as a :class:`SequenceBlock` checked once for
 all of them: training fits on one, cross-validation picks documents
 from one by index (``SequenceBlock.subblock``), and prediction scores
-one per chunk of documents.  The emission scores ``<x_j, W_obs[h]>``
+one per chunk of documents; every trained model is a :class:`Predictor`
+of such blocks.  The emission scores ``<x_j, W_obs[h]>``
 come from :func:`emission_scores`, which reads the block's sparse rows
 (:class:`SparseRows`) by one gather-and-sum and applies a context window
 as shifted per-block scores, so neither the dense rows nor the windowed
@@ -57,7 +58,9 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -395,6 +398,18 @@ class SequenceBlock:
             )
         doc_ids = tuple(map(self.doc_ids.__getitem__, ids.tolist()))
         return SequenceBlock(doc_ids, self.features[run_indices(lo, hi)], sparse, bounds)
+
+
+class Predictor(Protocol):
+    """What every trained model offers: the (N, Y) label posteriors of
+    the sequences of ``SequenceBlock``s, one row per sequence, whose
+    argmax is the prediction (exact ties go to the lowest label index),
+    and the hyperparameters it was fit with."""
+
+    def posterior_blocks(self, blocks: Iterable[SequenceBlock]) -> np.ndarray: ...
+
+    def describe(self) -> dict: ...
+
 
 def emission_scores(block: SequenceBlock, theta_obs: np.ndarray, window: int) -> list[np.ndarray]:
     """The (L, H) emission scores of each sequence of ``block`` under a

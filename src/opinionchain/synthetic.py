@@ -11,23 +11,21 @@ is.
 Because token identities and neutral counts are drawn identically for
 both labels given the segment polarities, the whole token multiset tells
 an order-insensitive classifier nothing beyond (sequence length, number
-of positive segments).  ``order_insensitive_bayes_accuracy`` exhausts
-the finite outcome space of polarity sequences and returns the exact
-optimum any order-blind model can reach; sequence-aware models can
-instead read the final segment directly.
+of positive segments).  ``order_insensitive_bayes_accuracy`` sums the
+binomial mass of each such pair and returns the exact optimum any
+order-blind model can reach; sequence-aware models can instead read the
+final segment directly.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CorpusColumns
-from .errors import EnumerationBudgetError, InvalidInputError, check_field_types
-
-ENUMERATION_BUDGET = 10**6
+from .errors import InvalidInputError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -168,40 +166,38 @@ def write_embeddings(table: dict, path):
 def order_insensitive_bayes_accuracy(spec: SyntheticSpec) -> float:
     """Exact optimal accuracy of any classifier blind to segment order.
 
-    Enumerates every polarity sequence the generator can emit.  Given
-    the per-segment polarities, everything else (token identities,
+    Given the per-segment polarities, everything else (token identities,
     neutral counts, timing) is drawn from label-independent
     distributions, so the only label evidence in a bag of tokens is the
     pair (L, number of positive segments); the optimum picks the likelier
     label per pair.  Balanced label prior, ties split 50/50.
-    """
-    lengths = range(spec.min_segments, spec.max_segments + 1)
-    total_patterns = sum(2 ** (L - spec.decisive_segments) for L in lengths)
-    if total_patterns > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{total_patterns} polarity sequences exceed the budget {ENUMERATION_BUDGET}"
-        )
 
-    # mass[(L, n_pos)][y] accumulated by brute enumeration
-    mass: dict[tuple[int, int], list[float]] = {}
-    length_prob = 1.0 / len(list(lengths))
-    for L in lengths:
-        free = L - spec.decisive_segments
-        for pattern in itertools.product((True, False), repeat=free):
-            n_match = sum(pattern)
-            p_pattern = (
-                spec.match_prob**n_match * (1.0 - spec.match_prob) ** (free - n_match)
-            )
-            if p_pattern == 0.0:
-                continue
-            for y in (0, 1):
-                matching_polarity_count = n_match if y == 1 else free - n_match
-                n_pos = matching_polarity_count + (
-                    spec.decisive_segments if y == 1 else 0
-                )
-                key = (L, n_pos)
-                mass.setdefault(key, [0.0, 0.0])[y] += length_prob * p_pattern
+    A polarity sequence's probability depends only on the number k of
+    its free (non-decisive) segments that match the label, so each pair's
+    mass is one binomial term, C(free, k) p^k (1 - p)^(free - k): under
+    label 1 the pair has k + decisive positives, under label 0 it has
+    free - k.  That is free + 1 terms per length, where there are 2^free
+    sequences.  Past about a thousand free segments C(free, k) no longer
+    fits in a float, and such a spec is an InvalidInputError.
+    """
+    p, decisive = spec.match_prob, spec.decisive_segments
+    lengths = range(spec.min_segments, spec.max_segments + 1)
+    length_prob = 1.0 / len(lengths)
     correct = 0.0
-    for p_neg, p_pos in mass.values():
-        correct += 0.5 * max(p_neg, p_pos)
+    for length in lengths:
+        free = length - decisive
+        try:  # mass[k]: probability of the length and of k matching free segments
+            mass = [
+                length_prob * math.comb(free, k) * p**k * (1.0 - p) ** (free - k)
+                for k in range(free + 1)
+            ]
+        except OverflowError:
+            raise InvalidInputError(
+                f"no order-insensitive bound for {free} free segments: too many for a float"
+            ) from None
+        for n_pos in range(length + 1):
+            k_pos, k_neg = n_pos - decisive, free - n_pos
+            p_pos = mass[k_pos] if 0 <= k_pos <= free else 0.0
+            p_neg = mass[k_neg] if 0 <= k_neg else 0.0
+            correct += 0.5 * max(p_neg, p_pos)
     return correct

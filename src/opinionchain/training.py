@@ -34,16 +34,18 @@ window).  The gradient comes back as one flat vector, in
 Results are bitwise reproducible.
 
 Prediction (``HcrfPredictor.posterior_blocks``) scores blocks of
-sequences: one per chunk of ``SCORING_CHUNK`` documents, as ``predict``
-builds them from a corpus's columns, or a fold's held-out documents.
+sequences: one per chunk of ``features.pipeline.SCORING_CHUNK``
+documents, as ``predict`` builds them from a corpus's columns, or a
+fold's held-out documents.  It never loads the optimizer, which
+``train`` imports when it runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,14 +64,11 @@ from .model import (
     label_posteriors,
     node_scores,
 )
-from .optimize import TraceEntry, minimize
+
+if TYPE_CHECKING:
+    from .optimize import TraceEntry
 
 log = logging.getLogger(__name__)
-
-# documents featurized, and sequences scored, as one block at once:
-# enough to amortize numpy's per-call overhead, few enough to hold their
-# rows briefly
-SCORING_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -324,6 +323,8 @@ def train(
     dim = (2 * window + 1) * grouped.feature_dim
     num_h = config.num_hidden_states
 
+    from .optimize import minimize  # only a fit needs the optimizer
+
     rng = np.random.default_rng(config.seed)
     init = HcrfParameters.random(num_h, num_labels, dim, rng)
 
@@ -340,14 +341,6 @@ def train(
     return theta, TrainingTrace(
         entries=result.trace, status=result.status, evaluations=result.evaluations
     )
-
-
-def chunked(items):
-    """The items of ``items`` (any iterable, read once) in lists of up to
-    ``SCORING_CHUNK``, so that a stream is never held at once."""
-    items = iter(items)
-    while chunk := list(itertools.islice(items, SCORING_CHUNK)):
-        yield chunk
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,15 @@ one document's (L, D) feature rows:
   float64 kernel, written per label and per position with no batching,
   so it is linear in the length and cheap enough for 10^4 segments.
 
+For the synthetic generator's order-insensitive Bayes bound
+(``opinionchain.synthetic``):
+
+* Pattern enumeration: every free-segment polarity pattern the
+  generator can emit, its mass added to the (length, positive count)
+  pair it shows each label, as the bound was computed before it summed
+  binomial terms.  Exponential in the length, so it refuses more than
+  ``BAYES_MAX_PATTERNS`` patterns.
+
 For the training objective (``opinionchain.training``):
 
 * The padded-grid objective: value and gradient computed as training
@@ -44,6 +53,7 @@ For the training objective (``opinionchain.training``):
 
 from __future__ import annotations
 
+import itertools
 import logging
 from bisect import bisect_right
 from collections import Counter
@@ -52,7 +62,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from opinionchain.errors import EnumerationBudgetError, InvalidInputError
+from opinionchain.errors import InvalidInputError
 from opinionchain.features.lexicons import lexicon_features
 from opinionchain.features.paralinguistic import CATEGORIES, OTHER
 from opinionchain.features.stemmer import stem
@@ -66,8 +76,13 @@ from opinionchain.model import (
 )
 
 BRUTE_FORCE_MAX_PATHS = 10**6
+BAYES_MAX_PATTERNS = 10**6
 
 para_log = logging.getLogger("opinionchain.features.paralinguistic")
+
+
+class EnumerationBudgetError(RuntimeError):
+    """An exhaustive enumeration would exceed its guarded budget."""
 
 
 def reference_load(root):
@@ -253,6 +268,31 @@ def reference_rows(units, events_per_unit, pipeline):
     if pipeline.vocabulary is not None:
         bong = reference_bong(units, pipeline.vocabulary)
     return np.array(rows), bong
+
+
+def enumerated_bayes_accuracy(spec) -> float:
+    """The order-insensitive Bayes bound of a ``SyntheticSpec``, by
+    enumerating every polarity pattern of the free segments."""
+    lengths = range(spec.min_segments, spec.max_segments + 1)
+    total_patterns = sum(2 ** (L - spec.decisive_segments) for L in lengths)
+    if total_patterns > BAYES_MAX_PATTERNS:
+        raise EnumerationBudgetError(
+            f"{total_patterns} polarity sequences exceed the budget {BAYES_MAX_PATTERNS}"
+        )
+    # mass[(L, n_pos)][y] accumulated by brute enumeration
+    mass: dict[tuple[int, int], list[float]] = {}
+    length_prob = 1.0 / len(lengths)
+    for L in lengths:
+        free = L - spec.decisive_segments
+        for pattern in itertools.product((True, False), repeat=free):
+            n_match = sum(pattern)
+            p_pattern = spec.match_prob**n_match * (1.0 - spec.match_prob) ** (free - n_match)
+            if p_pattern == 0.0:
+                continue
+            for y in (0, 1):
+                n_pos = n_match + spec.decisive_segments if y == 1 else free - n_match
+                mass.setdefault((L, n_pos), [0.0, 0.0])[y] += length_prob * p_pattern
+    return sum(0.5 * max(p_neg, p_pos) for p_neg, p_pos in mass.values())
 
 
 def _check(rows: np.ndarray, theta: HcrfParameters, y: int | None = None) -> np.ndarray:

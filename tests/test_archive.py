@@ -11,11 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import columns, featurize, fit, labels, make_transcript, split_documents
-from opinionchain.archive import canonical_json, load_archive, save_archive
+from opinionchain.archive import load_archive, save_archive
 from opinionchain.baseline import LogRegPredictor, document_vectors, train_logreg
 from opinionchain.cli import main
 from opinionchain.corpus import save_corpus
-from opinionchain.errors import FileFormatError
+from opinionchain.errors import FileFormatError, canonical_json
 from opinionchain.features.pipeline import (
     DEFAULT_BLOCKS,
     PipelineConfig,

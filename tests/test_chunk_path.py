@@ -27,7 +27,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from opinionchain import training
 from opinionchain.archive import load_archive, save_archive
 from opinionchain.baseline import LogRegPredictor, document_vectors, train_logreg
 from opinionchain.cli import main
@@ -40,6 +39,7 @@ from opinionchain.evaluation import (
     cross_validate,
     stratified_k_fold,
 )
+from opinionchain.features import pipeline as feature_pipeline
 from opinionchain.features.pipeline import PipelineConfig, SegmentedChunk
 from opinionchain.model import SequenceBlock, SparseRows
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
@@ -133,7 +133,7 @@ def test_chunk_posteriors_equal_each_document_alone(archives, files, chunk, name
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "c"
         _write(root, files)
-        with patch.object(training, "SCORING_CHUNK", chunk):
+        with patch.object(feature_pipeline, "SCORING_CHUNK", chunk):
             try:
                 got = loaded.posteriors(read_corpus(root))
             except InvalidInputError as exc:  # a tokenless document

@@ -126,6 +126,63 @@ def test_cli_import_does_not_load_scipy(tmp_path, generated):
     assert proc.stdout.strip().splitlines()[-1] == "[] [0, 0, 0, 0, 0, 0] []"
 
 
+def modules_loaded_by(argv) -> list[str]:
+    """The modules of opinionchain, and numpy if it is one, that a fresh
+    interpreter has loaded after importing the CLI and running
+    ``main(argv)`` (nothing more when ``argv`` is None)."""
+    code = (
+        "import json, sys, opinionchain.cli; "
+        f"argv = {argv!r}; "
+        "code = 0 if argv is None else opinionchain.cli.main(argv); "
+        "print(code, json.dumps(sorted(m for m in sys.modules "
+        "if m == 'numpy' or m.partition('.')[0] == 'opinionchain')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert code == "0", proc.stderr
+    return json.loads(loaded)
+
+
+def test_cli_import_loads_only_the_cli_and_errors():
+    """The CLI's module imports nothing of the package but ``errors`` and
+    no numpy, so that ``--help`` and each command pay only for what they
+    run."""
+    assert modules_loaded_by(None) == ["opinionchain", "opinionchain.cli", "opinionchain.errors"]
+
+
+def test_predict_loads_no_training_evaluation_or_generator_code(tmp_path, generated):
+    """The read path, from the archive and the corpus to the posteriors,
+    needs none of the optimizer, the evaluation protocol, the generator
+    or the state report."""
+    corpus, model = str(generated / "corpus"), tmp_path / "t"
+    assert main(["train", "--corpus", corpus, "--out", str(model)]) == 0
+    loaded = modules_loaded_by(
+        ["predict", "--model", str(model / "model.json"), "--corpus", corpus,
+         "--out", str(tmp_path / "p")]
+    )
+    assert "opinionchain.archive" in loaded and "opinionchain.training" in loaded
+    unwanted = ("evaluation", "optimize", "synthetic", "introspection")
+    assert [m for m in loaded if m.removeprefix("opinionchain.") in unwanted] == []
+
+
+def test_generate_loads_only_the_generator_and_the_corpus_writer(tmp_path, gen_config):
+    loaded = modules_loaded_by(
+        ["generate", "--out", str(tmp_path / "g"), "--seed", "1", "--config", gen_config]
+    )
+    assert loaded == [
+        "numpy",
+        "opinionchain",
+        "opinionchain.cli",
+        "opinionchain.corpus",
+        "opinionchain.errors",
+        "opinionchain.synthetic",
+    ]
+
+
 @pytest.fixture
 def segment_counts(monkeypatch):
     """Segmentations of each document id by ``segment_into_ipus``, through
@@ -406,13 +463,16 @@ class TestSegment:
         assert f"{root / 'b.txt'}:0: b: token times" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("doc_id", ["../../escaped", "nul\0id"])
+    @pytest.mark.parametrize(
+        "doc_id", ["../../escaped", "nul\0id", pytest.param("x" * 300, id="300 x")]
+    )
     def test_a_doc_id_that_cannot_name_a_file_fails_writing_nothing(
         self, tmp_path, capsys, doc_id
     ):
         """Every document id is checked before a file is written: one that
-        would name a file outside ``--out``, or no file at all, is an
-        error, and the command writes no transcript."""
+        would name a file outside ``--out``, no file at all, or one too
+        long for the file system, is an error, and the command writes no
+        transcript."""
         root = tmp_path / "c"
         root.mkdir()
         (root / "manifest.tsv").write_text(
@@ -421,13 +481,16 @@ class TestSegment:
         (root / "t.txt").write_text(
             f"transcript/v1\ntoken\tok\tgood\t0\t200\ntoken\t{doc_id}\tbad\t0\t200\n"
         )
+        problem = "holding '/' or NUL cannot name a file"
+        if len(doc_id) > 255:
+            problem = "too long for a 255-byte file name"
         before = sorted(tmp_path.rglob("*"))
         out = tmp_path / "a" / "run"
         rc = main(["segment", "--corpus", str(root), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            f"error: document id(s) holding '/' or NUL cannot name a file: {doc_id!r}"
+            f"error: document id(s) {problem}: {doc_id!r}"
         ]
         assert "Traceback" not in err
         written = [path for path in tmp_path.rglob("*") if path not in before]
@@ -707,6 +770,22 @@ class TestEvaluate:
         assert len(report["folds"]) == 2
         text = (outs[0] / "report.txt").read_text()
         assert text.startswith("metrics-report/v1\n")
+
+    def test_failed_rerun_logs_its_error_line_last_in_run_log(self, tmp_path, generated, capsys):
+        """A command that fails after opening its run.log records there
+        the error line it prints, as the log's last record."""
+        cfg = train_config_file(tmp_path, generated)
+        out = tmp_path / "e"
+        argv = ["evaluate", "--corpus", str(generated / "corpus"), "--out", str(out),
+                "--config", cfg, "--model", "logreg"]
+        assert main(argv + ["--folds", "2"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--folds", "500"]) == 1
+        errors = error_lines(capsys)
+        assert errors == ["error: class 0 has 8 members, fewer than k=500"]
+        log = (out / "run.log").read_text().splitlines()
+        assert log[-1] == f"ERROR opinionchain.cli: {errors[0]}"
+        assert sum(line.startswith("ERROR") for line in log) == 1
 
     def test_unlabeled_corpus_fails(self, tmp_path, capsys):
         docs = [make_transcript(doc_id=f"d{i}", valences=None) for i in range(4)]

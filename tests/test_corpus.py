@@ -248,6 +248,11 @@ _MUTATIONS = (
     "missing_file",
     "text_time_swapped",
     "non_integer_time",
+    "underscored_time",
+    "spaced_time",
+    "signed_time",
+    "non_ascii_digit_time",
+    "signed_marker_time",
     "overlapping_times",
     "unknown_record_kind",
     "transcript_not_utf8",
@@ -281,9 +286,24 @@ def _mutate(root, index, doc_id, mutation):
     if mutation == "transcript_not_utf8":  # byte 0xff starts no UTF-8 sequence
         transcript.write_bytes(transcript.read_bytes().replace(b"words", b"w\xffrds"))
         return (str(transcript), 0)
-    lines = transcript.read_text().splitlines()
-    parts = lines[2].split("\t")  # the second token, on line 3
-    if mutation == "text_time_swapped":
+    lines = transcript.read_text(encoding="utf-8").splitlines()
+    if mutation == "signed_marker_time":  # the marker, after the three tokens
+        assert lines[4] == f"marker\t{doc_id}\t*chuckling*\t250"
+        lines[4] = lines[4].replace("\t250", "\t+250")
+        transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return (str(transcript), 5)
+    parts = lines[2].split("\t")  # the second token, on line 3, from 300 to 500 ms
+    # int() takes each of the next four times, which are not integers
+    # of the format: an optional "-" and ASCII digits
+    if mutation == "underscored_time":
+        parts[4] = "5_00"
+    elif mutation == "spaced_time":
+        parts[3] = " 300 "
+    elif mutation == "signed_time":
+        parts[3] = "+300"
+    elif mutation == "non_ascii_digit_time":
+        parts[4] = "\u0665\u0660\u0660"  # 500 in Arabic-Indic digits
+    elif mutation == "text_time_swapped":
         parts[2], parts[3] = parts[3], parts[2]
     elif mutation == "non_integer_time":
         parts[4] = parts[4] + ".5"
@@ -292,7 +312,7 @@ def _mutate(root, index, doc_id, mutation):
     else:
         parts[0] = "tokn"
     lines[2] = "\t".join(parts)
-    transcript.write_text("\n".join(lines) + "\n")
+    transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return (str(transcript), 0 if mutation == "overlapping_times" else 3)
 
 

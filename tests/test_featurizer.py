@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opinionchain import training
+from opinionchain.features import pipeline as feature_pipeline
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, SegmentedChunk
 from opinionchain.features.standardize import fit_standardizer
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
@@ -151,7 +151,7 @@ def test_chunks_bitwise_equal_the_per_ipu_reference(train, held_out, order, stan
 def test_chunk_boundaries_change_nothing(count):
     """Documents on either side of a ``SCORING_CHUNK`` boundary, and the
     last chunk's lone document, featurize as they would alone."""
-    assert training.SCORING_CHUNK == 256
+    assert feature_pipeline.SCORING_CHUNK == 256
     corpus = generate_corpus(dataclasses.replace(SyntheticSpec(), num_docs_per_label=129), seed=4)
     unfitted = FeaturePipeline(PipelineConfig())
     fitted, _ = unfitted.fit_transform(unfitted.segment(corpus.select(range(40))))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opinionchain.errors import EnumerationBudgetError, InvalidInputError
+from opinionchain.errors import InvalidInputError
 from opinionchain.model import (
     ChainLayout,
     HcrfParameters,
@@ -16,6 +16,7 @@ from opinionchain.training import HcrfPredictor, TrainingConfig
 from conftest import alone, make_block, packed_kernel, posterior, zero_params
 from oracles import (
     BRUTE_FORCE_MAX_PATHS,
+    EnumerationBudgetError,
     brute_force_log_partitions,
     brute_force_posterior,
     potential,

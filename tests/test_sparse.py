@@ -17,9 +17,9 @@ import pytest
 from opinionchain.baseline import document_vectors
 from opinionchain.corpus import polarity
 from opinionchain.errors import InvalidInputError
+from opinionchain.features import pipeline as feature_pipeline
 from opinionchain.features.pipeline import PipelineConfig
 from opinionchain.model import HcrfParameters, SparseRows, label_posteriors
-from opinionchain import training
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from opinionchain.training import (
     HcrfPredictor,
@@ -175,7 +175,7 @@ def test_batch_rows_bitwise_equal_one_by_one(window, monkeypatch):
     sparse rows one block; each row is still bitwise what the document
     alone gives, and a block of another layout (no offset row) in the
     same call is scored on its own."""
-    monkeypatch.setattr(training, "SCORING_CHUNK", 4)
+    monkeypatch.setattr(feature_pipeline, "SCORING_CHUNK", 4)
     pipeline, _ = fitted(standardize=True)
     unstandardized, _ = fitted(standardize=False)
     docs = training_corpus() + held_out()

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionchain.corpus import read_corpus, save_corpus
-from opinionchain.errors import EnumerationBudgetError, InvalidInputError
+from opinionchain.errors import InvalidInputError
 from opinionchain.features.embeddings import load_embeddings
 from opinionchain.synthetic import (
     SyntheticSpec,
@@ -16,6 +18,7 @@ from opinionchain.synthetic import (
 )
 
 from conftest import ipus, labels, same_columns, split_documents
+from oracles import EnumerationBudgetError, enumerated_bayes_accuracy
 
 
 def closed_form_bayes(spec: SyntheticSpec) -> float:
@@ -79,9 +82,45 @@ class TestBayesOracle:
         assert accs[0] < accs[1] < accs[2]
 
     def test_budget_guard(self):
+        """Only the enumeration oracle has a budget: the bound of a spec
+        beyond it is a sum of binomial terms, bounded by the bound of
+        the shortest documents, which show the decisive segments the
+        least."""
         spec = SyntheticSpec(min_segments=4, max_segments=40)
         with pytest.raises(EnumerationBudgetError):
+            enumerated_bayes_accuracy(spec)
+        shortest = order_insensitive_bayes_accuracy(
+            SyntheticSpec(min_segments=4, max_segments=4)
+        )
+        assert 0.5 < order_insensitive_bayes_accuracy(spec) < shortest
+
+    def test_spec_beyond_float_range_is_an_input_error(self):
+        spec = SyntheticSpec(min_segments=1100, max_segments=1100)
+        with pytest.raises(InvalidInputError, match="1099 free segments"):
             order_insensitive_bayes_accuracy(spec)
+
+    def test_default_spec_value_is_the_enumerated_one_bitwise(self):
+        spec = SyntheticSpec()
+        assert order_insensitive_bayes_accuracy(spec) == enumerated_bayes_accuracy(spec)
+        assert order_insensitive_bayes_accuracy(spec) == 0.66484375
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 10),
+        st.integers(0, 6),
+        st.integers(1, 5),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_agrees_with_the_enumeration(self, min_segments, extra, decisive, match_prob):
+        spec = SyntheticSpec(
+            min_segments=min_segments,
+            max_segments=min_segments + extra,
+            decisive_segments=min(decisive, min_segments),
+            match_prob=match_prob,
+        )
+        assert order_insensitive_bayes_accuracy(spec) == pytest.approx(
+            enumerated_bayes_accuracy(spec), abs=1e-12
+        )
 
     def test_always_below_one_with_noise(self):
         acc = order_insensitive_bayes_accuracy(SyntheticSpec(match_prob=0.5))
