@@ -26,8 +26,12 @@ tokenizing, featurizing), per document.  It also prints
 `default_read_ms_per_doc`: the same 1000 documents are saved to a
 temporary directory, and the median over a few passes of `read_corpus`
 on it (the transcript reader) plus `FeaturePipeline.segment` of the
-read columns (cutting IPUs and tokenizing) is printed per document;
-and beside it `default_predict_ms_per_doc`, the median over a few
+read columns (cutting IPUs and tokenizing) is printed per document.
+`save_corpus` writes one transcript file for the corpus; beside it,
+`default_read_ms_per_doc_file_per_doc` times the same records laid out
+one transcript file per document, as it wrote them before, so that the
+layout's share of a read-time change can be told from the parser's.
+Then `default_predict_ms_per_doc`, the median over a few
 passes of reading, featurizing and scoring them as `predict` does
 (`read_corpus`, then the posteriors of an HCRF fitted on the default
 shape's block), per document.  Two checkouts can be compared by
@@ -45,7 +49,15 @@ from pathlib import Path
 import numpy as np
 
 from opinionchain.archive import LoadedModel
-from opinionchain.corpus import LABEL_NAMES, polarity, read_corpus, save_corpus
+from opinionchain.corpus import (
+    LABEL_NAMES,
+    MANIFEST_NAME,
+    TRANSCRIPT_VERSION,
+    TRANSCRIPTS_NAME,
+    polarity,
+    read_corpus,
+    save_corpus,
+)
 from opinionchain.evaluation import stratified_k_fold
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.model import HcrfParameters
@@ -125,20 +137,46 @@ def time_transform(pipeline, corpus):
     print(f"default_transform_ms_per_doc {per_doc:.4f}")
 
 
+def write_file_per_document(corpus_dir, out_dir):
+    """The corpus ``save_corpus`` wrote at ``corpus_dir`` written again
+    at ``out_dir`` with one transcript file per document,
+    ``<doc_id>.txt``: the same records in the same order."""
+    corpus_dir, out_dir = Path(corpus_dir), Path(out_dir)
+    out_dir.mkdir()
+    records = {}
+    transcript = (corpus_dir / TRANSCRIPTS_NAME).read_text(encoding="utf-8")
+    for line in transcript.splitlines()[1:]:
+        records.setdefault(line.split("\t")[1], []).append(line)
+    manifest = (corpus_dir / MANIFEST_NAME).read_text(encoding="utf-8").splitlines()
+    for i, row in enumerate(manifest[2:], start=2):
+        doc_id, _, valence = row.split("\t")
+        manifest[i] = f"{doc_id}\t{doc_id}.txt\t{valence}"
+        lines = [TRANSCRIPT_VERSION, *records.get(doc_id, ())]
+        (out_dir / f"{doc_id}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / MANIFEST_NAME).write_text("\n".join(manifest) + "\n", encoding="utf-8")
+
+
 def time_read_and_predict(corpus, model):
     unfitted = FeaturePipeline(PipelineConfig())
-    read, predict = [], []
+    one_file, per_doc, predict = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
-        save_corpus(corpus, tmp)
+        layouts = ((Path(tmp) / "one", one_file), (Path(tmp) / "per_doc", per_doc))
+        save_corpus(corpus, layouts[0][0])
+        write_file_per_document(*(path for path, _ in layouts))
         for _ in range(TRANSFORM_PASSES):
+            for path, times in layouts:
+                start = time.perf_counter()
+                unfitted.segment(read_corpus(path))
+                times.append(time.perf_counter() - start)
             start = time.perf_counter()
-            unfitted.segment(read_corpus(tmp))
-            read.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            model.posteriors(read_corpus(tmp))
+            model.posteriors(read_corpus(layouts[0][0]))
             predict.append(time.perf_counter() - start)
-    for name, times in (("read", read), ("predict", predict)):
-        print(f"default_{name}_ms_per_doc {1e3 * statistics.median(times) / len(corpus):.4f}")
+    for name, times in (
+        ("read_ms_per_doc", one_file),
+        ("read_ms_per_doc_file_per_doc", per_doc),
+        ("predict_ms_per_doc", predict),
+    ):
+        print(f"default_{name} {1e3 * statistics.median(times) / len(corpus):.4f}")
 
 
 def min_and_median_ms(call, repeats):

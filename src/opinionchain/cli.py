@@ -246,14 +246,13 @@ def cmd_generate(args) -> int:
 
 def cmd_segment(args) -> int:
     from .corpus import read_corpus, save_corpus
-    from .features.pipeline import PipelineConfig
-    from .features.segmentation import ipu_indices
+    from .features.segmentation import DEFAULT_THRESHOLD_MS, ipu_indices
 
     out_dir = _prepare_out_dir(args.out)
     _configure_logging(out_dir)
     threshold = args.threshold_ms
     if threshold is None:
-        threshold = PipelineConfig.threshold_ms
+        threshold = DEFAULT_THRESHOLD_MS
     _write_resolved_config(
         out_dir, {"command": "segment", "corpus": args.corpus, "threshold_ms": threshold}
     )

@@ -78,7 +78,7 @@ from .patterns import (
     pattern_features,
     token_pattern,
 )
-from .segmentation import segment_into_ipus
+from .segmentation import DEFAULT_THRESHOLD_MS, segment_into_ipus
 from .standardize import Standardizer, fit_standardizer
 from .stemmer import stem
 from .tokenizer import tokenize_many
@@ -110,7 +110,7 @@ class PipelineConfig:
     gives them.
     """
 
-    threshold_ms: int = 300
+    threshold_ms: int = DEFAULT_THRESHOLD_MS
     blocks: tuple[str, ...] = DEFAULT_BLOCKS
     normalizer: str = "identity"
     bong_max_order: int = 3

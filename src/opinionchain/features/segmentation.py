@@ -21,6 +21,10 @@ from ..errors import InvalidInputError
 
 log = logging.getLogger(__name__)
 
+# the longest silence, in ms, within one IPU when no threshold is given
+DEFAULT_THRESHOLD_MS = 300
+
+
 @dataclass(frozen=True, eq=False)
 class IpuCuts:
     """The U IPUs of a chunk of N documents: IPU u is tokens

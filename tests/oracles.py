@@ -5,6 +5,10 @@ For the corpus reader and the segmenter (``opinionchain.corpus``,
 
 * The per-line reader: a valid corpus directory read one line and one
   token record at a time, as the loader did before it read columns.
+* The per-line checking reader: any corpus directory read as
+  ``read_corpus`` did before it parsed a file a region at a time, every
+  line of every file split on its own: the same columns, or the same
+  problems listed in the same error.
 * The per-token segmenter: a document cut one token at a time, as
   ``segment_into_ipus`` did before it cut at indices, and each token
   text tokenized where it occurs, not once per distinct string.
@@ -55,6 +59,8 @@ from __future__ import annotations
 
 import itertools
 import logging
+import os
+import re
 from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
@@ -62,7 +68,17 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from opinionchain.errors import InvalidInputError
+from opinionchain.corpus import (
+    MANIFEST_NAME,
+    TRANSCRIPT_VERSION,
+    CorpusColumns,
+    _document_problem,
+    _marker_record,
+    _offsets,
+    _parse_int,
+    _read_manifest,
+)
+from opinionchain.errors import FileFormatError, InvalidInputError, read_utf8
 from opinionchain.features.lexicons import lexicon_features
 from opinionchain.features.paralinguistic import CATEGORIES, OTHER
 from opinionchain.features.stemmer import stem
@@ -118,6 +134,131 @@ def reference_load(root):
         markers = tuple(sorted(markers, key=lambda marker: marker[1]))
         corpus.append((doc_id, texts, starts, ends, markers, valences))
     return corpus
+
+
+_NOT_TIME_CHAR = re.compile(r"[^0-9-]")
+
+
+def reference_read_corpus(path) -> CorpusColumns:
+    """``read_corpus`` as it was before it parsed regions: every line of
+    every transcript file split on its own, each file's times parsed as
+    its records are gathered, and the records looked at one by one to
+    list the problems of a malformed corpus.  The manifest is read, and
+    a marker record and a document's times checked, by the reader's own
+    helpers, which read one line or one document either way."""
+    root = Path(path)
+    if not root.is_dir():
+        raise FileFormatError(f"corpus path is not a directory: {root}")
+    manifest = root / MANIFEST_NAME
+    problems = []
+    if manifest.exists():
+        entries = _read_manifest(manifest, problems)
+    elif not any(root.iterdir()):
+        entries = []
+    else:
+        raise FileFormatError(f"missing {MANIFEST_NAME} in {root}")
+    index = {doc_id: i for i, (doc_id, _, _) in enumerate(entries)}
+    fields = ([], [], [], [])  # document number, text, start, end of each token record
+    markers = []  # (document, time, text)
+    files = []  # (path, lines of its token records, its other problems)
+    parsed = True
+    for filename in sorted({filename for _, filename, _ in entries}):
+        file = os.path.join(root, filename)
+        lines, found, file_parsed = _reference_transcript_file(file, index, fields, markers)
+        files.append((file, lines, found))
+        parsed &= file_parsed
+    columns = _reference_token_columns(*fields, len(entries)) if parsed else None
+    documents = [] if columns is not None else _reference_token_problems(root, entries, fields, files)
+    for file, _, found in files:
+        problems.extend((file, line, message) for line, message in sorted(found))
+    problems += documents
+    if problems:
+        raise FileFormatError(f"{len(problems)} malformed record(s) in {root}", problems)
+    markers.sort(key=lambda marker: marker[:2])
+    return CorpusColumns(
+        tuple(doc_id for doc_id, _, _ in entries),
+        tuple(valences for _, _, valences in entries),
+        *columns,
+        [text for _, _, text in markers],
+        [time for _, time, _ in markers],
+        _offsets(np.bincount(np.array([doc for doc, _, _ in markers], dtype=np.intp),
+                             minlength=len(entries))),
+    )
+
+
+def _reference_transcript_file(path, index, fields, markers):
+    try:
+        lines = read_utf8(path).splitlines()
+    except FileNotFoundError:
+        return [], [(0, "file listed in manifest but missing")], True
+    except OSError as exc:
+        return [], [(0, f"cannot read the file: {exc.strerror}")], True
+    except FileFormatError:
+        return [], [(0, "not UTF-8 text")], True
+    if not lines or lines[0].strip() != TRANSCRIPT_VERSION:
+        return [], [(1, f"first line must be {TRANSCRIPT_VERSION!r}")], True
+    rows, token_lines, found = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if parts[0] == "token" and len(parts) >= 5 and parts[1] in index:
+            rows.append(parts)
+            token_lines.append(lineno)
+        elif line.strip():
+            try:
+                markers.append(_marker_record(parts, index))
+            except ValueError as exc:
+                found.append((lineno, str(exc)))
+    parsed = True
+    if rows:
+        _, docs, texts, starts, ends = list(zip(*rows))[:5]
+        if _NOT_TIME_CHAR.search("".join(starts + ends)):
+            parsed = False
+        else:
+            try:
+                starts, ends = list(map(int, starts)), list(map(int, ends))
+            except ValueError:
+                parsed = False
+        for field, values in zip(fields, (map(index.__getitem__, docs), texts, starts, ends)):
+            field.extend(values)
+    return token_lines, found, parsed
+
+
+def _reference_token_columns(docs, texts, starts, ends, num_docs):
+    try:
+        starts = np.fromiter(starts, dtype=np.int64, count=len(starts))
+        ends = np.fromiter(ends, dtype=np.int64, count=len(ends))
+    except OverflowError:
+        return None
+    doc = np.array(docs, dtype=np.intp)
+    if (doc[1:] < doc[:-1]).any():
+        order = np.argsort(doc, kind="stable")
+        doc, starts, ends = doc[order], starts[order], ends[order]
+        texts = list(map(texts.__getitem__, order.tolist()))
+    if (ends < starts).any() or ((starts[1:] < ends[:-1]) & (doc[1:] == doc[:-1])).any():
+        return None
+    return texts, starts, ends, _offsets(np.bincount(doc, minlength=num_docs))
+
+
+def _reference_token_problems(root, entries, fields, files):
+    columns = [([], [], []) for _ in entries]
+    records = zip(*fields)
+    for _, lines, found in files:
+        for lineno, (doc, text, start, end) in zip(lines, records):
+            try:
+                start, end = _parse_int(start, "startMs"), _parse_int(end, "endMs")
+                if end < start:
+                    raise ValueError(f"endMs {end} < startMs {start}")
+            except ValueError as exc:
+                found.append((lineno, str(exc)))
+                continue
+            for column, value in zip(columns[doc], (text, start, end)):
+                column.append(value)
+    problems = []
+    for (doc_id, filename, _), doc_columns in zip(entries, columns):
+        problem = _document_problem(doc_id, *doc_columns)
+        if problem is not None:
+            problems.append((os.path.join(root, filename), 0, problem))
+    return problems
 
 
 def reference_segment(texts, starts, ends, markers, threshold_ms: int):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import opinionchain
 
 from opinionchain.cli import main
-from opinionchain.corpus import save_corpus
+from opinionchain.corpus import TRANSCRIPTS_NAME, read_corpus, save_corpus
 from opinionchain.features.pipeline import PipelineConfig
 from opinionchain.synthetic import SyntheticSpec
 from opinionchain.training import TrainingConfig
@@ -180,6 +180,21 @@ def test_generate_loads_only_the_generator_and_the_corpus_writer(tmp_path, gen_c
         "opinionchain.corpus",
         "opinionchain.errors",
         "opinionchain.synthetic",
+    ]
+
+
+def test_segment_loads_only_the_corpus_and_the_segmenter(tmp_path, generated):
+    loaded = modules_loaded_by(
+        ["segment", "--corpus", str(generated / "corpus"), "--out", str(tmp_path / "s")]
+    )
+    assert loaded == [
+        "numpy",
+        "opinionchain",
+        "opinionchain.cli",
+        "opinionchain.corpus",
+        "opinionchain.errors",
+        "opinionchain.features",
+        "opinionchain.features.segmentation",
     ]
 
 
@@ -450,29 +465,26 @@ class TestSegment:
         save_corpus(
             columns([make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))]), root
         )
-        for name in ("a", "b"):  # the second token starts inside the first
-            path = root / f"{name}.txt"
-            path.write_text(path.read_text().replace("\t300\t500", "\t100\t500"))
+        path = root / TRANSCRIPTS_NAME  # each second token starts inside the first
+        path.write_text(path.read_text().replace("\t300\t500", "\t100\t500"))
         rc = main(["segment", "--corpus", str(root), "--out", str(tmp_path / "s")])
         assert rc == 1
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: 2 malformed record(s) in {root}"
         ]
-        assert f"{root / 'a.txt'}:0: a: token times" in err
-        assert f"{root / 'b.txt'}:0: b: token times" in err
+        assert f"{path}:0: a: token times" in err
+        assert f"{path}:0: b: token times" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "doc_id", ["../../escaped", "nul\0id", pytest.param("x" * 300, id="300 x")]
     )
-    def test_a_doc_id_that_cannot_name_a_file_fails_writing_nothing(
-        self, tmp_path, capsys, doc_id
-    ):
-        """Every document id is checked before a file is written: one that
-        would name a file outside ``--out``, no file at all, or one too
-        long for the file system, is an error, and the command writes no
-        transcript."""
+    def test_an_id_that_names_no_file_round_trips(self, tmp_path, doc_id):
+        """No file is named after a document id, so one that would name a
+        file outside ``--out``, no file at all, or one too long for the
+        file system is written like any other and read back the same,
+        and the command writes nothing outside ``--out``."""
         root = tmp_path / "c"
         root.mkdir()
         (root / "manifest.tsv").write_text(
@@ -481,20 +493,18 @@ class TestSegment:
         (root / "t.txt").write_text(
             f"transcript/v1\ntoken\tok\tgood\t0\t200\ntoken\t{doc_id}\tbad\t0\t200\n"
         )
-        problem = "holding '/' or NUL cannot name a file"
-        if len(doc_id) > 255:
-            problem = "too long for a 255-byte file name"
         before = sorted(tmp_path.rglob("*"))
         out = tmp_path / "a" / "run"
-        rc = main(["segment", "--corpus", str(root), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            f"error: document id(s) {problem}: {doc_id!r}"
-        ]
-        assert "Traceback" not in err
+        assert main(["segment", "--corpus", str(root), "--out", str(out)]) == 0
         written = [path for path in tmp_path.rglob("*") if path not in before]
-        assert sorted(written) == [tmp_path / "a", out, out / "config.json", out / "run.log"]
+        corpus = out / "corpus"
+        assert sorted(written) == [
+            tmp_path / "a", out, out / "config.json", corpus, corpus / "manifest.tsv",
+            corpus / TRANSCRIPTS_NAME, out / "run.log",
+        ]
+        loaded = read_corpus(corpus)
+        assert loaded.doc_ids == ("ok", doc_id)
+        assert loaded.texts == ["good", "bad"]
 
     def test_run_log_closed_when_command_returns(self, tmp_path, generated):
         out = tmp_path / "g"

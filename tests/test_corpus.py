@@ -1,20 +1,24 @@
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opinionchain import corpus as corpus_module
 from opinionchain.corpus import (
+    REGION_CHARS,
     TRANSCRIPT_VERSION,
+    TRANSCRIPTS_NAME,
     corpus_stats,
     filter_neutral,
     polarity,
     read_corpus,
     save_corpus,
 )
-from opinionchain.errors import FileFormatError
+from opinionchain.errors import FileFormatError, InvalidInputError
 
 from conftest import columns, make_transcript, same_columns, split_documents
 
@@ -38,7 +42,7 @@ def _write_corpus(root, starts, ends, doc_id="d1"):
     """A one-document corpus at ``root`` whose tokens a, b, c, ... have
     the time fields ``starts`` and ``ends``, and its transcript file."""
     save_corpus(make_transcript(doc_id, "abcdefgh"[: len(starts)], valences=(4.0,)), root)
-    path = root / f"{doc_id}.txt"
+    path = root / TRANSCRIPTS_NAME
     lines = [TRANSCRIPT_VERSION] + [
         f"token\t{doc_id}\t{text}\t{start}\t{end}"
         for text, start, end in zip("abcdefgh", starts, ends)
@@ -116,16 +120,19 @@ class TestTranscript:
             assert "is not an integer" in message
 
     def test_valence_range_enforced(self, tmp_path):
-        """Every annotator's valence is in [1, 5], each bad line listed."""
+        """Every annotator's valence is in [1, 5], each bad line listed,
+        and the records of a refused entry's document with it."""
         root = tmp_path / "c"
         docs = [make_transcript(f"d{i}", ("a",), valences=(2.0,)) for i in range(3)]
         save_corpus(columns(docs), root)
         manifest = root / "manifest.tsv"
-        text = manifest.read_text().replace("d0.txt\t2", "d0.txt\t0.5")
-        manifest.write_text(text.replace("d2.txt\t2", "d2.txt\t2,6"))
+        text = manifest.read_text().replace(f"d0\t{TRANSCRIPTS_NAME}\t2", f"d0\t{TRANSCRIPTS_NAME}\t0.5")
+        manifest.write_text(text.replace(f"d2\t{TRANSCRIPTS_NAME}\t2", f"d2\t{TRANSCRIPTS_NAME}\t2,6"))
         assert _problems(root) == [
             (str(manifest), 3, "valence 0.5 outside [1, 5]"),
             (str(manifest), 5, "valence 6.0 outside [1, 5]"),
+            (str(root / TRANSCRIPTS_NAME), 2, "doc_id 'd0' not in manifest"),
+            (str(root / TRANSCRIPTS_NAME), 4, "doc_id 'd2' not in manifest"),
         ]
 
     def test_polarity_derivation(self):
@@ -148,10 +155,109 @@ class TestRoundTrip:
             [make_transcript("d1", ("a", "b", "c"), gaps=[100, 500]), make_transcript("d2", ("d",))]
         )
         save_corpus(corpus, tmp_path / "c", ipu_index=np.array([0, 0, 1, 0]))
-        assert (tmp_path / "c" / "d1.txt").read_text().splitlines()[1:] == [
-            "token\td1\ta\t0\t200\t0", "token\td1\tb\t300\t500\t0", "token\td1\tc\t1000\t1200\t1"
+        assert (tmp_path / "c" / TRANSCRIPTS_NAME).read_text().splitlines()[1:] == [
+            "token\td1\ta\t0\t200\t0", "token\td1\tb\t300\t500\t0", "token\td1\tc\t1000\t1200\t1",
+            "token\td2\td\t0\t200\t0",
         ]
         assert same_columns(read_corpus(tmp_path / "c"), corpus)
+
+
+class TestSave:
+    """``save_corpus`` writes one transcript file, refuses what
+    ``read_corpus`` could not read back, and writes all or nothing."""
+
+    def test_one_transcript_file_tokens_then_markers(self, tmp_path):
+        save_corpus(sample_corpus(), tmp_path / "c")
+        assert sorted(path.name for path in (tmp_path / "c").iterdir()) == [
+            "manifest.tsv", TRANSCRIPTS_NAME
+        ]
+        manifest = (tmp_path / "c" / "manifest.tsv").read_text().splitlines()
+        assert {line.split("\t")[1] for line in manifest[2:]} == {TRANSCRIPTS_NAME}
+        lines = (tmp_path / "c" / TRANSCRIPTS_NAME).read_text().splitlines()
+        assert [line.split("\t")[:2] for line in lines[1:]] == [
+            ["token", "neg1"], ["token", "neg1"], ["token", "neu1"], ["token", "neu1"],
+            ["token", "pos1"], ["token", "pos1"], ["token", "mixed"], ["token", "unlabeled"],
+            ["marker", "pos1"],
+        ]
+
+    def test_every_unreadable_field_listed_writing_nothing(self, tmp_path):
+        """Ids holding a TAB or a line break, a repeated id, a token text
+        holding a TAB, a lone surrogate or a U+2028, a marker that is
+        not *-delimited, valences out of range, NaN or empty, and tokens
+        that end before they start: one InvalidInputError names them
+        all, and no file is written."""
+        docs = [
+            make_transcript("a\tb", ("x",), valences=(4.0,)),
+            make_transcript("a\nb", ("x",), valences=(7.0,)),
+            make_transcript("a\rb", ("x",), valences=(float("nan"),)),
+            make_transcript("ok", ("x\ty", "\ud800", "p\u2028q"), valences=()),
+            make_transcript("ok", ("x",), markers=[("chuckle", 5)]),
+        ]
+        corpus = columns(docs)
+        corpus.ends[1] = -1  # the second document's token ends before it starts
+        with pytest.raises(InvalidInputError) as err:
+            save_corpus(corpus, tmp_path / "c")
+        assert str(err.value).split("; ") == [
+            "document id(s) holding a TAB, a line break or no UTF-8: 'a\\tb', 'a\\nb', 'a\\rb'",
+            "token text(s) holding a TAB, a line break or no UTF-8: "
+            "'x\\ty', '\\ud800', 'p\\u2028q'",
+            "repeated document id(s): 'ok'",
+            "valences empty or outside [1, 5] in document(s): 'a\\nb', 'a\\rb', 'ok'",
+            "marker text(s) not *-delimited: 'chuckle'",
+            "token times ending before they start or overlapping in document(s): 'a\\nb'",
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("valence", [7.0, float("nan"), float("inf"), None])
+    def test_a_valence_that_would_not_read_back_refused(self, tmp_path, valence):
+        valences = () if valence is None else (4.0, valence)
+        with pytest.raises(InvalidInputError, match="valences empty or outside"):
+            save_corpus(make_transcript("d", ("x",), valences=valences), tmp_path / "c")
+
+    def test_rewrite_replaces_an_older_layout_whole(self, tmp_path):
+        """A corpus written into a directory that holds one leaves none of
+        the old files behind, per-document transcripts included."""
+        root = tmp_path / "c"
+        root.mkdir()
+        (root / "manifest.tsv").write_text("corpus-manifest/v1\ndoc_id\tfile\tvalence\n")
+        (root / "old.txt").write_text("transcript/v1\n")
+        save_corpus(sample_corpus(), root)
+        assert sorted(path.name for path in root.iterdir()) == ["manifest.tsv", TRANSCRIPTS_NAME]
+        assert same_columns(read_corpus(root), sample_corpus())
+        assert [path.name for path in tmp_path.iterdir()] == ["c"]
+
+    def test_a_failed_write_leaves_the_earlier_corpus(self, tmp_path, monkeypatch):
+        root = tmp_path / "c"
+        save_corpus(sample_corpus(), root)
+        before = {path.name: path.read_bytes() for path in root.iterdir()}
+
+        def full_disk(self, *args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            save_corpus(columns([make_transcript("other", ("z",))]), root)
+        monkeypatch.undo()
+        assert {path.name: path.read_bytes() for path in root.iterdir()} == before
+        assert [path.name for path in tmp_path.iterdir()] == ["c"]
+
+    @pytest.mark.parametrize("kind", ["directory", "file"])
+    def test_a_target_that_is_no_corpus_is_not_replaced(self, tmp_path, kind):
+        root = tmp_path / "c"
+        if kind == "directory":
+            root.mkdir()
+            (root / "notes.txt").write_text("mine")
+        else:
+            root.write_text("mine")
+        with pytest.raises(InvalidInputError, match="exists and is not a corpus"):
+            save_corpus(sample_corpus(), root)
+        assert [path.name for path in tmp_path.iterdir()] == ["c"]
+        assert (root / "notes.txt" if kind == "directory" else root).read_text() == "mine"
+
+    def test_an_empty_directory_is_written_into(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        save_corpus(sample_corpus(), tmp_path / "c")
+        assert same_columns(read_corpus(tmp_path / "c"), sample_corpus())
 
 
 class TestLoadValidation:
@@ -164,7 +270,7 @@ class TestLoadValidation:
         save_corpus(make_transcript("d1", ("a",), valences=(2.0,)), root)
         manifest = root / "manifest.tsv"
         manifest.write_text(
-            manifest.read_text().replace("d1\td1.txt\t2", "d1\td1.txt\t7")
+            manifest.read_text().replace(f"d1\t{TRANSCRIPTS_NAME}\t2", f"d1\t{TRANSCRIPTS_NAME}\t7")
         )
         with pytest.raises(FileFormatError) as err:
             read_corpus(root)
@@ -206,41 +312,46 @@ class TestLoadValidation:
     def test_unreadable_transcript_file_reported(self, tmp_path):
         root = tmp_path / "c"
         save_corpus(columns([make_transcript("d1", ("a",)), make_transcript("d2", ("b",))]), root)
-        (root / "d1.txt").unlink()
-        (root / "d1.txt").mkdir()
+        (root / TRANSCRIPTS_NAME).unlink()
+        (root / TRANSCRIPTS_NAME).mkdir()
         with pytest.raises(FileFormatError) as err:
             read_corpus(root)
-        assert [(path, line) for path, line, _ in err.value.problems] == [(str(root / "d1.txt"), 0)]
+        assert [(path, line) for path, line, _ in err.value.problems] == [
+            (str(root / TRANSCRIPTS_NAME), 0)
+        ]
         assert "cannot read the file" in err.value.problems[0][2]
 
 
     def test_token_ending_before_it_starts_reported_at_its_line(self, tmp_path):
         root = tmp_path / "c"
         save_corpus(columns([make_transcript("a", ("x",)), make_transcript("b", ("u", "v"))]), root)
-        path = root / "b.txt"
-        path.write_text(path.read_text().replace("\t0\t200", "\t0\t-5"))
+        path = root / TRANSCRIPTS_NAME  # a's x on line 2, then b's u and v
+        path.write_text(path.read_text().replace("b\tu\t0\t200", "b\tu\t0\t-5"))
         with pytest.raises(FileFormatError) as err:
             read_corpus(root)
-        assert err.value.problems == [(str(path), 2, "endMs -5 < startMs 0")]
+        assert err.value.problems == [(str(path), 3, "endMs -5 < startMs 0")]
 
     def test_every_document_with_bad_times_reported(self, tmp_path):
         root = tmp_path / "c"
         docs = [make_transcript("a", ("x", "y")), make_transcript("b", ("u", "v"))]
         save_corpus(columns(docs), root)
-        for name in ("a", "b"):  # the second token starts inside the first
-            path = root / f"{name}.txt"
-            path.write_text(path.read_text().replace("\t300\t500", "\t100\t500"))
+        path = root / TRANSCRIPTS_NAME  # each second token starts inside the first
+        path.write_text(path.read_text().replace("\t300\t500", "\t100\t500"))
         with pytest.raises(FileFormatError) as err:
             read_corpus(root)
         assert str(err.value).splitlines()[0] == f"2 malformed record(s) in {root}"
         assert err.value.problems == [
-            (str(root / "a.txt"), 0, "a: token times not non-decreasing at 'y'"),
-            (str(root / "b.txt"), 0, "b: token times not non-decreasing at 'v'"),
+            (str(path), 0, "a: token times not non-decreasing at 'y'"),
+            (str(path), 0, "b: token times not non-decreasing at 'v'"),
         ]
 
 
-# Each mutation breaks one document in one way that the loader must
-# report as exactly one problem, at a place known in advance.
+# Each mutation changes one document, of three tokens and a marker in a
+# corpus that save_corpus wrote, in one way; the loader must report each
+# problem it makes at a place known in advance, and nothing else.
+# Mutations of the manifest entry or of a whole file first move the
+# document's records into a file of their own; the others change its
+# records in the shared file, where no mutation adds or removes a line.
 _MUTATIONS = (
     None,
     "manifest_doc_file_swapped",
@@ -257,16 +368,59 @@ _MUTATIONS = (
     "unknown_record_kind",
     "transcript_not_utf8",
     "manifest_file_nul",
+    # the shared file's layout: a record's last field moved to the start
+    # of the next line (two problems), line ends that str.splitlines
+    # reads as "\n", a wider token record, and a document in a file of
+    # its own (no problem)
+    "fields_misaligned",
+    "crlf_line_end",
+    "nel_line_end",
+    "line_separator_end",
+    "token_record_widened",
+    "own_file",
 )
+
+
+def _records(doc_id):
+    """The token and marker records of a fuzzed document, by text."""
+    return {
+        "fine": f"token\t{doc_id}\tfine\t0\t200",
+        "words": f"token\t{doc_id}\twords\t300\t500",
+        "here": f"token\t{doc_id}\there\t600\t800",
+        "marker": f"marker\t{doc_id}\t*chuckling*\t250",
+    }
+
+
+def _replace(path, old, new):
+    """Replace the one ``old`` of the file at ``path`` with ``new``,
+    every other byte (line ends too) kept as it is."""
+    text = path.read_bytes().decode("utf-8")
+    assert text.count(old) == 1, old
+    path.write_bytes(text.replace(old, new).encode("utf-8"))
+
+
+def _own_file(root, doc_id):
+    """Move document ``doc_id``'s records into ``<doc_id>.txt``, named
+    by its manifest entry, leaving blank lines in the shared file; the
+    new file's path."""
+    records = _records(doc_id).values()
+    for record in records:
+        _replace(root / TRANSCRIPTS_NAME, f"{record}\n", "\n")
+    transcript = root / f"{doc_id}.txt"
+    transcript.write_text("\n".join([TRANSCRIPT_VERSION, *records]) + "\n", encoding="utf-8")
+    _replace(root / "manifest.tsv", f"{doc_id}\t{TRANSCRIPTS_NAME}\t", f"{doc_id}\t{transcript.name}\t")
+    return transcript
 
 
 def _mutate(root, index, doc_id, mutation):
     """Apply ``mutation`` to document ``doc_id`` (manifest line
-    ``index`` + 3) and return the (path, line) its problem is reported at."""
+    ``index`` + 3) and return the (path, line) of each problem it makes."""
     manifest = root / "manifest.tsv"
-    transcript = root / f"{doc_id}.txt"
-    lineno = index + 3
-    if mutation and mutation.startswith("manifest_"):
+    if mutation is None:
+        return []
+    if mutation.startswith("manifest_") or mutation in ("missing_file", "transcript_not_utf8"):
+        transcript = _own_file(root, doc_id)
+        lineno = index + 3
         lines = manifest.read_text().splitlines()
         doc, file, valence = lines[lineno - 1].split("\t")
         if mutation == "manifest_doc_file_swapped":
@@ -275,24 +429,38 @@ def _mutate(root, index, doc_id, mutation):
         elif mutation == "manifest_file_nul":  # no file can have this name
             lines[lineno - 1] = f"{doc}\t{file}\0\t{valence}"
             where = (str(manifest), lineno)
-        else:
+        elif mutation == "manifest_file_valence_swapped":
             lines[lineno - 1] = f"{doc}\t{valence}\t{file}"
             where = (str(manifest), lineno)
+        elif mutation == "missing_file":
+            transcript.unlink()
+            return [(str(transcript), 0)]
+        else:  # byte 0xff starts no UTF-8 sequence
+            transcript.write_bytes(transcript.read_bytes().replace(b"words", b"w\xffrds"))
+            return [(str(transcript), 0)]
         manifest.write_text("\n".join(lines) + "\n")
-        return where
-    if mutation == "missing_file":
-        transcript.unlink()
-        return (str(transcript), 0)
-    if mutation == "transcript_not_utf8":  # byte 0xff starts no UTF-8 sequence
-        transcript.write_bytes(transcript.read_bytes().replace(b"words", b"w\xffrds"))
-        return (str(transcript), 0)
-    lines = transcript.read_text(encoding="utf-8").splitlines()
-    if mutation == "signed_marker_time":  # the marker, after the three tokens
-        assert lines[4] == f"marker\t{doc_id}\t*chuckling*\t250"
-        lines[4] = lines[4].replace("\t250", "\t+250")
-        transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return (str(transcript), 5)
-    parts = lines[2].split("\t")  # the second token, on line 3, from 300 to 500 ms
+        return [where]
+    if mutation == "own_file":
+        _own_file(root, doc_id)
+        return []
+    shared = root / TRANSCRIPTS_NAME
+    count = len(manifest.read_text().splitlines()) - 2
+    records = _records(doc_id)
+    # every token record in manifest order, then every marker record
+    first, second, marker = 2 + 3 * index, 3 + 3 * index, 2 + 3 * count + index
+    ends = {"crlf_line_end": "\r\n", "nel_line_end": "\x85", "line_separator_end": "\u2028"}
+    if mutation in ends:
+        _replace(shared, records["fine"] + "\n", records["fine"] + ends[mutation])
+        return []
+    if mutation == "fields_misaligned":  # a 4-field token record, then a 6-field line
+        fine, words = records["fine"], records["words"]
+        head, _, last = fine.rpartition("\t")
+        _replace(shared, f"{fine}\n{words}", f"{head}\n{last}\t{words}")
+        return [(str(shared), first), (str(shared), second)]
+    if mutation == "signed_marker_time":
+        _replace(shared, records["marker"], records["marker"].replace("\t250", "\t+250"))
+        return [(str(shared), marker)]
+    parts = records["words"].split("\t")  # the second token, from 300 to 500 ms
     # int() takes each of the next four times, which are not integers
     # of the format: an optional "-" and ASCII digits
     if mutation == "underscored_time":
@@ -308,19 +476,26 @@ def _mutate(root, index, doc_id, mutation):
     elif mutation == "non_integer_time":
         parts[4] = parts[4] + ".5"
     elif mutation == "overlapping_times":
-        parts[3] = lines[1].split("\t")[3]  # starts with the first token
+        parts[3] = "0"  # starts with the first token
+    elif mutation == "token_record_widened":
+        parts.append("7")
     else:
         parts[0] = "tokn"
-    lines[2] = "\t".join(parts)
-    transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return (str(transcript), 0 if mutation == "overlapping_times" else 3)
+    _replace(shared, records["words"], "\t".join(parts))
+    if mutation == "token_record_widened":
+        return []
+    return [(str(shared), 0 if mutation == "overlapping_times" else second)]
 
 
 class TestLoaderFuzz:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=6))
-    def test_only_file_format_errors_listing_every_injected_problem(self, mutations):
-        with tempfile.TemporaryDirectory() as tmp:
+    @given(
+        st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=6),
+        st.sampled_from((1, 40, 100, REGION_CHARS)),
+    )
+    def test_only_file_format_errors_listing_every_injected_problem(self, mutations, region):
+        """Whatever the size of the regions the reader parses at once."""
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(corpus_module, "REGION_CHARS", region):
             root = Path(tmp) / "c"
             corpus = columns(
                 make_transcript(
@@ -331,9 +506,9 @@ class TestLoaderFuzz:
             )
             save_corpus(corpus, root)
             expected = sorted(
-                _mutate(root, i, doc_id, mutation)
+                where
                 for i, (doc_id, mutation) in enumerate(zip(corpus.doc_ids, mutations))
-                if mutation
+                for where in _mutate(root, i, doc_id, mutation)
             )
             try:
                 loaded = read_corpus(root)

@@ -1,5 +1,5 @@
 """The columnar corpus reader and the index segmenter against the
-per-line reader and per-token segmenter in ``oracles.py``.
+per-line readers and per-token segmenter in ``oracles.py``.
 
 Random valid corpora are written by hand, not by ``save_corpus``: a
 document's records are spread over several files, interleaved with
@@ -8,19 +8,27 @@ Every generated corpus also holds one fixed document that has a gap
 exactly equal to the threshold, markers before its first token and
 after its last, token texts that tokenize to no word and to two words,
 and records in another manifest document's file.
+
+Drawn corpus directories, valid or not, are also read with regions of
+several sizes and compared with the per-line checking reader: the same
+columns or the same problems.
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opinionchain.corpus import read_corpus, save_corpus
+from opinionchain import corpus as corpus_module
+from opinionchain.corpus import REGION_CHARS, read_corpus, save_corpus
+from opinionchain.errors import FileFormatError
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 
 from conftest import ipu_index_per_token, ipus, split_documents
-from oracles import reference_load, reference_segment, reference_tokens
+from oracles import reference_load, reference_read_corpus, reference_segment, reference_tokens
 
 THRESHOLD = 300
 _TEXT = st.sampled_from(
@@ -157,3 +165,106 @@ def test_save_of_a_loaded_corpus_rewrites_it_byte_for_byte(files):
         rewritten = Path(tmp) / "again"
         save_corpus(read_corpus(written), rewritten)
         assert _bytes(rewritten) == _bytes(written)
+
+
+_IDS = ("d0", "d1", "d2")
+# mostly "\n"; CR, CRLF, NEL and LINE SEPARATOR end lines for str.splitlines too
+_LINE_END = st.sampled_from(("\n",) * 8 + ("\r\n", "\r", "\x85", "\u2028"))
+# a text holding a line end splits its record into two malformed lines
+_MESSY_TEXT = _TEXT | st.sampled_from(("token", "a\r\nb", "a\x85b", "a\u2028b", "*hum*"))
+_MALFORMED = st.sampled_from((
+    "token\td0\ta\t1",  # 4 fields, and then a line of 6 (below)
+    "2\ttoken\td0\tb\t3\t4",
+    "tokn\td0\ta\t1\t2",
+    "token\tghost\ta\t1\t2",
+    "token\td1\ta\t1_0\t20",
+    "token\td1\ta\t+1\t20",
+    "token\td1\ta\t20\t5",
+    "token\td2\ta\t1\t",
+    f"token\td2\ta\t0\t{2**63}",
+    "marker\td0\tnot delimited\t5",
+    "marker\td0\t*hum*",
+    "",
+    "  ",
+))
+
+
+@st.composite
+def messy_corpus_files(draw):
+    """``{file name: text}`` of a corpus directory, valid or not: the
+    records of three documents spread over up to three files, among
+    them markers, 5- and 6-field token records, malformed lines, blank
+    lines, and line ends of every kind; a document's token times
+    increase in reading order unless a malformed line says otherwise."""
+    names = [f"f{j}.txt" for j in range(draw(st.integers(1, 3)))]
+    manifest = ["corpus-manifest/v1", "doc_id\tfile\tvalence"] + [
+        f"{doc_id}\t{draw(st.sampled_from(names))}\t{draw(st.sampled_from(('4', '-', '2,4')))}"
+        for doc_id in _IDS
+    ]
+    clock = dict.fromkeys(_IDS, 0)  # where each document's next token may start
+    files = {"manifest.tsv": "\n".join(manifest) + "\n"}
+    for name in names:
+        text = "transcript/v1" if draw(st.integers(0, 19)) else "transcript/v0"
+        for _ in range(draw(st.integers(0, 12))):
+            kind = draw(st.sampled_from(("token",) * 5 + ("marker", "malformed")))
+            doc_id = draw(st.sampled_from(_IDS))
+            if kind == "token":
+                start = clock[doc_id] + draw(st.integers(0, 400))
+                clock[doc_id] = end = start + draw(st.integers(0, 300))
+                extra = draw(st.sampled_from(("", "", "\t7")))
+                line = f"token\t{doc_id}\t{draw(_MESSY_TEXT)}\t{start}\t{end}{extra}"
+            elif kind == "marker":
+                line = f"marker\t{doc_id}\t{draw(_MARKER)}\t{draw(st.integers(-50, 3000))}"
+            else:
+                line = draw(_MALFORMED)
+            text += draw(_LINE_END) + line
+        files[name] = text + draw(st.sampled_from(("\n", "\r\n", "")))
+    return files
+
+
+def _outcome(read, root):
+    """What ``read`` makes of the corpus at ``root``: its columns, or its
+    error and problems."""
+    try:
+        corpus = read(root)
+    except FileFormatError as exc:
+        return str(exc), exc.problems
+    return (
+        corpus.doc_ids, corpus.valences, list(corpus.texts),
+        corpus.starts.dtype, corpus.starts.tolist(), corpus.ends.dtype, corpus.ends.tolist(),
+        corpus.offsets.tolist(), list(corpus.marker_texts), list(corpus.marker_times),
+        corpus.marker_offsets.tolist(),
+    )  # fmt: skip
+
+
+def _write_bytes(root: Path, files: dict):
+    root.mkdir()
+    for name, text in files.items():  # line ends as they are
+        (root / name).write_bytes(text.encode("utf-8"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(messy_corpus_files(), st.sampled_from((1, 5, 40, REGION_CHARS)))
+def test_regions_read_what_the_per_line_reader_reads(files, region):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(corpus_module, "REGION_CHARS", region):
+        root = Path(tmp) / "c"
+        _write_bytes(root, files)
+        assert _outcome(read_corpus, root) == _outcome(reference_read_corpus, root)
+
+
+@pytest.mark.parametrize("region", [1, 20, REGION_CHARS])
+def test_misaligned_fields_are_two_problems(tmp_path, region):
+    """A 4-field token record and a 6-field line after it hold 10 fields,
+    the first and sixth "token": both lines are still problems."""
+    root = tmp_path / "c"
+    _write_bytes(root, {
+        "manifest.tsv": "corpus-manifest/v1\ndoc_id\tfile\tvalence\nd1\tt.txt\t4\n",
+        "t.txt": "transcript/v1\ntoken\td1\ta\t1\n2\ttoken\td1\tb\t3\t4\n",
+    })
+    with mock.patch.object(corpus_module, "REGION_CHARS", region):
+        outcome = _outcome(read_corpus, root)
+    assert outcome[1] == [
+        (str(root / "t.txt"), 2, "token record needs 5 columns, got 4"),
+        (str(root / "t.txt"), 3, "unknown record kind '2'"),
+    ]
+    assert outcome == _outcome(reference_read_corpus, root)

@@ -64,6 +64,7 @@ def test_objective_timing_runs_a_few_calls():
     assert re.search(r"^default_fit_transform_ms \d+\.\d+$", proc.stdout, re.M)
     assert re.search(r"^default_transform_ms_per_doc \d+\.\d+$", proc.stdout, re.M)
     assert re.search(r"^default_read_ms_per_doc \d+\.\d+$", proc.stdout, re.M)
+    assert re.search(r"^default_read_ms_per_doc_file_per_doc \d+\.\d+$", proc.stdout, re.M)
     assert re.search(r"^default_predict_ms_per_doc \d+\.\d+$", proc.stdout, re.M)
 
 
