@@ -62,7 +62,7 @@ def main():
                 l2_lambda=lam,
                 max_iterations=args.max_iterations,
             )
-            report = cross_validate(
+            report, _ = cross_validate(
                 corpus, config, HcrfLearner(config=train_config),
                 k=args.folds, seed=args.seed,
             )
@@ -72,7 +72,7 @@ def main():
                   f"acc={report.accuracy:.2f} wF1={report.weighted_f1:.2f}")
     else:
         for n, c in enumerate(args.c, start=1):
-            report = cross_validate(
+            report, _ = cross_validate(
                 corpus, config, LogRegLearner(c_grid=(c,)), k=args.folds, seed=args.seed
             )
             name = f"C={c:g}"

@@ -105,7 +105,7 @@ def main():
         config = PipelineConfig(blocks=("embedding",), embedding_path=str(emb_path))
 
         start = time.perf_counter()
-        logreg = cross_validate(
+        logreg, _ = cross_validate(
             corpus, config, LogRegLearner(c_grid=(args.c,)), k=args.folds, seed=args.seed
         )
         print(f"logreg done in {time.perf_counter() - start:.1f}s")
@@ -118,7 +118,7 @@ def main():
                 max_iterations=args.max_iterations,
             )
         )
-        hcrf = cross_validate(corpus, config, learner, k=args.folds, seed=args.seed)
+        hcrf, _ = cross_validate(corpus, config, learner, k=args.folds, seed=args.seed)
         print(f"hcrf done in {time.perf_counter() - start:.1f}s")
 
     print()

@@ -169,23 +169,23 @@ def _write_resolved_config(out_dir: Path, resolved: dict):
     (out_dir / "config.json").write_text(canonical_json(resolved), encoding="utf-8")
 
 
-def _labeled_corpus(path: str, pipeline: FeaturePipeline):
+def _labeled_corpus(path: str, threshold_ms: int):
     """The labeled non-neutral documents of the corpus at ``path``, as
-    columns, and the same documents segmented once by ``pipeline``, as
-    one chunk.  Every document is segmented, the dropped ones too, for
-    the IPU count logged here."""
+    columns.  Every document is segmented, the dropped ones too, for the
+    IPU count logged here."""
     from .corpus import corpus_stats, filter_neutral, read_corpus
+    from .features.segmentation import segment_into_ipus
 
     corpus = read_corpus(path)
-    segmented = pipeline.segment(corpus)
+    cuts = segment_into_ipus(corpus, threshold_ms)
     stats = corpus_stats(corpus)
     log.info(
         "loaded %d documents (%s), %d words, %d IPUs at %d ms",
         stats.document_count,
         ", ".join(f"{v} {k}" for k, v in sorted(stats.class_counts.items())),
         stats.word_count,
-        len(segmented.units),
-        pipeline.config.threshold_ms,
+        cuts.bounds.size - 1,
+        threshold_ms,
     )
     labeled = filter_neutral(corpus)
     dropped = len(corpus) - len(labeled)
@@ -193,10 +193,7 @@ def _labeled_corpus(path: str, pipeline: FeaturePipeline):
         log.info("dropped %d neutral or unlabeled documents", dropped)
     if not len(labeled):
         raise InvalidInputError(f"{path}: no labeled non-neutral documents")
-    kept = set(labeled.doc_ids)
-    return labeled, segmented.subchunk(
-        [i for i, doc_id in enumerate(corpus.doc_ids) if doc_id in kept]
-    )
+    return labeled
 
 
 def cmd_generate(args) -> int:
@@ -278,9 +275,9 @@ def cmd_train(args) -> int:
     pipeline_config = _pipeline_config(args, file_config)
     learner, model_resolved = _learner(args, file_config)
     unfitted = FeaturePipeline(pipeline_config)
-    labeled, segmented = _labeled_corpus(args.corpus, unfitted)
+    labeled = _labeled_corpus(args.corpus, pipeline_config.threshold_ms)
 
-    pipeline, block = unfitted.fit_transform(segmented)
+    pipeline, block = unfitted.fit_transform(unfitted.segment(labeled))
     log.info("feature dimension %d", pipeline.schema.dim)
     labels = list(map(polarity, labeled.valences))
     predictor = learner.fit(block, labels)
@@ -330,7 +327,6 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .evaluation import cross_validate
-    from .features.pipeline import FeaturePipeline
 
     file_config = _load_config_file(args.config)
     out_dir = _prepare_out_dir(args.out)
@@ -343,7 +339,7 @@ def cmd_evaluate(args) -> int:
         if not isinstance(folds, int) or isinstance(folds, bool):
             raise ValueError(f"folds must be an integer, got {folds!r}")
     seed = args.seed if args.seed is not None else 0
-    labeled, segmented = _labeled_corpus(args.corpus, FeaturePipeline(pipeline_config))
+    labeled = _labeled_corpus(args.corpus, pipeline_config.threshold_ms)
 
     resolved = {
         "command": "evaluate",
@@ -356,10 +352,7 @@ def cmd_evaluate(args) -> int:
     }
     _write_resolved_config(out_dir, resolved)
 
-    report, details = cross_validate(
-        labeled, pipeline_config, learner, k=folds, seed=seed, return_details=True,
-        segmented=segmented,
-    )
+    report, details = cross_validate(labeled, pipeline_config, learner, k=folds, seed=seed)
     (out_dir / "report.txt").write_text(report.render_text(), encoding="utf-8")
     report_doc = report.to_jsonable()
     report_doc["folds"] = [
@@ -404,7 +397,7 @@ def cmd_inspect(args) -> int:
     vocab: list[str] = []
     if args.corpus is not None and table is not None:
         segmented = FeaturePipeline(loaded.pipeline.config).segment(read_corpus(args.corpus))
-        vocab = sorted({word for words in segmented.units for word in words})
+        vocab = sorted(segmented.tokens.types)  # every word of the corpus, once
     report = build_state_report(
         loaded.predictor.params,
         loaded.pipeline.schema.windowed(loaded.predictor.config.context_window),

@@ -231,10 +231,10 @@ def read_corpus(path: str | Path) -> CorpusColumns:
     manifest = root / MANIFEST_NAME
     problems: list[tuple[str, int, str]] = []
     if manifest.exists():
-        entries = _read_manifest(manifest, problems)
+        entries, refused = _read_manifest(manifest, problems)
     elif not any(root.iterdir()):
         log.warning("empty corpus directory %s", root)
-        entries = []
+        entries, refused = [], set()
     else:
         raise FileFormatError(f"missing {MANIFEST_NAME} in {root}")
     index = {doc_id: i for i, (doc_id, _, _) in enumerate(entries)}
@@ -242,7 +242,7 @@ def read_corpus(path: str | Path) -> CorpusColumns:
     files = []  # (path, pieces of its token records, its other problems) of each file
     for filename in sorted({filename for _, filename, _ in entries}):
         file = os.path.join(root, filename)
-        files.append((file, *_read_transcript_file(file, index, markers)))
+        files.append((file, *_read_transcript_file(file, index, refused, markers)))
     pieces = [piece for _, file_pieces, _ in files for piece in file_pieces]
     parsed = all(isinstance(times, np.ndarray) for *_, starts, ends in pieces for times in (starts, ends))
     columns = _token_columns(pieces, len(entries)) if parsed else None
@@ -265,9 +265,12 @@ def read_corpus(path: str | Path) -> CorpusColumns:
     )
 
 
-def _read_manifest(manifest: Path, problems) -> list[tuple[str, str, tuple[float, ...] | None]]:
-    """The (doc_id, file, valences) of each well-formed manifest entry;
-    the malformed ones are added to ``problems``."""
+def _read_manifest(manifest: Path, problems) -> tuple[list, set[str]]:
+    """The (doc_id, file, valences) of each well-formed manifest entry,
+    and the set of ids whose entry was refused for its valence or its
+    file name; the malformed entries are added to ``problems``, and the
+    records of a refused id are skipped, not listed again."""
+    refused: set[str] = set()
     entries = []
     seen_ids: set[str] = set()
     parsed: dict[str, tuple[float, ...] | None | str] = {}  # valence field: valences or problem
@@ -296,12 +299,14 @@ def _read_manifest(manifest: Path, problems) -> list[tuple[str, str, tuple[float
         valences = parsed[valence_raw]
         if isinstance(valences, str):
             problems.append((str(manifest), lineno, valences))
+            refused.add(doc_id)
             continue
         if "\0" in filename:  # no file can be named by it
             problems.append((str(manifest), lineno, f"file name {filename!r} holds a NUL byte"))
+            refused.add(doc_id)
             continue
         entries.append((doc_id, filename, valences))
-    return entries
+    return entries, refused
 
 
 def _valences(raw: str) -> tuple[float, ...] | None:
@@ -319,11 +324,11 @@ def _valences(raw: str) -> tuple[float, ...] | None:
     return valences
 
 
-def _read_transcript_file(path: str, index: dict, markers: list):
+def _read_transcript_file(path: str, index: dict, refused: set, markers: list):
     """The pieces of the token records of the transcript file at ``path``
     that name a manifest document (in ``index``), and the (line, message)
     of each of its malformed records; its markers are added to
-    ``markers``.
+    ``markers``, and the records of ``refused`` ids skipped.
 
     A piece is the (line numbers, document numbers, texts, starts, ends)
     of the token records of one region of the file: the document
@@ -359,7 +364,7 @@ def _read_transcript_file(path: str, index: dict, markers: list):
         if piece is not None:
             pieces.append((range(lineno, lineno + len(lines)), *piece))
         else:
-            pieces.append(_line_region(lines, lineno, index, markers, found))
+            pieces.append(_line_region(lines, lineno, index, refused, markers, found))
         lineno += len(lines)
         start = end
     return pieces, found
@@ -386,11 +391,13 @@ def _token_region(lines: list[str], index: dict):
     return docs, fields[2::width], *_times(fields[3::width], fields[4::width])
 
 
-def _line_region(lines: list[str], lineno: int, index: dict, markers: list, found: list):
+def _line_region(
+    lines: list[str], lineno: int, index: dict, refused: set, markers: list, found: list
+):
     """The piece of the token records among ``lines``, the first at line
     ``lineno``, read one line at a time: the markers are added to
     ``markers``, and the (line, message) of each malformed record to
-    ``found``."""
+    ``found``; the records of ``refused`` ids are skipped."""
     rows, token_lines = [], []
     for lineno, line in enumerate(lines, start=lineno):
         parts = line.split("\t")
@@ -399,7 +406,7 @@ def _line_region(lines: list[str], lineno: int, index: dict, markers: list, foun
             token_lines.append(lineno)
         elif line.strip():
             try:
-                markers.append(_marker_record(parts, index))
+                markers.extend(_marker_record(parts, index, refused))
             except ValueError as exc:
                 found.append((lineno, str(exc)))
     if not rows:
@@ -409,24 +416,29 @@ def _line_region(lines: list[str], lineno: int, index: dict, markers: list, foun
     return token_lines, docs, texts, *_times(starts, ends)
 
 
-def _marker_record(parts: list[str], index: dict) -> tuple[int, int, str]:
-    """The (document, time, text) of a marker record; any other record
-    that reaches here is malformed and raises ValueError."""
+def _marker_record(parts: list[str], index: dict, refused: set) -> list[tuple[int, int, str]]:
+    """The (document, time, text) of a marker record, as a list of one,
+    or none for a record of a ``refused`` id; any other record that
+    reaches here is malformed and raises ValueError."""
     kind = parts[0]
     if kind == "token":
         if len(parts) < 5:
             raise ValueError(f"token record needs 5 columns, got {len(parts)}")
+        if parts[1] in refused:
+            return []
         raise ValueError(f"doc_id {parts[1]!r} not in manifest")
     if kind != "marker":
         raise ValueError(f"unknown record kind {kind!r}")
     if len(parts) < 4:
         raise ValueError(f"marker record needs 4 columns, got {len(parts)}")
     _, doc_id, text, time_raw = parts[:4]
+    if doc_id in refused:
+        return []
     if doc_id not in index:
         raise ValueError(f"doc_id {doc_id!r} not in manifest")
     if not _marker_text_ok(text):
         raise ValueError(f"marker text must be *-delimited: {text!r}")
-    return index[doc_id], _parse_int(time_raw, "timeMs"), text
+    return [(index[doc_id], _parse_int(time_raw, "timeMs"), text)]
 
 
 def _marker_text_ok(text: str) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 from .baseline import LogRegPredictor, document_vectors, train_logreg
 from .corpus import LABEL_NAMES, CorpusColumns, polarity
 from .errors import InvalidInputError
-from .features.pipeline import FeaturePipeline, PipelineConfig, SegmentedChunk
+from .features.pipeline import FeaturePipeline, PipelineConfig
 from .model import Predictor, SequenceBlock
 from .training import HcrfPredictor, TrainingConfig, fit_predictor
 
@@ -291,9 +291,7 @@ def cross_validate(
     learner: Learner,
     k: int = 10,
     seed: int = 0,
-    return_details: bool = False,
-    segmented: SegmentedChunk | None = None,
-):
+) -> tuple[MetricsReport, list[FoldDetail]]:
     """Leakage-safe k-fold protocol over a labeled two-class corpus, read
     as columns (``corpus.filter_neutral`` leaves only such documents).
 
@@ -301,13 +299,12 @@ def cross_validate(
     only, trains via the learner (which may run its own inner grid
     selection), and scores the held-out documents.  Segmentation,
     tokenization and every feature block but bong depend on no fitted
-    state, so the corpus is prepared once for all folds
-    (``FeaturePipeline.prepare``), from ``segmented`` when the caller
-    has already segmented it under ``pipeline_config``; each fold picks
-    its documents from the prepared chunk by index
-    (``SegmentedChunk.subchunk``) and builds only the bong rows and the
-    standardizer.  The headline report pools all held-out predictions;
-    per-fold reports ride along.
+    state, so the corpus is segmented and prepared once for all folds
+    (``FeaturePipeline.prepare``); each fold picks its documents from
+    the prepared chunk by index (``SegmentedChunk.subchunk``) and builds
+    only the bong rows and the standardizer.  Returns the report, which
+    pools all held-out predictions with per-fold reports riding along,
+    and each fold's ``FoldDetail``.
     """
     labels = []
     for doc_id, valences in zip(corpus.doc_ids, corpus.valences):
@@ -318,11 +315,7 @@ def cross_validate(
             )
         labels.append(label)
     unfitted = FeaturePipeline(pipeline_config)
-    if segmented is None:
-        segmented = unfitted.segment(corpus)
-    elif segmented.doc_ids != corpus.doc_ids:
-        raise InvalidInputError("segmented documents do not match the corpus")
-
+    segmented = unfitted.segment(corpus)
     plan = stratified_k_fold(labels, k, seed)
     prepared = unfitted.prepare(segmented)
     pooled = np.full(len(corpus), -1, dtype=np.int64)
@@ -348,4 +341,4 @@ def cross_validate(
     report = replace(
         compute_metrics(pooled.tolist(), labels), per_fold=tuple(fold_reports)
     )
-    return (report, details) if return_details else report
+    return report, details

@@ -95,38 +95,30 @@ def load_embeddings(path: str | Path, lowercase: bool = True) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, dim=int(dim), lowercase=lowercase)
 
 
-def embed_units(units, table: EmbeddingTable, stopwords: frozenset) -> np.ndarray:
-    """(U, E + 1) rows of the U IPUs ``units`` (lists of tokens): each
-    IPU's mean of its in-vocabulary, non-stopword token vectors, plus a
-    trailing coverage flag (0, and a zero mean, when nothing was
-    covered).  Each distinct token is tested against the stopwords and
+def embed_units(tokens, table: EmbeddingTable, stopwords: frozenset) -> np.ndarray:
+    """(U, E + 1) rows of the U IPUs of ``tokens`` (a ``TokenChunk`` of
+    words): each IPU's mean of its in-vocabulary, non-stopword token
+    vectors, plus a trailing coverage flag (0, and a zero mean, when
+    nothing was covered).  Each type is tested against the stopwords and
     looked up once.  Each IPU's covered vectors are then summed in token
     order, starting from the first, and divided by their count, so a row
     is bitwise ``np.mean`` of its vectors along axis 0, which adds them
     in that order.  Rank r of every IPU is added at once, so the loop
     runs once per rank, not once per IPU."""
-    index: dict[str, int] = {}
-    vectors: list[np.ndarray] = []
-    unit_of: list[int] = []  # the IPU and vector of each covered token, in order
-    vector_of: list[int] = []
-    for u, tokens in enumerate(units):
-        for token in tokens:
-            k = index.get(token)
-            if k is None:
-                vec = None if token.lower() in stopwords else table.lookup(token)
-                k = index[token] = -1 if vec is None else len(vectors)
-                if vec is not None:
-                    vectors.append(vec)
-            if k >= 0:
-                unit_of.append(u)
-                vector_of.append(k)
-    out = np.zeros((len(units), table.dim + 1))
-    if not unit_of:
+    found = [None if t.lower() in stopwords else table.lookup(t) for t in tokens.types]
+    hits = [k for k, vec in enumerate(found) if vec is not None]
+    row_of = np.full(len(found), -1, dtype=np.intp)  # each type's row of ``rows``, or -1
+    row_of[hits] = np.arange(len(hits))
+    vector_of = row_of[tokens.ids]
+    hit = vector_of >= 0
+    unit_of, vector_of = tokens.unit[hit], vector_of[hit]  # of each covered token, in order
+    num_units = len(tokens)
+    out = np.zeros((num_units, table.dim + 1))
+    if not unit_of.size:
         return out
-    unit_of, vector_of = np.array(unit_of), np.array(vector_of)
-    counts = np.bincount(unit_of, minlength=len(units))
+    counts = np.bincount(unit_of, minlength=num_units)
     rank = np.arange(unit_of.size) - (np.cumsum(counts) - counts)[unit_of]
-    sums, rows = out[:, : table.dim], np.array(vectors)
+    sums, rows = out[:, : table.dim], np.array([found[k] for k in hits])
     for r in range(int(counts.max())):
         at = rank == r
         if r == 0:

@@ -2,12 +2,12 @@
 
 Tokens are lowercased and Porter-stemmed; n-grams up to the configured
 order are joined with "_".  Fit and transform both enumerate them from
-the stem ids of a ``TokenChunk`` (``_runs``).  IDF uses the log(N / df)
-convention with no smoothing, so a term present in every fitting
-document gets weight 0.  Transform output is tf * idf divided by the
-unit's token count, given by its nonzero entries, for all the units of a
-chunk of documents at once; the vocabulary and document frequencies
-come from training folds only.
+the words of a ``TokenChunk``, stemming each of its types once
+(``_runs``).  IDF uses the log(N / df) convention with no smoothing, so
+a term present in every fitting document gets weight 0.  Transform
+output is tf * idf divided by the unit's token count, given by its
+nonzero entries, for all the units of a chunk of documents at once; the
+vocabulary and document frequencies come from training folds only.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, InvalidInputError
+from .stemmer import stem
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,18 @@ class NGramVocabulary:
 
 
 def _runs(tokens, max_order: int):
-    """The n-grams of ``tokens`` (a ``TokenChunk`` with stem ids), one
-    order k = 1..``max_order`` at a time, as ``(units, runs, grams)``:
-    ``grams`` the distinct runs of k stem ids within one unit, each
-    joined with "_" once however often it occurs, and ``units`` and
-    ``runs`` the unit and the index into ``grams`` of each occurrence.
-    The runs are numbered by one ``np.unique`` over the pairs (number of
-    the first k-1 stems, last stem id), so no key outgrows T * S."""
-    stems, unit, names = tokens.stems, tokens.unit, tokens.stem_names
+    """The n-grams of ``tokens`` (a ``TokenChunk`` of words), one order
+    k = 1..``max_order`` at a time, as ``(units, runs, grams)``:
+    ``grams`` the distinct runs of k stems within one unit, each joined
+    with "_" once however often it occurs, and ``units`` and ``runs`` the
+    unit and the index into ``grams`` of each occurrence.  Each type is
+    stemmed once and its stem numbered; the runs are numbered by one
+    ``np.unique`` over the pairs (number of the first k-1 stems, last
+    stem id), so no key outgrows T * S."""
+    numbers: dict[str, int] = {}  # a number for each distinct stem
+    stem_of = [numbers.setdefault(stem(word), len(numbers)) for word in tokens.types]
+    stems = np.array(stem_of, dtype=np.intp)[tokens.ids]
+    unit, names = tokens.unit, list(numbers)
     words = [names[s] for s in stems.tolist()]  # the stem of each token
     prefix = np.zeros(len(stems), dtype=np.int64)  # number of the run before each token
     for order in range(1, max_order + 1):
@@ -73,13 +78,13 @@ def _runs(tokens, max_order: int):
 
 
 def fit_bong(tokens, max_order: int, min_df: int) -> NGramVocabulary:
-    """The vocabulary of ``tokens``, a ``TokenChunk`` with stem ids and
-    one unit per training document.  A term counts once per document,
+    """The vocabulary of ``tokens``, a ``TokenChunk`` of words with one
+    unit per training document.  A term counts once per document,
     however many runs join to it (tokens may contain "_"); ``min_df``
     drops rare terms, and the terms are indexed in sorted order."""
     if min_df < 1:
         raise InvalidInputError("min_df must be >= 1")
-    num_docs = len(tokens.sizes)
+    num_docs = len(tokens)
     if not num_docs:
         raise ConfigurationError("cannot fit an n-gram vocabulary on zero documents")
     if max_order < 1:
@@ -105,8 +110,8 @@ def fit_bong(tokens, max_order: int, min_df: int) -> NGramVocabulary:
 
 
 def vectorize_bong(tokens, vocab: NGramVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """TF-IDF vectors of the U units of ``tokens`` (a ``TokenChunk``
-    with stem ids) over the fitted vocabulary, as their nonzero entries:
+    """TF-IDF vectors of the U units of ``tokens`` (a ``TokenChunk`` of
+    words) over the fitted vocabulary, as their nonzero entries:
     ``(rows, indices, values)``, where ``rows`` is the unit and
     ``indices`` the vocabulary index of each entry, in ascending (row,
     index) order, and ``values`` its tf * idf / the unit's token count (0
@@ -122,5 +127,5 @@ def vectorize_bong(tokens, vocab: NGramVocabulary) -> tuple[np.ndarray, np.ndarr
     cells, term_freqs = np.unique(np.concatenate(cells), return_counts=True)
     rows, indices = np.divmod(cells, width)
     values = term_freqs * vocab.idf[indices]
-    values /= np.maximum(tokens.sizes, 1).astype(np.float64)[rows]
+    values /= np.maximum(np.diff(tokens.offsets), 1).astype(np.float64)[rows]
     return rows, indices, values

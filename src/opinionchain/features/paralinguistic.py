@@ -18,19 +18,18 @@ OTHER = "other"
 FEATURE_NAMES = tuple(f"para_{c}" for c in CATEGORIES + (OTHER,))
 
 
-def paralinguistic_features(units, marker_map: dict) -> np.ndarray:
+def paralinguistic_features(markers, marker_map: dict) -> np.ndarray:
     """(U, 5) counts per category plus an 'other' bucket, in
-    FEATURE_NAMES order, for the events of each of U units; an unknown
+    FEATURE_NAMES order, for the U units of ``markers`` (a
+    ``TokenChunk`` of marker texts), each type mapped once; an unknown
     marker is logged as it is met, in order."""
-    columns = {category: i for i, category in enumerate(CATEGORIES + (OTHER,))}
-    width = len(FEATURE_NAMES)
-    cells = []
-    for row, events in enumerate(units):
-        for event in events:
-            category = marker_map.get(event.strip("*").lower())
-            if category is None:
-                log.info("unknown paralinguistic marker %r counted as other", event)
-                category = OTHER
-            cells.append(row * width + columns[category])
-    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(units) * width)
-    return counts.reshape(len(units), width).astype(np.float64)
+    categories = CATEGORIES + (OTHER,)
+    found = [marker_map.get(text.strip("*").lower()) for text in markers.types]
+    column = np.array([categories.index(c or OTHER) for c in found], dtype=np.intp)
+    unknown = np.array([c is None for c in found], dtype=bool)
+    for k in markers.ids[unknown[markers.ids]].tolist():
+        log.info("unknown paralinguistic marker %r counted as other", markers.types[k])
+    width, num_units = len(FEATURE_NAMES), len(markers)
+    cells = markers.unit * width + column[markers.ids]
+    counts = np.bincount(cells, minlength=num_units * width)
+    return counts.reshape(num_units, width).astype(np.float64)

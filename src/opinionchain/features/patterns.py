@@ -1,11 +1,10 @@
 """Linguistic pattern counts per IPU and the fallback rule tagger.
 
 The tagger is intentionally small: a closed-class lexicon plus suffix
-heuristics, just rich enough for the pattern counters.  Any POS tagger
-producing the same tag strings can be plugged in instead.  The tagger
-keeps no memo: the pipeline's ``token_chunk`` tags each distinct token
-of a chunk once and keeps its tag column and flags (``token_pattern``),
-which ``pattern_features`` counts over the chunk's units at once.
+heuristics, just rich enough for the pattern counters.  It keeps no
+memo: ``pattern_features`` tags each type of a chunk's ``TokenChunk``
+once, works out its tag column and flags (``token_pattern``), and counts
+them over the chunk's units at once.
 """
 
 from __future__ import annotations
@@ -121,14 +120,18 @@ def token_pattern(token: str, tag: str, resources: PatternResources) -> tuple[in
     return column, flags
 
 
-def pattern_features(tokens, resources: PatternResources) -> np.ndarray:
+def pattern_features(tokens, tagger: RuleTagger, resources: PatternResources) -> np.ndarray:
     """(U, 6 + len(tag_set)) counts for the U units of ``tokens`` (a
-    ``TokenChunk`` with tag columns and flags): adjective+noun bigrams
-    within the unit, negations, amplifiers, downtoners, disfluencies,
-    capitalized tokens, then one count per tag."""
-    num_units = len(tokens.sizes)
+    ``TokenChunk`` of words), each type tagged by ``tagger`` once:
+    adjective+noun bigrams within the unit, negations, amplifiers,
+    downtoners, disfluencies, capitalized tokens, then one count per
+    tag."""
+    types = tokens.types
+    columns = [token_pattern(t, tag, resources) for t, tag in zip(types, tagger.tag(types))]
+    tags, flags = np.array(columns, dtype=np.intp).reshape(-1, 2).T[:, tokens.ids]
+    num_units = len(tokens)
     width = 1 + _COUNTED_FLAGS + len(resources.tag_set)
-    unit, flags, tags = tokens.unit, tokens.flags, tokens.tags
+    unit = tokens.unit
     pairs = (flags[:-1] & _ADJ != 0) & (flags[1:] & _NOUN != 0) & (unit[:-1] == unit[1:])
     flagged, bit = np.nonzero((flags[:, None] >> np.arange(_COUNTED_FLAGS)) & 1)
     tagged = tags >= 0

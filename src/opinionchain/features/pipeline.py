@@ -11,31 +11,36 @@ The returned ``FittedFeaturePipeline`` is immutable and its ``block``
 is a pure function of a chunk, so fitting on a training fold and
 featurizing held-out documents cannot leak fold statistics.
 
-A chunk's tokens are numbered in a type table of the chunk's own
-(``token_chunk``), which works out once per distinct token what the bong
-and pattern blocks read of it; nothing is kept between chunks.  The
-embedding, pattern and paralinguistic rows of all the chunk's IPUs are
-then a few array operations each, and the bong entries one
-``np.unique`` (``vectorize_bong``); only the lexicon rows are built one
-IPU at a time.  A chunk's rows are standardized at once into one block,
-which is checked once.  A document's rows do not depend on the chunk it
-is in.  ``fit_bong`` reads a ``TokenChunk`` too: the training documents
-are numbered as one chunk, one unit per document.
+A segmented chunk holds one token table (``TokenChunk``): its words as
+one column of type ids with per-IPU offsets, next to the chunk's
+distinct words (its types), and its markers likewise.  Segmentation
+builds it once, tokenizing each distinct token string and numbering
+each distinct word once; nothing is kept between chunks.  Each block
+works out what it reads of a type once per chunk (the pattern block
+its tag column and flags, bong its stem, the embedding block its
+vector row, the paralinguistic block a marker's category) and gathers
+it by the id column, so the embedding, pattern and paralinguistic rows
+of all the chunk's IPUs are a few array operations each, and the bong
+entries one ``np.unique`` (``vectorize_bong``); only the lexicon rows
+are built one IPU at a time.  ``fit_bong`` reads the training chunk's
+table with one unit per document.  A chunk's rows are standardized at
+once into one block, which is checked once.  A document's rows do not
+depend on the chunk it is in.
 
 ``FittedFeaturePipeline.blocks`` is ``predict``'s path: it carries each
 ``SCORING_CHUNK`` documents of a corpus's columns to their
 block, with no object made per document.  A chunk's columns are cut at
-the indices ``segment_into_ipus`` finds, and tokenization runs once per
-distinct token string of the chunk (``_segment_chunk``).  Segmentation
+the indices ``segment_into_ipus`` finds (``_segment_chunk``).  Segmentation
 and tokenization depend only on the configuration, never on fitted
 state, and of the blocks only bong is fitted (its vocabulary), so
 ``FeaturePipeline.prepare`` builds the rows of all the others once for
 a segmented chunk.  Cross-validation prepares the corpus once for all
 of its folds, picks each fold's documents from the prepared chunk by
-index (``SegmentedChunk.subchunk``), and computes only the bong rows
-and the standardizer per fold.  A chunk records the threshold that cut
-it, and a prepared one the configuration of its rows, so a chunk made
-under another configuration is rejected.
+index (``SegmentedChunk.subchunk``, whose tables keep only the fold's
+types), and computes only the bong rows and the standardizer per fold.
+A chunk records the threshold that cut it, and a prepared one the
+configuration of its rows, so a chunk made under another configuration
+is rejected.
 
 Which static files the pipeline reads is decided in one place,
 ``resource_paths``: ``_load_resources`` reads every file from it, and
@@ -70,17 +75,9 @@ from .lexicons import Lexicon, lexicon_features, load_lexicon
 from .ngrams import NGramVocabulary, fit_bong, vectorize_bong
 from .paralinguistic import FEATURE_NAMES as PARA_NAMES
 from .paralinguistic import paralinguistic_features
-from .patterns import (
-    DEFAULT_TAG_SET,
-    PatternResources,
-    RuleTagger,
-    pattern_feature_names,
-    pattern_features,
-    token_pattern,
-)
+from .patterns import DEFAULT_TAG_SET, pattern_feature_names, pattern_features
 from .segmentation import DEFAULT_THRESHOLD_MS, segment_into_ipus
 from .standardize import Standardizer, fit_standardizer
-from .stemmer import stem
 from .tokenizer import tokenize_many
 
 CANONICAL_BLOCKS = ("bong", "embedding", "lexicon", "pattern", "paralinguistic")
@@ -215,53 +212,48 @@ class FeatureSchema:
 
 @dataclass(frozen=True, eq=False)
 class TokenChunk:
-    """The tokens of a chunk of U units (IPUs), T tokens in all, each
-    given by what the feature blocks read of its type (``token_chunk``).
-    A unit's tokens are contiguous and the units are in order."""
+    """A column of strings in U units, such as the words or the markers
+    of a chunk's IPUs: unit u's are ``ids[offsets[u]:offsets[u + 1]]``,
+    each the number of its string in ``types``, the distinct strings of
+    the chunk.  A feature block works out what it reads of a string once
+    per type and gathers it by ``ids``."""
 
-    sizes: np.ndarray  # (U,) tokens per unit
-    unit: np.ndarray  # (T,) unit of each token
-    tags: np.ndarray | None  # (T,) column of each token's tag in the tag set, or -1
-    flags: np.ndarray | None  # (T,) pattern flag bits of each token
-    stems: np.ndarray | None  # (T,) stem id of each token
-    stem_names: list[str]  # the stem of each stem id
+    types: list[str]
+    ids: np.ndarray  # (T,) type of each string
+    offsets: np.ndarray  # (U + 1,)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def unit(self) -> np.ndarray:
+        """(T,) the unit of each string."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def select(self, units: np.ndarray) -> "TokenChunk":
+        """Units ``units`` (indices, in the order given) as a column of
+        their own, numbering only the types they hold."""
+        lo, hi = self.offsets[units], self.offsets[units + 1]
+        ids = self.ids[run_indices(lo, hi)]
+        used = np.zeros(len(self.types), dtype=bool)
+        used[ids] = True
+        types = [self.types[k] for k in np.flatnonzero(used).tolist()]
+        return TokenChunk(types, (np.cumsum(used) - 1)[ids], _starts(hi - lo))
 
 
-def token_chunk(
-    units,
-    tagger: RuleTagger | None = None,
-    pattern: PatternResources | None = None,
-    stems: bool = False,
-) -> TokenChunk:
-    """``units`` (one token list per unit) as a ``TokenChunk``.  Its
-    distinct tokens (types) are numbered in a table of this call's own,
-    and what the feature blocks read of a type is worked out once: its
-    tag column and pattern flags (``token_pattern``) when ``pattern`` is
-    given, and its stem when ``stems`` is set.  Everything these blocks
-    read of a token depends on the token alone, and a chunk has far
-    fewer types than tokens."""
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """The offsets of consecutive runs of ``sizes`` items."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+
+
+def token_chunk(units) -> TokenChunk:
+    """``units`` (one list of strings per unit) as a ``TokenChunk``,
+    its types numbered in order of first occurrence."""
     flat = list(itertools.chain.from_iterable(units))
-    types = list(dict.fromkeys(flat))  # in order of first occurrence
-    ids = {token: i for i, token in enumerate(types)}
-    numbered = np.fromiter(map(ids.__getitem__, flat), dtype=np.intp, count=len(flat))
+    number = {string: i for i, string in enumerate(dict.fromkeys(flat))}
+    ids = np.fromiter(map(number.__getitem__, flat), dtype=np.intp, count=len(flat))
     sizes = np.fromiter(map(len, units), dtype=np.intp, count=len(units))
-    tags = flags = stem_ids = None
-    if pattern is not None:
-        columns = [token_pattern(t, tag, pattern) for t, tag in zip(types, tagger.tag(types))]
-        tags, flags = np.array(columns, dtype=np.intp).reshape(-1, 2).T[:, numbered]
-    stem_names: dict[str, int] = {}
-    if stems:
-        stem_ids = np.array(
-            [stem_names.setdefault(stem(t), len(stem_names)) for t in types], dtype=np.intp
-        )[numbered]
-    return TokenChunk(
-        sizes=sizes,
-        unit=np.repeat(np.arange(len(sizes)), sizes),
-        tags=tags,
-        flags=flags,
-        stems=stem_ids,
-        stem_names=list(stem_names),
-    )
+    return TokenChunk(list(number), ids, _starts(sizes))
 
 
 def resource_paths(config: PipelineConfig) -> dict[str, Path]:
@@ -347,54 +339,59 @@ def _load_resources(config: PipelineConfig, digests: dict[str, str] | None = Non
 class SegmentedChunk:
     """A chunk of N documents cut into U IPUs at ``threshold_ms``, the
     unit the feature blocks and the standardizer work on: IPU u's words
-    are ``units[u]`` and its markers ``events[u]``, and document i's IPUs
-    are ``bounds[i]:bounds[i + 1]``.  ``fixed_rows``, if given, holds the
-    (U, D') rows of every enabled block but bong, as
+    are unit u of ``tokens`` and its markers unit u of ``markers``, and
+    document i's IPUs are ``bounds[i]:bounds[i + 1]``.  ``fixed_rows``,
+    if given, holds the (U, D') rows of every enabled block but bong, as
     ``FeaturePipeline.prepare`` built them under ``fixed_config``."""
 
     doc_ids: tuple[str, ...]
-    units: list[list[str]]
-    events: list[tuple[str, ...]]
-    bounds: list[int]
+    tokens: TokenChunk
+    markers: TokenChunk
+    bounds: np.ndarray  # (N + 1,)
     threshold_ms: int
     fixed_rows: np.ndarray | None = None
     fixed_config: PipelineConfig | None = None
 
     def subchunk(self, ids) -> "SegmentedChunk":
         """Documents ``ids`` (indices into the chunk, in the order given)
-        as a chunk of their own, with their fixed rows if prepared."""
-        bounds = self.bounds
-        runs = [(bounds[i], bounds[i + 1]) for i in ids]
+        as a chunk of their own, with their fixed rows if prepared; its
+        columns number only the types its documents hold."""
+        ids = np.asarray(ids, dtype=np.intp)
+        lo, hi = self.bounds[ids], self.bounds[ids + 1]
+        ipus = run_indices(lo, hi)
         fixed = self.fixed_rows
         if fixed is not None:
-            lo, hi = np.array(runs, dtype=np.intp).reshape(-1, 2).T
-            fixed = fixed[run_indices(lo, hi)]
+            fixed = fixed[ipus]
             fixed.flags.writeable = False
         return replace(
             self,
-            doc_ids=tuple(self.doc_ids[i] for i in ids),
-            units=[unit for lo, hi in runs for unit in self.units[lo:hi]],
-            events=[events for lo, hi in runs for events in self.events[lo:hi]],
-            bounds=[0, *itertools.accumulate(hi - lo for lo, hi in runs)],
+            doc_ids=tuple(self.doc_ids[i] for i in ids.tolist()),
+            tokens=self.tokens.select(ipus),
+            markers=self.markers.select(ipus),
+            bounds=_starts(hi - lo),
             fixed_rows=fixed,
         )
 
 
 def _segment_chunk(chunk: CorpusColumns, config: PipelineConfig) -> SegmentedChunk:
     """The documents of ``chunk`` cut into IPUs (``segment_into_ipus``)
-    and tokenized.  Each distinct token string of the chunk is tokenized
-    once, and the words of all its tokens are laid end to end in one
-    list, so an IPU's words are one slice of it."""
+    and tokenized, their words and markers as two ``TokenChunk``
+    columns.  Each distinct token string of the chunk is tokenized once
+    and each distinct word numbered once; a token's words are then its
+    string's, picked by index."""
     cuts = segment_into_ipus(chunk, config.threshold_ms)
-    distinct = list(dict.fromkeys(chunk.texts))
-    words = dict(zip(distinct, tokenize_many(distinct)))
-    per_token = list(map(words.__getitem__, chunk.texts))
-    flat = list(itertools.chain.from_iterable(per_token))
-    word_at = list(itertools.accumulate(map(len, per_token), initial=0))  # token i's first word
-    at = [word_at[bound] for bound in cuts.bounds.tolist()]
-    units = [flat[lo:hi] for lo, hi in zip(at, at[1:])]
+    distinct = {text: i for i, text in enumerate(dict.fromkeys(chunk.texts))}
+    at = np.fromiter(map(distinct.__getitem__, chunk.texts), np.intp, len(chunk.texts))
+    words = token_chunk(tokenize_many(distinct)).select(at)  # one unit per token
+    tokens = replace(words, offsets=words.offsets[cuts.bounds])
+    # markers IPU by IPU, each IPU's in the chunk's order; a dropped
+    # marker (-1) sorts first
+    order = np.argsort(cuts.marker_ipus, kind="stable")
+    order = order[np.count_nonzero(cuts.marker_ipus < 0) :]
+    markers = token_chunk([[chunk.marker_texts[m] for m in order.tolist()]])
+    at = np.searchsorted(cuts.marker_ipus[order], np.arange(cuts.bounds.size))
     return SegmentedChunk(
-        chunk.doc_ids, units, cuts.events, cuts.docs.tolist(), config.threshold_ms
+        chunk.doc_ids, tokens, replace(markers, offsets=at), cuts.docs, config.threshold_ms
     )
 
 
@@ -410,50 +407,39 @@ def _check_segmented(chunk: SegmentedChunk, config: PipelineConfig):
 
 def _require_ipus(chunk: SegmentedChunk):
     """Raise InvalidInputError naming the chunk's first document with no IPU."""
-    bounds = chunk.bounds
-    for doc_id, lo, hi in zip(chunk.doc_ids, bounds, bounds[1:]):
-        if lo == hi:
-            raise InvalidInputError(
-                f"{doc_id}: no IPUs (tokenless document cannot be featurized)"
-            )
+    empty = np.flatnonzero(np.diff(chunk.bounds) == 0)
+    if empty.size:
+        raise InvalidInputError(
+            f"{chunk.doc_ids[empty[0]]}: no IPUs (tokenless document cannot be featurized)"
+        )
 
 
-def _token_chunk(
-    chunk: SegmentedChunk, loaded: _Resources, pattern: bool, stems: bool
-) -> TokenChunk:
-    """The chunk's IPUs as a ``TokenChunk``, with the pattern block's tag
-    columns and flags if ``pattern`` and stem ids if ``stems``."""
-    return token_chunk(chunk.units, loaded.tagger, loaded.pattern if pattern else None, stems)
-
-
-def _fixed_rows(
-    chunk: SegmentedChunk,
-    config: PipelineConfig,
-    loaded: _Resources,
-    tokens: TokenChunk | None = None,
-) -> np.ndarray:
+def _fixed_rows(chunk: SegmentedChunk, config: PipelineConfig, loaded: _Resources) -> np.ndarray:
     """(U, D') rows of every enabled block but bong for the U IPUs of a
     chunk of documents, in canonical order; none of them depends on
     fitted state.  The lexicon rows are built per IPU, the embedding,
-    pattern and paralinguistic ones for the whole chunk (the pattern
-    rows from ``tokens``, the chunk's ``TokenChunk``, if given)."""
+    pattern and paralinguistic ones for the whole chunk from its
+    ``TokenChunk`` columns."""
+    tokens = chunk.tokens
     blocks = []
     if "embedding" in config.blocks:
-        blocks.append(embed_units(chunk.units, loaded.embedding, loaded.stopwords))
+        blocks.append(embed_units(tokens, loaded.embedding, loaded.stopwords))
     if "lexicon" in config.blocks:
+        words, at = [tokens.types[k] for k in tokens.ids.tolist()], tokens.offsets.tolist()
         blocks.append(
             np.array(
-                [lexicon_features(unit, loaded.lexicons, loaded.modifiers) for unit in chunk.units]
+                [
+                    lexicon_features(words[lo:hi], loaded.lexicons, loaded.modifiers)
+                    for lo, hi in zip(at, at[1:])
+                ]
             )
         )
     if "pattern" in config.blocks:
-        if tokens is None:
-            tokens = _token_chunk(chunk, loaded, pattern=True, stems=False)
-        blocks.append(pattern_features(tokens, loaded.pattern))
+        blocks.append(pattern_features(tokens, loaded.tagger, loaded.pattern))
     if "paralinguistic" in config.blocks:
-        blocks.append(paralinguistic_features(chunk.events, loaded.marker_map))
+        blocks.append(paralinguistic_features(chunk.markers, loaded.marker_map))
     if not blocks:
-        return np.empty((len(chunk.units), 0))
+        return np.empty((len(tokens), 0))
     return np.concatenate(blocks, axis=1)
 
 
@@ -510,16 +496,9 @@ class FeaturePipeline:
 
         vocab = None
         if "bong" in config.blocks:
-            bounds = chunk.bounds
-            words = [
-                list(itertools.chain.from_iterable(chunk.units[lo:hi]))
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            vocab = fit_bong(
-                token_chunk(words, stems=True),
-                max_order=config.bong_max_order,
-                min_df=config.bong_min_df,
-            )
+            # the training documents' words, one unit per document
+            documents = replace(chunk.tokens, offsets=chunk.tokens.offsets[chunk.bounds])
+            vocab = fit_bong(documents, max_order=config.bong_max_order, min_df=config.bong_min_df)
 
         fitted = FittedFeaturePipeline(
             config=config,
@@ -620,14 +599,12 @@ class FittedFeaturePipeline:
         """A chunk's rows before standardizing: the (U, D') rows of every
         block but bong over its U IPUs, and the bong rows as (rows,
         indices, values) of their nonzero entries, None without bong."""
-        prepared = chunk.fixed_rows is not None
-        tokens = None
-        if self.vocabulary is not None:
-            tokens = _token_chunk(chunk, self._resources, pattern=not prepared, stems=True)
         fixed = chunk.fixed_rows
-        if not prepared:
-            fixed = _fixed_rows(chunk, self.config, self._resources, tokens)
-        bong = None if tokens is None else vectorize_bong(tokens, self.vocabulary)
+        if fixed is None:
+            fixed = _fixed_rows(chunk, self.config, self._resources)
+        bong = None
+        if self.vocabulary is not None:
+            bong = vectorize_bong(chunk.tokens, self.vocabulary)
         return fixed, bong
 
     def _block(self, chunk: SegmentedChunk, fixed: np.ndarray, bong) -> SequenceBlock:

@@ -3,9 +3,9 @@
 An inter-pausal unit (IPU) is a maximal run of a transcript's tokens
 with no silent gap above the threshold.  Segmentation reads a chunk of
 documents' token columns (``corpus.CorpusColumns``) and returns where
-the IPUs start and end in them, with the paralinguistic markers
-attached to each IPU: one comparison over the chunk's times finds every
-cut.  It builds no object per document, token or IPU.
+the IPUs start and end in them, and the IPU each paralinguistic marker
+attaches to: one comparison over the chunk's times finds every cut.  It
+builds no object per document, token or IPU.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ DEFAULT_THRESHOLD_MS = 300
 @dataclass(frozen=True, eq=False)
 class IpuCuts:
     """The U IPUs of a chunk of N documents: IPU u is tokens
-    ``bounds[u]:bounds[u + 1]`` of the chunk's columns, with the markers
-    ``events[u]``, and document i's IPUs are ``docs[i]:docs[i + 1]``."""
+    ``bounds[u]:bounds[u + 1]`` of the chunk's columns, document i's IPUs
+    are ``docs[i]:docs[i + 1]``, and marker m of the chunk attaches to
+    IPU ``marker_ipus[m]``, or to none (-1) in a tokenless document."""
 
     bounds: np.ndarray  # (U + 1,)
     docs: np.ndarray  # (N + 1,)
-    events: list[tuple[str, ...]]  # (U,)
+    marker_ipus: np.ndarray  # (M,)
 
 
 def segment_into_ipus(chunk: CorpusColumns, threshold_ms: int) -> IpuCuts:
@@ -44,9 +45,9 @@ def segment_into_ipus(chunk: CorpusColumns, threshold_ms: int) -> IpuCuts:
     tokens is ``next start - prev end``; the strict comparison makes the
     boundary value itself deterministic.  Markers attach to the last IPU
     of their document starting at or before their timestamp (the first
-    IPU for earlier timestamps), each IPU's in the chunk's marker order.
-    A tokenless document segments to no IPU; its markers, if any, are
-    dropped with a warning since there is no unit to attach them to.
+    IPU for earlier timestamps).  A tokenless document segments to no
+    IPU; its markers, if any, are dropped with a warning since there is
+    no unit to attach them to.
     """
     if threshold_ms <= 0:
         raise InvalidInputError("threshold_ms must be positive")
@@ -58,16 +59,16 @@ def segment_into_ipus(chunk: CorpusColumns, threshold_ms: int) -> IpuCuts:
     first[offsets[:-1][offsets[:-1] < starts.size]] = True
     firsts = np.flatnonzero(first)
     docs = np.searchsorted(firsts, offsets)
-    events: list = [()] * firsts.size
-    if chunk.marker_texts:
-        events = _attach_markers(chunk, firsts, docs)
-    return IpuCuts(np.append(firsts, starts.size), docs, events)
+    marker_ipus = _attach_markers(chunk, firsts, docs)
+    return IpuCuts(np.append(firsts, starts.size), docs, marker_ipus)
 
 
-def _attach_markers(chunk: CorpusColumns, firsts: np.ndarray, docs: np.ndarray) -> list:
-    """Each IPU's marker texts, for IPUs that start at tokens ``firsts``
-    and of which document i has ``docs[i]:docs[i + 1]``."""
-    attached: list[list[str]] = [[] for _ in firsts]
+def _attach_markers(chunk: CorpusColumns, firsts: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """The IPU of each marker of ``chunk``, or -1, for IPUs that start at
+    tokens ``firsts`` and of which document i has ``docs[i]:docs[i + 1]``."""
+    attached = np.full(len(chunk.marker_texts), -1, dtype=np.intp)
+    if not attached.size:
+        return attached
     ipu_starts, docs = chunk.starts[firsts].tolist(), docs.tolist()
     marks = chunk.marker_offsets.tolist()
     for i in np.flatnonzero(np.diff(marks)).tolist():  # each document with markers
@@ -77,9 +78,11 @@ def _attach_markers(chunk: CorpusColumns, firsts: np.ndarray, docs: np.ndarray) 
                 "%s: dropping %d markers from tokenless transcript", chunk.doc_ids[i], len(texts)
             )
             continue
-        for text, time in zip(texts, chunk.marker_times[marks[i] : marks[i + 1]]):
-            attached[max(lo, bisect_right(ipu_starts, time, lo, hi) - 1)].append(text)
-    return list(map(tuple, attached))
+        attached[marks[i] : marks[i + 1]] = [
+            max(lo, bisect_right(ipu_starts, time, lo, hi) - 1)
+            for time in chunk.marker_times[marks[i] : marks[i + 1]]
+        ]
+    return attached
 
 
 def ipu_indices(chunk: CorpusColumns, threshold_ms: int) -> np.ndarray:

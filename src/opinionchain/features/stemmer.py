@@ -6,8 +6,8 @@ considered; if its condition fails, the whole block is a no-op (so
 "feed" survives step 1b even though it ends in "ed").  Words of length
 one or two are returned unchanged.
 
-``stem`` keeps no cache: the feature pipeline's ``token_chunk`` calls it
-once per distinct token of a chunk.
+``stem`` keeps no cache: the bong block (``ngrams._runs``) calls it once
+per type of a chunk's token table, each distinct word of the chunk.
 """
 
 from __future__ import annotations

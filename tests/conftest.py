@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from opinionchain.corpus import CorpusColumns, polarity
-from opinionchain.features.pipeline import FeaturePipeline
+from opinionchain.features.pipeline import FeaturePipeline, SegmentedChunk, token_chunk
 from opinionchain.features.segmentation import ipu_indices, segment_into_ipus
 from opinionchain.model import (
     ChainLayout,
@@ -100,15 +100,41 @@ def same_columns(a, b):
 
 def ipus(doc, threshold_ms):
     """The (texts, markers) of each IPU of the one-document corpus
-    ``doc``, from the bounds and marker tuples that ``segment_into_ipus``
+    ``doc``, from the bounds and marker IPUs that ``segment_into_ipus``
     gives for it."""
     cuts = segment_into_ipus(doc, threshold_ms)
     bounds = cuts.bounds.tolist()
-    assert cuts.docs.tolist() == [0, len(bounds) - 1] and len(cuts.events) == len(bounds) - 1
+    assert cuts.docs.tolist() == [0, len(bounds) - 1]
+    assert len(cuts.marker_ipus) == len(doc.marker_texts)
+    attached = [[] for _ in bounds[1:]]
+    for text, ipu in zip(doc.marker_texts, cuts.marker_ipus.tolist()):
+        if ipu >= 0:
+            attached[ipu].append(text)
     return [
-        (tuple(doc.texts[lo:hi]), attached)
-        for lo, hi, attached in zip(bounds, bounds[1:], cuts.events)
+        (tuple(doc.texts[lo:hi]), tuple(markers))
+        for lo, hi, markers in zip(bounds, bounds[1:], attached)
     ]
+
+
+def segmented_chunk(doc_ids, units, events, bounds, threshold_ms):
+    """The ``SegmentedChunk`` of documents ``doc_ids`` cut at
+    ``threshold_ms``: IPU u's words ``units[u]`` and markers
+    ``events[u]``, and document i's IPUs ``bounds[i]:bounds[i + 1]``."""
+    return SegmentedChunk(
+        tuple(doc_ids),
+        token_chunk(units),
+        token_chunk(events),
+        np.asarray(bounds, dtype=np.intp),
+        threshold_ms,
+    )
+
+
+def unit_strings(column):
+    """The strings of each unit of ``column`` (a ``TokenChunk``), as one
+    list per unit."""
+    strings = [column.types[k] for k in column.ids.tolist()]
+    at = column.offsets.tolist()
+    return [strings[lo:hi] for lo, hi in zip(at, at[1:])]
 
 
 def ipu_index_per_token(doc, threshold_ms):

@@ -152,9 +152,9 @@ def reference_read_corpus(path) -> CorpusColumns:
     manifest = root / MANIFEST_NAME
     problems = []
     if manifest.exists():
-        entries = _read_manifest(manifest, problems)
+        entries, refused = _read_manifest(manifest, problems)
     elif not any(root.iterdir()):
-        entries = []
+        entries, refused = [], set()
     else:
         raise FileFormatError(f"missing {MANIFEST_NAME} in {root}")
     index = {doc_id: i for i, (doc_id, _, _) in enumerate(entries)}
@@ -164,7 +164,9 @@ def reference_read_corpus(path) -> CorpusColumns:
     parsed = True
     for filename in sorted({filename for _, filename, _ in entries}):
         file = os.path.join(root, filename)
-        lines, found, file_parsed = _reference_transcript_file(file, index, fields, markers)
+        lines, found, file_parsed = _reference_transcript_file(
+            file, index, refused, fields, markers
+        )
         files.append((file, lines, found))
         parsed &= file_parsed
     columns = _reference_token_columns(*fields, len(entries)) if parsed else None
@@ -186,7 +188,7 @@ def reference_read_corpus(path) -> CorpusColumns:
     )
 
 
-def _reference_transcript_file(path, index, fields, markers):
+def _reference_transcript_file(path, index, refused, fields, markers):
     try:
         lines = read_utf8(path).splitlines()
     except FileNotFoundError:
@@ -205,7 +207,7 @@ def _reference_transcript_file(path, index, fields, markers):
             token_lines.append(lineno)
         elif line.strip():
             try:
-                markers.append(_marker_record(parts, index))
+                markers.extend(_marker_record(parts, index, refused))
             except ValueError as exc:
                 found.append((lineno, str(exc)))
     parsed = True

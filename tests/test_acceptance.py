@@ -200,11 +200,11 @@ def test_sequence_model_beats_aggregate_baseline_on_synthetic_corpus(synthetic_s
     assert bayes == pytest.approx(0.66484375, abs=1e-12)
 
     corpus = setup.corpus
-    logreg = cross_validate(corpus, setup.config, LogRegLearner(c_grid=(1.0,)), k=5, seed=0)
+    logreg, _ = cross_validate(corpus, setup.config, LogRegLearner(c_grid=(1.0,)), k=5, seed=0)
     learner = HcrfLearner(
         config=TrainingConfig(num_hidden_states=3, l2_lambda=0.1, max_iterations=150)
     )
-    hcrf = cross_validate(corpus, setup.config, learner, k=5, seed=0)
+    hcrf, _ = cross_validate(corpus, setup.config, learner, k=5, seed=0)
 
     assert logreg.accuracy <= 100 * bayes + 7.5
     assert hcrf.accuracy - logreg.accuracy >= 10.0

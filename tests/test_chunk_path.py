@@ -52,6 +52,7 @@ from conftest import (
     labels,
     make_transcript,
     same_columns,
+    segmented_chunk,
     split_documents,
 )
 from oracles import reference_load, reference_segment, reference_tokens
@@ -108,7 +109,7 @@ def _reference_posteriors(loaded, root):
     rows = []
     for doc_id, texts, starts, ends, markers, _ in reference_load(root):
         units = reference_segment(texts, starts, ends, markers, THRESHOLD)
-        seg = SegmentedChunk(
+        seg = segmented_chunk(
             (doc_id,),
             [reference_tokens(unit) for unit, _ in units],
             [events for _, events in units],
@@ -283,9 +284,7 @@ def test_cross_validated_predictions_equal_each_document_scored_alone(seed, fold
     docs = generate_corpus(spec, seed=seed)
     config = PipelineConfig()
     learner = _Recording(_LEARNERS[name])
-    report, details = cross_validate(
-        docs, config, learner, k=folds, seed=cv_seed, return_details=True
-    )
+    report, details = cross_validate(docs, config, learner, k=folds, seed=cv_seed)
     gold = labels(docs)
     plan = stratified_k_fold(gold, folds, cv_seed)
     pooled = [-1] * len(docs)

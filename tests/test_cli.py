@@ -200,20 +200,21 @@ def test_segment_loads_only_the_corpus_and_the_segmenter(tmp_path, generated):
 
 @pytest.fixture
 def segment_counts(monkeypatch):
-    """Segmentations of each document id by ``segment_into_ipus``, through
-    both names the program calls it by: each call segments a chunk of
-    documents once."""
+    """Segmentations of each document id by ``segment_into_ipus``, kept
+    apart for the two names the program calls it by: the pipeline's,
+    which featurizes, and the segmenter's own.  Each call segments a
+    chunk of documents once."""
     from opinionchain.features import pipeline, segmentation
 
-    counts = Counter()
+    counts = {"pipeline": Counter(), "segmentation": Counter()}
     original = segmentation.segment_into_ipus
+    for name, module in (("pipeline", pipeline), ("segmentation", segmentation)):
 
-    def counting(chunk, threshold_ms):
-        counts.update(chunk.doc_ids)
-        return original(chunk, threshold_ms)
+        def counting(chunk, threshold_ms, _counts=counts[name]):
+            _counts.update(chunk.doc_ids)
+            return original(chunk, threshold_ms)
 
-    monkeypatch.setattr(pipeline, "segment_into_ipus", counting)
-    monkeypatch.setattr(segmentation, "segment_into_ipus", counting)
+        monkeypatch.setattr(module, "segment_into_ipus", counting)
     return counts
 
 
@@ -310,15 +311,19 @@ class TestSegmentationCount:
     def test_commands_segment_each_document_once(
         self, tmp_path, generated, segment_counts, command
     ):
-        """The IPU count of the "loaded" log line comes from the same
-        segmentation that featurization uses, and ``segment`` counts the
-        IPUs from the index it writes."""
+        """Each document is cut once for the IPU count of the "loaded"
+        log line, or, in ``segment``, of the index it writes, with no
+        tokenizing; ``train`` and ``evaluate`` then featurize each
+        labeled document from one more segmentation, by the pipeline."""
         argv = command + ["--corpus", str(generated / "corpus"), "--out", str(tmp_path / "o")]
-        if command != ["segment"]:
+        featurized = command != ["segment"]
+        if featurized:
             argv += ["--config", train_config_file(tmp_path, generated)]
         assert main(argv) == 0
-        assert len(segment_counts) == 16
-        assert set(segment_counts.values()) == {1}
+        assert {name: (len(c), set(c.values())) for name, c in segment_counts.items()} == {
+            "pipeline": (16, {1}) if featurized else (0, set()),
+            "segmentation": (16, {1}),
+        }
 
     @pytest.mark.parametrize("command", [["train"], ["evaluate", "--folds", "2"]])
     def test_loaded_line_counts_the_ipus_of_every_document(self, tmp_path, generated, command):
@@ -350,8 +355,9 @@ class TestSegmentationCount:
 
         corpus = read_corpus(generated / "corpus")
         cross_validate(corpus, PipelineConfig(), LogRegLearner(), k=2)
-        assert set(segment_counts.values()) == {1}
-        assert len(segment_counts) == len(corpus)
+        assert set(segment_counts["pipeline"].values()) == {1}
+        assert len(segment_counts["pipeline"]) == len(corpus)
+        assert not segment_counts["segmentation"]
 
 
 class TestGenerate:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from opinionchain.errors import FileFormatError, InvalidInputError
 from opinionchain.features.embeddings import EmbeddingTable, embed_units, load_embeddings
+from opinionchain.features.pipeline import token_chunk
 
 from conftest import resource_text
 from oracles import embed_tokens
@@ -21,7 +22,7 @@ def table(vectors, dim, lowercase=True):
 
 def embed_one(tokens, t, stopwords):
     """The row ``embed_units`` gives one IPU of ``tokens``."""
-    return embed_units([tokens], t, stopwords)[0]
+    return embed_units(token_chunk([tokens]), t, stopwords)[0]
 
 
 class TestEmbedTokens:
@@ -85,7 +86,7 @@ def test_chunk_rows_bitwise_equal_each_ipu_alone(units, seed, lowercase):
     t = table(vecs, 5, lowercase=lowercase)
     stopwords = frozenset({"the"})
     units = units + [[], ["the", "the"], ["zzz", "QQQ"]]
-    got = embed_units(units, t, stopwords)
+    got = embed_units(token_chunk(units), t, stopwords)
     assert got.shape == (len(units), 6)
     for row, tokens in zip(got, units):
         assert np.array_equal(row, embed_tokens(tokens, t, stopwords))
@@ -94,7 +95,7 @@ def test_chunk_rows_bitwise_equal_each_ipu_alone(units, seed, lowercase):
 
 def test_no_units_give_no_rows():
     t = table({"x": [1.0]}, 1)
-    assert embed_units([], t, NO_STOPWORDS).shape == (0, 2)
+    assert embed_units(token_chunk([]), t, NO_STOPWORDS).shape == (0, 2)
 
 
 class TestLoadEmbeddings:

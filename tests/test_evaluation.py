@@ -244,7 +244,7 @@ class TestCrossValidate:
         for i in range(116):
             docs.append(make_transcript(doc_id=f"n{i}", valences=(1.0,)))
         config = PipelineConfig(standardize=False)
-        report = cross_validate(columns(docs), config, _MajorityLearner(), k=10, seed=0)
+        report, _ = cross_validate(columns(docs), config, _MajorityLearner(), k=10, seed=0)
         assert report.rounded() == {
             "accuracy": 64,
             "weighted_f1": 50,
@@ -264,7 +264,7 @@ class TestCrossValidate:
     def test_separable_corpus_scores_high(self):
         docs = columns(tiny_corpus(n_pos=10, n_neg=10))
         config = PipelineConfig(blocks=("bong",), standardize=False)
-        report = cross_validate(docs, config, LogRegLearner(c_grid=(10.0,)), k=2, seed=0)
+        report, _ = cross_validate(docs, config, LogRegLearner(c_grid=(10.0,)), k=2, seed=0)
         assert report.accuracy == 100.0
 
     def test_unlabeled_document_rejected(self):
@@ -275,9 +275,7 @@ class TestCrossValidate:
     def test_fitted_resources_ignore_test_fold_content(self):
         docs = tiny_corpus(n_pos=6, n_neg=6)
         config = PipelineConfig(blocks=("bong",), standardize=False)
-        _, details_a = cross_validate(
-            columns(docs), config, _MajorityLearner(), k=3, seed=1, return_details=True
-        )
+        _, details_a = cross_validate(columns(docs), config, _MajorityLearner(), k=3, seed=1)
         # rewrite fold 0's held-out documents with entirely different text;
         # labels stay put so the fold plan is unchanged
         fold0_ids = set(details_a[0].test_doc_ids)
@@ -291,9 +289,7 @@ class TestCrossValidate:
             else d
             for d in docs
         ]
-        _, details_b = cross_validate(
-            columns(mutated), config, _MajorityLearner(), k=3, seed=1, return_details=True
-        )
+        _, details_b = cross_validate(columns(mutated), config, _MajorityLearner(), k=3, seed=1)
         assert details_a[0].pipeline_checksum == details_b[0].pipeline_checksum
         # sanity: other folds trained on the mutated docs, so they do change
         assert details_a[1].pipeline_checksum != details_b[1].pipeline_checksum
@@ -342,9 +338,7 @@ class TestCrossValidate:
             monkeypatch.setattr(pipeline_module, name, counting)
 
         learner = _RecordingLearner()
-        _, details = cross_validate(
-            corpus, config, learner, k=3, seed=2, return_details=True
-        )
+        _, details = cross_validate(corpus, config, learner, k=3, seed=2)
         num_ipus = sum(len(block.features) for block in [learner.train[0], *learner.held_out[0]])
         assert units == {
             "embed_units": num_ipus,
@@ -363,18 +357,6 @@ class TestCrossValidate:
             assert same_block(train, want_train)
             assert same_block(got_held_out, want_held_out)
 
-    def test_segmented_documents_must_match_the_corpus(self):
-        from opinionchain.features.pipeline import FeaturePipeline
-
-        docs = columns(tiny_corpus())
-        config = PipelineConfig(blocks=("bong",), standardize=False)
-        segmented = FeaturePipeline(config).segment(docs)
-        reversed_docs = segmented.subchunk(range(len(docs))[::-1])
-        with pytest.raises(InvalidInputError, match="do not match the corpus"):
-            cross_validate(docs, config, _MajorityLearner(), k=2, segmented=reversed_docs)
-        want = cross_validate(docs, config, _MajorityLearner(), k=2)
-        assert cross_validate(docs, config, _MajorityLearner(), k=2, segmented=segmented) == want
-
     def test_hcrf_grid_avoids_crushing_regularizer(self):
         docs = columns(tiny_corpus(n_pos=6, n_neg=6))
         config = PipelineConfig(blocks=("bong",), standardize=False)
@@ -382,8 +364,6 @@ class TestCrossValidate:
             config=TrainingConfig(num_hidden_states=2, max_iterations=60),
             l2_grid=(1e6, 0.1),
         )
-        _, details = cross_validate(
-            docs, config, learner, k=2, seed=0, return_details=True
-        )
+        _, details = cross_validate(docs, config, learner, k=2, seed=0)
         for detail in details:
             assert detail.selection["l2_lambda"] == 0.1

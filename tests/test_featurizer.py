@@ -17,10 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opinionchain.features import pipeline as feature_pipeline
-from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig, SegmentedChunk
+from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 from opinionchain.features.standardize import fit_standardizer
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 
+from conftest import columns, make_transcript, segmented_chunk, unit_strings
 from oracles import reference_rows, reference_vocabulary
 
 _WORDS = (
@@ -40,7 +41,7 @@ _DOC = st.lists(_IPU, min_size=1, max_size=4)
 def segmented(prefix, docs, config):
     """A chunk of documents, each given by its (tokens, markers) IPUs,
     named ``prefix`` and their index."""
-    return SegmentedChunk(
+    return segmented_chunk(
         tuple(f"{prefix}{i}" for i in range(len(docs))),
         [list(tokens) for doc in docs for tokens, _ in doc],
         [tuple(events) for doc in docs for _, events in doc],
@@ -51,10 +52,9 @@ def segmented(prefix, docs, config):
 
 def document_units(chunk):
     """Each document's (words, markers) of its IPUs."""
-    bounds = chunk.bounds
-    return [
-        (chunk.units[lo:hi], chunk.events[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-    ]
+    bounds = chunk.bounds.tolist()
+    words, markers = unit_strings(chunk.tokens), unit_strings(chunk.markers)
+    return [(words[lo:hi], markers[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def bitwise(a, b):
@@ -160,3 +160,47 @@ def test_chunk_boundaries_change_nothing(count):
     for k in {0, count - 1}:  # a chunk of one
         alone = docs.subchunk([k])
         check_against_reference(fitted, alone, [fitted.block(alone)])
+
+
+# a transcript's token strings: words, strings of more than one word, and
+# punctuation that tokenizes to no word
+_TEXT = st.sampled_from(
+    ("great", "Great", "not", "movie", "um", "don't-stop", "very good", "a,b", "--", "...", "!")
+)
+
+
+@st.composite
+def _corpora(draw):
+    """A corpus of documents with markers at any time, in any order, and
+    one tokenless document that has markers."""
+    docs = []
+    for i in range(draw(st.integers(0, 5))):
+        texts = draw(st.lists(_TEXT, max_size=6))
+        gaps = draw(st.lists(st.sampled_from((50, 400)), min_size=max(0, len(texts) - 1),
+                             max_size=max(0, len(texts) - 1)))
+        markers = draw(st.lists(st.tuples(_EVENT, st.integers(0, 3000)), max_size=3))
+        docs.append(make_transcript(f"d{i}", texts, gaps, markers=markers))
+    tokenless = make_transcript("empty", (), markers=[("*hum*", 5), ("*chuckling*", 0)])
+    docs.insert(draw(st.integers(0, len(docs))), tokenless)
+    return columns(docs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=_corpora(), data=st.data())
+def test_a_subchunk_holds_what_its_documents_segment_to(corpus, data):
+    """A subchunk's word and marker columns give each IPU the words and
+    markers that segmenting its documents alone gives, and number the
+    same types; in reversed order, each document keeps its IPUs."""
+    pipeline = FeaturePipeline(PipelineConfig())
+    whole = pipeline.segment(corpus)
+    ids = sorted(data.draw(st.sets(st.integers(0, len(corpus) - 1))))
+    got, want = whole.subchunk(ids), pipeline.segment(corpus.select(ids))
+    assert got.doc_ids == want.doc_ids
+    assert np.array_equal(got.bounds, want.bounds)
+    for name in ("tokens", "markers"):
+        got_column, want_column = getattr(got, name), getattr(want, name)
+        assert unit_strings(got_column) == unit_strings(want_column)
+        assert sorted(got_column.types) == sorted(want_column.types)
+    backwards = whole.subchunk(range(len(corpus))[::-1])
+    assert backwards.doc_ids == whole.doc_ids[::-1]
+    assert document_units(backwards) == document_units(whole)[::-1]

@@ -12,7 +12,7 @@ from oracles import extract_ngrams, reference_vocabulary
 
 def fit(docs, max_order=3, min_df=1):
     """``fit_bong`` on ``docs`` (token lists), one unit per document."""
-    return fit_bong(token_chunk(docs, stems=True), max_order=max_order, min_df=min_df)
+    return fit_bong(token_chunk(docs), max_order=max_order, min_df=min_df)
 
 
 class TestExtraction:
@@ -93,7 +93,7 @@ def test_fit_bitwise_equals_the_per_occurrence_reference(docs, order, min_df):
     """The vocabulary fitted from a chunk's stem ids is bitwise the
     reference's."""
     terms, doc_freq = reference_vocabulary(docs, order, min_df)
-    tokens = token_chunk(docs, stems=True)
+    tokens = token_chunk(docs)
     if not terms:
         with pytest.raises(ConfigurationError, match="empty vocabulary"):
             fit_bong(tokens, max_order=order, min_df=min_df)
@@ -114,7 +114,7 @@ def test_joined_duplicates_count_once_per_document():
 
 def entries(units, vocab):
     """``vectorize_bong``'s entries for ``units`` (token lists)."""
-    return vectorize_bong(token_chunk(units, stems=True), vocab)
+    return vectorize_bong(token_chunk(units), vocab)
 
 
 def dense_rows(units, vocab):

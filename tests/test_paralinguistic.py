@@ -5,6 +5,7 @@ from opinionchain.features.paralinguistic import (
     FEATURE_NAMES,
     paralinguistic_features,
 )
+from opinionchain.features.pipeline import token_chunk
 from opinionchain.features.resources import load_marker_map
 
 MAP = {
@@ -17,11 +18,12 @@ MAP = {
 
 
 def test_no_markers_zero_vector():
-    np.testing.assert_array_equal(paralinguistic_features([[]], MAP), np.zeros((1, 5)))
+    out = paralinguistic_features(token_chunk([[]]), MAP)
+    np.testing.assert_array_equal(out, np.zeros((1, 5)))
 
 
 def test_single_chuckle():
-    out = paralinguistic_features([["*chuckling*"]], MAP)[0]
+    out = paralinguistic_features(token_chunk([["*chuckling*"]]), MAP)[0]
     assert out[FEATURE_NAMES.index("para_laughter")] == 1.0
     assert out.sum() == 1.0
 
@@ -35,7 +37,7 @@ def test_mixed_markers_recounted():
         "*falling intonation*",
         "*word elongation*",
     ]
-    out = paralinguistic_features([events], MAP)[0]
+    out = paralinguistic_features(token_chunk([events]), MAP)[0]
     recount = {c: 0 for c in CATEGORIES + ("other",)}
     for e in events:
         recount[MAP[e.strip("*")]] += 1
@@ -44,7 +46,7 @@ def test_mixed_markers_recounted():
 
 
 def test_unknown_marker_lands_in_other_bucket():
-    out = paralinguistic_features([["*interpretive dance*"]], MAP)[0]
+    out = paralinguistic_features(token_chunk([["*interpretive dance*"]]), MAP)[0]
     assert out[FEATURE_NAMES.index("para_other")] == 1.0
     assert out.sum() == 1.0
 
@@ -60,7 +62,7 @@ def test_shipped_marker_map_loads():
 def test_units_counted_row_by_row_and_unknown_markers_logged_in_order(caplog):
     units = [["*chuckling*", "*hum*"], [], ["*Shouting*", "*sigh*", "*hum*"]]
     with caplog.at_level("INFO", logger="opinionchain.features.paralinguistic"):
-        out = paralinguistic_features(units, MAP)
+        out = paralinguistic_features(token_chunk(units), MAP)
     laughter, volume, other = (
         FEATURE_NAMES.index(n) for n in ("para_laughter", "para_volume", "para_other")
     )

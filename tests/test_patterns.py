@@ -31,7 +31,7 @@ RES = PatternResources(
 def counts(tokens, tags, resources=RES):
     """``pattern_features`` of one unit, each token tagged as in ``tags``."""
     tagger = RuleTagger(lexicon={t.lower(): tag for t, tag in zip(tokens, tags)})
-    return pattern_features(token_chunk([tokens], tagger, resources), resources)[0]
+    return pattern_features(token_chunk([tokens]), tagger, resources)[0]
 
 
 class TestPatternCounts:
@@ -91,14 +91,14 @@ class TestPatternCounts:
 
     def test_adjective_noun_pairs_stay_within_a_unit(self):
         tagger = RuleTagger(lexicon={"great": "ADJ", "movie": "NOUN"})
-        out = pattern_features(token_chunk([["great"], ["movie"]], tagger, RES), RES)
+        out = pattern_features(token_chunk([["great"], ["movie"]]), tagger, RES)
         assert out[:, pattern_feature_names().index("adj_noun")].tolist() == [0.0, 0.0]
 
     def test_tag_listed_twice_counted_in_both_columns(self):
         tag_set = ("ADJ", "NOUN", "ADJ")
         res = PatternResources(**{**RES.__dict__, "tag_set": tag_set})
         tagger = RuleTagger(lexicon={"great": "ADJ"}, tag_set=tag_set)
-        out = pattern_features(token_chunk([["great", "great"]], tagger, res), res)[0]
+        out = pattern_features(token_chunk([["great", "great"]]), tagger, res)[0]
         assert out[6:].tolist() == [2.0, 0.0, 2.0]
 
 

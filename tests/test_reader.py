@@ -27,7 +27,7 @@ from opinionchain.corpus import REGION_CHARS, read_corpus, save_corpus
 from opinionchain.errors import FileFormatError
 from opinionchain.features.pipeline import FeaturePipeline, PipelineConfig
 
-from conftest import ipu_index_per_token, ipus, split_documents
+from conftest import ipu_index_per_token, ipus, split_documents, unit_strings
 from oracles import reference_load, reference_read_corpus, reference_segment, reference_tokens
 
 THRESHOLD = 300
@@ -142,14 +142,15 @@ def test_columns_and_ipus_equal_the_per_line_reference(files):
 
         chunk = FeaturePipeline(PipelineConfig(threshold_ms=THRESHOLD)).segment(corpus)
         assert chunk.doc_ids == corpus.doc_ids
-        bounds = chunk.bounds
+        bounds = chunk.bounds.tolist()
+        words, markers_of = unit_strings(chunk.tokens), unit_strings(chunk.markers)
         for doc, lo, hi, (_, texts, starts, ends, markers, _) in zip(
             loaded, bounds[:-1], bounds[1:], reference, strict=True
         ):
             want = reference_segment(texts, starts, ends, markers, THRESHOLD)
             assert ipus(doc, THRESHOLD) == want
-            assert chunk.units[lo:hi] == [reference_tokens(unit) for unit, _ in want]
-            assert chunk.events[lo:hi] == [events for _, events in want]
+            assert words[lo:hi] == [reference_tokens(unit) for unit, _ in want]
+            assert markers_of[lo:hi] == [list(events) for _, events in want]
             assert ipu_index_per_token(doc, THRESHOLD) == [
                 i for i, (unit, _) in enumerate(want) for _ in unit
             ]

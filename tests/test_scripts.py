@@ -1,8 +1,11 @@
 """The scripts under scripts/ import the package's public API; running
 each with --help catches an import that a refactor has broken.  The
-A/B timer also runs for a few calls, and the synthetic benchmark's
-significance helpers are tested in-process."""
+A/B timer also runs for a few calls, the grid search and the synthetic
+benchmark run end to end on tiny inputs, so that a changed signature of
+what they call fails here, and the synthetic benchmark's significance
+helpers are tested in-process."""
 
+import dataclasses
 import importlib.util
 import math
 import os
@@ -13,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from opinionchain.corpus import save_corpus
 from opinionchain.errors import InvalidInputError
 from opinionchain.evaluation import compute_metrics, cross_validate
 from opinionchain.features.pipeline import PipelineConfig
+from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from conftest import columns
 from test_evaluation import _MajorityLearner, tiny_corpus
 
@@ -68,6 +73,28 @@ def test_objective_timing_runs_a_few_calls():
     assert re.search(r"^default_predict_ms_per_doc \d+\.\d+$", proc.stdout, re.M)
 
 
+def test_synthetic_benchmark_runs_a_tiny_spec():
+    proc = run_script(
+        "synthetic_benchmark.py", "--docs-per-label", "6", "--folds", "2", "--max-iterations", "5"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^corpus: 12 documents, 2-fold cross-validation$", proc.stdout, re.M)
+    assert re.search(r"^gap: [+-]\d+\.\d\d accuracy points$", proc.stdout, re.M)
+    assert re.search(r"^paired t-test on fold accuracies: t=\S+, p=\S+", proc.stdout, re.M)
+
+
+def test_grid_search_runs_a_one_point_grid(tmp_path):
+    spec = dataclasses.replace(SyntheticSpec(), num_docs_per_label=6)
+    save_corpus(generate_corpus(spec, seed=1), tmp_path / "corpus")
+    proc = run_script(
+        "grid_search.py", "--corpus", str(tmp_path / "corpus"), "--folds", "2",
+        "--max-iterations", "5", "--hidden-states", "2", "--context-windows", "0", "--l2", "0.1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^\[1/1\] H=2 w=0 l2=0\.1: acc=\d+\.\d\d wF1=\d+\.\d\d$", proc.stdout, re.M)
+    assert re.search(r"^H=2 w=0 l2=0\.1 +\d+\.\d\d% +\d+\.\d\d% ", proc.stdout, re.M)
+
+
 class TestSignificance:
     def test_identical_scores(self):
         result = fold_significance([70.0, 71.0, 69.0], [70.0, 71.0, 69.0])
@@ -107,7 +134,7 @@ class TestSignificance:
     def test_fold_scores_extraction(self):
         docs = columns(tiny_corpus())
         config = PipelineConfig(blocks=("bong",), standardize=False)
-        report = cross_validate(docs, config, _MajorityLearner(), k=2, seed=0)
+        report, _ = cross_validate(docs, config, _MajorityLearner(), k=2, seed=0)
         accs = fold_scores(report, "accuracy")
         assert len(accs) == 2
         wf1 = fold_scores(report, "weighted_f1")

@@ -27,7 +27,8 @@ class TestBoundaryRule:
     def test_empty_transcript_gives_empty_list(self):
         doc = make_transcript(words=())
         cuts = segment_into_ipus(doc, 300)
-        assert (cuts.bounds.tolist(), cuts.docs.tolist(), cuts.events) == ([0], [0, 0], [])
+        cut = (cuts.bounds.tolist(), cuts.docs.tolist(), cuts.marker_ipus.tolist())
+        assert cut == ([0], [0, 0], [])
         assert ipus(doc, 300) == []
 
     def test_single_token(self):

@@ -267,8 +267,8 @@ def test_transform_rejects_faulty_chunk_rows(monkeypatch, standardize, fault, ma
             values[0] = np.nan
         return rows, indices, values
 
-    def faulty_patterns(tokens, resources):
-        rows = patterns(tokens, resources)
+    def faulty_patterns(tokens, tagger, resources):
+        rows = patterns(tokens, tagger, resources)
         if fault == "nan_dense_row":
             rows[-1, 0] = np.nan
         return rows
