@@ -13,20 +13,22 @@ Sequences travel stacked, as a :class:`SequenceBlock` checked once for
 all of them: training fits on one, cross-validation picks documents
 from one by index (``SequenceBlock.subblock``), and prediction scores
 one per chunk of documents; every trained model is a :class:`Predictor`
-of such blocks.  The emission scores ``<x_j, W_obs[h]>``
-come from :func:`emission_scores`, which reads the block's sparse rows
-(:class:`SparseRows`) by one gather-and-sum and applies a context window
-as shifted per-block scores, so neither the dense rows nor the windowed
-ones are built.  All inference goes through one kernel, batched over
-labels and over chains of any mix of lengths, whose node scores are
-packed position-major with no padding (:class:`ChainLayout`), so each
-position's are one slice of them: :func:`forward`
-gives the log-partitions, which is all the label posteriors
-(:func:`label_posteriors`) need, and :func:`backward` turns a forward
-pass and one weight per (label, chain) into weighted state and pair
-posteriors.  Training weights them by P(y|x) - 1[y = gold], so the
-likelihood gradient is a plain sum of the backward pass's outputs; a
-weight of 1 gives the plain posteriors.  Both recursions run on the
+of such blocks.  A fit and a prediction lay a block's chains out alike
+(:meth:`ChainLayout.by_length`): sorted by non-increasing length, their
+rows packed position-major with no padding, so each position's are one
+slice of them.  The emission scores ``<x_j, W_obs[h]>`` come from
+:func:`emission_blocks`, one array per shift of a context window, which
+reads the block's sparse rows (:class:`SparseRows`) by one
+gather-and-sum; one gather at the layout's neighbours
+(:meth:`ChainLayout.neighbours`, :func:`neighbour_rows`) adds the shifts
+up, so neither the dense rows nor the windowed ones are built.  All
+inference goes through one kernel, batched over labels and over chains
+of any mix of lengths: :func:`forward` gives the log-partitions, which
+is all the label posteriors (:func:`label_log_posteriors`) need, and
+:func:`backward` turns a forward pass and one weight per (label, chain)
+into weighted state and pair posteriors.  Training weights them by
+P(y|x) - 1[y = gold], so the likelihood gradient is a plain sum of the
+backward pass's outputs; a weight of 1 gives the plain posteriors.  Both recursions run on the
 arrays and views of a :class:`KernelPlan`, laid out once per layout, so
 the calls of a fit reuse them.  The recursions run position-major, on
 (position, state, label, sequence) arrays, so every reduction sums the
@@ -52,8 +54,9 @@ Conventions fixed here and relied on elsewhere:
 * the transition sum ranges over the L-1 adjacent pairs, so a length-1
   sequence has no transition term;
 * no begin/end boundary states and no bias feature are added;
-* the predicted label is the argmax of a row of :func:`label_posteriors`,
-  so exact ties go to the lowest label index.
+* the predicted label is the argmax of a row of
+  :meth:`Predictor.posterior_blocks`, so exact ties go to the lowest
+  label index.
 """
 
 from __future__ import annotations
@@ -254,62 +257,50 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def emission_blocks(
     parts: list[np.ndarray], sparse: SparseRows | None, theta_obs: np.ndarray, window: int
-) -> list[list[np.ndarray]]:
+) -> list[np.ndarray]:
     """Scores ``x_r · W_kᵀ`` of rows against each of the 2w+1 column
-    blocks ``W_k`` of the (H, (2w+1) D) ``theta_obs``: ``blocks[k][i]`` is
-    the (R_i, H) scores of the i-th of ``parts``, consecutive runs of
-    rows each given by its dense (R_i, D') columns; ``sparse``, if given,
-    holds the (sum of R_i, V) columns that come first, for all the parts
-    stacked in order.  The sparse block is scored in one call, whose
-    rows add their entries in the same order however the parts are
-    stacked, and each part's dense rows get a matmul of their own, so a
-    part's scores are bitwise what it gives alone.  Block k scores the
-    rows as the neighbours at offset k - w of the positions
-    :func:`window_sum` adds them into, so the (2w+1) D windowed vectors
-    are never built."""
+    blocks ``W_k`` of the (H, (2w+1) D) ``theta_obs``: ``blocks[k]`` is
+    the (R, H) scores of the R rows of ``parts`` stacked in order,
+    consecutive runs of rows each given by its dense (R_i, D') columns;
+    ``sparse``, if given, holds their (R, V) columns that come first.
+    The sparse block is scored in one call, whose rows add their entries
+    in the same order however the parts are stacked, and each part's
+    dense rows get a matmul of their own, so a part's scores are bitwise
+    what it gives alone; a single dense part's product is the block
+    itself.  Block k scores the rows as the neighbours at offset k - w
+    of the positions :meth:`ChainLayout.neighbours` gathers them into,
+    so the (2w+1) D windowed vectors are never built."""
     width = 0 if sparse is None else sparse.width
     dim = width + parts[0].shape[1]
     blocks = []
     for k in range(2 * window + 1):
         weights = theta_obs if window == 0 else theta_obs[:, k * dim : (k + 1) * dim]
         if sparse is None:
-            blocks.append([part @ weights.T for part in parts])
+            products = [part @ weights.T for part in parts]
+            blocks.append(products[0] if len(parts) == 1 else np.concatenate(products))
             continue
         scores = sparse.dot(weights[:, :width])
         dense = weights[:, width:].T
-        bounds = np.cumsum([0] + [part.shape[0] for part in parts]).tolist()
-        shifted = []
-        for part, start, stop in zip(parts, bounds, bounds[1:]):
-            block = scores[start:stop]
-            block += part @ dense
-            shifted.append(block)
-        blocks.append(shifted)
+        start = 0
+        for part in parts:
+            scores[start : start + part.shape[0]] += part @ dense
+            start += part.shape[0]
+        blocks.append(scores)
     return blocks
 
 
-def shift_rows(a: np.ndarray, shift: int) -> np.ndarray:
-    """``out[j] = a[j + shift]`` along axis 0, and 0 where ``j + shift``
-    falls outside ``a``."""
-    out = np.zeros(a.shape)
-    n = a.shape[0]
-    if shift >= 0 and shift < n:
-        out[: n - shift] = a[shift:]
-    elif shift < 0 and -shift < n:
-        out[-shift:] = a[: n + shift]
-    return out
-
-
-def window_sum(blocks: list[np.ndarray], window: int) -> np.ndarray:
-    """Emission scores under a context window of ``window`` segments
-    either side, from :func:`emission_blocks`: position j adds block k's
-    row j + k - w, and nothing for a neighbour past either end of the
-    chain, as if the windowed vectors were zero-padded there."""
-    if window == 0:
-        return blocks[0]
-    out = shift_rows(blocks[0], -window)
-    for k in range(1, len(blocks)):
-        out += shift_rows(blocks[k], k - window)
-    return out
+def neighbour_rows(blocks: list[np.ndarray], neighbours: np.ndarray) -> np.ndarray:
+    """(K, R, H) rows of the K (R', H) ``blocks`` at the (K, R)
+    ``neighbours`` of :meth:`ChainLayout.neighbours`: ``out[k, r]`` is
+    row ``neighbours[k, r]`` of ``blocks[k]``, and zero where that index
+    is R', one past the last row.  Summed over k, the per-shift scores of
+    :func:`emission_blocks` give the emission scores under a context
+    window, added shift by shift in order."""
+    num_rows, num_h = blocks[0].shape
+    padded = np.zeros((len(blocks), num_rows + 1, num_h))
+    for k, block in enumerate(blocks):
+        padded[k, :num_rows] = block
+    return padded[np.arange(len(blocks))[:, None], neighbours]
 
 
 def run_indices(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -411,21 +402,6 @@ class Predictor(Protocol):
     def describe(self) -> dict: ...
 
 
-def emission_scores(block: SequenceBlock, theta_obs: np.ndarray, window: int) -> list[np.ndarray]:
-    """The (L, H) emission scores of each sequence of ``block`` under a
-    context window, each bitwise what the sequence alone gives: the
-    block's sparse rows are scored in one call, and each sequence's dense
-    rows get a matmul of their own (:func:`emission_blocks`).  A
-    per-sequence call would spend more on numpy's per-call overhead than
-    on the few entries of each sequence."""
-    bounds = block.bounds.tolist()
-    parts = [block.features[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    if not parts:
-        return []
-    blocks = emission_blocks(parts, block.sparse, theta_obs, window)
-    return [window_sum([shift[i] for shift in blocks], window) for i in range(len(parts))]
-
-
 def node_scores(emission: np.ndarray, theta_state: np.ndarray) -> np.ndarray:
     """(H, Y, R) per-label node scores of R packed rows from their (R, H)
     emission scores: each row's emission plus the (Y, H) label-state
@@ -446,7 +422,8 @@ class ChainLayout:
     Their R = sum of lengths rows are packed position-major: rows
     ``starts[j]:starts[j + 1]`` hold position j of those ``active[j]``
     chains, in chain order, so nothing pads them.  Validated at
-    construction; a training fit builds it once."""
+    construction; a training fit builds it once, and prediction once per
+    block, both by :meth:`by_length`."""
 
     lengths: np.ndarray  # (N,) non-increasing, all >= 1
     active: tuple[int, ...] = field(init=False)
@@ -469,6 +446,13 @@ class ChainLayout:
         object.__setattr__(self, "active", tuple(active.tolist()))
         object.__setattr__(self, "starts", (0, *np.cumsum(active[:-1]).tolist()))
 
+    @classmethod
+    def by_length(cls, lengths: np.ndarray) -> tuple[np.ndarray, "ChainLayout"]:
+        """The order that sorts chains of ``lengths`` by non-increasing
+        length, stably, and the layout of the chains in that order."""
+        order = np.argsort(-lengths, kind="stable")
+        return order, cls(lengths[order])
+
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The (R,) position and (R,) chain of each packed row."""
         running = np.array(self.active[:-1])
@@ -479,6 +463,16 @@ class ChainLayout:
         chain by chain (chain 0's rows in order, then chain 1's, ...)."""
         positions, chains = self.rows()
         return (np.cumsum(self.lengths) - self.lengths)[chains] + positions
+
+    def neighbours(self, window: int) -> np.ndarray:
+        """(2w+1, R) context window of each packed row: ``[k, r]`` is the
+        packed row of the same chain k - w positions on from row r, or R
+        where that falls past either end of the chain."""
+        positions, chains = self.rows()
+        target = positions + np.arange(-window, window + 1)[:, None]
+        inside = (target >= 0) & (target < self.lengths[chains])
+        rows = np.array(self.starts)[np.where(inside, target, 0)] + chains
+        return np.where(inside, rows, self.starts[-1])
 
 
 class KernelPlan:
@@ -686,22 +680,3 @@ def backward(fwd: ForwardPass, weights: np.ndarray) -> ChainPosteriors:
 def label_log_posteriors(log_z: np.ndarray) -> np.ndarray:
     """log P(y | x) from (Y, ...) per-label log-partitions, along axis 0."""
     return log_z - _logsumexp(log_z)
-
-
-def label_posteriors(emissions: list[np.ndarray], theta: HcrfParameters) -> np.ndarray:
-    """(N, Y) label posteriors P(y | x) of N chains, from each chain's
-    (L, H) emission scores.  The chains are sorted by non-increasing
-    length (stably) and their rows packed position-major, so one forward
-    pass covers them all; every row is bitwise what the chain alone
-    would give."""
-    out = np.empty((len(emissions), theta.num_labels))
-    if not emissions:
-        return out
-    lengths = np.array([emission.shape[0] for emission in emissions])
-    order = np.argsort(-lengths, kind="stable")
-    layout = ChainLayout(lengths[order])
-    rows = np.concatenate([emissions[i] for i in order.tolist()])[layout.packing()]
-    plan = KernelPlan(layout, theta.num_hidden_states, theta.num_labels)
-    log_z = forward(node_scores(rows, theta.theta_state), theta.theta_trans, plan).log_z
-    out[order] = np.exp(label_log_posteriors(log_z)).T
-    return out

@@ -8,16 +8,17 @@ pair posteriors weighted by (P(y|x) - 1[y = gold]).
 
 ``train`` takes the training documents as one ``model.SequenceBlock``
 with their labels, validates them and lays them out once per fit
-(:func:`group_by_length`): one ragged batch of every sequence, sorted by
-non-increasing length, with the block's feature rows kept once,
-position by position and unpadded, a sparse block's as its entries, and
-the kernel's work arrays (``model.KernelPlan``) made for that layout.
-Every objective call reuses both.  It reads the parameters as views of
-the optimizer's flat vector, and is value first, as the optimizer asks:
-one matmul gives every emission of the packed rows (plus a
-gather-and-sum over a sparse block's entries, and one block per shift
-of a context window, each shift a gather of the packed rows), from
-which the (H, Y, rows) node scores are one sum; the forward recursion
+(:func:`group_by_length`, by ``model.ChainLayout.by_length``): one
+ragged batch of every sequence, sorted by non-increasing length, with
+the block's feature rows kept once, position by position and unpadded,
+a sparse block's as its entries, and the kernel's work arrays
+(``model.KernelPlan``) made for that layout.  Every objective call
+reuses both.  It reads the parameters as views of the optimizer's flat
+vector, and is value first, as the optimizer asks: one matmul gives
+every emission of the packed rows (plus a gather-and-sum over a sparse
+block's entries, and under a context window one score per shift, added
+up by one gather at the layout's neighbours), from which the
+(H, Y, rows) node scores are one sum; the forward recursion
 (``model.forward``, the kernel that also computes the label posteriors
 at prediction time) gives the log-partitions, and from them the value.
 The gradient, taken only when the optimizer asks for it, weights the
@@ -29,15 +30,18 @@ blocks are sums of those: the state and transition blocks directly, the
 observation block by one matmul of the label-summed state posteriors,
 gathered into the packed rows, with the feature rows (a scatter-add
 into a sparse block's columns, and one product per shift of a context
-window).  The gradient comes back as one flat vector, in
-``HcrfParameters.as_vector`` order, which is what the optimizer reads.
+window, its row weights gathered at the same neighbours).  The
+gradient comes back as one flat vector, in ``HcrfParameters.as_vector``
+order, which is what the optimizer reads.
 Results are bitwise reproducible.
 
 Prediction (``HcrfPredictor.posterior_blocks``) scores blocks of
 sequences: one per chunk of ``features.pipeline.SCORING_CHUNK``
 documents, as ``predict`` builds them from a corpus's columns, or a
-fold's held-out documents.  It never loads the optimizer, which
-``train`` imports when it runs.
+fold's held-out documents.  It lays each block out as a fit lays out
+its training set and makes one kernel call per block, keeping nothing
+of a block past it.  It never loads the optimizer, which ``train``
+imports when it runs.
 """
 
 from __future__ import annotations
@@ -58,11 +62,11 @@ from .model import (
     SparseRows,
     backward,
     emission_blocks,
-    emission_scores,
     forward,
     label_log_posteriors,
-    label_posteriors,
+    neighbour_rows,
     node_scores,
+    run_indices,
 )
 
 if TYPE_CHECKING:
@@ -125,11 +129,10 @@ class LengthGroups:
     order; ``sparse`` is None when the sequences have no sparse block.
     ``feature_dim`` is the sequences' dimension D and ``window`` the
     context window the parameters are fit under, so they are
-    (H, (2w+1) D).  Under a window, ``neighbours[k]`` (R,) indexes, for
-    each row, the row of the same chain k - w positions on, or R (a zero
-    row the caller appends) where that is past either end of the chain.
-    Built once per fit by :func:`group_by_length`; every objective call
-    reuses it, and the kernel plan ``plan(H)`` makes for H states.
+    (H, (2w+1) D), and ``neighbours`` is the layout's (2w+1, R) window
+    of each row (``ChainLayout.neighbours``).  Built once per fit by
+    :func:`group_by_length`; every objective call reuses it, and the
+    kernel plan ``plan(H)`` makes for H states.
     """
 
     features: np.ndarray
@@ -138,8 +141,8 @@ class LengthGroups:
     layout: ChainLayout
     num_labels: int
     feature_dim: int
-    window: int = 0
-    neighbours: tuple[np.ndarray, ...] = ()
+    window: int
+    neighbours: np.ndarray
     plans: dict[int, KernelPlan] = field(default_factory=dict, init=False, repr=False)
 
     def plan(self, num_hidden_states: int) -> KernelPlan:
@@ -176,13 +179,10 @@ def group_by_length(
         raise InvalidInputError(
             f"{block.doc_ids[bad[0]]}: label {labels[bad[0]]} out of range [0, {num_labels})"
         )
-    lengths = np.diff(block.bounds)
-    order = np.argsort(-lengths, kind="stable")
-    layout = ChainLayout(lengths[order])
+    order, layout = ChainLayout.by_length(np.diff(block.bounds))
     stacked = block.subblock(order)
     packing = layout.packing()
     features = stacked.features[packing]
-    starts = np.array(layout.starts)
     sparse = stacked.sparse
     if sparse is not None:
         packed_at = np.empty_like(packing)
@@ -196,28 +196,10 @@ def group_by_length(
             sparse.offset,
             checked=True,
         )
-    labels = labels[order]
-    neighbours = ()
-    if window:
-        positions, chains = layout.rows()
-        ends = layout.lengths[chains]
-        neighbours = []
-        for offset in range(-window, window + 1):
-            target = positions + offset
-            inside = (target >= 0) & (target < ends)
-            rows = starts[np.where(inside, target, 0)] + chains
-            neighbours.append(np.where(inside, rows, len(features)))
-        neighbours = tuple(neighbours)
     return LengthGroups(
-        features, sparse, labels, layout, num_labels, block.dim, window, neighbours
+        features, sparse, labels[order], layout, num_labels, block.dim, window,
+        layout.neighbours(window),
     )
-
-
-def _shifted(rows: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
-    """(R, K) rows of ``rows`` gathered by ``neighbours``; index R reads
-    zeros."""
-    padded = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
-    return padded[neighbours]
 
 
 def _emission_rows(grouped: LengthGroups, theta_obs: np.ndarray) -> np.ndarray:
@@ -225,14 +207,10 @@ def _emission_rows(grouped: LengthGroups, theta_obs: np.ndarray) -> np.ndarray:
     window: position j adds block k's score of the row k - w positions
     on, and nothing for a neighbour past either end of the chain, as if
     the windowed vectors were zero-padded there."""
-    window = grouped.window
-    blocks = emission_blocks([grouped.features], grouped.sparse, theta_obs, window)
-    if window == 0:
-        return blocks[0][0]
-    out = _shifted(blocks[0][0], grouped.neighbours[0])
-    for (block,), neighbours in zip(blocks[1:], grouped.neighbours[1:]):
-        out += _shifted(block, neighbours)
-    return out
+    blocks = emission_blocks([grouped.features], grouped.sparse, theta_obs, grouped.window)
+    if grouped.window == 0:
+        return blocks[0]
+    return neighbour_rows(blocks, grouped.neighbours).sum(axis=0)
 
 
 def _observation_gradient(grouped: LengthGroups, node_weight: np.ndarray) -> np.ndarray:
@@ -241,18 +219,15 @@ def _observation_gradient(grouped: LengthGroups, node_weight: np.ndarray) -> np.
     rows.  Column block k scores the row at offset k - w of each
     position, so its row weights are the node weights of the row
     w - k positions on, zero past the chain ends."""
-    feats, sparse, window = grouped.features, grouped.sparse, grouped.window
+    feats, sparse, neighbours = grouped.features, grouped.sparse, grouped.neighbours
+    row_weights = [node_weight]
+    if grouped.window:
+        row_weights = neighbour_rows([node_weight] * len(neighbours), neighbours[::-1])
     blocks = []
-    for k in range(2 * window + 1):
-        row_weight = (
-            node_weight if window == 0
-            else _shifted(node_weight, grouped.neighbours[2 * window - k])
-        )
-        if sparse is None:
-            blocks.append(row_weight.T @ feats)
-        else:
+    for row_weight in row_weights:
+        if sparse is not None:
             blocks.append(sparse.transpose_dot(row_weight))
-            blocks.append(row_weight.T @ feats)
+        blocks.append(row_weight.T @ feats)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
@@ -356,21 +331,42 @@ class HcrfPredictor:
 
     def posterior_blocks(self, blocks) -> np.ndarray:
         """(N, Y) label posteriors of the sequences of ``blocks`` (any
-        iterable of ``SequenceBlock``s, read once), in order.  Each block's
-        dimension is checked once and its emission scores taken by one
-        ``emission_scores`` call; only those are kept, so the blocks are
-        never held at once.  One kernel call then covers every sequence,
-        and each row is bitwise what the sequence alone gives."""
-        window, theta_obs = self.config.context_window, self.params.theta_obs
-        emissions = []
-        for block in blocks:
-            if (2 * window + 1) * block.dim != self.params.feature_dim:
+        iterable of ``SequenceBlock``s, read once), in order.  Each block
+        is scored as a fit lays out its training set, and nothing of it
+        is kept but its rows of posteriors: its sequences sorted by
+        non-increasing length (``ChainLayout.by_length``), their emission
+        scores packed position-major and summed over the layout's context
+        window, and one kernel call.  Each sequence's dense rows get a
+        matmul of their own (``model.emission_blocks``), so each row is
+        bitwise what the sequence alone gives."""
+        window, theta = self.config.context_window, self.params
+        out = [np.empty((0, theta.num_labels))]
+        for index, block in enumerate(blocks):
+            if (2 * window + 1) * block.dim != theta.feature_dim:
                 raise InvalidInputError(
-                    f"{block.doc_ids[0]}: windowed dim {(2 * window + 1) * block.dim} != "
-                    f"model dim {self.params.feature_dim}"
+                    f"block {index} of {len(block.doc_ids)} sequences: windowed dim "
+                    f"{(2 * window + 1) * block.dim} != model dim {theta.feature_dim}"
                 )
-            emissions.extend(emission_scores(block, theta_obs, window))
-        return label_posteriors(emissions, self.params)
+            if not block.doc_ids:
+                continue
+            bounds = block.bounds
+            order, layout = ChainLayout.by_length(np.diff(bounds))
+            packed = run_indices(bounds[order], bounds[order + 1])[layout.packing()]
+            cuts = bounds.tolist()
+            parts = [block.features[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+            scores = emission_blocks(parts, block.sparse, theta.theta_obs, window)
+            if window == 0:
+                emission = scores[0][packed]
+            else:
+                neighbours = np.append(packed, packed.size)[layout.neighbours(window)]
+                emission = neighbour_rows(scores, neighbours).sum(axis=0)
+            plan = KernelPlan(layout, theta.num_hidden_states, theta.num_labels)
+            node = node_scores(emission, theta.theta_state)
+            log_z = forward(node, theta.theta_trans, plan).log_z
+            rows = np.empty((order.size, theta.num_labels))
+            rows[order] = np.exp(label_log_posteriors(log_z)).T
+            out.append(rows)
+        return np.concatenate(out)
 
     def describe(self) -> dict:
         return {

@@ -13,10 +13,9 @@ from opinionchain.model import (
     SparseRows,
     backward,
     forward,
-    label_posteriors,
     node_scores,
 )
-from opinionchain.training import objective_and_gradient
+from opinionchain.training import HcrfPredictor, TrainingConfig, objective_and_gradient
 
 
 def make_transcript(
@@ -288,8 +287,16 @@ def value_and_gradient(grouped, theta, l2_lambda):
 
 
 def posterior(rows, theta):
-    """P(y | x) of one sequence of (L, D) ``rows``, as a batch of one."""
-    return label_posteriors([rows @ theta.theta_obs.T], theta)[0]
+    """P(y | x) of one sequence of (L, D) ``rows``, scored by a predictor
+    as a block of its own."""
+    return posteriors([rows], theta)[0]
+
+
+def posteriors(docs, theta):
+    """(N, Y) P(y | x) of the sequences of (L, D) rows ``docs``, scored
+    by a window-0 predictor as one block."""
+    config = TrainingConfig(num_hidden_states=theta.num_hidden_states)
+    return HcrfPredictor(theta, config).posterior_blocks([make_block(docs)])
 
 
 @pytest.fixture

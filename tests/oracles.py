@@ -83,13 +83,7 @@ from opinionchain.features.lexicons import lexicon_features
 from opinionchain.features.paralinguistic import CATEGORIES, OTHER
 from opinionchain.features.stemmer import stem
 from opinionchain.features.tokenizer import tokenize
-from opinionchain.model import (
-    HcrfParameters,
-    emission_blocks,
-    label_log_posteriors,
-    shift_rows,
-    window_sum,
-)
+from opinionchain.model import HcrfParameters, emission_blocks, label_log_posteriors
 
 BRUTE_FORCE_MAX_PATHS = 10**6
 BAYES_MAX_PATTERNS = 10**6
@@ -557,6 +551,30 @@ def log_space_reference(
     return log_z, state
 
 
+def _shift_rows(a: np.ndarray, shift: int) -> np.ndarray:
+    """``out[j] = a[j + shift]`` along axis 0, and 0 where ``j + shift``
+    falls outside ``a``."""
+    out = np.zeros(a.shape)
+    n = a.shape[0]
+    if shift >= 0 and shift < n:
+        out[: n - shift] = a[shift:]
+    elif shift < 0 and -shift < n:
+        out[-shift:] = a[: n + shift]
+    return out
+
+
+def _window_sum(grids: list[np.ndarray], window: int) -> np.ndarray:
+    """Emission scores under a context window from the 2w+1 per-shift
+    (Lmax, N, H) grids: position j adds grid k's row j + k - w, and
+    nothing past either end of the grid, shift by shift in order."""
+    if window == 0:
+        return grids[0]
+    out = _shift_rows(grids[0], -window)
+    for k in range(1, len(grids)):
+        out += _shift_rows(grids[k], k - window)
+    return out
+
+
 def _padded_node_scores(emission: np.ndarray, theta: HcrfParameters) -> np.ndarray:
     """(Y, N, L, H) node scores of (N, L, H) emissions, stored (L, H, Y, N)."""
     num, length, num_h = emission.shape
@@ -617,11 +635,11 @@ def padded_objective_and_gradient(grouped, theta: HcrfParameters, l2_lambda: flo
     filled = np.arange(num) < np.array(active[:-1])[:, None]  # (Lmax, N)
     blocks = emission_blocks([grouped.features], grouped.sparse, theta.theta_obs, window)
     grids = []
-    for (block,) in blocks:
+    for block in blocks:
         grid = np.zeros((max_len, num, theta.num_hidden_states))
         grid[filled] = block
         grids.append(grid)
-    emission = window_sum(grids, window)
+    emission = _window_sum(grids, window)
     node = _padded_node_scores(emission.transpose(1, 0, 2), theta)
     forward_pass = _padded_forward(node, theta.theta_trans, lengths, active)
     log_post = label_log_posteriors(forward_pass[0])  # (Y, N)
@@ -636,7 +654,7 @@ def padded_objective_and_gradient(grouped, theta: HcrfParameters, l2_lambda: flo
     node_weight = state.sum(axis=2).transpose(0, 2, 1)  # (Lmax, N, H), over labels
     grad_blocks = []
     for k in range(2 * window + 1):
-        shifted = node_weight if window == 0 else shift_rows(node_weight, window - k)
+        shifted = node_weight if window == 0 else _shift_rows(node_weight, window - k)
         row_weight = shifted[filled]
         if grouped.sparse is not None:
             grad_blocks.append(grouped.sparse.transpose_dot(row_weight))

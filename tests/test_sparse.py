@@ -19,7 +19,7 @@ from opinionchain.corpus import polarity
 from opinionchain.errors import InvalidInputError
 from opinionchain.features import pipeline as feature_pipeline
 from opinionchain.features.pipeline import PipelineConfig
-from opinionchain.model import HcrfParameters, SparseRows, label_posteriors
+from opinionchain.model import HcrfParameters, SparseRows
 from opinionchain.synthetic import SyntheticSpec, generate_corpus
 from opinionchain.training import (
     HcrfPredictor,
@@ -36,6 +36,7 @@ from conftest import (
     fit,
     make_block,
     make_transcript,
+    posteriors,
     value_and_gradient,
     windowed,
 )
@@ -129,7 +130,7 @@ def test_posteriors_match_the_dense_path(window, standardize):
     predictor = HcrfPredictor(theta, TrainingConfig(context_window=window))
     got = predictor.posterior_blocks([featurize(pipeline, columns(docs))])
     dense = [windowed(dense_reference(pipeline, doc), window) for doc in docs]
-    want = label_posteriors([x @ theta.theta_obs.T for x in dense], theta)
+    want = posteriors(dense, theta)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     assert np.abs(got - 0.5).max() > 0.01  # the weights do move the posteriors
 
